@@ -139,17 +139,6 @@ else
   echo "warning: $CHAOS_BIN not found — skipping chaos resilience" >&2
 fi
 
-# Streaming pipeline: staged refactor->encode->distribute vs the
-# fragment-granular streaming dataflow — end-to-end prepare latency, restore
-# time-to-first-byte vs full gather, and the byte-identity audit.
-STREAMING_BIN="$BUILD_DIR/bench/streaming_pipeline"
-STREAMING_OUT="$(dirname "$OUT")/BENCH_streaming.json"
-if [[ -x "$STREAMING_BIN" ]]; then
-  "$STREAMING_BIN" "$STREAMING_OUT"
-else
-  echo "warning: $STREAMING_BIN not found — skipping streaming pipeline" >&2
-fi
-
 # Refactor kernels: panel-major multigrid row kernels scalar vs dispatched
 # (GB/s) plus whole single-thread decompose/recompose MB/s at the seed /
 # panel-scalar / dispatched stages, with speedups recorded in the same run.

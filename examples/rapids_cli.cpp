@@ -241,9 +241,8 @@ int cmd_restore(int argc, char** argv) {
               report.reconstruct_seconds);
   print_codec_stats("decode", report.plane_codec);
   if (report.levels_streamed > 0)
-    std::printf("  streamed %u level%s; first bytes after %.3fs wall\n",
-                report.levels_streamed, report.levels_streamed == 1 ? "" : "s",
-                report.first_byte_seconds);
+    std::printf("  streamed %u level%s\n", report.levels_streamed,
+                report.levels_streamed == 1 ? "" : "s");
   return 0;
 }
 

@@ -20,6 +20,25 @@ namespace rapids::core {
 namespace {
 constexpr u32 kRecordMagic = 0x524F4252u;  // "ROBR"
 
+/// A fetch is hedged once its simulated transfer time exceeds this multiple
+/// of the plan median.
+constexpr f64 kHedgeThreshold = 2.0;
+/// A refine session reuses its ladder plan while availability is unchanged
+/// and no bandwidth estimate has drifted by more than this relative amount.
+constexpr f64 kPlanReuseBwTolerance = 0.25;
+/// Capacity (in retrieval levels) of the refactor -> encode -> distribute
+/// channel: the refactorer turns to downstream work (backpressure) once this
+/// many materialized levels wait on it.
+constexpr u32 kStreamLevelWindow = 2;
+/// A bound no retrieval level meets (bounds are >= 0), so a rung toward it
+/// targets the object's deepest level: what restore() asks for.
+constexpr f64 kDeepestLevel = -1.0;
+
+/// Stripe width of the streaming RS encode and of every streamed put.
+u64 stripe_width(const PipelineConfig& config) {
+  return std::max<u64>(config.stream_stripe_bytes, 1);
+}
+
 std::string object_key(const std::string& name) { return "obj/" + name; }
 
 std::span<const u8> payload_u8(const Bytes& payload) {
@@ -131,18 +150,13 @@ ec::ReedSolomon RapidsPipeline::codec_for(const ObjectRecord& record,
   return ec::ReedSolomon(n - m, m, record.matrix_kind);
 }
 
-PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
-                                      mgard::Dims dims, const std::string& name) {
-  return do_prepare(data, dims, name);
-}
-
 std::vector<PrepareReport> RapidsPipeline::prepare_batch(
     std::span<const PrepareRequest> requests) {
   std::vector<PrepareReport> reports(requests.size());
   if (pool_ == nullptr || pool_->size() <= 1 || requests.size() <= 1) {
     for (std::size_t i = 0; i < requests.size(); ++i)
       reports[i] =
-          do_prepare(requests[i].data, requests[i].dims, requests[i].name);
+          prepare(requests[i].data, requests[i].dims, requests[i].name);
     return reports;
   }
   // One task per object: the pool's stealing overlaps object A's encode with
@@ -151,24 +165,18 @@ std::vector<PrepareReport> RapidsPipeline::prepare_batch(
   for (std::size_t i = 0; i < requests.size(); ++i) {
     group.run([this, &requests, &reports, i] {
       reports[i] =
-          do_prepare(requests[i].data, requests[i].dims, requests[i].name);
+          prepare(requests[i].data, requests[i].dims, requests[i].name);
     });
   }
   group.wait();
   return reports;
 }
 
-PrepareReport RapidsPipeline::do_prepare(std::span<const f32> data,
-                                         mgard::Dims dims,
-                                         const std::string& name) {
-  if (config_.streaming) return do_prepare_streaming(data, dims, name);
-  return do_prepare_staged(data, dims, name);
-}
-
 void RapidsPipeline::store_level_locked(const std::string& name, u32 level,
                                         const std::vector<ec::Fragment>& frags,
-                                        u64 stripe_bytes, StoreStats& stats) {
+                                        StoreStats& stats) {
   const u32 n = cluster_.size();
+  const u64 stripe_bytes = stripe_width(config_);
   std::vector<std::pair<std::string, std::string>> locations;
   locations.reserve(frags.size());
   for (u32 idx = 0; idx < frags.size(); ++idx) {
@@ -191,7 +199,7 @@ void RapidsPipeline::store_level_locked(const std::string& name, u32 level,
 
     u32 target = preferred;
     bool stored = false;
-    if (stripe_bytes > 0 && cluster_.system(preferred).available()) {
+    if (cluster_.system(preferred).available()) {
       // Streamed put: the fragment ships stripe by stripe, so a mid-stream
       // outage or injected fault surfaces before the tail stripes are paid
       // for. Nothing is visible on the system until the commit; any failure
@@ -241,131 +249,17 @@ void RapidsPipeline::store_level_locked(const std::string& name, u32 level,
   db_.put_batch(locations);
 }
 
-PrepareReport RapidsPipeline::do_prepare_staged(std::span<const f32> data,
-                                                mgard::Dims dims,
-                                                const std::string& name) {
-  const u32 n = cluster_.size();
-  PrepareReport report;
-  Timer t;
-
-  // 1-2) Read + refactor into the hierarchical representation.
-  mgard::RefactorTimings rt;
-  mgard::RefactoredObject obj = refactorer_.refactor(data, dims, name, &rt);
-  report.refactor_seconds = t.seconds();
-  report.transform_seconds = rt.transform_seconds;
-  report.plane_encode_seconds = rt.plane_encode_seconds;
-  report.plane_codec = rt.plane_codec;
-
-  // 3) Optimize the fault-tolerance configuration (Algorithm 1).
-  t.reset();
-  FtProblem problem;
-  problem.n = n;
-  problem.p = cluster_.config().failure_prob;
-  problem.original_size = obj.original_bytes();
-  problem.overhead_budget = config_.overhead_budget;
-  for (u32 j = 0; j < obj.levels.size(); ++j) {
-    problem.level_sizes.push_back(obj.level_bytes(j));
-    problem.level_errors.push_back(obj.rel_error_bound(j + 1));
-  }
-  const auto solution = ft_optimize_heuristic(problem);
-  RAPIDS_REQUIRE_MSG(solution.has_value(),
-                     "prepare: no FT configuration fits the overhead budget");
-  report.optimize_seconds = t.seconds();
-
-  // 4) Erasure-code every level with its own configuration. Levels are
-  // independent, so each one's encode is forked as its own task — a second
-  // axis of parallelism on top of the intra-encode parallel_for.
-  t.reset();
-  std::vector<std::vector<ec::Fragment>> per_level(obj.levels.size());
-  const auto encode_level = [&](u32 j) {
-    const u32 m = solution->m[j];
-    const ec::ReedSolomon rs(n - m, m, config_.matrix_kind);
-    per_level[j] = rs.encode(payload_u8(obj.levels[j].payload), name, j, pool_);
-  };
-  if (pool_ != nullptr && pool_->size() > 1 && obj.levels.size() > 1) {
-    TaskGroup group(pool_);
-    for (u32 j = 0; j < obj.levels.size(); ++j)
-      group.run([&encode_level, j] { encode_level(j); });
-    group.wait();
-  } else {
-    for (u32 j = 0; j < obj.levels.size(); ++j) encode_level(j);
-  }
-  report.encode_seconds = t.seconds();
-
-  // Build and serialize the object record before taking the lock: only the
-  // actual stores below need to be serialized against other batch objects.
-  ObjectRecord record;
-  record.meta = obj;
-  record.ft = solution->m;
-  for (u32 j = 0; j < obj.levels.size(); ++j)
-    record.level_sizes.push_back(obj.level_bytes(j));
-  record.matrix_kind = config_.matrix_kind;
-  record.placement = config_.placement;
-  record.planned_p = cluster_.config().failure_prob;
-  record.planned_error = solution->expected_error;
-  const Bytes record_bytes = record.serialize();
-
-  // 5-6) Distribute one fragment of every level to every system and persist
-  // the object record. Shared-state stage: cluster and metadata store are
-  // not thread-safe, so it runs under io_mu_ (and never touches the pool
-  // while holding it). Transient put failures are retried with deterministic
-  // backoff; a system that keeps failing gets its fragment re-placed on the
-  // least-loaded healthy system, and the metadata records where the fragment
-  // actually landed. Fragment locations go to the store as one batch per
-  // level instead of one put per fragment.
-  t.reset();
-  {
-    std::lock_guard<std::mutex> lock(io_mu_);
-    const auto prior = lookup(name);
-    StoreStats stats;
-    for (u32 j = 0; j < per_level.size(); ++j)
-      store_level_locked(name, j, per_level[j], 0, stats);
-    report.fragments_stored = stats.fragments_stored;
-    report.put_retries = stats.put_retries;
-    report.relocations = stats.relocations;
-    report.backoff_seconds = stats.backoff_seconds;
-    db_.put(object_key(name),
-            std::string(reinterpret_cast<const char*>(record_bytes.data()),
-                        record_bytes.size()));
-    // Re-preparing a migrated object rewinds it to generation 0 (the puts
-    // above overwrote the plain keys); its old generation's fragments are
-    // garbage now.
-    if (prior && prior->generation > 0)
-      gc_generation_locked(name, prior->generation);
-    persist_health();
-  }
-  report.store_seconds = t.seconds();
-
-  // The object's payloads may have changed: cached levels from a previous
-  // prepare of the same name are stale now.
-  restore_cache_.invalidate(name);
-
-  report.expected_error = solution->expected_error;
-  report.storage_overhead = solution->storage_overhead;
-  report.network_overhead = ft_network_overhead(
-      n, solution->m, record.level_sizes, obj.original_bytes());
-  report.distribution_latency = net::equal_share_latency(
-      rfec_distribution_plan(record.level_sizes, solution->m, n),
-      cluster_.bandwidths());
-  // Staged distribution starts only after everything is refactored and
-  // encoded, so the end-to-end latency pays the full compute wall first.
-  report.prepare_latency = report.refactor_seconds + report.optimize_seconds +
-                           report.encode_seconds + report.store_seconds +
-                           report.distribution_latency;
-  record.meta.levels = std::move(obj.levels);  // keep payloads in the report
-  report.record = std::move(record);
-  return report;
-}
-
-PrepareReport RapidsPipeline::do_prepare_streaming(std::span<const f32> data,
-                                                   mgard::Dims dims,
-                                                   const std::string& name) {
+PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
+                                      mgard::Dims dims, const std::string& name) {
+  // Retrieval levels ride a bounded channel from the refactorer into
+  // stripe-granular RS encode and distribution, so level j's WAN puts start
+  // while level j+1 still refactors.
   const u32 n = cluster_.size();
   PrepareReport report;
   Timer total;
 
   const bool concurrent = pool_ != nullptr && pool_->size() > 1;
-  const u64 stripe_bytes = std::max<u64>(config_.stream_stripe_bytes, 1);
+  const u64 stripe_bytes = stripe_width(config_);
 
   struct LevelWork {
     u32 level = 0;
@@ -443,8 +337,8 @@ PrepareReport RapidsPipeline::do_prepare_streaming(std::span<const f32> data,
     const f64 enc = et.seconds();
 
     // Conveyor: stores run strictly in level order (deterministic fault
-    // draws and location batches, exactly like the staged path), one thread
-    // at a time, while other levels keep encoding.
+    // draws and location batches), one thread at a time, while other levels
+    // keep encoding.
     std::unique_lock<std::mutex> al(agg_mu);
     ready.emplace(w.level,
                   EncodedLevel{std::move(w.lvl), std::move(frags), enc});
@@ -463,7 +357,7 @@ PrepareReport RapidsPipeline::do_prepare_streaming(std::span<const f32> data,
       StoreStats level_stats;
       {
         std::lock_guard<std::mutex> lock(io_mu_);
-        store_level_locked(name, level, el.frags, stripe_bytes, level_stats);
+        store_level_locked(name, level, el.frags, level_stats);
       }
       const f64 store_wall = st.seconds();
       const f64 level_latency = net::equal_share_latency(
@@ -496,7 +390,7 @@ PrepareReport RapidsPipeline::do_prepare_streaming(std::span<const f32> data,
   std::optional<Channel<LevelWork>> channel;
   std::optional<TaskGroup> drains;
   if (concurrent) {
-    channel.emplace(std::max<u32>(config_.stream_level_window, 1));
+    channel.emplace(kStreamLevelWindow);
     drains.emplace(pool_);
   }
 
@@ -557,8 +451,8 @@ PrepareReport RapidsPipeline::do_prepare_streaming(std::span<const f32> data,
   report.stream_fallback_puts = stats.fallback_puts;
   report.backoff_seconds = stats.backoff_seconds;
 
-  // Reattach the streamed payloads so the record (and its serialized bytes)
-  // match the staged path exactly.
+  // Reattach the streamed levels: the serialized record describes them and
+  // the report carries their payloads.
   obj.levels = std::move(stored_levels);
 
   ObjectRecord record;
@@ -594,7 +488,7 @@ PrepareReport RapidsPipeline::do_prepare_streaming(std::span<const f32> data,
       cluster_.bandwidths());
   // Each level's puts started while later levels still refactored, so the
   // end-to-end latency is the worst (store-start wall + that level's WAN
-  // share), not compute-wall + whole-plan latency.
+  // share).
   report.prepare_latency = sim_finish + stats.backoff_seconds;
   record.meta.levels = std::move(obj.levels);  // keep payloads in the report
   report.record = std::move(record);
@@ -732,12 +626,17 @@ RapidsPipeline::FetchOutcome RapidsPipeline::fetch_with_retry(
 }
 
 RestoreReport RapidsPipeline::restore(const std::string& name) {
-  return do_restore(name);
+  return restore(name, RestoreOptions{});
 }
 
 RestoreReport RapidsPipeline::restore(const std::string& name,
                                       const RestoreOptions& opts) {
-  return do_restore(name, opts);
+  // A transient session: never entered in sessions_, so no other thread can
+  // reach it and its lock is not taken. Its field is ours to move out.
+  RefineSession session(name);
+  RestoreReport report = advance(session, kDeepestLevel, opts);
+  report.data = std::move(session.data_);
+  return report;
 }
 
 std::vector<RestoreReport> RapidsPipeline::restore_batch(
@@ -745,14 +644,14 @@ std::vector<RestoreReport> RapidsPipeline::restore_batch(
   std::vector<RestoreReport> reports(names.size());
   if (pool_ == nullptr || pool_->size() <= 1 || names.size() <= 1) {
     for (std::size_t i = 0; i < names.size(); ++i)
-      reports[i] = do_restore(names[i]);
+      reports[i] = restore(names[i]);
     return reports;
   }
   // One task per object: planning, decode, and reconstruction overlap across
   // objects; the fetch stage serializes internally on io_mu_.
   TaskGroup group(pool_);
   for (std::size_t i = 0; i < names.size(); ++i) {
-    group.run([this, &names, &reports, i] { reports[i] = do_restore(names[i]); });
+    group.run([this, &names, &reports, i] { reports[i] = restore(names[i]); });
   }
   group.wait();
   return reports;
@@ -946,7 +845,7 @@ bool RapidsPipeline::fetch_levels(const ObjectRecord& record,
         }
         times = net::equal_share_times_scaled(transfers, problem.bandwidths,
                                               mults);
-        hedge_launch = config_.hedge_threshold * median_of(times);
+        hedge_launch = kHedgeThreshold * median_of(times);
       }
     }
     report.fetch_seconds += t.seconds();
@@ -1095,150 +994,6 @@ bool RapidsPipeline::fetch_levels(const ObjectRecord& record,
   return false;
 }
 
-RestoreReport RapidsPipeline::do_restore(const std::string& name,
-                                         const RestoreOptions& opts) {
-  RestoreReport report;
-  Timer total;
-
-  std::optional<ObjectRecord> record;
-  GatherProblem problem;
-  snapshot_problem(name, record, problem);
-  const u32 nlevels = static_cast<u32>(record->ft.size());
-
-  // Consult the restore cache before planning: cached levels skip the WAN
-  // fetch and erasure decode entirely; a CRC mismatch evicts the entry and
-  // falls through to a normal fetch.
-  const u32 generation = record->generation;
-  std::vector<Bytes> payloads(nlevels);
-  std::vector<bool> have(nlevels, false);        // cached or streamed in
-  std::vector<bool> from_cache(nlevels, false);  // skip the cache store-back
-  for (u32 j = 0; j < nlevels; ++j) {
-    Bytes hit;
-    switch (restore_cache_.get(name, generation, j, hit)) {
-      case storage::RestoreCache::Outcome::kHit:
-        payloads[j] = std::move(hit);
-        have[j] = true;
-        from_cache[j] = true;
-        ++report.cache_hits;
-        break;
-      case storage::RestoreCache::Outcome::kCorrupt:
-        ++report.cache_corrupt;
-        [[fallthrough]];
-      case storage::RestoreCache::Outcome::kMiss:
-        ++report.cache_misses;
-        break;
-    }
-  }
-
-  // Streaming restore state: retrieval levels merge into the plane sets the
-  // moment they (or their cached copies) complete the contiguous prefix, and
-  // the first level triggers an immediate coarse reconstruction — the
-  // time-to-first-byte the staged full gather forfeits. All merging runs on
-  // this thread; reconstruct_incremental keeps the final field bit-identical
-  // to a staged reconstruct of the same prefix.
-  const bool streaming = config_.streaming;
-  std::vector<mgard::PlaneSet> sets;
-  std::vector<mgard::ProgressiveState> pstates;
-  u32 merged = 0;         // contiguous levels merged into `sets`
-  u32 reconstructed = 0;  // value of `merged` at the last recompose
-  bool first_done = false;
-  if (streaming) {
-    sets.resize(record->meta.dlevels.size());
-    for (std::size_t d = 0; d < sets.size(); ++d) {
-      sets[d].count = record->meta.dlevels[d].count;
-      sets[d].max_abs = record->meta.dlevels[d].max_abs;
-      sets[d].exponent = record->meta.dlevels[d].exponent;
-    }
-  }
-  const auto merge_ready = [&](u32 limit) {
-    while (merged < limit && have[merged]) {
-      const std::span<const Bytes> one(payloads.data() + merged, 1);
-      mgard::append_plane_sets(sets, one);
-      ++merged;
-    }
-  };
-  const auto recompose_now = [&] {
-    Timer rt;
-    report.data = refactorer_.reconstruct_incremental(record->meta, sets,
-                                                      pstates,
-                                                      &report.plane_codec);
-    report.reconstruct_seconds += rt.seconds();
-    reconstructed = merged;
-  };
-  const auto first_byte = [&](f64 latency) {
-    if (!first_done && merged >= 1) {
-      first_done = true;
-      report.first_level_latency = latency;
-      recompose_now();
-      report.first_byte_seconds = total.seconds();
-    }
-  };
-
-  u32 levels_used = 0;
-  for (;;) {
-    // Cached (or already-landed) levels need no fragments, so the usable
-    // prefix extends through them even under outages that would make a
-    // fetch impossible.
-    levels_used = recoverable_prefix(problem, have);
-    if (levels_used == 0) {
-      // Per the RestoreReport contract this is the degraded outcome, not a
-      // crash: the caller gets empty data and the honest e_0 = 1 penalty.
-      log::warn("pipeline", "object ", name,
-                " unrecoverable: too many outages");
-      report.rel_error_bound = 1.0;  // the paper's e_0 penalty
-      report.data.clear();
-      return report;
-    }
-    if (streaming) {
-      merge_ready(levels_used);
-      first_byte(0.0);  // level 1 from cache: no WAN wait at all
-    }
-    std::vector<u32> uncached;
-    for (u32 j = 0; j < levels_used; ++j)
-      if (!have[j]) uncached.push_back(j);
-    if (uncached.empty()) break;
-    const u32 limit = levels_used;
-    FetchSink sink;
-    if (streaming) {
-      sink = [&, limit](u32 level, const Bytes& payload, f64 latency) {
-        have[level] = true;
-        ++report.levels_streamed;
-        restore_cache_.put(name, generation, level, payload);
-        merge_ready(limit);
-        first_byte(latency);
-      };
-    }
-    if (fetch_levels(*record, name, problem, uncached, nullptr, report,
-                     payloads, sink, opts))
-      break;
-    // fetch_levels marked at least one more system unavailable (landed
-    // levels stay landed), so the recoverable prefix strictly shrinks
-    // beyond them and this loop terminates.
-  }
-  report.levels_used = levels_used;
-  report.rel_error_bound = record->meta.rel_error_bound(levels_used);
-
-  const std::span<const Bytes> prefix(payloads.data(), levels_used);
-  report.planes_decoded = mgard::count_magnitude_segments(prefix);
-
-  if (streaming) {
-    merge_ready(levels_used);
-    if (reconstructed < merged) recompose_now();
-    return report;
-  }
-
-  // Staged path: fetched levels feed the cache, one reconstruct at the end.
-  for (u32 j = 0; j < levels_used; ++j)
-    if (!from_cache[j]) restore_cache_.put(name, generation, j, payloads[j]);
-  Timer t;
-  report.data =
-      refactorer_.reconstruct(record->meta, prefix, &report.plane_codec);
-  report.reconstruct_seconds = t.seconds();
-  report.first_level_latency = report.gather_latency;
-  report.first_byte_seconds = total.seconds();
-  return report;
-}
-
 std::shared_ptr<RefineSession> RapidsPipeline::begin_refine(
     const std::string& name) {
   return std::make_shared<RefineSession>(name);
@@ -1273,6 +1028,13 @@ RestoreReport RapidsPipeline::refine(RefineSession& session, f64 rel_bound) {
 RestoreReport RapidsPipeline::refine(RefineSession& session, f64 rel_bound,
                                      const RestoreOptions& opts) {
   std::lock_guard<std::mutex> session_lock(session.mu_);
+  RestoreReport report = advance(session, rel_bound, opts);
+  report.data = session.data_;  // the session keeps its field for later rungs
+  return report;
+}
+
+RestoreReport RapidsPipeline::advance(RefineSession& session, f64 rel_bound,
+                                      const RestoreOptions& opts) {
   RestoreReport report;
 
   std::optional<ObjectRecord> record;
@@ -1295,7 +1057,6 @@ RestoreReport RapidsPipeline::refine(RefineSession& session, f64 rel_bound,
     report.levels_used = used;
     report.rel_error_bound =
         used == 0 ? 1.0 : record->meta.rel_error_bound(used);
-    report.data = session.data_;
     return report;
   };
 
@@ -1327,17 +1088,14 @@ RestoreReport RapidsPipeline::refine(RefineSession& session, f64 rel_bound,
 
   // Levels land one at a time through the fetch sink: each is cached and
   // marked the moment it decodes, so a replan after a partial fetch only
-  // re-plans the levels still missing and the first delivery's simulated
-  // latency becomes the rung's time-to-first-level.
-  bool first_landed = false;
+  // re-plans the levels still missing. The rung's time-to-first-level is the
+  // landing of its first new level; it stays 0 when the cache served that
+  // level, even if deeper levels had to be fetched.
   const FetchSink sink = [&](u32 level, const Bytes& payload, f64 latency) {
     cached[level] = true;
     ++report.levels_streamed;
     restore_cache_.put(session.name_, generation, level, payload);
-    if (!first_landed) {
-      first_landed = true;
-      report.first_level_latency = latency;
-    }
+    if (level == session.cursor_) report.first_level_latency = latency;
   };
 
   u32 usable = 0;
@@ -1345,10 +1103,11 @@ RestoreReport RapidsPipeline::refine(RefineSession& session, f64 rel_bound,
     usable = std::min(target, recoverable_prefix(problem, cached));
     if (usable <= session.cursor_) {
       // Outages block any improvement. Hold the session's current state —
-      // degraded but monotone — rather than going backwards or throwing.
-      log::warn("pipeline", "refine: object ", session.name_,
-                " cannot improve past ", session.cursor_,
-                " levels under current outages");
+      // degraded but monotone — rather than going backwards or throwing;
+      // with nothing materialized yet that is the documented degraded
+      // report (no data, the paper's e_0 = 1 penalty).
+      log::warn("pipeline", "object ", session.name_, " cannot improve past ",
+                session.cursor_, " levels under current outages");
       return current_state(session.cursor_);
     }
     std::vector<u32> uncached;
@@ -1373,7 +1132,7 @@ RestoreReport RapidsPipeline::refine(RefineSession& session, f64 rel_bound,
             max_delta,
             std::fabs(problem.bandwidths[i] - session.plan_bandwidths_[i]) / ref);
       }
-      if (max_delta <= config_.plan_reuse_bw_tolerance) {
+      if (max_delta <= kPlanReuseBwTolerance) {
         have_pre = true;
         for (const u32 j : uncached) {
           const auto it = session.planned_rows_.find(j);
@@ -1761,9 +1520,7 @@ u64 RapidsPipeline::store_level_generation(const std::string& name,
   StoreStats stats;
   {
     std::lock_guard<std::mutex> lock(io_mu_);
-    store_level_locked(sname, level, frags,
-                       config_.streaming ? config_.stream_stripe_bytes : 0,
-                       stats);
+    store_level_locked(sname, level, frags, stats);
     persist_health();
   }
   u64 bytes = 0;

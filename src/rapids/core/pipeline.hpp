@@ -67,13 +67,12 @@ struct PipelineConfig {
   /// simulated clock; jitter seeds derive from the op identity, so retry
   /// schedules are reproducible under any thread interleaving.
   RetryPolicy retry;
-  /// Hedge fetches whose simulated transfer time exceeds hedge_threshold ×
-  /// the plan median: a duplicate read of a sibling fragment of the same
-  /// level is issued to the fastest unplanned holder, and the faster of the
-  /// two completions wins. Also rescues persistently failed fetches without
-  /// a full replan.
+  /// Hedge fetches whose simulated transfer time exceeds twice the plan
+  /// median: a duplicate read of a sibling fragment of the same level is
+  /// issued to the fastest unplanned holder, and the faster of the two
+  /// completions wins. Also rescues persistently failed fetches without a
+  /// full replan.
   bool hedged_reads = true;
-  f64 hedge_threshold = 2.0;
   /// Track per-system success/failure/latency in a SystemHealth circuit
   /// breaker (persisted next to the bandwidth tracker) and exclude
   /// circuit-open systems from gathering plans when that does not reduce
@@ -89,28 +88,13 @@ struct PipelineConfig {
   /// level. 0 disables caching (every restore refetches, the pre-cache
   /// behavior).
   u64 restore_cache_bytes = 256ull << 20;
-  /// A refine session reuses its cached gathering plan while availability is
-  /// unchanged and no system's bandwidth estimate has drifted by more than
-  /// this relative tolerance; beyond it the ladder is replanned.
-  f64 plan_reuse_bw_tolerance = 0.25;
 
   // --- streaming dataflow (fragment-granular pipelining) ---
 
-  /// Stream prepare and restore at retrieval-level/stripe granularity:
-  /// prepare erasure-codes and distributes each level as the refactorer
-  /// materializes it (a bounded channel connects the stages), restore decodes
-  /// and merges each level as its fragment quorum lands instead of waiting
-  /// for the full gather. Outputs are byte-identical to the staged path at
-  /// every level prefix; false restores the staged flow (the bench baseline).
-  bool streaming = true;
   /// Stripe width for the fragment-granular RS encode and the streamed WAN
   /// puts: stripe s of a level encodes (and ships) while stripe s+1 is still
-  /// in flight and later levels still refactor.
+  /// in flight and later levels still refactor. 0 is treated as 1.
   u64 stream_stripe_bytes = 256 * 1024;
-  /// Bounded capacity (in retrieval levels) of the refactor -> encode ->
-  /// distribute channel: the refactorer stalls (backpressure) once this many
-  /// materialized levels are waiting on downstream stages.
-  u32 stream_level_window = 2;
 };
 
 /// Storage-key name of one encoding generation of an object: generation 0
@@ -155,10 +139,9 @@ struct PrepareReport {
   f64 network_overhead = 0.0;    ///< shipped bytes / original bytes
   f64 distribution_latency = 0;  ///< simulated WAN latency (equal share)
   /// End-to-end prepare latency: wall time of the compute stages plus the
-  /// simulated WAN distribution. Streaming overlaps the two — each level's
-  /// puts start while later levels still refactor — so this is
-  /// max_j(store-start wall of level j + level j's simulated latency);
-  /// staged pays the full compute wall plus the whole-plan latency.
+  /// simulated WAN distribution. The two overlap — each level's puts start
+  /// while later levels still refactor — so this is
+  /// max_j(store-start wall of level j + level j's simulated latency).
   f64 prepare_latency = 0.0;
   f64 refactor_seconds = 0.0;       ///< transform + plane encode + assemble
   f64 transform_seconds = 0.0;      ///< widen/pad/multigrid share of refactor
@@ -167,9 +150,9 @@ struct PrepareReport {
   /// bytes, and the raw/sparse/zero/Rice mode histogram.
   mgard::CodecStats plane_codec;
   f64 optimize_seconds = 0.0;
-  f64 encode_seconds = 0.0;  ///< RS encode (streaming: summed across levels,
-                             ///< which overlap, so the sum may exceed wall)
-  f64 store_seconds = 0.0;   ///< distribution puts (streaming: summed)
+  f64 encode_seconds = 0.0;  ///< RS encode, summed across levels (which
+                             ///< overlap, so the sum may exceed wall)
+  f64 store_seconds = 0.0;   ///< distribution puts, summed across levels
   u64 fragments_stored = 0;
   u32 put_retries = 0;       ///< transient put failures absorbed by retry
   u32 relocations = 0;       ///< fragments re-placed after persistent failure
@@ -197,14 +180,10 @@ struct RestoreReport {
   f64 gather_latency = 0.0;     ///< simulated WAN latency actually observed
                                 ///< (stragglers, hedges, retry backoff folded
                                 ///< in; equals the plan latency when healthy)
-  /// Simulated time until retrieval level 1 was decodable — the streamed
-  /// restore's time-to-first-byte. 0 when level 1 came from the restore
-  /// cache; equals gather_latency on the staged path (nothing is usable
-  /// before the full gather lands).
+  /// Simulated time until the first retrieval level the call needed was
+  /// decodable: level 1 for a restore, the level past the session's cursor
+  /// for a refine rung. 0 when that level came from the restore cache.
   f64 first_level_latency = 0.0;
-  /// Wall time from restore start until the first (level-1) approximation
-  /// was reconstructed and available to the caller.
-  f64 first_byte_seconds = 0.0;
   f64 planning_seconds = 0.0;   ///< optimizer wall time
   f64 fetch_seconds = 0.0;      ///< wall time in the fragment-fetch stage
   f64 decode_seconds = 0.0;
@@ -227,7 +206,7 @@ struct RestoreReport {
   u32 cache_corrupt = 0;        ///< cached levels evicted on CRC mismatch
   bool plan_reused = false;     ///< gathering plan reused from the session
   u32 levels_streamed = 0;      ///< levels delivered incrementally as their
-                                ///< fragment quorum landed (streaming restore)
+                                ///< fragment quorum landed
 };
 
 /// Per-call resource bounds for one restore/refine. `sim_budget_s` is the
@@ -320,7 +299,8 @@ class RapidsPipeline {
   /// Falls back to the serial loop when no pool was injected.
   std::vector<PrepareReport> prepare_batch(std::span<const PrepareRequest> requests);
 
-  /// Full data-restoration phase under the cluster's *current* availability.
+  /// Full data-restoration phase under the cluster's *current* availability:
+  /// one refine rung to the object's deepest level on a fresh session.
   /// Transient fetch failures and in-flight corruption are retried with
   /// deterministic backoff; stragglers are hedged against sibling fragment
   /// holders; if a planned fragment stays missing or damaged, the affected
@@ -351,12 +331,12 @@ class RapidsPipeline {
   /// Advance `session` until its guaranteed bound is <= rel_bound (or to the
   /// object's deepest level when no level bound is that tight): consult the
   /// restore cache, fetch only the uncached levels past the cursor (reusing
-  /// the session's gathering plan while bandwidth estimates have not drifted
-  /// past plan_reuse_bw_tolerance), decode only the new bitplanes, and
-  /// recompose. The returned field is byte-identical to a from-scratch
-  /// restore of the same level prefix. If outages put the requested bound
-  /// out of reach, the rung degrades to the deepest reachable level —
-  /// possibly the session's current state — instead of throwing.
+  /// the session's gathering plan while availability is unchanged and no
+  /// bandwidth estimate has drifted by more than 25%), decode only the new
+  /// bitplanes, and recompose. The returned field is byte-identical to a
+  /// from-scratch restore of the same level prefix. If outages put the
+  /// requested bound out of reach, the rung degrades to the deepest reachable
+  /// level — possibly the session's current state — instead of throwing.
   RestoreReport refine(RefineSession& session, f64 rel_bound);
 
   /// refine() with per-call resource bounds (deadline-budgeted retries and
@@ -476,11 +456,11 @@ class RapidsPipeline {
 
   /// Phase 1 of a migration step: re-encode one level payload with parity
   /// count `m_new` and store its fragments under generation `generation`'s
-  /// keys (streaming puts when the pipeline streams, with the usual retry /
-  /// relocate / health machinery). The object's live record is untouched —
-  /// restores keep serving the old generation. Re-running the same call
-  /// overwrites the same keys, so phase-1 resume after a crash is a plain
-  /// replay. Returns fragment bytes shipped.
+  /// keys (streamed puts, with the usual retry / relocate / health
+  /// machinery). The object's live record is untouched — restores keep
+  /// serving the old generation. Re-running the same call overwrites the
+  /// same keys, so phase-1 resume after a crash is a plain replay. Returns
+  /// fragment bytes shipped.
   u64 store_level_generation(const std::string& name, u32 generation,
                              u32 level, u32 m_new,
                              std::span<const std::byte> payload);
@@ -501,24 +481,23 @@ class RapidsPipeline {
   u64 gc_generation(const std::string& name, u32 generation);
 
  private:
-  /// Single-object bodies shared by the serial and batch entry points. The
-  /// compute stages run lock-free; every touch of shared state (cluster
-  /// stores/fetches, metadata reads/writes, the bandwidth tracker) happens
-  /// under io_mu_. Invariant: code holding io_mu_ never calls into the pool
-  /// (a helping waiter could steal a task that needs the same lock).
-  PrepareReport do_prepare(std::span<const f32> data, mgard::Dims dims,
-                           const std::string& name);
-  /// The staged flow: refactor everything, optimize, encode every level,
-  /// then distribute — the pre-streaming baseline (config_.streaming off).
-  PrepareReport do_prepare_staged(std::span<const f32> data, mgard::Dims dims,
-                                  const std::string& name);
-  /// The streaming flow: retrieval levels ride a bounded channel from the
-  /// refactorer into stripe-granular RS encode and distribution, so level
-  /// j's WAN puts start while level j+1 still refactors. Stored bytes,
-  /// metadata record, and report.record are byte-identical to the staged
-  /// flow's.
-  PrepareReport do_prepare_streaming(std::span<const f32> data,
-                                     mgard::Dims dims, const std::string& name);
+  // prepare() and the restore engine are the single-object bodies shared by
+  // the serial and batch entry points. Their compute stages run lock-free;
+  // every touch of shared state (cluster stores/fetches, metadata
+  // reads/writes, the bandwidth tracker) happens under io_mu_. Invariant:
+  // code holding io_mu_ never calls into the pool (a helping waiter could
+  // steal a task that needs the same lock).
+
+  /// The one restore engine behind restore(), restore_batch() and refine():
+  /// consult the cache -> find the recoverable prefix -> plan the ladder (or
+  /// reuse the session's plan) -> fetch_levels -> merge the new levels into
+  /// the session's plane sets -> exactly one recompose. Advances `session`
+  /// toward the fewest levels whose bound is <= rel_bound (the deepest level
+  /// when none is). Fills every report field except data, which the caller
+  /// copies or moves out of the session. The caller holds session.mu_, or
+  /// owns a session no other thread can see.
+  RestoreReport advance(RefineSession& session, f64 rel_bound,
+                        const RestoreOptions& opts);
   /// Outcome counters of one level's fragment distribution.
   struct StoreStats {
     u64 fragments_stored = 0;
@@ -529,15 +508,12 @@ class RapidsPipeline {
     std::vector<net::Transfer> transfers;  ///< (target system, bytes) per put
   };
   /// Distribute one level's fragments (placement, retry, relocation, health,
-  /// per-level location batch). Caller holds io_mu_. stripe_bytes > 0 ships
-  /// each fragment through a streamed put in stripes of that size, falling
-  /// back to the whole-fragment retry path on a mid-stream fault;
-  /// stripe_bytes == 0 is the staged whole-fragment put.
+  /// per-level location batch). Caller holds io_mu_. Each fragment ships
+  /// through a streamed put in stripes of stream_stripe_bytes, falling back
+  /// to the whole-fragment retry path on a mid-stream fault.
   void store_level_locked(const std::string& name, u32 level,
                           const std::vector<ec::Fragment>& frags,
-                          u64 stripe_bytes, StoreStats& stats);
-  RestoreReport do_restore(const std::string& name,
-                           const RestoreOptions& opts = {});
+                          StoreStats& stats);
   ec::ReedSolomon codec_for(const ObjectRecord& record, u32 level) const;
   net::BandwidthTracker& tracker();
   void persist_tracker();

@@ -236,10 +236,16 @@ TEST(SystemHealthTransitions, CallbackSafeUnderExternalLockTsan) {
     for (u32 i = 0; i < 500; ++i) {
       std::lock_guard<std::mutex> lock(mu);
       const u32 sys = (seed + i) % 4;
-      if ((i * 2654435761u + seed) % 3 == 0)
+      if ((i * 2654435761u + seed) % 3 == 0) {
+        // Two failures in one lock hold reach the threshold by themselves: a
+        // closed breaker opens, a half-open one reopens, and an open one has
+        // already fired. One worker alone thus counts a transition, whatever
+        // the interleaving (with single failures it never could).
         health.record_failure(sys);
-      else
+        health.record_failure(sys);
+      } else {
         health.record_success(sys);
+      }
       (void)health.allow(sys);
     }
   };

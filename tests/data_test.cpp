@@ -68,6 +68,12 @@ struct GenCase {
   f64 min_ok, max_ok;  // plausible physical range
 };
 
+// gtest would otherwise print the raw bytes (including both pointers) as the
+// parameter, and gtest_discover_tests copies that into the CTest name.
+void PrintTo(const GenCase& gc, std::ostream* os) {
+  *os << gc.name << " range=" << gc.min_ok << ".." << gc.max_ok;
+}
+
 class GeneratorTest : public ::testing::TestWithParam<GenCase> {};
 
 TEST_P(GeneratorTest, DeterministicAndInRange) {

@@ -94,6 +94,12 @@ struct HeuristicCase {
   f64 budget;
 };
 
+// gtest would otherwise print the raw bytes (including the name pointer) as
+// the parameter, and gtest_discover_tests copies that into the CTest name.
+void PrintTo(const HeuristicCase& hc, std::ostream* os) {
+  *os << hc.name << " base_size=" << hc.base_size << " budget=" << hc.budget;
+}
+
 class HeuristicVsBruteForce : public ::testing::TestWithParam<HeuristicCase> {};
 
 TEST_P(HeuristicVsBruteForce, SameOptimum) {

@@ -576,6 +576,14 @@ struct RefactorCase {
   bool correction;
 };
 
+// gtest would otherwise print the raw bytes (the name pointer and padding)
+// as the parameter, and gtest_discover_tests copies that into the CTest name.
+void PrintTo(const RefactorCase& rc, std::ostream* os) {
+  *os << rc.name << " " << rc.dims.nx << "x" << rc.dims.ny << "x"
+      << rc.dims.nz << " L" << rc.decomp_levels
+      << (rc.correction ? " corr" : " plain");
+}
+
 class RefactorerTest : public ::testing::TestWithParam<RefactorCase> {};
 
 TEST_P(RefactorerTest, ProgressiveBoundsHold) {

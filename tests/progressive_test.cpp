@@ -366,6 +366,25 @@ TEST_F(RefineTest, RepeatRestoreServedFromCache) {
   EXPECT_TRUE(bit_identical(second.data, first.data));
 }
 
+TEST_F(RefineTest, RestoreMixesCachedAndFetchedLevels) {
+  auto cfg = refine_config();
+  config_used_ = cfg.refactor;
+  RapidsPipeline pipeline(*cluster_, *db_, cfg);
+  const Dims dims{33, 17, 9};
+  const auto field = data::hurricane_pressure(dims, 11);
+  const auto prep = pipeline.prepare(field, dims, "hp");
+
+  ASSERT_EQ(pipeline.refine("hp", 4e-3).levels_used, 1u);  // caches level 1
+  const auto report = pipeline.restore("hp");
+  ASSERT_EQ(report.levels_used, 4u);
+  EXPECT_EQ(report.cache_hits, 1u);
+  EXPECT_GT(report.bytes_transferred, 0u);  // levels 2..4 fetched
+  // Level 1 came from the cache: no WAN wait before the first level, even
+  // though deeper levels had to land first.
+  EXPECT_EQ(report.first_level_latency, 0.0);
+  EXPECT_TRUE(bit_identical(report.data, expected_prefix(prep, 4)));
+}
+
 TEST_F(RefineTest, CacheServesFullQualityDuringTotalOutage) {
   RapidsPipeline pipeline(*cluster_, *db_, refine_config());
   const Dims dims{17, 17, 9};

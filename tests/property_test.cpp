@@ -106,6 +106,13 @@ struct CatalogCase {
   bool correction;
 };
 
+// gtest would otherwise print the raw bytes (the label pointer and padding)
+// as the parameter, and gtest_discover_tests copies that into the CTest name.
+void PrintTo(const CatalogCase& cc, std::ostream* os) {
+  *os << cc.label << " seed=" << cc.seed
+      << (cc.correction ? " corr" : " plain");
+}
+
 class CatalogBounds : public ::testing::TestWithParam<CatalogCase> {};
 
 TEST_P(CatalogBounds, BoundsHoldOnEveryPrefix) {

@@ -1,7 +1,8 @@
 // Tests for the fragment-granular streaming dataflow: the bounded Channel,
 // StorageSystem::PutStream / get_range, and the byte-identity contract of
-// the streaming prepare/restore paths against the staged baseline at every
-// level prefix.
+// prepare/restore against a staged reference built from public primitives
+// (whole-field refactor, per-level RS encode, placement, reconstruct) at
+// every level prefix.
 
 #include <gtest/gtest.h>
 
@@ -9,8 +10,10 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "rapids/core/pipeline.hpp"
 #include "rapids/data/datasets.hpp"
@@ -236,16 +239,17 @@ TEST(PutStream, GetRangeSlicesAndClampsPastEnd) {
   EXPECT_THROW(sys.get_range(key, 0, 16), io_error);
 }
 
-// ------------------------------------- streaming-vs-staged byte identity
+// ------------------------------------------- byte identity vs a reference
+
+constexpr storage::ClusterConfig kCluster{16, 0.01, 42};
 
 /// One self-contained pipeline environment (cluster + metadata store), so
-/// the staged reference run and the streaming run never share state.
+/// pipelines under comparison never share state.
 struct Env {
   explicit Env(const std::string& tag) {
     dir = (fs::temp_directory_path() / ("rapids_stream_" + tag)).string();
     fs::remove_all(dir);
-    cluster = std::make_unique<storage::Cluster>(
-        storage::ClusterConfig{16, 0.01, 42});
+    cluster = std::make_unique<storage::Cluster>(kCluster);
     db = kv::Db::open(dir);
   }
   ~Env() {
@@ -257,45 +261,89 @@ struct Env {
   std::unique_ptr<kv::Db> db;
 };
 
-PipelineConfig fast_config(bool streaming) {
+PipelineConfig fast_config() {
   PipelineConfig cfg;
   cfg.refactor.decomp_levels = 3;
   cfg.refactor.num_retrieval_levels = 4;
   cfg.refactor.target_rel_errors = {4e-3, 5e-4, 6e-5, 1e-6};
   cfg.aco.iterations = 20;
-  cfg.streaming = streaming;
   cfg.stream_stripe_bytes = 8 * 1024;  // small stripes: many per fragment
   return cfg;
 }
 
-/// Assert byte-identical prepared state for `name` across two environments:
-/// the serialized object record, every fragment location, and every stored
-/// fragment's serialized bytes (header + payload + CRC).
-void expect_identical_prepared_state(Env& a, Env& b, const std::string& name) {
-  const auto raw_a = a.db->get("obj/" + name);
-  const auto raw_b = b.db->get("obj/" + name);
-  ASSERT_TRUE(raw_a.has_value()) << name;
-  ASSERT_TRUE(raw_b.has_value()) << name;
-  EXPECT_EQ(*raw_a, *raw_b) << "object record bytes differ for " << name;
-  const auto record = ObjectRecord::deserialize(
-      {reinterpret_cast<const std::byte*>(raw_a->data()), raw_a->size()});
-  const u32 n = a.cluster->size();
-  for (u32 j = 0; j < record.level_sizes.size(); ++j) {
-    for (u32 idx = 0; idx < n; ++idx) {
-      const std::string key = ec::FragmentId{name, j, idx}.key();
-      const auto loc_a = a.db->get(key);
-      const auto loc_b = b.db->get(key);
-      ASSERT_TRUE(loc_a.has_value()) << key;
-      ASSERT_TRUE(loc_b.has_value()) << key;
-      EXPECT_EQ(*loc_a, *loc_b) << "location differs for " << key;
-      const u32 sys = static_cast<u32>(std::stoul(*loc_a));
-      const auto frag_a = a.cluster->system(sys).get(key);
-      const auto frag_b = b.cluster->system(sys).get(key);
-      ASSERT_TRUE(frag_a.has_value()) << key;
-      ASSERT_TRUE(frag_b.has_value()) << key;
-      EXPECT_EQ(frag_a->serialize(), frag_b->serialize())
-          << "fragment bytes differ for " << key;
-    }
+/// The staged reference for one object: what prepare() must leave behind on
+/// a healthy kCluster, built only from public primitives — refactor the
+/// whole field, optimize the FT configuration (Algorithm 1), RS-encode each
+/// level in one piece, and put every fragment where the placement policy
+/// says.
+struct Reference {
+  mgard::RefactoredObject obj;  ///< with payloads, for prefix reconstructs
+  FtSolution ft;
+  Bytes record;  ///< the serialized ObjectRecord
+  /// Fragment key -> (hosting system, serialized fragment).
+  std::map<std::string, std::pair<u32, Bytes>> fragments;
+};
+
+Reference reference_prepare(const PipelineConfig& cfg,
+                            std::span<const f32> field, Dims dims,
+                            const std::string& name) {
+  const u32 n = kCluster.num_systems;
+  Reference ref;
+  ref.obj = mgard::Refactorer(cfg.refactor).refactor(field, dims, name);
+
+  FtProblem problem;
+  problem.n = n;
+  problem.p = kCluster.failure_prob;
+  problem.original_size = ref.obj.original_bytes();
+  problem.overhead_budget = cfg.overhead_budget;
+  for (u32 j = 0; j < ref.obj.levels.size(); ++j) {
+    problem.level_sizes.push_back(ref.obj.level_bytes(j));
+    problem.level_errors.push_back(ref.obj.rel_error_bound(j + 1));
+  }
+  ref.ft = ft_optimize_heuristic(problem).value();
+
+  ObjectRecord record;
+  record.meta = ref.obj;
+  record.ft = ref.ft.m;
+  record.level_sizes = problem.level_sizes;
+  record.matrix_kind = cfg.matrix_kind;
+  record.placement = cfg.placement;
+  record.planned_p = kCluster.failure_prob;
+  record.planned_error = ref.ft.expected_error;
+  ref.record = record.serialize();
+
+  for (u32 j = 0; j < ref.obj.levels.size(); ++j) {
+    const u32 m = ref.ft.m[j];
+    const ec::ReedSolomon rs(n - m, m, cfg.matrix_kind);
+    const Bytes& payload = ref.obj.levels[j].payload;
+    const auto frags = rs.encode(
+        {reinterpret_cast<const u8*>(payload.data()), payload.size()}, name, j);
+    for (u32 idx = 0; idx < frags.size(); ++idx)
+      ref.fragments[frags[idx].id.key()] = {
+          storage::place_fragment(cfg.placement, n, j, idx),
+          frags[idx].serialize()};
+  }
+  return ref;
+}
+
+/// Assert that `env` holds exactly the reference's prepared state for
+/// `name`: the serialized object record, every fragment location, and every
+/// stored fragment's serialized bytes (header + payload + CRC).
+void expect_matches_reference(Env& env, const Reference& ref,
+                              const std::string& name) {
+  const auto raw = env.db->get("obj/" + name);
+  ASSERT_TRUE(raw.has_value()) << name;
+  const auto* p = reinterpret_cast<const std::byte*>(raw->data());
+  EXPECT_EQ(Bytes(p, p + raw->size()), ref.record)
+      << "object record bytes differ for " << name;
+  for (const auto& [key, want] : ref.fragments) {
+    const auto& [system, bytes] = want;
+    const auto loc = env.db->get(key);
+    ASSERT_TRUE(loc.has_value()) << key;
+    EXPECT_EQ(*loc, std::to_string(system)) << "location differs for " << key;
+    const auto frag = env.cluster->system(system).get(key);
+    ASSERT_TRUE(frag.has_value()) << key;
+    EXPECT_EQ(frag->serialize(), bytes) << "fragment bytes differ for " << key;
   }
 }
 
@@ -309,76 +357,81 @@ TEST(StreamingPrepare, ByteIdenticalToStagedWithAndWithoutPool) {
   ThreadPool pool(4);
   const Dims dims{33, 33, 17};
   const auto field = data::hurricane_pressure(dims, 21);
-
-  Env staged("staged");
-  RapidsPipeline staged_pipe(*staged.cluster, *staged.db, fast_config(false));
-  const auto staged_report = staged_pipe.prepare(field, dims, "hp");
+  const auto cfg = fast_config();
+  const Reference ref = reference_prepare(cfg, field, dims, "hp");
 
   Env pooled("pooled");
-  RapidsPipeline pooled_pipe(*pooled.cluster, *pooled.db, fast_config(true),
-                             &pool);
+  RapidsPipeline pooled_pipe(*pooled.cluster, *pooled.db, cfg, &pool);
   const auto pooled_report = pooled_pipe.prepare(field, dims, "hp");
 
-  Env serial("serial");  // streaming flow, no pool: the inline path
-  RapidsPipeline serial_pipe(*serial.cluster, *serial.db, fast_config(true));
-  serial_pipe.prepare(field, dims, "hp");
+  Env serial("serial");  // no pool: the inline path
+  RapidsPipeline serial_pipe(*serial.cluster, *serial.db, cfg);
+  const auto serial_report = serial_pipe.prepare(field, dims, "hp");
 
-  EXPECT_EQ(pooled_report.record.serialize(), staged_report.record.serialize());
-  EXPECT_EQ(pooled_report.fragments_stored, staged_report.fragments_stored);
-  EXPECT_DOUBLE_EQ(pooled_report.expected_error, staged_report.expected_error);
-  expect_identical_prepared_state(staged, pooled, "hp");
-  expect_identical_prepared_state(staged, serial, "hp");
-  EXPECT_EQ(pooled_report.levels_streamed,
-            static_cast<u32>(staged_report.record.ft.size()));
-  EXPECT_EQ(pooled_report.stream_fallback_puts, 0u);  // healthy cluster
-  // End-to-end latency is populated; the streaming-vs-staged latency win is
-  // asserted in bench/streaming_pipeline (unit-test wall clocks are too noisy).
-  EXPECT_GT(pooled_report.prepare_latency, 0.0);
+  for (const auto* report : {&pooled_report, &serial_report}) {
+    EXPECT_EQ(report->record.serialize(), ref.record);
+    ASSERT_EQ(report->record.meta.levels.size(), ref.obj.levels.size());
+    for (u32 j = 0; j < ref.obj.levels.size(); ++j)
+      EXPECT_EQ(report->record.meta.levels[j].payload,
+                ref.obj.levels[j].payload)
+          << "level " << j;
+    EXPECT_EQ(report->fragments_stored, ref.fragments.size());
+    EXPECT_DOUBLE_EQ(report->expected_error, ref.ft.expected_error);
+    EXPECT_EQ(report->levels_streamed, static_cast<u32>(ref.ft.m.size()));
+    EXPECT_EQ(report->stream_fallback_puts, 0u);  // healthy cluster
+    EXPECT_GT(report->prepare_latency, 0.0);
+  }
+  expect_matches_reference(pooled, ref, "hp");
+  expect_matches_reference(serial, ref, "hp");
 }
 
 TEST(StreamingRestore, ByteIdenticalToStagedAtEveryLevelPrefix) {
   // Knock out progressively more systems so restores run at every usable
-  // level prefix; at each prefix the streamed incremental reconstruction
-  // must match the staged full-gather reconstruction bit for bit.
+  // level prefix; at each prefix the restored field must match a whole
+  // Refactorer::reconstruct of the reference's payloads bit for bit.
   ThreadPool pool(4);
   const Dims dims{33, 33, 17};
   const auto field = data::scale_temperature(dims, 22);
 
-  auto cfg_staged = fast_config(false);
-  auto cfg_stream = fast_config(true);
+  auto cfg = fast_config();
   // No restore cache: cached levels would mask the outages and keep every
   // restore at full depth.
-  cfg_staged.restore_cache_bytes = 0;
-  cfg_stream.restore_cache_bytes = 0;
+  cfg.restore_cache_bytes = 0;
+  const Reference ref = reference_prepare(cfg, field, dims, "st");
+  std::vector<Bytes> payloads;
+  for (const auto& level : ref.obj.levels) payloads.push_back(level.payload);
+  const mgard::Refactorer refactorer(cfg.refactor);
 
-  Env staged("prefix_staged");
-  RapidsPipeline staged_pipe(*staged.cluster, *staged.db, cfg_staged);
-  const auto prep = staged_pipe.prepare(field, dims, "st");
-  Env stream("prefix_stream");
-  RapidsPipeline stream_pipe(*stream.cluster, *stream.db, cfg_stream, &pool);
-  stream_pipe.prepare(field, dims, "st");
+  Env pooled("prefix_pooled");
+  RapidsPipeline pooled_pipe(*pooled.cluster, *pooled.db, cfg, &pool);
+  pooled_pipe.prepare(field, dims, "st");
+  Env serial("prefix_serial");
+  RapidsPipeline serial_pipe(*serial.cluster, *serial.db, cfg);
+  serial_pipe.prepare(field, dims, "st");
 
-  const FtConfig& ft = prep.record.ft;
+  const FtConfig& ft = ref.ft.m;
   const u32 levels = static_cast<u32>(ft.size());
   for (u32 target = levels; target >= 1; --target) {
     // m_target failures keep at least levels 1..target (m is non-increasing);
     // a deeper level survives only if its m ties m_target.
     std::vector<u32> down;
     for (u32 i = 0; i < ft[target - 1]; ++i) down.push_back(i);
-    storage::fail_exactly(*staged.cluster, down);
-    storage::fail_exactly(*stream.cluster, down);
+    storage::fail_exactly(*pooled.cluster, down);
+    storage::fail_exactly(*serial.cluster, down);
     u32 expected = target;
     while (expected < levels && ft[expected] >= ft[target - 1]) ++expected;
+    const auto want = refactorer.reconstruct(
+        ref.obj, std::span<const Bytes>(payloads.data(), expected));
 
-    const auto a = staged_pipe.restore("st");
-    const auto b = stream_pipe.restore("st");
-    ASSERT_EQ(a.levels_used, expected);
-    ASSERT_EQ(b.levels_used, expected);
-    EXPECT_DOUBLE_EQ(a.rel_error_bound, b.rel_error_bound);
-    EXPECT_TRUE(same_floats(a.data, b.data))
-        << "restored bytes differ at prefix " << target;
-    const f64 err = data::relative_linf_error(field, b.data);
-    EXPECT_LE(err, b.rel_error_bound);
+    for (auto* pipe : {&pooled_pipe, &serial_pipe}) {
+      const auto got = pipe->restore("st");
+      ASSERT_EQ(got.levels_used, expected);
+      EXPECT_DOUBLE_EQ(got.rel_error_bound, ref.obj.rel_error_bound(expected));
+      EXPECT_TRUE(same_floats(got.data, want))
+          << "restored bytes differ at prefix " << target;
+      const f64 err = data::relative_linf_error(field, got.data);
+      EXPECT_LE(err, got.rel_error_bound);
+    }
   }
 }
 
@@ -388,7 +441,7 @@ TEST(StreamingRestore, StreamsLevelsAndCutsTimeToFirstByte) {
   // A loose first target keeps retrieval level 1 genuinely small so its
   // fragments land well before the deep levels (the realistic size skew; at
   // this bench scale the default targets make level 1 the largest level).
-  auto cfg = fast_config(true);
+  auto cfg = fast_config();
   cfg.refactor.target_rel_errors = {1e-1, 1e-3, 1e-5, 1e-7};
   RapidsPipeline pipeline(*env.cluster, *env.db, cfg, &pool);
   const Dims dims{33, 33, 17};
@@ -402,7 +455,6 @@ TEST(StreamingRestore, StreamsLevelsAndCutsTimeToFirstByte) {
   // before the full gather completes.
   EXPECT_GT(first.first_level_latency, 0.0);
   EXPECT_LT(first.first_level_latency, first.gather_latency);
-  EXPECT_GT(first.first_byte_seconds, 0.0);
   ASSERT_FALSE(first.plan.level_latencies.empty());
   const f64 err = data::relative_linf_error(field, first.data);
   EXPECT_LE(err, first.rel_error_bound);
@@ -419,7 +471,7 @@ TEST(StreamingRestore, StreamsLevelsAndCutsTimeToFirstByte) {
 TEST(StreamingPrepare, ReportsStageBreakdown) {
   ThreadPool pool(4);
   Env env("breakdown");
-  RapidsPipeline pipeline(*env.cluster, *env.db, fast_config(true), &pool);
+  RapidsPipeline pipeline(*env.cluster, *env.db, fast_config(), &pool);
   const Dims dims{33, 33, 17};
   const auto field = data::hurricane_temperature(dims, 24);
   const auto report = pipeline.prepare(field, dims, "ht");
@@ -441,28 +493,24 @@ TEST(StreamingPrepare, BatchMatchesStagedSerialLoop) {
     fields.push_back(data::hurricane_pressure(dims, 30 + i));
   }
 
-  Env staged("batch_staged");
-  RapidsPipeline staged_pipe(*staged.cluster, *staged.db, fast_config(false));
-  for (u32 i = 0; i < names.size(); ++i)
-    staged_pipe.prepare(fields[i], dims, names[i]);
-
-  Env batch("batch_stream");
-  RapidsPipeline batch_pipe(*batch.cluster, *batch.db, fast_config(true),
-                            &pool);
+  const auto cfg = fast_config();
+  Env batch("batch");
+  RapidsPipeline batch_pipe(*batch.cluster, *batch.db, cfg, &pool);
   std::vector<PrepareRequest> requests;
   for (u32 i = 0; i < names.size(); ++i)
     requests.push_back({fields[i], dims, names[i]});
   const auto reports = batch_pipe.prepare_batch(requests);
   ASSERT_EQ(reports.size(), names.size());
 
-  for (const auto& name : names)
-    expect_identical_prepared_state(staged, batch, name);
+  for (u32 i = 0; i < names.size(); ++i)
+    expect_matches_reference(
+        batch, reference_prepare(cfg, fields[i], dims, names[i]), names[i]);
 }
 
 TEST(StreamingRefine, DeliversLevelsThroughTheSink) {
   ThreadPool pool(4);
   Env env("refine");
-  RapidsPipeline pipeline(*env.cluster, *env.db, fast_config(true), &pool);
+  RapidsPipeline pipeline(*env.cluster, *env.db, fast_config(), &pool);
   const Dims dims{33, 33, 17};
   const auto field = data::nyx_velocity(dims, 25);
   const auto prep = pipeline.prepare(field, dims, "nv");
