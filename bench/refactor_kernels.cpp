@@ -4,9 +4,7 @@
 //
 //   seed       — the pre-panel per-line implementation (embedded below),
 //   panel      — the rebuilt sweeps pinned to the scalar kernel tier,
-//   dispatched — the same sweeps through the active ISA tier (AVX2 here),
-//                level-fused by default; a dispatched_unfused row isolates
-//                the level-fusion gain.
+//   dispatched — the same sweeps through the active ISA tier (AVX2 here).
 //
 // `dispatched vs seed` is the headline number the issue tracks (>= 4x on
 // AVX2); `panel vs seed` isolates the restructuring from the vectorization.
@@ -20,14 +18,21 @@
 // tracks.
 //
 // Usage: refactor_kernels [output.json]
-//   Prints the tables; with an argument also writes BENCH_refactor.json.
+//   Prints the tables; with an argument also writes BENCH_refactor.json,
+//   whose context records the host (CPU model, nproc) the rows ran on.
 
 #include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "rapids/mgard/bitplane.hpp"
 #include "rapids/mgard/decompose.hpp"
@@ -531,20 +536,9 @@ std::vector<f64> random_field(u64 n, u64 seed) {
   return v;
 }
 
-template <typename F>
-f64 best_seconds(F&& fn, int reps) {
-  f64 best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    Timer t;
-    fn();
-    best = std::min(best, t.seconds());
-  }
-  return best;
-}
-
-// Like best_seconds, but the thunk times itself and returns seconds — used
-// where per-rep staging (e.g. re-copying the input field) must stay outside
-// the measured region.
+// Best-of-reps timing where the thunk times itself and returns seconds, so
+// per-rep staging (e.g. re-copying the input field) stays outside the
+// measured region.
 template <typename F>
 f64 best_self_timed(F&& fn, int reps) {
   f64 best = 1e300;
@@ -552,21 +546,22 @@ f64 best_self_timed(F&& fn, int reps) {
   return best;
 }
 
-// Self-timed A/B pair: the two thunks alternate within every rep (and swap
-// order between reps) so frequency drift and neighbor load on a noisy shared
-// host hit both sides equally. Each side keeps its own best for the MB/s
-// rows; the A-vs-B gain is the median of per-rep ratios, the robust paired
-// estimator — a load burst lands on both sides of a rep (they run back to
-// back) and the median discards the reps where it landed on only one.
-struct PairBest {
-  f64 a = 1e300, b = 1e300;
-  f64 median_ratio_b_over_a = 0.0;
+// A/B timing on a noisy shared host. The thunks time themselves and return
+// seconds (so per-rep staging stays outside the measured region); they
+// alternate within every rep, order swapped between reps, so frequency drift
+// and neighbor load hit both sides alike. Each side keeps its best time for
+// the throughput rows. `speedup` (A's time over B's) is the median of the
+// per-rep ratios: a load burst usually lands on both halves of a rep, and the
+// median discards the reps where it landed on one. The --check gate compares
+// these speedups, so they must not swing between identical runs.
+struct PairTiming {
+  f64 best_a = 1e300, best_b = 1e300;
+  f64 speedup = 0.0;
 };
 template <typename FA, typename FB>
-PairBest best_self_timed_pair(FA&& fa, FB&& fb, int reps) {
-  PairBest r;
+PairTiming time_pair(FA&& fa, FB&& fb, int reps) {
+  PairTiming r;
   std::vector<f64> ratio;
-  ratio.reserve(static_cast<std::size_t>(reps));
   for (int i = 0; i < reps; ++i) {
     f64 ta, tb;
     if ((i & 1) == 0) {
@@ -576,45 +571,28 @@ PairBest best_self_timed_pair(FA&& fa, FB&& fb, int reps) {
       tb = fb();
       ta = fa();
     }
-    r.a = std::min(r.a, ta);
-    r.b = std::min(r.b, tb);
-    ratio.push_back(tb / ta);
+    r.best_a = std::min(r.best_a, ta);
+    r.best_b = std::min(r.best_b, tb);
+    ratio.push_back(ta / tb);
   }
   std::sort(ratio.begin(), ratio.end());
-  r.median_ratio_b_over_a = ratio[ratio.size() / 2];
+  r.speedup = ratio[ratio.size() / 2];
   return r;
 }
 
-// Paired variant for A/B comparisons on a noisy shared host: the two thunks
-// alternate within every rep (and swap order between reps) so frequency drift
-// and neighbor load hit both sides equally; each side keeps its own best.
-template <typename FA, typename FB>
-std::pair<f64, f64> best_seconds_pair(FA&& fa, FB&& fb, int reps) {
-  f64 ba = 1e300, bb = 1e300;
-  const auto one = [](auto& fn, f64& best) {
-    Timer t;
-    fn();
-    best = std::min(best, t.seconds());
-  };
-  for (int r = 0; r < reps; ++r) {
-    if ((r & 1) == 0) {
-      one(fa, ba);
-      one(fb, bb);
-    } else {
-      one(fb, bb);
-      one(fa, ba);
-    }
-  }
-  return {ba, bb};
+/// Wall seconds of one call of `fn`.
+template <typename F>
+f64 seconds_of(F&& fn) {
+  Timer t;
+  fn();
+  return t.seconds();
 }
 
 struct KernelResult {
   std::string name;
   f64 scalar_gbps = 0.0;
   f64 dispatched_gbps = 0.0;
-  f64 speedup() const {
-    return scalar_gbps > 0 ? dispatched_gbps / scalar_gbps : 0.0;
-  }
+  f64 speedup = 0.0;  ///< median paired ratio, see time_pair
 };
 
 struct TransformResult {
@@ -623,19 +601,28 @@ struct TransformResult {
   f64 recompose_mbps = 0.0;
 };
 
-// One row-kernel measurement: run `calls` invocations moving `bytes_per_call`
-// through memory, report GB/s at the given tier.
-template <typename Fn>
-f64 kernel_gbps(const Fn& call, int calls, u64 bytes_per_call) {
-  call();  // warm
-  const f64 s = best_seconds([&] { for (int c = 0; c < calls; ++c) call(); }, 5);
-  return static_cast<f64>(bytes_per_call) * calls / s / 1e9;
+// One kernel measurement: `calls` invocations per tier, each moving
+// `bytes_per_call` through memory. The two tiers are timed as an interleaved
+// pair so the speedup column, which the --check gate compares, sees the
+// same host conditions on both sides.
+template <typename FS, typename FV>
+KernelResult kernel_pair(std::string name, const FS& sc, const FV& vc,
+                         int calls, u64 bytes_per_call) {
+  sc();  // warm
+  vc();
+  const PairTiming t = time_pair(
+      [&] { return seconds_of([&] { for (int c = 0; c < calls; ++c) sc(); }); },
+      [&] { return seconds_of([&] { for (int c = 0; c < calls; ++c) vc(); }); },
+      9);
+  const f64 bytes = static_cast<f64>(bytes_per_call) * calls;
+  return {std::move(name), bytes / t.best_a / 1e9, bytes / t.best_b / 1e9,
+          t.speedup};
 }
 
 std::vector<KernelResult> bench_row_kernels(IsaLevel vec_tier) {
   using mgard::kernels::row_ops_at;
-  const auto& S = mgard::kernels::row_ops_scalar<f64>();
-  const auto& V = row_ops_at<f64>(vec_tier);
+  const auto& S = mgard::kernels::row_ops_scalar();
+  const auto& V = row_ops_at(vec_tier);
   const u64 n = 1 << 15;  // one row: 256 KiB of f64, beyond L1 but L2-warm
   const int calls = 400;
   auto a = random_field(n, 1), lo = random_field(n, 2), hi = random_field(n, 3);
@@ -644,11 +631,7 @@ std::vector<KernelResult> bench_row_kernels(IsaLevel vec_tier) {
   std::vector<KernelResult> rows;
 
   auto add = [&](std::string name, auto&& sc, auto&& vc, u64 bytes) {
-    KernelResult r;
-    r.name = std::move(name);
-    r.scalar_gbps = kernel_gbps(sc, calls, bytes);
-    r.dispatched_gbps = kernel_gbps(vc, calls, bytes);
-    rows.push_back(r);
+    rows.push_back(kernel_pair(std::move(name), sc, vc, calls, bytes));
   };
 
   add("cascade_fwd(row)",
@@ -671,16 +654,6 @@ std::vector<KernelResult> bench_row_kernels(IsaLevel vec_tier) {
   add("thomas_bwd(row)",
       [&] { S.thomas_bwd(a.data(), hi.data(), 0.3, n); },
       [&] { V.thomas_bwd(a.data(), hi.data(), 0.3, n); }, 3 * n * 8);
-  add("cascade_x(fwd+inv)",
-      [&] {
-        S.cascade_fwd_x(a.data(), n - 1);  // odd length
-        S.cascade_inv_x(a.data(), n - 1);
-      },
-      [&] {
-        V.cascade_fwd_x(a.data(), n - 1);
-        V.cascade_inv_x(a.data(), n - 1);
-      },
-      4 * n * 8);
   add("load_x(line)",
       [&] { S.load_x(out.data(), a.data(), (n - 1) / 2 + 1, n - 1); },
       [&] { V.load_x(out.data(), a.data(), (n - 1) / 2 + 1, n - 1); },
@@ -708,31 +681,25 @@ std::vector<KernelResult> bench_row_kernels(IsaLevel vec_tier) {
   add("max_abs",
       [&] { (void)BS.max_abs(a.data(), n); },
       [&] { (void)BV.max_abs(a.data(), n); }, n * 8);
-  {
-    // The lambda loops the whole buffer, so fewer outer calls than the row
-    // kernels above.
-    KernelResult r;
-    r.name = "quantize64+transpose";
-    r.scalar_gbps = kernel_gbps(
-        [&] {
-          u64 sw;
-          for (u64 b = 0; b < nb; b += 64) {
-            BS.quantize64(a.data() + b, 64, scale, block.data(), &sw);
-            BS.transpose64(block.data());
-          }
-        },
-        40, nb * 16);
-    r.dispatched_gbps = kernel_gbps(
-        [&] {
-          u64 sw;
-          for (u64 b = 0; b < nb; b += 64) {
-            BV.quantize64(a.data() + b, 64, scale, block.data(), &sw);
-            BV.transpose64(block.data());
-          }
-        },
-        40, nb * 16);
-    rows.push_back(r);
-  }
+  // The lambdas loop the whole buffer, so fewer outer calls than the row
+  // kernels above.
+  rows.push_back(kernel_pair(
+      "quantize64+transpose",
+      [&] {
+        u64 sw;
+        for (u64 b = 0; b < nb; b += 64) {
+          BS.quantize64(a.data() + b, 64, scale, block.data(), &sw);
+          BS.transpose64(block.data());
+        }
+      },
+      [&] {
+        u64 sw;
+        for (u64 b = 0; b < nb; b += 64) {
+          BV.quantize64(a.data() + b, 64, scale, block.data(), &sw);
+          BV.transpose64(block.data());
+        }
+      },
+      40, nb * 16));
   add("dequantize",
       [&] {
         BS.dequantize(deq.data(), q.data(), signs.data(), 0x1p-32, 1u << 19,
@@ -746,12 +713,35 @@ std::vector<KernelResult> bench_row_kernels(IsaLevel vec_tier) {
   return rows;
 }
 
+// The kernel table swept `sweeps` times, seconds apart. A neighbor-load
+// burst long enough to skew every rep of one kernel's pair lands in one
+// sweep, and the median speedup across sweeps outvotes it; the GB/s columns
+// keep each side's best.
+std::vector<KernelResult> bench_kernel_sweeps(IsaLevel vec_tier, int sweeps) {
+  std::vector<std::vector<KernelResult>> runs;
+  for (int s = 0; s < sweeps; ++s) runs.push_back(bench_row_kernels(vec_tier));
+  std::vector<KernelResult> out = runs[0];
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    std::vector<f64> sp;
+    for (const auto& r : runs) {
+      out[k].scalar_gbps = std::max(out[k].scalar_gbps, r[k].scalar_gbps);
+      out[k].dispatched_gbps =
+          std::max(out[k].dispatched_gbps, r[k].dispatched_gbps);
+      sp.push_back(r[k].speedup);
+    }
+    std::sort(sp.begin(), sp.end());
+    out[k].speedup = sp[sp.size() / 2];
+  }
+  return out;
+}
+
 // --- entropy codec: seed coder vs kernel-dispatched coder -------------------
 
 struct CodecResult {
   std::string name;
   f64 seed_encode_gbps = 0.0, new_encode_gbps = 0.0;
   f64 seed_decode_gbps = 0.0, new_decode_gbps = 0.0;
+  f64 encode_speedup = 0.0, decode_speedup = 0.0;  ///< see time_pair
 };
 
 // Real bitplanes: quantized Gaussian coefficients give the density spectrum
@@ -795,36 +785,46 @@ std::vector<CodecResult> bench_codec(u64* planes_benched) {
     CodecResult r;
     r.name = std::move(name);
     const u64 n = hi - lo;
-    // Seed and new coder alternate inside the timing loop (see
-    // best_seconds_pair) so the speedup column is robust to machine noise.
-    const auto [se, ne] = best_seconds_pair(
+    // Seed and new coder alternate inside the timing loop (see time_pair)
+    // so the speedup columns are robust to machine noise.
+    const PairTiming enc = time_pair(
         [&] {
-          for (int it = 0; it < iters; ++it)
-            for (std::size_t s = lo; s < hi; ++s)
-              (void)seedcodec::encode_segment(words[s], count);
+          return seconds_of([&] {
+            for (int it = 0; it < iters; ++it)
+              for (std::size_t s = lo; s < hi; ++s)
+                (void)seedcodec::encode_segment(words[s], count);
+          });
         },
         [&] {
-          for (int it = 0; it < iters; ++it)
-            for (std::size_t s = lo; s < hi; ++s)
-              (void)mgard::encode_segment(words[s], count);
-        },
-        5);
-    r.seed_encode_gbps = gbps(n * iters, se);
-    r.new_encode_gbps = gbps(n * iters, ne);
-    const auto [sd, nd] = best_seconds_pair(
-        [&] {
-          for (int it = 0; it < iters; ++it)
-            for (std::size_t s = lo; s < hi; ++s)
-              (void)seedcodec::decode_segment(*segs[s], count);
-        },
-        [&] {
-          for (int it = 0; it < iters; ++it)
-            for (std::size_t s = lo; s < hi; ++s)
-              (void)mgard::decode_segment(*segs[s], count);
+          return seconds_of([&] {
+            for (int it = 0; it < iters; ++it)
+              for (std::size_t s = lo; s < hi; ++s)
+                (void)mgard::encode_segment(words[s], count);
+          });
         },
         5);
-    r.seed_decode_gbps = gbps(n * iters, sd);
-    r.new_decode_gbps = gbps(n * iters, nd);
+    r.seed_encode_gbps = gbps(n * iters, enc.best_a);
+    r.new_encode_gbps = gbps(n * iters, enc.best_b);
+    r.encode_speedup = enc.speedup;
+    const PairTiming dec = time_pair(
+        [&] {
+          return seconds_of([&] {
+            for (int it = 0; it < iters; ++it)
+              for (std::size_t s = lo; s < hi; ++s)
+                (void)seedcodec::decode_segment(*segs[s], count);
+          });
+        },
+        [&] {
+          return seconds_of([&] {
+            for (int it = 0; it < iters; ++it)
+              for (std::size_t s = lo; s < hi; ++s)
+                (void)mgard::decode_segment(*segs[s], count);
+          });
+        },
+        5);
+    r.seed_decode_gbps = gbps(n * iters, dec.best_a);
+    r.new_decode_gbps = gbps(n * iters, dec.best_b);
+    r.decode_speedup = dec.speedup;
     rows.push_back(r);
   };
 
@@ -841,16 +841,46 @@ std::vector<CodecResult> bench_codec(u64* planes_benched) {
   return rows;
 }
 
+// Host fingerprint for the JSON context: rows recorded on different hosts
+// are not comparable in absolute terms.
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    std::string model;
+    for (char c : line.substr(colon + 1)) {
+      if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20)
+        continue;  // keep the value a plain JSON string
+      if (c == ' ' && model.empty()) continue;
+      model += c;
+    }
+    return model;
+  }
+  return "unknown";
+}
+
+unsigned nproc() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0)
+    return static_cast<unsigned>(CPU_COUNT(&set));
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 int main_impl(int argc, char** argv) {
   const IsaLevel best = simd::active_isa();
   std::printf("refactor_kernels: dispatched tier = %s\n\n",
               simd::isa_name(best));
 
   // --- whole transform, single thread ---
-  // Measured before the per-kernel table: minutes of sustained AVX2 soak
-  // drag the core's sustained frequency down, which compresses the
-  // memory-vs-compute deltas (level fusion in particular) that this section
-  // exists to resolve. Print order below is unchanged.
+  // Measured before the per-kernel table: a sustained AVX2 soak drags the
+  // core's frequency down, which would skew the dispatched-vs-seed ratio
+  // this section records. Print order below is unchanged.
   const Dims dims{129, 129, 129};
   const u32 levels = 4;
   const GridHierarchy h(dims, levels);
@@ -859,8 +889,6 @@ int main_impl(int argc, char** argv) {
   const auto field = random_field(h.padded().total(), 77);
   const int reps = 5;
 
-  std::vector<TransformResult> transforms;
-  f64 fuse_dec = 0.0, fuse_rec = 0.0;  // median paired unfused/fused ratios
   std::vector<f64> coeffs = field;  // decomposed form, reused by all variants
   seedref::decompose(coeffs, h);
 
@@ -873,146 +901,43 @@ int main_impl(int argc, char** argv) {
     run(w);
     return t.seconds();
   };
-
-  {
-    TransformResult r;
-    r.name = "seed";
-    r.decompose_mbps = mb / best_self_timed(
-        [&] { return timed(field, [&](auto& v) { seedref::decompose(v, h); }); },
-        reps);
-    r.recompose_mbps = mb / best_self_timed(
-        [&] { return timed(coeffs, [&](auto& v) { seedref::recompose(v, h); }); },
-        reps);
-    transforms.push_back(r);
-  }
   mgard::RefactorWorkspace ws;
-  {
-    simd::set_isa_override(IsaLevel::kScalar);
-    TransformResult r;
-    r.name = "panel_scalar";
-    r.decompose_mbps = mb / best_self_timed(
-        [&] {
-          return timed(field,
-                       [&](auto& v) { mgard::decompose(v, h, {}, nullptr, &ws); });
-        },
-        reps);
-    r.recompose_mbps = mb / best_self_timed(
-        [&] {
-          return timed(coeffs,
-                       [&](auto& v) { mgard::recompose(v, h, {}, nullptr, &ws); });
-        },
-        reps);
-    transforms.push_back(r);
-    simd::set_isa_override(std::nullopt);
-  }
-  {
-    // Fused vs unfused at the same tier, measured interleaved: the fusion
-    // delta is a few percent of a ~15 ms transform, which only survives a
-    // noisy neighbor when the two variants alternate inside one timing loop.
-    mgard::DecomposeOptions unfusedopt;
-    unfusedopt.level_fusion = false;
-    TransformResult rf, ru;
-    rf.name = "dispatched";
-    ru.name = "dispatched_unfused";
-    const int freps = 31;
-    const PairBest dec_pair = best_self_timed_pair(
-        [&] {
-          return timed(field,
-                       [&](auto& v) { mgard::decompose(v, h, {}, nullptr, &ws); });
-        },
-        [&] {
-          return timed(field, [&](auto& v) {
-            mgard::decompose(v, h, unfusedopt, nullptr, &ws);
-          });
-        },
-        freps);
-    const PairBest rec_pair = best_self_timed_pair(
-        [&] {
-          return timed(coeffs,
-                       [&](auto& v) { mgard::recompose(v, h, {}, nullptr, &ws); });
-        },
-        [&] {
-          return timed(coeffs, [&](auto& v) {
-            mgard::recompose(v, h, unfusedopt, nullptr, &ws);
-          });
-        },
-        freps);
-    rf.decompose_mbps = mb / dec_pair.a;
-    rf.recompose_mbps = mb / rec_pair.a;
-    ru.decompose_mbps = mb / dec_pair.b;
-    ru.recompose_mbps = mb / rec_pair.b;
-    fuse_dec = dec_pair.median_ratio_b_over_a;
-    fuse_rec = rec_pair.median_ratio_b_over_a;
-    transforms.push_back(rf);
-    transforms.push_back(ru);
-  }
-  // Level fusion in its target regime. The 129^3 working set (17 MB) is
-  // LLC-resident on typical server parts, so the full-field strided pass that
-  // fusion removes is nearly free there and the gain above reads ~1.0x. At
-  // 257^3 (135 MB) every unfused level re-streams the field from DRAM, which
-  // is the traffic fusion eliminates.
-  const Dims xdims{257, 257, 257};
-  const u32 xlevels = 5;
-  const GridHierarchy hx(xdims, xlevels);
-  const f64 xmb = static_cast<f64>(hx.padded().total() * sizeof(f64)) / 1e6;
-  f64 fuse_dec_xl = 0.0, fuse_rec_xl = 0.0;  // best-vs-best, paired loop
-  {
-    const auto xfield = random_field(hx.padded().total(), 78);
-    mgard::RefactorWorkspace ws;
-    std::vector<f64> xcoeffs = xfield;
-    mgard::decompose(xcoeffs, hx, {}, nullptr, &ws);
-    mgard::DecomposeOptions unfusedopt;
-    unfusedopt.level_fusion = false;
-    std::vector<f64> w;
-    const auto timed = [&](const std::vector<f64>& src, auto&& run) {
-      w = src;
-      Timer t;
-      run(w);
-      return t.seconds();
-    };
-    TransformResult rf, ru;
-    rf.name = "dispatched@257";
-    ru.name = "dispatched_unfused@257";
-    const int xreps = 13;
-    const PairBest dec_pair = best_self_timed_pair(
-        [&] {
-          return timed(xfield,
-                       [&](auto& v) { mgard::decompose(v, hx, {}, nullptr, &ws); });
-        },
-        [&] {
-          return timed(xfield, [&](auto& v) {
-            mgard::decompose(v, hx, unfusedopt, nullptr, &ws);
-          });
-        },
-        xreps);
-    const PairBest rec_pair = best_self_timed_pair(
-        [&] {
-          return timed(xcoeffs,
-                       [&](auto& v) { mgard::recompose(v, hx, {}, nullptr, &ws); });
-        },
-        [&] {
-          return timed(xcoeffs, [&](auto& v) {
-            mgard::recompose(v, hx, unfusedopt, nullptr, &ws);
-          });
-        },
-        xreps);
-    rf.decompose_mbps = xmb / dec_pair.a;
-    rf.recompose_mbps = xmb / rec_pair.a;
-    ru.decompose_mbps = xmb / dec_pair.b;
-    ru.recompose_mbps = xmb / rec_pair.b;
-    fuse_dec_xl = dec_pair.b / dec_pair.a;
-    fuse_rec_xl = rec_pair.b / rec_pair.a;
-    transforms.push_back(rf);
-    transforms.push_back(ru);
-  }
+  const auto seed_dec = [&] {
+    return timed(field, [&](auto& v) { seedref::decompose(v, h); });
+  };
+  const auto seed_rec = [&] {
+    return timed(coeffs, [&](auto& v) { seedref::recompose(v, h); });
+  };
+  const auto dec = [&] {
+    return timed(field,
+                 [&](auto& v) { mgard::decompose(v, h, {}, nullptr, &ws); });
+  };
+  const auto rec = [&] {
+    return timed(coeffs,
+                 [&](auto& v) { mgard::recompose(v, h, {}, nullptr, &ws); });
+  };
+
+  // Seed and dispatched run as interleaved pairs; their median paired ratio
+  // is the dispatched-vs-seed speedup.
+  const int pair_reps = 21;
+  const PairTiming dec_pair = time_pair(seed_dec, dec, pair_reps);
+  const PairTiming rec_pair = time_pair(seed_rec, rec, pair_reps);
+  simd::set_isa_override(IsaLevel::kScalar);
+  const TransformResult panel{"panel_scalar", mb / best_self_timed(dec, reps),
+                              mb / best_self_timed(rec, reps)};
+  simd::set_isa_override(std::nullopt);
+  const std::vector<TransformResult> transforms = {
+      {"seed", mb / dec_pair.best_a, mb / rec_pair.best_a},
+      panel,
+      {"dispatched", mb / dec_pair.best_b, mb / rec_pair.best_b}};
 
   // --- per-kernel table ---
-  std::vector<KernelResult> kernels = bench_row_kernels(best);
+  std::vector<KernelResult> kernels = bench_kernel_sweeps(best, 3);
   std::printf("%-24s %12s %14s %9s\n", "kernel", "scalar GB/s",
               "dispatched GB/s", "speedup");
   for (const auto& k : kernels)
     std::printf("%-24s %12.2f %14.2f %8.2fx\n", k.name.c_str(), k.scalar_gbps,
-                k.dispatched_gbps, k.speedup());
+                k.dispatched_gbps, k.speedup);
 
   std::printf("\nwhole transform, single thread, %llux%llux%llu f64, L=%u\n",
               static_cast<unsigned long long>(dims.nx),
@@ -1025,25 +950,19 @@ int main_impl(int argc, char** argv) {
                 t.recompose_mbps);
 
   const auto& seed = transforms[0];
-  const auto& panel = transforms[1];
   const auto& disp = transforms[2];
-  const f64 sp_dec = disp.decompose_mbps / seed.decompose_mbps;
-  const f64 sp_rec = disp.recompose_mbps / seed.recompose_mbps;
+  const f64 sp_dec = dec_pair.speedup;
+  const f64 sp_rec = rec_pair.speedup;
   const f64 sp_panel =
       (panel.decompose_mbps + panel.recompose_mbps) /
       (seed.decompose_mbps + seed.recompose_mbps);
   const f64 sp_total =
       (disp.decompose_mbps + disp.recompose_mbps) /
       (seed.decompose_mbps + seed.recompose_mbps);
-  std::printf("\nspeedup vs seed: decompose %.2fx, recompose %.2fx, "
-              "combined %.2fx (panel restructuring alone: %.2fx)\n",
+  std::printf("\nspeedup vs seed (median paired ratio): decompose %.2fx, "
+              "recompose %.2fx; combined best-of %.2fx (panel restructuring "
+              "alone: %.2fx)\n",
               sp_dec, sp_rec, sp_total, sp_panel);
-  std::printf("level fusion gain (dispatched vs dispatched_unfused, median "
-              "paired ratio): decompose %.2fx, recompose %.2fx\n",
-              fuse_dec, fuse_rec);
-  std::printf("level fusion gain at 257x257x257 L=%u (135 MB, beyond LLC): "
-              "decompose %.2fx, recompose %.2fx\n",
-              xlevels, fuse_dec_xl, fuse_rec_xl);
 
   // --- entropy codec, single thread ---
   u64 codec_segments = 0;
@@ -1057,11 +976,11 @@ int main_impl(int argc, char** argv) {
   for (const auto& c : codec)
     std::printf("%-20s %8.2fGB %8.2fGB %7.2fx %8.2fGB %8.2fGB %7.2fx\n",
                 c.name.c_str(), c.seed_encode_gbps, c.new_encode_gbps,
-                c.new_encode_gbps / c.seed_encode_gbps, c.seed_decode_gbps,
-                c.new_decode_gbps, c.new_decode_gbps / c.seed_decode_gbps);
+                c.encode_speedup, c.seed_decode_gbps, c.new_decode_gbps,
+                c.decode_speedup);
   const auto& ctotal = codec.back();
-  const f64 codec_enc_sp = ctotal.new_encode_gbps / ctotal.seed_encode_gbps;
-  const f64 codec_dec_sp = ctotal.new_decode_gbps / ctotal.seed_decode_gbps;
+  const f64 codec_enc_sp = ctotal.encode_speedup;
+  const f64 codec_dec_sp = ctotal.decode_speedup;
   // Combined = round-trip time ratio: seconds to encode + decode the whole
   // plane set under each coder (i.e. the harmonic combination, which is what
   // a prepare+restore cycle actually pays).
@@ -1080,6 +999,8 @@ int main_impl(int argc, char** argv) {
     }
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"context\": {\n");
+    std::fprintf(f, "    \"cpu\": \"%s\",\n", cpu_model().c_str());
+    std::fprintf(f, "    \"nproc\": %u,\n", nproc());
     std::fprintf(f, "    \"dispatched_isa\": \"%s\",\n", simd::isa_name(best));
     std::fprintf(f, "    \"field\": \"%llux%llux%llu f64\",\n",
                  static_cast<unsigned long long>(dims.nx),
@@ -1095,7 +1016,7 @@ int main_impl(int argc, char** argv) {
                    "    {\"name\": \"%s\", \"scalar_gbps\": %.3f, "
                    "\"dispatched_gbps\": %.3f, \"speedup\": %.3f}%s\n",
                    k.name.c_str(), k.scalar_gbps, k.dispatched_gbps,
-                   k.speedup(), i + 1 == kernels.size() ? "" : ",");
+                   k.speedup, i + 1 == kernels.size() ? "" : ",");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"transform\": [\n");
@@ -1114,10 +1035,11 @@ int main_impl(int argc, char** argv) {
       std::fprintf(f,
                    "    {\"name\": \"%s\", \"seed_encode_gbps\": %.3f, "
                    "\"new_encode_gbps\": %.3f, \"seed_decode_gbps\": %.3f, "
-                   "\"new_decode_gbps\": %.3f}%s\n",
+                   "\"new_decode_gbps\": %.3f, \"encode_speedup\": %.3f, "
+                   "\"decode_speedup\": %.3f}%s\n",
                    c.name.c_str(), c.seed_encode_gbps, c.new_encode_gbps,
-                   c.seed_decode_gbps, c.new_decode_gbps,
-                   i + 1 == codec.size() ? "" : ",");
+                   c.seed_decode_gbps, c.new_decode_gbps, c.encode_speedup,
+                   c.decode_speedup, i + 1 == codec.size() ? "" : ",");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"codec_encode_speedup_vs_seed\": %.3f,\n",
@@ -1125,12 +1047,6 @@ int main_impl(int argc, char** argv) {
     std::fprintf(f, "  \"codec_decode_speedup_vs_seed\": %.3f,\n",
                  codec_dec_sp);
     std::fprintf(f, "  \"codec_combined_speedup_vs_seed\": %.3f,\n", codec_sp);
-    std::fprintf(f, "  \"level_fusion_decompose_gain\": %.3f,\n", fuse_dec);
-    std::fprintf(f, "  \"level_fusion_recompose_gain\": %.3f,\n", fuse_rec);
-    std::fprintf(f, "  \"level_fusion_decompose_gain_xl\": %.3f,\n",
-                 fuse_dec_xl);
-    std::fprintf(f, "  \"level_fusion_recompose_gain_xl\": %.3f,\n",
-                 fuse_rec_xl);
     std::fprintf(f, "  \"speedup_decompose_vs_seed\": %.3f,\n", sp_dec);
     std::fprintf(f, "  \"speedup_recompose_vs_seed\": %.3f,\n", sp_rec);
     std::fprintf(f, "  \"speedup_combined_vs_seed\": %.3f,\n", sp_total);

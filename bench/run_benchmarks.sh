@@ -12,9 +12,14 @@
 #
 # Regression gate:
 #   bench/run_benchmarks.sh --check [build_dir] [baseline.json]
-# re-runs the refactor-kernels bench into a temp file and diffs its throughput
-# rows (kernel dispatched GB/s, transform MB/s, codec new-coder GB/s) against
-# the committed BENCH_refactor.json; any row >15% below baseline fails.
+# re-runs the refactor-kernels bench into a temp file and compares speedups
+# measured within one run against the same speedups in the committed
+# BENCH_refactor.json: each kernel's dispatched/scalar, the transform's
+# dispatched/seed, and the codec's new/seed over the whole plane set. Both
+# sides of a speedup are timed as interleaved pairs on the run's host (median
+# of per-rep ratios), so a faster or slower machine moves neither. Any
+# speedup >15% below baseline fails, as does a baseline row the run no longer
+# has.
 # RAPIDS_BENCH_TOL overrides the 0.15 tolerance for hosts whose ambient noise
 # exceeds it (shared boxes under neighbor load).
 set -euo pipefail
@@ -35,57 +40,54 @@ if [[ "${1:-}" == "--check" ]]; then
   FRESH2="$(mktemp --suffix=.json)"
   trap 'rm -f "$FRESH" "$FRESH2"' EXIT
   echo "refactor-kernels regression check vs $BASELINE"
-  # Two fresh runs, compared row-wise at their best: on a shared host a load
-  # burst can sink any one run, but a real regression shows up in both.
+  # Two fresh runs, each speedup taken at its better: on a shared host a
+  # load burst can sink any one run, but a real regression shows up in both.
   "$RK_BIN" "$FRESH" >/dev/null
   "$RK_BIN" "$FRESH2" >/dev/null
   python3 - "$BASELINE" "$FRESH" "$FRESH2" <<'PY'
-import json, sys
+import json, os, sys
 
-base = json.load(open(sys.argv[1]))
-cur = json.load(open(sys.argv[2]))
-cur2 = json.load(open(sys.argv[3]))
-for arr in ("kernels", "transform", "codec"):
-    key = {"kernels": "name", "transform": "variant", "codec": "name"}[arr]
-    second = {e[key]: e for e in cur2.get(arr, [])}
-    for e in cur.get(arr, []):
-        other = second.get(e[key])
-        if other is None:
+
+def ratios(doc):
+    """In-run speedups keyed by row (median paired ratios, both operands
+    timed in the same run)."""
+    out = {}
+    for e in doc.get("kernels", []):
+        out[f"kernels/{e['name']}.speedup"] = e.get("speedup")
+    for op in ("decompose", "recompose"):
+        out[f"transform/dispatched_vs_seed.{op}"] = doc.get(
+            f"speedup_{op}_vs_seed")
+    # Codec: the whole plane set only. The single-segment rows swing up to
+    # 1.4x between identical runs on a shared host; all_segments covers
+    # every segment and holds within ~7%.
+    for e in doc.get("codec", []):
+        if e["name"] != "all_segments":
             continue
-        for f, v in e.items():
-            if isinstance(v, (int, float)) and isinstance(other.get(f), (int, float)):
-                e[f] = max(v, other[f])
-import os
+        for op in ("encode", "decode"):
+            out[f"codec/{e['name']}.{op}_speedup"] = e.get(f"{op}_speedup")
+    return {k: v for k, v in out.items() if v}
+
+
+base = ratios(json.load(open(sys.argv[1])))
+runs = [ratios(json.load(open(p))) for p in sys.argv[2:]]
 TOL = float(os.environ.get("RAPIDS_BENCH_TOL", "0.15"))
-rows = []
-for arr, key, fields in (
-    ("kernels", "name", ["dispatched_gbps"]),
-    ("transform", "variant", ["decompose_mbps", "recompose_mbps"]),
-    ("codec", "name", ["new_encode_gbps", "new_decode_gbps"]),
-):
-    b = {e[key]: e for e in base.get(arr, [])}
-    c = {e[key]: e for e in cur.get(arr, [])}
-    for name, be in b.items():
-        ce = c.get(name)
-        if ce is None:
-            rows.append((f"{arr}/{name}", None, None, "MISSING"))
-            continue
-        for f in fields:
-            bv, cv = be.get(f), ce.get(f)
-            if not bv:
-                continue
-            ok = cv is not None and cv >= bv * (1 - TOL)
-            rows.append((f"{arr}/{name}.{f}", bv, cv, "ok" if ok else "REGRESSION"))
-for name, bv, cv, st in rows:
-    if bv is None:
-        print(f"{name:52s} missing from fresh run")
-    else:
-        print(f"{name:52s} base {bv:9.3f}  now {cv:9.3f}  {cv / bv:5.2f}x  {st}")
-bad = [r for r in rows if r[3] != "ok"]
+bad = 0
+for name, bv in base.items():
+    got = [r[name] for r in runs if name in r]
+    if not got:
+        print(f"{name:56s} missing from fresh run  MISSING")
+        bad += 1
+        continue
+    cv = max(got)
+    ok = cv >= bv * (1 - TOL)
+    bad += not ok
+    print(f"{name:56s} base {bv:7.3f}  now {cv:7.3f}  {cv / bv:5.2f}x  "
+          f"{'ok' if ok else 'REGRESSION'}")
 if bad:
-    print(f"\ncheck FAILED: {len(bad)} row(s) regressed more than {TOL:.0%}")
+    print(f"\ncheck FAILED: {bad} ratio(s) regressed more than {TOL:.0%} or "
+          "went missing")
     sys.exit(1)
-print(f"\ncheck passed: no throughput row regressed more than {TOL:.0%}")
+print(f"\ncheck passed: no in-run ratio regressed more than {TOL:.0%}")
 PY
   exit $?
 fi

@@ -227,7 +227,7 @@ void RapidsPipeline::store_level_locked(const std::string& name, u32 level,
       std::vector<std::tuple<u32, u64, u32>> candidates;  // (bad, load, id)
       for (u32 s = 0; s < n; ++s) {
         if (s == preferred || !cluster_.system(s).available()) continue;
-        const u32 bad = config_.health_tracking && !health().allow(s) ? 1u : 0u;
+        const u32 bad = health().allow(s) ? 0u : 1u;
         candidates.emplace_back(bad, cluster_.system(s).fragment_count(), s);
       }
       std::sort(candidates.begin(), candidates.end());
@@ -555,7 +555,7 @@ storage::SystemHealth& RapidsPipeline::health() {
 }
 
 void RapidsPipeline::persist_health() {
-  if (!health_ || !config_.health_tracking) return;
+  if (!health_) return;
   const Bytes wire = health_->serialize();
   db_.put("net/system_health",
           std::string(reinterpret_cast<const char*>(wire.data()), wire.size()));
@@ -568,7 +568,6 @@ storage::SystemHealth& RapidsPipeline::system_health() {
 
 void RapidsPipeline::record_health(u32 system, bool ok,
                                    f64 latency_multiplier) {
-  if (!config_.health_tracking) return;
   if (ok)
     health().record_success(system, latency_multiplier);
   else
@@ -679,21 +678,19 @@ void RapidsPipeline::snapshot_problem(const std::string& name,
   // not shrink the recoverable prefix (degradation must stay availability-
   // driven, never health-heuristic-driven). allow() doubles as the
   // half-open transition, so cooled-down systems get their probe here.
-  if (config_.health_tracking) {
-    std::vector<bool> healthy = problem.available;
-    bool any_excluded = false;
-    for (u32 i = 0; i < n; ++i) {
-      if (healthy[i] && !health().allow(i)) {
-        healthy[i] = false;
-        any_excluded = true;
-      }
+  std::vector<bool> healthy = problem.available;
+  bool any_excluded = false;
+  for (u32 i = 0; i < n; ++i) {
+    if (healthy[i] && !health().allow(i)) {
+      healthy[i] = false;
+      any_excluded = true;
     }
-    if (any_excluded) {
-      GatherProblem alt = problem;
-      alt.available = healthy;
-      if (alt.recoverable_levels() == problem.recoverable_levels())
-        problem.available = std::move(healthy);
-    }
+  }
+  if (any_excluded) {
+    GatherProblem alt = problem;
+    alt.available = healthy;
+    if (alt.recoverable_levels() == problem.recoverable_levels())
+      problem.available = std::move(healthy);
   }
 }
 
@@ -896,7 +893,7 @@ bool RapidsPipeline::fetch_levels(const ObjectRecord& record,
             for (const auto& [sys2, idx2] : locations[f.level]) {
               if (used[f.level].contains(sys2)) continue;
               if (!cluster_.system(sys2).available()) continue;
-              if (config_.health_tracking && !health().allow(sys2)) continue;
+              if (!health().allow(sys2)) continue;
               if (!spare ||
                   problem.bandwidths[sys2] > problem.bandwidths[*spare])
                 spare = sys2;
@@ -1429,7 +1426,7 @@ std::vector<f64> RapidsPipeline::failure_prob_estimates(f64 prior_strength) {
   for (u32 i = 0; i < n; ++i) {
     if (!cluster_.system(i).available()) {
       out[i] = 1.0;  // hard down right now, not a statistical estimate
-    } else if (config_.health_tracking) {
+    } else {
       out[i] = health().estimated_failure_prob(i, prior_p, prior_strength);
     }
   }
@@ -1439,9 +1436,8 @@ std::vector<f64> RapidsPipeline::failure_prob_estimates(f64 prior_strength) {
 std::vector<storage::CircuitState> RapidsPipeline::breaker_states() {
   std::lock_guard<std::mutex> lock(io_mu_);
   const u32 n = cluster_.size();
-  std::vector<storage::CircuitState> out(n, storage::CircuitState::kClosed);
-  if (config_.health_tracking)
-    for (u32 i = 0; i < n; ++i) out[i] = health().circuit_state(i);
+  std::vector<storage::CircuitState> out(n);
+  for (u32 i = 0; i < n; ++i) out[i] = health().circuit_state(i);
   return out;
 }
 

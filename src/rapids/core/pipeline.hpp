@@ -73,11 +73,10 @@ struct PipelineConfig {
   /// completions wins. Also rescues persistently failed fetches without a
   /// full replan.
   bool hedged_reads = true;
-  /// Track per-system success/failure/latency in a SystemHealth circuit
-  /// breaker (persisted next to the bandwidth tracker) and exclude
-  /// circuit-open systems from gathering plans when that does not reduce
-  /// the recoverable level count.
-  bool health_tracking = true;
+  /// Per-system SystemHealth circuit breaker (persisted next to the
+  /// bandwidth tracker). Every storage op is recorded in it, and
+  /// circuit-open systems are excluded from gathering plans when that does
+  /// not reduce the recoverable level count.
   storage::HealthOptions health;
 
   // --- progressive refinement (restore cache + refine sessions) ---
@@ -519,8 +518,8 @@ class RapidsPipeline {
   void persist_tracker();
   storage::SystemHealth& health();
   void persist_health();
-  /// Record one storage-op outcome in the health tracker (no-op when
-  /// health_tracking is off). Must be called under io_mu_.
+  /// Record one storage-op outcome in the health tracker. Must be called
+  /// under io_mu_.
   void record_health(u32 system, bool ok, f64 latency_multiplier = 1.0);
   /// Fetch one fragment with bounded retry, classifying failures: io_error
   /// is transient (retried with backoff), a missing fragment is permanent

@@ -52,13 +52,12 @@ void run_chunked(ThreadPool* pool, u64 n, u64 grain, const Body& body) {
 /// or inverse. Axis 0 runs the in-line kernel per row; axis 1 feeds each odd
 /// row and its two even neighbors to the row kernel; axis 2 does the same
 /// with whole contiguous planes.
-template <typename T>
-void cascade_axis(T* w, Dims dims, u32 axis, bool forward, ThreadPool* pool) {
-  const RowOps<T>& ops = kernels::row_ops<T>();
+void cascade_axis(f64* w, Dims dims, u32 axis, bool forward, ThreadPool* pool) {
+  const RowOps& ops = kernels::row_ops();
   const u64 nx = dims.nx, ny = dims.ny, nz = dims.nz;
   if (axis == 0) {
     const auto fn = forward ? ops.cascade_fwd_x : ops.cascade_inv_x;
-    run_chunked(pool, ny * nz, grain_for_lines(nx * sizeof(T)),
+    run_chunked(pool, ny * nz, grain_for_lines(nx * sizeof(f64)),
                 [&](u64 lo, u64 hi) {
                   for (u64 l = lo; l < hi; ++l) fn(w + l * nx, nx);
                 });
@@ -67,12 +66,12 @@ void cascade_axis(T* w, Dims dims, u32 axis, bool forward, ThreadPool* pool) {
   const auto fn = forward ? ops.cascade_fwd : ops.cascade_inv;
   if (axis == 1) {
     const u64 hy = (ny - 1) / 2;  // odd-j rows per z-slab
-    run_chunked(pool, nz * hy, grain_for_lines(3 * nx * sizeof(T)),
+    run_chunked(pool, nz * hy, grain_for_lines(3 * nx * sizeof(f64)),
                 [&](u64 lo, u64 hi) {
                   for (u64 idx = lo; idx < hi; ++idx) {
                     const u64 k = idx / hy;
                     const u64 j = 2 * (idx % hy) + 1;
-                    T* base = w + (k * ny + j) * nx;
+                    f64* base = w + (k * ny + j) * nx;
                     fn(base, base - nx, base + nx, nx);
                   }
                 });
@@ -81,7 +80,7 @@ void cascade_axis(T* w, Dims dims, u32 axis, bool forward, ThreadPool* pool) {
     const u64 plane = nx * ny;
     run_chunked(pool, hz, 1, [&](u64 lo, u64 hi) {
       for (u64 m = lo; m < hi; ++m) {
-        T* base = w + (2 * m + 1) * plane;
+        f64* base = w + (2 * m + 1) * plane;
         fn(base, base - plane, base + plane, plane);
       }
     });
@@ -92,30 +91,29 @@ void cascade_axis(T* w, Dims dims, u32 axis, bool forward, ThreadPool* pool) {
 /// along that axis). Stencil (1/6)[0.5 3 5 3 0.5] interior, (1/6)[2.5 3 0.5]
 /// at the boundary (mirrored at the far end). Axes 1/2 are pure row kernels
 /// over contiguous rows/planes; axis 0 uses the strided in-line kernel.
-template <typename T>
-void apply_load_axis(const T* src, Dims sdims, u32 axis, T* out,
+void apply_load_axis(const f64* src, Dims sdims, u32 axis, f64* out,
                      ThreadPool* pool) {
-  const RowOps<T>& ops = kernels::row_ops<T>();
+  const RowOps& ops = kernels::row_ops();
   const Dims odims = coarsen_axis(sdims, axis);
   const u64 slen = axis_extent(sdims, axis);
   RAPIDS_REQUIRE_MSG(slen >= 3 && slen % 2 == 1,
                      "apply_load: axis must be odd-sized >= 3");
   if (axis == 0) {
     run_chunked(pool, sdims.ny * sdims.nz,
-                grain_for_lines(sdims.nx * sizeof(T)), [&](u64 lo, u64 hi) {
+                grain_for_lines(sdims.nx * sizeof(f64)), [&](u64 lo, u64 hi) {
                   for (u64 l = lo; l < hi; ++l)
                     ops.load_x(out + l * odims.nx, src + l * sdims.nx,
                                odims.nx, sdims.nx);
                 });
   } else if (axis == 1) {
     const u64 nx = sdims.nx, sny = sdims.ny, ony = odims.ny;
-    run_chunked(pool, sdims.nz * ony, grain_for_lines(6 * nx * sizeof(T)),
+    run_chunked(pool, sdims.nz * ony, grain_for_lines(6 * nx * sizeof(f64)),
                 [&](u64 lo, u64 hi) {
                   for (u64 idx = lo; idx < hi; ++idx) {
                     const u64 k = idx / ony;
                     const u64 j = idx % ony;
-                    const T* sb = src + k * sny * nx;
-                    T* o = out + (k * ony + j) * nx;
+                    const f64* sb = src + k * sny * nx;
+                    f64* o = out + (k * ony + j) * nx;
                     if (j == 0) {
                       ops.load_boundary(o, sb, sb + nx, sb + 2 * nx, nx);
                     } else if (j + 1 == ony) {
@@ -123,7 +121,7 @@ void apply_load_axis(const T* src, Dims sdims, u32 axis, T* out,
                                         sb + (sny - 2) * nx,
                                         sb + (sny - 3) * nx, nx);
                     } else {
-                      const T* c = sb + 2 * j * nx;
+                      const f64* c = sb + 2 * j * nx;
                       ops.load_interior(o, c - 2 * nx, c - nx, c, c + nx,
                                         c + 2 * nx, nx);
                     }
@@ -133,14 +131,14 @@ void apply_load_axis(const T* src, Dims sdims, u32 axis, T* out,
     const u64 pw = sdims.nx * sdims.ny, snz = sdims.nz, onz = odims.nz;
     run_chunked(pool, onz, 1, [&](u64 lo, u64 hi) {
       for (u64 j = lo; j < hi; ++j) {
-        T* o = out + j * pw;
+        f64* o = out + j * pw;
         if (j == 0) {
           ops.load_boundary(o, src, src + pw, src + 2 * pw, pw);
         } else if (j + 1 == onz) {
           ops.load_boundary(o, src + (snz - 1) * pw, src + (snz - 2) * pw,
                             src + (snz - 3) * pw, pw);
         } else {
-          const T* c = src + 2 * j * pw;
+          const f64* c = src + 2 * j * pw;
           ops.load_interior(o, c - 2 * pw, c - pw, c, c + pw, c + 2 * pw, pw);
         }
       }
@@ -150,8 +148,8 @@ void apply_load_axis(const T* src, Dims sdims, u32 axis, T* out,
 
 /// Column width for the cross-axis Thomas sweeps such that the forward plus
 /// backward pass over all `len` rows of one column panel stays ~L2-resident.
-u64 thomas_chunk_width(u64 len, u64 row_width, u64 elem_size) {
-  const u64 target = (192 * 1024) / (elem_size * (len == 0 ? 1 : len));
+u64 thomas_chunk_width(u64 len, u64 row_width) {
+  const u64 target = (192 * 1024) / (sizeof(f64) * (len == 0 ? 1 : len));
   return std::min(row_width, std::max<u64>(target, 16));
 }
 
@@ -160,12 +158,11 @@ u64 thomas_chunk_width(u64 len, u64 row_width, u64 elem_size) {
 /// and denominator sweeps depend only on (i, len), so they are precomputed
 /// once per call into the workspace (values identical to the per-line
 /// recurrence) instead of per line.
-template <typename T>
-void mass_solve_axis(T* g, Dims dims, u32 axis, RefactorWorkspace& ws,
+void mass_solve_axis(f64* g, Dims dims, u32 axis, RefactorWorkspace& ws,
                      ThreadPool* pool) {
   const u64 len = axis_extent(dims, axis);
   if (len <= 1) return;
-  const RowOps<T>& ops = kernels::row_ops<T>();
+  const RowOps& ops = kernels::row_ops();
   constexpr f64 off = 1.0 / 3.0;
   constexpr f64 kDiagBoundary = 2.0 / 3.0;
   ws.cp.resize(len);
@@ -188,15 +185,15 @@ void mass_solve_axis(T* g, Dims dims, u32 axis, RefactorWorkspace& ws,
     const u64 lines = ny * nz;
     const u64 groups = ceil_div(lines, kThomasPanelWidth);
     run_chunked(
-        pool, groups, grain_for_lines(kThomasPanelWidth * nx * sizeof(T)),
+        pool, groups, grain_for_lines(kThomasPanelWidth * nx * sizeof(f64)),
         [&](u64 lo, u64 hi) {
-          static thread_local std::vector<T> panel;
+          static thread_local std::vector<f64> panel;
           panel.resize(kThomasPanelWidth * nx);
-          T* p = panel.data();
+          f64* p = panel.data();
           for (u64 gi = lo; gi < hi; ++gi) {
             const u64 first = gi * kThomasPanelWidth;
             const u64 w = std::min<u64>(kThomasPanelWidth, lines - first);
-            T* base = g + first * nx;
+            f64* base = g + first * nx;
             ops.pack_panel(p, base, w, nx, nx);
             ops.thomas_first(p, kDiagBoundary, w);
             for (u64 i = 1; i < nx; ++i)
@@ -207,13 +204,13 @@ void mass_solve_axis(T* g, Dims dims, u32 axis, RefactorWorkspace& ws,
           }
         });
   } else if (axis == 1) {
-    const u64 cw = thomas_chunk_width(len, nx, sizeof(T));
+    const u64 cw = thomas_chunk_width(len, nx);
     const u64 npan = ceil_div(nx, cw);
     run_chunked(pool, nz * npan, 1, [&](u64 lo, u64 hi) {
       for (u64 idx = lo; idx < hi; ++idx) {
         const u64 x0 = (idx % npan) * cw;
         const u64 cn = std::min(cw, nx - x0);
-        T* s = g + (idx / npan) * ny * nx + x0;
+        f64* s = g + (idx / npan) * ny * nx + x0;
         ops.thomas_first(s, kDiagBoundary, cn);
         for (u64 i = 1; i < len; ++i)
           ops.thomas_fwd(s + i * nx, s + (i - 1) * nx, off, denom[i], cn);
@@ -223,13 +220,13 @@ void mass_solve_axis(T* g, Dims dims, u32 axis, RefactorWorkspace& ws,
     });
   } else {
     const u64 pw = nx * ny;
-    const u64 cw = thomas_chunk_width(len, pw, sizeof(T));
+    const u64 cw = thomas_chunk_width(len, pw);
     const u64 npan = ceil_div(pw, cw);
     run_chunked(pool, npan, 1, [&](u64 lo, u64 hi) {
       for (u64 pidx = lo; pidx < hi; ++pidx) {
         const u64 c0 = pidx * cw;
         const u64 cn = std::min(cw, pw - c0);
-        T* s = g + c0;
+        f64* s = g + c0;
         ops.thomas_first(s, kDiagBoundary, cn);
         for (u64 i = 1; i < len; ++i)
           ops.thomas_fwd(s + i * pw, s + (i - 1) * pw, off, denom[i], cn);
@@ -244,12 +241,10 @@ void mass_solve_axis(T* g, Dims dims, u32 axis, RefactorWorkspace& ws,
 /// are at even positions in every axis and are *not* part of the residual).
 /// Returns the correction on the coarse grid; the buffer belongs to `ws` and
 /// stays valid until the next correction uses the workspace.
-template <typename T>
-std::pair<const T*, Dims> compute_correction(const T* w, Dims adims,
-                                             RefactorWorkspace& ws,
-                                             ThreadPool* pool) {
-  auto& bufs = ws.bufs<T>();
-  const RowOps<T>& ops = kernels::row_ops<T>();
+std::pair<const f64*, Dims> compute_correction(const f64* w, Dims adims,
+                                               RefactorWorkspace& ws,
+                                               ThreadPool* pool) {
+  const RowOps& ops = kernels::row_ops();
   const u64 nx = adims.nx, ny = adims.ny, nz = adims.nz;
   const u64 sx = nx > 1 ? 2 : 1;
   const u64 sy = ny > 1 ? 2 : 1;
@@ -257,15 +252,15 @@ std::pair<const T*, Dims> compute_correction(const T* w, Dims adims,
 
   // Residual copy with zeros at coarse (even-in-all-axes) nodes, one fused
   // pass per row.
-  bufs.resid.resize(adims.total());
-  T* resid = bufs.resid.data();
-  run_chunked(pool, ny * nz, grain_for_lines(2 * nx * sizeof(T)),
+  ws.resid.resize(adims.total());
+  f64* resid = ws.resid.data();
+  run_chunked(pool, ny * nz, grain_for_lines(2 * nx * sizeof(f64)),
               [&](u64 lo, u64 hi) {
                 for (u64 l = lo; l < hi; ++l) {
                   const u64 j = l % ny;
                   const u64 k = l / ny;
-                  const T* s = w + l * nx;
-                  T* d = resid + l * nx;
+                  const f64* s = w + l * nx;
+                  f64* d = resid + l * nx;
                   if (k % sz == 0 && j % sy == 0) {
                     ops.copy_zero(d, s, nx, sx);
                   } else {
@@ -276,10 +271,10 @@ std::pair<const T*, Dims> compute_correction(const T* w, Dims adims,
 
   // Load along each non-degenerate axis (ping-ponging between the two
   // workspace buffers), then mass solves in place on the coarse grid.
-  const T* src = resid;
+  const f64* src = resid;
   Dims cur = adims;
-  std::vector<T>* next = &bufs.load_a;
-  std::vector<T>* other = &bufs.load_b;
+  std::vector<f64>* next = &ws.load_a;
+  std::vector<f64>* other = &ws.load_b;
   for (u32 axis = 0; axis < 3; ++axis) {
     if (axis_extent(cur, axis) <= 1) continue;
     const Dims odims = coarsen_axis(cur, axis);
@@ -289,7 +284,7 @@ std::pair<const T*, Dims> compute_correction(const T* w, Dims adims,
     cur = odims;
     std::swap(next, other);
   }
-  T* corr = const_cast<T*>(src);  // always one of the load buffers by now
+  f64* corr = const_cast<f64*>(src);  // always one of the load buffers by now
   for (u32 axis = 0; axis < 3; ++axis)
     if (axis_extent(cur, axis) > 1) mass_solve_axis(corr, cur, axis, ws, pool);
   return {corr, cur};
@@ -297,96 +292,56 @@ std::pair<const T*, Dims> compute_correction(const T* w, Dims adims,
 
 /// Add (sign=+1) or subtract (sign=-1) the coarse-grid correction into the
 /// coarse nodes of the active buffer (even positions per decomposed axis).
-/// When `tap` is non-null it receives a compact (cdims row-major) copy of the
-/// corrected coarse nodes — the correction is their last writer within a
-/// step, so the copy costs one contiguous store stream while the values are
-/// still in registers.
-template <typename T>
-void apply_correction(T* w, Dims adims, const T* z, Dims cdims, T sign,
-                      ThreadPool* pool, T* tap = nullptr) {
+void apply_correction(f64* w, Dims adims, const f64* z, Dims cdims, f64 sign,
+                      ThreadPool* pool) {
   const u64 sx = adims.nx > 1 ? 2 : 1;
   const u64 sy = adims.ny > 1 ? 2 : 1;
   const u64 sz = adims.nz > 1 ? 2 : 1;
   run_chunked(pool, cdims.ny * cdims.nz,
-              grain_for_lines(3 * cdims.nx * sizeof(T)), [&](u64 lo, u64 hi) {
+              grain_for_lines(3 * cdims.nx * sizeof(f64)), [&](u64 lo, u64 hi) {
                 for (u64 r = lo; r < hi; ++r) {
                   const u64 j = r % cdims.ny;
                   const u64 k = r / cdims.ny;
-                  const T* src = z + r * cdims.nx;
-                  T* dst = w + ((k * sz) * adims.ny + j * sy) * adims.nx;
-                  if (tap != nullptr) {
-                    T* trow = tap + r * cdims.nx;
-                    for (u64 i = 0; i < cdims.nx; ++i)
-                      trow[i] = dst[i * sx] += sign * src[i];
-                  } else {
-                    for (u64 i = 0; i < cdims.nx; ++i)
-                      dst[i * sx] += sign * src[i];
-                  }
+                  const f64* src = z + r * cdims.nx;
+                  f64* dst = w + ((k * sz) * adims.ny + j * sy) * adims.nx;
+                  for (u64 i = 0; i < cdims.nx; ++i)
+                    dst[i * sx] += sign * src[i];
                 }
               });
 }
 
 /// Gather the active sub-grid (stride 2^(t-1)) into `w`; when `cascade_x` is
 /// set, the first forward x cascade runs on each line while it is cache-hot.
-template <typename T>
-void gather_active_cascade(const T* full, Dims pdims, T* w, Dims adims,
+void gather_active_cascade(const f64* full, Dims pdims, f64* w, Dims adims,
                            u64 stride, bool cascade_x, ThreadPool* pool) {
-  const RowOps<T>& ops = kernels::row_ops<T>();
+  const RowOps& ops = kernels::row_ops();
   run_chunked(pool, adims.ny * adims.nz,
-              grain_for_lines(adims.nx * sizeof(T)), [&](u64 lo, u64 hi) {
+              grain_for_lines(adims.nx * sizeof(f64)), [&](u64 lo, u64 hi) {
                 for (u64 l = lo; l < hi; ++l) {
                   const u64 j = l % adims.ny;
                   const u64 k = l / adims.ny;
-                  const T* src = full + ((k * stride) * pdims.ny + j * stride) *
-                                            pdims.nx;
-                  T* dst = w + l * adims.nx;
+                  const f64* src =
+                      full + ((k * stride) * pdims.ny + j * stride) * pdims.nx;
+                  f64* dst = w + l * adims.nx;
                   ops.gather_stride(dst, src, adims.nx, stride);
                   if (cascade_x) ops.cascade_fwd_x(dst, adims.nx);
                 }
               });
 }
 
-/// Gather like gather_active_cascade (no x cascade), except rows even in
-/// both y and z skip their even-x positions: the fused recompose injection
-/// overwrites exactly that stride-2 subset from the pending deeper grid, so
-/// its stale strided loads from `full` are pure waste. Every skipped slot is
-/// written by the injection before anything reads `w`.
-template <typename T>
-void gather_active_skip_pending(const T* full, Dims pdims, T* w, Dims adims,
-                                u64 stride, ThreadPool* pool) {
-  const RowOps<T>& ops = kernels::row_ops<T>();
-  run_chunked(pool, adims.ny * adims.nz,
-              grain_for_lines(adims.nx * sizeof(T)), [&](u64 lo, u64 hi) {
-                for (u64 l = lo; l < hi; ++l) {
-                  const u64 j = l % adims.ny;
-                  const u64 k = l / adims.ny;
-                  const T* src = full + ((k * stride) * pdims.ny + j * stride) *
-                                            pdims.nx;
-                  T* dst = w + l * adims.nx;
-                  if ((j & 1) == 0 && (k & 1) == 0) {
-                    for (u64 i = 1; i < adims.nx; i += 2)
-                      dst[i] = src[i * stride];
-                  } else {
-                    ops.gather_stride(dst, src, adims.nx, stride);
-                  }
-                }
-              });
-}
-
 /// Scatter the active buffer back into the full array; when `cascade_x` is
 /// set, the last inverse x cascade runs on each line just before the scatter.
-template <typename T>
-void cascade_scatter_active(T* full, Dims pdims, T* w, Dims adims, u64 stride,
-                            bool cascade_x, ThreadPool* pool) {
-  const RowOps<T>& ops = kernels::row_ops<T>();
+void cascade_scatter_active(f64* full, Dims pdims, f64* w, Dims adims,
+                            u64 stride, bool cascade_x, ThreadPool* pool) {
+  const RowOps& ops = kernels::row_ops();
   run_chunked(pool, adims.ny * adims.nz,
-              grain_for_lines(adims.nx * sizeof(T)), [&](u64 lo, u64 hi) {
+              grain_for_lines(adims.nx * sizeof(f64)), [&](u64 lo, u64 hi) {
                 for (u64 l = lo; l < hi; ++l) {
                   const u64 j = l % adims.ny;
                   const u64 k = l / adims.ny;
-                  T* src = w + l * adims.nx;
-                  T* dst = full + ((k * stride) * pdims.ny + j * stride) *
-                                      pdims.nx;
+                  f64* src = w + l * adims.nx;
+                  f64* dst =
+                      full + ((k * stride) * pdims.ny + j * stride) * pdims.nx;
                   if (cascade_x) ops.cascade_inv_x(src, adims.nx);
                   ops.scatter_stride(dst, src, adims.nx, stride);
                 }
@@ -441,149 +396,67 @@ LevelGeom level_geometry(const GridHierarchy& h, u32 d) {
 
 }  // namespace
 
-template <typename T>
-void decompose(std::vector<T>& data, const GridHierarchy& h,
+void decompose(std::vector<f64>& data, const GridHierarchy& h,
                const DecomposeOptions& opt, ThreadPool* pool,
                RefactorWorkspace* ws) {
   RAPIDS_REQUIRE(data.size() == h.padded().total());
   RefactorWorkspace local_ws;
   RefactorWorkspace& work = ws != nullptr ? *ws : local_ws;
-  auto& bufs = work.bufs<T>();
   const Dims pdims = h.padded();
-  // Level fusion: step t's active grid is exactly the stride-2 sub-grid of
-  // step t-1's active grid (extents are 2^j + 1 or 1 per axis), and after
-  // step t-1 finishes, its compact buffer holds the same values the padded
-  // array holds at those nodes (the scatter below copies, never transforms).
-  // So step t >= 3 gathers from the L2-resident previous buffer at relative
-  // stride 2 instead of re-striding the full field at 2^(t-1) — one fewer
-  // full-field read pass per level. Step 2 is covered by a tap in step 1's
-  // correction pass (see below), which hands it a compact copy of its grid
-  // at relative stride 1. The scatter into `data` stays: the coefficients
-  // must land there for gather_level. Two buffers ping-pong so the gather
-  // never reads the buffer it writes.
-  const bool fuse = opt.level_fusion;
-  const T* prev = data.data();
-  Dims prev_dims = pdims;
-  u64 prev_rel = 2;  // relative stride of the next grid within `prev`
-  bool flip = false;
   for (u32 t = 1; t <= h.levels(); ++t) {
     const Dims adims = h.grid_at_step(t - 1);
     const u64 stride = u64{1} << (t - 1);
-    T* w;
+    f64* w;
     if (stride == 1) {
       // Active grid == padded grid: transform in place, no copy.
       w = data.data();
       if (adims.nx > 1) cascade_axis(w, adims, 0, /*forward=*/true, pool);
     } else {
-      std::vector<T>& cur = (fuse && flip) ? bufs.active2 : bufs.active;
-      if (fuse) flip = !flip;
-      cur.resize(adims.total());
-      w = cur.data();
-      if (fuse) {
-        gather_active_cascade(prev, prev_dims, w, adims, prev_rel,
-                              adims.nx > 1, pool);
-      } else {
-        gather_active_cascade(data.data(), pdims, w, adims, stride,
-                              adims.nx > 1, pool);
-      }
+      work.active.resize(adims.total());
+      w = work.active.data();
+      gather_active_cascade(data.data(), pdims, w, adims, stride,
+                            adims.nx > 1, pool);
     }
     if (adims.ny > 1) cascade_axis(w, adims, 1, true, pool);
     if (adims.nz > 1) cascade_axis(w, adims, 2, true, pool);
-    bool tapped = false;
     if (opt.l2_correction) {
       const auto [z, cdims] = compute_correction(w, adims, work, pool);
-      T* tap = nullptr;
-      if (fuse && stride == 1 && t < h.levels()) {
-        // Fused step 1 -> 2 hand-off: the correction is the last writer of
-        // exactly the stride-2 sub-grid step 2 gathers, so tap the corrected
-        // values into a compact buffer as they are produced. Step 2 then
-        // reads it contiguously (relative stride 1) instead of re-striding
-        // the whole padded field — the largest strided read of the
-        // traversal. Values are bit-identical either way.
-        std::vector<T>& tbuf = flip ? bufs.active2 : bufs.active;
-        flip = !flip;
-        tbuf.resize(cdims.total());
-        tap = tbuf.data();
-        prev = tap;
-        prev_dims = cdims;
-        prev_rel = 1;
-        tapped = true;
-      }
-      apply_correction(w, adims, z, cdims, static_cast<T>(1), pool, tap);
+      apply_correction(w, adims, z, cdims, 1.0, pool);
     }
     if (stride != 1) {
       cascade_scatter_active(data.data(), pdims, w, adims, stride,
                              /*cascade_x=*/false, pool);
     }
-    if (!tapped) {
-      prev = w;
-      prev_dims = adims;
-      prev_rel = 2;
-    }
   }
 }
 
-template <typename T>
-void recompose(std::vector<T>& data, const GridHierarchy& h,
+void recompose(std::vector<f64>& data, const GridHierarchy& h,
                const DecomposeOptions& opt, ThreadPool* pool,
                RefactorWorkspace* ws) {
   RAPIDS_REQUIRE(data.size() == h.padded().total());
   RefactorWorkspace local_ws;
   RefactorWorkspace& work = ws != nullptr ? *ws : local_ws;
-  auto& bufs = work.bufs<T>();
   const Dims pdims = h.padded();
-  // Level fusion, mirrored: a step t >= 3 skips the full-field scatter and
-  // keeps its processed active grid pending (inverse x cascade still
-  // deferred, exactly as the fused scatter would have run it). Step t-1
-  // gathers from `data` with the pending stride-2 subset skipped (those
-  // strided loads would be stale and immediately overwritten), then the
-  // injection below runs the deferred cascade and writes that subset of the
-  // freshly gathered buffer straight from the compact pending grid.
-  // Step 2 must scatter into `data` for real (step 1 transforms the padded
-  // array in place), which also lands every coarser level's final values:
-  // their nodes are a subset of step 2's grid. One fewer full-field write
-  // pass per level; values and order are identical, so output is
-  // bit-identical to the unfused traversal.
-  const bool fuse = opt.level_fusion;
-  T* pending = nullptr;
-  Dims pending_dims{};
-  bool flip = false;
   for (u32 t = h.levels(); t >= 1; --t) {
     const Dims adims = h.grid_at_step(t - 1);
     const u64 stride = u64{1} << (t - 1);
-    T* w;
+    f64* w;
     if (stride == 1) {
       w = data.data();
     } else {
-      std::vector<T>& cur = (fuse && flip) ? bufs.active2 : bufs.active;
-      if (fuse) flip = !flip;
-      cur.resize(adims.total());
-      w = cur.data();
-      if (pending != nullptr)
-        gather_active_skip_pending(data.data(), pdims, w, adims, stride, pool);
-      else
-        gather_active_cascade(data.data(), pdims, w, adims, stride,
-                              /*cascade_x=*/false, pool);
-    }
-    if (pending != nullptr) {
-      // Deferred injection of level t+1's processed grid: runs its deferred
-      // inverse x cascade and scatters into this buffer's stride-2 subset
-      // (which is exactly level t+1's grid), before the correction reads it.
-      cascade_scatter_active(w, adims, pending, pending_dims, /*stride=*/2,
-                             pending_dims.nx > 1, pool);
-      pending = nullptr;
+      work.active.resize(adims.total());
+      w = work.active.data();
+      gather_active_cascade(data.data(), pdims, w, adims, stride,
+                            /*cascade_x=*/false, pool);
     }
     if (opt.l2_correction) {
       const auto [z, cdims] = compute_correction(w, adims, work, pool);
-      apply_correction(w, adims, z, cdims, static_cast<T>(-1), pool);
+      apply_correction(w, adims, z, cdims, -1.0, pool);
     }
     if (adims.nz > 1) cascade_axis(w, adims, 2, /*forward=*/false, pool);
     if (adims.ny > 1) cascade_axis(w, adims, 1, false, pool);
     if (stride == 1) {
       if (adims.nx > 1) cascade_axis(w, adims, 0, false, pool);
-    } else if (fuse && t > 2) {
-      pending = w;
-      pending_dims = adims;
     } else {
       cascade_scatter_active(data.data(), pdims, w, adims, stride,
                              adims.nx > 1, pool);
@@ -591,26 +464,25 @@ void recompose(std::vector<T>& data, const GridHierarchy& h,
   }
 }
 
-template <typename T>
-std::vector<T> gather_level(const std::vector<T>& data, const GridHierarchy& h,
-                            u32 d, ThreadPool* pool) {
+std::vector<f64> gather_level(const std::vector<f64>& data,
+                              const GridHierarchy& h, u32 d, ThreadPool* pool) {
   RAPIDS_REQUIRE(data.size() == h.padded().total());
   const LevelGeom g = level_geometry(h, d);
   RAPIDS_REQUIRE(g.total == h.decomp_level_size(d));
   const Dims p = h.padded();
-  const RowOps<T>& ops = kernels::row_ops<T>();
-  std::vector<T> out(g.total);
-  const T* src0 = data.data();
-  T* o = out.data();
-  run_chunked(pool, g.ey * g.ez, grain_for_lines(2 * g.ex * sizeof(T)),
+  const RowOps& ops = kernels::row_ops();
+  std::vector<f64> out(g.total);
+  const f64* src0 = data.data();
+  f64* o = out.data();
+  run_chunked(pool, g.ey * g.ez, grain_for_lines(2 * g.ex * sizeof(f64)),
               [&](u64 lo, u64 hi) {
                 for (u64 row = lo; row < hi; ++row) {
                   const u64 jj = row % g.ey;
                   const u64 kk = row / g.ey;
-                  const T* src =
+                  const f64* src =
                       src0 +
                       ((kk * g.stride) * p.ny + jj * g.stride) * p.nx;
-                  T* dst = o + g.row_offset(kk, jj);
+                  f64* dst = o + g.row_offset(kk, jj);
                   if (g.base || ((jj | kk) & 1)) {
                     ops.gather_stride(dst, src, g.ex, g.stride);
                   } else {
@@ -622,25 +494,24 @@ std::vector<T> gather_level(const std::vector<T>& data, const GridHierarchy& h,
   return out;
 }
 
-template <typename T>
-void scatter_level(std::vector<T>& data, const GridHierarchy& h, u32 d,
-                   const std::vector<T>& coeffs, ThreadPool* pool) {
+void scatter_level(std::vector<f64>& data, const GridHierarchy& h, u32 d,
+                   const std::vector<f64>& coeffs, ThreadPool* pool) {
   RAPIDS_REQUIRE(data.size() == h.padded().total());
   const LevelGeom g = level_geometry(h, d);
   RAPIDS_REQUIRE(g.total == h.decomp_level_size(d));
   RAPIDS_REQUIRE(coeffs.size() == g.total);
   const Dims p = h.padded();
-  const RowOps<T>& ops = kernels::row_ops<T>();
-  T* dst0 = data.data();
-  const T* src0 = coeffs.data();
-  run_chunked(pool, g.ey * g.ez, grain_for_lines(2 * g.ex * sizeof(T)),
+  const RowOps& ops = kernels::row_ops();
+  f64* dst0 = data.data();
+  const f64* src0 = coeffs.data();
+  run_chunked(pool, g.ey * g.ez, grain_for_lines(2 * g.ex * sizeof(f64)),
               [&](u64 lo, u64 hi) {
                 for (u64 row = lo; row < hi; ++row) {
                   const u64 jj = row % g.ey;
                   const u64 kk = row / g.ey;
-                  T* dst = dst0 +
-                           ((kk * g.stride) * p.ny + jj * g.stride) * p.nx;
-                  const T* src = src0 + g.row_offset(kk, jj);
+                  f64* dst = dst0 +
+                             ((kk * g.stride) * p.ny + jj * g.stride) * p.nx;
+                  const f64* src = src0 + g.row_offset(kk, jj);
                   if (g.base || ((jj | kk) & 1)) {
                     ops.scatter_stride(dst, src, g.ex, g.stride);
                   } else {
@@ -650,28 +521,5 @@ void scatter_level(std::vector<T>& data, const GridHierarchy& h, u32 d,
                 }
               });
 }
-
-template void decompose<f32>(std::vector<f32>&, const GridHierarchy&,
-                             const DecomposeOptions&, ThreadPool*,
-                             RefactorWorkspace*);
-template void decompose<f64>(std::vector<f64>&, const GridHierarchy&,
-                             const DecomposeOptions&, ThreadPool*,
-                             RefactorWorkspace*);
-template void recompose<f32>(std::vector<f32>&, const GridHierarchy&,
-                             const DecomposeOptions&, ThreadPool*,
-                             RefactorWorkspace*);
-template void recompose<f64>(std::vector<f64>&, const GridHierarchy&,
-                             const DecomposeOptions&, ThreadPool*,
-                             RefactorWorkspace*);
-template std::vector<f32> gather_level<f32>(const std::vector<f32>&,
-                                            const GridHierarchy&, u32,
-                                            ThreadPool*);
-template std::vector<f64> gather_level<f64>(const std::vector<f64>&,
-                                            const GridHierarchy&, u32,
-                                            ThreadPool*);
-template void scatter_level<f32>(std::vector<f32>&, const GridHierarchy&, u32,
-                                 const std::vector<f32>&, ThreadPool*);
-template void scatter_level<f64>(std::vector<f64>&, const GridHierarchy&, u32,
-                                 const std::vector<f64>&, ThreadPool*);
 
 }  // namespace rapids::mgard

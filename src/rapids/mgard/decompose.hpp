@@ -19,7 +19,8 @@
 ///     orthogonal multilevel decomposition and its error guarantees.
 ///
 /// The full decomposition repeats this step L times on grids of stride
-/// 2^(t-1). Everything is in place over the padded array; per-step working
+/// 2^(t-1). The transform is f64 only: Refactorer widens every field before
+/// it runs. Everything is in place over the padded array; per-step working
 /// copies of the active sub-grid keep the kernels contiguous and
 /// cache-friendly (at step 1, where active == padded, the transform runs
 /// directly in place and skips the copy entirely).
@@ -52,16 +53,6 @@ struct DecomposeOptions {
   /// Apply the L2 correction (true = full MGARD-style projection; false =
   /// plain hierarchical interpolation basis). Ablated in bench/ablation.
   bool l2_correction = true;
-  /// Level-fused traversal: hand each step's active grid to the next step
-  /// directly instead of bouncing it through the full padded array, so
-  /// consecutive levels touch an L2-resident compact buffer rather than
-  /// re-striding the whole field. Decompose gathers step t >= 3 from the
-  /// step t-1 active buffer (relative stride 2); recompose defers the step
-  /// t >= 3 scatter and injects the processed grid into the next gathered
-  /// buffer. Pure data-movement change: output is bit-identical either way
-  /// (kernel_test pins fused == unfused). Off switches back to the padded-
-  /// array round trip per level.
-  bool level_fusion = true;
 };
 
 /// In-place multilevel decomposition of `data` (padded extents of `h`).
@@ -69,14 +60,12 @@ struct DecomposeOptions {
 /// detail coefficients of decomposition level d at their nodes (see grid.hpp).
 /// Pass a RefactorWorkspace to reuse the per-level scratch buffers across
 /// calls; omitted, the call allocates a private one.
-template <typename T>
-void decompose(std::vector<T>& data, const GridHierarchy& h,
+void decompose(std::vector<f64>& data, const GridHierarchy& h,
                const DecomposeOptions& opt = {}, ThreadPool* pool = nullptr,
                RefactorWorkspace* ws = nullptr);
 
 /// Exact inverse of decompose() (up to floating-point rounding).
-template <typename T>
-void recompose(std::vector<T>& data, const GridHierarchy& h,
+void recompose(std::vector<f64>& data, const GridHierarchy& h,
                const DecomposeOptions& opt = {}, ThreadPool* pool = nullptr,
                RefactorWorkspace* ws = nullptr);
 
@@ -85,13 +74,12 @@ void recompose(std::vector<T>& data, const GridHierarchy& h,
 /// level geometry directly (strided sub-grid rows minus their even-in-all-
 /// axes prefix) instead of chasing the index vector, so it parallelizes and
 /// never materializes level_nodes.
-template <typename T>
-std::vector<T> gather_level(const std::vector<T>& data, const GridHierarchy& h,
-                            u32 d, ThreadPool* pool = nullptr);
+std::vector<f64> gather_level(const std::vector<f64>& data,
+                              const GridHierarchy& h, u32 d,
+                              ThreadPool* pool = nullptr);
 
 /// Scatter a contiguous coefficient vector back into the full array.
-template <typename T>
-void scatter_level(std::vector<T>& data, const GridHierarchy& h, u32 d,
-                   const std::vector<T>& coeffs, ThreadPool* pool = nullptr);
+void scatter_level(std::vector<f64>& data, const GridHierarchy& h, u32 d,
+                   const std::vector<f64>& coeffs, ThreadPool* pool = nullptr);
 
 }  // namespace rapids::mgard

@@ -13,98 +13,76 @@ namespace rapids::mgard::kernels {
 
 namespace {
 
-template <typename T>
-void cascade_fwd_s(T* odd, const T* lo, const T* hi, u64 n) {
+void cascade_fwd_s(f64* odd, const f64* lo, const f64* hi, u64 n) {
+  for (u64 i = 0; i < n; ++i) odd[i] -= 0.5 * (lo[i] + hi[i]);
+}
+
+void cascade_inv_s(f64* odd, const f64* lo, const f64* hi, u64 n) {
+  for (u64 i = 0; i < n; ++i) odd[i] += 0.5 * (lo[i] + hi[i]);
+}
+
+void load_interior_s(f64* out, const f64* m2, const f64* m1, const f64* c0,
+                     const f64* p1, const f64* p2, u64 n) {
+  const f64 c6 = 1.0 / 6.0;
   for (u64 i = 0; i < n; ++i)
-    odd[i] -= static_cast<T>(0.5) * (lo[i] + hi[i]);
+    out[i] = c6 * (0.5 * m2[i] + 3 * m1[i] + 5 * c0[i] + 3 * p1[i] +
+                   0.5 * p2[i]);
 }
 
-template <typename T>
-void cascade_inv_s(T* odd, const T* lo, const T* hi, u64 n) {
+void load_boundary_s(f64* out, const f64* v0, const f64* v1, const f64* v2,
+                     u64 n) {
+  const f64 c6 = 1.0 / 6.0;
   for (u64 i = 0; i < n; ++i)
-    odd[i] += static_cast<T>(0.5) * (lo[i] + hi[i]);
+    out[i] = c6 * (2.5 * v0[i] + 3 * v1[i] + 0.5 * v2[i]);
 }
 
-template <typename T>
-void load_interior_s(T* out, const T* m2, const T* m1, const T* c0,
-                     const T* p1, const T* p2, u64 n) {
-  const T c6 = static_cast<T>(1.0 / 6.0);
-  for (u64 i = 0; i < n; ++i)
-    out[i] = c6 * (static_cast<T>(0.5) * m2[i] + 3 * m1[i] + 5 * c0[i] +
-                   3 * p1[i] + static_cast<T>(0.5) * p2[i]);
+void thomas_first_s(f64* v, f64 diag, u64 n) {
+  for (u64 i = 0; i < n; ++i) v[i] = v[i] / diag;
 }
 
-template <typename T>
-void load_boundary_s(T* out, const T* v0, const T* v1, const T* v2, u64 n) {
-  const T c6 = static_cast<T>(1.0 / 6.0);
-  for (u64 i = 0; i < n; ++i)
-    out[i] = c6 * (static_cast<T>(2.5) * v0[i] + 3 * v1[i] +
-                   static_cast<T>(0.5) * v2[i]);
+void thomas_fwd_s(f64* cur, const f64* prev, f64 off, f64 denom, u64 n) {
+  for (u64 i = 0; i < n; ++i) cur[i] = (cur[i] - off * prev[i]) / denom;
 }
 
-template <typename T>
-void thomas_first_s(T* v, f64 diag, u64 n) {
-  for (u64 i = 0; i < n; ++i) v[i] = static_cast<T>(v[i] / diag);
+void thomas_bwd_s(f64* cur, const f64* next, f64 cp, u64 n) {
+  for (u64 i = 0; i < n; ++i) cur[i] -= cp * next[i];
 }
 
-template <typename T>
-void thomas_fwd_s(T* cur, const T* prev, f64 off, f64 denom, u64 n) {
-  for (u64 i = 0; i < n; ++i)
-    cur[i] = static_cast<T>((cur[i] - off * prev[i]) / denom);
+void cascade_fwd_x_s(f64* v, u64 len) {
+  for (u64 i = 1; i + 1 < len; i += 2) v[i] -= 0.5 * (v[i - 1] + v[i + 1]);
 }
 
-template <typename T>
-void thomas_bwd_s(T* cur, const T* next, f64 cp, u64 n) {
-  for (u64 i = 0; i < n; ++i) cur[i] -= static_cast<T>(cp * next[i]);
+void cascade_inv_x_s(f64* v, u64 len) {
+  for (u64 i = 1; i + 1 < len; i += 2) v[i] += 0.5 * (v[i - 1] + v[i + 1]);
 }
 
-template <typename T>
-void cascade_fwd_x_s(T* v, u64 len) {
-  for (u64 i = 1; i + 1 < len; i += 2)
-    v[i] -= static_cast<T>(0.5) * (v[i - 1] + v[i + 1]);
-}
-
-template <typename T>
-void cascade_inv_x_s(T* v, u64 len) {
-  for (u64 i = 1; i + 1 < len; i += 2)
-    v[i] += static_cast<T>(0.5) * (v[i - 1] + v[i + 1]);
-}
-
-template <typename T>
-void load_x_s(T* out, const T* src, u64 olen, u64 slen) {
-  const T c6 = static_cast<T>(1.0 / 6.0);
-  out[0] = c6 * (static_cast<T>(2.5) * src[0] + 3 * src[1] +
-                 static_cast<T>(0.5) * src[2]);
+void load_x_s(f64* out, const f64* src, u64 olen, u64 slen) {
+  const f64 c6 = 1.0 / 6.0;
+  out[0] = c6 * (2.5 * src[0] + 3 * src[1] + 0.5 * src[2]);
   for (u64 i = 1; i + 1 < olen; ++i) {
-    const T* p = src + 2 * i;
-    out[i] = c6 * (static_cast<T>(0.5) * p[-2] + 3 * p[-1] + 5 * p[0] +
-                   3 * p[1] + static_cast<T>(0.5) * p[2]);
+    const f64* p = src + 2 * i;
+    out[i] = c6 * (0.5 * p[-2] + 3 * p[-1] + 5 * p[0] + 3 * p[1] + 0.5 * p[2]);
   }
   if (olen > 1) {
-    const T* e = src + (slen - 1);
-    out[olen - 1] = c6 * (static_cast<T>(2.5) * e[0] + 3 * e[-1] +
-                          static_cast<T>(0.5) * e[-2]);
+    const f64* e = src + (slen - 1);
+    out[olen - 1] = c6 * (2.5 * e[0] + 3 * e[-1] + 0.5 * e[-2]);
   }
 }
 
-template <typename T>
-void gather_stride_s(T* dst, const T* src, u64 n, u64 stride) {
+void gather_stride_s(f64* dst, const f64* src, u64 n, u64 stride) {
   for (u64 i = 0; i < n; ++i) dst[i] = src[i * stride];
 }
 
-template <typename T>
-void scatter_stride_s(T* dst, const T* src, u64 n, u64 stride) {
+void scatter_stride_s(f64* dst, const f64* src, u64 n, u64 stride) {
   for (u64 i = 0; i < n; ++i) dst[i * stride] = src[i];
 }
 
-template <typename T>
-void copy_zero_s(T* dst, const T* src, u64 n, u64 zstride) {
+void copy_zero_s(f64* dst, const f64* src, u64 n, u64 zstride) {
   for (u64 i = 0; i < n; ++i) dst[i] = src[i];
   for (u64 i = 0; i < n; i += zstride) dst[i] = 0;
 }
 
-template <typename T>
-void pack_panel_s(T* dst, const T* src, u64 w, u64 len, u64 line_stride) {
+void pack_panel_s(f64* dst, const f64* src, u64 w, u64 len, u64 line_stride) {
   // Blocked over i so each line contributes a short contiguous run per step
   // (w lines' cache lines stay resident instead of thrashing).
   constexpr u64 kBlock = 16;
@@ -115,8 +93,8 @@ void pack_panel_s(T* dst, const T* src, u64 w, u64 len, u64 line_stride) {
   }
 }
 
-template <typename T>
-void unpack_panel_s(T* dst, const T* src, u64 w, u64 len, u64 line_stride) {
+void unpack_panel_s(f64* dst, const f64* src, u64 w, u64 len,
+                    u64 line_stride) {
   constexpr u64 kBlock = 16;
   for (u64 i0 = 0; i0 < len; i0 += kBlock) {
     const u64 i1 = i0 + kBlock < len ? i0 + kBlock : len;
@@ -294,26 +272,11 @@ bool rice_expand_s(const u64* stream, u64 stream_bits, u64 ones, u32 k,
   return true;
 }
 
-template <typename T>
-constexpr RowOps<T> make_scalar_row_ops() {
-  RowOps<T> ops{};
-  ops.cascade_fwd = &cascade_fwd_s<T>;
-  ops.cascade_inv = &cascade_inv_s<T>;
-  ops.load_interior = &load_interior_s<T>;
-  ops.load_boundary = &load_boundary_s<T>;
-  ops.thomas_first = &thomas_first_s<T>;
-  ops.thomas_fwd = &thomas_fwd_s<T>;
-  ops.thomas_bwd = &thomas_bwd_s<T>;
-  ops.cascade_fwd_x = &cascade_fwd_x_s<T>;
-  ops.cascade_inv_x = &cascade_inv_x_s<T>;
-  ops.load_x = &load_x_s<T>;
-  ops.gather_stride = &gather_stride_s<T>;
-  ops.scatter_stride = &scatter_stride_s<T>;
-  ops.copy_zero = &copy_zero_s<T>;
-  ops.pack_panel = &pack_panel_s<T>;
-  ops.unpack_panel = &unpack_panel_s<T>;
-  return ops;
-}
+constexpr RowOps kScalarRowOps{
+    &cascade_fwd_s,   &cascade_inv_s, &load_interior_s, &load_boundary_s,
+    &thomas_first_s,  &thomas_fwd_s,  &thomas_bwd_s,    &cascade_fwd_x_s,
+    &cascade_inv_x_s, &load_x_s,      &gather_stride_s, &scatter_stride_s,
+    &copy_zero_s,     &pack_panel_s,  &unpack_panel_s};
 
 constexpr BitplaneOps kScalarBitplaneOps{&max_abs_s, &quantize64_s,
                                          &transpose64_s, &dequantize_s};
@@ -324,28 +287,23 @@ constexpr CodecOps kScalarCodecOps{
 
 }  // namespace
 
-template <typename T>
-const RowOps<T>& row_ops_scalar() {
-  static constexpr RowOps<T> ops = make_scalar_row_ops<T>();
-  return ops;
-}
+const RowOps& row_ops_scalar() { return kScalarRowOps; }
 
 const BitplaneOps& bitplane_ops_scalar() { return kScalarBitplaneOps; }
 
 const CodecOps& codec_ops_scalar() { return kScalarCodecOps; }
 
-template <typename T>
-const RowOps<T>& row_ops_at(simd::IsaLevel level) {
+const RowOps& row_ops_at(simd::IsaLevel level) {
   switch (level) {
     case simd::IsaLevel::kAvx2:
-      return detail::row_ops_avx2<T>();
+      return detail::row_ops_avx2();
     case simd::IsaLevel::kNeon:
-      return detail::row_ops_neon<T>();
+      return detail::row_ops_neon();
     case simd::IsaLevel::kSsse3:  // no float tier between SSE2 and AVX2 here
     case simd::IsaLevel::kScalar:
       break;
   }
-  return row_ops_scalar<T>();
+  return row_ops_scalar();
 }
 
 const BitplaneOps& bitplane_ops_at(simd::IsaLevel level) {
@@ -374,22 +332,12 @@ const CodecOps& codec_ops_at(simd::IsaLevel level) {
   return codec_ops_scalar();
 }
 
-template <typename T>
-const RowOps<T>& row_ops() {
-  return row_ops_at<T>(simd::active_isa());
-}
+const RowOps& row_ops() { return row_ops_at(simd::active_isa()); }
 
 const BitplaneOps& bitplane_ops() {
   return bitplane_ops_at(simd::active_isa());
 }
 
 const CodecOps& codec_ops() { return codec_ops_at(simd::active_isa()); }
-
-template const RowOps<f32>& row_ops_scalar<f32>();
-template const RowOps<f64>& row_ops_scalar<f64>();
-template const RowOps<f32>& row_ops_at<f32>(simd::IsaLevel);
-template const RowOps<f64>& row_ops_at<f64>(simd::IsaLevel);
-template const RowOps<f32>& row_ops<f32>();
-template const RowOps<f64>& row_ops<f64>();
 
 }  // namespace rapids::mgard::kernels

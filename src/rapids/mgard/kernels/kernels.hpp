@@ -16,9 +16,9 @@
 /// to its scalar reference; tests/kernel_test.cpp enforces this for every
 /// entry point on awkward shapes.
 ///
-/// Two dispatch tables exist per element type:
-///   row_ops<T>()        — the ISA the dispatcher selected
-///   row_ops_scalar<T>() — the portable reference (also the FORCE_SCALAR path)
+/// Two dispatch tables exist per kernel family, e.g. for the row kernels:
+///   row_ops()        — the ISA the dispatcher selected
+///   row_ops_scalar() — the portable reference (also the FORCE_SCALAR path)
 /// The scalar translation unit is compiled with -fno-tree-vectorize so the
 /// reference stays honestly scalar: it is the bit-identity arbiter and the
 /// baseline the benchmarks report speedups against.
@@ -33,48 +33,49 @@ namespace rapids::mgard::kernels {
 /// row arguments must not overlap. `n` is the element count of every row.
 ///
 /// Floating-point contract: each kernel evaluates, per element, exactly the
-/// expression of the scalar reference (same operand order, same f64
-/// intermediates for the Thomas kernels even when T = f32), so scalar and
-/// SIMD variants are bit-identical.
-template <typename T>
+/// expression of the scalar reference (same operand order, no fused
+/// multiply-add), so scalar and SIMD variants are bit-identical.
 struct RowOps {
   /// odd[i] -= 0.5 * (lo[i] + hi[i]) — forward interpolation cascade row.
-  void (*cascade_fwd)(T* odd, const T* lo, const T* hi, u64 n);
+  void (*cascade_fwd)(f64* odd, const f64* lo, const f64* hi, u64 n);
   /// odd[i] += 0.5 * (lo[i] + hi[i]) — inverse cascade row.
-  void (*cascade_inv)(T* odd, const T* lo, const T* hi, u64 n);
+  void (*cascade_inv)(f64* odd, const f64* lo, const f64* hi, u64 n);
   /// out[i] = 1/6 * (0.5*m2[i] + 3*m1[i] + 5*c0[i] + 3*p1[i] + 0.5*p2[i]).
-  void (*load_interior)(T* out, const T* m2, const T* m1, const T* c0,
-                        const T* p1, const T* p2, u64 n);
+  void (*load_interior)(f64* out, const f64* m2, const f64* m1, const f64* c0,
+                        const f64* p1, const f64* p2, u64 n);
   /// out[i] = 1/6 * (2.5*v0[i] + 3*v1[i] + 0.5*v2[i]) — load boundary row.
-  void (*load_boundary)(T* out, const T* v0, const T* v1, const T* v2, u64 n);
-  /// v[i] = T(v[i] / diag) — first row of the Thomas forward sweep.
-  void (*thomas_first)(T* v, f64 diag, u64 n);
-  /// cur[i] = T((cur[i] - off * prev[i]) / denom) — Thomas forward row.
-  void (*thomas_fwd)(T* cur, const T* prev, f64 off, f64 denom, u64 n);
-  /// cur[i] -= T(cp * next[i]) — Thomas backward row.
-  void (*thomas_bwd)(T* cur, const T* next, f64 cp, u64 n);
+  void (*load_boundary)(f64* out, const f64* v0, const f64* v1, const f64* v2,
+                        u64 n);
+  /// v[i] = v[i] / diag — first row of the Thomas forward sweep.
+  void (*thomas_first)(f64* v, f64 diag, u64 n);
+  /// cur[i] = (cur[i] - off * prev[i]) / denom — Thomas forward row.
+  void (*thomas_fwd)(f64* cur, const f64* prev, f64 off, f64 denom, u64 n);
+  /// cur[i] -= cp * next[i] — Thomas backward row.
+  void (*thomas_bwd)(f64* cur, const f64* next, f64 cp, u64 n);
 
   /// In-line cascade along x: v[i] -=/+= 0.5*(v[i-1]+v[i+1]) at odd i,
-  /// 1 <= i < len-1. Vectorized by de-interleaving even/odd positions.
-  void (*cascade_fwd_x)(T* v, u64 len);
-  void (*cascade_inv_x)(T* v, u64 len);
+  /// 1 <= i < len-1.
+  void (*cascade_fwd_x)(f64* v, u64 len);
+  void (*cascade_inv_x)(f64* v, u64 len);
   /// Full 1-D load stencil along x (boundaries included): olen outputs from
   /// slen = 2*olen-1 strided samples, identical to the y/z stencils above.
-  void (*load_x)(T* out, const T* src, u64 olen, u64 slen);
+  void (*load_x)(f64* out, const f64* src, u64 olen, u64 slen);
 
   /// dst[i] = src[i * stride] for i in [0, n) — strided gather of one line.
-  void (*gather_stride)(T* dst, const T* src, u64 n, u64 stride);
+  void (*gather_stride)(f64* dst, const f64* src, u64 n, u64 stride);
   /// dst[i * stride] = src[i] — strided scatter of one line.
-  void (*scatter_stride)(T* dst, const T* src, u64 n, u64 stride);
+  void (*scatter_stride)(f64* dst, const f64* src, u64 n, u64 stride);
   /// dst[i] = (i % zstride == 0) ? 0 : src[i] — residual row copy that zeroes
   /// the coarse positions in one pass (zstride == 1 zeroes the whole row).
-  void (*copy_zero)(T* dst, const T* src, u64 n, u64 zstride);
+  void (*copy_zero)(f64* dst, const f64* src, u64 n, u64 zstride);
 
   /// Panel transpose for the x-axis Thomas batch: dst[i*w + l] =
   /// src[l*line_stride + i] (pack) and its inverse (unpack), for w lines of
   /// len elements. dst and src must not overlap.
-  void (*pack_panel)(T* dst, const T* src, u64 w, u64 len, u64 line_stride);
-  void (*unpack_panel)(T* dst, const T* src, u64 w, u64 len, u64 line_stride);
+  void (*pack_panel)(f64* dst, const f64* src, u64 w, u64 len,
+                     u64 line_stride);
+  void (*unpack_panel)(f64* dst, const f64* src, u64 w, u64 len,
+                       u64 line_stride);
 };
 
 /// Bitplane-side kernels: quantization fused with the 64x64 bit transpose,
@@ -134,21 +135,18 @@ struct CodecOps {
 /// Dispatched tables (test override > RAPIDS_FORCE_SCALAR > best ISA). The
 /// lookup re-reads simd::active_isa() every call so overrides take effect
 /// immediately; the tables themselves are static.
-template <typename T>
-const RowOps<T>& row_ops();
+const RowOps& row_ops();
 const BitplaneOps& bitplane_ops();
 const CodecOps& codec_ops();
 
 /// The portable scalar reference tables.
-template <typename T>
-const RowOps<T>& row_ops_scalar();
+const RowOps& row_ops_scalar();
 const BitplaneOps& bitplane_ops_scalar();
 const CodecOps& codec_ops_scalar();
 
 /// Table for an explicit ISA level (used by tests and benchmarks to pin a
 /// tier). Unsupported levels fall back to scalar.
-template <typename T>
-const RowOps<T>& row_ops_at(simd::IsaLevel level);
+const RowOps& row_ops_at(simd::IsaLevel level);
 const BitplaneOps& bitplane_ops_at(simd::IsaLevel level);
 const CodecOps& codec_ops_at(simd::IsaLevel level);
 
@@ -171,12 +169,10 @@ inline u64 grain_for_lines(u64 bytes_per_line) {
 // translation unit compiled with that ISA's flags (see src/CMakeLists.txt).
 // On foreign architectures they return the scalar tables.
 namespace detail {
-template <typename T>
-const RowOps<T>& row_ops_avx2();
+const RowOps& row_ops_avx2();
 const BitplaneOps& bitplane_ops_avx2();
 const CodecOps& codec_ops_avx2();
-template <typename T>
-const RowOps<T>& row_ops_neon();
+const RowOps& row_ops_neon();
 const BitplaneOps& bitplane_ops_neon();
 const CodecOps& codec_ops_neon();
 }  // namespace detail

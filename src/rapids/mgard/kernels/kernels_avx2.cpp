@@ -6,17 +6,18 @@
 // dispatch in kernels.cpp, so nothing here executes on non-AVX2 machines.
 //
 // Vectorization strategy per kernel family:
-//  - cross-line row kernels: plain unit-stride 4-lane (f64) / 8-lane (f32)
-//    arithmetic, one element per lane, operand order exactly as the scalar
-//    expression;
-//  - in-line x kernels: even/odd de-interleave with unpack+permute so odd
-//    positions update 4 at a time while even positions are rewritten
-//    bit-unchanged;
-//  - Thomas rows: f64 lanes (f32 inputs widened through cvtps/cvtpd like the
-//    scalar code's f64 intermediates) with hardware vdivpd;
+//  - cross-line row kernels: plain unit-stride 4-lane f64 arithmetic, one
+//    element per lane, operand order exactly as the scalar expression;
+//  - load_x: even/odd de-interleave with unpack+permute so four interior
+//    stencil outputs come out of one register sweep;
+//  - Thomas rows: hardware vdivpd;
 //  - bitplane: fused |c|*scale quantization with the exact-truncation u32
 //    conversion trick, a register-resident 64x64 bit transpose, and magic-
 //    constant exact u32→f64 dequantization.
+//
+// A kernel keeps an AVX2 form only while it beats the scalar reference in
+// bench/refactor_kernels. The in-line x cascade measured 0.81-1.01x of
+// scalar, so the table below leaves it on the scalar entry point.
 
 #if defined(__x86_64__) || defined(__i386__)
 
@@ -26,8 +27,6 @@
 
 namespace rapids::mgard::kernels {
 namespace {
-
-// ---------------------------------------------------------------- f64 rows
 
 void cascade_fwd_d(f64* odd, const f64* lo, const f64* hi, u64 n) {
   const __m256d half = _mm256_set1_pd(0.5);
@@ -127,8 +126,6 @@ void thomas_bwd_d(f64* cur, const f64* next, f64 cp, u64 n) {
   for (; i < n; ++i) cur[i] -= cp * next[i];
 }
 
-// ------------------------------------------------------------ f64 in-line x
-
 /// {a0,a2,b0,b2} resp. {a1,a3,b1,b3} of two adjacent loads — the de-
 /// interleave halves, back in memory order after the cross-lane permute.
 inline __m256d deint_even(__m256d a, __m256d b) {
@@ -136,36 +133,6 @@ inline __m256d deint_even(__m256d a, __m256d b) {
 }
 inline __m256d deint_odd(__m256d a, __m256d b) {
   return _mm256_permute4x64_pd(_mm256_unpackhi_pd(a, b), _MM_SHUFFLE(3, 1, 2, 0));
-}
-
-template <bool kForward>
-void cascade_x_d(f64* v, u64 len) {
-  const __m256d half = _mm256_set1_pd(0.5);
-  u64 i = 1;
-  for (; i + 7 < len; i += 8) {
-    // Odd positions i, i+2, i+4, i+6; their even neighbors i-1 .. i+7.
-    const __m256d a = _mm256_loadu_pd(v + i - 1);  // v[i-1 .. i+2]
-    const __m256d b = _mm256_loadu_pd(v + i + 3);  // v[i+3 .. i+6]
-    const __m256d el = deint_even(a, b);           // v[i-1], v[i+1], v[i+3], v[i+5]
-    const __m256d od = deint_odd(a, b);            // v[i],   v[i+2], v[i+4], v[i+6]
-    // Evens shifted one right: v[i+1], v[i+3], v[i+5], v[i+7].
-    const __m256d sh = _mm256_permute4x64_pd(el, _MM_SHUFFLE(3, 3, 2, 1));
-    const __m256d er =
-        _mm256_blend_pd(sh, _mm256_broadcast_sd(v + i + 7), 0b1000);
-    const __m256d s = _mm256_mul_pd(half, _mm256_add_pd(el, er));
-    const __m256d no = kForward ? _mm256_sub_pd(od, s) : _mm256_add_pd(od, s);
-    // Re-interleave (evens bit-unchanged) and store v[i-1 .. i+6].
-    const __m256d tlo = _mm256_unpacklo_pd(el, no);
-    const __m256d thi = _mm256_unpackhi_pd(el, no);
-    _mm256_storeu_pd(v + i - 1, _mm256_permute2f128_pd(tlo, thi, 0x20));
-    _mm256_storeu_pd(v + i + 3, _mm256_permute2f128_pd(tlo, thi, 0x31));
-  }
-  for (; i + 1 < len; i += 2) {
-    if (kForward)
-      v[i] -= 0.5 * (v[i - 1] + v[i + 1]);
-    else
-      v[i] += 0.5 * (v[i - 1] + v[i + 1]);
-  }
 }
 
 void load_x_d(f64* out, const f64* src, u64 olen, u64 slen) {
@@ -202,8 +169,6 @@ void load_x_d(f64* out, const f64* src, u64 olen, u64 slen) {
     out[olen - 1] = (1.0 / 6.0) * (2.5 * e[0] + 3 * e[-1] + 0.5 * e[-2]);
   }
 }
-
-// ----------------------------------------------------- f64 movement kernels
 
 void gather_stride_d(f64* dst, const f64* src, u64 n, u64 stride) {
   if (stride == 1) {
@@ -297,244 +262,6 @@ void unpack_panel_d(f64* dst, const f64* src, u64 w, u64 len, u64 line_stride) {
   for (; i < len; ++i)
     for (u64 l = 0; l < w; ++l) dst[l * line_stride + i] = src[i * w + l];
 }
-
-// ---------------------------------------------------------------- f32 rows
-
-void cascade_fwd_f(f32* odd, const f32* lo, const f32* hi, u64 n) {
-  const __m256 half = _mm256_set1_ps(0.5f);
-  u64 i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 s = _mm256_add_ps(_mm256_loadu_ps(lo + i), _mm256_loadu_ps(hi + i));
-    _mm256_storeu_ps(odd + i, _mm256_sub_ps(_mm256_loadu_ps(odd + i),
-                                            _mm256_mul_ps(half, s)));
-  }
-  for (; i < n; ++i) odd[i] -= 0.5f * (lo[i] + hi[i]);
-}
-
-void cascade_inv_f(f32* odd, const f32* lo, const f32* hi, u64 n) {
-  const __m256 half = _mm256_set1_ps(0.5f);
-  u64 i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 s = _mm256_add_ps(_mm256_loadu_ps(lo + i), _mm256_loadu_ps(hi + i));
-    _mm256_storeu_ps(odd + i, _mm256_add_ps(_mm256_loadu_ps(odd + i),
-                                            _mm256_mul_ps(half, s)));
-  }
-  for (; i < n; ++i) odd[i] += 0.5f * (lo[i] + hi[i]);
-}
-
-void load_interior_f(f32* out, const f32* m2, const f32* m1, const f32* c0,
-                     const f32* p1, const f32* p2, u64 n) {
-  const __m256 half = _mm256_set1_ps(0.5f);
-  const __m256 three = _mm256_set1_ps(3.0f);
-  const __m256 five = _mm256_set1_ps(5.0f);
-  const __m256 c6 = _mm256_set1_ps(static_cast<f32>(1.0 / 6.0));
-  u64 i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256 t = _mm256_add_ps(_mm256_mul_ps(half, _mm256_loadu_ps(m2 + i)),
-                             _mm256_mul_ps(three, _mm256_loadu_ps(m1 + i)));
-    t = _mm256_add_ps(t, _mm256_mul_ps(five, _mm256_loadu_ps(c0 + i)));
-    t = _mm256_add_ps(t, _mm256_mul_ps(three, _mm256_loadu_ps(p1 + i)));
-    t = _mm256_add_ps(t, _mm256_mul_ps(half, _mm256_loadu_ps(p2 + i)));
-    _mm256_storeu_ps(out + i, _mm256_mul_ps(c6, t));
-  }
-  const f32 c6s = static_cast<f32>(1.0 / 6.0);
-  for (; i < n; ++i)
-    out[i] = c6s * (0.5f * m2[i] + 3 * m1[i] + 5 * c0[i] + 3 * p1[i] +
-                    0.5f * p2[i]);
-}
-
-void load_boundary_f(f32* out, const f32* v0, const f32* v1, const f32* v2,
-                     u64 n) {
-  const __m256 w0 = _mm256_set1_ps(2.5f);
-  const __m256 three = _mm256_set1_ps(3.0f);
-  const __m256 half = _mm256_set1_ps(0.5f);
-  const __m256 c6 = _mm256_set1_ps(static_cast<f32>(1.0 / 6.0));
-  u64 i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256 t = _mm256_add_ps(_mm256_mul_ps(w0, _mm256_loadu_ps(v0 + i)),
-                             _mm256_mul_ps(three, _mm256_loadu_ps(v1 + i)));
-    t = _mm256_add_ps(t, _mm256_mul_ps(half, _mm256_loadu_ps(v2 + i)));
-    _mm256_storeu_ps(out + i, _mm256_mul_ps(c6, t));
-  }
-  const f32 c6s = static_cast<f32>(1.0 / 6.0);
-  for (; i < n; ++i) out[i] = c6s * (2.5f * v0[i] + 3 * v1[i] + 0.5f * v2[i]);
-}
-
-// f32 Thomas rows run in f64 lanes, mirroring the scalar code's f64
-// intermediates: widen 4 floats, compute in pd, narrow back.
-
-void thomas_first_f(f32* v, f64 diag, u64 n) {
-  const __m256d d = _mm256_set1_pd(diag);
-  u64 i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d x = _mm256_cvtps_pd(_mm_loadu_ps(v + i));
-    _mm_storeu_ps(v + i, _mm256_cvtpd_ps(_mm256_div_pd(x, d)));
-  }
-  for (; i < n; ++i) v[i] = static_cast<f32>(v[i] / diag);
-}
-
-void thomas_fwd_f(f32* cur, const f32* prev, f64 off, f64 denom, u64 n) {
-  const __m256d o = _mm256_set1_pd(off);
-  const __m256d d = _mm256_set1_pd(denom);
-  u64 i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d c = _mm256_cvtps_pd(_mm_loadu_ps(cur + i));
-    const __m256d p = _mm256_cvtps_pd(_mm_loadu_ps(prev + i));
-    const __m256d t = _mm256_div_pd(_mm256_sub_pd(c, _mm256_mul_pd(o, p)), d);
-    _mm_storeu_ps(cur + i, _mm256_cvtpd_ps(t));
-  }
-  for (; i < n; ++i)
-    cur[i] = static_cast<f32>((cur[i] - off * prev[i]) / denom);
-}
-
-void thomas_bwd_f(f32* cur, const f32* next, f64 cp, u64 n) {
-  // rhs = f32(cp * next) in f64, then the subtraction happens in f32.
-  const __m256d c = _mm256_set1_pd(cp);
-  u64 i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d nx = _mm256_cvtps_pd(_mm_loadu_ps(next + i));
-    const __m128 rhs = _mm256_cvtpd_ps(_mm256_mul_pd(c, nx));
-    _mm_storeu_ps(cur + i, _mm_sub_ps(_mm_loadu_ps(cur + i), rhs));
-  }
-  for (; i < n; ++i) cur[i] -= static_cast<f32>(cp * next[i]);
-}
-
-// f32 in-line x kernels: 8-lane de-interleave of a 16-float window. Lane
-// math uses the exact scalar operand order (mul/add only, no FMA), so the
-// results stay bit-identical to the scalar reference.
-
-/// Even offsets (0,2,..,14) of the 16-float window [a|b] into lanes 0..7.
-inline __m256 deint_even_ps(__m256 a, __m256 b) {
-  const __m256i fix = _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7);
-  return _mm256_permutevar8x32_ps(
-      _mm256_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0)), fix);
-}
-
-/// Odd offsets (1,3,..,15) of the 16-float window [a|b] into lanes 0..7.
-inline __m256 deint_odd_ps(__m256 a, __m256 b) {
-  const __m256i fix = _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7);
-  return _mm256_permutevar8x32_ps(
-      _mm256_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1)), fix);
-}
-
-/// Shift lanes down by one (lane k takes lane k+1) and feed `last` into the
-/// vacated top lane.
-inline __m256 shift1_ps(__m256 v, f32 last) {
-  const __m256i rot = _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 7);
-  return _mm256_blend_ps(_mm256_permutevar8x32_ps(v, rot),
-                         _mm256_set1_ps(last), 0x80);
-}
-
-/// Shared body of the forward/inverse x cascade: each 16-float window holds
-/// 8 odd entries (the lifted values) and their even neighbors; the evens are
-/// stored back unchanged so the interleaved store needs no masking.
-template <bool kForward>
-void cascade_x_f_impl(f32* v, u64 len) {
-  const __m256 half = _mm256_set1_ps(0.5f);
-  u64 i = 1;
-  for (; i + 15 < len; i += 16) {
-    const __m256 a = _mm256_loadu_ps(v + i - 1);
-    const __m256 b = _mm256_loadu_ps(v + i + 7);
-    const __m256 el = deint_even_ps(a, b);        // v[i-1 + 2k]
-    const __m256 od = deint_odd_ps(a, b);         // v[i   + 2k]
-    const __m256 er = shift1_ps(el, v[i + 15]);   // v[i+1 + 2k]
-    const __m256 s = _mm256_mul_ps(half, _mm256_add_ps(el, er));
-    const __m256 no = kForward ? _mm256_sub_ps(od, s) : _mm256_add_ps(od, s);
-    const __m256 t0 = _mm256_unpacklo_ps(el, no);
-    const __m256 t1 = _mm256_unpackhi_ps(el, no);
-    _mm256_storeu_ps(v + i - 1, _mm256_permute2f128_ps(t0, t1, 0x20));
-    _mm256_storeu_ps(v + i + 7, _mm256_permute2f128_ps(t0, t1, 0x31));
-  }
-  for (; i + 1 < len; i += 2) {
-    if (kForward)
-      v[i] -= 0.5f * (v[i - 1] + v[i + 1]);
-    else
-      v[i] += 0.5f * (v[i - 1] + v[i + 1]);
-  }
-}
-
-void cascade_fwd_x_f(f32* v, u64 len) { cascade_x_f_impl<true>(v, len); }
-
-void cascade_inv_x_f(f32* v, u64 len) { cascade_x_f_impl<false>(v, len); }
-
-void load_x_f(f32* out, const f32* src, u64 olen, u64 slen) {
-  const f32 c6 = static_cast<f32>(1.0 / 6.0);
-  out[0] = c6 * (2.5f * src[0] + 3 * src[1] + 0.5f * src[2]);
-  const __m256 half = _mm256_set1_ps(0.5f);
-  const __m256 three = _mm256_set1_ps(3.0f);
-  const __m256 five = _mm256_set1_ps(5.0f);
-  const __m256 vc6 = _mm256_set1_ps(c6);
-  u64 i = 1;
-  // Outputs i..i+7 must all be interior (i+7 <= olen-2); the widest read is
-  // p[16] = src[2(i+8)] <= src[2*olen-2] <= src[slen-1].
-  for (; i + 9 <= olen; i += 8) {
-    const f32* p = src + 2 * i;
-    const __m256 a = _mm256_loadu_ps(p - 2);
-    const __m256 b = _mm256_loadu_ps(p + 6);
-    const __m256 m2 = deint_even_ps(a, b);   // p[-2 + 2k]
-    const __m256 m1 = deint_odd_ps(a, b);    // p[-1 + 2k]
-    const __m256 c0 = shift1_ps(m2, p[14]);  // p[ 0 + 2k]
-    const __m256 p1 = shift1_ps(m1, p[15]);  // p[ 1 + 2k]
-    const __m256 p2 = shift1_ps(c0, p[16]);  // p[ 2 + 2k]
-    __m256 t = _mm256_add_ps(_mm256_mul_ps(half, m2), _mm256_mul_ps(three, m1));
-    t = _mm256_add_ps(t, _mm256_mul_ps(five, c0));
-    t = _mm256_add_ps(t, _mm256_mul_ps(three, p1));
-    t = _mm256_add_ps(t, _mm256_mul_ps(half, p2));
-    _mm256_storeu_ps(out + i, _mm256_mul_ps(vc6, t));
-  }
-  for (; i + 1 < olen; ++i) {
-    const f32* p = src + 2 * i;
-    out[i] = c6 * (0.5f * p[-2] + 3 * p[-1] + 5 * p[0] + 3 * p[1] + 0.5f * p[2]);
-  }
-  if (olen > 1) {
-    const f32* e = src + (slen - 1);
-    out[olen - 1] = c6 * (2.5f * e[0] + 3 * e[-1] + 0.5f * e[-2]);
-  }
-}
-
-void gather_stride_f(f32* dst, const f32* src, u64 n, u64 stride) {
-  if (stride == 1) {
-    u64 i = 0;
-    for (; i + 8 <= n; i += 8)
-      _mm256_storeu_ps(dst + i, _mm256_loadu_ps(src + i));
-    for (; i < n; ++i) dst[i] = src[i];
-    return;
-  }
-  for (u64 i = 0; i < n; ++i) dst[i] = src[i * stride];
-}
-
-void scatter_stride_f(f32* dst, const f32* src, u64 n, u64 stride) {
-  if (stride == 1) {
-    gather_stride_f(dst, src, n, 1);
-    return;
-  }
-  for (u64 i = 0; i < n; ++i) dst[i * stride] = src[i];
-}
-
-void copy_zero_f(f32* dst, const f32* src, u64 n, u64 zstride) {
-  for (u64 i = 0; i < n; ++i) dst[i] = src[i];
-  for (u64 i = 0; i < n; i += zstride) dst[i] = 0;
-}
-
-void pack_panel_f(f32* dst, const f32* src, u64 w, u64 len, u64 line_stride) {
-  constexpr u64 kBlock = 16;
-  for (u64 i0 = 0; i0 < len; i0 += kBlock) {
-    const u64 i1 = i0 + kBlock < len ? i0 + kBlock : len;
-    for (u64 l = 0; l < w; ++l)
-      for (u64 i = i0; i < i1; ++i) dst[i * w + l] = src[l * line_stride + i];
-  }
-}
-
-void unpack_panel_f(f32* dst, const f32* src, u64 w, u64 len, u64 line_stride) {
-  constexpr u64 kBlock = 16;
-  for (u64 i0 = 0; i0 < len; i0 += kBlock) {
-    const u64 i1 = i0 + kBlock < len ? i0 + kBlock : len;
-    for (u64 l = 0; l < w; ++l)
-      for (u64 i = i0; i < i1; ++i) dst[l * line_stride + i] = src[i * w + l];
-  }
-}
-
-// ----------------------------------------------------------------- bitplane
 
 f64 max_abs_avx2(const f64* v, u64 n) {
   const __m256d absmask =
@@ -692,51 +419,6 @@ void dequantize_avx2(f64* out, const u32* q, const u64* sign_words,
   }
 }
 
-template <typename T>
-RowOps<T> make_avx2_row_ops();
-
-template <>
-RowOps<f64> make_avx2_row_ops<f64>() {
-  RowOps<f64> ops{};
-  ops.cascade_fwd = &cascade_fwd_d;
-  ops.cascade_inv = &cascade_inv_d;
-  ops.load_interior = &load_interior_d;
-  ops.load_boundary = &load_boundary_d;
-  ops.thomas_first = &thomas_first_d;
-  ops.thomas_fwd = &thomas_fwd_d;
-  ops.thomas_bwd = &thomas_bwd_d;
-  ops.cascade_fwd_x = &cascade_x_d<true>;
-  ops.cascade_inv_x = &cascade_x_d<false>;
-  ops.load_x = &load_x_d;
-  ops.gather_stride = &gather_stride_d;
-  ops.scatter_stride = &scatter_stride_d;
-  ops.copy_zero = &copy_zero_d;
-  ops.pack_panel = &pack_panel_d;
-  ops.unpack_panel = &unpack_panel_d;
-  return ops;
-}
-
-template <>
-RowOps<f32> make_avx2_row_ops<f32>() {
-  RowOps<f32> ops{};
-  ops.cascade_fwd = &cascade_fwd_f;
-  ops.cascade_inv = &cascade_inv_f;
-  ops.load_interior = &load_interior_f;
-  ops.load_boundary = &load_boundary_f;
-  ops.thomas_first = &thomas_first_f;
-  ops.thomas_fwd = &thomas_fwd_f;
-  ops.thomas_bwd = &thomas_bwd_f;
-  ops.cascade_fwd_x = &cascade_fwd_x_f;
-  ops.cascade_inv_x = &cascade_inv_x_f;
-  ops.load_x = &load_x_f;
-  ops.gather_stride = &gather_stride_f;
-  ops.scatter_stride = &scatter_stride_f;
-  ops.copy_zero = &copy_zero_f;
-  ops.pack_panel = &pack_panel_f;
-  ops.unpack_panel = &unpack_panel_f;
-  return ops;
-}
-
 constexpr BitplaneOps kAvx2BitplaneOps{&max_abs_avx2, &quantize64_avx2,
                                        &transpose64_avx2, &dequantize_avx2};
 
@@ -889,9 +571,24 @@ u64 rice_length_bits_avx2(const u64* pos, u64 count, u32 k) {
 
 namespace detail {
 
-template <typename T>
-const RowOps<T>& row_ops_avx2() {
-  static const RowOps<T> ops = make_avx2_row_ops<T>();
+const RowOps& row_ops_avx2() {
+  static const RowOps ops = [] {
+    RowOps t = row_ops_scalar();  // keeps the scalar in-line x cascade
+    t.cascade_fwd = &cascade_fwd_d;
+    t.cascade_inv = &cascade_inv_d;
+    t.load_interior = &load_interior_d;
+    t.load_boundary = &load_boundary_d;
+    t.thomas_first = &thomas_first_d;
+    t.thomas_fwd = &thomas_fwd_d;
+    t.thomas_bwd = &thomas_bwd_d;
+    t.load_x = &load_x_d;
+    t.gather_stride = &gather_stride_d;
+    t.scatter_stride = &scatter_stride_d;
+    t.copy_zero = &copy_zero_d;
+    t.pack_panel = &pack_panel_d;
+    t.unpack_panel = &unpack_panel_d;
+    return t;
+  }();
   return ops;
 }
 
@@ -909,9 +606,6 @@ const CodecOps& codec_ops_avx2() {
   return ops;
 }
 
-template const RowOps<f32>& row_ops_avx2<f32>();
-template const RowOps<f64>& row_ops_avx2<f64>();
-
 }  // namespace detail
 }  // namespace rapids::mgard::kernels
 
@@ -919,17 +613,11 @@ template const RowOps<f64>& row_ops_avx2<f64>();
 
 namespace rapids::mgard::kernels::detail {
 
-template <typename T>
-const RowOps<T>& row_ops_avx2() {
-  return row_ops_scalar<T>();
-}
+const RowOps& row_ops_avx2() { return row_ops_scalar(); }
 
 const BitplaneOps& bitplane_ops_avx2() { return bitplane_ops_scalar(); }
 
 const CodecOps& codec_ops_avx2() { return codec_ops_scalar(); }
-
-template const RowOps<f32>& row_ops_avx2<f32>();
-template const RowOps<f64>& row_ops_avx2<f64>();
 
 }  // namespace rapids::mgard::kernels::detail
 

@@ -2,9 +2,9 @@
 
 // NEON tier of the multigrid refactor kernels (AArch64 only; on other
 // architectures this TU forwards to the scalar reference). Same bit-identity
-// contract as the AVX2 tier: 2-lane f64 / 4-lane f32 arithmetic across
-// independent coefficients, per-element operand order exactly as the scalar
-// expression, no fused multiply-add.
+// contract as the AVX2 tier: 2-lane f64 arithmetic across independent
+// coefficients, per-element operand order exactly as the scalar expression,
+// no fused multiply-add.
 
 #if defined(__aarch64__)
 
@@ -101,161 +101,45 @@ void thomas_bwd_d(f64* cur, const f64* next, f64 cp, u64 n) {
   for (; i < n; ++i) cur[i] -= cp * next[i];
 }
 
-void cascade_fwd_f(f32* odd, const f32* lo, const f32* hi, u64 n) {
-  const float32x4_t half = vdupq_n_f32(0.5f);
-  u64 i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t s = vaddq_f32(vld1q_f32(lo + i), vld1q_f32(hi + i));
-    vst1q_f32(odd + i, vsubq_f32(vld1q_f32(odd + i), vmulq_f32(half, s)));
-  }
-  for (; i < n; ++i) odd[i] -= 0.5f * (lo[i] + hi[i]);
-}
-
-void cascade_inv_f(f32* odd, const f32* lo, const f32* hi, u64 n) {
-  const float32x4_t half = vdupq_n_f32(0.5f);
-  u64 i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t s = vaddq_f32(vld1q_f32(lo + i), vld1q_f32(hi + i));
-    vst1q_f32(odd + i, vaddq_f32(vld1q_f32(odd + i), vmulq_f32(half, s)));
-  }
-  for (; i < n; ++i) odd[i] += 0.5f * (lo[i] + hi[i]);
-}
-
-void load_interior_f(f32* out, const f32* m2, const f32* m1, const f32* c0,
-                     const f32* p1, const f32* p2, u64 n) {
-  const float32x4_t half = vdupq_n_f32(0.5f);
-  const float32x4_t three = vdupq_n_f32(3.0f);
-  const float32x4_t five = vdupq_n_f32(5.0f);
-  const float32x4_t c6 = vdupq_n_f32(static_cast<f32>(1.0 / 6.0));
-  u64 i = 0;
-  for (; i + 4 <= n; i += 4) {
-    float32x4_t t = vaddq_f32(vmulq_f32(half, vld1q_f32(m2 + i)),
-                              vmulq_f32(three, vld1q_f32(m1 + i)));
-    t = vaddq_f32(t, vmulq_f32(five, vld1q_f32(c0 + i)));
-    t = vaddq_f32(t, vmulq_f32(three, vld1q_f32(p1 + i)));
-    t = vaddq_f32(t, vmulq_f32(half, vld1q_f32(p2 + i)));
-    vst1q_f32(out + i, vmulq_f32(c6, t));
-  }
-  const f32 c6s = static_cast<f32>(1.0 / 6.0);
-  for (; i < n; ++i)
-    out[i] = c6s * (0.5f * m2[i] + 3 * m1[i] + 5 * c0[i] + 3 * p1[i] +
-                    0.5f * p2[i]);
-}
-
-void load_boundary_f(f32* out, const f32* v0, const f32* v1, const f32* v2,
-                     u64 n) {
-  const float32x4_t w0 = vdupq_n_f32(2.5f);
-  const float32x4_t three = vdupq_n_f32(3.0f);
-  const float32x4_t half = vdupq_n_f32(0.5f);
-  const float32x4_t c6 = vdupq_n_f32(static_cast<f32>(1.0 / 6.0));
-  u64 i = 0;
-  for (; i + 4 <= n; i += 4) {
-    float32x4_t t = vaddq_f32(vmulq_f32(w0, vld1q_f32(v0 + i)),
-                              vmulq_f32(three, vld1q_f32(v1 + i)));
-    t = vaddq_f32(t, vmulq_f32(half, vld1q_f32(v2 + i)));
-    vst1q_f32(out + i, vmulq_f32(c6, t));
-  }
-  const f32 c6s = static_cast<f32>(1.0 / 6.0);
-  for (; i < n; ++i) out[i] = c6s * (2.5f * v0[i] + 3 * v1[i] + 0.5f * v2[i]);
-}
-
-// f32 Thomas rows widen to f64 pairs to match the scalar f64 intermediates.
-
-void thomas_first_f(f32* v, f64 diag, u64 n) {
-  const float64x2_t d = vdupq_n_f64(diag);
-  u64 i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t x = vld1q_f32(v + i);
-    const float64x2_t lo = vdivq_f64(vcvt_f64_f32(vget_low_f32(x)), d);
-    const float64x2_t hi = vdivq_f64(vcvt_high_f64_f32(x), d);
-    vst1q_f32(v + i, vcombine_f32(vcvt_f32_f64(lo), vcvt_f32_f64(hi)));
-  }
-  for (; i < n; ++i) v[i] = static_cast<f32>(v[i] / diag);
-}
-
-void thomas_fwd_f(f32* cur, const f32* prev, f64 off, f64 denom, u64 n) {
-  const float64x2_t o = vdupq_n_f64(off);
-  const float64x2_t d = vdupq_n_f64(denom);
-  u64 i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t c = vld1q_f32(cur + i);
-    const float32x4_t p = vld1q_f32(prev + i);
-    const float64x2_t lo = vdivq_f64(
-        vsubq_f64(vcvt_f64_f32(vget_low_f32(c)),
-                  vmulq_f64(o, vcvt_f64_f32(vget_low_f32(p)))),
-        d);
-    const float64x2_t hi = vdivq_f64(
-        vsubq_f64(vcvt_high_f64_f32(c), vmulq_f64(o, vcvt_high_f64_f32(p))), d);
-    vst1q_f32(cur + i, vcombine_f32(vcvt_f32_f64(lo), vcvt_f32_f64(hi)));
-  }
-  for (; i < n; ++i)
-    cur[i] = static_cast<f32>((cur[i] - off * prev[i]) / denom);
-}
-
-void thomas_bwd_f(f32* cur, const f32* next, f64 cp, u64 n) {
-  const float64x2_t c = vdupq_n_f64(cp);
-  u64 i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t nx = vld1q_f32(next + i);
-    const float32x4_t rhs =
-        vcombine_f32(vcvt_f32_f64(vmulq_f64(c, vcvt_f64_f32(vget_low_f32(nx)))),
-                     vcvt_f32_f64(vmulq_f64(c, vcvt_high_f64_f32(nx))));
-    vst1q_f32(cur + i, vsubq_f32(vld1q_f32(cur + i), rhs));
-  }
-  for (; i < n; ++i) cur[i] -= static_cast<f32>(cp * next[i]);
-}
-
 // In-line x kernels, movement kernels, and bitplane kernels keep the scalar
 // reference shapes on NEON (the panel-major y/z sweeps above carry the bulk
 // of the arithmetic; revisit if an AArch64 deployment shows up in profiles).
 
-template <typename T>
-void cascade_fwd_x_g(T* v, u64 len) {
-  for (u64 i = 1; i + 1 < len; i += 2)
-    v[i] -= static_cast<T>(0.5) * (v[i - 1] + v[i + 1]);
+void cascade_fwd_x_g(f64* v, u64 len) {
+  for (u64 i = 1; i + 1 < len; i += 2) v[i] -= 0.5 * (v[i - 1] + v[i + 1]);
 }
 
-template <typename T>
-void cascade_inv_x_g(T* v, u64 len) {
-  for (u64 i = 1; i + 1 < len; i += 2)
-    v[i] += static_cast<T>(0.5) * (v[i - 1] + v[i + 1]);
+void cascade_inv_x_g(f64* v, u64 len) {
+  for (u64 i = 1; i + 1 < len; i += 2) v[i] += 0.5 * (v[i - 1] + v[i + 1]);
 }
 
-template <typename T>
-void load_x_g(T* out, const T* src, u64 olen, u64 slen) {
-  const T c6 = static_cast<T>(1.0 / 6.0);
-  out[0] = c6 * (static_cast<T>(2.5) * src[0] + 3 * src[1] +
-                 static_cast<T>(0.5) * src[2]);
+void load_x_g(f64* out, const f64* src, u64 olen, u64 slen) {
+  const f64 c6 = 1.0 / 6.0;
+  out[0] = c6 * (2.5 * src[0] + 3 * src[1] + 0.5 * src[2]);
   for (u64 i = 1; i + 1 < olen; ++i) {
-    const T* p = src + 2 * i;
-    out[i] = c6 * (static_cast<T>(0.5) * p[-2] + 3 * p[-1] + 5 * p[0] +
-                   3 * p[1] + static_cast<T>(0.5) * p[2]);
+    const f64* p = src + 2 * i;
+    out[i] = c6 * (0.5 * p[-2] + 3 * p[-1] + 5 * p[0] + 3 * p[1] + 0.5 * p[2]);
   }
   if (olen > 1) {
-    const T* e = src + (slen - 1);
-    out[olen - 1] = c6 * (static_cast<T>(2.5) * e[0] + 3 * e[-1] +
-                          static_cast<T>(0.5) * e[-2]);
+    const f64* e = src + (slen - 1);
+    out[olen - 1] = c6 * (2.5 * e[0] + 3 * e[-1] + 0.5 * e[-2]);
   }
 }
 
-template <typename T>
-void gather_stride_g(T* dst, const T* src, u64 n, u64 stride) {
+void gather_stride_g(f64* dst, const f64* src, u64 n, u64 stride) {
   for (u64 i = 0; i < n; ++i) dst[i] = src[i * stride];
 }
 
-template <typename T>
-void scatter_stride_g(T* dst, const T* src, u64 n, u64 stride) {
+void scatter_stride_g(f64* dst, const f64* src, u64 n, u64 stride) {
   for (u64 i = 0; i < n; ++i) dst[i * stride] = src[i];
 }
 
-template <typename T>
-void copy_zero_g(T* dst, const T* src, u64 n, u64 zstride) {
+void copy_zero_g(f64* dst, const f64* src, u64 n, u64 zstride) {
   for (u64 i = 0; i < n; ++i) dst[i] = src[i];
   for (u64 i = 0; i < n; i += zstride) dst[i] = 0;
 }
 
-template <typename T>
-void pack_panel_g(T* dst, const T* src, u64 w, u64 len, u64 line_stride) {
+void pack_panel_g(f64* dst, const f64* src, u64 w, u64 len, u64 line_stride) {
   constexpr u64 kBlock = 16;
   for (u64 i0 = 0; i0 < len; i0 += kBlock) {
     const u64 i1 = i0 + kBlock < len ? i0 + kBlock : len;
@@ -264,8 +148,8 @@ void pack_panel_g(T* dst, const T* src, u64 w, u64 len, u64 line_stride) {
   }
 }
 
-template <typename T>
-void unpack_panel_g(T* dst, const T* src, u64 w, u64 len, u64 line_stride) {
+void unpack_panel_g(f64* dst, const f64* src, u64 w, u64 len,
+                    u64 line_stride) {
   constexpr u64 kBlock = 16;
   for (u64 i0 = 0; i0 < len; i0 += kBlock) {
     const u64 i1 = i0 + kBlock < len ? i0 + kBlock : len;
@@ -274,50 +158,11 @@ void unpack_panel_g(T* dst, const T* src, u64 w, u64 len, u64 line_stride) {
   }
 }
 
-template <typename T>
-RowOps<T> make_neon_row_ops();
-
-template <>
-RowOps<f64> make_neon_row_ops<f64>() {
-  RowOps<f64> ops{};
-  ops.cascade_fwd = &cascade_fwd_d;
-  ops.cascade_inv = &cascade_inv_d;
-  ops.load_interior = &load_interior_d;
-  ops.load_boundary = &load_boundary_d;
-  ops.thomas_first = &thomas_first_d;
-  ops.thomas_fwd = &thomas_fwd_d;
-  ops.thomas_bwd = &thomas_bwd_d;
-  ops.cascade_fwd_x = &cascade_fwd_x_g<f64>;
-  ops.cascade_inv_x = &cascade_inv_x_g<f64>;
-  ops.load_x = &load_x_g<f64>;
-  ops.gather_stride = &gather_stride_g<f64>;
-  ops.scatter_stride = &scatter_stride_g<f64>;
-  ops.copy_zero = &copy_zero_g<f64>;
-  ops.pack_panel = &pack_panel_g<f64>;
-  ops.unpack_panel = &unpack_panel_g<f64>;
-  return ops;
-}
-
-template <>
-RowOps<f32> make_neon_row_ops<f32>() {
-  RowOps<f32> ops{};
-  ops.cascade_fwd = &cascade_fwd_f;
-  ops.cascade_inv = &cascade_inv_f;
-  ops.load_interior = &load_interior_f;
-  ops.load_boundary = &load_boundary_f;
-  ops.thomas_first = &thomas_first_f;
-  ops.thomas_fwd = &thomas_fwd_f;
-  ops.thomas_bwd = &thomas_bwd_f;
-  ops.cascade_fwd_x = &cascade_fwd_x_g<f32>;
-  ops.cascade_inv_x = &cascade_inv_x_g<f32>;
-  ops.load_x = &load_x_g<f32>;
-  ops.gather_stride = &gather_stride_g<f32>;
-  ops.scatter_stride = &scatter_stride_g<f32>;
-  ops.copy_zero = &copy_zero_g<f32>;
-  ops.pack_panel = &pack_panel_g<f32>;
-  ops.unpack_panel = &unpack_panel_g<f32>;
-  return ops;
-}
+constexpr RowOps kNeonRowOps{
+    &cascade_fwd_d,   &cascade_inv_d, &load_interior_d, &load_boundary_d,
+    &thomas_first_d,  &thomas_fwd_d,  &thomas_bwd_d,    &cascade_fwd_x_g,
+    &cascade_inv_x_g, &load_x_g,      &gather_stride_g, &scatter_stride_g,
+    &copy_zero_g,     &pack_panel_g,  &unpack_panel_g};
 
 // --- entropy-codec kernels ---
 //
@@ -370,11 +215,7 @@ u64 rice_length_bits_neon(const u64* pos, u64 count, u32 k) {
 
 namespace detail {
 
-template <typename T>
-const RowOps<T>& row_ops_neon() {
-  static const RowOps<T> ops = make_neon_row_ops<T>();
-  return ops;
-}
+const RowOps& row_ops_neon() { return kNeonRowOps; }
 
 const BitplaneOps& bitplane_ops_neon() { return bitplane_ops_scalar(); }
 
@@ -388,9 +229,6 @@ const CodecOps& codec_ops_neon() {
   return ops;
 }
 
-template const RowOps<f32>& row_ops_neon<f32>();
-template const RowOps<f64>& row_ops_neon<f64>();
-
 }  // namespace detail
 }  // namespace rapids::mgard::kernels
 
@@ -398,17 +236,11 @@ template const RowOps<f64>& row_ops_neon<f64>();
 
 namespace rapids::mgard::kernels::detail {
 
-template <typename T>
-const RowOps<T>& row_ops_neon() {
-  return row_ops_scalar<T>();
-}
+const RowOps& row_ops_neon() { return row_ops_scalar(); }
 
 const BitplaneOps& bitplane_ops_neon() { return bitplane_ops_scalar(); }
 
 const CodecOps& codec_ops_neon() { return codec_ops_scalar(); }
-
-template const RowOps<f32>& row_ops_neon<f32>();
-template const RowOps<f64>& row_ops_neon<f64>();
 
 }  // namespace rapids::mgard::kernels::detail
 

@@ -25,38 +25,16 @@
 
 namespace rapids::mgard {
 
-/// Per-element-type scratch of one transform invocation.
-template <typename T>
-struct RefactorBuffers {
-  std::vector<T> active;   ///< gathered active sub-grid of the current level
-  std::vector<T> active2;  ///< level-fusion ping-pong partner of `active`:
-                           ///< the fused traversal reads the previous level's
-                           ///< active grid while writing the current one
-  std::vector<T> resid;    ///< residual field (zeroed coarse nodes)
-  std::vector<T> load_a;   ///< load-operator ping buffer
-  std::vector<T> load_b;   ///< load-operator pong buffer
-};
-
 /// All scratch one decompose()/recompose() call needs. Not thread-safe:
 /// one workspace, one transform at a time.
 struct RefactorWorkspace {
-  RefactorBuffers<f32> f32_bufs;
-  RefactorBuffers<f64> f64_bufs;
-  std::vector<f64> cp;     ///< Thomas c' coefficients (per mass_solve call)
-  std::vector<f64> denom;  ///< Thomas forward denominators
-
-  template <typename T>
-  RefactorBuffers<T>& bufs();
+  std::vector<f64> active;  ///< gathered active sub-grid of the current level
+  std::vector<f64> resid;   ///< residual field (zeroed coarse nodes)
+  std::vector<f64> load_a;  ///< load-operator ping buffer
+  std::vector<f64> load_b;  ///< load-operator pong buffer
+  std::vector<f64> cp;      ///< Thomas c' coefficients (per mass_solve call)
+  std::vector<f64> denom;   ///< Thomas forward denominators
 };
-
-template <>
-inline RefactorBuffers<f32>& RefactorWorkspace::bufs<f32>() {
-  return f32_bufs;
-}
-template <>
-inline RefactorBuffers<f64>& RefactorWorkspace::bufs<f64>() {
-  return f64_bufs;
-}
 
 /// Free-list of RefactorWorkspaces. acquire() never blocks: it reuses a free
 /// workspace when one exists and creates one otherwise.

@@ -291,17 +291,16 @@ void recompose(std::vector<T>& data, const GridHierarchy& h, bool l2) {
 const u64 kRowLens[] = {1,  2,  3,  5,   7,   8,   16,  17,
                         18, 31, 63, 64,  65,  100, 257, 4097};
 
-template <typename T>
 void check_cross_axis_rows(IsaLevel tier) {
-  const auto& s = kernels::row_ops_scalar<T>();
-  const auto& v = kernels::row_ops_at<T>(tier);
+  const auto& s = kernels::row_ops_scalar();
+  const auto& v = kernels::row_ops_at(tier);
   u64 seed = 17;
   for (u64 n : kRowLens) {
-    const auto lo = random_field<T>(n, ++seed);
-    const auto hi = random_field<T>(n, ++seed);
-    const auto m2 = random_field<T>(n, ++seed);
-    const auto p2 = random_field<T>(n, ++seed);
-    auto a = random_field<T>(n, ++seed);
+    const auto lo = random_field<f64>(n, ++seed);
+    const auto hi = random_field<f64>(n, ++seed);
+    const auto m2 = random_field<f64>(n, ++seed);
+    const auto p2 = random_field<f64>(n, ++seed);
+    auto a = random_field<f64>(n, ++seed);
     auto b = a;
 
     s.cascade_fwd(a.data(), lo.data(), hi.data(), n);
@@ -311,7 +310,7 @@ void check_cross_axis_rows(IsaLevel tier) {
     v.cascade_inv(b.data(), lo.data(), hi.data(), n);
     EXPECT_TRUE(BytesEqual(a, b)) << "cascade_inv n=" << n;
 
-    std::vector<T> oa(n), ob(n);
+    std::vector<f64> oa(n), ob(n);
     s.load_interior(oa.data(), m2.data(), lo.data(), a.data(), hi.data(),
                     p2.data(), n);
     v.load_interior(ob.data(), m2.data(), lo.data(), b.data(), hi.data(),
@@ -334,19 +333,15 @@ void check_cross_axis_rows(IsaLevel tier) {
 }
 
 TEST(RowKernels, CrossAxisRowsBitIdentical) {
-  for (IsaLevel tier : kTiers) {
-    check_cross_axis_rows<f32>(tier);
-    check_cross_axis_rows<f64>(tier);
-  }
+  for (IsaLevel tier : kTiers) check_cross_axis_rows(tier);
 }
 
-template <typename T>
 void check_x_kernels(IsaLevel tier) {
-  const auto& s = kernels::row_ops_scalar<T>();
-  const auto& v = kernels::row_ops_at<T>(tier);
+  const auto& s = kernels::row_ops_scalar();
+  const auto& v = kernels::row_ops_at(tier);
   u64 seed = 99;
   for (u64 n : kRowLens) {
-    auto a = random_field<T>(n, ++seed);
+    auto a = random_field<f64>(n, ++seed);
     auto b = a;
     s.cascade_fwd_x(a.data(), n);
     v.cascade_fwd_x(b.data(), n);
@@ -355,13 +350,13 @@ void check_x_kernels(IsaLevel tier) {
     v.cascade_inv_x(b.data(), n);
     EXPECT_TRUE(BytesEqual(a, b)) << "cascade_inv_x n=" << n;
   }
-  // load_x needs odd slen >= 3. 9..11 straddle the f32 AVX2 path's
-  // one-vector-iteration threshold (interior outputs i..i+7 need i+9<=olen).
-  for (u64 olen : {2ull, 3ull, 5ull, 9ull, 10ull, 11ull, 16ull, 17ull, 32ull,
-                   33ull, 63ull, 2049ull}) {
+  // load_x needs odd slen >= 3. 5..6 straddle the AVX2 path's
+  // one-vector-iteration threshold (interior outputs i..i+3 need i+5<=olen).
+  for (u64 olen : {2ull, 3ull, 5ull, 6ull, 9ull, 10ull, 11ull, 16ull, 17ull,
+                   32ull, 33ull, 63ull, 2049ull}) {
     const u64 slen = 2 * olen - 1;
-    const auto src = random_field<T>(slen, ++seed);
-    std::vector<T> oa(olen), ob(olen);
+    const auto src = random_field<f64>(slen, ++seed);
+    std::vector<f64> oa(olen), ob(olen);
     s.load_x(oa.data(), src.data(), olen, slen);
     v.load_x(ob.data(), src.data(), olen, slen);
     EXPECT_TRUE(BytesEqual(oa, ob)) << "load_x olen=" << olen;
@@ -369,33 +364,29 @@ void check_x_kernels(IsaLevel tier) {
 }
 
 TEST(RowKernels, XAxisKernelsBitIdentical) {
-  for (IsaLevel tier : kTiers) {
-    check_x_kernels<f32>(tier);
-    check_x_kernels<f64>(tier);
-  }
+  for (IsaLevel tier : kTiers) check_x_kernels(tier);
 }
 
-template <typename T>
 void check_movement_kernels(IsaLevel tier) {
-  const auto& s = kernels::row_ops_scalar<T>();
-  const auto& v = kernels::row_ops_at<T>(tier);
+  const auto& s = kernels::row_ops_scalar();
+  const auto& v = kernels::row_ops_at(tier);
   u64 seed = 4242;
   for (u64 n : kRowLens) {
     for (u64 stride : {1ull, 2ull, 4ull, 129ull}) {
-      const auto src = random_field<T>(n * stride + 1, ++seed);
-      std::vector<T> da(n, T{-1}), db(n, T{-1});
+      const auto src = random_field<f64>(n * stride + 1, ++seed);
+      std::vector<f64> da(n, -1.0), db(n, -1.0);
       s.gather_stride(da.data(), src.data(), n, stride);
       v.gather_stride(db.data(), src.data(), n, stride);
       EXPECT_TRUE(BytesEqual(da, db)) << "gather n=" << n << " s=" << stride;
 
-      std::vector<T> fa(n * stride + 1, T{0}), fb(n * stride + 1, T{0});
+      std::vector<f64> fa(n * stride + 1, 0.0), fb(n * stride + 1, 0.0);
       s.scatter_stride(fa.data(), da.data(), n, stride);
       v.scatter_stride(fb.data(), db.data(), n, stride);
       EXPECT_TRUE(BytesEqual(fa, fb)) << "scatter n=" << n << " s=" << stride;
     }
     for (u64 zstride : {1ull, 2ull}) {
-      const auto src = random_field<T>(n, ++seed);
-      std::vector<T> da(n, T{7}), db(n, T{7});
+      const auto src = random_field<f64>(n, ++seed);
+      std::vector<f64> da(n, 7.0), db(n, 7.0);
       s.copy_zero(da.data(), src.data(), n, zstride);
       v.copy_zero(db.data(), src.data(), n, zstride);
       EXPECT_TRUE(BytesEqual(da, db)) << "copy_zero n=" << n << " z=" << zstride;
@@ -405,12 +396,12 @@ void check_movement_kernels(IsaLevel tier) {
   for (u64 w : {1ull, 3ull, 4ull, 16ull}) {
     for (u64 len : {1ull, 2ull, 5ull, 64ull, 65ull}) {
       const u64 line_stride = len + 3;
-      const auto src = random_field<T>(w * line_stride, ++seed);
-      std::vector<T> pa(w * len), pb(w * len);
+      const auto src = random_field<f64>(w * line_stride, ++seed);
+      std::vector<f64> pa(w * len), pb(w * len);
       s.pack_panel(pa.data(), src.data(), w, len, line_stride);
       v.pack_panel(pb.data(), src.data(), w, len, line_stride);
       EXPECT_TRUE(BytesEqual(pa, pb)) << "pack w=" << w << " len=" << len;
-      std::vector<T> ua(w * line_stride, T{0}), ub(w * line_stride, T{0});
+      std::vector<f64> ua(w * line_stride, 0.0), ub(w * line_stride, 0.0);
       s.unpack_panel(ua.data(), pa.data(), w, len, line_stride);
       v.unpack_panel(ub.data(), pb.data(), w, len, line_stride);
       EXPECT_TRUE(BytesEqual(ua, ub)) << "unpack w=" << w << " len=" << len;
@@ -422,10 +413,7 @@ void check_movement_kernels(IsaLevel tier) {
 }
 
 TEST(RowKernels, MovementKernelsBitIdentical) {
-  for (IsaLevel tier : kTiers) {
-    check_movement_kernels<f32>(tier);
-    check_movement_kernels<f64>(tier);
-  }
+  for (IsaLevel tier : kTiers) check_movement_kernels(tier);
 }
 
 // ---------------------------------------------------------------------------
@@ -527,17 +515,16 @@ const Shape kShapes[] = {
     {{1, 2, 3}, 1},    {{5, 5, 5}, 1},    {{3, 1, 65}, 2},
 };
 
-template <typename T>
 void check_transform_identity(bool l2) {
   const DecomposeOptions opt{l2};
   for (const Shape& sh : kShapes) {
     const GridHierarchy h(sh.dims, sh.levels);
-    const auto field = random_field<T>(h.padded().total(), 1234);
+    const auto field = random_field<f64>(h.padded().total(), 1234);
 
     // Seed-reference and scalar-kernel decompositions.
-    std::vector<T> ref = field;
+    std::vector<f64> ref = field;
     seedref::decompose(ref, h, l2);
-    std::vector<T> scal = field;
+    std::vector<f64> scal = field;
     {
       IsaOverrideGuard g(IsaLevel::kScalar);
       decompose(scal, h, opt);
@@ -549,7 +536,7 @@ void check_transform_identity(bool l2) {
     // Every dispatched tier must match bit-for-bit.
     for (IsaLevel tier : kTiers) {
       IsaOverrideGuard g(tier);
-      std::vector<T> vec = field;
+      std::vector<f64> vec = field;
       decompose(vec, h, opt);
       EXPECT_TRUE(BytesEqual(ref, vec))
           << "tier " << simd::isa_name(tier) << " decompose " << sh.dims.nx
@@ -557,9 +544,9 @@ void check_transform_identity(bool l2) {
     }
 
     // Recompose identity, starting from the decomposed coefficients.
-    std::vector<T> rref = ref;
+    std::vector<f64> rref = ref;
     seedref::recompose(rref, h, l2);
-    std::vector<T> rscal = ref;
+    std::vector<f64> rscal = ref;
     {
       IsaOverrideGuard g(IsaLevel::kScalar);
       recompose(rscal, h, opt);
@@ -567,7 +554,7 @@ void check_transform_identity(bool l2) {
     EXPECT_TRUE(BytesEqual(rref, rscal)) << "seedref vs scalar recompose";
     for (IsaLevel tier : kTiers) {
       IsaOverrideGuard g(tier);
-      std::vector<T> rvec = ref;
+      std::vector<f64> rvec = ref;
       recompose(rvec, h, opt);
       EXPECT_TRUE(BytesEqual(rref, rvec))
           << "tier " << simd::isa_name(tier) << " recompose " << sh.dims.nx
@@ -577,13 +564,11 @@ void check_transform_identity(bool l2) {
 }
 
 TEST(Transform, BitIdenticalToSeedAndAcrossIsaL2) {
-  check_transform_identity<f64>(true);
-  check_transform_identity<f32>(true);
+  check_transform_identity(true);
 }
 
 TEST(Transform, BitIdenticalToSeedAndAcrossIsaInterpOnly) {
-  check_transform_identity<f64>(false);
-  check_transform_identity<f32>(false);
+  check_transform_identity(false);
 }
 
 TEST(Transform, PooledMatchesSerialBitForBit) {
@@ -601,21 +586,32 @@ TEST(Transform, PooledMatchesSerialBitForBit) {
   }
 }
 
+// One workspace serving objects of different shapes in turn, as the
+// process-wide WorkspacePool does, must not leak state from one shape into
+// the next: every buffer shrinks and regrows between the two.
 TEST(Transform, WorkspaceReuseIsDeterministic) {
-  const GridHierarchy h(Dims{33, 33, 17}, 3);
-  const auto field = random_field<f64>(h.padded().total(), 5);
-  std::vector<f64> fresh = field;
-  decompose(fresh, h, {});
+  const GridHierarchy hs[] = {GridHierarchy(Dims{33, 33, 17}, 3),
+                              GridHierarchy(Dims{17, 17, 9}, 2)};
+  std::vector<f64> fields[2], fresh[2], rfresh[2];
+  for (int s = 0; s < 2; ++s) {
+    fields[s] = random_field<f64>(hs[s].padded().total(), 5 + s);
+    fresh[s] = fields[s];
+    decompose(fresh[s], hs[s], {});
+    rfresh[s] = fresh[s];
+    recompose(rfresh[s], hs[s], {});
+  }
 
   RefactorWorkspace ws;
   for (int round = 0; round < 3; ++round) {
-    std::vector<f64> reused = field;
-    decompose(reused, h, {}, nullptr, &ws);
-    EXPECT_TRUE(BytesEqual(fresh, reused)) << "round " << round;
-    recompose(reused, h, {}, nullptr, &ws);
-    std::vector<f64> rfresh = fresh;
-    recompose(rfresh, h, {});
-    EXPECT_TRUE(BytesEqual(rfresh, reused)) << "round " << round;
+    for (int s = 0; s < 2; ++s) {
+      std::vector<f64> reused = fields[s];
+      decompose(reused, hs[s], {}, nullptr, &ws);
+      EXPECT_TRUE(BytesEqual(fresh[s], reused))
+          << "round " << round << " shape " << s;
+      recompose(reused, hs[s], {}, nullptr, &ws);
+      EXPECT_TRUE(BytesEqual(rfresh[s], reused))
+          << "round " << round << " shape " << s;
+    }
   }
 }
 
@@ -904,29 +900,6 @@ TEST(Codec, PooledStatsAndBytesMatchSerial) {
   EXPECT_TRUE(BytesEqual(a, b));
   EXPECT_EQ(dec_serial.segments, dec_pooled.segments);
   EXPECT_EQ(dec_serial.bytes, dec_pooled.bytes);
-}
-
-// The level-fused traversal is a pure data-movement change: toggling
-// DecomposeOptions::level_fusion must not move a single bit, pooled or not.
-TEST(Codec, FusedTraversalBitIdenticalToUnfused) {
-  ThreadPool pool(4);
-  DecomposeOptions fused;    // level_fusion defaults on
-  DecomposeOptions unfused;
-  unfused.level_fusion = false;
-  for (const Shape& sh : kShapes) {
-    const GridHierarchy h(sh.dims, sh.levels);
-    const auto field = random_field<f64>(h.padded().total(), 404);
-    std::vector<f64> a = field, b = field;
-    decompose(a, h, fused, &pool);
-    decompose(b, h, unfused, &pool);
-    EXPECT_TRUE(BytesEqual(a, b))
-        << "decompose " << sh.dims.nx << "x" << sh.dims.ny << "x" << sh.dims.nz;
-    std::vector<f64> ra = a, rb = a;
-    recompose(ra, h, fused, &pool);
-    recompose(rb, h, unfused, &pool);
-    EXPECT_TRUE(BytesEqual(ra, rb))
-        << "recompose " << sh.dims.nx << "x" << sh.dims.ny << "x" << sh.dims.nz;
-  }
 }
 
 }  // namespace
