@@ -456,10 +456,10 @@ PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
   obj.levels = std::move(stored_levels);
 
   ObjectRecord record;
-  record.meta = obj;
+  record.meta = std::move(obj);
   record.ft = solution->m;
-  for (u32 j = 0; j < obj.levels.size(); ++j)
-    record.level_sizes.push_back(obj.level_bytes(j));
+  for (u32 j = 0; j < record.meta.levels.size(); ++j)
+    record.level_sizes.push_back(record.meta.level_bytes(j));
   record.matrix_kind = config_.matrix_kind;
   record.placement = config_.placement;
   record.planned_p = cluster_.config().failure_prob;
@@ -482,7 +482,7 @@ PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
   report.expected_error = solution->expected_error;
   report.storage_overhead = solution->storage_overhead;
   report.network_overhead = ft_network_overhead(
-      n, solution->m, record.level_sizes, obj.original_bytes());
+      n, solution->m, record.level_sizes, record.meta.original_bytes());
   report.distribution_latency = net::equal_share_latency(
       rfec_distribution_plan(record.level_sizes, solution->m, n),
       cluster_.bandwidths());
@@ -490,7 +490,6 @@ PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
   // end-to-end latency is the worst (store-start wall + that level's WAN
   // share).
   report.prepare_latency = sim_finish + stats.backoff_seconds;
-  record.meta.levels = std::move(obj.levels);  // keep payloads in the report
   report.record = std::move(record);
   return report;
 }
@@ -575,7 +574,7 @@ void RapidsPipeline::record_health(u32 system, bool ok,
 }
 
 std::vector<f64> RapidsPipeline::bandwidth_estimates() const {
-  if (config_.adapt_bandwidth && tracker_) return tracker_->estimates();
+  if (tracker_) return tracker_->estimates();
   return cluster_.bandwidths();
 }
 
@@ -669,8 +668,7 @@ void RapidsPipeline::snapshot_problem(const std::string& name,
   problem.n = n;
   problem.m = record->ft;
   problem.level_sizes = record->level_sizes;
-  problem.bandwidths =
-      config_.adapt_bandwidth ? tracker().estimates() : cluster_.bandwidths();
+  problem.bandwidths = tracker().estimates();
   problem.available.resize(n);
   for (u32 i = 0; i < n; ++i)
     problem.available[i] = cluster_.system(i).available();
@@ -962,7 +960,7 @@ bool RapidsPipeline::fetch_levels(const ObjectRecord& record,
 
       // Fold the observed (simulated-WAN) per-transfer throughput back into
       // the tracker so later plans adapt to bandwidth changes.
-      if (config_.adapt_bandwidth) {
+      {
         const auto transfers = plan_transfers(sub, report.plan.systems_per_level);
         std::vector<u32> load(n, 0);
         for (const auto& tr : transfers) load[tr.system] += 1;
@@ -1414,8 +1412,7 @@ std::vector<std::string> RapidsPipeline::snapshot_object_names() {
 
 std::vector<f64> RapidsPipeline::snapshot_bandwidths() {
   std::lock_guard<std::mutex> lock(io_mu_);
-  if (config_.adapt_bandwidth) return tracker().estimates();
-  return cluster_.bandwidths();
+  return tracker().estimates();
 }
 
 std::vector<f64> RapidsPipeline::failure_prob_estimates(f64 prior_strength) {

@@ -54,10 +54,6 @@ struct PipelineConfig {
   GatherStrategy strategy = GatherStrategy::kOptimized;
   solver::AcoOptions aco;           ///< budget for the Optimized strategy
   u64 random_seed = 99;             ///< seed for the Random strategy
-  /// Learn per-system bandwidth from observed transfer throughput (paper
-  /// Section 4.3) and persist the estimates in the metadata store, so
-  /// gathering plans adapt to network variation across restores.
-  bool adapt_bandwidth = true;
 
   // --- resilient I/O policy (fault model: transient / permanent / corrupt /
   //     straggler; see DESIGN.md "Fault model and resilience policy") ---
@@ -356,7 +352,7 @@ class RapidsPipeline {
   storage::RestoreCache& restore_cache() { return restore_cache_; }
 
   /// The pipeline's current per-system bandwidth estimates: the tracker's
-  /// learned values when adapt_bandwidth is on, else the cluster's.
+  /// learned values once it is loaded, else the cluster's.
   std::vector<f64> bandwidth_estimates() const;
 
   /// Metadata lookup (nullopt if the object was never prepared).
@@ -514,6 +510,9 @@ class RapidsPipeline {
                           const std::vector<ec::Fragment>& frags,
                           StoreStats& stats);
   ec::ReedSolomon codec_for(const ObjectRecord& record, u32 level) const;
+  /// Per-system bandwidth learned from observed transfer throughput (paper
+  /// Section 4.3), loaded lazily from and persisted in the metadata store, so
+  /// gathering plans adapt to network variation across restores.
   net::BandwidthTracker& tracker();
   void persist_tracker();
   storage::SystemHealth& health();

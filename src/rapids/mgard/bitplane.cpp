@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "rapids/mgard/kernels/kernels.hpp"
+#include "rapids/mgard/workspace.hpp"
 #include "rapids/parallel/thread_pool.hpp"
 #include "rapids/util/timer.hpp"
 
@@ -264,7 +265,8 @@ std::vector<u64> decode_segment(const PlaneSegment& seg, u64 num_bits) {
 }
 
 PlaneSet encode_planes(std::span<const f64> coeffs, u32 max_planes,
-                       ThreadPool* pool, CodecStats* stats) {
+                       ThreadPool* pool, CodecStats* stats,
+                       RefactorWorkspace* ws) {
   RAPIDS_REQUIRE(max_planes <= kMagnitudePlanes);
   PlaneSet ps;
   ps.count = coeffs.size();
@@ -298,24 +300,26 @@ PlaneSet encode_planes(std::span<const f64> coeffs, u32 max_planes,
   // scratch (no intermediate q[] array and no separate sign pass), bit-
   // transposed, and contributes one 64-bit word to every plane plus one sign
   // word. Blocks own disjoint sign/plane words, so the pass parallelizes
-  // without the 64-aligned-grain footwork the split passes needed.
+  // without the 64-aligned-grain footwork the split passes needed. Every
+  // word of the sign and plane rows is written, so the rows (one span of the
+  // workspace: row 0 the sign, row 1 + p plane p) need no zero fill.
   const u64 n = ps.count;
   const u64 nwords = words_for_bits(n);
-  std::vector<u64> sign_words(nwords, 0);
-  std::vector<std::vector<u64>> plane_words(max_planes);
-  for (auto& w : plane_words) w.assign(nwords, 0);
+  RefactorWorkspace local;
+  const std::span<u64> words = grow_only(
+      (ws != nullptr ? *ws : local).planes, (u64{max_planes} + 1) * nwords);
+  const auto row = [&](u64 idx) { return words.subspan(idx * nwords, nwords); };
   auto slice_blocks = [&](u64 wlo, u64 whi) {
     u64 block[64];
     for (u64 w = wlo; w < whi; ++w) {
       const u64 base = w * 64;
       const u32 valid = static_cast<u32>(std::min<u64>(64, n - base));
-      ops.quantize64(coeffs.data() + base, valid, scale, block,
-                     &sign_words[w]);
+      ops.quantize64(coeffs.data() + base, valid, scale, block, &words[w]);
       // After the bit transpose, row b holds bit b of every coefficient:
       // plane p (MSB-first) is row 31-p.
       ops.transpose64(block);
       for (u32 p = 0; p < max_planes; ++p)
-        plane_words[p][w] = block[31 - p];
+        words[(p + 1) * nwords + w] = block[31 - p];
     }
   };
   if (pool != nullptr && nwords > 64) {
@@ -332,10 +336,9 @@ PlaneSet encode_planes(std::span<const f64> coeffs, u32 max_planes,
   Timer t;
   auto compress = [&](u64 idx) {
     if (idx == 0) {
-      ps.sign = encode_segment(sign_words, n);
+      ps.sign = encode_segment(row(0), n);
     } else {
-      const u64 p = idx - 1;
-      ps.planes[p] = encode_segment(plane_words[p], n);
+      ps.planes[idx - 1] = encode_segment(row(idx), n);
     }
   };
   if (pool != nullptr && max_planes > 0) {
@@ -357,15 +360,17 @@ std::vector<f64> decode_planes(const PlaneSet& ps, u32 num_planes,
   // at zero planes is exactly the from-scratch decode, which is what makes
   // incremental refinement provably byte-identical to it.
   ProgressiveState scratch;
-  return decode_planes_incremental(ps, num_planes, scratch, pool, stats);
+  std::vector<f64> out(ps.count);
+  decode_planes_incremental(ps, num_planes, scratch, out, pool, stats);
+  return out;
 }
 
-std::vector<f64> decode_planes_incremental(const PlaneSet& ps, u32 num_planes,
-                                           ProgressiveState& state,
-                                           ThreadPool* pool,
-                                           CodecStats* stats) {
+void decode_planes_incremental(const PlaneSet& ps, u32 num_planes,
+                               ProgressiveState& state, std::span<f64> out,
+                               ThreadPool* pool, CodecStats* stats) {
   RAPIDS_REQUIRE(num_planes <= ps.planes.size() ||
                  (ps.max_abs == 0.0 && ps.count > 0));
+  RAPIDS_REQUIRE(out.size() == ps.count);
   if (!state.initialized) {
     state.count = ps.count;
     state.initialized = true;
@@ -375,10 +380,12 @@ std::vector<f64> decode_planes_incremental(const PlaneSet& ps, u32 num_planes,
   RAPIDS_REQUIRE_MSG(num_planes >= state.planes_decoded,
                      "bitplane: progressive decode cannot drop planes");
 
-  std::vector<f64> out(ps.count, 0.0);
+  // A level with no planes or no nonzero coefficient decodes to zeros; every
+  // other level gets each element written by the dequantize pass below.
   if (ps.count == 0 || ps.max_abs == 0.0 || num_planes == 0) {
+    std::fill(out.begin(), out.end(), 0.0);
     state.planes_decoded = num_planes;
-    return out;
+    return;
   }
 
   const u64 n = ps.count;
@@ -462,7 +469,6 @@ std::vector<f64> decode_planes_incremental(const PlaneSet& ps, u32 num_planes,
   } else {
     reconstruct(0, nwords);
   }
-  return out;
 }
 
 }  // namespace rapids::mgard

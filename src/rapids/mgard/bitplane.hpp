@@ -19,6 +19,7 @@
 /// per-segment work across the thread pool; output bytes are identical for
 /// every ISA tier, pool width, and incremental-decode schedule.
 
+#include <span>
 #include <vector>
 
 #include "rapids/util/bytes.hpp"
@@ -29,6 +30,8 @@ class ThreadPool;
 }
 
 namespace rapids::mgard {
+
+struct RefactorWorkspace;
 
 /// Number of magnitude bitplanes kept per decomposition level.
 inline constexpr u32 kMagnitudePlanes = 32;
@@ -88,9 +91,12 @@ struct CodecStats {
 /// many magnitude planes are produced (32 = lossless to the quantization
 /// floor). If `pool` is non-null, the sign and magnitude segments are encoded
 /// in parallel (byte-identical to the serial order). If `stats` is non-null,
-/// the codec substage accounting is accumulated into it.
+/// the codec substage accounting is accumulated into it. Pass a
+/// RefactorWorkspace to slice the planes into its reused buffer; omitted, the
+/// call allocates a private one.
 PlaneSet encode_planes(std::span<const f64> coeffs, u32 max_planes = kMagnitudePlanes,
-                       ThreadPool* pool = nullptr, CodecStats* stats = nullptr);
+                       ThreadPool* pool = nullptr, CodecStats* stats = nullptr,
+                       RefactorWorkspace* ws = nullptr);
 
 /// Reconstruct coefficients from the sign plane and the first
 /// `num_planes` magnitude planes of `ps` (num_planes <= ps.planes.size()).
@@ -116,13 +122,14 @@ struct ProgressiveState {
 
 /// Incremental decode_planes: advance `state` from its current plane count to
 /// `num_planes` by decoding and OR-merging only the new planes of `ps`, then
-/// materialize the coefficients. For any refinement chain ending at p, the
-/// result is bit-for-bit identical to decode_planes(ps, p) — decode_planes
-/// itself is implemented as this function with a throwaway state.
-std::vector<f64> decode_planes_incremental(const PlaneSet& ps, u32 num_planes,
-                                           ProgressiveState& state,
-                                           ThreadPool* pool = nullptr,
-                                           CodecStats* stats = nullptr);
+/// materialize the coefficients into `out` (ps.count elements, every one
+/// written). For any refinement chain ending at p, the result is bit-for-bit
+/// identical to decode_planes(ps, p) — decode_planes itself is implemented as
+/// this function with a throwaway state.
+void decode_planes_incremental(const PlaneSet& ps, u32 num_planes,
+                               ProgressiveState& state, std::span<f64> out,
+                               ThreadPool* pool = nullptr,
+                               CodecStats* stats = nullptr);
 
 /// Low-level plane codecs, exposed for tests and benches. ///
 

@@ -396,7 +396,7 @@ LevelGeom level_geometry(const GridHierarchy& h, u32 d) {
 
 }  // namespace
 
-void decompose(std::vector<f64>& data, const GridHierarchy& h,
+void decompose(std::span<f64> data, const GridHierarchy& h,
                const DecomposeOptions& opt, ThreadPool* pool,
                RefactorWorkspace* ws) {
   RAPIDS_REQUIRE(data.size() == h.padded().total());
@@ -430,7 +430,7 @@ void decompose(std::vector<f64>& data, const GridHierarchy& h,
   }
 }
 
-void recompose(std::vector<f64>& data, const GridHierarchy& h,
+void recompose(std::span<f64> data, const GridHierarchy& h,
                const DecomposeOptions& opt, ThreadPool* pool,
                RefactorWorkspace* ws) {
   RAPIDS_REQUIRE(data.size() == h.padded().total());
@@ -464,14 +464,14 @@ void recompose(std::vector<f64>& data, const GridHierarchy& h,
   }
 }
 
-std::vector<f64> gather_level(const std::vector<f64>& data,
-                              const GridHierarchy& h, u32 d, ThreadPool* pool) {
+void gather_level(std::span<const f64> data, const GridHierarchy& h, u32 d,
+                  std::span<f64> out, ThreadPool* pool) {
   RAPIDS_REQUIRE(data.size() == h.padded().total());
   const LevelGeom g = level_geometry(h, d);
   RAPIDS_REQUIRE(g.total == h.decomp_level_size(d));
+  RAPIDS_REQUIRE(out.size() == g.total);
   const Dims p = h.padded();
   const RowOps& ops = kernels::row_ops();
-  std::vector<f64> out(g.total);
   const f64* src0 = data.data();
   f64* o = out.data();
   run_chunked(pool, g.ey * g.ez, grain_for_lines(2 * g.ex * sizeof(f64)),
@@ -491,11 +491,10 @@ std::vector<f64> gather_level(const std::vector<f64>& data,
                   }
                 }
               });
-  return out;
 }
 
-void scatter_level(std::vector<f64>& data, const GridHierarchy& h, u32 d,
-                   const std::vector<f64>& coeffs, ThreadPool* pool) {
+void scatter_level(std::span<f64> data, const GridHierarchy& h, u32 d,
+                   std::span<const f64> coeffs, ThreadPool* pool) {
   RAPIDS_REQUIRE(data.size() == h.padded().total());
   const LevelGeom g = level_geometry(h, d);
   RAPIDS_REQUIRE(g.total == h.decomp_level_size(d));

@@ -35,7 +35,7 @@
 /// ThreadPool with an L2-sized chunk grain. Results are bit-identical across
 /// ISA tiers and to the pre-panel per-line implementation.
 
-#include <vector>
+#include <span>
 
 #include "rapids/mgard/grid.hpp"
 #include "rapids/util/common.hpp"
@@ -60,26 +60,28 @@ struct DecomposeOptions {
 /// detail coefficients of decomposition level d at their nodes (see grid.hpp).
 /// Pass a RefactorWorkspace to reuse the per-level scratch buffers across
 /// calls; omitted, the call allocates a private one.
-void decompose(std::vector<f64>& data, const GridHierarchy& h,
+void decompose(std::span<f64> data, const GridHierarchy& h,
                const DecomposeOptions& opt = {}, ThreadPool* pool = nullptr,
                RefactorWorkspace* ws = nullptr);
 
 /// Exact inverse of decompose() (up to floating-point rounding).
-void recompose(std::vector<f64>& data, const GridHierarchy& h,
+void recompose(std::span<f64> data, const GridHierarchy& h,
                const DecomposeOptions& opt = {}, ThreadPool* pool = nullptr,
                RefactorWorkspace* ws = nullptr);
 
-/// Gather the coefficients of decomposition level `d` into a contiguous
-/// vector ordered exactly like the hierarchy's level_nodes(d) map. Walks the
-/// level geometry directly (strided sub-grid rows minus their even-in-all-
-/// axes prefix) instead of chasing the index vector, so it parallelizes and
-/// never materializes level_nodes.
-std::vector<f64> gather_level(const std::vector<f64>& data,
-                              const GridHierarchy& h, u32 d,
-                              ThreadPool* pool = nullptr);
+/// Gather the coefficients of decomposition level `d` into `out`
+/// (h.decomp_level_size(d) elements, every one written), ordered exactly
+/// like the hierarchy's level_nodes(d) map. Walks the level geometry directly
+/// (strided sub-grid rows minus their even-in-all-axes prefix) instead of
+/// chasing the index vector, so it parallelizes and never materializes
+/// level_nodes.
+void gather_level(std::span<const f64> data, const GridHierarchy& h, u32 d,
+                  std::span<f64> out, ThreadPool* pool = nullptr);
 
-/// Scatter a contiguous coefficient vector back into the full array.
-void scatter_level(std::vector<f64>& data, const GridHierarchy& h, u32 d,
-                   const std::vector<f64>& coeffs, ThreadPool* pool = nullptr);
+/// Scatter a contiguous coefficient vector back into the full array. Every
+/// padded node belongs to exactly one level, so scattering all of them
+/// writes the whole array.
+void scatter_level(std::span<f64> data, const GridHierarchy& h, u32 d,
+                   std::span<const f64> coeffs, ThreadPool* pool = nullptr);
 
 }  // namespace rapids::mgard

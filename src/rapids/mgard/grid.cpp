@@ -1,6 +1,12 @@
 #include "rapids/mgard/grid.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
+#include <mutex>
+
+#include "rapids/mgard/kernels/kernels.hpp"
+#include "rapids/parallel/thread_pool.hpp"
 
 namespace rapids::mgard {
 
@@ -12,6 +18,18 @@ u64 padded_axis(u64 s, u32 levels) {
   if (s <= 1) return s;
   const u64 step = u64{1} << levels;
   return round_up(s - 1, step) + 1;
+}
+
+/// body(lo, hi) over `rows` rows of `row_bytes` each, striped across the pool
+/// in L2-sized chunks (serial without a pool).
+void for_row_chunks(ThreadPool* pool, u64 rows, u64 row_bytes,
+                    const std::function<void(u64, u64)>& body) {
+  if (pool != nullptr && rows > 1) {
+    pool->parallel_for_chunks(0, rows, body,
+                              kernels::grain_for_lines(row_bytes));
+  } else {
+    body(0, rows);
+  }
 }
 
 }  // namespace
@@ -136,6 +154,62 @@ std::vector<T> crop_field(const std::vector<T>& src, Dims padded, Dims original)
                 out.data() + (k * original.ny + j) * original.nx);
     }
   return out;
+}
+
+FieldScan widen_into_grid(std::span<const f32> src, Dims original, Dims padded,
+                          std::span<f64> dst, ThreadPool* pool) {
+  RAPIDS_REQUIRE(src.size() == original.total());
+  RAPIDS_REQUIRE(dst.size() == padded.total());
+  RAPIDS_REQUIRE(padded.nx >= original.nx && padded.ny >= original.ny &&
+                 padded.nz >= original.nz);
+  FieldScan scan;
+  std::mutex mu;
+  for_row_chunks(
+      pool, padded.ny * padded.nz,
+      padded.nx * sizeof(f64) + original.nx * sizeof(f32),
+      [&](u64 lo, u64 hi) {
+        f64 max_abs = 0.0;
+        bool finite = true;
+        for (u64 r = lo; r < hi; ++r) {
+          // A padded row past the original extent replicates the last one.
+          const u64 sj = std::min(r % padded.ny, original.ny - 1);
+          const u64 sk = std::min(r / padded.ny, original.nz - 1);
+          const f32* row = src.data() + (sk * original.ny + sj) * original.nx;
+          f64* out = dst.data() + r * padded.nx;
+          for (u64 i = 0; i < original.nx; ++i) {
+            const f64 v = row[i];
+            out[i] = v;
+            max_abs = std::max(max_abs, std::fabs(v));
+            finite &= std::isfinite(v);
+          }
+          std::fill(out + original.nx, out + padded.nx, out[original.nx - 1]);
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        scan.max_abs = std::max(scan.max_abs, max_abs);
+        scan.finite &= finite;
+      });
+  return scan;
+}
+
+void narrow_from_grid(std::span<const f64> src, Dims padded, Dims original,
+                      std::span<f32> dst, ThreadPool* pool) {
+  RAPIDS_REQUIRE(src.size() == padded.total());
+  RAPIDS_REQUIRE(dst.size() == original.total());
+  RAPIDS_REQUIRE(padded.nx >= original.nx && padded.ny >= original.ny &&
+                 padded.nz >= original.nz);
+  for_row_chunks(pool, original.ny * original.nz,
+                 original.nx * (sizeof(f64) + sizeof(f32)),
+                 [&](u64 lo, u64 hi) {
+                   for (u64 r = lo; r < hi; ++r) {
+                     const u64 j = r % original.ny;
+                     const u64 k = r / original.ny;
+                     const f64* row =
+                         src.data() + (k * padded.ny + j) * padded.nx;
+                     f32* out = dst.data() + r * original.nx;
+                     for (u64 i = 0; i < original.nx; ++i)
+                       out[i] = static_cast<f32>(row[i]);
+                   }
+                 });
 }
 
 template std::vector<f32> pad_field<f32>(const std::vector<f32>&, Dims, Dims);

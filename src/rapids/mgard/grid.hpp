@@ -15,9 +15,14 @@
 /// fine, with node counts growing by ~2^dims per level.
 
 #include <array>
+#include <span>
 #include <vector>
 
 #include "rapids/util/common.hpp"
+
+namespace rapids {
+class ThreadPool;
+}
 
 namespace rapids::mgard {
 
@@ -93,5 +98,26 @@ std::vector<T> pad_field(const std::vector<T>& src, Dims original, Dims padded);
 /// Crop a padded field back to the original extents.
 template <typename T>
 std::vector<T> crop_field(const std::vector<T>& src, Dims padded, Dims original);
+
+/// What widen_into_grid learned about its input: max |x| (meaningful only
+/// when every sample is finite) and whether every sample is finite.
+struct FieldScan {
+  f64 max_abs = 0.0;
+  bool finite = true;
+};
+
+/// Refactor-side staging in one parallel pass over the padded rows: widen the
+/// f32 field `src` (`original` extents) into `dst` (`padded` extents) with
+/// pad_field's edge replication, reducing max |x| and the finite flag per
+/// chunk. `dst` equals pad_field of the widened field bit for bit, and the
+/// max is exact in any chunk order.
+FieldScan widen_into_grid(std::span<const f32> src, Dims original, Dims padded,
+                          std::span<f64> dst, ThreadPool* pool = nullptr);
+
+/// Restore-side staging in one parallel pass over the original rows: crop the
+/// padded f64 grid `src` to `original` extents and narrow it into `dst`,
+/// equal to narrowing crop_field(src) element-wise.
+void narrow_from_grid(std::span<const f64> src, Dims padded, Dims original,
+                      std::span<f32> dst, ThreadPool* pool = nullptr);
 
 }  // namespace rapids::mgard

@@ -1,8 +1,5 @@
 #include "rapids/mgard/refactorer.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "rapids/mgard/workspace.hpp"
 #include "rapids/parallel/thread_pool.hpp"
 #include "rapids/util/timer.hpp"
@@ -104,41 +101,37 @@ RefactoredObject Refactorer::refactor_streaming(
   const GridHierarchy h(dims, options_.decomp_levels);
   Timer t;
 
-  // Work in f64: the transform and quantization stay well below f32 noise.
-  std::vector<f64> field(data.size());
-  std::transform(data.begin(), data.end(), field.begin(),
-                 [](f32 v) { return static_cast<f64>(v); });
+  // One leased workspace carries the call from the staging pass to the last
+  // encoded level: the padded grid, each level's coefficients and its sliced
+  // plane words live in its grow-only buffers instead of field-sized vectors
+  // allocated per call.
   f64 max_abs = 0.0;
-  bool finite = true;
-  for (f64 v : field) {
-    finite &= std::isfinite(v);
-    max_abs = std::max(max_abs, std::fabs(v));
-  }
-  RAPIDS_REQUIRE_MSG(finite, "refactor: input contains NaN or infinity");
-  RAPIDS_REQUIRE_MSG(max_abs > 0.0, "refactor: all-zero input has no scale");
-
-  std::vector<f64> padded = pad_field(field, dims, h.padded());
-  field.clear();
-  field.shrink_to_fit();
-
-  DecomposeOptions dopt{options_.l2_correction};
-  {
-    // Lease a warm workspace so per-level scratch survives across levels and
-    // across pipeline calls instead of being reallocated.
-    auto ws = WorkspacePool::global().acquire();
-    decompose(padded, h, dopt, pool_, ws.get());
-  }
-  if (timings != nullptr) timings->transform_seconds = t.seconds();
-
-  // Encode every decomposition level's coefficients into planes.
-  t.reset();
   std::vector<PlaneSet> plane_sets(h.num_decomp_levels());
-  CodecStats* codec = timings != nullptr ? &timings->plane_codec : nullptr;
-  for (u32 d = 0; d < h.num_decomp_levels(); ++d) {
-    std::vector<f64> coeffs = gather_level(padded, h, d, pool_);
-    plane_sets[d] = encode_planes(coeffs, options_.max_planes, pool_, codec);
+  {
+    auto ws = WorkspacePool::global().acquire();
+    // Work in f64: the transform and quantization stay well below f32 noise.
+    const std::span<f64> grid = grow_only(ws->grid, h.padded().total());
+    const FieldScan scan = widen_into_grid(data, dims, h.padded(), grid, pool_);
+    RAPIDS_REQUIRE_MSG(scan.finite, "refactor: input contains NaN or infinity");
+    RAPIDS_REQUIRE_MSG(scan.max_abs > 0.0,
+                       "refactor: all-zero input has no scale");
+    max_abs = scan.max_abs;
+    decompose(grid, h, DecomposeOptions{options_.l2_correction}, pool_,
+              ws.get());
+    if (timings != nullptr) timings->transform_seconds = t.seconds();
+
+    // Encode every decomposition level's coefficients into planes.
+    t.reset();
+    CodecStats* codec = timings != nullptr ? &timings->plane_codec : nullptr;
+    for (u32 d = 0; d < h.num_decomp_levels(); ++d) {
+      const std::span<f64> coeffs =
+          grow_only(ws->coeffs, h.decomp_level_size(d));
+      gather_level(grid, h, d, coeffs, pool_);
+      plane_sets[d] =
+          encode_planes(coeffs, options_.max_planes, pool_, codec, ws.get());
+    }
+    if (timings != nullptr) timings->plane_encode_seconds = t.seconds();
   }
-  if (timings != nullptr) timings->plane_encode_seconds = t.seconds();
 
   RetrievalOptions ropt;
   ropt.num_levels = options_.num_retrieval_levels;
@@ -211,31 +204,23 @@ std::vector<f32> Refactorer::reconstruct_from_sets(
   const GridHierarchy h(meta.dims, meta.decomp_levels);
   RAPIDS_REQUIRE(sets.size() == h.num_decomp_levels());
 
-  std::vector<f64> padded(h.padded().total(), 0.0);
+  // Decode each level into the leased coefficient buffer and scatter it into
+  // the leased grid. The grid needs no zero fill: every padded node belongs
+  // to exactly one decomposition level, so the scatters write all of it.
+  auto ws = WorkspacePool::global().acquire();
+  const std::span<f64> grid = grow_only(ws->grid, h.padded().total());
   for (u32 d = 0; d < sets.size(); ++d) {
-    const u32 avail = static_cast<u32>(sets[d].planes.size());
-    std::vector<f64> coeffs;
-    if (sets[d].count != 0) {
-      coeffs = states != nullptr
-                   ? decode_planes_incremental(sets[d], avail, (*states)[d],
-                                               pool_, codec)
-                   : decode_planes(sets[d], avail, pool_, codec);
-    }
-    if (coeffs.empty() && sets[d].count > 0)
-      coeffs.assign(sets[d].count, 0.0);
-    scatter_level(padded, h, d, coeffs, pool_);
+    const std::span<f64> coeffs = grow_only(ws->coeffs, sets[d].count);
+    ProgressiveState scratch;
+    ProgressiveState& state = states != nullptr ? (*states)[d] : scratch;
+    decode_planes_incremental(sets[d], static_cast<u32>(sets[d].planes.size()),
+                              state, coeffs, pool_, codec);
+    scatter_level(grid, h, d, coeffs, pool_);
   }
+  recompose(grid, h, DecomposeOptions{meta.l2_correction}, pool_, ws.get());
 
-  DecomposeOptions dopt{meta.l2_correction};
-  {
-    auto ws = WorkspacePool::global().acquire();
-    recompose(padded, h, dopt, pool_, ws.get());
-  }
-
-  std::vector<f64> cropped = crop_field(padded, h.padded(), meta.dims);
-  std::vector<f32> out(cropped.size());
-  std::transform(cropped.begin(), cropped.end(), out.begin(),
-                 [](f64 v) { return static_cast<f32>(v); });
+  std::vector<f32> out(meta.dims.total());
+  narrow_from_grid(grid, h.padded(), meta.dims, out, pool_);
   return out;
 }
 

@@ -8,6 +8,13 @@
 /// buffers and is handed down through decompose/recompose so the vectors are
 /// resized (capacity retained) instead of reallocated across levels and calls.
 ///
+/// The Refactorer also stages each call's field through the workspace: the
+/// padded f64 grid the transform runs on, one decomposition level's
+/// coefficients at a time, and that level's sliced sign and magnitude plane
+/// words while encode_planes compresses them. All three are grow-only (see
+/// grow_only), so a workspace retains at most the buffers of the largest
+/// shape it has served, and a steady stream of calls allocates none of them.
+///
 /// Lifetime: a workspace is single-owner while in use (the transform writes
 /// into its buffers), so concurrent refactor calls each need their own. The
 /// WorkspacePool hands out leases RAII-style: acquire() pops a free workspace
@@ -19,14 +26,15 @@
 
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "rapids/util/common.hpp"
 
 namespace rapids::mgard {
 
-/// All scratch one decompose()/recompose() call needs. Not thread-safe:
-/// one workspace, one transform at a time.
+/// All scratch one decompose()/recompose() call needs, plus the Refactorer's
+/// staging buffers. Not thread-safe: one workspace, one transform at a time.
 struct RefactorWorkspace {
   std::vector<f64> active;  ///< gathered active sub-grid of the current level
   std::vector<f64> resid;   ///< residual field (zeroed coarse nodes)
@@ -34,7 +42,23 @@ struct RefactorWorkspace {
   std::vector<f64> load_b;  ///< load-operator pong buffer
   std::vector<f64> cp;      ///< Thomas c' coefficients (per mass_solve call)
   std::vector<f64> denom;   ///< Thomas forward denominators
+  std::vector<f64> grid;    ///< padded f64 field of one Refactorer call
+  std::vector<f64> coeffs;  ///< one decomposition level's coefficients
+  std::vector<u64> planes;  ///< one level's sign + magnitude plane words
 };
+
+/// The first `n` elements of `buf`, growing it first when it is shorter.
+/// Grow-only: a smaller request neither shrinks nor re-zeroes the buffer, so
+/// the span holds whatever its last user left there and the caller must
+/// write every element before reading it.
+template <typename T>
+std::span<T> grow_only(std::vector<T>& buf, u64 n) {
+  if (buf.size() < n) {
+    buf.clear();  // the old contents are dead: do not copy them over
+    buf.resize(n);
+  }
+  return {buf.data(), n};
+}
 
 /// Free-list of RefactorWorkspaces. acquire() never blocks: it reuses a free
 /// workspace when one exists and creates one otherwise.

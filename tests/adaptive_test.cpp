@@ -133,18 +133,6 @@ TEST_F(AdaptivePipelineTest, TrackerPersistsAcrossPipelines) {
               cluster_->system(3).bandwidth() * 0.6);
 }
 
-TEST_F(AdaptivePipelineTest, AdaptationCanBeDisabled) {
-  auto cfg = config();
-  cfg.adapt_bandwidth = false;
-  RapidsPipeline pipeline(*cluster_, *db_, cfg);
-  const Dims dims{33, 17, 9};
-  const auto field = data::nyx_velocity(dims, 3);
-  pipeline.prepare(field, dims, "obj");
-  (void)pipeline.restore("obj");
-  EXPECT_FALSE(db_->get("net/bandwidth_tracker").has_value());
-  EXPECT_EQ(pipeline.bandwidth_estimates(), cluster_->bandwidths());
-}
-
 TEST_F(AdaptivePipelineTest, ReplansAroundMissingFragments) {
   RapidsPipeline pipeline(*cluster_, *db_, config());
   const Dims dims{33, 33, 17};

@@ -647,7 +647,8 @@ TEST(Levels, GatherScatterMatchLevelNodes) {
     u64 covered = 0;
     for (u32 d = 0; d < h.num_decomp_levels(); ++d) {
       const auto& nodes = h.level_nodes(d);
-      const std::vector<f64> got = gather_level(field, h, d, &pool);
+      std::vector<f64> got(h.decomp_level_size(d));
+      gather_level(field, h, d, got, &pool);
       ASSERT_EQ(got.size(), nodes.size());
       for (u64 i = 0; i < nodes.size(); ++i)
         ASSERT_EQ(got[i], field[nodes[i]])

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
 
 #include "rapids/data/field_generators.hpp"
@@ -14,11 +17,19 @@
 #include "rapids/mgard/decompose.hpp"
 #include "rapids/mgard/grid.hpp"
 #include "rapids/mgard/refactorer.hpp"
+#include "rapids/mgard/workspace.hpp"
 #include "rapids/parallel/thread_pool.hpp"
 #include "rapids/util/rng.hpp"
 
 namespace rapids::mgard {
 namespace {
+
+std::vector<f64> level_coeffs(const std::vector<f64>& data,
+                              const GridHierarchy& h, u32 d) {
+  std::vector<f64> out(h.decomp_level_size(d));
+  gather_level(data, h, d, out);
+  return out;
+}
 
 // --- GridHierarchy ---
 
@@ -109,6 +120,73 @@ TEST(Grid, PaddingReplicatesEdges) {
   EXPECT_EQ(out, (std::vector<f64>{1.0, 2.0, 3.0, 3.0, 3.0}));
 }
 
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+TEST(Grid, StagingPassesMatchPadAndCrop) {
+  struct Case {
+    Dims dims;
+    u32 levels;
+    bool dyadic;  ///< padded == dims
+  };
+  // Non-dyadic, one degenerate axis, exact 2^k+1; each splits into several
+  // row chunks on a 4-thread pool.
+  const Case cases[] = {{Dims{100, 50, 30}, 3, false},
+                        {Dims{300, 1, 70}, 2, false},
+                        {Dims{65, 33, 33}, 4, true}};
+  ThreadPool four(4);
+  for (const Case& c : cases) {
+    const GridHierarchy h(c.dims, c.levels);
+    const Dims padded = h.padded();
+    ASSERT_EQ(padded == c.dims, c.dyadic);
+    Rng rng(c.dims.total());
+    std::vector<f32> src(c.dims.total());
+    for (auto& v : src) v = static_cast<f32>(rng.normal(0.0, 100.0));
+    const std::vector<f64> widened(src.begin(), src.end());
+    f64 max_abs = 0.0;
+    for (f64 v : widened) max_abs = std::max(max_abs, std::fabs(v));
+    const std::vector<f64> pad_ref = pad_field(widened, c.dims, padded);
+
+    std::vector<f64> grid(padded.total());
+    for (auto& v : grid) v = rng.normal(0.0, 1.0);
+    std::vector<f32> crop_ref;
+    for (f64 v : crop_field(grid, padded, c.dims))
+      crop_ref.push_back(static_cast<f32>(v));
+
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
+      const std::string where = std::to_string(c.dims.nx) + "x" +
+                                std::to_string(c.dims.ny) + "x" +
+                                std::to_string(c.dims.nz) +
+                                (pool != nullptr ? " pooled" : " serial");
+      // NaN-filled outputs: an element either pass skips cannot match.
+      std::vector<f64> staged(padded.total(),
+                              std::numeric_limits<f64>::quiet_NaN());
+      const FieldScan scan = widen_into_grid(src, c.dims, padded, staged, pool);
+      EXPECT_TRUE(same_bits(staged, pad_ref)) << where;
+      EXPECT_EQ(scan.max_abs, max_abs) << where;
+      EXPECT_TRUE(scan.finite) << where;
+
+      std::vector<f32> cropped(c.dims.total(),
+                               std::numeric_limits<f32>::quiet_NaN());
+      narrow_from_grid(grid, padded, c.dims, cropped, pool);
+      EXPECT_TRUE(same_bits(cropped, crop_ref)) << where;
+
+      for (const f32 bad : {std::numeric_limits<f32>::quiet_NaN(),
+                            -std::numeric_limits<f32>::infinity()}) {
+        std::vector<f32> poisoned = src;
+        poisoned.back() = bad;
+        EXPECT_FALSE(
+            widen_into_grid(poisoned, c.dims, padded, staged, pool).finite)
+            << where << " bad=" << bad;
+      }
+    }
+  }
+}
+
 // --- decompose / recompose ---
 
 struct TransformCase {
@@ -170,7 +248,7 @@ TEST(Transform, AnnihilatesLinearFunctions) {
   auto padded = pad_field(field, dims, h.padded());
   decompose(padded, h, DecomposeOptions{false});
   for (u32 d = 1; d <= 3; ++d) {
-    const auto coeffs = gather_level(padded, h, d);
+    const auto coeffs = level_coeffs(padded, h, d);
     for (f64 c : coeffs) ASSERT_NEAR(c, 0.0, 1e-9);
   }
 }
@@ -188,7 +266,7 @@ TEST(Transform, DetailMagnitudeDecaysForSmoothField) {
   decompose(padded, h, DecomposeOptions{true});
   std::vector<f64> max_mag(5, 0.0);
   for (u32 d = 1; d <= 4; ++d) {
-    for (f64 c : gather_level(padded, h, d))
+    for (f64 c : level_coeffs(padded, h, d))
       max_mag[d] = std::max(max_mag[d], std::fabs(c));
   }
   // Coarsest detail (d=1) has the largest magnitude; finest the smallest.
@@ -261,7 +339,7 @@ TEST(Transform, GatherScatterRoundTrip) {
   for (auto& v : data) v = rng.uniform(0.0, 1.0);
   auto copy = data;
   for (u32 d = 0; d <= 2; ++d) {
-    const auto coeffs = gather_level(copy, h, d);
+    const auto coeffs = level_coeffs(copy, h, d);
     std::vector<f64> zeroed(coeffs.size(), 0.0);
     scatter_level(copy, h, d, zeroed);
     scatter_level(copy, h, d, coeffs);
@@ -388,6 +466,34 @@ TEST(Bitplane, ParallelEncodeDecodeMatchesSerial) {
   for (std::size_t p = 0; p < serial.planes.size(); ++p)
     ASSERT_EQ(serial.planes[p].data, parallel.planes[p].data) << "plane " << p;
   EXPECT_EQ(decode_planes(serial, 16, nullptr), decode_planes(parallel, 16, &pool));
+}
+
+TEST(Bitplane, EncodeIntoReusedWorkspaceMatchesPrivateScratch) {
+  // encode_planes slices into the workspace's grow-only plane words without
+  // zeroing them. Junk left there by a larger level must not change a byte
+  // of a smaller one, serial or pooled, with a partial last block and with
+  // fewer than kMagnitudePlanes planes.
+  ThreadPool pool(4);
+  Rng rng(14);
+  RefactorWorkspace ws;
+  for (const u64 n : {200000u, 70001u, 3u}) {
+    std::vector<f64> coeffs(n);
+    for (auto& c : coeffs) c = rng.normal(0.0, 1.0);
+    for (const u32 planes : {kMagnitudePlanes, 20u}) {
+      const PlaneSet ref = encode_planes(coeffs, planes, nullptr);
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        std::fill(ws.planes.begin(), ws.planes.end(), ~u64{0});
+        const PlaneSet got = encode_planes(coeffs, planes, p, nullptr, &ws);
+        EXPECT_EQ(got.sign.data, ref.sign.data) << n << "," << planes;
+        ASSERT_EQ(got.planes.size(), ref.planes.size());
+        for (std::size_t i = 0; i < ref.planes.size(); ++i)
+          EXPECT_EQ(got.planes[i].data, ref.planes[i].data)
+              << n << "," << planes << "," << i;
+      }
+    }
+  }
+  // The buffer kept the largest level's rows instead of shrinking.
+  EXPECT_GE(ws.planes.size(), (kMagnitudePlanes + 1) * ceil_div(200000, 64));
 }
 
 // Mode bytes are wire format (see encode_segment): 0 raw, 1 sparse, 2 zero,
@@ -715,6 +821,122 @@ TEST(Refactorer, RejectsAllZeroInput) {
   std::vector<f32> zeros(9 * 9, 0.0f);
   const Refactorer rf((RefactorOptions()));
   EXPECT_THROW(rf.refactor(zeros, Dims{9, 9, 1}, "z"), invariant_error);
+}
+
+// Expects `fn` to throw an invariant_error whose message contains `what`, so
+// a later stage tripping over the same bad input does not pass for the check.
+template <typename F>
+void expect_rejected(const F& fn, const std::string& what) {
+  try {
+    fn();
+  } catch (const invariant_error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    return;
+  }
+  ADD_FAILURE() << "not rejected: " << what;
+}
+
+TEST(Refactorer, PooledRefactorRejectsNonFiniteAndAllZeroInput) {
+  // Non-dyadic, so the last x-sample of every row is the one edge padding
+  // replicates, and large enough that the staging pass splits into several
+  // chunks on the pool.
+  ThreadPool pool(4);
+  const Dims dims{70, 40, 20};
+  const Refactorer rf(RefactorOptions{}, &pool);
+  ASSERT_NE(GridHierarchy(dims, rf.options().decomp_levels).padded().nx,
+            dims.nx);
+  const auto field = data::nyx_velocity(dims, 12);
+  auto at = [&](u64 i, u64 j, u64 k) {
+    return (k * dims.ny + j) * dims.nx + i;
+  };
+
+  auto nan_last_row = field;
+  nan_last_row[at(dims.nx / 2, dims.ny - 1, dims.nz - 1)] =
+      std::numeric_limits<f32>::quiet_NaN();
+  expect_rejected([&] { rf.refactor(nan_last_row, dims, "nan"); },
+                  "NaN or infinity");
+
+  auto inf_row_end = field;
+  inf_row_end[at(dims.nx - 1, dims.ny / 2, dims.nz / 2)] =
+      std::numeric_limits<f32>::infinity();
+  expect_rejected([&] { rf.refactor(inf_row_end, dims, "inf"); },
+                  "NaN or infinity");
+
+  const std::vector<f32> zeros(dims.total(), 0.0f);
+  expect_rejected([&] { rf.refactor(zeros, dims, "zero"); }, "all-zero");
+
+  // The rejected calls leave the pooled refactorer usable and exact.
+  const auto pooled = rf.refactor(field, dims, "ok");
+  const auto serial = Refactorer(RefactorOptions{}).refactor(field, dims, "ok");
+  ASSERT_EQ(pooled.levels.size(), serial.levels.size());
+  for (std::size_t j = 0; j < serial.levels.size(); ++j)
+    EXPECT_EQ(pooled.levels[j].payload, serial.levels[j].payload) << j;
+}
+
+TEST(Refactorer, AlternatingShapesReuseWorkspaceBitExact) {
+  // One pooled refactorer alternates a larger and a smaller non-dyadic shape,
+  // so the leased grid, coefficient and plane-word buffers carry a stale
+  // tail of the other shape. Before every call the workspace it will lease is also
+  // filled with a per-round junk value: an element a call reads without
+  // writing it first changes that round's bytes.
+  ThreadPool pool(4);
+  RefactorOptions opt;
+  opt.decomp_levels = 3;
+  const Refactorer rf(opt, &pool);
+  const Dims shapes[] = {{70, 45, 21}, {37, 19, 11}};
+  std::vector<std::vector<f32>> fields;
+  for (const Dims& d : shapes)
+    fields.push_back(data::hurricane_pressure(d, 13));
+
+  // Covers every element either buffer holds for the larger shape.
+  const u64 largest =
+      GridHierarchy(shapes[0], opt.decomp_levels).padded().total();
+  auto poison = [&](f64 junk) {
+    auto ws = WorkspacePool::global().acquire();
+    for (auto* buf : {&ws->grid, &ws->coeffs}) {
+      const auto span = grow_only(*buf, largest);
+      std::fill(span.begin(), span.end(), junk);
+    }
+    const auto words =
+        grow_only(ws->planes, (kMagnitudePlanes + 1) * ceil_div(largest, 64));
+    std::fill(words.begin(), words.end(), std::bit_cast<u64>(junk));
+  };
+  const f64 junk[] = {0.0, std::numeric_limits<f64>::quiet_NaN(), 1e300};
+
+  struct Result {
+    std::vector<Bytes> payloads;
+    std::vector<f32> full;    ///< every retrieval level
+    std::vector<f32> coarse;  ///< retrieval level 1 only, the sparsest prefix
+  };
+  std::vector<std::vector<Result>> rounds;
+  u64 created = 0;
+  for (u32 r = 0; r < 3; ++r) {
+    if (r == 1) created = WorkspacePool::global().created();
+    std::vector<Result>& round = rounds.emplace_back();
+    for (std::size_t s = 0; s < std::size(shapes); ++s) {
+      Result res;
+      poison(junk[r]);
+      const auto obj = rf.refactor(fields[s], shapes[s], "alt");
+      for (const auto& l : obj.levels) res.payloads.push_back(l.payload);
+      poison(junk[r]);
+      res.full = rf.reconstruct(obj, res.payloads);
+      poison(junk[r]);
+      res.coarse = rf.reconstruct(obj, std::span(res.payloads).first(1));
+      ASSERT_LE(data::relative_linf_error(fields[s], res.full),
+                obj.rel_error_bound(static_cast<u32>(obj.levels.size())));
+      round.push_back(std::move(res));
+    }
+  }
+  // Every call reused the one warm workspace the poisoning filled.
+  EXPECT_EQ(WorkspacePool::global().created(), created);
+  for (u32 r = 1; r < rounds.size(); ++r)
+    for (std::size_t s = 0; s < std::size(shapes); ++s) {
+      EXPECT_EQ(rounds[r][s].payloads, rounds[0][s].payloads) << r << "," << s;
+      EXPECT_TRUE(same_bits(rounds[r][s].full, rounds[0][s].full))
+          << r << "," << s;
+      EXPECT_TRUE(same_bits(rounds[r][s].coarse, rounds[0][s].coarse))
+          << r << "," << s;
+    }
 }
 
 TEST(Refactorer, RejectsEmptyPrefix) {

@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <thread>
 
 #include "rapids/core/pipeline.hpp"
@@ -34,6 +35,15 @@ bool bit_identical(const std::vector<f32>& a, const std::vector<f32>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(f32)) == 0);
 }
 
+// decode_planes_incremental into a NaN-filled vector, so an element the
+// decoder skipped cannot pass for a decoded one.
+std::vector<f64> decode_inc(const PlaneSet& ps, u32 num_planes,
+                            ProgressiveState& state, ThreadPool* pool) {
+  std::vector<f64> out(ps.count, std::numeric_limits<f64>::quiet_NaN());
+  decode_planes_incremental(ps, num_planes, state, out, pool);
+  return out;
+}
+
 std::vector<f64> mixed_sign_coeffs(std::size_t n, u64 seed) {
   Rng rng(seed);
   std::vector<f64> coeffs(n);
@@ -54,10 +64,10 @@ TEST(ProgressiveDecode, EveryPlanePairBitIdentical) {
       for (u32 p1 : stops) {
         if (p0 >= p1) continue;
         ProgressiveState state;
-        const auto first = decode_planes_incremental(ps, p0, state, nullptr);
+        const auto first = decode_inc(ps, p0, state, nullptr);
         ASSERT_TRUE(bit_identical(first, decode_planes(ps, p0)))
             << "n=" << lengths[li] << " p0=" << p0;
-        const auto second = decode_planes_incremental(ps, p1, state, nullptr);
+        const auto second = decode_inc(ps, p1, state, nullptr);
         ASSERT_TRUE(bit_identical(second, decode_planes(ps, p1)))
             << "n=" << lengths[li] << " p0=" << p0 << " p1=" << p1;
       }
@@ -70,7 +80,7 @@ TEST(ProgressiveDecode, ChainedRefinementMatchesEveryPrefix) {
   const PlaneSet ps = encode_planes(coeffs);
   ProgressiveState state;
   for (u32 p : {0u, 1u, 2u, 5u, 13u, 31u, 32u}) {
-    const auto inc = decode_planes_incremental(ps, p, state, nullptr);
+    const auto inc = decode_inc(ps, p, state, nullptr);
     ASSERT_TRUE(bit_identical(inc, decode_planes(ps, p))) << "planes=" << p;
     EXPECT_EQ(state.planes_decoded, p);
   }
@@ -82,8 +92,8 @@ TEST(ProgressiveDecode, ParallelMatchesSerial) {
   const PlaneSet ps = encode_planes(coeffs);
   ProgressiveState serial, parallel;
   for (u32 p : {3u, 17u, 32u}) {
-    const auto a = decode_planes_incremental(ps, p, serial, nullptr);
-    const auto b = decode_planes_incremental(ps, p, parallel, &pool);
+    const auto a = decode_inc(ps, p, serial, nullptr);
+    const auto b = decode_inc(ps, p, parallel, &pool);
     ASSERT_TRUE(bit_identical(a, b)) << "planes=" << p;
   }
 }
@@ -92,8 +102,8 @@ TEST(ProgressiveDecode, AllZeroLevel) {
   const std::vector<f64> coeffs(129, 0.0);
   const PlaneSet ps = encode_planes(coeffs);
   ProgressiveState state;
-  const auto a = decode_planes_incremental(ps, 0, state, nullptr);
-  const auto b = decode_planes_incremental(ps, 32, state, nullptr);
+  const auto a = decode_inc(ps, 0, state, nullptr);
+  const auto b = decode_inc(ps, 32, state, nullptr);
   EXPECT_TRUE(bit_identical(a, std::vector<f64>(129, 0.0)));
   EXPECT_TRUE(bit_identical(b, std::vector<f64>(129, 0.0)));
 }
@@ -102,9 +112,8 @@ TEST(ProgressiveDecode, RejectsShrinkingPlaneCount) {
   const auto coeffs = mixed_sign_coeffs(100, 9);
   const PlaneSet ps = encode_planes(coeffs);
   ProgressiveState state;
-  (void)decode_planes_incremental(ps, 8, state, nullptr);
-  EXPECT_THROW(decode_planes_incremental(ps, 4, state, nullptr),
-               std::exception);
+  (void)decode_inc(ps, 8, state, nullptr);
+  EXPECT_THROW(decode_inc(ps, 4, state, nullptr), std::exception);
 }
 
 // The word-at-a-time BitReader must still detect truncated streams instead
@@ -239,16 +248,15 @@ class RefineTest : public ::testing::Test {
     fs::remove_all(dir_);
   }
 
-  // Deterministic byte accounting: no stragglers (prob 0 above), no hedges,
-  // no bandwidth adaptation, so every fetch of level j costs exactly
-  // k_j x fragment_bytes(j) regardless of plan or ordering.
+  // Deterministic byte accounting: no stragglers (prob 0 above) and no
+  // hedges, so every fetch of level j costs exactly k_j x fragment_bytes(j)
+  // regardless of plan or ordering.
   PipelineConfig refine_config() {
     PipelineConfig cfg;
     cfg.refactor.decomp_levels = 3;
     cfg.refactor.num_retrieval_levels = 4;
     cfg.refactor.target_rel_errors = {4e-3, 5e-4, 6e-5, 1e-6};
     cfg.aco.iterations = 20;
-    cfg.adapt_bandwidth = false;
     cfg.hedged_reads = false;
     return cfg;
   }
