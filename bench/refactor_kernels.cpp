@@ -17,6 +17,11 @@
 // timing. `codec_combined_speedup_vs_seed` is the >= 3x number the issue
 // tracks.
 //
+// Those planes are mostly coded raw or sparse, so the Rice table times the
+// Rice segments of one refactored generator field on their own, grouped by
+// the parameter k the coder chose: the seed BitReader decoder against the
+// kernel decoder, as ns per set bit and stream GB/s, with the in-run speedup.
+//
 // Usage: refactor_kernels [output.json]
 //   Prints the tables; with an argument also writes BENCH_refactor.json,
 //   whose context records the host (CPU model, nproc) the rows ran on.
@@ -34,10 +39,13 @@
 #include <sched.h>
 #endif
 
+#include "rapids/data/datasets.hpp"
 #include "rapids/mgard/bitplane.hpp"
 #include "rapids/mgard/decompose.hpp"
 #include "rapids/mgard/grid.hpp"
 #include "rapids/mgard/kernels/kernels.hpp"
+#include "rapids/mgard/refactorer.hpp"
+#include "rapids/mgard/retrieval.hpp"
 #include "rapids/mgard/workspace.hpp"
 #include "rapids/simd/cpu_features.hpp"
 #include "rapids/util/rng.hpp"
@@ -841,6 +849,107 @@ std::vector<CodecResult> bench_codec(u64* planes_benched) {
   return rows;
 }
 
+// --- Rice decode per parameter k: seed decoder vs kernel decoder ----------
+
+struct RiceResult {
+  std::string name;  ///< k0..k3, k4plus, or all
+  u64 segments = 0, set_bits = 0, stream_bytes = 0;
+  f64 seed_ns_per_bit = 0.0, new_ns_per_bit = 0.0;
+  f64 seed_stream_gbps = 0.0, new_stream_gbps = 0.0;
+  f64 speedup = 0.0;  ///< seed time over new time, see time_pair
+};
+
+constexpr const char* kRiceField = "hurricane:TCf48.bin";
+constexpr Dims kRiceDims{257, 257, 129};
+
+// Every Rice segment of one refactored generator field (default options),
+// whose planes cover k = 0..3 and several k >= 4. A row decodes its
+// segments whole (decode_segment) under each coder; both must reproduce the
+// same words before anything is timed.
+std::vector<RiceResult> bench_rice() {
+  const auto field = data::find_object(kRiceField).generate(kRiceDims);
+  const mgard::Refactorer rf{mgard::RefactorOptions{}};
+  const mgard::RefactoredObject obj = rf.refactor(field, kRiceDims, "rice");
+  std::vector<Bytes> payloads;
+  for (const auto& lvl : obj.levels) payloads.push_back(lvl.payload);
+  const std::vector<mgard::PlaneSet> sets =
+      mgard::collect_plane_sets(obj.dlevels, payloads);
+
+  struct RiceSegment {
+    const mgard::PlaneSegment* seg;
+    u64 num_bits, ones;
+    u32 k;
+  };
+  std::vector<RiceSegment> all;
+  for (const auto& ps : sets) {
+    const auto add = [&](const mgard::PlaneSegment& seg) {
+      if (seg.data.size() < 10 || seg.data[0] != std::byte{3}) return;
+      u64 ones = 0;
+      for (u32 b = 0; b < 8; ++b)
+        ones |= static_cast<u64>(seg.data[2 + b]) << (8 * b);
+      all.push_back({&seg, ps.count, ones, static_cast<u32>(seg.data[1])});
+      if (mgard::decode_segment(seg, ps.count) !=
+          seedcodec::decode_segment(seg, ps.count)) {
+        std::fprintf(stderr, "FATAL: seed and kernel Rice decoders disagree\n");
+        std::abort();
+      }
+    };
+    add(ps.sign);
+    for (const auto& p : ps.planes) add(p);
+  }
+
+  std::vector<RiceResult> rows;
+  const auto bench_group = [&](std::string name, u32 k_lo, u32 k_hi) {
+    std::vector<const RiceSegment*> group;
+    for (const auto& r : all)
+      if (r.k >= k_lo && r.k <= k_hi) group.push_back(&r);
+    if (group.empty()) return;
+    RiceResult row;
+    row.name = std::move(name);
+    row.segments = group.size();
+    for (const auto* r : group) {
+      row.set_bits += r->ones;
+      row.stream_bytes += r->seg->data.size() - 10;
+    }
+    const auto run_seed = [&] {
+      for (const auto* r : group)
+        (void)seedcodec::decode_segment(*r->seg, r->num_bits);
+    };
+    const auto run_new = [&] {
+      for (const auto* r : group)
+        (void)mgard::decode_segment(*r->seg, r->num_bits);
+    };
+    // Repeat small groups until the slower (seed) side takes ~30 ms.
+    const f64 once = seconds_of(run_seed);
+    const int iters = static_cast<int>(std::clamp(0.03 / once, 1.0, 1000.0));
+    const PairTiming t = time_pair(
+        [&] {
+          return seconds_of([&] {
+            for (int i = 0; i < iters; ++i) run_seed();
+          });
+        },
+        [&] {
+          return seconds_of([&] {
+            for (int i = 0; i < iters; ++i) run_new();
+          });
+        },
+        9);
+    const f64 bits = static_cast<f64>(row.set_bits) * iters;
+    const f64 bytes = static_cast<f64>(row.stream_bytes) * iters;
+    row.seed_ns_per_bit = t.best_a / bits * 1e9;
+    row.new_ns_per_bit = t.best_b / bits * 1e9;
+    row.seed_stream_gbps = bytes / t.best_a / 1e9;
+    row.new_stream_gbps = bytes / t.best_b / 1e9;
+    row.speedup = t.speedup;
+    rows.push_back(row);
+  };
+  for (u32 k = 0; k <= 3; ++k)
+    bench_group("k" + std::to_string(k), k, k);
+  bench_group("k4plus", 4, 63);
+  bench_group("all", 0, 63);
+  return rows;
+}
+
 // Host fingerprint for the JSON context: rows recorded on different hosts
 // are not comparable in absolute terms.
 std::string cpu_model() {
@@ -991,6 +1100,23 @@ int main_impl(int argc, char** argv) {
               "combined %.2fx\n",
               codec_enc_sp, codec_dec_sp, codec_sp);
 
+  // --- Rice decode per k, single thread ---
+  const std::vector<RiceResult> rice = bench_rice();
+  std::printf("\nRice decode per parameter k, single thread, every Rice "
+              "segment of %s at %llux%llux%llu\n",
+              kRiceField, static_cast<unsigned long long>(kRiceDims.nx),
+              static_cast<unsigned long long>(kRiceDims.ny),
+              static_cast<unsigned long long>(kRiceDims.nz));
+  std::printf("%-8s %5s %11s %10s %10s %10s %10s %8s\n", "k", "segs",
+              "set bits", "seed ns/b", "new ns/b", "seed GB/s", "new GB/s",
+              "speedup");
+  for (const auto& r : rice)
+    std::printf("%-8s %5llu %11llu %10.3f %10.3f %10.3f %10.3f %7.2fx\n",
+                r.name.c_str(), static_cast<unsigned long long>(r.segments),
+                static_cast<unsigned long long>(r.set_bits), r.seed_ns_per_bit,
+                r.new_ns_per_bit, r.seed_stream_gbps, r.new_stream_gbps,
+                r.speedup);
+
   if (argc > 1) {
     std::FILE* f = std::fopen(argv[1], "w");
     if (f == nullptr) {
@@ -1040,6 +1166,27 @@ int main_impl(int argc, char** argv) {
                    c.name.c_str(), c.seed_encode_gbps, c.new_encode_gbps,
                    c.seed_decode_gbps, c.new_decode_gbps, c.encode_speedup,
                    c.decode_speedup, i + 1 == codec.size() ? "" : ",");
+    }
+    std::fprintf(f, "  ],\n");
+    std::fprintf(f, "  \"rice_field\": \"%s %llux%llux%llu\",\n",
+                 kRiceField, static_cast<unsigned long long>(kRiceDims.nx),
+                 static_cast<unsigned long long>(kRiceDims.ny),
+                 static_cast<unsigned long long>(kRiceDims.nz));
+    std::fprintf(f, "  \"rice_decode\": [\n");
+    for (std::size_t i = 0; i < rice.size(); ++i) {
+      const auto& r = rice[i];
+      std::fprintf(f,
+                   "    {\"name\": \"%s\", \"segments\": %llu, "
+                   "\"set_bits\": %llu, \"stream_bytes\": %llu, "
+                   "\"seed_ns_per_bit\": %.3f, \"new_ns_per_bit\": %.3f, "
+                   "\"seed_stream_gbps\": %.3f, \"new_stream_gbps\": %.3f, "
+                   "\"speedup\": %.3f}%s\n",
+                   r.name.c_str(), static_cast<unsigned long long>(r.segments),
+                   static_cast<unsigned long long>(r.set_bits),
+                   static_cast<unsigned long long>(r.stream_bytes),
+                   r.seed_ns_per_bit, r.new_ns_per_bit, r.seed_stream_gbps,
+                   r.new_stream_gbps, r.speedup,
+                   i + 1 == rice.size() ? "" : ",");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"codec_encode_speedup_vs_seed\": %.3f,\n",

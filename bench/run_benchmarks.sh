@@ -15,7 +15,8 @@
 # re-runs the refactor-kernels bench into a temp file and compares speedups
 # measured within one run against the same speedups in the committed
 # BENCH_refactor.json: each kernel's dispatched/scalar, the transform's
-# dispatched/seed, and the codec's new/seed over the whole plane set. Both
+# dispatched/seed, the codec's new/seed over the whole plane set, and the
+# Rice decoder's new/seed over every Rice segment of one field. Both
 # sides of a speedup are timed as interleaved pairs on the run's host (median
 # of per-rep ratios), so a faster or slower machine moves neither. Any
 # speedup >15% below baseline fails, as does a baseline row the run no longer
@@ -65,6 +66,10 @@ def ratios(doc):
             continue
         for op in ("encode", "decode"):
             out[f"codec/{e['name']}.{op}_speedup"] = e.get(f"{op}_speedup")
+    # Rice decode: every Rice segment of one generator field, all k at once.
+    for e in doc.get("rice_decode", []):
+        if e["name"] == "all":
+            out["rice_decode/all.speedup"] = e.get("speedup")
     return {k: v for k, v in out.items() if v}
 
 

@@ -20,10 +20,12 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # The suites where shared mutable state is exercised; everything else is
 # covered by the plain tier-1 run. kernel_test and mgard_test ride along for
 # the vectorized refactor kernels: ASan/UBSan over the intrinsics paths and
-# TSan over the panel-parallel sweeps.
+# TSan over the panel-parallel sweeps. gather_test and solver_test cover the
+# ACO planner's reused buffers.
 SUITES=(parallel_test pipeline_test pipeline_batch_test progressive_test storage_test
         fault_injector_test chaos_test kernel_test mgard_test streaming_test
-        control_test control_chaos_test service_test service_chaos_test)
+        control_test control_chaos_test service_test service_chaos_test
+        gather_test solver_test)
 
 run_tree() {
   local dir="$1" sanitize="$2"

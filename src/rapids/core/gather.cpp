@@ -131,9 +131,29 @@ GatherPlan optimized_plan(const GatherProblem& problem,
 
   const solver::SubsetAco aco(problem.n, f.needed, allowed, bias);
 
+  // Eq. 10 straight from the selection, without building transfer lists:
+  // per-system request counts, then bytes / (bw / count) summed in
+  // plan_transfers order and divided by the number of transfers. These are
+  // the operations of equal_share_mean_time(plan_transfers(problem, s), ...)
+  // in the same order, so the solver compares exactly the values
+  // evaluate_plan reports.
+  std::vector<u64> frag(f.needed.size());
+  for (u32 j = 0; j < frag.size(); ++j) frag[j] = problem.fragment_bytes(j + 1);
+  std::vector<u32> count(problem.n);
   const auto objective = [&](const solver::Selection& s) {
-    return net::equal_share_mean_time(plan_transfers(problem, s),
-                                      problem.bandwidths);
+    std::fill(count.begin(), count.end(), 0u);
+    u64 transfers = 0;
+    for (const auto& row : s) {
+      for (u32 sys : row) ++count[sys];
+      transfers += row.size();
+    }
+    if (transfers == 0) return 0.0;
+    f64 sum = 0.0;
+    for (u32 j = 0; j < s.size(); ++j)
+      for (u32 sys : s[j])
+        sum += static_cast<f64>(frag[j]) /
+               (problem.bandwidths[sys] / static_cast<f64>(count[sys]));
+    return sum / static_cast<f64>(transfers);
   };
 
   const GatherPlan warm = naive_plan(problem);

@@ -89,7 +89,7 @@ std::string generation_storage_name(const std::string& name, u32 generation) {
 Bytes ObjectRecord::serialize() const {
   ByteWriter w;
   w.put_u32(kRecordMagic);
-  w.put_u16(2);
+  w.put_u16(3);
   w.put_bytes(as_bytes_view(meta.serialize_metadata()));
   w.put_u32(static_cast<u32>(ft.size()));
   for (u32 m : ft) w.put_u32(m);
@@ -101,6 +101,8 @@ Bytes ObjectRecord::serialize() const {
   w.put_u32(generation);
   w.put_f64(planned_p);
   w.put_f64(planned_error);
+  // v3 tail: the prepare epoch.
+  w.put_u64(epoch);
   return w.take();
 }
 
@@ -108,7 +110,7 @@ ObjectRecord ObjectRecord::deserialize(std::span<const std::byte> data) {
   ByteReader r(data);
   if (r.get_u32() != kRecordMagic) throw io_error("ObjectRecord: bad magic");
   const u16 version = r.get_u16();
-  if (version != 1 && version != 2)
+  if (version < 1 || version > 3)
     throw io_error("ObjectRecord: bad version");
   ObjectRecord rec;
   rec.meta = mgard::RefactoredObject::deserialize_metadata(r.get_bytes());
@@ -131,6 +133,8 @@ ObjectRecord ObjectRecord::deserialize(std::span<const std::byte> data) {
     rec.planned_p = r.get_f64();
     rec.planned_error = r.get_f64();
   }
+  // v1/v2 records predate prepare epochs: they read as epoch 0.
+  if (version >= 3) rec.epoch = r.get_u64();
   return rec;
 }
 
@@ -464,10 +468,11 @@ PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
   record.placement = config_.placement;
   record.planned_p = cluster_.config().failure_prob;
   record.planned_error = solution->expected_error;
-  const Bytes record_bytes = record.serialize();
   {
     std::lock_guard<std::mutex> lock(io_mu_);
     const auto prior = lookup(name);
+    if (prior) record.epoch = prior->epoch + 1;
+    const Bytes record_bytes = record.serialize();
     db_.put(object_key(name),
             std::string(reinterpret_cast<const char*>(record_bytes.data()),
                         record_bytes.size()));
@@ -1037,6 +1042,14 @@ RestoreReport RapidsPipeline::advance(RefineSession& session, f64 rel_bound,
   snapshot_problem(session.name_, record, problem);
   const u32 nlevels = static_cast<u32>(record->ft.size());
 
+  // A re-prepare or an aging since the last rung replaced the payloads the
+  // session decoded: start over rather than merge planes of two payloads.
+  if (session.epoch_ && *session.epoch_ != record->epoch) {
+    session.restart();
+    report.session_restarted = true;
+  }
+  session.epoch_ = record->epoch;
+
   // Resolve the requested bound to a target prefix: the fewest retrieval
   // levels whose guaranteed e_j meets it, or all of them when even the full
   // representation cannot.
@@ -1326,6 +1339,7 @@ u64 RapidsPipeline::age_object(const std::string& name, u32 keep_levels) {
   record->ft.resize(keep_levels);
   record->level_sizes.resize(keep_levels);
   record->meta.levels.resize(keep_levels);
+  ++record->epoch;
   const Bytes wire = record->serialize();
   db_.put(object_key(name),
           std::string(reinterpret_cast<const char*>(wire.data()), wire.size()));

@@ -116,6 +116,10 @@ struct ObjectRecord {
   /// Eq. 5 expected error the optimizer promised under planned_p; the
   /// controller re-evaluates against this margin as availability moves.
   f64 planned_error = 0.0;
+  /// Prepare epoch: bumped by every prepare() and age_object() of the name,
+  /// so a refine session can tell that the payloads it decoded are gone. A
+  /// generation flip keeps it (a flip moves the same payload bytes).
+  u64 epoch = 0;
 
   /// The name fragment keys of the current generation are stored under.
   std::string storage_name(const std::string& name) const {
@@ -200,6 +204,10 @@ struct RestoreReport {
   u32 cache_misses = 0;         ///< levels that had to be fetched
   u32 cache_corrupt = 0;        ///< cached levels evicted on CRC mismatch
   bool plan_reused = false;     ///< gathering plan reused from the session
+  /// The session's object was re-prepared or aged since its last rung, so
+  /// this rung dropped everything the session held and restarted from
+  /// level 0 rather than merge planes of two different payloads.
+  bool session_restarted = false;
   u32 levels_streamed = 0;      ///< levels delivered incrementally as their
                                 ///< fragment quorum landed
 };
@@ -250,8 +258,21 @@ class RefineSession {
     plan_available_.clear();
   }
 
+  /// Drop everything materialized: back to a session with no rung run.
+  void restart() {
+    cursor_ = 0;
+    bound_ = 1.0;
+    data_.clear();
+    plane_sets_.clear();
+    pstates_.clear();
+    clear_plan();
+  }
+
   mutable std::mutex mu_;
   const std::string name_;
+  /// ObjectRecord::epoch of the record the session's state was built from
+  /// (unset before the first rung).
+  std::optional<u64> epoch_;
   u32 cursor_ = 0;   ///< retrieval levels materialized into data_
   f64 bound_ = 1.0;  ///< rel error bound at cursor_
   std::vector<f32> data_;

@@ -226,48 +226,180 @@ void rice_emit_s(const u64* pos, u64 count, u32 k, u64* bits) {
   }
 }
 
-bool rice_expand_s(const u64* stream, u64 stream_bits, u64 ones, u32 k,
-                   u64 num_bits, u64* words) {
-  // k <= 63 and ones <= num_bits are validated by the caller; here only the
-  // stream itself can be malformed. Positions must stay < num_bits and the
-  // stream must hold every coded bit — zero padding past stream_bits never
-  // fabricates gaps because a unary run into the padding trips the
-  // bitpos >= stream_bits check before a terminator can be found.
+/// One Rice codeword at stream bit `bitpos`, output position `prev`: the
+/// one-codeword decoder every k >= 1 falls back to, and the only place such
+/// a body is rejected. k <= 63 and ones <= num_bits are validated by the
+/// caller; here only the stream itself can be malformed. Positions must stay
+/// < num_bits and the stream must hold every coded bit — zero padding past
+/// stream_bits never fabricates gaps because a unary run into the padding
+/// trips the bitpos >= stream_bits check before a terminator can be found.
+inline bool rice_step(const u64* stream, u64 stream_bits, u32 k, u64 num_bits,
+                      u64* words, u64& bitpos, u64& prev) {
   const u64 low_mask = k == 0 ? 0 : (u64{1} << k) - 1;
   const u64 q_limit = num_bits >> k;  // any valid gap has gap >> k <= this
+  u64 q = 0;
+  for (;;) {
+    if (bitpos >= stream_bits) return false;
+    const u32 off = static_cast<u32>(bitpos & 63);
+    const u64 w = stream[bitpos >> 6] >> off;
+    if (w == 0) {
+      q += 64 - off;
+      bitpos += 64 - off;
+      if (q > q_limit) return false;
+      continue;
+    }
+    const u32 z = static_cast<u32>(std::countr_zero(w));
+    q += z;
+    bitpos += z + u64{1};
+    break;
+  }
+  if (q > q_limit) return false;
+  u64 low = 0;
+  if (k != 0) {
+    if (bitpos + k > stream_bits) return false;
+    const u32 off = static_cast<u32>(bitpos & 63);
+    u64 v = stream[bitpos >> 6] >> off;
+    if (off + k > 64) v |= stream[(bitpos >> 6) + 1] << (64 - off);
+    low = v & low_mask;
+    bitpos += k;
+  }
+  const u64 pos = prev + ((q << k) | low);
+  if (pos >= num_bits) return false;
+  words[pos >> 6] |= u64{1} << (pos & 63);
+  prev = pos + 1;
+  return true;
+}
+
+/// k = 0: a codeword is `gap` zeros then a one, so the stream is the plane
+/// itself up to its `ones`-th set bit (the encoder sizes it as pos_last + 1).
+/// Accepts exactly when rice_step would: the stream holds >= ones set bits
+/// and the ones-th lies below num_bits. Later set bits are ignored.
+bool rice_copy_k0(const u64* stream, u64 stream_bits, u64 ones, u64 num_bits,
+                  u64* words) {
+  if (ones == 0) return true;
+  const u64 nwords = (stream_bits + 63) >> 6;
+  u64 seen = 0;
+  for (u64 w = 0; w < nwords; ++w) {
+    const u64 c = static_cast<u64>(std::popcount(stream[w]));
+    if (seen + c < ones) {
+      seen += c;
+      continue;
+    }
+    u64 x = stream[w];
+    for (u64 r = ones - seen; r > 1; --r) x &= x - 1;  // drop lower set bits
+    const u32 bit = static_cast<u32>(std::countr_zero(x));
+    if (w * 64 + bit >= num_bits) return false;
+    std::copy(stream, stream + w, words);
+    words[w] = stream[w] & (~u64{0} >> (63 - bit));
+    return true;
+  }
+  return false;
+}
+
+/// Decode tables for k = 1..3. Entry v describes the complete codewords at
+/// the front of a 12-bit stream window v, as many as fit with at most 48
+/// output bits: bits 0-47 the output pattern (each gap's zeros, then its
+/// one), 48-51 stream bits used, 52-57 output bits produced, 58-61 codeword
+/// count. An entry whose first codeword does not fit is all zero.
+constexpr u32 kRiceWindowBits = 12;
+constexpr u32 kRicePatternBits = 48;
+constexpr u32 kRiceTableMaxK = 3;
+constexpr u32 kRiceStepsPerWindow = 4;  // 4 x 12 stream bits fit one word
+
+struct RiceTable {
+  u64 entry[u64{1} << kRiceWindowBits];
+};
+
+constexpr RiceTable make_rice_table(u32 k) {
+  RiceTable t{};
+  for (u32 v = 0; v < (1u << kRiceWindowBits); ++v) {
+    u32 used = 0, out = 0, count = 0;
+    u64 pattern = 0;
+    for (;;) {
+      u32 b = used;
+      while (b < kRiceWindowBits && ((v >> b) & 1) == 0) ++b;
+      if (b + 1 + k > kRiceWindowBits) break;  // terminator or low bits cut
+      const u32 gap = ((b - used) << k) | ((v >> (b + 1)) & ((1u << k) - 1));
+      if (out + gap + 1 > kRicePatternBits) break;
+      pattern |= u64{1} << (out + gap);
+      out += gap + 1;
+      used = b + 1 + k;
+      ++count;
+    }
+    t.entry[v] = pattern | u64{used} << 48 | u64{out} << 52 | u64{count} << 58;
+  }
+  return t;
+}
+
+constexpr RiceTable kRiceTables[kRiceTableMaxK] = {
+    make_rice_table(1), make_rice_table(2), make_rice_table(3)};
+
+/// Table-driven run for k = 1..3: up to four lookups per 64-bit stream
+/// window, while every bit they can touch is known safe — the window lies in
+/// whole stream words, enough codewords remain, and every position they can
+/// emit is < num_bits. Under those conditions rice_step would accept each of
+/// these codewords and set the same bits, so the run stops rather than
+/// reject. The current output word stays in a register and is stored once.
+/// Returns the codewords decoded (0 when the run could not start).
+u64 rice_table_run(const RiceTable& table, u32 k, const u64* stream,
+                   u64 stream_bits, u64 left, u64 num_bits, u64* words,
+                   u64& bitpos, u64& prev) {
+  const u64 max_per_window = kRiceStepsPerWindow * (kRiceWindowBits / (k + 1));
+  const u64 max_out = kRiceStepsPerWindow * kRicePatternBits;
+  const u64 whole_words = stream_bits >> 6;
+  const auto can_step = [&](u64 done) {
+    return left - done >= max_per_window && prev + max_out < num_bits &&
+           (bitpos >> 6) + 2 <= whole_words;
+  };
+  if (!can_step(0)) return 0;
+  u64 done = 0;
+  u64 idx = prev >> 6;
+  u64 cur = words[idx];
+  do {
+    const u32 off = static_cast<u32>(bitpos & 63);
+    u64 win = stream[bitpos >> 6] >> off;
+    if (off != 0) win |= stream[(bitpos >> 6) + 1] << (64 - off);
+    u32 used = 0;
+    for (u32 s = 0; s < kRiceStepsPerWindow; ++s) {
+      const u64 e = table.entry[win & ((u64{1} << kRiceWindowBits) - 1)];
+      const u32 len = static_cast<u32>(e >> 48) & 15;
+      if (len == 0) break;  // first codeword longer than the window
+      const u64 pattern = e & ((u64{1} << kRicePatternBits) - 1);
+      const u32 out = static_cast<u32>(e >> 52) & 63;
+      const u32 o = static_cast<u32>(prev & 63);
+      cur |= pattern << o;
+      if (o + out >= 64) {  // o >= 16 here, so the spill shift is < 64
+        words[idx++] = cur;
+        cur = pattern >> (64 - o);
+      }
+      prev += out;
+      done += e >> 58;
+      win >>= len;
+      used += len;
+    }
+    if (used == 0) break;
+    bitpos += used;
+  } while (can_step(done));
+  words[idx] = cur;
+  return done;
+}
+
+bool rice_expand_s(const u64* stream, u64 stream_bits, u64 ones, u32 k,
+                   u64 num_bits, u64* words) {
+  if (k == 0) return rice_copy_k0(stream, stream_bits, ones, num_bits, words);
+  const RiceTable* table = k <= kRiceTableMaxK ? &kRiceTables[k - 1] : nullptr;
   u64 bitpos = 0;
   u64 prev = 0;
-  for (u64 i = 0; i < ones; ++i) {
-    u64 q = 0;
-    for (;;) {
-      if (bitpos >= stream_bits) return false;
-      const u32 off = static_cast<u32>(bitpos & 63);
-      const u64 w = stream[bitpos >> 6] >> off;
-      if (w == 0) {
-        q += 64 - off;
-        bitpos += 64 - off;
-        if (q > q_limit) return false;
-        continue;
-      }
-      const u32 z = static_cast<u32>(std::countr_zero(w));
-      q += z;
-      bitpos += z + u64{1};
-      break;
+  u64 i = 0;
+  while (i < ones) {
+    if (table != nullptr) {
+      i += rice_table_run(*table, k, stream, stream_bits, ones - i, num_bits,
+                          words, bitpos, prev);
+      if (i == ones) break;
     }
-    if (q > q_limit) return false;
-    u64 low = 0;
-    if (k != 0) {
-      if (bitpos + k > stream_bits) return false;
-      const u32 off = static_cast<u32>(bitpos & 63);
-      u64 v = stream[bitpos >> 6] >> off;
-      if (off + k > 64) v |= stream[(bitpos >> 6) + 1] << (64 - off);
-      low = v & low_mask;
-      bitpos += k;
-    }
-    const u64 pos = prev + ((q << k) | low);
-    if (pos >= num_bits) return false;
-    words[pos >> 6] |= u64{1} << (pos & 63);
-    prev = pos + 1;
+    if (!rice_step(stream, stream_bits, k, num_bits, words, bitpos, prev))
+      return false;
+    ++i;
   }
   return true;
 }

@@ -127,7 +127,14 @@ struct CodecOps {
   /// Decode `ones` Rice gaps from stream[0..ceil(stream_bits/64)) (LSB-first,
   /// zero-padded past stream_bits) and set the positions in words
   /// (pre-zeroed, ceil(num_bits/64) words). Returns false on any malformed
-  /// body: truncated stream, gap overflow, or a position >= num_bits.
+  /// body: truncated stream, gap overflow, or a position >= num_bits; words
+  /// are then unspecified. One integer decoder serves every tier: k = 0 is a
+  /// checked copy of the stream, k = 1..3 decode several codewords per
+  /// 12-bit table lookup, and a one-codeword loop takes k >= 4, codewords
+  /// longer than the table window and the stream's tail. For k >= 1 that
+  /// loop makes every rejection, and the k = 0 copy rejects exactly what it
+  /// would, so accept/reject and the words are those of a plain
+  /// one-codeword decode for every input.
   bool (*rice_expand)(const u64* stream, u64 stream_bits, u64 ones, u32 k,
                       u64 num_bits, u64* words);
 };

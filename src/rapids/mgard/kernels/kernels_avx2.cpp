@@ -426,9 +426,10 @@ constexpr BitplaneOps kAvx2BitplaneOps{&max_abs_avx2, &quantize64_avx2,
 //
 // All integer-exact, so bit-identity with the scalar tier is structural.
 // rice_emit / rice_expand / sparse_expand stay on the scalar entry points
-// (serial bit packing with loop-carried positions); the vector wins are the
-// streaming stats, bitmap construction, set-bit extraction, and gap-length
-// reduction that feed them.
+// (serial bit packing with loop-carried positions; rice_expand's speed comes
+// from its decode tables, not from vector registers, so one decoder serves
+// every tier); the vector wins are the streaming stats, bitmap construction,
+// set-bit extraction, and gap-length reduction that feed them.
 
 void segment_stats_avx2(const u64* words, u64 n, u64* ones,
                         u64* nonzero_words) {

@@ -168,8 +168,9 @@ constexpr RowOps kNeonRowOps{
 //
 // Integer-exact, so bit-identity with the scalar reference is structural.
 // Only the streaming reductions get NEON forms; the serial bit-packing entry
-// points (rice_emit / rice_expand) and the extraction/scatter loops stay on
-// the scalar reference via the copied table below.
+// points (rice_emit / rice_expand, the latter table-driven and shared by
+// every tier) and the extraction/scatter loops stay on the scalar reference
+// via the copied table below.
 
 void segment_stats_neon(const u64* words, u64 n, u64* ones,
                         u64* nonzero_words) {

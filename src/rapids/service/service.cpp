@@ -476,9 +476,16 @@ void ObjectService::process_event(const CompletionEvent& ev) {
     ++stats_.completed;
     if (p.brownout) ++ts.brownouts;
     const auto pit = profiles_.find(p.req.object);
-    if (pit != profiles_.end())
-      pit->second.served_levels =
-          std::max(pit->second.served_levels, p.levels_used);
+    if (pit != profiles_.end()) {
+      // A prepare replaced the object: its sizes, bounds and served levels
+      // are re-read from the new record on the next request.
+      if (p.req.verb == Verb::kPrepare) {
+        profiles_.erase(pit);
+      } else {
+        pit->second.served_levels =
+            std::max(pit->second.served_levels, p.levels_used);
+      }
+    }
   }
   record_decision(Decision::kComplete, ev.id);
   completed_.push_back(std::move(r));

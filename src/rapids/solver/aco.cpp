@@ -60,20 +60,37 @@ AcoResult SubsetAco::solve(const Objective& objective, const AcoOptions& options
     result.evaluations += 1;
   }
 
-  // Construct one ant's selection.
-  auto construct = [&](Rng& r) {
-    Selection s(groups);
+  // Sampling order per group: its allowed items, ascending. pow(bias, beta)
+  // is fixed for the solve, and tau moves only between iterations, so the
+  // construction weights pow(tau, alpha) * pow(bias, beta) are computed once
+  // per iteration and shared by all of its ants.
+  std::vector<std::vector<u32>> candidates(groups);
+  std::vector<std::vector<f64>> weights(groups);
+  for (std::size_t g = 0; g < groups; ++g) {
+    for (u32 i = 0; i < num_items_; ++i)
+      if (allowed_[g][i]) candidates[g].push_back(i);
+    weights[g].resize(candidates[g].size());
+  }
+  std::vector<f64> bias_pow(num_items_);
+  for (u32 i = 0; i < num_items_; ++i)
+    bias_pow[i] = std::pow(bias_[i], options.beta);
+
+  // Per-ant scratch, reused by every ant of the solve.
+  std::vector<u32> pool;
+  std::vector<f64> weight;
+  pool.reserve(num_items_);
+  weight.reserve(num_items_);
+  Selection ant(groups);
+  Selection iter_best(groups);
+
+  // Construct one ant's selection into `s`.
+  auto construct = [&](Rng& r, Selection& s) {
     for (std::size_t g = 0; g < groups; ++g) {
       // Weighted sampling without replacement.
-      std::vector<u32> pool;
-      std::vector<f64> weight;
-      for (u32 i = 0; i < num_items_; ++i) {
-        if (!allowed_[g][i]) continue;
-        pool.push_back(i);
-        weight.push_back(std::pow(tau[g][i], options.alpha) *
-                         std::pow(bias_[i], options.beta));
-      }
+      pool.assign(candidates[g].begin(), candidates[g].end());
+      weight.assign(weights[g].begin(), weights[g].end());
       auto& sel = s[g];
+      sel.clear();
       for (u32 pick = 0; pick < group_sizes_[g]; ++pick) {
         f64 total = 0.0;
         for (f64 w : weight) total += w;
@@ -93,23 +110,27 @@ AcoResult SubsetAco::solve(const Objective& objective, const AcoOptions& options
       }
       std::sort(sel.begin(), sel.end());
     }
-    return s;
   };
 
   for (u32 it = 0; it < options.iterations; ++it) {
     if (options.time_budget_seconds > 0.0 &&
         timer.seconds() >= options.time_budget_seconds)
       break;
-    Selection iter_best;
+    for (std::size_t g = 0; g < groups; ++g)
+      for (std::size_t c = 0; c < candidates[g].size(); ++c)
+        weights[g][c] = std::pow(tau[g][candidates[g][c]], options.alpha) *
+                        bias_pow[candidates[g][c]];
+    bool have_iter_best = false;
     f64 iter_best_value = std::numeric_limits<f64>::infinity();
     for (u32 a = 0; a < options.ants; ++a) {
       Rng ant_rng = rng.fork();
-      Selection s = construct(ant_rng);
-      const f64 v = objective(s);
+      construct(ant_rng, ant);
+      const f64 v = objective(ant);
       result.evaluations += 1;
       if (v < iter_best_value) {
         iter_best_value = v;
-        iter_best = std::move(s);
+        iter_best = ant;  // copy-assign: reuses iter_best's buffers
+        have_iter_best = true;
       }
     }
     if (iter_best_value < result.best_value) {
@@ -125,7 +146,7 @@ AcoResult SubsetAco::solve(const Objective& objective, const AcoOptions& options
       for (std::size_t g = 0; g < groups; ++g)
         for (u32 i : s[g]) tau[g][i] += amount;
     };
-    if (!iter_best.empty()) deposit(iter_best, iter_best_value, 1.0);
+    if (have_iter_best) deposit(iter_best, iter_best_value, 1.0);
     if (!result.best.empty()) deposit(result.best, result.best_value, 1.0);
     result.iterations_run = it + 1;
   }

@@ -530,9 +530,11 @@ TEST(ObjectRecordWire, V2RoundTripsGenerationAndPlan) {
   copy.generation = 5;
   copy.planned_p = 0.2;
   copy.planned_error = 3e-3;
+  copy.epoch = 9;
   const auto back =
       core::ObjectRecord::deserialize(as_bytes_view(copy.serialize()));
   EXPECT_EQ(back.generation, 5u);
+  EXPECT_EQ(back.epoch, 9u);
   EXPECT_DOUBLE_EQ(back.planned_p, 0.2);
   EXPECT_DOUBLE_EQ(back.planned_error, 3e-3);
   EXPECT_EQ(back.ft, rec->ft);
@@ -546,11 +548,12 @@ TEST(ObjectRecordWire, V1RecordsDeserializeWithDefaults) {
   const auto rec = w.pipeline->snapshot_record("obj");
   ASSERT_TRUE(rec.has_value());
 
-  // A v1 record is the v2 wire minus the 20-byte control-plane tail
-  // (u32 generation + 2 x f64), with the version field patched to 1.
-  Bytes v2 = rec->serialize();
-  ASSERT_GT(v2.size(), 26u);
-  Bytes v1(v2.begin(), v2.end() - 20);
+  // A v1 record is the v3 wire minus the 20-byte control-plane tail
+  // (u32 generation + 2 x f64) and the 8-byte epoch, with the version field
+  // patched to 1.
+  Bytes v3 = rec->serialize();
+  ASSERT_GT(v3.size(), 34u);
+  Bytes v1(v3.begin(), v3.end() - 28);
   v1[4] = std::byte{1};  // u16 version, little-endian, after the u32 magic
   v1[5] = std::byte{0};
 
@@ -560,6 +563,30 @@ TEST(ObjectRecordWire, V1RecordsDeserializeWithDefaults) {
   EXPECT_DOUBLE_EQ(back.planned_error, 0.0);
   EXPECT_EQ(back.ft, rec->ft);
   EXPECT_EQ(back.level_sizes, rec->level_sizes);
+  EXPECT_EQ(back.epoch, 0u);
+}
+
+TEST(ObjectRecordWire, V2RecordsDeserializeAsEpochZero) {
+  RecordWorld w;
+  const Dims dims{17, 17, 9};
+  const auto field = data::scale_temperature(dims, 4);
+  w.pipeline->prepare(field, dims, "obj");
+  w.pipeline->prepare(field, dims, "obj");  // epoch 1
+  const auto rec = w.pipeline->snapshot_record("obj");
+  ASSERT_TRUE(rec.has_value());
+  ASSERT_EQ(rec->epoch, 1u);
+
+  // A v2 record is the v3 wire minus the trailing u64 epoch.
+  Bytes v3 = rec->serialize();
+  Bytes v2(v3.begin(), v3.end() - 8);
+  v2[4] = std::byte{2};
+  v2[5] = std::byte{0};
+  const auto back = core::ObjectRecord::deserialize(as_bytes_view(v2));
+  EXPECT_EQ(back.epoch, 0u);
+  EXPECT_EQ(back.generation, rec->generation);
+  EXPECT_DOUBLE_EQ(back.planned_p, rec->planned_p);
+  EXPECT_DOUBLE_EQ(back.planned_error, rec->planned_error);
+  EXPECT_EQ(back.ft, rec->ft);
 }
 
 // --- two-phase migration primitives ---

@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "rapids/mgard/bitplane.hpp"
@@ -809,7 +813,7 @@ TEST(Codec, KernelMatrixBitIdenticalAcrossIsa) {
         EXPECT_EQ(expanded, plane);
 
         if (ones == 0) continue;
-        for (u32 k : {0u, 1u, 5u, 13u}) {
+        for (u32 k : {0u, 1u, 2u, 3u, 5u, 13u}) {
           const u64 bits = ops.rice_length_bits(pos.data(), ones, k);
           ASSERT_EQ(bits, ref.rice_length_bits(pos_ref.data(), ones, k))
               << "k=" << k;
@@ -825,6 +829,294 @@ TEST(Codec, KernelMatrixBitIdenticalAcrossIsa) {
           EXPECT_EQ(back, plane) << "k=" << k;
         }
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// riceref: the plain one-codeword Rice decoder (rice_expand's fallback loop,
+// run for every codeword), kept verbatim as the differential arbiter.
+// rice_expand must agree with it on accept/reject for every input and, when
+// both accept, on every output word.
+// ---------------------------------------------------------------------------
+namespace riceref {
+
+bool rice_expand(const u64* stream, u64 stream_bits, u64 ones, u32 k,
+                 u64 num_bits, u64* words) {
+  const u64 low_mask = k == 0 ? 0 : (u64{1} << k) - 1;
+  const u64 q_limit = num_bits >> k;  // any valid gap has gap >> k <= this
+  u64 bitpos = 0;
+  u64 prev = 0;
+  for (u64 i = 0; i < ones; ++i) {
+    u64 q = 0;
+    for (;;) {
+      if (bitpos >= stream_bits) return false;
+      const u32 off = static_cast<u32>(bitpos & 63);
+      const u64 w = stream[bitpos >> 6] >> off;
+      if (w == 0) {
+        q += 64 - off;
+        bitpos += 64 - off;
+        if (q > q_limit) return false;
+        continue;
+      }
+      const u32 z = static_cast<u32>(std::countr_zero(w));
+      q += z;
+      bitpos += z + u64{1};
+      break;
+    }
+    if (q > q_limit) return false;
+    u64 low = 0;
+    if (k != 0) {
+      if (bitpos + k > stream_bits) return false;
+      const u32 off = static_cast<u32>(bitpos & 63);
+      u64 v = stream[bitpos >> 6] >> off;
+      if (off + k > 64) v |= stream[(bitpos >> 6) + 1] << (64 - off);
+      low = v & low_mask;
+      bitpos += k;
+    }
+    const u64 pos = prev + ((q << k) | low);
+    if (pos >= num_bits) return false;
+    words[pos >> 6] |= u64{1} << (pos & 63);
+    prev = pos + 1;
+  }
+  return true;
+}
+
+}  // namespace riceref
+
+// One decode under the contract (stream zero-padded past stream_bits, output
+// pre-zeroed), compared against riceref on every ISA tier. Returns whether
+// the reference accepted.
+bool expect_rice_matches(const std::vector<u64>& stream_in, u64 stream_bits,
+                         u64 ones, u32 k, u64 num_bits,
+                         const std::string& what) {
+  std::vector<u64> stream((stream_bits + 63) / 64, 0);
+  for (u64 i = 0; i < stream.size() && i < stream_in.size(); ++i)
+    stream[i] = stream_in[i];
+  if ((stream_bits & 63) != 0)
+    stream.back() &= (u64{1} << (stream_bits & 63)) - 1;
+  const u64 nwords = (num_bits + 63) / 64;
+  std::vector<u64> want(nwords, 0);
+  const bool ok = riceref::rice_expand(stream.data(), stream_bits, ones, k,
+                                       num_bits, want.data());
+  for (IsaLevel tier : {IsaLevel::kScalar, IsaLevel::kAvx2, IsaLevel::kNeon}) {
+    std::vector<u64> got(nwords, 0);
+    const bool got_ok = kernels::codec_ops_at(tier).rice_expand(
+        stream.data(), stream_bits, ones, k, num_bits, got.data());
+    EXPECT_EQ(got_ok, ok) << what << " tier=" << simd::isa_name(tier);
+    if (ok && got_ok) {
+      EXPECT_EQ(got, want) << what << " tier=" << simd::isa_name(tier);
+    }
+  }
+  return ok;
+}
+
+// The Rice stream of a plane at parameter k, with its exact bit length.
+std::vector<u64> rice_stream(const std::vector<u64>& plane, u32 k,
+                             u64* ones, u64* bits) {
+  const kernels::CodecOps& ref = kernels::codec_ops_scalar();
+  u64 nz = 0;
+  ref.segment_stats(plane.data(), plane.size(), ones, &nz);
+  std::vector<u64> pos(*ones + 7);
+  ref.bit_positions(plane.data(), plane.size(), pos.data());
+  *bits = ref.rice_length_bits(pos.data(), *ones, k);
+  std::vector<u64> stream((*bits + 63) / 64 + 1, 0);
+  ref.rice_emit(pos.data(), *ones, k, stream.data());
+  return stream;
+}
+
+std::vector<u64> bernoulli_plane(u64 num_bits, f64 p, u64 seed) {
+  std::vector<u64> w((num_bits + 63) / 64, 0);
+  Rng rng(seed);
+  for (u64 i = 0; i < num_bits; ++i)
+    if (rng.bernoulli(p)) w[i >> 6] |= u64{1} << (i & 63);
+  return w;
+}
+
+// Encode, then decode at the exact and the byte-rounded stream length (the
+// segment coder passes the latter); both must accept and round-trip.
+void expect_round_trip(const std::vector<u64>& plane, u32 k, u64 num_bits,
+                       const std::string& what) {
+  u64 ones = 0, bits = 0;
+  const auto stream = rice_stream(plane, k, &ones, &bits);
+  for (u64 sb : {bits, (bits + 7) / 8 * 8}) {
+    EXPECT_TRUE(expect_rice_matches(stream, sb, ones, k, num_bits,
+                                    what + " stream_bits=" + std::to_string(sb)))
+        << what;
+    std::vector<u64> back(plane.size(), 0);
+    ASSERT_TRUE(kernels::codec_ops().rice_expand(stream.data(), sb, ones, k,
+                                                 num_bits, back.data()))
+        << what;
+    EXPECT_EQ(back, plane) << what;
+  }
+}
+
+TEST(Codec, RiceDecodeMatchesReferenceEveryK) {
+  // Natural density: aim the mean gap at 1.5 * 2^k and decode with the
+  // parameter the segment coder would pick for the plane (the smallest k
+  // with 2^(k+1) >= mean gap, as in bitplane.cpp). Planes of 2^15 bits reach
+  // k = 12 this way; larger k only occur on planes too big for a unit test,
+  // so they are covered forced, below.
+  const u64 nbits = u64{1} << 15;
+  for (u32 target = 0; target <= 12; ++target) {
+    const f64 mean_gap = 1.5 * static_cast<f64>(u64{1} << target) + 0.5;
+    const auto plane = bernoulli_plane(nbits, 1.0 / mean_gap, 1000 + target);
+    u64 ones = 0, nz = 0;
+    kernels::codec_ops_scalar().segment_stats(plane.data(), plane.size(),
+                                              &ones, &nz);
+    ASSERT_GT(ones, 0u);
+    u32 k = 0;
+    while ((u64{2} << k) < std::max<u64>(1, nbits / ones) && k < 40) ++k;
+    expect_round_trip(plane, k, nbits,
+                      "natural target=" + std::to_string(target) +
+                          " k=" + std::to_string(k));
+  }
+  // Every k on dense, medium and sparse planes, whatever k they would pick.
+  for (u32 k = 0; k <= 40; ++k) {
+    for (f64 p : {0.45, 0.2, 0.03, 0.002}) {
+      const auto plane = bernoulli_plane(4097, p, k * 131 + 7);
+      expect_round_trip(plane, k, 4097,
+                        "forced k=" + std::to_string(k) +
+                            " p=" + std::to_string(p));
+    }
+  }
+}
+
+TEST(Codec, RiceDecodeMatchesReferenceAtEdges) {
+  // Plane lengths around 64-bit words and the 12-bit window, and counts of
+  // ones on both sides of the point where the table run hands over to the
+  // one-codeword loop.
+  const u64 lengths[] = {1,   2,   11,  12,  13,  63,  64,  65,  127, 128,
+                         129, 191, 192, 193, 255, 256, 257, 383, 384, 385};
+  for (u32 k = 0; k <= 5; ++k) {
+    for (u64 nbits : lengths) {
+      for (u64 ones = 0; ones <= std::min<u64>(nbits, 40); ++ones) {
+        // `ones` set bits at uniformly random positions (selection sampling).
+        std::vector<u64> plane((nbits + 63) / 64, 0);
+        Rng rng(nbits * 1009 + ones * 17 + k);
+        u64 placed = 0;
+        for (u64 i = 0; i < nbits && placed < ones; ++i) {
+          const u64 left_bits = nbits - i;
+          const u64 left_ones = ones - placed;
+          if (rng.next_below(left_bits) < left_ones) {
+            plane[i >> 6] |= u64{1} << (i & 63);
+            ++placed;
+          }
+        }
+        expect_round_trip(plane, k, nbits,
+                          "k=" + std::to_string(k) + " nbits=" +
+                              std::to_string(nbits) +
+                              " ones=" + std::to_string(ones));
+      }
+    }
+  }
+}
+
+TEST(Codec, RiceDecodeLongCodewordsFallBack) {
+  // Short gaps (several codewords per window) broken by gaps whose codeword
+  // outruns the 12-bit window or the 48-bit output pattern, at every offset.
+  const u64 nbits = 20000;
+  for (u32 k = 1; k <= 3; ++k) {
+    for (u64 long_gap : {20ull, 47ull, 48ull, 49ull, 71ull, 72ull, 300ull,
+                         5000ull}) {
+      std::vector<u64> plane((nbits + 63) / 64, 0);
+      Rng rng(long_gap * 7 + k);
+      u64 at = 0;
+      while (at < nbits) {
+        plane[at >> 6] |= u64{1} << (at & 63);
+        at += rng.bernoulli(0.1) ? long_gap : 1 + rng.next_below(4);
+      }
+      expect_round_trip(plane, k, nbits,
+                        "k=" + std::to_string(k) +
+                            " long_gap=" + std::to_string(long_gap));
+    }
+  }
+}
+
+TEST(Codec, RiceDecodeRejectsLikeReference) {
+  for (u32 k : {0u, 1u, 2u, 3u, 4u, 7u}) {
+    for (u64 nbits : {200ull, 700ull, 3000ull}) {
+      const auto plane = bernoulli_plane(nbits, 0.25, nbits + k);
+      u64 ones = 0, bits = 0;
+      const auto stream = rice_stream(plane, k, &ones, &bits);
+      const std::string tag =
+          "k=" + std::to_string(k) + " nbits=" + std::to_string(nbits);
+      // Truncated by 1..16 bits.
+      for (u64 cut = 1; cut <= 16 && cut <= bits; ++cut)
+        expect_rice_matches(stream, bits - cut, ones, k, nbits,
+                            tag + " cut=" + std::to_string(cut));
+      // One codeword more or fewer than were coded.
+      expect_rice_matches(stream, bits, ones + 1, k, nbits, tag + " ones+1");
+      if (ones > 0)
+        expect_rice_matches(stream, bits, ones - 1, k, nbits, tag + " ones-1");
+      // Padding past the stream: trailing zeros must not fabricate a gap.
+      expect_rice_matches(stream, bits + 64, ones + 1, k, nbits,
+                          tag + " padded ones+1");
+      // A plane one bit shorter than the coded positions need.
+      expect_rice_matches(stream, bits, ones, k, nbits - 1, tag + " nbits-1");
+      // Every single-bit flip of the short streams.
+      if (nbits > 200) continue;
+      for (u64 b = 0; b < bits; ++b) {
+        auto flipped = stream;
+        flipped[b >> 6] ^= u64{1} << (b & 63);
+        expect_rice_matches(flipped, bits, ones, k, nbits,
+                            tag + " flip=" + std::to_string(b));
+      }
+    }
+  }
+}
+
+TEST(Codec, RiceDecodePrefixesMatchReference) {
+  // Decode only the first c codewords of a longer stream, into planes that
+  // end just past, at, or before the c-th position: the table run must stop
+  // at the codeword count and at the plane end exactly where the
+  // one-codeword loop would, even with stream left over.
+  const std::pair<u32, f64> cases[] = {{0, 0.45}, {1, 0.3}, {2, 0.15},
+                                       {3, 0.07}, {4, 0.04}, {5, 0.02}};
+  for (const auto& [k, p] : cases) {
+    const u64 nbits = 20000;
+    const auto plane = bernoulli_plane(nbits, p, 77 + k);
+    u64 ones = 0, bits = 0;
+    const auto stream = rice_stream(plane, k, &ones, &bits);
+    std::vector<u64> pos(ones + 7);
+    kernels::codec_ops_scalar().bit_positions(plane.data(), plane.size(),
+                                              pos.data());
+    for (u64 c : {u64{1}, u64{10}, u64{23}, u64{24}, u64{25}, u64{100},
+                  ones / 2, ones - 30, ones - 1}) {
+      const u64 last = pos[c - 1];
+      const std::string tag =
+          "k=" + std::to_string(k) + " c=" + std::to_string(c);
+      EXPECT_TRUE(expect_rice_matches(stream, bits, c, k, nbits, tag));
+      EXPECT_TRUE(expect_rice_matches(stream, bits, c, k, last + 1,
+                                      tag + " plane ends after c-th"));
+      EXPECT_FALSE(expect_rice_matches(stream, bits, c, k, last,
+                                       tag + " plane ends at c-th"));
+      for (u64 back : {u64{40}, u64{191}, u64{500}})
+        if (last > back)
+          expect_rice_matches(stream, bits, c, k, last - back,
+                              tag + " plane short by " + std::to_string(back));
+    }
+  }
+}
+
+TEST(Codec, RiceDecodeDenseRunsCutShortMatchReference) {
+  // A run of m adjacent ones codes as m shortest codewords (k + 1 bits each),
+  // so a window holds the most codewords it can. Truncating the stream cuts
+  // the low bits of the last one; across m the cut lands at every window and
+  // word alignment. The plane is longer than the run, so only the stream end
+  // stands between the table run and the zero padding.
+  for (u32 k = 1; k <= 3; ++k) {
+    for (u64 m = 1; m <= 260; ++m) {
+      const u64 nbits = m + 400;
+      std::vector<u64> plane((nbits + 63) / 64, 0);
+      for (u64 i = 0; i < m; ++i) plane[i >> 6] |= u64{1} << (i & 63);
+      u64 ones = 0, bits = 0;
+      const auto stream = rice_stream(plane, k, &ones, &bits);
+      for (u64 cut = 0; cut <= k + 1 && cut <= bits; ++cut)
+        expect_rice_matches(stream, bits - cut, ones, k, nbits,
+                            "k=" + std::to_string(k) + " m=" +
+                                std::to_string(m) +
+                                " cut=" + std::to_string(cut));
     }
   }
 }

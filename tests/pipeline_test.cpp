@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <string>
 
 #include "rapids/core/baselines.hpp"
 #include "rapids/core/pipeline.hpp"
@@ -411,6 +413,79 @@ TEST_F(PipelineTest, RestorePlansRespectAvailability) {
   const auto ok = ec_restore_plan(1000, 12, 4, bw, avail);
   ASSERT_TRUE(ok.has_value());
   EXPECT_EQ(ok->size(), 12u);
+}
+
+// Every down-set of an 8-system cluster (all 256): restore, and every rung
+// of a fresh refine ladder, must return exactly the Eq. 1 recoverable prefix
+// -- the largest j with failed <= m_i for every i <= j, capped at the rung's
+// target -- with its measured error within the served bound plus the f32
+// rounding of the output (2^-24 of max|x|, which the bound leaves out), and
+// the documented degraded report when j = 0. The restore cache is off, so
+// every call plans and fetches under its own outage.
+TEST(PipelineDownSets, EveryDownSetOnEightSystemsServesTheEq1Prefix) {
+  const std::string dir =
+      (fs::temp_directory_path() / "rapids_pipe_every_down_set").string();
+  fs::remove_all(dir);
+  storage::Cluster cluster(storage::ClusterConfig{8, 0.05, 42});
+  auto db = kv::Db::open(dir);
+  PipelineConfig cfg;
+  cfg.refactor.decomp_levels = 3;
+  cfg.refactor.num_retrieval_levels = 4;
+  cfg.refactor.target_rel_errors = {4e-3, 5e-4, 6e-5, 1e-6};
+  cfg.aco.iterations = 5;
+  cfg.restore_cache_bytes = 0;
+  RapidsPipeline pipeline(cluster, *db, cfg);
+  const Dims dims{17, 17, 9};
+  const auto field = data::hurricane_pressure(dims, 3);
+  const auto prep = pipeline.prepare(field, dims, "ds");
+  const FtConfig& m = prep.record.ft;
+  ASSERT_TRUE(valid_ft_config(8, m));
+  const u32 nlevels = static_cast<u32>(m.size());
+
+  const auto expect_served = [&](const RestoreReport& report, u32 levels,
+                                 const std::string& what) {
+    ASSERT_EQ(report.levels_used, levels) << what;
+    if (levels == 0) {
+      EXPECT_TRUE(report.data.empty()) << what;
+      EXPECT_EQ(report.rel_error_bound, 1.0) << what;
+      return;
+    }
+    EXPECT_EQ(report.rel_error_bound, prep.record.meta.rel_error_bound(levels))
+        << what;
+    ASSERT_EQ(report.data.size(), field.size()) << what;
+    EXPECT_LE(data::relative_linf_error(field, report.data),
+              report.rel_error_bound + 0x1p-24)
+        << what;
+  };
+
+  u32 by_prefix[8] = {};
+  for (u32 mask = 0; mask < 256; ++mask) {
+    std::vector<u32> down;
+    for (u32 i = 0; i < 8; ++i)
+      if ((mask >> i) & 1) down.push_back(i);
+    storage::fail_exactly(cluster, down);
+    const u32 failed = static_cast<u32>(down.size());
+    u32 prefix = 0;
+    while (prefix < nlevels && failed <= m[prefix]) ++prefix;
+    ++by_prefix[prefix];
+    const std::string tag = "mask " + std::to_string(mask);
+
+    expect_served(pipeline.restore("ds"), prefix, tag + " restore");
+    const auto session = pipeline.begin_refine("ds");
+    for (u32 rung = 1; rung <= nlevels; ++rung)
+      expect_served(
+          pipeline.refine(*session, prep.record.meta.rel_error_bound(rung)),
+          std::min(rung, prefix), tag + " rung " + std::to_string(rung));
+  }
+  cluster.restore_all();
+  // The sweep saw the full prefix, the empty one, and a partial one.
+  EXPECT_GT(by_prefix[nlevels], 0u);
+  EXPECT_GT(by_prefix[0], 0u);
+  u32 partial = 0;
+  for (u32 j = 1; j < nlevels; ++j) partial += by_prefix[j];
+  EXPECT_GT(partial, 0u);
+  db.reset();
+  fs::remove_all(dir);
 }
 
 }  // namespace

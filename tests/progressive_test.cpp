@@ -462,6 +462,71 @@ TEST_F(RefineTest, AgingInvalidatesDroppedCacheLevels) {
   EXPECT_EQ(after.bytes_transferred, 0u);
 }
 
+TEST_F(RefineTest, ReprepareUnderLiveSessionRestartsFromLevelZero) {
+  auto cfg = refine_config();
+  config_used_ = cfg.refactor;
+  RapidsPipeline pipeline(*cluster_, *db_, cfg);
+  const Dims dims{33, 33, 17};
+  const auto first = data::hurricane_pressure(dims, 1);
+  pipeline.prepare(first, dims, "obj");
+  auto handle = pipeline.begin_refine("obj");
+  const auto coarse = pipeline.refine("obj", 4e-3);
+  ASSERT_EQ(coarse.levels_used, 1u);
+  EXPECT_FALSE(coarse.session_restarted);
+  ASSERT_EQ(pipeline.refine(*handle, 4e-3).levels_used, 1u);
+
+  // Same name, different content: neither session may merge its level 1
+  // with the new object's deeper levels.
+  const auto second = data::hurricane_pressure(dims, 7);
+  const auto prep = pipeline.prepare(second, dims, "obj");
+  EXPECT_EQ(prep.record.epoch, 1u);
+  const auto fine = pipeline.refine("obj", 1e-6);
+  EXPECT_TRUE(fine.session_restarted);
+  EXPECT_EQ(fine.levels_used, 4u);
+  EXPECT_LE(data::relative_linf_error(second, fine.data),
+            fine.rel_error_bound);
+  EXPECT_TRUE(bit_identical(fine.data, expected_prefix(prep, 4)));
+
+  const auto mid = pipeline.refine(*handle, 5e-4);
+  EXPECT_TRUE(mid.session_restarted);
+  EXPECT_EQ(mid.levels_used, 2u);
+  EXPECT_TRUE(bit_identical(mid.data, expected_prefix(prep, 2)));
+  EXPECT_EQ(handle->levels(), 2u);
+
+  // Later rungs on the rebuilt sessions continue normally.
+  const auto again = pipeline.refine(*handle, 1e-6);
+  EXPECT_FALSE(again.session_restarted);
+  EXPECT_EQ(again.levels_used, 4u);
+  EXPECT_TRUE(bit_identical(again.data, expected_prefix(prep, 4)));
+  EXPECT_FALSE(pipeline.refine("obj", 1e-6).session_restarted);
+}
+
+TEST_F(RefineTest, AgingUnderLiveSessionRestartsInsteadOfThrowing) {
+  auto cfg = refine_config();
+  config_used_ = cfg.refactor;
+  RapidsPipeline pipeline(*cluster_, *db_, cfg);
+  const Dims dims{33, 33, 17};
+  const auto field = data::hurricane_pressure(dims, 1);
+  const auto prep = pipeline.prepare(field, dims, "obj");
+  ASSERT_EQ(pipeline.refine("obj", 1e-6).levels_used, 4u);
+
+  pipeline.age_object("obj", 1);
+  RestoreReport aged;
+  ASSERT_NO_THROW(aged = pipeline.refine("obj", 1e-6));
+  EXPECT_TRUE(aged.session_restarted);
+  EXPECT_EQ(aged.levels_used, 1u);
+  EXPECT_DOUBLE_EQ(aged.rel_error_bound,
+                   prep.record.meta.rel_error_bound(1));
+  EXPECT_LE(data::relative_linf_error(field, aged.data),
+            aged.rel_error_bound);
+  EXPECT_TRUE(bit_identical(aged.data, expected_prefix(prep, 1)));
+
+  const auto repeat = pipeline.refine("obj", 4e-3);
+  EXPECT_FALSE(repeat.session_restarted);
+  EXPECT_EQ(repeat.levels_used, 1u);
+  EXPECT_EQ(repeat.bytes_transferred, 0u);
+}
+
 TEST_F(RefineTest, ConcurrentSessionsConvergeIdentically) {
   auto cfg = refine_config();
   RapidsPipeline pipeline(*cluster_, *db_, cfg);

@@ -530,6 +530,62 @@ TEST(ObjectService, PrepareVerbArchivesANewObject) {
             served[0].achieved_bound);
 }
 
+Response serve_one(ObjectService& svc, const Request& r) {
+  EXPECT_TRUE(svc.submit(r).admitted());
+  svc.drain();
+  auto done = svc.take_completed();
+  EXPECT_EQ(done.size(), 1u);
+  return done.empty() ? Response{} : std::move(done.front());
+}
+
+TEST(ObjectService, ReprepareUnderLiveSessionServesTheNewObject) {
+  World w("reprepare");
+  ObjectService svc(*w.pipeline, fixed_cost_options());
+  // A coarse refine opens the pipeline's session on "obj".
+  Request coarse = restore_req(0, kInf, 4e-3);
+  coarse.verb = Verb::kRefine;
+  const Response c = serve_one(svc, coarse);
+  ASSERT_EQ(c.outcome, Outcome::kOk) << c.error;
+  ASSERT_EQ(c.levels_used, 1u);
+
+  // Re-prepare the same name with other content through the service.
+  const auto field2 = data::hurricane_pressure(w.dims, 9);
+  Request prep;
+  prep.tenant = 0;
+  prep.verb = Verb::kPrepare;
+  prep.object = "obj";
+  prep.data = field2;
+  prep.dims = w.dims;
+  ASSERT_EQ(serve_one(svc, prep).outcome, Outcome::kOk);
+
+  // Full precision on the same session is the new object, within bound.
+  Request fine = restore_req(0);
+  fine.verb = Verb::kRefine;
+  const Response f = serve_one(svc, fine);
+  ASSERT_EQ(f.outcome, Outcome::kOk) << f.error;
+  EXPECT_EQ(f.levels_used, 4u);
+  EXPECT_FALSE(f.degraded);
+  ASSERT_EQ(f.result.size(), field2.size());
+  EXPECT_LE(data::relative_linf_error(field2, f.result), f.achieved_bound);
+}
+
+TEST(ObjectService, AgingUnderLiveSessionStillServes) {
+  World w("aged_session");
+  ObjectService svc(*w.pipeline, fixed_cost_options());
+  const Response full = serve_one(svc, restore_req(0));
+  ASSERT_EQ(full.outcome, Outcome::kOk) << full.error;
+  ASSERT_EQ(full.levels_used, 4u);
+
+  w.pipeline->age_object("obj", 1);
+  for (const f64 bound : {0.0, 4e-3}) {
+    const Response r = serve_one(svc, restore_req(0, kInf, bound));
+    ASSERT_EQ(r.outcome, Outcome::kOk) << r.error;
+    EXPECT_EQ(r.levels_used, 1u);
+    ASSERT_EQ(r.result.size(), w.field.size());
+    EXPECT_LE(data::relative_linf_error(w.field, r.result), r.achieved_bound);
+  }
+}
+
 TEST(ObjectService, UnknownObjectFailsHonestly) {
   World w("unknown");
   ObjectService svc(*w.pipeline, fixed_cost_options());
