@@ -18,9 +18,11 @@
 # dispatched/seed, the codec's new/seed over the whole plane set, and the
 # Rice decoder's new/seed over every Rice segment of one field. Both
 # sides of a speedup are timed as interleaved pairs on the run's host (median
-# of per-rep ratios), so a faster or slower machine moves neither. Any
-# speedup >15% below baseline fails, as does a baseline row the run no longer
-# has.
+# of per-rep ratios), so a faster or slower machine moves neither. The bench
+# runs three times; each speedup is judged at its median over the three, and
+# every run's value and the spread ((max - min) / median) are printed. A
+# median >15% below baseline fails, as does a baseline row the runs no longer
+# have.
 # RAPIDS_BENCH_TOL overrides the 0.15 tolerance for hosts whose ambient noise
 # exceeds it (shared boxes under neighbor load).
 set -euo pipefail
@@ -37,16 +39,16 @@ if [[ "${1:-}" == "--check" ]]; then
     echo "error: baseline $BASELINE not found" >&2
     exit 1
   fi
-  FRESH="$(mktemp --suffix=.json)"
-  FRESH2="$(mktemp --suffix=.json)"
-  trap 'rm -f "$FRESH" "$FRESH2"' EXIT
-  echo "refactor-kernels regression check vs $BASELINE"
-  # Two fresh runs, each speedup taken at its better: on a shared host a
-  # load burst can sink any one run, but a real regression shows up in both.
-  "$RK_BIN" "$FRESH" >/dev/null
-  "$RK_BIN" "$FRESH2" >/dev/null
-  python3 - "$BASELINE" "$FRESH" "$FRESH2" <<'PY'
-import json, os, sys
+  FRESH=()
+  trap 'rm -f "${FRESH[@]}"' EXIT
+  for _ in 1 2 3; do FRESH+=("$(mktemp --suffix=.json)"); done
+  echo "refactor-kernels regression check vs $BASELINE (median of 3 runs)"
+  # Three fresh runs, each speedup taken at its median: on a shared host a
+  # load burst can sink or lift any one run, but a real regression moves the
+  # middle one.
+  for f in "${FRESH[@]}"; do "$RK_BIN" "$f" >/dev/null; done
+  python3 - "$BASELINE" "${FRESH[@]}" <<'PY'
+import json, os, statistics, sys
 
 
 def ratios(doc):
@@ -80,13 +82,16 @@ bad = 0
 for name, bv in base.items():
     got = [r[name] for r in runs if name in r]
     if not got:
-        print(f"{name:56s} missing from fresh run  MISSING")
+        print(f"{name:44s} missing from fresh runs  MISSING")
         bad += 1
         continue
-    cv = max(got)
+    cv = statistics.median(got)
+    spread = (max(got) - min(got)) / cv
     ok = cv >= bv * (1 - TOL)
     bad += not ok
-    print(f"{name:56s} base {bv:7.3f}  now {cv:7.3f}  {cv / bv:5.2f}x  "
+    each = " ".join(f"{g:6.3f}" for g in got)
+    print(f"{name:44s} base {bv:6.3f}  runs {each}  median {cv:6.3f}  "
+          f"spread {spread:4.0%}  {cv / bv:5.2f}x  "
           f"{'ok' if ok else 'REGRESSION'}")
 if bad:
     print(f"\ncheck FAILED: {bad} ratio(s) regressed more than {TOL:.0%} or "

@@ -45,6 +45,11 @@ run_tree() {
   echo "--- ${dir}/tests/kernel_test (RAPIDS_FORCE_SCALAR=1)"
   RAPIDS_FORCE_SCALAR=1 "${dir}/tests/kernel_test" \
     --gtest_filter='Transform.*:Planes.*:Levels.*:Codec.*'
+  # The plane decoder calls the dispatched dequantize once per 64-coefficient
+  # block; pin the scalar tier under it too.
+  echo "--- ${dir}/tests/progressive_test (RAPIDS_FORCE_SCALAR=1)"
+  RAPIDS_FORCE_SCALAR=1 "${dir}/tests/progressive_test" \
+    --gtest_filter='ProgressiveDecode.*'
 }
 
 case "${MODE}" in

@@ -201,14 +201,20 @@ PlaneSegment encode_segment(std::span<const u64> words, u64 num_bits) {
   return seg;
 }
 
-std::vector<u64> decode_segment(const PlaneSegment& seg, u64 num_bits) {
+namespace {
+
+/// decode_segment_into with the words already zero (`zeroed`) or not: raw
+/// segments write every word, the other modes set bits into zeros.
+void expand_segment(const PlaneSegment& seg, u64 num_bits,
+                    std::span<u64> words, bool zeroed) {
   const u64 nwords = words_for_bits(num_bits);
-  std::vector<u64> words(nwords, 0);
+  RAPIDS_REQUIRE(words.size() == nwords);
   const std::span<const std::byte> data = as_bytes_view(seg.data);
   if (data.empty()) throw io_error("bitplane: truncated segment");
   const u8 mode = static_cast<u8>(data[0]);
   const std::span<const std::byte> body = data.subspan(1);
   const kernels::CodecOps& cops = kernels::codec_ops();
+  if (!zeroed && mode != kModeRaw) std::fill(words.begin(), words.end(), 0);
   switch (mode) {
     case kModeZero:
       break;
@@ -261,6 +267,18 @@ std::vector<u64> decode_segment(const PlaneSegment& seg, u64 num_bits) {
     default:
       throw io_error("bitplane: unknown segment mode " + std::to_string(mode));
   }
+}
+
+}  // namespace
+
+void decode_segment_into(const PlaneSegment& seg, u64 num_bits,
+                         std::span<u64> words) {
+  expand_segment(seg, num_bits, words, /*zeroed=*/false);
+}
+
+std::vector<u64> decode_segment(const PlaneSegment& seg, u64 num_bits) {
+  std::vector<u64> words(words_for_bits(num_bits), 0);
+  expand_segment(seg, num_bits, words, /*zeroed=*/true);
   return words;
 }
 
@@ -367,7 +385,8 @@ std::vector<f64> decode_planes(const PlaneSet& ps, u32 num_planes,
 
 void decode_planes_incremental(const PlaneSet& ps, u32 num_planes,
                                ProgressiveState& state, std::span<f64> out,
-                               ThreadPool* pool, CodecStats* stats) {
+                               ThreadPool* pool, CodecStats* stats,
+                               RefactorWorkspace* ws) {
   RAPIDS_REQUIRE(num_planes <= ps.planes.size() ||
                  (ps.max_abs == 0.0 && ps.count > 0));
   RAPIDS_REQUIRE(out.size() == ps.count);
@@ -381,7 +400,7 @@ void decode_planes_incremental(const PlaneSet& ps, u32 num_planes,
                      "bitplane: progressive decode cannot drop planes");
 
   // A level with no planes or no nonzero coefficient decodes to zeros; every
-  // other level gets each element written by the dequantize pass below.
+  // other level gets each element written by the block pass below.
   if (ps.count == 0 || ps.max_abs == 0.0 || num_planes == 0) {
     std::fill(out.begin(), out.end(), 0.0);
     state.planes_decoded = num_planes;
@@ -390,23 +409,29 @@ void decode_planes_incremental(const PlaneSet& ps, u32 num_planes,
 
   const u64 n = ps.count;
   const u64 nwords = words_for_bits(n);
-  if (state.q.empty()) state.q.assign(n, 0);
-
   const u32 p0 = state.planes_decoded;
   const u32 delta = num_planes - p0;
-  // The sign segment joins the first call's parallel decode as index 0; the
-  // delta planes follow. Every task fills its own slot, so the incremental
-  // schedule and the pool width cannot change the decoded words.
+
+  // Decode the new planes into rows of the workspace's plane words (row i is
+  // plane p0 + i) and, on the first call, the sign plane into a temporary.
+  // The sign segment joins the parallel decode as index 0; every task fills
+  // its own row, so the incremental schedule and the pool width cannot
+  // change the decoded words. `state` is not touched until every segment
+  // has decoded, so a segment that throws leaves it as it was.
+  RefactorWorkspace local;
+  const std::span<u64> rows =
+      grow_only((ws != nullptr ? *ws : local).planes, u64{delta} * nwords);
   const u32 want_sign = state.sign_words.empty() ? 1 : 0;
+  std::vector<u64> sign;
   if (delta + want_sign > 0) {
-    std::vector<std::vector<u64>> plane_words(delta);
     Timer t;
     auto decode_one = [&](u64 i) {
       if (want_sign != 0 && i == 0) {
-        state.sign_words = decode_segment(ps.sign, n);
+        sign = decode_segment(ps.sign, n);
       } else {
         const u64 p = i - want_sign;
-        plane_words[p] = decode_segment(ps.planes[p0 + p], n);
+        decode_segment_into(ps.planes[p0 + p], n,
+                            rows.subspan(p * nwords, nwords));
       }
     };
     if (pool != nullptr && delta + want_sign > 1) {
@@ -419,56 +444,58 @@ void decode_planes_incremental(const PlaneSet& ps, u32 num_planes,
       if (want_sign != 0) tally_segment(ps.sign, *stats);
       for (u32 i = 0; i < delta; ++i) tally_segment(ps.planes[p0 + i], *stats);
     }
+  }
+  // Only a state that decoded an all-zero level has planes but no q.
+  RAPIDS_REQUIRE_MSG(p0 == 0 || state.q != nullptr,
+                     "bitplane: progressive state belongs to another plane set");
+  if (state.q == nullptr) state.q = std::make_unique_for_overwrite<u32[]>(n);
+  u32* q = state.q.get();
+  const u64* sign_words = want_sign != 0 ? sign.data() : state.sign_words.data();
 
-    // Blocked merge mirroring the encoder's transpose. The new planes occupy
-    // bit positions of q that previous planes never touched, so OR-ing the
-    // transposed block in reproduces a full decode exactly.
-    if (delta > 0) {
-      const kernels::BitplaneOps& mops = kernels::bitplane_ops();
-      std::vector<u32>& q = state.q;
-      auto merge = [&](u64 wlo, u64 whi) {
-        u64 block[64];
-        for (u64 w = wlo; w < whi; ++w) {
-          const u64 base = w * 64;
-          const u32 valid = static_cast<u32>(std::min<u64>(64, n - base));
-          std::fill(std::begin(block), std::end(block), 0);
-          for (u32 i = 0; i < delta; ++i)
-            block[31 - (p0 + i)] = plane_words[i][w];
-          mops.transpose64(block);  // involution: rows become coefficient values
+  // One blocked pass, mirroring the encoder's transpose, merges the new
+  // planes into q and materializes the block's coefficients while both are
+  // in L1. The new planes occupy bit positions of q that earlier planes
+  // never touched, so OR-ing the transposed block in reproduces a full
+  // decode exactly; the first planes (p0 == 0) assign instead, which writes
+  // every element of the uninitialized q. A call that adds no planes only
+  // materializes. The truncated-tail midpoint -- half of the last decoded
+  // plane's weight -- is applied at materialization only: q stays raw, so
+  // the next refinement can re-derive the midpoint for its own plane count.
+  const kernels::BitplaneOps& ops = kernels::bitplane_ops();
+  const f64 inv_scale = std::ldexp(1.0, ps.exponent - 32);
+  const u32 mid = num_planes < 32 ? (1u << (31 - num_planes)) : 0u;
+  auto merge_dequantize = [&](u64 wlo, u64 whi) {
+    u64 block[64];
+    for (u64 w = wlo; w < whi; ++w) {
+      const u64 base = w * 64;
+      const u32 valid = static_cast<u32>(std::min<u64>(64, n - base));
+      if (delta > 0) {
+        std::fill(std::begin(block), std::end(block), 0);
+        for (u32 i = 0; i < delta; ++i)
+          block[31 - (p0 + i)] = rows[i * nwords + w];
+        ops.transpose64(block);  // involution: rows become coefficient values
+        if (p0 == 0) {
+          for (u32 i = 0; i < valid; ++i)
+            q[base + i] = static_cast<u32>(block[i]);
+        } else {
           for (u32 i = 0; i < valid; ++i)
             q[base + i] |= static_cast<u32>(block[i]);
         }
-      };
-      if (pool != nullptr && nwords > 64) {
-        pool->parallel_for_chunks(0, nwords, merge, 0);
-      } else {
-        merge(0, nwords);
       }
+      // One sign word per block, so the kernel's sign bit i is coefficient
+      // base + i.
+      ops.dequantize(out.data() + base, q + base, sign_words + w, inv_scale,
+                     mid, valid);
     }
-    state.planes_decoded = num_planes;
+  };
+  if (pool != nullptr && nwords > 64) {
+    pool->parallel_for_chunks(0, nwords, merge_dequantize, 0);
+  } else {
+    merge_dequantize(0, nwords);
   }
 
-  const std::vector<u32>& q = state.q;
-  const std::vector<u64>& sign_words = state.sign_words;
-  const f64 inv_scale = std::ldexp(1.0, ps.exponent - 32);
-  // Midpoint of the truncated tail: half of the last decoded plane's weight.
-  // Applied at materialization only — q itself stays raw, so the next
-  // refinement can re-derive the midpoint for its own plane count.
-  const u32 mid = num_planes < 32 ? (1u << (31 - num_planes)) : 0u;
-  // Chunk over whole sign words so the dispatched kernel's relative sign
-  // indexing lines up with absolute coefficient positions.
-  const kernels::BitplaneOps& rops = kernels::bitplane_ops();
-  auto reconstruct = [&](u64 wlo, u64 whi) {
-    const u64 lo = wlo * 64;
-    const u64 hi = std::min(n, whi * 64);
-    rops.dequantize(out.data() + lo, q.data() + lo, sign_words.data() + wlo,
-                    inv_scale, mid, hi - lo);
-  };
-  if (pool != nullptr && nwords > (1u << 10)) {
-    pool->parallel_for_chunks(0, nwords, reconstruct, 0);
-  } else {
-    reconstruct(0, nwords);
-  }
+  if (want_sign != 0) state.sign_words = std::move(sign);
+  state.planes_decoded = num_planes;
 }
 
 }  // namespace rapids::mgard

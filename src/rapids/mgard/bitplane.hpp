@@ -19,6 +19,7 @@
 /// per-segment work across the thread pool; output bytes are identical for
 /// every ISA tier, pool width, and incremental-decode schedule.
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -112,24 +113,33 @@ std::vector<f64> decode_planes(const PlaneSet& ps, u32 num_planes,
 /// the truncated-tail midpoint is applied fresh at every materialization and
 /// never baked into q, which is what makes refining p0 -> p1 byte-identical
 /// to a from-scratch decode_planes(p1).
+///
+/// q is allocated uninitialized: the decode that brings planes_decoded from
+/// 0 writes every element (it assigns its planes where later ones OR), so
+/// whether q holds data follows planes_decoded, not whether q is allocated.
+/// A decode that throws leaves the state as it was: planes_decoded advances
+/// and sign_words is set only after every segment has decoded.
 struct ProgressiveState {
   u64 count = 0;             ///< coefficients (fixed at first use)
   u32 planes_decoded = 0;    ///< planes already merged into q
   bool initialized = false;
-  std::vector<u32> q;          ///< quantized magnitudes, no midpoint applied
+  std::unique_ptr<u32[]> q;    ///< quantized magnitudes, no midpoint applied
   std::vector<u64> sign_words; ///< decoded sign plane (decoded once)
 };
 
 /// Incremental decode_planes: advance `state` from its current plane count to
-/// `num_planes` by decoding and OR-merging only the new planes of `ps`, then
-/// materialize the coefficients into `out` (ps.count elements, every one
-/// written). For any refinement chain ending at p, the result is bit-for-bit
-/// identical to decode_planes(ps, p) — decode_planes itself is implemented as
-/// this function with a throwaway state.
+/// `num_planes` by decoding only the new planes of `ps` and merging them into
+/// q, then materialize the coefficients into `out` (ps.count elements, every
+/// one written) in the same blocked pass. For any refinement chain ending at
+/// p, the result is bit-for-bit identical to decode_planes(ps, p) --
+/// decode_planes itself is implemented as this function with a throwaway
+/// state. Pass a RefactorWorkspace to decode the new planes into its reused
+/// plane words; omitted, the call allocates a private one.
 void decode_planes_incremental(const PlaneSet& ps, u32 num_planes,
                                ProgressiveState& state, std::span<f64> out,
                                ThreadPool* pool = nullptr,
-                               CodecStats* stats = nullptr);
+                               CodecStats* stats = nullptr,
+                               RefactorWorkspace* ws = nullptr);
 
 /// Low-level plane codecs, exposed for tests and benches. ///
 
@@ -140,7 +150,14 @@ void decode_planes_incremental(const PlaneSet& ps, u32 num_planes,
 /// both raw and sparse; otherwise sparse wins iff strictly smaller than raw.
 PlaneSegment encode_segment(std::span<const u64> words, u64 num_bits);
 
-/// Expand a segment back to packed 64-bit words (num_bits bits valid).
+/// Expand a segment back to packed 64-bit words (num_bits bits valid) into
+/// `words` (ceil(num_bits/64) words, every one written; their prior contents
+/// do not matter). Throws io_error on a malformed segment, leaving `words`
+/// unspecified.
+void decode_segment_into(const PlaneSegment& seg, u64 num_bits,
+                         std::span<u64> words);
+
+/// decode_segment_into a fresh vector.
 std::vector<u64> decode_segment(const PlaneSegment& seg, u64 num_bits);
 
 }  // namespace rapids::mgard

@@ -91,7 +91,10 @@ void cascade_axis(f64* w, Dims dims, u32 axis, bool forward, ThreadPool* pool) {
 /// along that axis). Stencil (1/6)[0.5 3 5 3 0.5] interior, (1/6)[2.5 3 0.5]
 /// at the boundary (mirrored at the far end). Axes 1/2 are pure row kernels
 /// over contiguous rows/planes; axis 0 uses the strided in-line kernel.
-void apply_load_axis(const f64* src, Dims sdims, u32 axis, f64* out,
+/// `line(i)` points at the source's i-th unit-stride line: x-row i
+/// (= k * ny + j) for axes 0 and 1, plane i for axis 2.
+template <typename Lines>
+void apply_load_axis(const Lines& line, Dims sdims, u32 axis, f64* out,
                      ThreadPool* pool) {
   const RowOps& ops = kernels::row_ops();
   const Dims odims = coarsen_axis(sdims, axis);
@@ -102,28 +105,28 @@ void apply_load_axis(const f64* src, Dims sdims, u32 axis, f64* out,
     run_chunked(pool, sdims.ny * sdims.nz,
                 grain_for_lines(sdims.nx * sizeof(f64)), [&](u64 lo, u64 hi) {
                   for (u64 l = lo; l < hi; ++l)
-                    ops.load_x(out + l * odims.nx, src + l * sdims.nx,
-                               odims.nx, sdims.nx);
+                    ops.load_x(out + l * odims.nx, line(l), odims.nx,
+                               sdims.nx);
                 });
   } else if (axis == 1) {
     const u64 nx = sdims.nx, sny = sdims.ny, ony = odims.ny;
     run_chunked(pool, sdims.nz * ony, grain_for_lines(6 * nx * sizeof(f64)),
                 [&](u64 lo, u64 hi) {
                   for (u64 idx = lo; idx < hi; ++idx) {
-                    const u64 k = idx / ony;
                     const u64 j = idx % ony;
-                    const f64* sb = src + k * sny * nx;
-                    f64* o = out + (k * ony + j) * nx;
+                    const u64 r = (idx / ony) * sny;  // first row of the slab
+                    f64* o = out + idx * nx;
                     if (j == 0) {
-                      ops.load_boundary(o, sb, sb + nx, sb + 2 * nx, nx);
+                      ops.load_boundary(o, line(r), line(r + 1), line(r + 2),
+                                        nx);
                     } else if (j + 1 == ony) {
-                      ops.load_boundary(o, sb + (sny - 1) * nx,
-                                        sb + (sny - 2) * nx,
-                                        sb + (sny - 3) * nx, nx);
+                      ops.load_boundary(o, line(r + sny - 1),
+                                        line(r + sny - 2), line(r + sny - 3),
+                                        nx);
                     } else {
-                      const f64* c = sb + 2 * j * nx;
-                      ops.load_interior(o, c - 2 * nx, c - nx, c, c + nx,
-                                        c + 2 * nx, nx);
+                      const u64 c = r + 2 * j;
+                      ops.load_interior(o, line(c - 2), line(c - 1), line(c),
+                                        line(c + 1), line(c + 2), nx);
                     }
                   }
                 });
@@ -133,13 +136,14 @@ void apply_load_axis(const f64* src, Dims sdims, u32 axis, f64* out,
       for (u64 j = lo; j < hi; ++j) {
         f64* o = out + j * pw;
         if (j == 0) {
-          ops.load_boundary(o, src, src + pw, src + 2 * pw, pw);
+          ops.load_boundary(o, line(0), line(1), line(2), pw);
         } else if (j + 1 == onz) {
-          ops.load_boundary(o, src + (snz - 1) * pw, src + (snz - 2) * pw,
-                            src + (snz - 3) * pw, pw);
+          ops.load_boundary(o, line(snz - 1), line(snz - 2), line(snz - 3),
+                            pw);
         } else {
-          const f64* c = src + 2 * j * pw;
-          ops.load_interior(o, c - 2 * pw, c - pw, c, c + pw, c + 2 * pw, pw);
+          const u64 c = 2 * j;
+          ops.load_interior(o, line(c - 2), line(c - 1), line(c), line(c + 1),
+                            line(c + 2), pw);
         }
       }
     });
@@ -245,46 +249,53 @@ std::pair<const f64*, Dims> compute_correction(const f64* w, Dims adims,
                                                RefactorWorkspace& ws,
                                                ThreadPool* pool) {
   const RowOps& ops = kernels::row_ops();
-  const u64 nx = adims.nx, ny = adims.ny, nz = adims.nz;
+  const u64 nx = adims.nx, ny = adims.ny;
   const u64 sx = nx > 1 ? 2 : 1;
   const u64 sy = ny > 1 ? 2 : 1;
-  const u64 sz = nz > 1 ? 2 : 1;
+  const u64 sz = adims.nz > 1 ? 2 : 1;
 
-  // Residual copy with zeros at coarse (even-in-all-axes) nodes, one fused
-  // pass per row.
-  ws.resid.resize(adims.total());
-  f64* resid = ws.resid.data();
-  run_chunked(pool, ny * nz, grain_for_lines(2 * nx * sizeof(f64)),
-              [&](u64 lo, u64 hi) {
-                for (u64 l = lo; l < hi; ++l) {
-                  const u64 j = l % ny;
-                  const u64 k = l / ny;
-                  const f64* s = w + l * nx;
-                  f64* d = resid + l * nx;
-                  if (k % sz == 0 && j % sy == 0) {
-                    ops.copy_zero(d, s, nx, sx);
-                  } else {
-                    ops.gather_stride(d, s, nx, 1);
-                  }
-                }
-              });
+  // The residual is `w` with its coarse nodes zeroed. It differs from `w`
+  // only in the x-rows whose j and k are even on every decomposed axis (a
+  // quarter of a 3-D grid's rows), so the first load reads the other rows of
+  // `w` in place and gets each coarse row from copy_zero in a per-thread row
+  // -- the values a whole-grid residual copy would hold. With a degenerate x
+  // axis the first load runs along y or z, a row is one node, and a coarse
+  // row is a zero.
+  static constexpr f64 kZero = 0.0;
+  const auto residual_row = [&](u64 r) -> const f64* {
+    const f64* row = w + r * nx;
+    if ((r / ny) % sz != 0 || (r % ny) % sy != 0) return row;
+    if (nx == 1) return &kZero;
+    static thread_local std::vector<f64> coarse;
+    if (coarse.size() < nx) coarse.resize(nx);
+    ops.copy_zero(coarse.data(), row, nx, sx);
+    return coarse.data();
+  };
 
-  // Load along each non-degenerate axis (ping-ponging between the two
-  // workspace buffers), then mass solves in place on the coarse grid.
-  const f64* src = resid;
+  // Load along each non-degenerate axis (the first from the residual rows,
+  // the rest ping-ponging between the two workspace buffers), then mass
+  // solves in place on the coarse grid. Every padded grid has an axis of
+  // extent >= 3, so the correction always ends in a load buffer.
+  f64* corr = nullptr;
   Dims cur = adims;
   std::vector<f64>* next = &ws.load_a;
   std::vector<f64>* other = &ws.load_b;
   for (u32 axis = 0; axis < 3; ++axis) {
     if (axis_extent(cur, axis) <= 1) continue;
     const Dims odims = coarsen_axis(cur, axis);
-    next->resize(odims.total());
-    apply_load_axis(src, cur, axis, next->data(), pool);
-    src = next->data();
+    f64* out = grow_only(*next, odims.total()).data();
+    if (corr == nullptr) {
+      apply_load_axis(residual_row, cur, axis, out, pool);
+    } else {
+      const f64* src = corr;
+      const u64 len = axis == 2 ? cur.nx * cur.ny : cur.nx;
+      apply_load_axis([src, len](u64 i) { return src + i * len; }, cur, axis,
+                      out, pool);
+    }
+    corr = out;
     cur = odims;
     std::swap(next, other);
   }
-  f64* corr = const_cast<f64*>(src);  // always one of the load buffers by now
   for (u32 axis = 0; axis < 3; ++axis)
     if (axis_extent(cur, axis) > 1) mass_solve_axis(corr, cur, axis, ws, pool);
   return {corr, cur};
@@ -412,8 +423,7 @@ void decompose(std::span<f64> data, const GridHierarchy& h,
       w = data.data();
       if (adims.nx > 1) cascade_axis(w, adims, 0, /*forward=*/true, pool);
     } else {
-      work.active.resize(adims.total());
-      w = work.active.data();
+      w = grow_only(work.active, adims.total()).data();
       gather_active_cascade(data.data(), pdims, w, adims, stride,
                             adims.nx > 1, pool);
     }
@@ -444,8 +454,7 @@ void recompose(std::span<f64> data, const GridHierarchy& h,
     if (stride == 1) {
       w = data.data();
     } else {
-      work.active.resize(adims.total());
-      w = work.active.data();
+      w = grow_only(work.active, adims.total()).data();
       gather_active_cascade(data.data(), pdims, w, adims, stride,
                             /*cascade_x=*/false, pool);
     }

@@ -214,7 +214,7 @@ std::vector<f32> Refactorer::reconstruct_from_sets(
     ProgressiveState scratch;
     ProgressiveState& state = states != nullptr ? (*states)[d] : scratch;
     decode_planes_incremental(sets[d], static_cast<u32>(sets[d].planes.size()),
-                              state, coeffs, pool_, codec);
+                              state, coeffs, pool_, codec, ws.get());
     scatter_level(grid, h, d, coeffs, pool_);
   }
   recompose(grid, h, DecomposeOptions{meta.l2_correction}, pool_, ws.get());

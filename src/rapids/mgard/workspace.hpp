@@ -2,18 +2,22 @@
 
 /// \file workspace.hpp
 /// Reusable scratch memory for the multigrid refactor/reconstruct path. One
-/// decompose() or recompose() call needs an active-subgrid buffer plus two or
-/// three correction buffers *per level*; before this arena existed every level
-/// of every pipeline call allocated them fresh. A RefactorWorkspace owns those
-/// buffers and is handed down through decompose/recompose so the vectors are
-/// resized (capacity retained) instead of reallocated across levels and calls.
+/// decompose() or recompose() call needs an active-subgrid buffer plus two
+/// load buffers for the L2 correction *per level*; before this arena existed
+/// every level of every pipeline call allocated them fresh. A
+/// RefactorWorkspace owns those buffers and is handed down through
+/// decompose/recompose.
 ///
 /// The Refactorer also stages each call's field through the workspace: the
 /// padded f64 grid the transform runs on, one decomposition level's
-/// coefficients at a time, and that level's sliced sign and magnitude plane
-/// words while encode_planes compresses them. All three are grow-only (see
-/// grow_only), so a workspace retains at most the buffers of the largest
-/// shape it has served, and a steady stream of calls allocates none of them.
+/// coefficients at a time, and that level's plane words -- sliced by
+/// encode_planes on prepare, decoded by decode_planes_incremental on
+/// restore. Every buffer whose size follows the field is grow-only (see
+/// grow_only): levels and calls of a smaller shape reuse it without
+/// shrinking or re-zeroing it, so a workspace retains at most the buffers
+/// of the largest shape it has served, a steady stream of calls allocates
+/// none of them, and no call pays a value-initializing pass over a regrown
+/// tail. Each user writes every element it reads.
 ///
 /// Lifetime: a workspace is single-owner while in use (the transform writes
 /// into its buffers), so concurrent refactor calls each need their own. The
@@ -35,16 +39,18 @@ namespace rapids::mgard {
 
 /// All scratch one decompose()/recompose() call needs, plus the Refactorer's
 /// staging buffers. Not thread-safe: one workspace, one transform at a time.
+/// Every vector but the per-axis Thomas coefficients is sized through
+/// grow_only.
 struct RefactorWorkspace {
   std::vector<f64> active;  ///< gathered active sub-grid of the current level
-  std::vector<f64> resid;   ///< residual field (zeroed coarse nodes)
   std::vector<f64> load_a;  ///< load-operator ping buffer
   std::vector<f64> load_b;  ///< load-operator pong buffer
   std::vector<f64> cp;      ///< Thomas c' coefficients (per mass_solve call)
   std::vector<f64> denom;   ///< Thomas forward denominators
   std::vector<f64> grid;    ///< padded f64 field of one Refactorer call
   std::vector<f64> coeffs;  ///< one decomposition level's coefficients
-  std::vector<u64> planes;  ///< one level's sign + magnitude plane words
+  std::vector<u64> planes;  ///< one level's plane words: sign + magnitudes
+                            ///< on encode, the newly decoded planes on decode
 };
 
 /// The first `n` elements of `buf`, growing it first when it is shorter.

@@ -11,6 +11,7 @@
 #include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -592,7 +593,10 @@ TEST(Transform, PooledMatchesSerialBitForBit) {
 
 // One workspace serving objects of different shapes in turn, as the
 // process-wide WorkspacePool does, must not leak state from one shape into
-// the next: every buffer shrinks and regrows between the two.
+// the next. The transform's buffers are grow-only, so the smaller shape runs
+// on the larger one's stale contents; on top of that every buffer is filled
+// with junk (0, NaN, 1e300 in turn) before every call, so an element the
+// transform reads before writing it changes the result.
 TEST(Transform, WorkspaceReuseIsDeterministic) {
   const GridHierarchy hs[] = {GridHierarchy(Dims{33, 33, 17}, 3),
                               GridHierarchy(Dims{17, 17, 9}, 2)};
@@ -606,12 +610,22 @@ TEST(Transform, WorkspaceReuseIsDeterministic) {
   }
 
   RefactorWorkspace ws;
+  const u64 largest = hs[0].padded().total();
+  const f64 junk[] = {0.0, std::numeric_limits<f64>::quiet_NaN(), 1e300};
+  auto poison = [&](f64 v) {
+    for (auto* buf : {&ws.active, &ws.load_a, &ws.load_b}) {
+      const auto span = grow_only(*buf, largest);
+      std::fill(span.begin(), span.end(), v);
+    }
+  };
   for (int round = 0; round < 3; ++round) {
     for (int s = 0; s < 2; ++s) {
       std::vector<f64> reused = fields[s];
+      poison(junk[round]);
       decompose(reused, hs[s], {}, nullptr, &ws);
       EXPECT_TRUE(BytesEqual(fresh[s], reused))
           << "round " << round << " shape " << s;
+      poison(junk[round]);
       recompose(reused, hs[s], {}, nullptr, &ws);
       EXPECT_TRUE(BytesEqual(rfresh[s], reused))
           << "round " << round << " shape " << s;

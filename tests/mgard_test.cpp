@@ -875,10 +875,10 @@ TEST(Refactorer, PooledRefactorRejectsNonFiniteAndAllZeroInput) {
 
 TEST(Refactorer, AlternatingShapesReuseWorkspaceBitExact) {
   // One pooled refactorer alternates a larger and a smaller non-dyadic shape,
-  // so the leased grid, coefficient and plane-word buffers carry a stale
-  // tail of the other shape. Before every call the workspace it will lease is also
-  // filled with a per-round junk value: an element a call reads without
-  // writing it first changes that round's bytes.
+  // so the leased grid, coefficient, plane-word and transform buffers carry
+  // a stale tail of the other shape. Before every call the workspace it will
+  // lease is also filled with a per-round junk value: an element a call
+  // reads without writing it first changes that round's bytes.
   ThreadPool pool(4);
   RefactorOptions opt;
   opt.decomp_levels = 3;
@@ -893,7 +893,8 @@ TEST(Refactorer, AlternatingShapesReuseWorkspaceBitExact) {
       GridHierarchy(shapes[0], opt.decomp_levels).padded().total();
   auto poison = [&](f64 junk) {
     auto ws = WorkspacePool::global().acquire();
-    for (auto* buf : {&ws->grid, &ws->coeffs}) {
+    for (auto* buf :
+         {&ws->grid, &ws->coeffs, &ws->active, &ws->load_a, &ws->load_b}) {
       const auto span = grow_only(*buf, largest);
       std::fill(span.begin(), span.end(), junk);
     }

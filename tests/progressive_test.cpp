@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <limits>
@@ -16,6 +18,8 @@
 #include "rapids/data/stats.hpp"
 #include "rapids/kvstore/db.hpp"
 #include "rapids/mgard/bitplane.hpp"
+#include "rapids/mgard/kernels/kernels.hpp"
+#include "rapids/mgard/workspace.hpp"
 #include "rapids/parallel/thread_pool.hpp"
 #include "rapids/storage/restore_cache.hpp"
 #include "rapids/util/rng.hpp"
@@ -137,6 +141,247 @@ TEST(ProgressiveDecode, TruncatedSegmentThrows) {
     break;
   }
   EXPECT_TRUE(truncated_one);
+}
+
+// --- differential check of the one-pass decoder ---
+
+// The incremental decoder as it was before its merge and dequantize became
+// one block pass, kept verbatim as the reference: a zero-filled q, one fresh
+// decode_segment vector per plane, an OR merge, then a separate dequantize
+// pass. decode_planes runs the library's decoder, so comparing against it
+// alone would compare the decoder with itself.
+namespace decoderef {
+
+struct State {
+  u64 count = 0;
+  u32 planes_decoded = 0;
+  bool initialized = false;
+  std::vector<u32> q;
+  std::vector<u64> sign_words;
+};
+
+void decode(const PlaneSet& ps, u32 num_planes, State& state,
+            std::span<f64> out, ThreadPool* pool) {
+  RAPIDS_REQUIRE(num_planes <= ps.planes.size() ||
+                 (ps.max_abs == 0.0 && ps.count > 0));
+  RAPIDS_REQUIRE(out.size() == ps.count);
+  if (!state.initialized) {
+    state.count = ps.count;
+    state.initialized = true;
+  }
+  RAPIDS_REQUIRE(state.count == ps.count);
+  RAPIDS_REQUIRE(num_planes >= state.planes_decoded);
+
+  if (ps.count == 0 || ps.max_abs == 0.0 || num_planes == 0) {
+    std::fill(out.begin(), out.end(), 0.0);
+    state.planes_decoded = num_planes;
+    return;
+  }
+
+  const u64 n = ps.count;
+  const u64 nwords = ceil_div(n, 64);
+  if (state.q.empty()) state.q.assign(n, 0);
+
+  const u32 p0 = state.planes_decoded;
+  const u32 delta = num_planes - p0;
+  const u32 want_sign = state.sign_words.empty() ? 1 : 0;
+  if (delta + want_sign > 0) {
+    std::vector<std::vector<u64>> plane_words(delta);
+    auto decode_one = [&](u64 i) {
+      if (want_sign != 0 && i == 0) {
+        state.sign_words = decode_segment(ps.sign, n);
+      } else {
+        const u64 p = i - want_sign;
+        plane_words[p] = decode_segment(ps.planes[p0 + p], n);
+      }
+    };
+    if (pool != nullptr && delta + want_sign > 1) {
+      pool->parallel_for(0, u64{delta} + want_sign, decode_one);
+    } else {
+      for (u64 i = 0; i < u64{delta} + want_sign; ++i) decode_one(i);
+    }
+
+    if (delta > 0) {
+      const kernels::BitplaneOps& mops = kernels::bitplane_ops();
+      std::vector<u32>& q = state.q;
+      auto merge = [&](u64 wlo, u64 whi) {
+        u64 block[64];
+        for (u64 w = wlo; w < whi; ++w) {
+          const u64 base = w * 64;
+          const u32 valid = static_cast<u32>(std::min<u64>(64, n - base));
+          std::fill(std::begin(block), std::end(block), 0);
+          for (u32 i = 0; i < delta; ++i)
+            block[31 - (p0 + i)] = plane_words[i][w];
+          mops.transpose64(block);
+          for (u32 i = 0; i < valid; ++i)
+            q[base + i] |= static_cast<u32>(block[i]);
+        }
+      };
+      if (pool != nullptr && nwords > 64) {
+        pool->parallel_for_chunks(0, nwords, merge, 0);
+      } else {
+        merge(0, nwords);
+      }
+    }
+    state.planes_decoded = num_planes;
+  }
+
+  const std::vector<u32>& q = state.q;
+  const std::vector<u64>& sign_words = state.sign_words;
+  const f64 inv_scale = std::ldexp(1.0, ps.exponent - 32);
+  const u32 mid = num_planes < 32 ? (1u << (31 - num_planes)) : 0u;
+  const kernels::BitplaneOps& rops = kernels::bitplane_ops();
+  auto reconstruct = [&](u64 wlo, u64 whi) {
+    const u64 lo = wlo * 64;
+    const u64 hi = std::min(n, whi * 64);
+    rops.dequantize(out.data() + lo, q.data() + lo, sign_words.data() + wlo,
+                    inv_scale, mid, hi - lo);
+  };
+  if (pool != nullptr && nwords > (1u << 10)) {
+    pool->parallel_for_chunks(0, nwords, reconstruct, 0);
+  } else {
+    reconstruct(0, nwords);
+  }
+}
+
+std::vector<f64> decode(const PlaneSet& ps, u32 num_planes, State& state,
+                        ThreadPool* pool) {
+  std::vector<f64> out(ps.count);
+  decode(ps, num_planes, state, out, pool);
+  return out;
+}
+
+}  // namespace decoderef
+
+// Fills `out` with NaN and every plane word the workspace can lend for `ps`
+// with junk, then decodes through that workspace: an element or a plane row
+// the decoder reads before writing changes the result.
+std::vector<f64> decode_junk(const PlaneSet& ps, u32 num_planes,
+                             ProgressiveState& state, RefactorWorkspace& ws,
+                             u64 junk, ThreadPool* pool) {
+  const auto rows =
+      grow_only(ws.planes, (kMagnitudePlanes + 1) * ceil_div(ps.count, 64));
+  std::fill(rows.begin(), rows.end(), junk);
+  std::vector<f64> out(ps.count, std::numeric_limits<f64>::quiet_NaN());
+  decode_planes_incremental(ps, num_planes, state, out, pool, nullptr, &ws);
+  return out;
+}
+
+constexpr u64 kJunkWords[] = {0, ~u64{0}, 0x5555aaaa3c3cc3c3ull};
+
+// Every chain p0 -> p1 -> p1 over `stops` (p0 < p1), each on a fresh state,
+// against the same chain on a fresh reference state.
+void expect_chains_match_reference(const PlaneSet& ps,
+                                   std::span<const u32> stops,
+                                   ThreadPool* pool, const std::string& what) {
+  RefactorWorkspace ws;
+  u32 junk = 0;
+  for (u32 p0 : stops) {
+    for (u32 p1 : stops) {
+      if (p0 >= p1) continue;
+      ProgressiveState state;
+      decoderef::State ref;
+      const u64 j0 = kJunkWords[junk++ % std::size(kJunkWords)];
+      const u64 j1 = kJunkWords[junk++ % std::size(kJunkWords)];
+      ASSERT_TRUE(bit_identical(decode_junk(ps, p0, state, ws, j0, pool),
+                                decoderef::decode(ps, p0, ref, pool)))
+          << what << " p0=" << p0;
+      ASSERT_TRUE(bit_identical(decode_junk(ps, p1, state, ws, j1, pool),
+                                decoderef::decode(ps, p1, ref, pool)))
+          << what << " p0=" << p0 << " p1=" << p1;
+      // A call that adds no planes materializes the same field again.
+      ASSERT_TRUE(bit_identical(decode_junk(ps, p1, state, ws, j0, pool),
+                                decoderef::decode(ps, p1, ref, pool)))
+          << what << " repeat p1=" << p1;
+      EXPECT_EQ(state.planes_decoded, p1);
+    }
+  }
+}
+
+TEST(ProgressiveDecode, MatchesReferenceDecoderOnEveryChain) {
+  ThreadPool pool(4);
+  const std::size_t lengths[] = {1, 63, 64, 65, 4097, 1u << 17};
+  const u32 stops[] = {0, 1, 2, 5, 31, 32};
+  for (std::size_t li = 0; li < std::size(lengths); ++li) {
+    const auto coeffs = mixed_sign_coeffs(lengths[li], 2000 + li);
+    const PlaneSet ps = encode_planes(coeffs);
+    const std::string what = "n=" + std::to_string(lengths[li]);
+    expect_chains_match_reference(ps, stops, nullptr, what + " serial");
+    expect_chains_match_reference(ps, stops, &pool, what + " pooled");
+  }
+}
+
+TEST(ProgressiveDecode, MatchesReferenceDecoderBelowFullPlanes) {
+  ThreadPool pool(4);
+  for (u32 max_planes : {1u, 7u, 20u}) {
+    const auto coeffs = mixed_sign_coeffs(10000, 3000 + max_planes);
+    const PlaneSet ps = encode_planes(coeffs, max_planes);
+    ASSERT_EQ(ps.planes.size(), max_planes);
+    const u32 stops[] = {0, 1, max_planes / 2, max_planes};
+    const std::string what = "max_planes=" + std::to_string(max_planes);
+    expect_chains_match_reference(ps, stops, nullptr, what + " serial");
+    expect_chains_match_reference(ps, stops, &pool, what + " pooled");
+  }
+}
+
+TEST(ProgressiveDecode, MatchesReferenceDecoderOnAllZeroLevel) {
+  ThreadPool pool(4);
+  const std::vector<f64> coeffs(5000, 0.0);
+  const PlaneSet ps = encode_planes(coeffs);
+  const u32 stops[] = {0, 1, 32};
+  expect_chains_match_reference(ps, stops, nullptr, "zero serial");
+  expect_chains_match_reference(ps, stops, &pool, "zero pooled");
+}
+
+// A copy of `ps` whose segment `idx` (0 = sign, 1 + p = plane p) is cut in
+// half, which makes it fail to decode.
+PlaneSet with_truncated_segment(const PlaneSet& ps, std::size_t idx) {
+  PlaneSet damaged = ps;
+  PlaneSegment& seg = idx == 0 ? damaged.sign : damaged.planes[idx - 1];
+  seg.data.resize(seg.data.size() / 2);
+  return damaged;
+}
+
+TEST(ProgressiveDecode, RetryAfterThrowMatchesReference) {
+  ThreadPool pool(4);
+  const auto coeffs = mixed_sign_coeffs(20000, 4242);
+  const PlaneSet ps = encode_planes(coeffs);
+  // The sign plane and a dense low plane are raw segments, which halving
+  // always breaks.
+  for (std::size_t idx : {std::size_t{0}, std::size_t{1} + 25}) {
+    const PlaneSet damaged = with_truncated_segment(ps, idx);
+    const PlaneSegment& bad = idx == 0 ? damaged.sign : damaged.planes[idx - 1];
+    ASSERT_THROW(decode_segment(bad, ps.count), io_error) << idx;
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      // A fresh state: the failed first call must leave nothing behind.
+      {
+        RefactorWorkspace ws;
+        ProgressiveState state;
+        EXPECT_THROW(decode_junk(damaged, 32, state, ws, ~u64{0}, p),
+                     io_error);
+        EXPECT_EQ(state.planes_decoded, 0u);
+        EXPECT_TRUE(state.sign_words.empty());
+        decoderef::State ref;
+        EXPECT_TRUE(bit_identical(decode_junk(ps, 32, state, ws, 0, p),
+                                  decoderef::decode(ps, 32, ref, p)))
+            << "fresh retry, segment " << idx;
+      }
+      // A state that already holds planes 0..4 fails to add the rest.
+      if (idx != 0) {
+        RefactorWorkspace ws;
+        ProgressiveState state;
+        decoderef::State ref;
+        ASSERT_TRUE(bit_identical(decode_junk(ps, 5, state, ws, 0, p),
+                                  decoderef::decode(ps, 5, ref, p)));
+        EXPECT_THROW(decode_junk(damaged, 32, state, ws, ~u64{0}, p),
+                     io_error);
+        EXPECT_EQ(state.planes_decoded, 5u);
+        EXPECT_TRUE(bit_identical(decode_junk(ps, 32, state, ws, 0, p),
+                                  decoderef::decode(ps, 32, ref, p)))
+            << "chained retry, segment " << idx;
+      }
+    }
+  }
 }
 
 }  // namespace
