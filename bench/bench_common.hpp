@@ -5,12 +5,19 @@
 /// table printing, human-readable units, the standard evaluation setup
 /// (n = 16 systems, p = 0.01, the paper's e_j targets), and cached
 /// per-object refactoring results so benches that need real level sizes
-/// don't redo the work.
+/// don't redo the work, and the host fingerprint every JSON record carries.
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "rapids/rapids.hpp"
 
@@ -134,6 +141,38 @@ inline std::string fmt_config(const core::FtConfig& m) {
 
 inline void banner(const std::string& title, const std::string& subtitle) {
   std::printf("\n=== %s ===\n%s\n\n", title.c_str(), subtitle.c_str());
+}
+
+/// Host fingerprint for a JSON context: the CPU model. Rows recorded on
+/// different hosts are not comparable in absolute terms.
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    std::string model;
+    for (char c : line.substr(colon + 1)) {
+      if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20)
+        continue;  // keep the value a plain JSON string
+      if (c == ' ' && model.empty()) continue;
+      model += c;
+    }
+    return model;
+  }
+  return "unknown";
+}
+
+/// Host fingerprint for a JSON context: the CPUs this process may run on.
+inline unsigned nproc() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0)
+    return static_cast<unsigned>(CPU_COUNT(&set));
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 /// Merge all transfers to the same destination into one (a Globus transfer

@@ -1,8 +1,7 @@
 // Restore resilience under injected faults: throughput, simulated gather
 // latency (p50/p99), and achieved-vs-reported error bound at transient
-// get-failure rates of 0/5/15%, with and without hedged reads, plus a
-// straggler scenario (15% of transfers slowed 25x) where hedging should cut
-// the p99 simulated latency.
+// get-failure rates of 0/5/15%, plus a straggler scenario (15% of transfers
+// slowed 25x) that the pipeline's hedged reads absorb.
 //
 // Every scenario runs against a fresh cluster + metadata store: objects are
 // prepared fault-free, then the injector goes live and the restore loop
@@ -38,12 +37,10 @@ namespace fs = std::filesystem;
 struct Scenario {
   std::string name;      // e.g. "transient_5pct"
   storage::FaultSpec spec;
-  bool hedged = true;
 };
 
 struct ScenarioResult {
   std::string name;
-  bool hedged = true;
   u64 restores = 0;
   f64 wall_seconds = 0.0;
   f64 restores_per_sec = 0.0;
@@ -71,26 +68,27 @@ f64 percentile(std::vector<f64> xs, f64 p) {
   return xs[std::min(at, xs.size() - 1)];
 }
 
-core::PipelineConfig bench_config(bool hedged) {
+core::PipelineConfig bench_config() {
   core::PipelineConfig cfg;
   cfg.refactor.decomp_levels = 3;
   cfg.refactor.num_retrieval_levels = 4;
   cfg.refactor.target_rel_errors = {4e-3, 5e-4, 6e-5, 1e-6};
   cfg.aco.iterations = 20;
-  cfg.hedged_reads = hedged;
+  // Every restore goes to the WAN: with the restore cache on, only each
+  // object's first restore would meet the injected faults.
+  cfg.restore_cache_bytes = 0;
   return cfg;
 }
 
 ScenarioResult run_scenario(const Scenario& scenario, u64 num_objects,
                             u64 num_restores) {
   const auto dir =
-      (fs::temp_directory_path() / ("rapids_bench_chaos_" + scenario.name +
-                                    (scenario.hedged ? "_h1" : "_h0")))
+      (fs::temp_directory_path() / ("rapids_bench_chaos_" + scenario.name))
           .string();
   fs::remove_all(dir);
   storage::Cluster cluster(storage::ClusterConfig{16, 0.01, 42});
   auto db = kv::Db::open(dir);
-  core::RapidsPipeline pipeline(cluster, *db, bench_config(scenario.hedged));
+  core::RapidsPipeline pipeline(cluster, *db, bench_config());
 
   const mgard::Dims dims{33, 33, 17};
   std::vector<std::string> names;
@@ -109,7 +107,6 @@ ScenarioResult run_scenario(const Scenario& scenario, u64 num_objects,
 
   ScenarioResult result;
   result.name = scenario.name;
-  result.hedged = scenario.hedged;
   result.restores = num_restores;
   std::vector<f64> latencies;
   latencies.reserve(num_restores);
@@ -155,6 +152,8 @@ void write_json(const std::string& path, u64 num_objects, u64 num_restores,
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"context\": {\n");
+  std::fprintf(f, "    \"cpu\": \"%s\",\n", cpu_model().c_str());
+  std::fprintf(f, "    \"nproc\": %u,\n", nproc());
   std::fprintf(f, "    \"objects\": %llu,\n",
                static_cast<unsigned long long>(num_objects));
   std::fprintf(f, "    \"restores_per_scenario\": %llu\n",
@@ -164,10 +163,7 @@ void write_json(const std::string& path, u64 num_objects, u64 num_restores,
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"name\": \"%s/hedge:%s\",\n", r.name.c_str(),
-                 r.hedged ? "on" : "off");
-    std::fprintf(f, "      \"scenario\": \"%s\",\n", r.name.c_str());
-    std::fprintf(f, "      \"hedged_reads\": %s,\n", r.hedged ? "true" : "false");
+    std::fprintf(f, "      \"name\": \"%s\",\n", r.name.c_str());
     std::fprintf(f, "      \"restores\": %llu,\n",
                  static_cast<unsigned long long>(r.restores));
     std::fprintf(f, "      \"wall_seconds\": %.6f,\n", r.wall_seconds);
@@ -201,8 +197,7 @@ int run(int argc, char** argv) {
   const u64 num_restores = env_u64("RAPIDS_BENCH_RESTORES", 60);
 
   banner("Chaos resilience",
-         "restore throughput + achieved error bound under injected faults, "
-         "with and without hedged reads");
+         "restore throughput + achieved error bound under injected faults");
   std::printf("objects=%llu restores_per_scenario=%llu\n\n",
               static_cast<unsigned long long>(num_objects),
               static_cast<unsigned long long>(num_restores));
@@ -212,35 +207,27 @@ int run(int argc, char** argv) {
        std::vector<std::pair<std::string, f64>>{{"transient_0pct", 0.0},
                                                 {"transient_5pct", 0.05},
                                                 {"transient_15pct", 0.15}}) {
-    for (bool hedged : {true, false}) {
-      Scenario s;
-      s.name = tag;
-      s.spec.get_fail_prob = rate;
-      s.spec.seed = 0xC4A05;
-      s.hedged = hedged;
-      scenarios.push_back(s);
-    }
-  }
-  for (bool hedged : {true, false}) {
     Scenario s;
-    s.name = "straggler_15pct_25x";
-    s.spec.straggler_prob = 0.15;
-    s.spec.straggler_mult = 25.0;
+    s.name = tag;
+    s.spec.get_fail_prob = rate;
     s.spec.seed = 0xC4A05;
-    s.hedged = hedged;
     scenarios.push_back(s);
   }
+  Scenario straggler;
+  straggler.name = "straggler_15pct_25x";
+  straggler.spec.straggler_prob = 0.15;
+  straggler.spec.straggler_mult = 25.0;
+  straggler.spec.seed = 0xC4A05;
+  scenarios.push_back(straggler);
 
   std::vector<ScenarioResult> results;
   for (const auto& s : scenarios)
     results.push_back(run_scenario(s, num_objects, num_restores));
 
-  Table table({"scenario", "hedge", "rest/s", "sim p50", "sim p99",
-               "err/bound", "degraded", "viol", "retries", "hedges", "wins",
-               "replans"});
+  Table table({"scenario", "rest/s", "sim p50", "sim p99", "err/bound",
+               "degraded", "viol", "retries", "hedges", "wins", "replans"});
   for (const auto& r : results) {
-    table.add_row({r.name, r.hedged ? "on" : "off",
-                   fmt("%.2f", r.restores_per_sec),
+    table.add_row({r.name, fmt("%.2f", r.restores_per_sec),
                    fmt("%.3g", r.sim_latency_p50),
                    fmt("%.3g", r.sim_latency_p99),
                    fmt("%.3f", r.max_error_over_bound),

@@ -30,15 +30,10 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#if defined(__linux__)
-#include <sched.h>
-#endif
-
+#include "bench_common.hpp"
 #include "rapids/data/datasets.hpp"
 #include "rapids/mgard/bitplane.hpp"
 #include "rapids/mgard/decompose.hpp"
@@ -948,37 +943,6 @@ std::vector<RiceResult> bench_rice() {
   bench_group("k4plus", 4, 63);
   bench_group("all", 0, 63);
   return rows;
-}
-
-// Host fingerprint for the JSON context: rows recorded on different hosts
-// are not comparable in absolute terms.
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const auto colon = line.find(':');
-    if (colon == std::string::npos) break;
-    std::string model;
-    for (char c : line.substr(colon + 1)) {
-      if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20)
-        continue;  // keep the value a plain JSON string
-      if (c == ' ' && model.empty()) continue;
-      model += c;
-    }
-    return model;
-  }
-  return "unknown";
-}
-
-unsigned nproc() {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0)
-    return static_cast<unsigned>(CPU_COUNT(&set));
-#endif
-  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 int main_impl(int argc, char** argv) {

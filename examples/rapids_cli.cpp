@@ -145,9 +145,8 @@ int cmd_prepare(int argc, char** argv) {
               report.plane_encode_seconds, report.optimize_seconds,
               report.encode_seconds, report.store_seconds);
   print_codec_stats("encode", report.plane_codec);
-  std::printf("  streaming: %u level%s overlapped encode/store; simulated "
+  std::printf("  streaming: encode/store overlapped refactoring; simulated "
               "end-to-end prepare latency %.3fs\n",
-              report.levels_streamed, report.levels_streamed == 1 ? "" : "s",
               report.prepare_latency);
   return 0;
 }

@@ -13,6 +13,7 @@
 #include "rapids/parallel/channel.hpp"
 #include "rapids/parallel/thread_pool.hpp"
 #include "rapids/util/logging.hpp"
+#include "rapids/util/retry.hpp"
 #include "rapids/util/timer.hpp"
 
 namespace rapids::core {
@@ -20,6 +21,11 @@ namespace rapids::core {
 namespace {
 constexpr u32 kRecordMagic = 0x524F4252u;  // "ROBR"
 
+/// Bounded retry with deterministic backoff for every remote storage op
+/// (distribution puts, restore/repair/scrub gets). Backoff runs on the
+/// simulated clock; jitter seeds derive from the op identity, so retry
+/// schedules are reproducible under any thread interleaving.
+constexpr RetryPolicy kRetryPolicy{};
 /// A fetch is hedged once its simulated transfer time exceeds this multiple
 /// of the plan median.
 constexpr f64 kHedgeThreshold = 2.0;
@@ -33,11 +39,6 @@ constexpr u32 kStreamLevelWindow = 2;
 /// A bound no retrieval level meets (bounds are >= 0), so a rung toward it
 /// targets the object's deepest level: what restore() asks for.
 constexpr f64 kDeepestLevel = -1.0;
-
-/// Stripe width of the streaming RS encode and of every streamed put.
-u64 stripe_width(const PipelineConfig& config) {
-  return std::max<u64>(config.stream_stripe_bytes, 1);
-}
 
 std::string object_key(const std::string& name) { return "obj/" + name; }
 
@@ -180,17 +181,16 @@ void RapidsPipeline::store_level_locked(const std::string& name, u32 level,
                                         const std::vector<ec::Fragment>& frags,
                                         StoreStats& stats) {
   const u32 n = cluster_.size();
-  const u64 stripe_bytes = stripe_width(config_);
   std::vector<std::pair<std::string, std::string>> locations;
   locations.reserve(frags.size());
   for (u32 idx = 0; idx < frags.size(); ++idx) {
     const ec::Fragment& frag = frags[idx];
-    const u32 preferred =
-        storage::place_fragment(config_.placement, n, level, idx);
+    const u32 preferred = storage::place_fragment(
+        storage::PlacementPolicy::kRotate, n, level, idx);
 
     const auto try_put = [&](u32 sys, u64 salt) {
       const auto r = retry_io(
-          config_.retry, stable_hash(name, (u64{level} << 32) | idx, salt),
+          kRetryPolicy, stable_hash(name, (u64{level} << 32) | idx, salt),
           [&] {
             cluster_.system(sys).put(frag);
             return true;
@@ -211,9 +211,9 @@ void RapidsPipeline::store_level_locked(const std::string& name, u32 level,
       try {
         auto stream = cluster_.system(preferred).begin_put(frag);
         const std::span<const u8> payload(frag.payload);
-        for (u64 lo = 0; lo < payload.size(); lo += stripe_bytes)
+        for (u64 lo = 0; lo < payload.size(); lo += kStreamStripeBytes)
           stream.append(payload.subspan(
-              lo, std::min(stripe_bytes, payload.size() - lo)));
+              lo, std::min(kStreamStripeBytes, payload.size() - lo)));
         stream.commit();
         stored = true;
         record_health(preferred, true);
@@ -263,7 +263,6 @@ PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
   Timer total;
 
   const bool concurrent = pool_ != nullptr && pool_->size() > 1;
-  const u64 stripe_bytes = stripe_width(config_);
 
   struct LevelWork {
     u32 level = 0;
@@ -289,7 +288,6 @@ PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
   f64 encode_seconds = 0.0;
   f64 store_seconds = 0.0;
   f64 sim_finish = 0.0;  // max over levels: store-start wall + WAN latency
-  u32 levels_streamed = 0;
 
   const auto on_plan = [&](const mgard::RefactoredObject& meta,
                            const std::vector<u64>& level_sizes) {
@@ -320,15 +318,15 @@ PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
     // conveyor below, the previous level's WAN puts).
     Timer et;
     const u32 m = solution->m[w.level];
-    const ec::ReedSolomon rs(n - m, m, config_.matrix_kind);
+    const ec::ReedSolomon rs(n - m, m);
     const std::span<const u8> payload = payload_u8(w.lvl.payload);
     std::vector<ec::Fragment> frags =
         rs.make_fragments(payload.size(), name, w.level);
     const u64 frag_size = frags.empty() ? 0 : frags[0].payload.size();
-    if (concurrent && frag_size > stripe_bytes) {
+    if (concurrent && frag_size > kStreamStripeBytes) {
       TaskGroup group(pool_);
-      for (u64 lo = 0; lo < frag_size; lo += stripe_bytes) {
-        const u64 hi = std::min(lo + stripe_bytes, frag_size);
+      for (u64 lo = 0; lo < frag_size; lo += kStreamStripeBytes) {
+        const u64 hi = std::min(lo + kStreamStripeBytes, frag_size);
         group.run([&rs, payload, lo, hi, &frags] {
           rs.encode_stripe(payload, lo, hi, frags);
         });
@@ -375,7 +373,6 @@ PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
       stats.fallback_puts += level_stats.fallback_puts;
       stats.backoff_seconds += level_stats.backoff_seconds;
       stored_levels[level] = std::move(el.lvl);
-      ++levels_streamed;
       ++next_store;
     }
     storing = false;
@@ -448,7 +445,6 @@ PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
   report.optimize_seconds = optimize_seconds;
   report.encode_seconds = encode_seconds;
   report.store_seconds = store_seconds;
-  report.levels_streamed = levels_streamed;
   report.fragments_stored = stats.fragments_stored;
   report.put_retries = stats.put_retries;
   report.relocations = stats.relocations;
@@ -464,8 +460,6 @@ PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
   record.ft = solution->m;
   for (u32 j = 0; j < record.meta.levels.size(); ++j)
     record.level_sizes.push_back(record.meta.level_bytes(j));
-  record.matrix_kind = config_.matrix_kind;
-  record.placement = config_.placement;
   record.planned_p = cluster_.config().failure_prob;
   record.planned_error = solution->expected_error;
   {
@@ -583,24 +577,10 @@ std::vector<f64> RapidsPipeline::bandwidth_estimates() const {
   return cluster_.bandwidths();
 }
 
-GatherPlan RapidsPipeline::plan_gather(const GatherProblem& problem) const {
-  switch (config_.strategy) {
-    case GatherStrategy::kRandom: {
-      Rng rng(config_.random_seed);
-      return random_plan(problem, rng);
-    }
-    case GatherStrategy::kNaive:
-      return naive_plan(problem);
-    case GatherStrategy::kOptimized:
-      return optimized_plan(problem, config_.aco);
-  }
-  throw invariant_error("restore: unknown gather strategy");
-}
-
 RapidsPipeline::FetchOutcome RapidsPipeline::fetch_with_retry(
     u32 system, const ec::FragmentId& id, f64 budget_s) {
   FetchOutcome out;
-  Backoff backoff(config_.retry, stable_hash(id.key(), system, 0xFE7C4ull),
+  Backoff backoff(kRetryPolicy, stable_hash(id.key(), system, 0xFE7C4ull),
                   budget_s);
   u32 attempts = 0;
   for (;;) {
@@ -799,7 +779,7 @@ bool RapidsPipeline::fetch_levels(const ObjectRecord& record,
         planned = true;
       }
     }
-    if (!planned) plan = plan_gather(sub);  // pure: runs outside the lock
+    if (!planned) plan = optimized_plan(sub, config_.aco);  // lock-free
     report.planning_seconds += plan.planning_seconds;
 
     // Resolve the plan into (level, system, index, bytes) fetches and start
@@ -882,16 +862,12 @@ bool RapidsPipeline::fetch_levels(const ObjectRecord& record,
           f64 effective = times[i];
           std::optional<ec::Fragment> winner = std::move(primary.fragment);
 
-          const bool straggling =
-              times[i] > hedge_launch ||
-              (config_.retry.op_timeout_s > 0.0 &&
-               times[i] > config_.retry.op_timeout_s);
-          if (config_.hedged_reads && (straggling || !ok) &&
-              hedge_launch <= budget_s) {
-            // Hedge: duplicate the read against the fastest unplanned holder
-            // of a *sibling* fragment of the same level (any k distinct
-            // fragments decode). The hedge launches at hedge_launch on the
-            // simulated clock and runs at an exclusive share.
+          if ((times[i] > hedge_launch || !ok) && hedge_launch <= budget_s) {
+            // Hedge a straggling or failed read: duplicate it against the
+            // fastest unplanned holder of a *sibling* fragment of the same
+            // level (any k distinct fragments decode). The hedge launches at
+            // hedge_launch on the simulated clock and runs at an exclusive
+            // share.
             std::optional<u32> spare;
             for (const auto& [sys2, idx2] : locations[f.level]) {
               if (used[f.level].contains(sys2)) continue;
@@ -1167,7 +1143,7 @@ RestoreReport RapidsPipeline::advance(RefineSession& session, f64 rel_bound,
         sub.m.push_back(problem.m[j]);
         sub.level_sizes.push_back(problem.level_sizes[j]);
       }
-      GatherPlan ladder_plan = plan_gather(sub);
+      GatherPlan ladder_plan = optimized_plan(sub, config_.aco);
       report.planning_seconds += ladder_plan.planning_seconds;
       for (std::size_t i = 0; i < ladder.size(); ++i)
         session.planned_rows_[ladder[i]] =
@@ -1247,7 +1223,7 @@ void RapidsPipeline::repair_fragment_locked(const std::string& name, u32 level,
   // that needs this very lock.
   ec::Fragment rebuilt = rs.reconstruct_fragment(survivors, index, nullptr);
   const auto put = retry_io(
-      config_.retry, stable_hash(rebuilt.id.key(), target_system, 0x9E9Aull),
+      kRetryPolicy, stable_hash(rebuilt.id.key(), target_system, 0x9E9Aull),
       [&] {
         cluster_.system(target_system).put(rebuilt);
         return true;
@@ -1390,7 +1366,7 @@ u32 RapidsPipeline::evacuate_system(const std::string& name, u32 system) {
     bool moved_direct = false;
     if (frag) {
       const auto put = retry_io(
-          config_.retry, stable_hash(key, target, 0xE7A0ull), [&] {
+          kRetryPolicy, stable_hash(key, target, 0xE7A0ull), [&] {
             cluster_.system(target).put(*frag);
             return true;
           });

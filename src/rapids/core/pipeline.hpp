@@ -8,7 +8,7 @@
 ///               (Algorithm 1) -> per-level erasure coding -> self-describing
 ///               fragments -> distribute across the cluster -> metadata into
 ///               the key-value store.
-///   restore():  metadata lookup -> gathering plan (Random/Naive/Optimized)
+///   restore():  metadata lookup -> gathering plan (ACO optimizer, Eq. 10)
 ///               -> WAN transfer (simulated clock, real bytes) -> erasure
 ///               decode -> progressive reconstruction -> error accounting.
 ///
@@ -38,58 +38,35 @@
 #include "rapids/storage/restore_cache.hpp"
 #include "rapids/storage/system_health.hpp"
 #include "rapids/util/common.hpp"
-#include "rapids/util/retry.hpp"
 
 namespace rapids::core {
 
-/// Gathering strategy selector (paper Section 5.4).
-enum class GatherStrategy { kRandom, kNaive, kOptimized };
+/// Stripe width of the streaming dataflow: each level's RS encode fans out
+/// in stripes of this many fragment bytes (pool tasks, in any order), and
+/// every fragment ships as a streamed put of this many bytes per append, so
+/// stripe s of a level encodes and ships while stripe s+1 is still in flight
+/// and later levels still refactor.
+inline constexpr u64 kStreamStripeBytes = 256 * 1024;
 
-/// Pipeline configuration.
+/// Pipeline configuration. Everything else the pipeline does is fixed:
+/// gathering plans come from the ACO optimizer, levels are Vandermonde RS
+/// coded and placed by rotation, storage ops retry under one bounded backoff
+/// policy, and stragglers are always hedged.
 struct PipelineConfig {
   mgard::RefactorOptions refactor;  ///< refactoring knobs
   f64 overhead_budget = 0.5;        ///< omega for the FT optimizer
-  ec::MatrixKind matrix_kind = ec::MatrixKind::kVandermonde;
-  storage::PlacementPolicy placement = storage::PlacementPolicy::kRotate;
-  GatherStrategy strategy = GatherStrategy::kOptimized;
-  solver::AcoOptions aco;           ///< budget for the Optimized strategy
-  u64 random_seed = 99;             ///< seed for the Random strategy
-
-  // --- resilient I/O policy (fault model: transient / permanent / corrupt /
-  //     straggler; see DESIGN.md "Fault model and resilience policy") ---
-
-  /// Bounded retry with deterministic backoff for every remote storage op
-  /// (distribution puts, restore/repair/scrub gets). Backoff runs on the
-  /// simulated clock; jitter seeds derive from the op identity, so retry
-  /// schedules are reproducible under any thread interleaving.
-  RetryPolicy retry;
-  /// Hedge fetches whose simulated transfer time exceeds twice the plan
-  /// median: a duplicate read of a sibling fragment of the same level is
-  /// issued to the fastest unplanned holder, and the faster of the two
-  /// completions wins. Also rescues persistently failed fetches without a
-  /// full replan.
-  bool hedged_reads = true;
+  solver::AcoOptions aco;           ///< budget of the gathering optimizer
   /// Per-system SystemHealth circuit breaker (persisted next to the
   /// bandwidth tracker). Every storage op is recorded in it, and
   /// circuit-open systems are excluded from gathering plans when that does
   /// not reduce the recoverable level count.
   storage::HealthOptions health;
-
-  // --- progressive refinement (restore cache + refine sessions) ---
-
   /// Byte budget of the CRC-verified LRU cache of fetched retrieval-level
   /// payloads, shared across restores and refine sessions. Consulted before
   /// gather planning; a hit skips the WAN fetch and erasure decode for that
   /// level. 0 disables caching (every restore refetches, the pre-cache
   /// behavior).
   u64 restore_cache_bytes = 256ull << 20;
-
-  // --- streaming dataflow (fragment-granular pipelining) ---
-
-  /// Stripe width for the fragment-granular RS encode and the streamed WAN
-  /// puts: stripe s of a level encodes (and ships) while stripe s+1 is still
-  /// in flight and later levels still refactor. 0 is treated as 1.
-  u64 stream_stripe_bytes = 256 * 1024;
 };
 
 /// Storage-key name of one encoding generation of an object: generation 0
@@ -156,7 +133,6 @@ struct PrepareReport {
   u32 put_retries = 0;       ///< transient put failures absorbed by retry
   u32 relocations = 0;       ///< fragments re-placed after persistent failure
   f64 backoff_seconds = 0.0; ///< simulated backoff charged to distribution
-  u32 levels_streamed = 0;   ///< levels shipped through the streaming channel
   u32 stream_fallback_puts = 0;  ///< streamed puts that fell back to a
                                  ///< whole-fragment retry after a mid-stream
                                  ///< fault or outage
@@ -525,7 +501,7 @@ class RapidsPipeline {
   };
   /// Distribute one level's fragments (placement, retry, relocation, health,
   /// per-level location batch). Caller holds io_mu_. Each fragment ships
-  /// through a streamed put in stripes of stream_stripe_bytes, falling back
+  /// through a streamed put in stripes of kStreamStripeBytes, falling back
   /// to the whole-fragment retry path on a mid-stream fault.
   void store_level_locked(const std::string& name, u32 level,
                           const std::vector<ec::Fragment>& frags,
@@ -562,7 +538,6 @@ class RapidsPipeline {
                               u32 target_system);
   /// gc_generation body; caller must hold io_mu_.
   u64 gc_generation_locked(const std::string& name, u32 generation);
-  GatherPlan plan_gather(const GatherProblem& problem) const;
   /// Fragment locations of one level from the metadata store: system -> the
   /// fragment index it hosts (the authoritative map; placement only seeds it
   /// at prepare time, repair/evacuation may move fragments afterwards).

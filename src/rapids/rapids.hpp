@@ -22,7 +22,6 @@
 #include "rapids/data/raw_io.hpp"
 #include "rapids/data/stats.hpp"
 #include "rapids/ec/reed_solomon.hpp"
-#include "rapids/fsdf/fsdf.hpp"
 #include "rapids/kvstore/db.hpp"
 #include "rapids/kvstore/replicated_db.hpp"
 #include "rapids/mgard/refactorer.hpp"

@@ -2,9 +2,10 @@
 
 /// \file bytes.hpp
 /// Byte-buffer builder and cursor for little-endian binary serialization.
-/// Used by the fragment headers, the self-describing container (fsdf), and
-/// the key-value store's on-disk records. All multi-byte integers are stored
-/// little-endian regardless of host order.
+/// Used by the fragment headers, the metadata records (object, refactoring,
+/// bandwidth tracker, system health, migration journal) and the key-value
+/// store's on-disk records. All multi-byte integers are stored little-endian
+/// regardless of host order.
 
 #include <cstring>
 #include <span>

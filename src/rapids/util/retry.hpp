@@ -28,10 +28,6 @@ struct RetryPolicy {
   f64 backoff_multiplier = 2.0;
   f64 max_backoff_s = 5.0;     ///< cap per individual backoff
   f64 jitter_frac = 0.25;      ///< +/- fraction applied to each backoff
-  /// Per-attempt simulated timeout for a transfer; an attempt whose simulated
-  /// duration exceeds this counts as a transient failure (stragglers get
-  /// retried/hedged instead of stalling the restore). 0 disables.
-  f64 op_timeout_s = 0.0;
 };
 
 /// FNV-1a over a string plus mixins — the canonical way to derive a

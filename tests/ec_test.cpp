@@ -495,6 +495,17 @@ TEST(Fragment, SerializeRoundTrip) {
   EXPECT_EQ(back.level_bytes, f.level_bytes);
   EXPECT_EQ(back.payload, f.payload);
   EXPECT_TRUE(back.verify());
+
+  // The header alone is enough to decode: any k fragments, each read back
+  // from its own serialized bytes, in mixed parity/data order.
+  const ReedSolomon rs(4, 2);
+  const auto payload = random_payload(5000, 28);
+  const auto frags = rs.encode(payload, "SCALE:T", 1);
+  std::vector<Fragment> survivors;
+  for (const u32 i : {5u, 3u, 1u, 0u})
+    survivors.push_back(
+        Fragment::deserialize(as_bytes_view(frags[i].serialize())));
+  EXPECT_EQ(rs.decode(survivors), payload);
 }
 
 TEST(Fragment, DeserializeBadMagicThrows) {

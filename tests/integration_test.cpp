@@ -1,7 +1,6 @@
 // Cross-module integration scenarios: the full prepare -> outage -> restore
-// -> repair lifecycle on all six paper objects, fragment files through the
-// FSDF container, directory-backed storage, and RAPIDS-vs-baseline
-// comparisons on real bytes.
+// -> repair lifecycle on all six paper objects, directory-backed storage,
+// and RAPIDS-vs-baseline comparisons on real bytes.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 #include "rapids/kvstore/replicated_db.hpp"
 #include "rapids/data/datasets.hpp"
 #include "rapids/data/stats.hpp"
-#include "rapids/fsdf/fsdf.hpp"
 #include "rapids/parallel/thread_pool.hpp"
 #include "rapids/storage/failure.hpp"
 
@@ -22,7 +20,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using core::FtConfig;
-using core::GatherStrategy;
 using core::PipelineConfig;
 using core::RapidsPipeline;
 using mgard::Dims;
@@ -131,39 +128,6 @@ TEST_F(IntegrationTest, DirectoryBackedClusterEndToEnd) {
   u64 files = 0;
   for (const auto& e : fs::recursive_directory_iterator(dir_ + "/sys0")) files += e.is_regular_file();
   EXPECT_EQ(files, 4u);
-}
-
-TEST_F(IntegrationTest, FragmentsTravelThroughFsdfContainers) {
-  // Wrap each fragment in a self-describing FSDF file, re-read, and decode:
-  // the interchange the paper does with HDF5/ADIOS fragment files.
-  const ec::ReedSolomon rs(4, 2);
-  std::vector<u8> payload(5000);
-  for (std::size_t i = 0; i < payload.size(); ++i)
-    payload[i] = static_cast<u8>(i ^ 0x3C);
-  const auto frags = rs.encode(payload, "SCALE:T", 1);
-
-  fs::create_directories(dir_ + "/fsdf");
-  std::vector<std::string> paths;
-  for (const auto& f : frags) {
-    fsdf::Writer w;
-    w.set_attr("object_name", f.id.object_name);
-    w.set_attr("level", static_cast<i64>(f.id.level));
-    w.set_attr("index", static_cast<i64>(f.id.index));
-    w.add_dataset("fragment", f.serialize());
-    const std::string path =
-        dir_ + "/fsdf/frag" + std::to_string(f.id.index) + ".fsdf";
-    w.write(path);
-    paths.push_back(path);
-  }
-  // Read back any 4 and decode.
-  std::vector<ec::Fragment> survivors;
-  for (u32 i : {5u, 3u, 1u, 0u}) {
-    const auto r = fsdf::Reader::open(paths[i]);
-    EXPECT_EQ(r.attr_string("object_name"), "SCALE:T");
-    survivors.push_back(
-        ec::Fragment::deserialize(as_bytes_view(r.dataset("fragment"))));
-  }
-  EXPECT_EQ(rs.decode(survivors), payload);
 }
 
 TEST_F(IntegrationTest, RapidsBeatsBaselinesOnOverheadAtComparableQuality) {

@@ -117,23 +117,6 @@ TEST_F(PipelineTest, RestoreReturnsLossWhenEverythingDown) {
   EXPECT_DOUBLE_EQ(report.rel_error_bound, 1.0);  // the e_0 penalty
 }
 
-TEST_F(PipelineTest, AllStrategiesRestoreCorrectly) {
-  const Dims dims{33, 17, 9};
-  const auto field = data::hurricane_temperature(dims, 5);
-  for (auto strategy : {GatherStrategy::kRandom, GatherStrategy::kNaive,
-                        GatherStrategy::kOptimized}) {
-    auto cfg = fast_config();
-    cfg.strategy = strategy;
-    RapidsPipeline pipeline(*cluster_, *db_, cfg);
-    const std::string name = "obj" + std::to_string(static_cast<int>(strategy));
-    pipeline.prepare(field, dims, name);
-    const auto report = pipeline.restore(name);
-    EXPECT_EQ(report.levels_used, 4u);
-    EXPECT_LE(data::relative_linf_error(field, report.data),
-              report.rel_error_bound);
-  }
-}
-
 TEST_F(PipelineTest, MetadataSurvivesDbReopen) {
   const Dims dims{17, 17, 9};
   const auto field = data::scale_pressure(dims, 6);
@@ -192,32 +175,6 @@ TEST_F(PipelineTest, ObjectRecordSerializationRoundTrip) {
   EXPECT_EQ(back.matrix_kind, prep.record.matrix_kind);
   EXPECT_EQ(back.placement, prep.record.placement);
   EXPECT_EQ(back.meta.name, "rt");
-}
-
-TEST_F(PipelineTest, CauchyMatrixVariantWorksEndToEnd) {
-  auto cfg = fast_config();
-  cfg.matrix_kind = ec::MatrixKind::kCauchy;
-  RapidsPipeline pipeline(*cluster_, *db_, cfg);
-  const Dims dims{17, 17, 9};
-  const auto field = data::scale_temperature(dims, 9);
-  pipeline.prepare(field, dims, "cauchy");
-  storage::fail_exactly(*cluster_, {0, 1});
-  const auto report = pipeline.restore("cauchy");
-  EXPECT_GE(report.levels_used, 3u);
-  EXPECT_LE(data::relative_linf_error(field, report.data),
-            report.rel_error_bound);
-}
-
-TEST_F(PipelineTest, IdentityPlacementWorksEndToEnd) {
-  auto cfg = fast_config();
-  cfg.placement = storage::PlacementPolicy::kIdentity;
-  RapidsPipeline pipeline(*cluster_, *db_, cfg);
-  const Dims dims{17, 17, 9};
-  const auto field = data::hurricane_pressure(dims, 10);
-  pipeline.prepare(field, dims, "ident");
-  const auto report = pipeline.restore("ident");
-  EXPECT_LE(data::relative_linf_error(field, report.data),
-            report.rel_error_bound);
 }
 
 TEST_F(PipelineTest, ListObjects) {

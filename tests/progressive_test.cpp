@@ -493,16 +493,15 @@ class RefineTest : public ::testing::Test {
     fs::remove_all(dir_);
   }
 
-  // Deterministic byte accounting: no stragglers (prob 0 above) and no
-  // hedges, so every fetch of level j costs exactly k_j x fragment_bytes(j)
-  // regardless of plan or ordering.
+  // Deterministic byte accounting: no faults and no stragglers (prob 0
+  // above), so every read of level j, planned or hedged, lands exactly
+  // fragment_bytes(j) regardless of plan or ordering.
   PipelineConfig refine_config() {
     PipelineConfig cfg;
     cfg.refactor.decomp_levels = 3;
     cfg.refactor.num_retrieval_levels = 4;
     cfg.refactor.target_rel_errors = {4e-3, 5e-4, 6e-5, 1e-6};
     cfg.aco.iterations = 20;
-    cfg.hedged_reads = false;
     return cfg;
   }
 
@@ -543,30 +542,42 @@ TEST_F(RefineTest, LadderBitIdenticalToFullRestoreAtEveryRung) {
   RapidsPipeline baseline(*cluster_, *db_, cold);
   const auto full = baseline.restore("hp");
   ASSERT_EQ(full.levels_used, 4u);
-  ASSERT_GT(full.bytes_transferred, 0u);
+  // The full restore hedged nothing, so it moved exactly k_j fragments of
+  // every level j.
+  ASSERT_EQ(full.hedged_fetches, 0u);
 
+  GatherProblem problem;
+  problem.n = cluster_->size();
+  problem.m = prep.record.ft;
+  problem.level_sizes = prep.record.level_sizes;
   auto session = pipeline.begin_refine("hp");
-  u64 cumulative = 0;
+  u64 planned = 0;
   u32 rung = 0;
   for (f64 bound : {4e-3, 5e-4, 6e-5, 1e-6}) {
     const auto report = pipeline.refine(*session, bound);
     ++rung;
     ASSERT_EQ(report.levels_used, rung) << "bound=" << bound;
     EXPECT_LE(report.rel_error_bound, bound);
-    // Each rung transfers strictly less than the equivalent full restore:
-    // only the new levels' fragments move.
-    EXPECT_GT(report.bytes_transferred, 0u);
+    // Only the new level's fragments move: its k_j planned reads plus one
+    // sibling read per hedge (a one-level rung's equal-share times can put
+    // a slow link past the hedge trigger), each strictly less than the
+    // equivalent full restore.
+    const u64 k = problem.n - problem.m[rung - 1];
+    const u64 fragment = problem.fragment_bytes(rung);
+    EXPECT_EQ(report.bytes_transferred,
+              (k + report.hedged_fetches) * fragment)
+        << "rung " << rung;
     EXPECT_LT(report.bytes_transferred, full.bytes_transferred);
     EXPECT_GT(report.planes_decoded, 0u);
-    cumulative += report.bytes_transferred;
+    planned += k * fragment;
     ASSERT_TRUE(bit_identical(report.data, expected_prefix(prep, rung)))
         << "rung " << rung;
     EXPECT_EQ(session->levels(), rung);
     const f64 err = data::relative_linf_error(field, report.data);
     EXPECT_LE(err, report.rel_error_bound);
   }
-  // The whole ladder moves exactly the bytes of one full restore.
-  EXPECT_EQ(cumulative, full.bytes_transferred);
+  // The whole ladder plans exactly the bytes of one full restore.
+  EXPECT_EQ(planned, full.bytes_transferred);
   ASSERT_TRUE(bit_identical(session->data(), full.data));
 }
 

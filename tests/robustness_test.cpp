@@ -12,7 +12,6 @@
 #include "rapids/data/stats.hpp"
 #include "rapids/ec/fragment.hpp"
 #include "rapids/storage/fault_injector.hpp"
-#include "rapids/fsdf/fsdf.hpp"
 #include "rapids/kvstore/sorted_run.hpp"
 #include "rapids/mgard/refactorer.hpp"
 #include "rapids/util/rng.hpp"
@@ -77,20 +76,6 @@ TEST(Robustness, FragmentDeserializeFuzz) {
     // Parsed despite mutation: verify() must catch payload damage (header
     // damage may legitimately parse to a different-but-consistent record).
     (void)frag.verify();
-  });
-}
-
-TEST(Robustness, FsdfReaderFuzz) {
-  fsdf::Writer w;
-  w.set_attr("object_name", std::string("fuzz"));
-  w.set_attr("level", i64{3});
-  w.set_attr("bound", 1.5e-4);
-  w.add_dataset("payload", Bytes(256, std::byte{0x5A}));
-  w.add_dataset("extra", Bytes(32, std::byte{0x11}));
-  const Bytes wire = w.finish();
-  fuzz(wire, 3, 400, [](const Bytes& bad) {
-    const fsdf::Reader r{Bytes(bad)};
-    for (const auto& name : r.dataset_names()) (void)r.dataset(name);
   });
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -267,14 +268,13 @@ PipelineConfig fast_config() {
   cfg.refactor.num_retrieval_levels = 4;
   cfg.refactor.target_rel_errors = {4e-3, 5e-4, 6e-5, 1e-6};
   cfg.aco.iterations = 20;
-  cfg.stream_stripe_bytes = 8 * 1024;  // small stripes: many per fragment
   return cfg;
 }
 
 /// The staged reference for one object: what prepare() must leave behind on
 /// a healthy kCluster, built only from public primitives — refactor the
 /// whole field, optimize the FT configuration (Algorithm 1), RS-encode each
-/// level in one piece, and put every fragment where the placement policy
+/// level in one piece, and put every fragment where rotating placement
 /// says.
 struct Reference {
   mgard::RefactoredObject obj;  ///< with payloads, for prefix reconstructs
@@ -306,21 +306,19 @@ Reference reference_prepare(const PipelineConfig& cfg,
   record.meta = ref.obj;
   record.ft = ref.ft.m;
   record.level_sizes = problem.level_sizes;
-  record.matrix_kind = cfg.matrix_kind;
-  record.placement = cfg.placement;
   record.planned_p = kCluster.failure_prob;
   record.planned_error = ref.ft.expected_error;
   ref.record = record.serialize();
 
   for (u32 j = 0; j < ref.obj.levels.size(); ++j) {
     const u32 m = ref.ft.m[j];
-    const ec::ReedSolomon rs(n - m, m, cfg.matrix_kind);
+    const ec::ReedSolomon rs(n - m, m);
     const Bytes& payload = ref.obj.levels[j].payload;
     const auto frags = rs.encode(
         {reinterpret_cast<const u8*>(payload.data()), payload.size()}, name, j);
     for (u32 idx = 0; idx < frags.size(); ++idx)
       ref.fragments[frags[idx].id.key()] = {
-          storage::place_fragment(cfg.placement, n, j, idx),
+          storage::place_fragment(storage::PlacementPolicy::kRotate, n, j, idx),
           frags[idx].serialize()};
   }
   return ref;
@@ -354,19 +352,28 @@ bool same_floats(const std::vector<f32>& a, const std::vector<f32>& b) {
 }
 
 TEST(StreamingPrepare, ByteIdenticalToStagedWithAndWithoutPool) {
+  // A field large enough that fragments span several stripes: the pooled
+  // prepare encodes them stripe by stripe on the pool, and both prepares
+  // ship them as multi-append streamed puts.
   ThreadPool pool(4);
-  const Dims dims{33, 33, 17};
-  const auto field = data::hurricane_pressure(dims, 21);
+  const Dims dims{257, 257, 129};
+  const auto field = data::nyx_temperature(dims, 21, &pool);
   const auto cfg = fast_config();
-  const Reference ref = reference_prepare(cfg, field, dims, "hp");
+  const Reference ref = reference_prepare(cfg, field, dims, "nt");
+  u64 largest_fragment = 0;
+  for (u32 j = 0; j < ref.obj.levels.size(); ++j)
+    largest_fragment = std::max(
+        largest_fragment, ceil_div(ref.obj.level_bytes(j),
+                                   kCluster.num_systems - ref.ft.m[j]));
+  ASSERT_GT(largest_fragment, kStreamStripeBytes);
 
   Env pooled("pooled");
   RapidsPipeline pooled_pipe(*pooled.cluster, *pooled.db, cfg, &pool);
-  const auto pooled_report = pooled_pipe.prepare(field, dims, "hp");
+  const auto pooled_report = pooled_pipe.prepare(field, dims, "nt");
 
   Env serial("serial");  // no pool: the inline path
   RapidsPipeline serial_pipe(*serial.cluster, *serial.db, cfg);
-  const auto serial_report = serial_pipe.prepare(field, dims, "hp");
+  const auto serial_report = serial_pipe.prepare(field, dims, "nt");
 
   for (const auto* report : {&pooled_report, &serial_report}) {
     EXPECT_EQ(report->record.serialize(), ref.record);
@@ -377,12 +384,11 @@ TEST(StreamingPrepare, ByteIdenticalToStagedWithAndWithoutPool) {
           << "level " << j;
     EXPECT_EQ(report->fragments_stored, ref.fragments.size());
     EXPECT_DOUBLE_EQ(report->expected_error, ref.ft.expected_error);
-    EXPECT_EQ(report->levels_streamed, static_cast<u32>(ref.ft.m.size()));
     EXPECT_EQ(report->stream_fallback_puts, 0u);  // healthy cluster
     EXPECT_GT(report->prepare_latency, 0.0);
   }
-  expect_matches_reference(pooled, ref, "hp");
-  expect_matches_reference(serial, ref, "hp");
+  expect_matches_reference(pooled, ref, "nt");
+  expect_matches_reference(serial, ref, "nt");
 }
 
 TEST(StreamingRestore, ByteIdenticalToStagedAtEveryLevelPrefix) {
