@@ -17,10 +17,11 @@
 // timing. `codec_combined_speedup_vs_seed` is the >= 3x number the issue
 // tracks.
 //
-// Those planes are mostly coded raw or sparse, so the Rice table times the
+// Those planes are mostly coded raw or sparse, so the Rice tables time the
 // Rice segments of one refactored generator field on their own, grouped by
 // the parameter k the coder chose: the seed BitReader decoder against the
-// kernel decoder, as ns per set bit and stream GB/s, with the in-run speedup.
+// kernel decoder, and the seed BitWriter encoder against the kernel encoder,
+// as ns per set bit and stream GB/s, with the in-run speedup.
 //
 // Usage: refactor_kernels [output.json]
 //   Prints the tables; with an argument also writes BENCH_refactor.json,
@@ -31,6 +32,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -844,7 +846,7 @@ std::vector<CodecResult> bench_codec(u64* planes_benched) {
   return rows;
 }
 
-// --- Rice decode per parameter k: seed decoder vs kernel decoder ----------
+// --- Rice coding per parameter k: seed coder vs kernel coder --------------
 
 struct RiceResult {
   std::string name;  ///< k0..k3, k4plus, or all
@@ -854,14 +856,19 @@ struct RiceResult {
   f64 speedup = 0.0;  ///< seed time over new time, see time_pair
 };
 
+struct RiceRows {
+  std::vector<RiceResult> decode, encode;
+};
+
 constexpr const char* kRiceField = "hurricane:TCf48.bin";
 constexpr Dims kRiceDims{257, 257, 129};
 
 // Every Rice segment of one refactored generator field (default options),
-// whose planes cover k = 0..3 and several k >= 4. A row decodes its
-// segments whole (decode_segment) under each coder; both must reproduce the
-// same words before anything is timed.
-std::vector<RiceResult> bench_rice() {
+// whose planes cover k = 0..3 and several k >= 4. A decode row decodes its
+// segments whole (decode_segment) under each coder, an encode row encodes
+// their plane words whole (encode_segment); both coders must reproduce the
+// same words and the same segment bytes before anything is timed.
+RiceRows bench_rice() {
   const auto field = data::find_object(kRiceField).generate(kRiceDims);
   const mgard::Refactorer rf{mgard::RefactorOptions{}};
   const mgard::RefactoredObject obj = rf.refactor(field, kRiceDims, "rice");
@@ -874,6 +881,7 @@ std::vector<RiceResult> bench_rice() {
     const mgard::PlaneSegment* seg;
     u64 num_bits, ones;
     u32 k;
+    std::vector<u64> words;
   };
   std::vector<RiceSegment> all;
   for (const auto& ps : sets) {
@@ -882,19 +890,26 @@ std::vector<RiceResult> bench_rice() {
       u64 ones = 0;
       for (u32 b = 0; b < 8; ++b)
         ones |= static_cast<u64>(seg.data[2 + b]) << (8 * b);
-      all.push_back({&seg, ps.count, ones, static_cast<u32>(seg.data[1])});
-      if (mgard::decode_segment(seg, ps.count) !=
-          seedcodec::decode_segment(seg, ps.count)) {
+      std::vector<u64> words = mgard::decode_segment(seg, ps.count);
+      if (words != seedcodec::decode_segment(seg, ps.count)) {
         std::fprintf(stderr, "FATAL: seed and kernel Rice decoders disagree\n");
         std::abort();
       }
+      if (seedcodec::encode_segment(words, ps.count).data != seg.data ||
+          mgard::encode_segment(words, ps.count).data != seg.data) {
+        std::fprintf(stderr, "FATAL: seed and kernel Rice encoders disagree\n");
+        std::abort();
+      }
+      all.push_back({&seg, ps.count, ones, static_cast<u32>(seg.data[1]),
+                     std::move(words)});
     };
     add(ps.sign);
     for (const auto& p : ps.planes) add(p);
   }
 
-  std::vector<RiceResult> rows;
-  const auto bench_group = [&](std::string name, u32 k_lo, u32 k_hi) {
+  const auto bench_group = [&](std::vector<RiceResult>& rows, std::string name,
+                               u32 k_lo, u32 k_hi, const auto& run_seed_one,
+                               const auto& run_new_one) {
     std::vector<const RiceSegment*> group;
     for (const auto& r : all)
       if (r.k >= k_lo && r.k <= k_hi) group.push_back(&r);
@@ -907,12 +922,10 @@ std::vector<RiceResult> bench_rice() {
       row.stream_bytes += r->seg->data.size() - 10;
     }
     const auto run_seed = [&] {
-      for (const auto* r : group)
-        (void)seedcodec::decode_segment(*r->seg, r->num_bits);
+      for (const auto* r : group) run_seed_one(*r);
     };
     const auto run_new = [&] {
-      for (const auto* r : group)
-        (void)mgard::decode_segment(*r->seg, r->num_bits);
+      for (const auto* r : group) run_new_one(*r);
     };
     // Repeat small groups until the slower (seed) side takes ~30 ms.
     const f64 once = seconds_of(run_seed);
@@ -938,11 +951,33 @@ std::vector<RiceResult> bench_rice() {
     row.speedup = t.speedup;
     rows.push_back(row);
   };
-  for (u32 k = 0; k <= 3; ++k)
-    bench_group("k" + std::to_string(k), k, k);
-  bench_group("k4plus", 4, 63);
-  bench_group("all", 0, 63);
-  return rows;
+  const auto bench_k_groups = [&](std::vector<RiceResult>& rows,
+                                  const auto& run_seed_one,
+                                  const auto& run_new_one) {
+    for (u32 k = 0; k <= 3; ++k)
+      bench_group(rows, "k" + std::to_string(k), k, k, run_seed_one,
+                  run_new_one);
+    bench_group(rows, "k4plus", 4, 63, run_seed_one, run_new_one);
+    bench_group(rows, "all", 0, 63, run_seed_one, run_new_one);
+  };
+  RiceRows out;
+  bench_k_groups(
+      out.decode,
+      [](const RiceSegment& r) {
+        (void)seedcodec::decode_segment(*r.seg, r.num_bits);
+      },
+      [](const RiceSegment& r) {
+        (void)mgard::decode_segment(*r.seg, r.num_bits);
+      });
+  bench_k_groups(
+      out.encode,
+      [](const RiceSegment& r) {
+        (void)seedcodec::encode_segment(r.words, r.num_bits);
+      },
+      [](const RiceSegment& r) {
+        (void)mgard::encode_segment(r.words, r.num_bits);
+      });
+  return out;
 }
 
 int main_impl(int argc, char** argv) {
@@ -1064,22 +1099,25 @@ int main_impl(int argc, char** argv) {
               "combined %.2fx\n",
               codec_enc_sp, codec_dec_sp, codec_sp);
 
-  // --- Rice decode per k, single thread ---
-  const std::vector<RiceResult> rice = bench_rice();
-  std::printf("\nRice decode per parameter k, single thread, every Rice "
-              "segment of %s at %llux%llux%llu\n",
-              kRiceField, static_cast<unsigned long long>(kRiceDims.nx),
-              static_cast<unsigned long long>(kRiceDims.ny),
-              static_cast<unsigned long long>(kRiceDims.nz));
-  std::printf("%-8s %5s %11s %10s %10s %10s %10s %8s\n", "k", "segs",
-              "set bits", "seed ns/b", "new ns/b", "seed GB/s", "new GB/s",
-              "speedup");
-  for (const auto& r : rice)
-    std::printf("%-8s %5llu %11llu %10.3f %10.3f %10.3f %10.3f %7.2fx\n",
-                r.name.c_str(), static_cast<unsigned long long>(r.segments),
-                static_cast<unsigned long long>(r.set_bits), r.seed_ns_per_bit,
-                r.new_ns_per_bit, r.seed_stream_gbps, r.new_stream_gbps,
-                r.speedup);
+  // --- Rice decode and encode per k, single thread ---
+  const RiceRows rice = bench_rice();
+  for (const auto& [what, rows] :
+       {std::pair{"decode", &rice.decode}, std::pair{"encode", &rice.encode}}) {
+    std::printf("\nRice %s per parameter k, single thread, every Rice "
+                "segment of %s at %llux%llux%llu\n",
+                what, kRiceField, static_cast<unsigned long long>(kRiceDims.nx),
+                static_cast<unsigned long long>(kRiceDims.ny),
+                static_cast<unsigned long long>(kRiceDims.nz));
+    std::printf("%-8s %5s %11s %10s %10s %10s %10s %8s\n", "k", "segs",
+                "set bits", "seed ns/b", "new ns/b", "seed GB/s", "new GB/s",
+                "speedup");
+    for (const auto& r : *rows)
+      std::printf("%-8s %5llu %11llu %10.3f %10.3f %10.3f %10.3f %7.2fx\n",
+                  r.name.c_str(), static_cast<unsigned long long>(r.segments),
+                  static_cast<unsigned long long>(r.set_bits),
+                  r.seed_ns_per_bit, r.new_ns_per_bit, r.seed_stream_gbps,
+                  r.new_stream_gbps, r.speedup);
+  }
 
   if (argc > 1) {
     std::FILE* f = std::fopen(argv[1], "w");
@@ -1136,23 +1174,26 @@ int main_impl(int argc, char** argv) {
                  kRiceField, static_cast<unsigned long long>(kRiceDims.nx),
                  static_cast<unsigned long long>(kRiceDims.ny),
                  static_cast<unsigned long long>(kRiceDims.nz));
-    std::fprintf(f, "  \"rice_decode\": [\n");
-    for (std::size_t i = 0; i < rice.size(); ++i) {
-      const auto& r = rice[i];
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"segments\": %llu, "
-                   "\"set_bits\": %llu, \"stream_bytes\": %llu, "
-                   "\"seed_ns_per_bit\": %.3f, \"new_ns_per_bit\": %.3f, "
-                   "\"seed_stream_gbps\": %.3f, \"new_stream_gbps\": %.3f, "
-                   "\"speedup\": %.3f}%s\n",
-                   r.name.c_str(), static_cast<unsigned long long>(r.segments),
-                   static_cast<unsigned long long>(r.set_bits),
-                   static_cast<unsigned long long>(r.stream_bytes),
-                   r.seed_ns_per_bit, r.new_ns_per_bit, r.seed_stream_gbps,
-                   r.new_stream_gbps, r.speedup,
-                   i + 1 == rice.size() ? "" : ",");
+    for (const auto& [key, rows] : {std::pair{"rice_decode", &rice.decode},
+                                    std::pair{"rice_encode", &rice.encode}}) {
+      std::fprintf(f, "  \"%s\": [\n", key);
+      for (std::size_t i = 0; i < rows->size(); ++i) {
+        const auto& r = (*rows)[i];
+        std::fprintf(
+            f,
+            "    {\"name\": \"%s\", \"segments\": %llu, "
+            "\"set_bits\": %llu, \"stream_bytes\": %llu, "
+            "\"seed_ns_per_bit\": %.3f, \"new_ns_per_bit\": %.3f, "
+            "\"seed_stream_gbps\": %.3f, \"new_stream_gbps\": %.3f, "
+            "\"speedup\": %.3f}%s\n",
+            r.name.c_str(), static_cast<unsigned long long>(r.segments),
+            static_cast<unsigned long long>(r.set_bits),
+            static_cast<unsigned long long>(r.stream_bytes), r.seed_ns_per_bit,
+            r.new_ns_per_bit, r.seed_stream_gbps, r.new_stream_gbps, r.speedup,
+            i + 1 == rows->size() ? "" : ",");
+      }
+      std::fprintf(f, "  ],\n");
     }
-    std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"codec_encode_speedup_vs_seed\": %.3f,\n",
                  codec_enc_sp);
     std::fprintf(f, "  \"codec_decode_speedup_vs_seed\": %.3f,\n",

@@ -12,20 +12,82 @@
 #
 # Regression gate:
 #   bench/run_benchmarks.sh --check [build_dir] [baseline.json]
-# re-runs the refactor-kernels bench into a temp file and compares speedups
+# re-runs the refactor-kernels bench into temp files and compares speedups
 # measured within one run against the same speedups in the committed
 # BENCH_refactor.json: each kernel's dispatched/scalar, the transform's
 # dispatched/seed, the codec's new/seed over the whole plane set, and the
-# Rice decoder's new/seed over every Rice segment of one field. Both
-# sides of a speedup are timed as interleaved pairs on the run's host (median
-# of per-rep ratios), so a faster or slower machine moves neither. The bench
-# runs three times; each speedup is judged at its median over the three, and
-# every run's value and the spread ((max - min) / median) are printed. A
-# median >15% below baseline fails, as does a baseline row the runs no longer
-# have.
+# Rice decoder's and encoder's new/seed over every Rice segment of one
+# field. Both sides of a speedup are timed as interleaved pairs on the run's
+# host (median of per-rep ratios), so a faster or slower machine moves
+# neither. The bench runs three times; each speedup is judged at its median
+# over the three, and every run's value and the spread ((max - min) /
+# median) are printed. A median >15% below baseline fails, as does a
+# baseline row the runs no longer have.
 # RAPIDS_BENCH_TOL overrides the 0.15 tolerance for hosts whose ambient noise
 # exceeds it (shared boxes under neighbor load).
+#
+# Baseline record:
+#   bench/run_benchmarks.sh --record [build_dir] [output.json]
+# runs the refactor-kernels bench three times and writes every number of
+# every row at its median over the three (output defaults to
+# BENCH_refactor.json; the context is the first run's), so a row that is
+# bimodal across processes cannot put its rarer mode into the baseline.
 set -euo pipefail
+
+if [[ "${1:-}" == "--record" ]]; then
+  BUILD_DIR="${2:-build}"
+  OUT="${3:-BENCH_refactor.json}"
+  RK_BIN="$BUILD_DIR/bench/refactor_kernels"
+  if [[ ! -x "$RK_BIN" ]]; then
+    echo "error: $RK_BIN not found — build first" >&2
+    exit 1
+  fi
+  RUNS=()
+  trap 'rm -f "${RUNS[@]}"' EXIT
+  for _ in 1 2 3; do
+    RUNS+=("$(mktemp --suffix=.json)")
+    "$RK_BIN" "${RUNS[-1]}" >/dev/null
+  done
+  python3 - "$OUT" "${RUNS[@]}" <<'PY'
+import json, statistics, sys
+
+runs = [json.load(open(p)) for p in sys.argv[2:]]
+
+
+def merge(vals):
+    """Median of numbers, element-wise over rows and keys; the first run's
+    value for anything else (names, the host context, which also records
+    how many runs the medians are over)."""
+    first = vals[0]
+    if isinstance(first, (bool, str)):
+        return first
+    if isinstance(first, (int, float)):
+        return statistics.median(vals)
+    if isinstance(first, list):
+        return [merge([v[i] for v in vals]) for i in range(len(first))]
+    return {k: {**first[k], "runs": len(vals)} if k == "context"
+            else merge([v[k] for v in vals]) for k in first}
+
+
+# Same layout as the bench writes: one row per line.
+doc = merge(runs)
+items = []
+for key, val in doc.items():
+    if key == "context":
+        body = ",\n".join(f"    {json.dumps(k)}: {json.dumps(v)}"
+                          for k, v in val.items())
+        items.append(f'  "context": {{\n{body}\n  }}')
+    elif isinstance(val, list):
+        body = ",\n".join(f"    {json.dumps(r)}" for r in val)
+        items.append(f'  "{key}": [\n{body}\n  ]')
+    else:
+        items.append(f'  "{key}": {json.dumps(val)}')
+with open(sys.argv[1], "w") as f:
+    f.write("{\n" + ",\n".join(items) + "\n}\n")
+print(f"wrote {sys.argv[1]} (every number the median of {len(runs)} runs)")
+PY
+  exit $?
+fi
 
 if [[ "${1:-}" == "--check" ]]; then
   BUILD_DIR="${2:-build}"
@@ -68,10 +130,12 @@ def ratios(doc):
             continue
         for op in ("encode", "decode"):
             out[f"codec/{e['name']}.{op}_speedup"] = e.get(f"{op}_speedup")
-    # Rice decode: every Rice segment of one generator field, all k at once.
-    for e in doc.get("rice_decode", []):
-        if e["name"] == "all":
-            out["rice_decode/all.speedup"] = e.get("speedup")
+    # Rice decode and encode: every Rice segment of one generator field, all
+    # k at once.
+    for table in ("rice_decode", "rice_encode"):
+        for e in doc.get(table, []):
+            if e["name"] == "all":
+                out[f"{table}/all.speedup"] = e.get("speedup")
     return {k: v for k, v in out.items() if v}
 
 

@@ -77,6 +77,24 @@ u32 rice_parameter(u64 num_bits, u64 ones) {
   return k;
 }
 
+/// max |c| over a level. With a pool, each chunk reduces on a worker into
+/// its own slot: max is exact in any order, so the result is the serial
+/// kernel's.
+f64 level_max_abs(std::span<const f64> c, ThreadPool* pool) {
+  const kernels::BitplaneOps& ops = kernels::bitplane_ops();
+  if (pool == nullptr || words_for_bits(c.size()) <= 64)
+    return ops.max_abs(c.data(), c.size());
+  const u64 grain = ceil_div(c.size(), std::max<u64>(1, pool->size()) * 4);
+  std::vector<f64> part(ceil_div(c.size(), grain));
+  pool->parallel_for_chunks(
+      0, c.size(),
+      [&](u64 lo, u64 hi) {
+        part[lo / grain] = ops.max_abs(c.data() + lo, hi - lo);
+      },
+      grain);
+  return *std::max_element(part.begin(), part.end());
+}
+
 /// Mode histogram / byte accounting for one finished segment.
 void tally_segment(const PlaneSegment& seg, CodecStats& s) {
   ++s.segments;
@@ -124,77 +142,42 @@ PlaneSegment encode_segment(std::span<const u64> words, u64 num_bits) {
   const u64 raw_bytes = nwords * 8;
   const u64 bitmap_words = words_for_bits(nwords);
   const u64 sparse_bytes = bitmap_words * 8 + nonzero_words * 8;
+  // One buffer serves every mode: the cheaper of raw and sparse fills it
+  // exactly, and a Rice body only wins when it is strictly smaller.
+  const u64 fallback_bytes = std::min(raw_bytes, sparse_bytes);
+  seg.data.resize(1 + fallback_bytes);
 
-  // Rice candidate: the exact encoded size falls out of the set-bit positions
-  // and the gap-length reduction without emitting a stream, so arbitration
-  // happens before any Rice bytes exist. Size and tie-breaks are identical to
-  // the historical coder: body = [k u8][ones u64][gap bits, byte-padded].
-  u64 rice_bytes = 0;
-  u64 rice_bits = 0;
-  u32 k = 0;
-  std::vector<u64> pos;
-  const auto extract_positions = [&] {
-    pos.resize(ones + 7);  // slack for the vector extraction tiers
-    const u64 extracted = cops.bit_positions(words.data(), nwords, pos.data());
-    RAPIDS_REQUIRE(extracted == ones);
-  };
-  if (ones * 2 < num_bits) {
-    k = rice_parameter(num_bits, ones);
-    // The highest set bit pins the gap sum (sum(gap) = pos_last + 1 - ones),
-    // which lets dense planes settle the Rice candidate without materializing
-    // every set-bit position.  Arbitration is unchanged -- the same exact
-    // rice_bytes decides -- it is just computed lazily.
-    u64 w = nwords;
-    while (words[w - 1] == 0) --w;  // ones > 0 guarantees a nonzero word
-    const u64 pos_last =
-        (w - 1) * 64 + (63 - static_cast<u64>(std::countl_zero(words[w - 1])));
-    if (k == 0) {
-      // k == 0 spends gap + 1 bits per gap, so the stream length collapses
-      // to sum(gap) + ones == pos_last + 1 exactly.
-      rice_bits = pos_last + 1;
-      rice_bytes = 1 + 8 + ceil_div(rice_bits, 8);
-    } else {
-      // Sound lower bound: gap >> k >= (gap - (2^k - 1)) / 2^k per gap, so
-      // the quotient tail is at least (sum(gap) - ones*(2^k - 1)) >> k.  If
-      // even that floor cannot beat the cheaper of raw and sparse, Rice
-      // loses without an extraction pass.
-      const u64 sum_gaps = pos_last + 1 - ones;
-      const u64 kmask = (u64{1} << k) - 1;
-      const u64 slack =
-          (kmask != 0 && ones > sum_gaps / kmask) ? sum_gaps : ones * kmask;
-      const u64 lb_bits = ones * (1 + k) + ((sum_gaps - slack) >> k);
-      const u64 lb_bytes = 1 + 8 + ceil_div(lb_bits, 8);
-      if (lb_bytes < raw_bytes && lb_bytes < sparse_bytes) {
-        extract_positions();
-        rice_bits = cops.rice_length_bits(pos.data(), ones, k);
-        rice_bytes = 1 + 8 + ceil_div(rice_bits, 8);
-      }
+  // Rice candidate, body = [k u8][ones u64][gap bits, byte-padded]: it wins
+  // iff 9 + ceil(bits / 8) < fallback_bytes, i.e. bits <= 8 * (fallback_bytes
+  // - 10). The kernel writes the stream straight after the header and drops
+  // it once it outgrows that budget, so the exact Rice size decides the mode
+  // with the historical tie-breaks and without any scratch.
+  if (ones * 2 < num_bits && fallback_bytes > 10) {
+    const u32 k = rice_parameter(num_bits, ones);
+    const u64 max_bits = (fallback_bytes - 10) * 8;
+    const u64 rice_bits = cops.rice_encode(words.data(), nwords, k, max_bits,
+                                           seg.data.data() + 10);
+    if (rice_bits <= max_bits) {
+      seg.data[0] = static_cast<std::byte>(kModeRice);
+      seg.data[1] = static_cast<std::byte>(k);
+      const u64 ones_le = host_to_le64(ones);
+      std::memcpy(seg.data.data() + 2, &ones_le, 8);
+      seg.data.resize(10 + ceil_div(rice_bits, 8));
+      return seg;
     }
   }
 
-  if (rice_bytes != 0 && rice_bytes < raw_bytes && rice_bytes < sparse_bytes) {
-    if (pos.empty()) extract_positions();
-    seg.data.resize(1 + rice_bytes);
-    seg.data[0] = static_cast<std::byte>(kModeRice);
-    seg.data[1] = static_cast<std::byte>(k);
-    const u64 ones_le = host_to_le64(ones);
-    std::memcpy(seg.data.data() + 2, &ones_le, 8);
-    std::vector<u64> bits(words_for_bits(rice_bits), 0);
-    cops.rice_emit(pos.data(), ones, k, bits.data());
-    store_words_le(seg.data.data() + 10, bits.data(), ceil_div(rice_bits, 8));
-  } else if (sparse_bytes < raw_bytes) {
+  if (sparse_bytes < raw_bytes) {
     std::vector<u64> bitmap(bitmap_words, 0);
     std::vector<u64> packed(nonzero_words);
     const u64 packed_words =
         cops.sparse_pack(words.data(), nwords, bitmap.data(), packed.data());
     RAPIDS_REQUIRE(packed_words == nonzero_words);
-    seg.data.resize(1 + sparse_bytes);
     seg.data[0] = static_cast<std::byte>(kModeSparse);
     store_words_le(seg.data.data() + 1, bitmap.data(), bitmap_words * 8);
     store_words_le(seg.data.data() + 1 + bitmap_words * 8, packed.data(),
                    nonzero_words * 8);
   } else {
-    seg.data.resize(1 + raw_bytes);
     seg.data[0] = static_cast<std::byte>(kModeRaw);
     store_words_le(seg.data.data() + 1, words.data(), raw_bytes);
   }
@@ -291,7 +274,7 @@ PlaneSet encode_planes(std::span<const f64> coeffs, u32 max_planes,
   if (coeffs.empty()) return ps;
 
   const kernels::BitplaneOps& ops = kernels::bitplane_ops();
-  const f64 max_abs = ops.max_abs(coeffs.data(), coeffs.size());
+  const f64 max_abs = level_max_abs(coeffs, pool);
   ps.max_abs = max_abs;
   if (max_abs == 0.0) {
     // All-zero level: a zero sign plane and no magnitude planes needed, but
@@ -348,11 +331,17 @@ PlaneSet encode_planes(std::span<const f64> coeffs, u32 max_planes,
 
   // Segment encode: the sign plane and every magnitude plane are independent,
   // so all max_planes + 1 segments fork across the pool in one go (index 0 is
-  // the sign). Each task writes only its own preallocated slot, so the bytes
-  // are identical to the serial order.
+  // the sign), one per task: the default grain would pair them up, and the
+  // heavy middle planes of a large level would then share a task. Tasks are
+  // claimed from the last plane up: planes get denser toward the least
+  // significant bit, so the raw ones (a copy each) go first, then the
+  // densest Rice planes, the most expensive, start before the sparser ones.
+  // Each task writes only its own preallocated slot, so the bytes are
+  // identical to the serial order.
   ps.planes.resize(max_planes);
   Timer t;
-  auto compress = [&](u64 idx) {
+  auto compress = [&](u64 task) {
+    const u64 idx = max_planes - task;
     if (idx == 0) {
       ps.sign = encode_segment(row(0), n);
     } else {
@@ -360,9 +349,9 @@ PlaneSet encode_planes(std::span<const f64> coeffs, u32 max_planes,
     }
   };
   if (pool != nullptr && max_planes > 0) {
-    pool->parallel_for(0, u64{max_planes} + 1, compress);
+    pool->parallel_for(0, u64{max_planes} + 1, compress, 1);
   } else {
-    for (u64 idx = 0; idx <= max_planes; ++idx) compress(idx);
+    for (u64 task = 0; task <= max_planes; ++task) compress(task);
   }
   if (stats != nullptr) {
     stats->seconds += t.seconds();

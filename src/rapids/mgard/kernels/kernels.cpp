@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 
 // Scalar reference kernels and the dispatch glue. This translation unit is
 // compiled with -fno-tree-vectorize (see src/CMakeLists.txt): these loops are
@@ -162,19 +163,6 @@ void segment_stats_s(const u64* words, u64 n, u64* ones, u64* nonzero_words) {
   *nonzero_words = nz;
 }
 
-u64 bit_positions_s(const u64* words, u64 n, u64* out) {
-  u64 c = 0;
-  for (u64 i = 0; i < n; ++i) {
-    u64 w = words[i];
-    const u64 base = i * 64;
-    while (w != 0) {
-      out[c++] = base + static_cast<u64>(std::countr_zero(w));
-      w &= w - 1;
-    }
-  }
-  return c;
-}
-
 u64 sparse_pack_s(const u64* words, u64 n, u64* bitmap, u64* packed) {
   u64 nz = 0;
   for (u64 i = 0; i < n; ++i) {
@@ -193,37 +181,73 @@ u64 sparse_expand_s(u64* words, u64 n, const u64* bitmap, const u64* packed) {
   return c;
 }
 
-u64 rice_length_bits_s(const u64* pos, u64 count, u32 k) {
-  u64 bits = count * (u64{1} + k);
-  u64 prev = 0;
-  for (u64 i = 0; i < count; ++i) {
-    bits += (pos[i] - prev) >> k;
-    prev = pos[i] + 1;
-  }
-  return bits;
+/// Store the little-endian image of `v`: all 8 bytes, or its first nbytes.
+inline void store_le(std::byte* dst, u64 v, u64 nbytes = 8) {
+  if constexpr (std::endian::native == std::endian::big)
+    v = __builtin_bswap64(v);
+  std::memcpy(dst, &v, nbytes);
 }
 
-void rice_emit_s(const u64* pos, u64 count, u32 k, u64* bits) {
-  // Per gap: unary(gap >> k) = q zeros then a one, then the k low bits of the
-  // gap, LSB-first. The buffer is pre-zeroed, so zeros are just a skip and
-  // every write is an OR — no per-bit loop, at most three word touches.
-  const u64 low_mask = k == 0 ? 0 : (u64{1} << k) - 1;
-  u64 bitpos = 0;
-  u64 prev = 0;
-  for (u64 i = 0; i < count; ++i) {
-    const u64 gap = pos[i] - prev;
-    prev = pos[i] + 1;
-    bitpos += gap >> k;  // the unary zeros
-    bits[bitpos >> 6] |= u64{1} << (bitpos & 63);
-    ++bitpos;
-    if (k != 0) {
-      const u64 v = gap & low_mask;
-      const u32 off = static_cast<u32>(bitpos & 63);
-      bits[bitpos >> 6] |= v << off;
-      if (off + k > 64) bits[(bitpos >> 6) + 1] |= v >> (64 - off);
-      bitpos += k;
+u64 rice_encode_s(const u64* words, u64 n, u32 k, u64 max_bits,
+                  std::byte* out) {
+  constexpr u64 kDropped = ~u64{0};
+  if (k == 0) {
+    // A codeword is gap zeros then a one: the stream is the plane itself up
+    // to its last set bit.
+    u64 w = n;
+    while (w > 0 && words[w - 1] == 0) --w;
+    const u64 bits =
+        w == 0 ? 0 : w * 64 - static_cast<u64>(std::countl_zero(words[w - 1]));
+    if (bits > max_bits) return kDropped;
+    const u64 nbytes = (bits + 7) >> 3;
+    const u64 whole = nbytes >> 3;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(out, words, whole * 8);  // the words are the image
+    } else {
+      for (u64 i = 0; i < whole; ++i) store_le(out + i * 8, words[i]);
+    }
+    if ((nbytes & 7) != 0) store_le(out + whole * 8, words[whole], nbytes & 7);
+    return bits;
+  }
+  // The stream word being filled stays in `cur` (its low `fill` bits are
+  // coded) and is stored once, whole, when it fills. A store that would
+  // take the stream past max_bits drops it instead, so no write lands past
+  // ceil(max_bits / 8) bytes however long a run of zeros is.
+  const u64 low_mask = (u64{1} << k) - 1;
+  const u64 max_words = max_bits >> 6;
+  u64 stored = 0;
+  u64 cur = 0;
+  u64 fill = 0;
+  u64 prev = 0;  // position after the previous set bit
+  for (u64 i = 0; i < n; ++i) {
+    for (u64 w = words[i]; w != 0; w &= w - 1) {
+      const u64 pos = i * 64 + static_cast<u64>(std::countr_zero(w));
+      const u64 gap = pos - prev;
+      prev = pos + 1;
+      fill += gap >> k;  // the unary zeros are zero bits already
+      if (fill >= 64) {  // they complete `cur`, and maybe whole zero words
+        const u64 whole = fill >> 6;
+        if (stored + whole > max_words) return kDropped;
+        store_le(out + stored++ * 8, cur);
+        for (u64 z = 1; z < whole; ++z) store_le(out + stored++ * 8, 0);
+        cur = 0;
+        fill &= 63;
+      }
+      const u64 code = ((gap & low_mask) << 1) | 1;  // the one, the low bits
+      cur |= code << fill;
+      fill += k + 1;
+      if (fill >= 64) {
+        if (stored == max_words) return kDropped;
+        store_le(out + stored++ * 8, cur);
+        fill -= 64;
+        cur = code >> (k + 1 - fill);  // the bits past the stored word
+      }
     }
   }
+  const u64 bits = stored * 64 + fill;
+  if (bits > max_bits) return kDropped;
+  if (fill > 0) store_le(out + stored * 8, cur, (fill + 7) >> 3);
+  return bits;
 }
 
 /// One Rice codeword at stream bit `bitpos`, output position `prev`: the
@@ -413,9 +437,9 @@ constexpr RowOps kScalarRowOps{
 constexpr BitplaneOps kScalarBitplaneOps{&max_abs_s, &quantize64_s,
                                          &transpose64_s, &dequantize_s};
 
-constexpr CodecOps kScalarCodecOps{
-    &segment_stats_s, &bit_positions_s,    &sparse_pack_s, &sparse_expand_s,
-    &rice_length_bits_s, &rice_emit_s, &rice_expand_s};
+constexpr CodecOps kScalarCodecOps{&segment_stats_s, &sparse_pack_s,
+                                   &sparse_expand_s, &rice_encode_s,
+                                   &rice_expand_s};
 
 }  // namespace
 

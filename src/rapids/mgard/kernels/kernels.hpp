@@ -106,11 +106,6 @@ struct CodecOps {
   /// *ones = popcount over words[0..n), *nonzero_words = #(words[i] != 0).
   void (*segment_stats)(const u64* words, u64 n, u64* ones,
                         u64* nonzero_words);
-  /// Write the ascending absolute positions of every set bit in words[0..n)
-  /// to out. `out` must have room for count + 7 entries (count from
-  /// segment_stats): vector tiers store full table rows and let the cursor
-  /// overwrite the slack. Returns the count written.
-  u64 (*bit_positions)(const u64* words, u64 n, u64* out);
   /// bitmap bit i = (words[i] != 0) (bitmap pre-zeroed, ceil(n/64) words);
   /// packed collects the nonzero words in order. Returns #nonzero words.
   u64 (*sparse_pack)(const u64* words, u64 n, u64* bitmap, u64* packed);
@@ -118,12 +113,19 @@ struct CodecOps {
   /// (pre-zeroed) at the bitmap's set positions. Returns #words consumed.
   u64 (*sparse_expand)(u64* words, u64 n, const u64* bitmap,
                        const u64* packed);
-  /// Exact bit length of the Rice gap stream for set-bit positions
-  /// pos[0..count) at parameter k: sum(gap_i >> k) + count * (1 + k).
-  u64 (*rice_length_bits)(const u64* pos, u64 count, u32 k);
-  /// Emit that gap stream (LSB-first within 64-bit words) into bits
-  /// (pre-zeroed, ceil(rice_length_bits/64) words).
-  void (*rice_emit)(const u64* pos, u64 count, u32 k, u64* bits);
+  /// Rice-code the set bits of words[0..n) at parameter k (k <= 40): per set
+  /// bit, its gap from the previous one's successor (from 0 for the first)
+  /// as gap >> k zeros, a one, then the k low bits of the gap, LSB-first.
+  /// Writes the stream's little-endian byte image, ceil(bits / 8) bytes
+  /// with the last one zero-padded, to out and returns its exact bit length
+  /// `bits`. A stream longer than max_bits is dropped as soon as it outgrows
+  /// the budget: the return is then ~0 and out[0..ceil(max_bits / 8)) is
+  /// unspecified. `out` needs room for ceil(max_bits / 8) bytes and no
+  /// alignment. One integer encoder serves every tier: k = 0 copies the
+  /// plane up to its last set bit (the stream is the plane), k >= 1 walks
+  /// the words once and stores each filled output word once.
+  u64 (*rice_encode)(const u64* words, u64 n, u32 k, u64 max_bits,
+                     std::byte* out);
   /// Decode `ones` Rice gaps from stream[0..ceil(stream_bits/64)) (LSB-first,
   /// zero-padded past stream_bits) and set the positions in words
   /// (pre-zeroed, ceil(num_bits/64) words). Returns false on any malformed

@@ -425,11 +425,10 @@ constexpr BitplaneOps kAvx2BitplaneOps{&max_abs_avx2, &quantize64_avx2,
 // --- entropy-codec kernels ---
 //
 // All integer-exact, so bit-identity with the scalar tier is structural.
-// rice_emit / rice_expand / sparse_expand stay on the scalar entry points
-// (serial bit packing with loop-carried positions; rice_expand's speed comes
-// from its decode tables, not from vector registers, so one decoder serves
-// every tier); the vector wins are the streaming stats, bitmap construction,
-// set-bit extraction, and gap-length reduction that feed them.
+// rice_encode / rice_expand / sparse_expand stay on the scalar entry points
+// (serial bit packing with a loop-carried stream position: one encoder and
+// one decoder serve every tier); the vector wins are the streaming stats and
+// the bitmap construction.
 
 void segment_stats_avx2(const u64* words, u64 n, u64* ones,
                         u64* nonzero_words) {
@@ -466,56 +465,6 @@ void segment_stats_avx2(const u64* words, u64 n, u64* ones,
   *nonzero_words = nz;
 }
 
-/// Shuffle table for set-bit extraction: row v holds the in-byte bit indices
-/// of the set bits of byte value v, front-packed.
-struct BytePosTable {
-  alignas(16) u8 pos[256][8];
-};
-
-constexpr BytePosTable make_byte_pos_table() {
-  BytePosTable t{};
-  for (u32 v = 0; v < 256; ++v) {
-    u32 c = 0;
-    for (u32 b = 0; b < 8; ++b)
-      if ((v >> b) & 1) t.pos[v][c++] = static_cast<u8>(b);
-    for (; c < 8; ++c) t.pos[v][c] = 0;
-  }
-  return t;
-}
-
-constexpr BytePosTable kBytePos = make_byte_pos_table();
-
-u64 bit_positions_avx2(const u64* words, u64 n, u64* out) {
-  // Table-driven extraction: one shuffle-table row per nonzero byte, widened
-  // to u64 lanes and stored unconditionally (the cursor advances by the
-  // byte's popcount, so over-stored lanes are overwritten by the next byte).
-  // Requires the 7-entry slack past the true count that the CodecOps
-  // contract reserves in `out`.
-  u64 c = 0;
-  for (u64 i = 0; i < n; ++i) {
-    u64 w = words[i];
-    if (w == 0) continue;
-    const u64 wbase = i * 64;
-    for (u32 b = 0; b < 8 && w != 0; ++b, w >>= 8) {
-      const u32 byte = static_cast<u32>(w & 0xFF);
-      if (byte == 0) continue;
-      const __m128i row = _mm_loadl_epi64(
-          reinterpret_cast<const __m128i*>(kBytePos.pos[byte]));
-      const __m256i base = _mm256_set1_epi64x(
-          static_cast<long long>(wbase + u64{8} * b));
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(out + c),
-          _mm256_add_epi64(_mm256_cvtepu8_epi64(row), base));
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(out + c + 4),
-          _mm256_add_epi64(_mm256_cvtepu8_epi64(_mm_srli_epi64(row, 32)),
-                           base));
-      c += static_cast<u64>(__builtin_popcount(byte));
-    }
-  }
-  return c;
-}
-
 u64 sparse_pack_avx2(const u64* words, u64 n, u64* bitmap, u64* packed) {
   // Bitmap nibbles from a 4-lane zero compare; the packed append walks only
   // the nonzero lanes of each group.
@@ -542,30 +491,6 @@ u64 sparse_pack_avx2(const u64* words, u64 n, u64* bitmap, u64* packed) {
     }
   }
   return nz;
-}
-
-u64 rice_length_bits_avx2(const u64* pos, u64 count, u32 k) {
-  // gap_i = pos_i - (pos_{i-1} + 1) for i > 0, pos_0 for i = 0; the shifted
-  // gaps reduce in four u64 lanes off two unaligned loads per step.
-  u64 bits = count * (u64{1} + k);
-  if (count == 0) return bits;
-  bits += pos[0] >> k;
-  const __m256i ones4 = _mm256_set1_epi64x(1);
-  __m256i acc = _mm256_setzero_si256();
-  u64 i = 1;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i cur =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pos + i));
-    const __m256i prv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pos + i - 1));
-    const __m256i gap = _mm256_sub_epi64(cur, _mm256_add_epi64(prv, ones4));
-    acc = _mm256_add_epi64(acc, _mm256_srli_epi64(gap, static_cast<int>(k)));
-  }
-  alignas(32) u64 lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  bits += lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < count; ++i) bits += (pos[i] - pos[i - 1] - 1) >> k;
-  return bits;
 }
 
 }  // namespace
@@ -599,9 +524,7 @@ const CodecOps& codec_ops_avx2() {
   static const CodecOps ops = [] {
     CodecOps t = codec_ops_scalar();  // serial bit-packing entry points
     t.segment_stats = &segment_stats_avx2;
-    t.bit_positions = &bit_positions_avx2;
     t.sparse_pack = &sparse_pack_avx2;
-    t.rice_length_bits = &rice_length_bits_avx2;
     return t;
   }();
   return ops;

@@ -167,10 +167,9 @@ constexpr RowOps kNeonRowOps{
 // --- entropy-codec kernels ---
 //
 // Integer-exact, so bit-identity with the scalar reference is structural.
-// Only the streaming reductions get NEON forms; the serial bit-packing entry
-// points (rice_emit / rice_expand, the latter table-driven and shared by
-// every tier) and the extraction/scatter loops stay on the scalar reference
-// via the copied table below.
+// Only the streaming reduction gets a NEON form; the serial bit-packing entry
+// points (rice_encode / rice_expand, shared by every tier) and the
+// pack/scatter loops stay on the scalar reference via the copied table below.
 
 void segment_stats_neon(const u64* words, u64 n, u64* ones,
                         u64* nonzero_words) {
@@ -193,25 +192,6 @@ void segment_stats_neon(const u64* words, u64 n, u64* ones,
   *nonzero_words = nz;
 }
 
-u64 rice_length_bits_neon(const u64* pos, u64 count, u32 k) {
-  u64 bits = count * (u64{1} + k);
-  if (count == 0) return bits;
-  bits += pos[0] >> k;
-  const uint64x2_t ones2 = vdupq_n_u64(1);
-  const int64x2_t shift = vdupq_n_s64(-static_cast<i64>(k));
-  uint64x2_t acc = vdupq_n_u64(0);
-  u64 i = 1;
-  for (; i + 2 <= count; i += 2) {
-    const uint64x2_t cur = vld1q_u64(pos + i);
-    const uint64x2_t prv = vld1q_u64(pos + i - 1);
-    const uint64x2_t gap = vsubq_u64(cur, vaddq_u64(prv, ones2));
-    acc = vaddq_u64(acc, vshlq_u64(gap, shift));
-  }
-  bits += vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1);
-  for (; i < count; ++i) bits += (pos[i] - pos[i - 1] - 1) >> k;
-  return bits;
-}
-
 }  // namespace
 
 namespace detail {
@@ -224,7 +204,6 @@ const CodecOps& codec_ops_neon() {
   static const CodecOps ops = [] {
     CodecOps t = codec_ops_scalar();
     t.segment_stats = &segment_stats_neon;
-    t.rice_length_bits = &rice_length_bits_neon;
     return t;
   }();
   return ops;

@@ -114,7 +114,7 @@ std::vector<RetrievalLevelPlan> plan_retrieval_levels(
 RetrievalLevel materialize_retrieval_level(
     const std::vector<PlaneSet>& plane_sets, const RetrievalLevelPlan& plan) {
   RetrievalLevel lvl;
-  ByteWriter writer;
+  ByteWriter writer(plan.payload_bytes);
   std::vector<SegmentRef> refs;
   refs.reserve(plan.segments.size());
   for (const SegmentRef& ref : plan.segments) {

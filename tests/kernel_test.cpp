@@ -785,6 +785,136 @@ std::vector<u64> make_plane(u64 num_bits, Density d, u64 seed) {
   return w;
 }
 
+// ---------------------------------------------------------------------------
+// riceencref: the positions -> length -> emit Rice encoder that rice_encode
+// replaced (set-bit positions into a vector, the exact stream length from
+// them, then every codeword ORed into a pre-zeroed stream), kept verbatim as
+// the differential arbiter. rice_encode must reproduce its stream bytes and
+// bit length for every plane and k, and drop exactly the streams longer
+// than its budget.
+// ---------------------------------------------------------------------------
+namespace riceencref {
+
+u64 bit_positions(const u64* words, u64 n, u64* out) {
+  u64 c = 0;
+  for (u64 i = 0; i < n; ++i) {
+    u64 w = words[i];
+    const u64 base = i * 64;
+    while (w != 0) {
+      out[c++] = base + static_cast<u64>(std::countr_zero(w));
+      w &= w - 1;
+    }
+  }
+  return c;
+}
+
+u64 rice_length_bits(const u64* pos, u64 count, u32 k) {
+  u64 bits = count * (u64{1} + k);
+  u64 prev = 0;
+  for (u64 i = 0; i < count; ++i) {
+    bits += (pos[i] - prev) >> k;
+    prev = pos[i] + 1;
+  }
+  return bits;
+}
+
+void rice_emit(const u64* pos, u64 count, u32 k, u64* bits) {
+  const u64 low_mask = k == 0 ? 0 : (u64{1} << k) - 1;
+  u64 bitpos = 0;
+  u64 prev = 0;
+  for (u64 i = 0; i < count; ++i) {
+    const u64 gap = pos[i] - prev;
+    prev = pos[i] + 1;
+    bitpos += gap >> k;  // the unary zeros
+    bits[bitpos >> 6] |= u64{1} << (bitpos & 63);
+    ++bitpos;
+    if (k != 0) {
+      const u64 v = gap & low_mask;
+      const u32 off = static_cast<u32>(bitpos & 63);
+      bits[bitpos >> 6] |= v << off;
+      if (off + k > 64) bits[(bitpos >> 6) + 1] |= v >> (64 - off);
+      bitpos += k;
+    }
+  }
+}
+
+// The composition encode_segment ran: the stream words (one zero word past
+// the last coded one) and, through the pointers, the set-bit count and the
+// exact stream length in bits.
+std::vector<u64> encode(const std::vector<u64>& plane, u32 k, u64* ones,
+                        u64* bits) {
+  *ones = 0;
+  for (u64 w : plane) *ones += static_cast<u64>(std::popcount(w));
+  std::vector<u64> pos(*ones + 7);
+  bit_positions(plane.data(), plane.size(), pos.data());
+  *bits = rice_length_bits(pos.data(), *ones, k);
+  std::vector<u64> stream((*bits + 63) / 64 + 1, 0);
+  rice_emit(pos.data(), *ones, k, stream.data());
+  return stream;
+}
+
+}  // namespace riceencref
+
+// The little-endian byte image of the first nbytes of `words`.
+std::vector<std::byte> le_bytes(const std::vector<u64>& words, u64 nbytes) {
+  std::vector<std::byte> out(nbytes);
+  for (u64 i = 0; i < nbytes; ++i)
+    out[i] = static_cast<std::byte>(words[i >> 3] >> (8 * (i & 7)));
+  return out;
+}
+
+// rice_encode through `ops` with a budget of max_bits, into a buffer of
+// exactly ceil(max_bits / 8) bytes followed by guard bytes that must come
+// back untouched. Returns the kernel's result; *out gets the budget bytes.
+u64 rice_encode_guarded(const kernels::CodecOps& ops,
+                        const std::vector<u64>& plane, u32 k, u64 max_bits,
+                        std::vector<std::byte>* out) {
+  constexpr u64 kGuard = 16;
+  constexpr std::byte kCanary{0xA5};
+  const u64 room = (max_bits + 7) / 8;
+  std::vector<std::byte> buf(room + kGuard, kCanary);
+  const u64 bits =
+      ops.rice_encode(plane.data(), plane.size(), k, max_bits, buf.data());
+  for (u64 i = room; i < buf.size(); ++i)
+    EXPECT_EQ(buf[i], kCanary) << "write past the budget at byte " << i;
+  buf.resize(room);
+  *out = std::move(buf);
+  return bits;
+}
+
+// rice_encode on every tier against riceencref, at budgets exactly at the
+// stream's length, one bit under and one bit over it, and at the byte
+// boundaries around it (the segment coder's budgets are whole bytes): a
+// stream within its budget must come out byte-identical with its exact
+// length, and one over it must be dropped.
+void expect_encode_matches(const std::vector<u64>& plane, u32 k,
+                           const std::string& what) {
+  u64 ones = 0, bits = 0;
+  const auto ref = riceencref::encode(plane, k, &ones, &bits);
+  const auto want = le_bytes(ref, (bits + 7) / 8);
+  std::vector<u64> budgets = {bits, bits + 1, (bits + 7) / 8 * 8,
+                              (bits + 7) / 8 * 8 + 64};
+  if (bits > 0) budgets.push_back(bits - 1);
+  if (bits >= 8) budgets.push_back(((bits + 7) / 8 - 1) * 8);
+  for (IsaLevel tier : {IsaLevel::kScalar, IsaLevel::kAvx2, IsaLevel::kNeon}) {
+    const kernels::CodecOps& ops = kernels::codec_ops_at(tier);
+    for (u64 budget : budgets) {
+      SCOPED_TRACE(what + " tier=" + simd::isa_name(tier) +
+                   " max_bits=" + std::to_string(budget) +
+                   " bits=" + std::to_string(bits));
+      std::vector<std::byte> got;
+      const u64 got_bits = rice_encode_guarded(ops, plane, k, budget, &got);
+      if (bits <= budget) {
+        ASSERT_EQ(got_bits, bits);
+        got.resize(want.size());
+        EXPECT_EQ(got, want);
+      } else {
+        EXPECT_EQ(got_bits, ~u64{0});
+      }
+    }
+  }
+}
+
 TEST(Codec, KernelMatrixBitIdenticalAcrossIsa) {
   const kernels::CodecOps& ref = kernels::codec_ops_scalar();
   for (IsaLevel tier : kTiers) {
@@ -802,12 +932,6 @@ TEST(Codec, KernelMatrixBitIdenticalAcrossIsa) {
         EXPECT_EQ(ones, ones_ref);
         EXPECT_EQ(nzw, nzw_ref);
 
-        // bit_positions: +7 slack entries per the CodecOps contract.
-        std::vector<u64> pos(ones + 7, ~u64{0}), pos_ref(ones + 7, ~u64{0});
-        EXPECT_EQ(ops.bit_positions(plane.data(), nwords, pos.data()), ones);
-        EXPECT_EQ(ref.bit_positions(plane.data(), nwords, pos_ref.data()),
-                  ones);
-        for (u64 i = 0; i < ones; ++i) ASSERT_EQ(pos[i], pos_ref[i]) << i;
 
         const u64 bitmap_words = (nwords + 63) / 64;
         std::vector<u64> bm(bitmap_words, 0), packed(nzw + 1, ~u64{0});
@@ -828,16 +952,23 @@ TEST(Codec, KernelMatrixBitIdenticalAcrossIsa) {
 
         if (ones == 0) continue;
         for (u32 k : {0u, 1u, 2u, 3u, 5u, 13u}) {
-          const u64 bits = ops.rice_length_bits(pos.data(), ones, k);
-          ASSERT_EQ(bits, ref.rice_length_bits(pos_ref.data(), ones, k))
+          // rice_encode: the tier's stream equals the scalar tier's and
+          // riceencref's, byte for byte, and one bit less budget drops it.
+          u64 ref_ones = 0, bits = 0;
+          const auto stream_ref =
+              riceencref::encode(plane, k, &ref_ones, &bits);
+          std::vector<std::byte> out, out_ref;
+          ASSERT_EQ(rice_encode_guarded(ops, plane, k, bits, &out), bits)
               << "k=" << k;
-          std::vector<u64> stream((bits + 63) / 64, 0);
-          std::vector<u64> stream_ref((bits + 63) / 64, 0);
-          ops.rice_emit(pos.data(), ones, k, stream.data());
-          ref.rice_emit(pos_ref.data(), ones, k, stream_ref.data());
-          EXPECT_EQ(stream, stream_ref) << "k=" << k;
+          ASSERT_EQ(rice_encode_guarded(ref, plane, k, bits, &out_ref), bits)
+              << "k=" << k;
+          EXPECT_EQ(out, out_ref) << "k=" << k;
+          EXPECT_EQ(out, le_bytes(stream_ref, (bits + 7) / 8)) << "k=" << k;
+          EXPECT_EQ(rice_encode_guarded(ops, plane, k, bits - 1, &out),
+                    ~u64{0})
+              << "k=" << k;
           std::vector<u64> back(nwords, 0);
-          ASSERT_TRUE(ops.rice_expand(stream.data(), bits, ones, k, nbits,
+          ASSERT_TRUE(ops.rice_expand(stream_ref.data(), bits, ones, k, nbits,
                                       back.data()))
               << "k=" << k;
           EXPECT_EQ(back, plane) << "k=" << k;
@@ -925,20 +1056,6 @@ bool expect_rice_matches(const std::vector<u64>& stream_in, u64 stream_bits,
   return ok;
 }
 
-// The Rice stream of a plane at parameter k, with its exact bit length.
-std::vector<u64> rice_stream(const std::vector<u64>& plane, u32 k,
-                             u64* ones, u64* bits) {
-  const kernels::CodecOps& ref = kernels::codec_ops_scalar();
-  u64 nz = 0;
-  ref.segment_stats(plane.data(), plane.size(), ones, &nz);
-  std::vector<u64> pos(*ones + 7);
-  ref.bit_positions(plane.data(), plane.size(), pos.data());
-  *bits = ref.rice_length_bits(pos.data(), *ones, k);
-  std::vector<u64> stream((*bits + 63) / 64 + 1, 0);
-  ref.rice_emit(pos.data(), *ones, k, stream.data());
-  return stream;
-}
-
 std::vector<u64> bernoulli_plane(u64 num_bits, f64 p, u64 seed) {
   std::vector<u64> w((num_bits + 63) / 64, 0);
   Rng rng(seed);
@@ -952,7 +1069,7 @@ std::vector<u64> bernoulli_plane(u64 num_bits, f64 p, u64 seed) {
 void expect_round_trip(const std::vector<u64>& plane, u32 k, u64 num_bits,
                        const std::string& what) {
   u64 ones = 0, bits = 0;
-  const auto stream = rice_stream(plane, k, &ones, &bits);
+  const auto stream = riceencref::encode(plane, k, &ones, &bits);
   for (u64 sb : {bits, (bits + 7) / 8 * 8}) {
     EXPECT_TRUE(expect_rice_matches(stream, sb, ones, k, num_bits,
                                     what + " stream_bits=" + std::to_string(sb)))
@@ -1052,7 +1169,7 @@ TEST(Codec, RiceDecodeRejectsLikeReference) {
     for (u64 nbits : {200ull, 700ull, 3000ull}) {
       const auto plane = bernoulli_plane(nbits, 0.25, nbits + k);
       u64 ones = 0, bits = 0;
-      const auto stream = rice_stream(plane, k, &ones, &bits);
+      const auto stream = riceencref::encode(plane, k, &ones, &bits);
       const std::string tag =
           "k=" + std::to_string(k) + " nbits=" + std::to_string(nbits);
       // Truncated by 1..16 bits.
@@ -1091,10 +1208,9 @@ TEST(Codec, RiceDecodePrefixesMatchReference) {
     const u64 nbits = 20000;
     const auto plane = bernoulli_plane(nbits, p, 77 + k);
     u64 ones = 0, bits = 0;
-    const auto stream = rice_stream(plane, k, &ones, &bits);
+    const auto stream = riceencref::encode(plane, k, &ones, &bits);
     std::vector<u64> pos(ones + 7);
-    kernels::codec_ops_scalar().bit_positions(plane.data(), plane.size(),
-                                              pos.data());
+    riceencref::bit_positions(plane.data(), plane.size(), pos.data());
     for (u64 c : {u64{1}, u64{10}, u64{23}, u64{24}, u64{25}, u64{100},
                   ones / 2, ones - 30, ones - 1}) {
       const u64 last = pos[c - 1];
@@ -1125,7 +1241,7 @@ TEST(Codec, RiceDecodeDenseRunsCutShortMatchReference) {
       std::vector<u64> plane((nbits + 63) / 64, 0);
       for (u64 i = 0; i < m; ++i) plane[i >> 6] |= u64{1} << (i & 63);
       u64 ones = 0, bits = 0;
-      const auto stream = rice_stream(plane, k, &ones, &bits);
+      const auto stream = riceencref::encode(plane, k, &ones, &bits);
       for (u64 cut = 0; cut <= k + 1 && cut <= bits; ++cut)
         expect_rice_matches(stream, bits - cut, ones, k, nbits,
                             "k=" + std::to_string(k) + " m=" +
@@ -1133,6 +1249,207 @@ TEST(Codec, RiceDecodeDenseRunsCutShortMatchReference) {
                                 " cut=" + std::to_string(cut));
     }
   }
+}
+
+TEST(Codec, RiceEncodeMatchesReferenceEveryK) {
+  // Natural density, as in the decode test above: the mean gap aimed at
+  // 1.5 * 2^k and the parameter the segment coder would pick for the plane.
+  const u64 nbits = u64{1} << 15;
+  for (u32 target = 0; target <= 12; ++target) {
+    const f64 mean_gap = 1.5 * static_cast<f64>(u64{1} << target) + 0.5;
+    const auto plane = bernoulli_plane(nbits, 1.0 / mean_gap, 2000 + target);
+    u64 ones = 0, nz = 0;
+    kernels::codec_ops_scalar().segment_stats(plane.data(), plane.size(),
+                                              &ones, &nz);
+    ASSERT_GT(ones, 0u);
+    u32 k = 0;
+    while ((u64{2} << k) < std::max<u64>(1, nbits / ones) && k < 40) ++k;
+    expect_encode_matches(plane, k,
+                          "natural target=" + std::to_string(target) +
+                              " k=" + std::to_string(k));
+  }
+  // Every k at forced densities, on plane lengths around 64-bit words (the
+  // empty planes these make code to an empty stream).
+  const u64 lengths[] = {1,   2,   63,  64,  65,   127,  128,
+                         129, 191, 192, 193, 4095, 4096, 4097};
+  for (u32 k = 0; k <= 40; ++k) {
+    for (u64 nbits_forced : lengths) {
+      for (f64 p : {0.97, 0.45, 0.2, 0.03, 0.002}) {
+        const auto plane = bernoulli_plane(
+            nbits_forced, p, k * 7919 + nbits_forced * 31 +
+                                 static_cast<u64>(p * 1000));
+        expect_encode_matches(plane, k,
+                              "forced k=" + std::to_string(k) +
+                                  " nbits=" + std::to_string(nbits_forced) +
+                                  " p=" + std::to_string(p));
+      }
+    }
+  }
+}
+
+TEST(Codec, RiceEncodeLongZeroRunStaysInBudget) {
+  // First half empty, second half dense: at k = 1 the first codeword is a
+  // unary run of about n/4 bits, so the stream crosses many output words
+  // before its first one. Budgets that end inside the run, at it and past it
+  // must drop or keep the stream exactly as riceencref's length says, and no
+  // budget may see a write past its bytes.
+  for (u64 nbits : {u64{64000}, u64{64037}}) {
+    std::vector<u64> plane((nbits + 63) / 64, 0);
+    Rng rng(nbits);
+    for (u64 i = nbits / 2; i < nbits; ++i)
+      if (rng.bernoulli(0.5)) plane[i >> 6] |= u64{1} << (i & 63);
+    const std::string tag = "nbits=" + std::to_string(nbits);
+    for (u32 k : {0u, 1u, 2u}) {
+      expect_encode_matches(plane, k, tag + " k=" + std::to_string(k));
+      u64 ones = 0, bits = 0;
+      (void)riceencref::encode(plane, k, &ones, &bits);
+      const u64 run = (nbits / 2) >> k;  // about the first codeword's zeros
+      for (u64 budget : {u64{0}, u64{1}, u64{63}, u64{64}, u64{65}, u64{100},
+                         run - 64, run - 1, run, run + 1, run + 64, bits / 2}) {
+        for (IsaLevel tier :
+             {IsaLevel::kScalar, IsaLevel::kAvx2, IsaLevel::kNeon}) {
+          std::vector<std::byte> out;
+          EXPECT_EQ(rice_encode_guarded(kernels::codec_ops_at(tier), plane, k,
+                                        budget, &out),
+                    budget >= bits ? bits : ~u64{0})
+              << tag << " k=" << k << " max_bits=" << budget;
+        }
+      }
+    }
+  }
+}
+
+// encode_segment on every tier against the mode choice riceencref's exact
+// size gives: Rice iff the plane is under half full and the Rice body
+// [k u8][ones u64][stream] is strictly smaller than the cheaper of the raw
+// and sparse bodies, otherwise sparse iff strictly smaller than raw. A Rice
+// segment must carry riceencref's stream, and every segment must decode back
+// to the plane. When Rice is tried, *margin gets the Rice body's size minus
+// that cheaper body (Rice wins below 0) and *sparse_cheaper which one it was.
+bool expect_segment_matches(const std::vector<u64>& plane, u64 nbits,
+                            const std::string& what, i64* margin,
+                            bool* sparse_cheaper) {
+  u64 ones = 0, nzw = 0;
+  kernels::codec_ops_scalar().segment_stats(plane.data(), plane.size(), &ones,
+                                            &nzw);
+  const u64 raw = plane.size() * 8;
+  const u64 sparse = (plane.size() + 63) / 64 * 8 + nzw * 8;
+  *sparse_cheaper = sparse < raw;
+  const u64 fallback = std::min(raw, sparse);
+  bool tried = false;
+  Bytes rice;
+  if (ones > 0 && ones * 2 < nbits) {
+    u32 k = 0;
+    while ((u64{2} << k) < std::max<u64>(1, nbits / ones) && k < 40) ++k;
+    u64 o = 0, bits = 0;
+    const auto stream = riceencref::encode(plane, k, &o, &bits);
+    const u64 body = 9 + (bits + 7) / 8;
+    tried = true;
+    *margin = static_cast<i64>(body) - static_cast<i64>(fallback);
+    if (body < fallback) {
+      rice = {std::byte{3}, static_cast<std::byte>(k)};
+      for (u32 b = 0; b < 8; ++b)
+        rice.push_back(static_cast<std::byte>(ones >> (8 * b)));
+      const auto image = le_bytes(stream, (bits + 7) / 8);
+      rice.insert(rice.end(), image.begin(), image.end());
+    }
+  }
+  const u8 want_mode = ones == 0         ? 2
+                       : !rice.empty()   ? 3
+                       : *sparse_cheaper ? 1
+                                         : 0;
+  for (IsaLevel tier : {IsaLevel::kScalar, IsaLevel::kAvx2, IsaLevel::kNeon}) {
+    IsaOverrideGuard g(tier);
+    const PlaneSegment seg = encode_segment(plane, nbits);
+    EXPECT_EQ(static_cast<u8>(seg.data.at(0)), want_mode)
+        << what << " tier=" << simd::isa_name(tier);
+    if (want_mode == 3) {
+      EXPECT_EQ(seg.data, rice) << what << " tier=" << simd::isa_name(tier);
+    } else if (want_mode != 2) {
+      EXPECT_EQ(seg.size(), 1 + fallback)
+          << what << " tier=" << simd::isa_name(tier);
+    }
+    EXPECT_EQ(decode_segment(seg, nbits), plane)
+        << what << " tier=" << simd::isa_name(tier);
+  }
+  return tried;
+}
+
+TEST(Codec, SegmentCoderLongZeroRunsDropOrWin) {
+  // The same shape through encode_segment, whose budget is the segment's
+  // own buffer. A second half at density 1/2 gets k = 1: the stream runs
+  // n/4 zeros into its budget and then outgrows it, and sparse wins. At
+  // density 1/10 it gets k = 4 and wins after a run of n/64 zeros.
+  for (u64 nbits : {u64{64000}, u64{64037}}) {
+    for (f64 p : {0.5, 0.1}) {
+      std::vector<u64> plane((nbits + 63) / 64, 0);
+      Rng rng(nbits + static_cast<u64>(p * 100));
+      for (u64 i = nbits / 2; i < nbits; ++i)
+        if (rng.bernoulli(p)) plane[i >> 6] |= u64{1} << (i & 63);
+      i64 margin = 0;
+      bool sparse_cheaper = false;
+      const std::string tag =
+          "nbits=" + std::to_string(nbits) + " p=" + std::to_string(p);
+      ASSERT_TRUE(
+          expect_segment_matches(plane, nbits, tag, &margin, &sparse_cheaper));
+      EXPECT_TRUE(sparse_cheaper) << tag;
+      if (p == 0.5) {
+        EXPECT_GT(margin, 0) << tag;
+      } else {
+        EXPECT_LT(margin, 0) << tag;
+      }
+    }
+  }
+}
+
+TEST(Codec, SegmentModeAtTheRiceTie) {
+  // The segment coder gives rice_encode a budget of 8 * (fallback - 10)
+  // bits, fallback being the cheaper of the raw and sparse bodies. A Rice
+  // body one byte smaller than fallback must win, and one the same size or a
+  // byte larger must lose to it, whichever of raw and sparse it is. Search
+  // fixed seeds until each of the three margins has appeared against each:
+  // random planes near the density where Rice at k = 1 crosses raw, and
+  // clustered planes (a few nonzero words) where Rice crosses sparse.
+  std::vector<i64> seen[2];  // [sparse_cheaper]: margins -1, 0, +1 seen
+  const auto note = [&](bool tried, i64 margin, bool sparse_cheaper) {
+    auto& v = seen[sparse_cheaper ? 1 : 0];
+    if (tried && margin >= -1 && margin <= 1 &&
+        std::find(v.begin(), v.end(), margin) == v.end())
+      v.push_back(margin);
+  };
+  for (u64 seed = 0; seed < 5000 && (seen[0].size() < 3 || seen[1].size() < 3);
+       ++seed) {
+    i64 margin = 0;
+    bool sparse_cheaper = false;
+    {
+      const u64 nbits = 1024 + seed % 64;
+      const f64 p = 0.30 + 0.10 * static_cast<f64>(seed % 97) / 97.0;
+      const auto plane = bernoulli_plane(nbits, p, 40000 + seed);
+      const bool tried = expect_segment_matches(
+          plane, nbits, "dense seed=" + std::to_string(seed), &margin,
+          &sparse_cheaper);
+      note(tried, margin, sparse_cheaper);
+    }
+    {
+      Rng rng(90000 + seed);
+      const u64 nwords = 64 + seed % 64;
+      const u64 nbits = nwords * 64;
+      const u64 busy = 1 + rng.next_below(nwords / 4);
+      const u64 per_word = 1 + rng.next_below(24);
+      std::vector<u64> plane(nwords, 0);
+      for (u64 i = 0; i < busy; ++i) {
+        const u64 w = rng.next_below(nwords);
+        for (u64 b = 0; b < per_word; ++b)
+          plane[w] |= u64{1} << rng.next_below(64);
+      }
+      const bool tried = expect_segment_matches(
+          plane, nbits, "clustered seed=" + std::to_string(seed), &margin,
+          &sparse_cheaper);
+      note(tried, margin, sparse_cheaper);
+    }
+  }
+  EXPECT_EQ(seen[0].size(), 3u) << "margins against raw not all found";
+  EXPECT_EQ(seen[1].size(), 3u) << "margins against sparse not all found";
 }
 
 TEST(Codec, SegmentBytesBitIdenticalAcrossIsa) {
