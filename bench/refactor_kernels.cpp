@@ -29,6 +29,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -667,6 +668,25 @@ std::vector<KernelResult> bench_row_kernels(IsaLevel vec_tier) {
       [&] { S.gather_stride(out.data(), a.data(), n / 2, 2); },
       [&] { V.gather_stride(out.data(), a.data(), n / 2, 2); },
       (n / 2) * 16);
+  // Stride 1 is the only stride where the AVX2 copy differs from scalar.
+  // Its destination sits at the source's page offset: at the offset the
+  // allocator gives `out`, the scalar loop's loads stall on 4K aliasing with
+  // its own stores, and the row read anywhere from 1.5x to 3.8x across
+  // processes.
+  std::vector<f64> copy_buf(n + 4096 / sizeof(f64));
+  const auto page_offset = [](const f64* p) {
+    return reinterpret_cast<std::uintptr_t>(p) % 4096;
+  };
+  f64* const copy_dst =
+      copy_buf.data() +
+      (page_offset(a.data()) + 4096 - page_offset(copy_buf.data())) % 4096 /
+          sizeof(f64);
+  add("gather(stride1)",
+      [&] { S.gather_stride(copy_dst, a.data(), n, 1); },
+      [&] { V.gather_stride(copy_dst, a.data(), n, 1); }, n * 16);
+  add("scatter(stride1)",
+      [&] { S.scatter_stride(copy_dst, a.data(), n, 1); },
+      [&] { V.scatter_stride(copy_dst, a.data(), n, 1); }, n * 16);
   add("pack_panel(16xN)",
       [&] { S.pack_panel(out.data(), a.data(), 16, n / 16, n / 16); },
       [&] { V.pack_panel(out.data(), a.data(), 16, n / 16, n / 16); },

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Run the benchmark suite: microbenchmarks → BENCH_micro.json (google-
-# benchmark's JSON format) and the batch-pipeline throughput bench →
-# BENCH_pipeline.json, so the perf trajectory is tracked across PRs.
+# benchmark's JSON format), then the progressive-refinement, chaos,
+# refactor-kernel, control-plane and service benches → BENCH_progressive,
+# BENCH_chaos, BENCH_refactor, BENCH_control and BENCH_service.json, so the
+# perf trajectory is tracked across changes.
 #
 # Usage: bench/run_benchmarks.sh [build_dir] [output.json] [benchmark args...]
 #   build_dir    defaults to ./build
-#   output.json  defaults to ./BENCH_micro.json (the pipeline bench writes
-#                BENCH_pipeline.json next to it)
+#   output.json  defaults to ./BENCH_micro.json (the other benches write
+#                their BENCH_*.json next to it)
 # Extra args are forwarded to the microbenchmark binary, e.g.
 #   bench/run_benchmarks.sh build BENCH_micro.json --benchmark_filter='Gf256|Rs'
 #
@@ -184,16 +186,6 @@ fi
 echo
 echo "wrote $OUT"
 
-# Batch pipeline throughput: serial prepare/restore loop vs
-# prepare_batch/restore_batch at 1/2/4/8 in-flight objects.
-PIPE_BIN="$BUILD_DIR/bench/pipeline_throughput"
-PIPE_OUT="$(dirname "$OUT")/BENCH_pipeline.json"
-if [[ -x "$PIPE_BIN" ]]; then
-  "$PIPE_BIN" "$PIPE_OUT"
-else
-  echo "warning: $PIPE_BIN not found — skipping pipeline throughput" >&2
-fi
-
 # Progressive refinement: repeated from-scratch restores at tightening bounds
 # vs one incremental refine() session over the same 4-rung ladder.
 PROG_BIN="$BUILD_DIR/bench/progressive_refinement"
@@ -206,7 +198,7 @@ fi
 
 # Chaos resilience: restore throughput, simulated gather-latency p50/p99, and
 # achieved-vs-reported error bound at 0/5/15% transient get-failure rates and
-# under a straggler profile, each with hedged reads on and off.
+# under a straggler profile that the always-on hedged reads absorb.
 CHAOS_BIN="$BUILD_DIR/bench/chaos_resilience"
 CHAOS_OUT="$(dirname "$OUT")/BENCH_chaos.json"
 if [[ -x "$CHAOS_BIN" ]]; then

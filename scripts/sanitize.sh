@@ -5,10 +5,11 @@
 #   build-asan : -DRAPIDS_SANITIZE=address,undefined
 #   build-tsan : -DRAPIDS_SANITIZE=thread
 #
-# Each runs the parallel executor tests, the batch/pipeline suites, and the
-# chaos suite (ctest label `chaos`), where the data races worth finding live:
-# concurrent prepare/restore/scrub under fault injection and availability
-# flips from failure drills.
+# Each runs the parallel executor tests, the pipeline suites (prepare's error
+# paths, and prepares/restores forked concurrently on the pool), and the
+# chaos suites (ctest label `chaos`), where the data races worth finding
+# live: concurrent prepare/restore/scrub under fault injection and
+# availability flips from failure drills.
 #
 # Usage: scripts/sanitize.sh [asan|tsan|all]   (default: all)
 

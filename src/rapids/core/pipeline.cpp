@@ -1,16 +1,13 @@
 #include "rapids/core/pipeline.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <set>
-#include <thread>
 #include <utility>
 
 #include "rapids/core/baselines.hpp"
-
-#include "rapids/parallel/channel.hpp"
 #include "rapids/parallel/thread_pool.hpp"
 #include "rapids/util/logging.hpp"
 #include "rapids/util/retry.hpp"
@@ -32,10 +29,6 @@ constexpr f64 kHedgeThreshold = 2.0;
 /// A refine session reuses its ladder plan while availability is unchanged
 /// and no bandwidth estimate has drifted by more than this relative amount.
 constexpr f64 kPlanReuseBwTolerance = 0.25;
-/// Capacity (in retrieval levels) of the refactor -> encode -> distribute
-/// channel: the refactorer turns to downstream work (backpressure) once this
-/// many materialized levels wait on it.
-constexpr u32 kStreamLevelWindow = 2;
 /// A bound no retrieval level meets (bounds are >= 0), so a rung toward it
 /// targets the object's deepest level: what restore() asks for.
 constexpr f64 kDeepestLevel = -1.0;
@@ -155,28 +148,6 @@ ec::ReedSolomon RapidsPipeline::codec_for(const ObjectRecord& record,
   return ec::ReedSolomon(n - m, m, record.matrix_kind);
 }
 
-std::vector<PrepareReport> RapidsPipeline::prepare_batch(
-    std::span<const PrepareRequest> requests) {
-  std::vector<PrepareReport> reports(requests.size());
-  if (pool_ == nullptr || pool_->size() <= 1 || requests.size() <= 1) {
-    for (std::size_t i = 0; i < requests.size(); ++i)
-      reports[i] =
-          prepare(requests[i].data, requests[i].dims, requests[i].name);
-    return reports;
-  }
-  // One task per object: the pool's stealing overlaps object A's encode with
-  // object B's refactor while object C distributes fragments under io_mu_.
-  TaskGroup group(pool_);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    group.run([this, &requests, &reports, i] {
-      reports[i] =
-          prepare(requests[i].data, requests[i].dims, requests[i].name);
-    });
-  }
-  group.wait();
-  return reports;
-}
-
 void RapidsPipeline::store_level_locked(const std::string& name, u32 level,
                                         const std::vector<ec::Fragment>& frags,
                                         StoreStats& stats) {
@@ -255,211 +226,85 @@ void RapidsPipeline::store_level_locked(const std::string& name, u32 level,
 
 PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
                                       mgard::Dims dims, const std::string& name) {
-  // Retrieval levels ride a bounded channel from the refactorer into
-  // stripe-granular RS encode and distribution, so level j's WAN puts start
-  // while level j+1 still refactors.
   const u32 n = cluster_.size();
   PrepareReport report;
   Timer total;
 
-  const bool concurrent = pool_ != nullptr && pool_->size() > 1;
-
-  struct LevelWork {
-    u32 level = 0;
-    mgard::RetrievalLevel lvl;
-  };
-  struct EncodedLevel {
-    mgard::RetrievalLevel lvl;
-    std::vector<ec::Fragment> frags;
-    f64 encode_seconds = 0.0;
-  };
-
-  // Aggregation state shared by the producer (the refactor thread, which
-  // may help downstream when the channel backs up) and the pump task.
-  // agg_mu guards all of it; io_mu_ is only ever taken with agg_mu released.
-  std::mutex agg_mu;
-  std::optional<FtSolution> solution;  // set by the plan sink before level 0
-  std::vector<mgard::RetrievalLevel> stored_levels;
-  std::map<u32, EncodedLevel> ready;  // encoded, waiting for store order
-  u32 next_store = 0;
-  bool storing = false;
-  StoreStats stats;
-  f64 optimize_seconds = 0.0;
-  f64 encode_seconds = 0.0;
-  f64 store_seconds = 0.0;
-  f64 sim_finish = 0.0;  // max over levels: store-start wall + WAN latency
-
-  const auto on_plan = [&](const mgard::RefactoredObject& meta,
-                           const std::vector<u64>& level_sizes) {
-    // All level sizes are known from the retrieval plan before any payload
-    // is serialized — the FT optimizer runs here, ahead of the stream.
-    Timer ot;
-    FtProblem problem;
-    problem.n = n;
-    problem.p = cluster_.config().failure_prob;
-    problem.original_size = meta.original_bytes();
-    problem.overhead_budget = config_.overhead_budget;
-    for (u32 j = 0; j < level_sizes.size(); ++j) {
-      problem.level_sizes.push_back(level_sizes[j]);
-      problem.level_errors.push_back(meta.rel_error_bound(j + 1));
-    }
-    auto sol = ft_optimize_heuristic(problem);
-    RAPIDS_REQUIRE_MSG(sol.has_value(),
-                       "prepare: no FT configuration fits the overhead budget");
-    std::lock_guard<std::mutex> al(agg_mu);
-    solution = std::move(*sol);
-    stored_levels.resize(level_sizes.size());
-    optimize_seconds = ot.seconds();
-  };
-
-  const auto process_level = [&](LevelWork&& w) {
-    // Stripe-granular RS encode: fixed-size stripes fan out on the pool, so
-    // this level's parity overlaps the refactorer's next level (and, via the
-    // conveyor below, the previous level's WAN puts).
-    Timer et;
-    const u32 m = solution->m[w.level];
-    const ec::ReedSolomon rs(n - m, m);
-    const std::span<const u8> payload = payload_u8(w.lvl.payload);
-    std::vector<ec::Fragment> frags =
-        rs.make_fragments(payload.size(), name, w.level);
-    const u64 frag_size = frags.empty() ? 0 : frags[0].payload.size();
-    if (concurrent && frag_size > kStreamStripeBytes) {
-      TaskGroup group(pool_);
-      for (u64 lo = 0; lo < frag_size; lo += kStreamStripeBytes) {
-        const u64 hi = std::min(lo + kStreamStripeBytes, frag_size);
-        group.run([&rs, payload, lo, hi, &frags] {
-          rs.encode_stripe(payload, lo, hi, frags);
-        });
-      }
-      group.wait();
-    } else {
-      rs.encode_stripe(payload, 0, frag_size, frags);
-    }
-    rs.finish_fragments(frags, concurrent ? pool_ : nullptr);
-    const f64 enc = et.seconds();
-
-    // Conveyor: stores run strictly in level order (deterministic fault
-    // draws and location batches), one thread at a time, while other levels
-    // keep encoding.
-    std::unique_lock<std::mutex> al(agg_mu);
-    ready.emplace(w.level,
-                  EncodedLevel{std::move(w.lvl), std::move(frags), enc});
-    if (storing) return;
-    storing = true;
-    for (;;) {
-      const auto it = ready.find(next_store);
-      if (it == ready.end()) break;
-      const u32 level = it->first;
-      EncodedLevel el = std::move(it->second);
-      ready.erase(it);
-      encode_seconds += el.encode_seconds;
-      al.unlock();
-      const f64 begin_wall = total.seconds();
-      Timer st;
-      StoreStats level_stats;
-      {
-        std::lock_guard<std::mutex> lock(io_mu_);
-        store_level_locked(name, level, el.frags, level_stats);
-      }
-      const f64 store_wall = st.seconds();
-      const f64 level_latency = net::equal_share_latency(
-          level_stats.transfers, cluster_.bandwidths());
-      al.lock();
-      store_seconds += store_wall;
-      sim_finish = std::max(sim_finish, begin_wall + level_latency);
-      stats.fragments_stored += level_stats.fragments_stored;
-      stats.put_retries += level_stats.put_retries;
-      stats.relocations += level_stats.relocations;
-      stats.fallback_puts += level_stats.fallback_puts;
-      stats.backoff_seconds += level_stats.backoff_seconds;
-      stored_levels[level] = std::move(el.lvl);
-      ++next_store;
-    }
-    storing = false;
-  };
-
-  // Bounded channel refactor -> encode/distribute. Every push forks one
-  // short-lived drain task (pop one item, process it, exit) rather than a
-  // resident consumer loop: TaskGroup::wait() helps by inlining arbitrary
-  // queued tasks, so any task parked in this pool must terminate on its own
-  // — a consumer that loops until close() can be inlined into another
-  // prepare's join and deadlock the two streams against each other. Drain
-  // tasks never block: a failed try_pop means the item was already taken by
-  // the producer's self-pump (below) or an earlier task, and since each of
-  // the P pushes forks a task and try_pop only fails on an empty queue,
-  // all P items are processed before the group joins.
-  std::optional<Channel<LevelWork>> channel;
-  std::optional<TaskGroup> drains;
-  if (concurrent) {
-    channel.emplace(kStreamLevelWindow);
-    drains.emplace(pool_);
-  }
-
   mgard::RefactorTimings rt;
-  mgard::RefactoredObject obj;
-  std::exception_ptr err;
-  try {
-    obj = refactorer_.refactor_streaming(
-        data, dims, name, on_plan,
-        [&](u32 j, mgard::RetrievalLevel&& lvl) {
-          LevelWork w{j, std::move(lvl)};
-          if (!concurrent) {
-            process_level(std::move(w));
-            return;
-          }
-          // Self-pump backpressure: a full window turns into work, never a
-          // blocked refactor thread.
-          while (!channel->try_push(std::move(w))) {
-            LevelWork other;
-            if (channel->try_pop(other))
-              process_level(std::move(other));
-            else
-              std::this_thread::yield();
-          }
-          drains->run([&] {
-            LevelWork got;
-            if (channel->try_pop(got)) process_level(std::move(got));
-          });
-        },
-        &rt);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  if (channel) channel->close();
-  if (drains) {
-    try {
-      drains->wait();
-    } catch (...) {
-      if (!err) err = std::current_exception();
-    }
-  }
-  if (err) std::rethrow_exception(err);
-  RAPIDS_REQUIRE_MSG(next_store == stored_levels.size(),
-                     "prepare: streaming dataflow lost a level");
-
+  mgard::RefactoredObject obj = refactorer_.refactor(data, dims, name, &rt);
   report.transform_seconds = rt.transform_seconds;
   report.plane_encode_seconds = rt.plane_encode_seconds;
   report.plane_codec = rt.plane_codec;
   report.refactor_seconds =
       rt.transform_seconds + rt.plane_encode_seconds + rt.assemble_seconds;
-  report.optimize_seconds = optimize_seconds;
-  report.encode_seconds = encode_seconds;
-  report.store_seconds = store_seconds;
-  report.fragments_stored = stats.fragments_stored;
-  report.put_retries = stats.put_retries;
-  report.relocations = stats.relocations;
-  report.stream_fallback_puts = stats.fallback_puts;
-  report.backoff_seconds = stats.backoff_seconds;
 
-  // Reattach the streamed levels: the serialized record describes them and
-  // the report carries their payloads.
-  obj.levels = std::move(stored_levels);
+  // FT optimization (Algorithm 1) over every level's size and bound.
+  Timer ot;
+  FtProblem problem;
+  problem.n = n;
+  problem.p = cluster_.config().failure_prob;
+  problem.original_size = obj.original_bytes();
+  problem.overhead_budget = config_.overhead_budget;
+  for (u32 j = 0; j < obj.levels.size(); ++j) {
+    problem.level_sizes.push_back(obj.level_bytes(j));
+    problem.level_errors.push_back(obj.rel_error_bound(j + 1));
+  }
+  const auto solution = ft_optimize_heuristic(problem);
+  RAPIDS_REQUIRE_MSG(solution.has_value(),
+                     "prepare: no FT configuration fits the overhead budget");
+  report.optimize_seconds = ot.seconds();
+
+  // Every level erasure-codes on its own task group at once, so level j's
+  // puts overlap the encodes of the levels after it. Stores stay on this
+  // thread in level order: fault draws and location batches are the same
+  // whatever the pool does.
+  const u32 levels = static_cast<u32>(obj.levels.size());
+  std::vector<std::vector<ec::Fragment>> frags(levels);
+  std::vector<f64> encode_wall(levels, 0.0);
+  const auto encode_level = [&](u32 j) {
+    Timer et;
+    const u32 m = solution->m[j];
+    frags[j] = ec::ReedSolomon(n - m, m).encode(
+        payload_u8(obj.levels[j].payload), name, j, pool_);
+    encode_wall[j] = et.seconds();
+  };
+  // Declared after everything the forked encodes touch: on a throw the
+  // groups are destroyed first, and each destructor joins its task.
+  std::deque<TaskGroup> encodes;
+  if (pool_ != nullptr && pool_->size() > 1)
+    for (u32 j = 0; j < levels; ++j)
+      encodes.emplace_back(pool_).run([&encode_level, j] { encode_level(j); });
+
+  f64 sim_finish = 0.0;  // max over levels: store-start wall + WAN latency
+  for (u32 j = 0; j < levels; ++j) {
+    if (encodes.empty())
+      encode_level(j);
+    else
+      encodes[j].wait();
+    report.encode_seconds += encode_wall[j];
+    const f64 begin_wall = total.seconds();
+    Timer st;
+    StoreStats stats;
+    {
+      std::lock_guard<std::mutex> lock(io_mu_);
+      store_level_locked(name, j, frags[j], stats);
+    }
+    report.store_seconds += st.seconds();
+    frags[j] = {};
+    sim_finish = std::max(sim_finish,
+                          begin_wall + net::equal_share_latency(
+                                           stats.transfers, cluster_.bandwidths()));
+    report.fragments_stored += stats.fragments_stored;
+    report.put_retries += stats.put_retries;
+    report.relocations += stats.relocations;
+    report.stream_fallback_puts += stats.fallback_puts;
+    report.backoff_seconds += stats.backoff_seconds;
+  }
 
   ObjectRecord record;
   record.meta = std::move(obj);
   record.ft = solution->m;
-  for (u32 j = 0; j < record.meta.levels.size(); ++j)
-    record.level_sizes.push_back(record.meta.level_bytes(j));
+  record.level_sizes = std::move(problem.level_sizes);
   record.planned_p = cluster_.config().failure_prob;
   record.planned_error = solution->expected_error;
   {
@@ -485,10 +330,10 @@ PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
   report.distribution_latency = net::equal_share_latency(
       rfec_distribution_plan(record.level_sizes, solution->m, n),
       cluster_.bandwidths());
-  // Each level's puts started while later levels still refactored, so the
-  // end-to-end latency is the worst (store-start wall + that level's WAN
-  // share).
-  report.prepare_latency = sim_finish + stats.backoff_seconds;
+  // Level j's puts start once it is encoded, after the whole refactor, so
+  // the end-to-end latency is the worst (store-start wall + that level's
+  // WAN share).
+  report.prepare_latency = sim_finish + report.backoff_seconds;
   report.record = std::move(record);
   return report;
 }
@@ -547,7 +392,7 @@ storage::SystemHealth& RapidsPipeline::health() {
       if (health_ && health_->size() != cluster_.size()) health_.reset();
     }
     if (!health_)
-      health_ = storage::SystemHealth(cluster_.size(), config_.health);
+      health_ = storage::SystemHealth(cluster_.size());
   }
   return *health_;
 }
@@ -620,24 +465,6 @@ RestoreReport RapidsPipeline::restore(const std::string& name,
   RestoreReport report = advance(session, kDeepestLevel, opts);
   report.data = std::move(session.data_);
   return report;
-}
-
-std::vector<RestoreReport> RapidsPipeline::restore_batch(
-    std::span<const std::string> names) {
-  std::vector<RestoreReport> reports(names.size());
-  if (pool_ == nullptr || pool_->size() <= 1 || names.size() <= 1) {
-    for (std::size_t i = 0; i < names.size(); ++i)
-      reports[i] = restore(names[i]);
-    return reports;
-  }
-  // One task per object: planning, decode, and reconstruction overlap across
-  // objects; the fetch stage serializes internally on io_mu_.
-  TaskGroup group(pool_);
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    group.run([this, &names, &reports, i] { reports[i] = restore(names[i]); });
-  }
-  group.wait();
-  return reports;
 }
 
 void RapidsPipeline::snapshot_problem(const std::string& name,

@@ -41,26 +41,21 @@
 
 namespace rapids::core {
 
-/// Stripe width of the streaming dataflow: each level's RS encode fans out
-/// in stripes of this many fragment bytes (pool tasks, in any order), and
-/// every fragment ships as a streamed put of this many bytes per append, so
-/// stripe s of a level encodes and ships while stripe s+1 is still in flight
-/// and later levels still refactor.
+/// Append size of a streamed fragment put: every fragment ships in appends
+/// of this many bytes, and each append draws its own fault, so a mid-stream
+/// outage surfaces before the tail of the fragment is paid for.
 inline constexpr u64 kStreamStripeBytes = 256 * 1024;
 
 /// Pipeline configuration. Everything else the pipeline does is fixed:
 /// gathering plans come from the ACO optimizer, levels are Vandermonde RS
 /// coded and placed by rotation, storage ops retry under one bounded backoff
-/// policy, and stragglers are always hedged.
+/// policy, stragglers are always hedged, and every storage op feeds the
+/// per-system circuit breakers (default HealthOptions unless a persisted
+/// `net/system_health` record carries its own).
 struct PipelineConfig {
   mgard::RefactorOptions refactor;  ///< refactoring knobs
   f64 overhead_budget = 0.5;        ///< omega for the FT optimizer
   solver::AcoOptions aco;           ///< budget of the gathering optimizer
-  /// Per-system SystemHealth circuit breaker (persisted next to the
-  /// bandwidth tracker). Every storage op is recorded in it, and
-  /// circuit-open systems are excluded from gathering plans when that does
-  /// not reduce the recoverable level count.
-  storage::HealthOptions health;
   /// Byte budget of the CRC-verified LRU cache of fetched retrieval-level
   /// payloads, shared across restores and refine sessions. Consulted before
   /// gather planning; a hit skips the WAN fetch and erasure decode for that
@@ -115,9 +110,10 @@ struct PrepareReport {
   f64 network_overhead = 0.0;    ///< shipped bytes / original bytes
   f64 distribution_latency = 0;  ///< simulated WAN latency (equal share)
   /// End-to-end prepare latency: wall time of the compute stages plus the
-  /// simulated WAN distribution. The two overlap — each level's puts start
-  /// while later levels still refactor — so this is
-  /// max_j(store-start wall of level j + level j's simulated latency).
+  /// simulated WAN distribution. Level j's puts start after the whole
+  /// refactor, once level j is encoded, while later levels may still encode,
+  /// so this is max_j(store-start wall of level j + level j's simulated
+  /// latency), plus the retry backoff.
   f64 prepare_latency = 0.0;
   f64 refactor_seconds = 0.0;       ///< transform + plane encode + assemble
   f64 transform_seconds = 0.0;      ///< widen/pad/multigrid share of refactor
@@ -136,14 +132,6 @@ struct PrepareReport {
   u32 stream_fallback_puts = 0;  ///< streamed puts that fell back to a
                                  ///< whole-fragment retry after a mid-stream
                                  ///< fault or outage
-};
-
-/// One object of a prepare_batch(): the caller keeps `data` alive until the
-/// batch returns.
-struct PrepareRequest {
-  std::span<const f32> data;
-  mgard::Dims dims;
-  std::string name;
 };
 
 /// restore() outcome + instrumentation.
@@ -276,20 +264,16 @@ class RapidsPipeline {
   /// plane.
   f64 nominal_failure_prob() const;
 
-  /// Full data-preparation phase for one object.
+  /// Full data-preparation phase for one object: refactor, FT optimization,
+  /// then every level erasure-coded on the pool at once while this thread
+  /// stores levels in ascending order. Safe to call from several threads (or
+  /// pool tasks) at once: stores serialize on the I/O lock, and on a healthy
+  /// cluster the prepared state is byte-identical to a serial loop's. Throws
+  /// invariant_error on non-finite input or when no FT configuration fits
+  /// the overhead budget, and io_error when no system accepts a fragment; a
+  /// failed prepare writes no object record.
   PrepareReport prepare(std::span<const f32> data, mgard::Dims dims,
                         const std::string& name);
-
-  /// Prepare a batch of objects with their stages overlapped: each object is
-  /// one task on the pool, so object B refactors while object A erasure-codes
-  /// and object C's fragments distribute. Compute stages (refactor, FT
-  /// optimization, per-level encode) run concurrently across objects; the
-  /// shared stage (cluster stores + metadata writes) is serialized internally,
-  /// with fragment locations batched per level. Results are byte-identical to
-  /// an equivalent serial prepare() loop. Reports come back in request order;
-  /// the first failure (if any) is rethrown after all objects settle.
-  /// Falls back to the serial loop when no pool was injected.
-  std::vector<PrepareReport> prepare_batch(std::span<const PrepareRequest> requests);
 
   /// Full data-restoration phase under the cluster's *current* availability:
   /// one refine rung to the object's deepest level on a fresh session.
@@ -306,13 +290,6 @@ class RapidsPipeline {
   /// restore() with per-call resource bounds (deadline-budgeted retries and
   /// hedges — see RestoreOptions).
   RestoreReport restore(const std::string& name, const RestoreOptions& opts);
-
-  /// Restore a batch of objects concurrently (one task per object; planning,
-  /// erasure decode, and reconstruction overlap across objects, while the
-  /// metadata/fragment fetch stage is serialized internally). Safe to run
-  /// concurrently with prepare_batch on the same pipeline. Reconstructed data
-  /// is byte-identical to serial restore() calls. Reports in request order.
-  std::vector<RestoreReport> restore_batch(std::span<const std::string> names);
 
   /// Open a progressive-refinement session for `name`. refine() on the
   /// returned handle fetches only retrieval levels beyond the session's
@@ -473,14 +450,14 @@ class RapidsPipeline {
   u64 gc_generation(const std::string& name, u32 generation);
 
  private:
-  // prepare() and the restore engine are the single-object bodies shared by
-  // the serial and batch entry points. Their compute stages run lock-free;
+  // prepare() and the restore engine may run on several threads at once
+  // (service lanes fork them on the pool). Their compute stages run lock-free;
   // every touch of shared state (cluster stores/fetches, metadata
   // reads/writes, the bandwidth tracker) happens under io_mu_. Invariant:
   // code holding io_mu_ never calls into the pool (a helping waiter could
   // steal a task that needs the same lock).
 
-  /// The one restore engine behind restore(), restore_batch() and refine():
+  /// The one restore engine behind restore() and refine():
   /// consult the cache -> find the recoverable prefix -> plan the ladder (or
   /// reuse the session's plan) -> fetch_levels -> merge the new levels into
   /// the session's plane sets -> exactly one recompose. Advances `session`
@@ -581,9 +558,9 @@ class RapidsPipeline {
   mgard::Refactorer refactorer_;
   std::optional<net::BandwidthTracker> tracker_;
   std::optional<storage::SystemHealth> health_;
-  /// Serializes shared-state stages when batch objects run concurrently.
-  /// Maintenance APIs (repair, scrub, evacuate, age) take it too, so chaos
-  /// runs may scrub while batches are in flight.
+  /// Serializes shared-state stages when prepares and restores run
+  /// concurrently. Maintenance APIs (repair, scrub, evacuate, age) take it
+  /// too, so chaos runs may scrub while prepares are in flight.
   std::mutex io_mu_;
   /// Retrieval-level payload cache (self-locking; a leaf in the lock order:
   /// never held while taking io_mu_ or a session mutex).

@@ -107,9 +107,9 @@ void ReedSolomon::finish_fragments(std::span<Fragment> frags,
 std::vector<Fragment> ReedSolomon::encode(std::span<const u8> data,
                                           const std::string& object_name,
                                           u32 level, ThreadPool* pool) const {
-  // The staged encode is the streaming one over pool-sized stripes: same
-  // copies, same fused parity kernel per range, so staged and streamed
-  // fragments are byte-identical by construction.
+  // The stripe-ranged entry points over pool-sized stripes: any striping of
+  // the same payload yields the same fragments, so this is byte-identical to
+  // one encode_stripe over the whole fragment.
   std::vector<Fragment> frags = make_fragments(data.size(), object_name, level);
   const u64 frag_size = frags[0].payload.size();
   for_each_stripe(frag_size, pool,

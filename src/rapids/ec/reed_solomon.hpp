@@ -49,15 +49,14 @@ class ReedSolomon {
                                const std::string& object_name, u32 level,
                                ThreadPool* pool = nullptr) const;
 
-  // --- stripe-ranged entry points (streaming encode/decode) ---
+  // --- stripe-ranged entry points ---
   //
   // The systematic layout makes encoding separable by payload offset: parity
   // byte o depends only on the data rows' byte o, so disjoint [lo, hi)
   // ranges of one level can be encoded independently — by different tasks,
   // in any order — and the stitched result is byte-identical to a whole-
-  // payload encode(). The streaming prepare path uses exactly this:
-  // make_fragments once, encode_stripe per fixed-size stripe as tasks,
-  // finish_fragments when every stripe has landed.
+  // payload encode(). encode() itself is make_fragments, encode_stripe per
+  // pool stripe, then finish_fragments.
 
   /// Build the n fragment shells for a level of `data_size` bytes: ids,
   /// geometry, and zeroed payloads of fragment_size(data_size) bytes. CRCs

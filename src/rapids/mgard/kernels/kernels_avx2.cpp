@@ -170,26 +170,23 @@ void load_x_d(f64* out, const f64* src, u64 olen, u64 slen) {
   }
 }
 
+// Only a unit-stride copy has a vector form; every other stride runs the
+// scalar entry itself, so both tiers execute one copy of that loop.
+void copy_d(f64* dst, const f64* src, u64 n) {
+  u64 i = 0;
+  for (; i + 4 <= n; i += 4)
+    _mm256_storeu_pd(dst + i, _mm256_loadu_pd(src + i));
+  for (; i < n; ++i) dst[i] = src[i];
+}
+
 void gather_stride_d(f64* dst, const f64* src, u64 n, u64 stride) {
-  if (stride == 1) {
-    u64 i = 0;
-    for (; i + 4 <= n; i += 4)
-      _mm256_storeu_pd(dst + i, _mm256_loadu_pd(src + i));
-    for (; i < n; ++i) dst[i] = src[i];
-    return;
-  }
-  for (u64 i = 0; i < n; ++i) dst[i] = src[i * stride];
+  if (stride == 1) return copy_d(dst, src, n);
+  row_ops_scalar().gather_stride(dst, src, n, stride);
 }
 
 void scatter_stride_d(f64* dst, const f64* src, u64 n, u64 stride) {
-  if (stride == 1) {
-    u64 i = 0;
-    for (; i + 4 <= n; i += 4)
-      _mm256_storeu_pd(dst + i, _mm256_loadu_pd(src + i));
-    for (; i < n; ++i) dst[i] = src[i];
-    return;
-  }
-  for (u64 i = 0; i < n; ++i) dst[i * stride] = src[i];
+  if (stride == 1) return copy_d(dst, src, n);
+  row_ops_scalar().scatter_stride(dst, src, n, stride);
 }
 
 void copy_zero_d(f64* dst, const f64* src, u64 n, u64 zstride) {
@@ -208,9 +205,7 @@ void copy_zero_d(f64* dst, const f64* src, u64 n, u64 zstride) {
     for (; i < n; ++i) dst[i] = (i % 2 == 0) ? 0 : src[i];
     return;
   }
-  u64 i = 0;
-  for (; i + 4 <= n; i += 4) _mm256_storeu_pd(dst + i, _mm256_loadu_pd(src + i));
-  for (; i < n; ++i) dst[i] = src[i];
+  copy_d(dst, src, n);
   for (u64 z = 0; z < n; z += zstride) dst[z] = 0;
 }
 

@@ -77,24 +77,6 @@ RefactoredObject RefactoredObject::deserialize_metadata(
 RefactoredObject Refactorer::refactor(std::span<const f32> data, Dims dims,
                                       const std::string& name,
                                       RefactorTimings* timings) const {
-  // The staged refactor is the streaming one with a collecting sink, so the
-  // two paths cannot drift apart.
-  std::vector<RetrievalLevel> levels;
-  RefactoredObject out = refactor_streaming(
-      data, dims, name, PlanSink{},
-      [&levels](u32 j, RetrievalLevel&& lvl) {
-        if (levels.size() <= j) levels.resize(j + 1);
-        levels[j] = std::move(lvl);
-      },
-      timings);
-  out.levels = std::move(levels);
-  return out;
-}
-
-RefactoredObject Refactorer::refactor_streaming(
-    std::span<const f32> data, Dims dims, const std::string& name,
-    const PlanSink& on_plan, const LevelSink& on_level,
-    RefactorTimings* timings) const {
   RAPIDS_REQUIRE(data.size() == dims.total());
   RAPIDS_REQUIRE(options_.decomp_levels >= 1);
 
@@ -152,29 +134,9 @@ RefactoredObject Refactorer::refactor_streaming(
         DLevelMeta{plane_sets[d].count, plane_sets[d].max_abs, plane_sets[d].exponent};
   }
 
-  // Plan every retrieval level first — the downstream FT optimizer needs all
-  // level sizes — then materialize and hand off one level at a time so later
-  // levels' serialization overlaps with downstream encode/distribute work.
   t.reset();
-  const auto plans = plan_retrieval_levels(plane_sets, max_abs, ropt);
-  out.levels.resize(plans.size());
-  std::vector<u64> level_sizes(plans.size());
-  for (u32 j = 0; j < plans.size(); ++j) {
-    out.levels[j].abs_error_bound = plans[j].abs_error_bound;
-    out.levels[j].rel_error_bound = plans[j].rel_error_bound;
-    out.levels[j].segments = plans[j].segments;
-    level_sizes[j] = plans[j].payload_bytes;
-  }
-  f64 assemble = t.seconds();
-  if (on_plan) on_plan(out, level_sizes);
-
-  for (u32 j = 0; j < plans.size(); ++j) {
-    t.reset();
-    RetrievalLevel lvl = materialize_retrieval_level(plane_sets, plans[j]);
-    assemble += t.seconds();
-    if (on_level) on_level(j, std::move(lvl));
-  }
-  if (timings != nullptr) timings->assemble_seconds = assemble;
+  out.levels = assemble_retrieval_levels(plane_sets, max_abs, ropt);
+  if (timings != nullptr) timings->assemble_seconds = t.seconds();
   return out;
 }
 

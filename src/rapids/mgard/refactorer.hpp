@@ -6,7 +6,6 @@
 /// approximation from any prefix of retrieval levels (reconstruct). This is
 /// the role pMGARD plays in the paper.
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -92,31 +91,6 @@ class Refactorer {
   RefactoredObject refactor(std::span<const f32> data, Dims dims,
                             const std::string& name,
                             RefactorTimings* timings = nullptr) const;
-
-  /// Announces the complete object metadata (bounds, dlevels, per-level
-  /// segment plans — payloads still empty) plus the exact serialized size of
-  /// every retrieval level, before any payload exists. The streaming prepare
-  /// path runs its FT optimizer here.
-  using PlanSink =
-      std::function<void(const RefactoredObject& meta,
-                         const std::vector<u64>& level_sizes)>;
-  /// Delivers one materialized retrieval level (0-based, strictly
-  /// ascending). The payload is byte-identical to refactor()'s levels[j].
-  using LevelSink = std::function<void(u32 level, RetrievalLevel&& lvl)>;
-
-  /// Streaming refactor: identical computation to refactor(), but retrieval
-  /// levels are handed to `on_level` one at a time as they materialize, so a
-  /// downstream encode/distribute stage overlaps with the remaining levels'
-  /// serialization. `on_plan` (optional) fires once, before the first level,
-  /// with the metadata and all planned level sizes. Both sinks run on the
-  /// calling thread. The returned object carries the same metadata as
-  /// refactor()'s but its levels' payloads are empty — they were moved into
-  /// `on_level`.
-  RefactoredObject refactor_streaming(std::span<const f32> data, Dims dims,
-                                      const std::string& name,
-                                      const PlanSink& on_plan,
-                                      const LevelSink& on_level,
-                                      RefactorTimings* timings = nullptr) const;
 
   /// Rebuild an approximation using the first `level_payloads.size()`
   /// retrieval levels (must be a prefix: levels 1..j). `meta` may come from

@@ -111,6 +111,9 @@ std::vector<RetrievalLevelPlan> plan_retrieval_levels(
   return out;
 }
 
+namespace {
+
+/// Serialize one planned level's payload from the plane sets.
 RetrievalLevel materialize_retrieval_level(
     const std::vector<PlaneSet>& plane_sets, const RetrievalLevelPlan& plan) {
   RetrievalLevel lvl;
@@ -133,6 +136,8 @@ RetrievalLevel materialize_retrieval_level(
   lvl.segments = std::move(refs);
   return lvl;
 }
+
+}  // namespace
 
 std::vector<RetrievalLevel> assemble_retrieval_levels(
     const std::vector<PlaneSet>& plane_sets, f64 data_max_abs,

@@ -50,11 +50,9 @@ struct RetrievalOptions {
 
 /// The plan of one retrieval level before any payload is serialized: the
 /// segment sequence the greedy partitioner chose, the exact wire size that
-/// sequence will occupy, and the guaranteed bounds. plan + materialize is the
-/// split the streaming prepare path runs on: planning every level up front
-/// yields all level sizes (the FT optimizer's input) without copying a byte,
-/// then each level's payload is materialized — and handed downstream — one
-/// at a time.
+/// sequence will occupy, and the guaranteed bounds. Planning every level up
+/// front yields all level sizes without copying a byte; each level's payload
+/// is then materialized from its plan.
 struct RetrievalLevelPlan {
   std::vector<SegmentRef> segments;
   u64 payload_bytes = 0;      ///< serialized size of the segment sequence
@@ -69,15 +67,10 @@ std::vector<RetrievalLevelPlan> plan_retrieval_levels(
     const std::vector<PlaneSet>& plane_sets, f64 data_max_abs,
     const RetrievalOptions& opt);
 
-/// Serialize one planned level's payload from the plane sets. Byte-identical
-/// to the corresponding assemble_retrieval_levels() output level.
-RetrievalLevel materialize_retrieval_level(
-    const std::vector<PlaneSet>& plane_sets, const RetrievalLevelPlan& plan);
-
 /// Assemble retrieval levels from the per-decomposition-level plane sets.
 /// `data_max_abs` is max|original data| (denominator of the relative error).
-/// Implemented as plan_retrieval_levels + materialize_retrieval_level per
-/// level, so staged and streamed payloads agree by construction.
+/// Implemented as plan_retrieval_levels, then one serialization per planned
+/// level.
 std::vector<RetrievalLevel> assemble_retrieval_levels(
     const std::vector<PlaneSet>& plane_sets, f64 data_max_abs,
     const RetrievalOptions& opt);

@@ -7,9 +7,9 @@
 /// to finish (TaskGroup::wait, parallel_for) cooperatively helps by running
 /// pending tasks instead of blocking — so nested parallelism (a pool task
 /// that itself calls parallel_for, or forks a TaskGroup) can never deadlock
-/// the pool. The refactorer, erasure coder, dataset generators, and the
-/// batch pipeline (prepare_batch/restore_batch) all run on this substrate;
-/// stage overlap across in-flight objects falls out of stealing.
+/// the pool. The refactorer, erasure coder, dataset generators, prepare's
+/// per-level encodes and the service's lanes all run on this substrate;
+/// overlap across in-flight objects falls out of stealing.
 
 #include <atomic>
 #include <condition_variable>

@@ -115,9 +115,10 @@ TEST(Chaos, DeterministicUnderFaults) {
 }
 
 TEST(Chaos, SoakBoundsHoldUnderConcurrentFaults) {
-  // Concurrent prepare_batch / restore_batch / scrub against a cluster with
-  // mixed per-system fault profiles. Which ops fail depends on thread
-  // interleaving; the bound contract must hold regardless.
+  // Concurrent prepares / restores (one pool task each, as the service's
+  // lanes run them) and a scrub against a cluster with mixed per-system
+  // fault profiles. Which ops fail depends on thread interleaving; the bound
+  // contract must hold regardless.
   ThreadPool pool(4);
   World w("soak", chaos_config(), &pool);
 
@@ -130,9 +131,12 @@ TEST(Chaos, SoakBoundsHoldUnderConcurrentFaults) {
   }
 
   // Seed half the objects before the injector goes live.
-  std::vector<PrepareRequest> first;
-  for (int i = 0; i < 2; ++i) first.push_back({fields[i], dims, names[i]});
-  w.pipeline->prepare_batch(first);
+  {
+    TaskGroup group(&pool);
+    for (int i = 0; i < 2; ++i)
+      group.run([&, i] { w.pipeline->prepare(fields[i], dims, names[i]); });
+    group.wait();
+  }
 
   storage::FaultInjector injector;
   for (u32 s = 0; s < w.cluster.size(); ++s) {
@@ -174,10 +178,11 @@ TEST(Chaos, SoakBoundsHoldUnderConcurrentFaults) {
       }
     }
   });
-  std::vector<PrepareRequest> second;
-  for (int i = 2; i < 4; ++i) second.push_back({fields[i], dims, names[i]});
   try {
-    w.pipeline->prepare_batch(second);
+    TaskGroup group(&pool);
+    for (int i = 2; i < 4; ++i)
+      group.run([&, i] { w.pipeline->prepare(fields[i], dims, names[i]); });
+    group.wait();
   } catch (const io_error&) {
     // Persistent distribution failure under faults is allowed; the objects
     // that did land must still restore correctly below.
@@ -194,7 +199,11 @@ TEST(Chaos, SoakBoundsHoldUnderConcurrentFaults) {
       }
     }
     ASSERT_GE(known.size(), 2u);  // the pre-fault objects at minimum
-    const auto reports = w.pipeline->restore_batch(known);
+    std::vector<RestoreReport> reports(known.size());
+    TaskGroup group(&pool);
+    for (std::size_t i = 0; i < known.size(); ++i)
+      group.run([&, i] { reports[i] = w.pipeline->restore(known[i]); });
+    group.wait();
     for (std::size_t i = 0; i < reports.size(); ++i)
       expect_bound_holds(reports[i], *originals[i]);
   }
@@ -226,9 +235,12 @@ TEST(Chaos, ConcurrentFailRestoreDrill) {
     }
   });
 
-  const std::vector<std::string> names(8, "drill");
   for (int round = 0; round < 3; ++round) {
-    const auto reports = w.pipeline->restore_batch(names);
+    std::vector<RestoreReport> reports(8);
+    TaskGroup group(&pool);
+    for (auto& r : reports)
+      group.run([&w, &r] { r = w.pipeline->restore("drill"); });
+    group.wait();
     for (const auto& r : reports) expect_bound_holds(r, field);
   }
   stop.store(true, std::memory_order_relaxed);
@@ -335,10 +347,14 @@ TEST(Chaos, CircuitBreakerShieldsFlakySystem) {
   // A fully dead-to-reads endpoint: after enough failed fetches the breaker
   // opens and later restores route around it at the planning stage instead
   // of burning retry budget on it every time.
-  PipelineConfig cfg = chaos_config();
-  cfg.health.failure_threshold = 2;
-  cfg.health.open_cooldown_events = 1000;  // stays open for the whole test
-  World w("breaker", cfg);
+  World w("breaker", chaos_config());
+  // A persisted health record's options win over the defaults: a breaker
+  // that stays open for the whole test.
+  const Bytes health =
+      storage::SystemHealth(w.cluster.size(), {2, 1000, 0.3}).serialize();
+  w.db->put("net/system_health",
+            std::string(reinterpret_cast<const char*>(health.data()),
+                        health.size()));
   const Dims dims{17, 17, 9};
   const auto field = data::hurricane_pressure(dims, 10);
   w.pipeline->prepare(field, dims, "brk");
@@ -348,6 +364,8 @@ TEST(Chaos, CircuitBreakerShieldsFlakySystem) {
   spec.get_fail_prob = 1.0;
   injector.set_spec(7, spec);
   injector.install(w.cluster);
+
+  EXPECT_EQ(w.pipeline->system_health().options().open_cooldown_events, 1000u);
 
   const auto first = w.pipeline->restore("brk");  // trips the breaker
   expect_bound_holds(first, field);
@@ -364,10 +382,9 @@ TEST(Chaos, CircuitBreakerShieldsFlakySystem) {
 }
 
 TEST(Chaos, StreamingPrepareBoundsHoldUnderTransientPutFaults) {
-  // Pipelined encode-while-refactor with the put stream under cluster-wide
-  // transient faults and stragglers: the retry machinery must absorb the
-  // failures mid-stream and the prepared object must round-trip at full
-  // quality.
+  // Pooled level encodes with the put stream under cluster-wide transient
+  // faults and stragglers: the retry machinery must absorb the failures
+  // mid-stream and the prepared object must round-trip at full quality.
   ThreadPool pool(4);
   const Dims dims{17, 17, 9};
   const auto field = data::hurricane_pressure(dims, 11);
@@ -400,7 +417,7 @@ TEST(Chaos, StreamingPrepareRelocatesAndFallsBackMidStream) {
   // A system that rejects every put kills streamed uploads in flight: the
   // stream falls back to whole-fragment retries, the breaker-backed
   // relocation re-places the fragments, and the metadata points at where
-  // they actually landed — all while later levels are still refactoring.
+  // they actually landed — all while later levels are still encoding.
   ThreadPool pool(4);
   World w("stream_reloc", chaos_config(), &pool);
   storage::FaultInjector injector;
@@ -427,9 +444,9 @@ TEST(Chaos, StreamingPrepareRelocatesAndFallsBackMidStream) {
 }
 
 TEST(Chaos, StreamingPrepareDeterministicUnderFaultsWithPool) {
-  // The conveyor orders streamed stores strictly by level, so the put-fault
-  // draw sequence — and therefore the entire prepared state — is a pure
-  // function of the seeds even with encode/store racing on a pool.
+  // prepare() stores levels strictly in order on its calling thread, so the
+  // put-fault draw sequence — and therefore the entire prepared state — is a
+  // pure function of the seeds even with the level encodes racing on a pool.
   ThreadPool pool(4);
   const Dims dims{17, 17, 9};
   const auto field = data::scale_temperature(dims, 13);

@@ -492,8 +492,15 @@ TEST(DbDeleteBatch, TombstonesApplyAndSurviveReopen) {
 // --- ObjectRecord v2 wire compatibility ---
 
 struct RecordWorld {
+  // One directory per test: ctest runs each test in its own process, in
+  // parallel, so a shared name lets one test's teardown race another's.
   RecordWorld()
-      : dir((fs::temp_directory_path() / "rapids_ctl_record").string()),
+      : dir((fs::temp_directory_path() /
+             ("rapids_ctl_record_" +
+              std::string(::testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->name())))
+                .string()),
         cluster(storage::ClusterConfig{16, 0.01, 7}) {
     fs::remove_all(dir);
     db = kv::Db::open(dir);

@@ -1,7 +1,7 @@
-// Tests for the stage-overlapped batch pipeline entry points
-// (prepare_batch/restore_batch): byte-identity of fragments, metadata, and
-// restored data against the serial prepare()/restore() loop, and a
-// concurrent prepare+restore stress run on one pipeline.
+// Tests for concurrent prepare()/restore() calls on one pipeline, forked as
+// pool tasks the way the service's lanes drive it: byte-identity of
+// fragments, metadata, and restored data against the serial loop, and a
+// concurrent prepare+restore stress run.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,7 @@ namespace fs = std::filesystem;
 using mgard::Dims;
 
 /// One self-contained pipeline environment (cluster + metadata store), so a
-/// serial reference run and a batch run never share state.
+/// serial reference run and a concurrent run never share state.
 struct Env {
   explicit Env(const std::string& tag) {
     dir = (fs::temp_directory_path() / ("rapids_batch_" + tag)).string();
@@ -68,6 +68,39 @@ std::vector<TestObject> make_objects(u32 count) {
   return objects;
 }
 
+/// One prepare() per object, each a task on `pool`; reports in object order.
+std::vector<PrepareReport> prepare_concurrently(
+    RapidsPipeline& pipeline, ThreadPool& pool,
+    const std::vector<TestObject>& objects) {
+  std::vector<PrepareReport> reports(objects.size());
+  TaskGroup group(&pool);
+  for (std::size_t i = 0; i < objects.size(); ++i)
+    group.run([&, i] {
+      reports[i] =
+          pipeline.prepare(objects[i].field, objects[i].dims, objects[i].name);
+    });
+  group.wait();
+  return reports;
+}
+
+/// One restore() per name, each a task on `pool`; reports in name order.
+std::vector<RestoreReport> restore_concurrently(
+    RapidsPipeline& pipeline, ThreadPool& pool,
+    const std::vector<std::string>& names) {
+  std::vector<RestoreReport> reports(names.size());
+  TaskGroup group(&pool);
+  for (std::size_t i = 0; i < names.size(); ++i)
+    group.run([&, i] { reports[i] = pipeline.restore(names[i]); });
+  group.wait();
+  return reports;
+}
+
+std::vector<std::string> names_of(const std::vector<TestObject>& objects) {
+  std::vector<std::string> names;
+  for (const auto& obj : objects) names.push_back(obj.name);
+  return names;
+}
+
 /// Assert that two environments hold byte-identical prepared state for
 /// `name`: the serialized object record, every fragment-location entry, and
 /// every stored fragment's serialized bytes (header + payload + CRC).
@@ -112,10 +145,7 @@ TEST(PipelineBatch, PrepareBatchByteIdenticalToSerialLoop) {
 
   Env batch("batch");
   RapidsPipeline batch_pipe(*batch.cluster, *batch.db, fast_config(), &pool);
-  std::vector<PrepareRequest> requests;
-  for (const auto& obj : objects)
-    requests.push_back({obj.field, obj.dims, obj.name});
-  const auto batch_reports = batch_pipe.prepare_batch(requests);
+  const auto batch_reports = prepare_concurrently(batch_pipe, pool, objects);
 
   ASSERT_EQ(batch_reports.size(), objects.size());
   for (std::size_t i = 0; i < objects.size(); ++i) {
@@ -138,19 +168,15 @@ TEST(PipelineBatch, RestoreBatchMatchesSerialRestores) {
 
   Env env("restore");
   RapidsPipeline pipeline(*env.cluster, *env.db, fast_config(), &pool);
-  std::vector<PrepareRequest> requests;
-  for (const auto& obj : objects)
-    requests.push_back({obj.field, obj.dims, obj.name});
-  pipeline.prepare_batch(requests);
+  prepare_concurrently(pipeline, pool, objects);
 
   // Serial restores against an identically prepared twin environment.
   Env twin("restore_twin");
   RapidsPipeline twin_pipe(*twin.cluster, *twin.db, fast_config(), &pool);
   for (const auto& obj : objects) twin_pipe.prepare(obj.field, obj.dims, obj.name);
 
-  std::vector<std::string> names;
-  for (const auto& obj : objects) names.push_back(obj.name);
-  const auto batch_reports = pipeline.restore_batch(names);
+  const auto batch_reports =
+      restore_concurrently(pipeline, pool, names_of(objects));
   ASSERT_EQ(batch_reports.size(), objects.size());
   for (std::size_t i = 0; i < objects.size(); ++i) {
     const auto serial_report = twin_pipe.restore(objects[i].name);
@@ -162,41 +188,9 @@ TEST(PipelineBatch, RestoreBatchMatchesSerialRestores) {
   }
 }
 
-TEST(PipelineBatch, SingleObjectAndEmptyBatchesWork) {
-  ThreadPool pool(2);
-  Env env("edge");
-  RapidsPipeline pipeline(*env.cluster, *env.db, fast_config(), &pool);
-  EXPECT_TRUE(pipeline.prepare_batch({}).empty());
-  EXPECT_TRUE(pipeline.restore_batch({}).empty());
-
-  const auto objects = make_objects(1);
-  std::vector<PrepareRequest> one = {{objects[0].field, objects[0].dims,
-                                      objects[0].name}};
-  const auto reports = pipeline.prepare_batch(one);
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_EQ(reports[0].fragments_stored, 64u);
-  std::vector<std::string> names = {objects[0].name};
-  const auto restored = pipeline.restore_batch(names);
-  ASSERT_EQ(restored.size(), 1u);
-  EXPECT_EQ(restored[0].levels_used, 4u);
-}
-
-TEST(PipelineBatch, RestoreBatchUnknownObjectPropagates) {
-  ThreadPool pool(2);
-  Env env("unknown");
-  RapidsPipeline pipeline(*env.cluster, *env.db, fast_config(), &pool);
-  const auto objects = make_objects(2);
-  std::vector<PrepareRequest> requests;
-  for (const auto& obj : objects)
-    requests.push_back({obj.field, obj.dims, obj.name});
-  pipeline.prepare_batch(requests);
-  std::vector<std::string> names = {objects[0].name, "never-prepared",
-                                    objects[1].name};
-  EXPECT_THROW(pipeline.restore_batch(names), std::exception);
-}
-
-// Stress: prepare_batch of new objects racing restore_batch of existing ones
-// on the same pipeline. Results on both sides must match a quiet serial run.
+// Stress: concurrent prepares of new objects racing concurrent restores of
+// existing ones on the same pipeline. Results on both sides must match a
+// quiet serial run.
 TEST(PipelineBatch, ConcurrentPrepareAndRestoreBatchesAreConsistent) {
   ThreadPool pool(4);
   const auto old_objects = make_objects(3);
@@ -212,10 +206,7 @@ TEST(PipelineBatch, ConcurrentPrepareAndRestoreBatchesAreConsistent) {
 
   Env env("stress");
   RapidsPipeline pipeline(*env.cluster, *env.db, fast_config(), &pool);
-  std::vector<PrepareRequest> old_requests;
-  for (const auto& obj : old_objects)
-    old_requests.push_back({obj.field, obj.dims, obj.name});
-  pipeline.prepare_batch(old_requests);
+  prepare_concurrently(pipeline, pool, old_objects);
 
   // Twin environment prepared serially for the reference state.
   Env twin("stress_twin");
@@ -225,22 +216,16 @@ TEST(PipelineBatch, ConcurrentPrepareAndRestoreBatchesAreConsistent) {
   for (const auto& obj : new_objects)
     twin_pipe.prepare(obj.field, obj.dims, obj.name);
 
-  std::vector<PrepareRequest> new_requests;
-  for (const auto& obj : new_objects)
-    new_requests.push_back({obj.field, obj.dims, obj.name});
-  std::vector<std::string> old_names;
-  for (const auto& obj : old_objects) old_names.push_back(obj.name);
-
   std::vector<RestoreReport> restored;
   std::exception_ptr prepare_error;
   std::thread preparer([&] {
     try {
-      pipeline.prepare_batch(new_requests);
+      prepare_concurrently(pipeline, pool, new_objects);
     } catch (...) {
       prepare_error = std::current_exception();
     }
   });
-  restored = pipeline.restore_batch(old_names);
+  restored = restore_concurrently(pipeline, pool, names_of(old_objects));
   preparer.join();
   ASSERT_FALSE(prepare_error);
 
@@ -255,9 +240,8 @@ TEST(PipelineBatch, ConcurrentPrepareAndRestoreBatchesAreConsistent) {
   for (const auto& obj : new_objects)
     expect_identical_prepared_state(twin, env, obj.name);
   // And they restore cleanly afterwards.
-  std::vector<std::string> new_names;
-  for (const auto& obj : new_objects) new_names.push_back(obj.name);
-  const auto new_restored = pipeline.restore_batch(new_names);
+  const auto new_restored =
+      restore_concurrently(pipeline, pool, names_of(new_objects));
   for (std::size_t i = 0; i < new_objects.size(); ++i) {
     const auto reference = twin_pipe.restore(new_objects[i].name);
     EXPECT_EQ(new_restored[i].data, reference.data) << new_objects[i].name;

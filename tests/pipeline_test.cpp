@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <string>
 
 #include "rapids/core/baselines.hpp"
@@ -12,6 +13,7 @@
 #include "rapids/kvstore/db.hpp"
 #include "rapids/data/datasets.hpp"
 #include "rapids/data/stats.hpp"
+#include "rapids/parallel/thread_pool.hpp"
 #include "rapids/storage/failure.hpp"
 
 namespace rapids::core {
@@ -45,6 +47,24 @@ class PipelineTest : public ::testing::Test {
     cfg.refactor.target_rel_errors = {4e-3, 5e-4, 6e-5, 1e-6};
     cfg.aco.iterations = 20;
     return cfg;
+  }
+
+  /// After a failed prepare of `failed`: it left no object record, and once
+  /// every system is back a prepare of `next` on `pipeline` restores at full
+  /// depth within its bound.
+  void expect_recovers(RapidsPipeline& pipeline, const std::string& failed,
+                       const std::string& next) {
+    EXPECT_FALSE(pipeline.lookup(failed).has_value()) << failed;
+    cluster_->restore_all();
+    const Dims dims{33, 33, 17};
+    const auto field = data::hurricane_pressure(dims, 40);
+    pipeline.prepare(field, dims, next);
+    const auto report = pipeline.restore(next);
+    EXPECT_EQ(report.levels_used, 4u) << next;
+    ASSERT_EQ(report.data.size(), field.size()) << next;
+    EXPECT_LE(data::relative_linf_error(field, report.data),
+              report.rel_error_bound)
+        << next;
   }
 
   std::string dir_;
@@ -140,6 +160,65 @@ TEST_F(PipelineTest, LookupUnknownObject) {
   RapidsPipeline pipeline(*cluster_, *db_, fast_config());
   EXPECT_FALSE(pipeline.lookup("ghost").has_value());
   EXPECT_THROW(pipeline.restore("ghost"), invariant_error);
+}
+
+// Each prepare error path runs without a pool (inline encodes) and with a
+// 4-thread pool (every level's encode forked before level 0 stores).
+
+TEST_F(PipelineTest, PrepareRejectsNonFiniteInput) {
+  ThreadPool four(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
+    const std::string tag = pool == nullptr ? "serial" : "pooled";
+    RapidsPipeline pipeline(*cluster_, *db_, fast_config(), pool);
+    const Dims dims{33, 33, 17};
+    auto field = data::scale_temperature(dims, 41);
+    field[field.size() / 2] = std::numeric_limits<f32>::quiet_NaN();
+    EXPECT_THROW(pipeline.prepare(field, dims, "nan-" + tag), invariant_error);
+    expect_recovers(pipeline, "nan-" + tag, "after-nan-" + tag);
+  }
+}
+
+TEST_F(PipelineTest, PrepareRejectsInfeasibleOverheadBudget) {
+  ThreadPool four(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
+    const std::string tag = pool == nullptr ? "serial" : "pooled";
+    PipelineConfig tight = fast_config();
+    tight.overhead_budget = 1e-6;  // no level fits a single parity fragment
+    RapidsPipeline pipeline(*cluster_, *db_, tight, pool);
+    const Dims dims{33, 33, 17};
+    const auto field = data::scale_temperature(dims, 42);
+    try {
+      pipeline.prepare(field, dims, "budget-" + tag);
+      ADD_FAILURE() << "prepare fitted an FT configuration into 1e-6";
+    } catch (const invariant_error& e) {
+      EXPECT_NE(std::string(e.what()).find("no FT configuration fits"),
+                std::string::npos)
+          << e.what();
+    }
+    // The budget is this pipeline's own, so the follow-up prepare runs on a
+    // default-budget pipeline over the same cluster and metadata store.
+    RapidsPipeline next(*cluster_, *db_, fast_config(), pool);
+    expect_recovers(next, "budget-" + tag, "after-budget-" + tag);
+  }
+}
+
+TEST_F(PipelineTest, PrepareFailsWhenEverySystemIsDown) {
+  ThreadPool four(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
+    const std::string tag = pool == nullptr ? "serial" : "pooled";
+    RapidsPipeline pipeline(*cluster_, *db_, fast_config(), pool);
+    // Large enough that the deeper levels can still be encoding on the pool
+    // when level 0's store throws.
+    const Dims dims{65, 65, 33};
+    const auto field = data::nyx_temperature(dims, 43);
+    for (u32 i = 0; i < cluster_->size(); ++i) cluster_->fail(i);
+    EXPECT_THROW(pipeline.prepare(field, dims, "down-" + tag), io_error);
+    for (u32 i = 0; i < cluster_->size(); ++i)
+      EXPECT_TRUE(
+          cluster_->system(i).keys_with_prefix("frag/down-" + tag + "/").empty())
+          << "system " << i;
+    expect_recovers(pipeline, "down-" + tag, "after-down-" + tag);
+  }
 }
 
 TEST_F(PipelineTest, RepairRebuildsLostFragment) {

@@ -1,5 +1,5 @@
-// Tests for the fragment-granular streaming dataflow: the bounded Channel,
-// StorageSystem::PutStream / get_range, and the byte-identity contract of
+// Tests for the fragment-granular streaming I/O — StorageSystem::PutStream /
+// get_range and level-by-level restore — and the byte-identity contract of
 // prepare/restore against a staged reference built from public primitives
 // (whole-field refactor, per-level RS encode, placement, reconstruct) at
 // every level prefix.
@@ -7,13 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <map>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "rapids/core/pipeline.hpp"
@@ -21,7 +18,6 @@
 #include "rapids/data/stats.hpp"
 #include "rapids/ec/fragment.hpp"
 #include "rapids/kvstore/db.hpp"
-#include "rapids/parallel/channel.hpp"
 #include "rapids/parallel/thread_pool.hpp"
 #include "rapids/storage/failure.hpp"
 #include "rapids/storage/storage_system.hpp"
@@ -32,127 +28,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using mgard::Dims;
-
-// ---------------------------------------------------------------- Channel
-
-TEST(Channel, FifoOrderWithinCapacity) {
-  Channel<int> ch(3);
-  EXPECT_EQ(ch.capacity(), 3u);
-  for (int v : {1, 2, 3}) EXPECT_TRUE(ch.try_push(std::move(v)));
-  int overflow = 4;
-  EXPECT_FALSE(ch.try_push(std::move(overflow)));
-  EXPECT_EQ(overflow, 4);  // full: operand left intact
-  int out = 0;
-  for (int want : {1, 2, 3}) {
-    ASSERT_TRUE(ch.try_pop(out));
-    EXPECT_EQ(out, want);
-  }
-  EXPECT_FALSE(ch.try_pop(out));  // drained
-}
-
-TEST(Channel, CloseDeliversQueuedItemsThenReportsClosed) {
-  Channel<int> ch(4);
-  int a = 7, b = 8;
-  EXPECT_TRUE(ch.try_push(std::move(a)));
-  EXPECT_TRUE(ch.try_push(std::move(b)));
-  ch.close();
-  ch.close();  // idempotent
-  EXPECT_TRUE(ch.closed());
-  int rejected = 9;
-  EXPECT_FALSE(ch.try_push(std::move(rejected)));
-  EXPECT_FALSE(ch.push(10));
-  int out = 0;
-  using Wait = Channel<int>::Wait;
-  EXPECT_EQ(ch.pop_for(out, std::chrono::milliseconds(1)), Wait::kItem);
-  EXPECT_EQ(out, 7);
-  EXPECT_TRUE(ch.pop(out));
-  EXPECT_EQ(out, 8);
-  EXPECT_EQ(ch.pop_for(out, std::chrono::milliseconds(1)), Wait::kClosed);
-  EXPECT_FALSE(ch.pop(out));
-}
-
-TEST(Channel, TryPushAfterCloseLeavesOperandIntact) {
-  // Contract: try_push only moves from its operand on success, and "closed"
-  // is indistinguishable from "full" through the return value — the caller
-  // checks closed() when it needs to stop generating.
-  Channel<std::string> ch(4);
-  ch.close();
-  std::string item = "payload";
-  EXPECT_FALSE(ch.try_push(std::move(item)));
-  EXPECT_EQ(item, "payload");
-  EXPECT_TRUE(ch.closed());
-  EXPECT_EQ(ch.size(), 0u);  // nothing buffered post-close
-}
-
-TEST(Channel, ZeroCapacityClampsToOne) {
-  Channel<int> ch(0);
-  EXPECT_EQ(ch.capacity(), 1u);
-  EXPECT_TRUE(ch.try_push(1));
-  int two = 2;
-  EXPECT_FALSE(ch.try_push(std::move(two)));
-}
-
-TEST(Channel, CloseWakesBlockedProducerAndDropsItsItem) {
-  Channel<int> ch(1);
-  ASSERT_TRUE(ch.try_push(1));  // fill: the next push must block
-  std::atomic<bool> pushed{false};
-  std::atomic<bool> accepted{true};
-  std::thread producer([&] {
-    accepted = ch.push(2);  // blocks on the full window until close()
-    pushed = true;
-  });
-  while (ch.size() == 0) std::this_thread::yield();
-  ch.close();
-  producer.join();
-  EXPECT_TRUE(pushed);
-  EXPECT_FALSE(accepted);  // close() rejected the blocked push
-  // The consumer sees exactly the pre-close item, then closed-and-drained.
-  int out = 0;
-  EXPECT_TRUE(ch.pop(out));
-  EXPECT_EQ(out, 1);
-  EXPECT_FALSE(ch.pop(out));
-}
-
-TEST(Channel, CloseWakesWaitingPopForWithoutFullTimeout) {
-  Channel<int> ch(1);
-  std::atomic<int> result{-1};
-  std::thread consumer([&] {
-    int out = 0;
-    // Far longer than the test may take: only a close() wake explains an
-    // early kClosed return.
-    result = static_cast<int>(ch.pop_for(out, std::chrono::seconds(60)));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  ch.close();
-  consumer.join();
-  EXPECT_EQ(result.load(), static_cast<int>(Channel<int>::Wait::kClosed));
-}
-
-TEST(Channel, PopForTimesOutOnOpenEmptyChannel) {
-  Channel<int> ch(1);
-  int out = 0;
-  EXPECT_EQ(ch.pop_for(out, std::chrono::milliseconds(1)),
-            Channel<int>::Wait::kTimeout);
-}
-
-TEST(Channel, BlockingProducerConsumerAcrossThreads) {
-  // Capacity 2 forces the producer to block on the full window; the consumer
-  // must still receive every item exactly once, in order.
-  Channel<int> ch(2);
-  constexpr int kItems = 200;
-  std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) EXPECT_TRUE(ch.push(i));
-    ch.close();
-  });
-  int expected = 0;
-  int out = 0;
-  while (ch.pop(out)) {
-    EXPECT_EQ(out, expected);
-    ++expected;
-  }
-  EXPECT_EQ(expected, kItems);
-  producer.join();
-}
 
 // --------------------------------------------- PutStream / ranged reads
 
@@ -353,8 +228,8 @@ bool same_floats(const std::vector<f32>& a, const std::vector<f32>& b) {
 
 TEST(StreamingPrepare, ByteIdenticalToStagedWithAndWithoutPool) {
   // A field large enough that fragments span several stripes: the pooled
-  // prepare encodes them stripe by stripe on the pool, and both prepares
-  // ship them as multi-append streamed puts.
+  // prepare encodes every level on the pool at once, and both prepares ship
+  // the fragments as multi-append streamed puts.
   ThreadPool pool(4);
   const Dims dims{257, 257, 129};
   const auto field = data::nyx_temperature(dims, 21, &pool);
@@ -499,14 +374,15 @@ TEST(StreamingPrepare, BatchMatchesStagedSerialLoop) {
     fields.push_back(data::hurricane_pressure(dims, 30 + i));
   }
 
+  // Concurrent prepares, one per pool task as the service's lanes run them,
+  // on the same pipeline: each object's encodes fork from inside a task.
   const auto cfg = fast_config();
   Env batch("batch");
   RapidsPipeline batch_pipe(*batch.cluster, *batch.db, cfg, &pool);
-  std::vector<PrepareRequest> requests;
+  TaskGroup group(&pool);
   for (u32 i = 0; i < names.size(); ++i)
-    requests.push_back({fields[i], dims, names[i]});
-  const auto reports = batch_pipe.prepare_batch(requests);
-  ASSERT_EQ(reports.size(), names.size());
+    group.run([&, i] { batch_pipe.prepare(fields[i], dims, names[i]); });
+  group.wait();
 
   for (u32 i = 0; i < names.size(); ++i)
     expect_matches_reference(
