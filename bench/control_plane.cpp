@@ -176,8 +176,8 @@ int run(int argc, char** argv) {
     d.error_after = core::ft_evaluate(pr, rec->ft).expected_error;
     d.avail_after = core::ft_level_availability(probs_after, rec->ft[0]);
     d.migrated = rec->generation > 0;
-    d.within_margin =
-        d.error_after <= d.planned_after * (1.0 + opt.error_margin) + 1e-15;
+    d.within_margin = d.error_after <=
+                      d.planned_after * (1.0 + control::kErrorMargin) + 1e-15;
     if (!d.within_margin) ++margin_violations;
     const auto report = w.pipeline->restore(d.name);
     const f64 err = data::relative_linf_error(fields[i], report.data);

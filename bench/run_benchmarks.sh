@@ -32,86 +32,17 @@
 #   bench/run_benchmarks.sh --record [build_dir] [output.json]
 # runs the refactor-kernels bench three times and writes every number of
 # every row at its median over the three (output defaults to
-# BENCH_refactor.json; the context is the first run's), so a row that is
-# bimodal across processes cannot put its rarer mode into the baseline.
+# BENCH_refactor.json; the context is the first run's). It prints each gated
+# speedup's three values and spread, as --check does, and refuses to write
+# (exit 1, naming the rows) when any gated spread exceeds the tolerance: a
+# row that is bimodal across processes could otherwise put its rarer mode
+# into the baseline, which the median of three does not prevent when two of
+# the three processes land in that mode.
 set -euo pipefail
 
-if [[ "${1:-}" == "--record" ]]; then
-  BUILD_DIR="${2:-build}"
-  OUT="${3:-BENCH_refactor.json}"
-  RK_BIN="$BUILD_DIR/bench/refactor_kernels"
-  if [[ ! -x "$RK_BIN" ]]; then
-    echo "error: $RK_BIN not found — build first" >&2
-    exit 1
-  fi
-  RUNS=()
-  trap 'rm -f "${RUNS[@]}"' EXIT
-  for _ in 1 2 3; do
-    RUNS+=("$(mktemp --suffix=.json)")
-    "$RK_BIN" "${RUNS[-1]}" >/dev/null
-  done
-  python3 - "$OUT" "${RUNS[@]}" <<'PY'
-import json, statistics, sys
-
-runs = [json.load(open(p)) for p in sys.argv[2:]]
-
-
-def merge(vals):
-    """Median of numbers, element-wise over rows and keys; the first run's
-    value for anything else (names, the host context, which also records
-    how many runs the medians are over)."""
-    first = vals[0]
-    if isinstance(first, (bool, str)):
-        return first
-    if isinstance(first, (int, float)):
-        return statistics.median(vals)
-    if isinstance(first, list):
-        return [merge([v[i] for v in vals]) for i in range(len(first))]
-    return {k: {**first[k], "runs": len(vals)} if k == "context"
-            else merge([v[k] for v in vals]) for k in first}
-
-
-# Same layout as the bench writes: one row per line.
-doc = merge(runs)
-items = []
-for key, val in doc.items():
-    if key == "context":
-        body = ",\n".join(f"    {json.dumps(k)}: {json.dumps(v)}"
-                          for k, v in val.items())
-        items.append(f'  "context": {{\n{body}\n  }}')
-    elif isinstance(val, list):
-        body = ",\n".join(f"    {json.dumps(r)}" for r in val)
-        items.append(f'  "{key}": [\n{body}\n  ]')
-    else:
-        items.append(f'  "{key}": {json.dumps(val)}')
-with open(sys.argv[1], "w") as f:
-    f.write("{\n" + ",\n".join(items) + "\n}\n")
-print(f"wrote {sys.argv[1]} (every number the median of {len(runs)} runs)")
-PY
-  exit $?
-fi
-
-if [[ "${1:-}" == "--check" ]]; then
-  BUILD_DIR="${2:-build}"
-  BASELINE="${3:-BENCH_refactor.json}"
-  RK_BIN="$BUILD_DIR/bench/refactor_kernels"
-  if [[ ! -x "$RK_BIN" ]]; then
-    echo "error: $RK_BIN not found — build first" >&2
-    exit 1
-  fi
-  if [[ ! -f "$BASELINE" ]]; then
-    echo "error: baseline $BASELINE not found" >&2
-    exit 1
-  fi
-  FRESH=()
-  trap 'rm -f "${FRESH[@]}"' EXIT
-  for _ in 1 2 3; do FRESH+=("$(mktemp --suffix=.json)"); done
-  echo "refactor-kernels regression check vs $BASELINE (median of 3 runs)"
-  # Three fresh runs, each speedup taken at its median: on a shared host a
-  # load burst can sink or lift any one run, but a real regression moves the
-  # middle one.
-  for f in "${FRESH[@]}"; do "$RK_BIN" "$f" >/dev/null; done
-  python3 - "$BASELINE" "${FRESH[@]}" <<'PY'
+# The gated in-run speedups and both verdicts, shared by --record and
+# --check: python3 -c "$GATE_PY" record|check <output|baseline> <runs...>
+read -r -d '' GATE_PY <<'PY' || true
 import json, os, statistics, sys
 
 
@@ -141,30 +72,139 @@ def ratios(doc):
     return {k: v for k, v in out.items() if v}
 
 
-base = ratios(json.load(open(sys.argv[1])))
-runs = [ratios(json.load(open(p))) for p in sys.argv[2:]]
-TOL = float(os.environ.get("RAPIDS_BENCH_TOL", "0.15"))
-bad = 0
-for name, bv in base.items():
-    got = [r[name] for r in runs if name in r]
-    if not got:
-        print(f"{name:44s} missing from fresh runs  MISSING")
-        bad += 1
-        continue
-    cv = statistics.median(got)
-    spread = (max(got) - min(got)) / cv
-    ok = cv >= bv * (1 - TOL)
-    bad += not ok
+def summary(got):
+    """Per-run values, median and spread ((max - min) / median)."""
+    med = statistics.median(got)
     each = " ".join(f"{g:6.3f}" for g in got)
-    print(f"{name:44s} base {bv:6.3f}  runs {each}  median {cv:6.3f}  "
-          f"spread {spread:4.0%}  {cv / bv:5.2f}x  "
-          f"{'ok' if ok else 'REGRESSION'}")
-if bad:
-    print(f"\ncheck FAILED: {bad} ratio(s) regressed more than {TOL:.0%} or "
-          "went missing")
-    sys.exit(1)
-print(f"\ncheck passed: no in-run ratio regressed more than {TOL:.0%}")
+    return each, med, (max(got) - min(got)) / med
+
+
+mode, target = sys.argv[1], sys.argv[2]
+docs = [json.load(open(p)) for p in sys.argv[3:]]
+runs = [ratios(d) for d in docs]
+TOL = float(os.environ.get("RAPIDS_BENCH_TOL", "0.15"))
+
+
+def record():
+    wide = []
+    for name in sorted(set().union(*runs)):
+        got = [r[name] for r in runs if name in r]
+        if len(got) < len(runs):
+            print(f"{name:44s} missing from {len(runs) - len(got)} run(s)  "
+                  "MISSING")
+            wide.append(name)
+            continue
+        each, med, spread = summary(got)
+        ok = spread <= TOL
+        wide += [] if ok else [name]
+        print(f"{name:44s} runs {each}  median {med:6.3f}  "
+              f"spread {spread:4.0%}  {'ok' if ok else 'SPREAD'}")
+    if wide:
+        print(f"\nrecord REFUSED: {len(wide)} gated ratio(s) spread more than "
+              f"{TOL:.0%} across the runs or went missing, so their median "
+              f"need not be the common mode: {', '.join(wide)}. Nothing "
+              f"written; rerun --record.")
+        sys.exit(1)
+
+    def merge(vals):
+        """Median of numbers, element-wise over rows and keys; the first
+        run's value for anything else (names, the host context, which also
+        records how many runs the medians are over)."""
+        first = vals[0]
+        if isinstance(first, (bool, str)):
+            return first
+        if isinstance(first, (int, float)):
+            return statistics.median(vals)
+        if isinstance(first, list):
+            return [merge([v[i] for v in vals]) for i in range(len(first))]
+        return {k: {**first[k], "runs": len(vals)} if k == "context"
+                else merge([v[k] for v in vals]) for k in first}
+
+    # Same layout as the bench writes: one row per line.
+    items = []
+    for key, val in merge(docs).items():
+        if key == "context":
+            body = ",\n".join(f"    {json.dumps(k)}: {json.dumps(v)}"
+                              for k, v in val.items())
+            items.append(f'  "context": {{\n{body}\n  }}')
+        elif isinstance(val, list):
+            body = ",\n".join(f"    {json.dumps(r)}" for r in val)
+            items.append(f'  "{key}": [\n{body}\n  ]')
+        else:
+            items.append(f'  "{key}": {json.dumps(val)}')
+    with open(target, "w") as f:
+        f.write("{\n" + ",\n".join(items) + "\n}\n")
+    print(f"\nwrote {target} (every number the median of {len(runs)} runs)")
+
+
+def check():
+    base = ratios(json.load(open(target)))
+    bad = 0
+    for name, bv in base.items():
+        got = [r[name] for r in runs if name in r]
+        if not got:
+            print(f"{name:44s} missing from fresh runs  MISSING")
+            bad += 1
+            continue
+        each, med, spread = summary(got)
+        ok = med >= bv * (1 - TOL)
+        bad += not ok
+        print(f"{name:44s} base {bv:6.3f}  runs {each}  median {med:6.3f}  "
+              f"spread {spread:4.0%}  {med / bv:5.2f}x  "
+              f"{'ok' if ok else 'REGRESSION'}")
+    if bad:
+        print(f"\ncheck FAILED: {bad} ratio(s) regressed more than {TOL:.0%} "
+              "or went missing")
+        sys.exit(1)
+    print(f"\ncheck passed: no in-run ratio regressed more than {TOL:.0%}")
+
+
+if mode == "record":
+    record()
+else:
+    check()
 PY
+
+if [[ "${1:-}" == "--record" ]]; then
+  BUILD_DIR="${2:-build}"
+  OUT="${3:-BENCH_refactor.json}"
+  RK_BIN="$BUILD_DIR/bench/refactor_kernels"
+  if [[ ! -x "$RK_BIN" ]]; then
+    echo "error: $RK_BIN not found — build first" >&2
+    exit 1
+  fi
+  RUNS=()
+  trap 'rm -f "${RUNS[@]}"' EXIT
+  for _ in 1 2 3; do
+    RUNS+=("$(mktemp --suffix=.json)")
+    "$RK_BIN" "${RUNS[-1]}" >/dev/null
+  done
+  echo "refactor-kernels baseline record into $OUT (median of 3 runs)"
+  python3 -c "$GATE_PY" record "$OUT" "${RUNS[@]}"
+  exit $?
+fi
+
+if [[ "${1:-}" == "--check" ]]; then
+  BUILD_DIR="${2:-build}"
+  BASELINE="${3:-BENCH_refactor.json}"
+  RK_BIN="$BUILD_DIR/bench/refactor_kernels"
+  if [[ ! -x "$RK_BIN" ]]; then
+    echo "error: $RK_BIN not found — build first" >&2
+    exit 1
+  fi
+  if [[ ! -f "$BASELINE" ]]; then
+    echo "error: baseline $BASELINE not found" >&2
+    exit 1
+  fi
+  FRESH=()
+  trap 'rm -f "${FRESH[@]}"' EXIT
+  for _ in 1 2 3; do FRESH+=("$(mktemp --suffix=.json)"); done
+  echo "refactor-kernels regression check vs $BASELINE (median of 3 runs)"
+  # Three fresh runs, each speedup taken at its median: on a shared host a
+  # load burst can sink or lift any one run, but a real regression moves the
+  # middle one.
+  for f in "${FRESH[@]}"; do "$RK_BIN" "$f" >/dev/null; done
+  python3 -c "$GATE_PY" check "$BASELINE" "${FRESH[@]}"
   exit $?
 fi
 

@@ -92,8 +92,6 @@ ServiceOptions drill_options(u32 tenants) {
   o.brownout_backlog_s = 1.2;
   o.brownout_exit_backlog_s = 0.5;
   o.brownout_sustain_s = 0.3;
-  o.brownout_drop_levels = 1;
-  o.shed_would_expire = true;
   o.keep_data = false;  // thousands of requests; bounds come from the report
   return o;
 }
@@ -288,7 +286,7 @@ int run(int argc, char** argv) {
     const auto& ts = r1.tenants[tn];
     rows[tn] = {ts.submitted,
                 ts.admitted,
-                ts.rejected_depth + ts.rejected_rate,
+                ts.rejected_depth,
                 ts.shed,
                 ts.completed,
                 ts.brownouts,

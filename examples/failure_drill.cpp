@@ -85,7 +85,7 @@ int main() {
   // Phase 4: permanent loss on system 6 (disk dead, machine up) + repair.
   std::printf("\npermanent fragment loss on system 6, repairing:\n");
   for (u32 level = 0; level < 4; ++level) {
-    const u32 idx = storage::fragment_at(prep.record.placement, 16, level, 6);
+    const u32 idx = storage::fragment_at(16, level, 6);
     cluster.system(6).erase(ec::FragmentId{"nyx/temperature", level, idx}.key());
     pipeline.repair_fragment("nyx/temperature", level, idx, 6);
   }

@@ -406,7 +406,7 @@ int cmd_status(int argc, char** argv) {
   // run ended in.
   std::optional<std::string> svc;
   pipeline.with_metadata_lock(
-      [&](kv::KvStore& db) { svc = db.get("svc/stats"); });
+      [&](kv::Db& db) { svc = db.get("svc/stats"); });
   if (svc) {
     std::printf("service (last `serve` run):\n");
     std::istringstream lines(*svc);
@@ -417,7 +417,7 @@ int cmd_status(int argc, char** argv) {
   }
 
   std::vector<control::MigrationRecord> journal_records;
-  pipeline.with_metadata_lock([&](kv::KvStore& db) {
+  pipeline.with_metadata_lock([&](kv::Db& db) {
     control::MigrationJournal journal(db);
     journal_records = journal.scan();
   });
@@ -605,12 +605,11 @@ int cmd_serve(int argc, char** argv) {
     std::snprintf(
         line, sizeof line,
         "tenant %u: weight=%.1f depth=%u peak=%u submitted=%llu "
-        "admitted=%llu rejected=%llu+%llu(rate) shed=%llu completed=%llu "
+        "admitted=%llu rejected=%llu shed=%llu completed=%llu "
         "brownouts=%llu missed=%llu p50=%.3fs p99=%.3fs",
         u, opts.tenant_weights[u], ts.queue_depth, ts.peak_depth,
         (unsigned long long)ts.submitted, (unsigned long long)ts.admitted,
-        (unsigned long long)ts.rejected_depth,
-        (unsigned long long)ts.rejected_rate, (unsigned long long)ts.shed,
+        (unsigned long long)ts.rejected_depth, (unsigned long long)ts.shed,
         (unsigned long long)ts.completed, (unsigned long long)ts.brownouts,
         (unsigned long long)ts.deadline_missed, pct(lat[u], 0.5),
         pct(lat[u], 0.99));
@@ -619,7 +618,7 @@ int cmd_serve(int argc, char** argv) {
   const std::string snapshot = snap.str();
   std::printf("%s", snapshot.c_str());
   pipeline.with_metadata_lock(
-      [&](kv::KvStore& db) { db.put("svc/stats", snapshot); });
+      [&](kv::Db& db) { db.put("svc/stats", snapshot); });
   std::printf("snapshot persisted; `rapids_cli status %s` shows it\n",
               wsdir.c_str());
   return 0;

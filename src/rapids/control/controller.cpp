@@ -9,13 +9,30 @@
 
 namespace rapids::control {
 
+namespace {
+/// Simulated seconds per tick().
+constexpr f64 kTickSeconds = 1.0;
+/// Level re-encode steps one migration may take per tick (1 = finest
+/// interruption granularity, which the chaos tests rely on).
+constexpr u32 kMaxLevelStepsPerTick = 1;
+/// Migrations advanced concurrently; further ones wait in journal order.
+constexpr u32 kMaxConcurrentMigrations = 2;
+/// Failed work attempts before a migration rolls back.
+constexpr u32 kMaxMigrationAttempts = 3;
+/// Mark everything dirty when a bandwidth estimate moves by this relative
+/// factor since the last sweep.
+constexpr f64 kBandwidthDriftTolerance = 0.5;
+/// Objects a repair sweep evacuates per tick (token-gated as well).
+constexpr u32 kRepairsPerTick = 2;
+}  // namespace
+
 Controller::Controller(core::RapidsPipeline& pipeline, ControlOptions options)
     : pipeline_(pipeline),
       options_(options),
       bucket_(options.rate_bytes_per_s, options.burst_bytes) {
   // The journal lives in the pipeline's own KV store; constructing it under
   // the metadata lock serializes its recovery scan with foreground traffic.
-  pipeline_.with_metadata_lock([&](kv::KvStore& db) { journal_.emplace(db); });
+  pipeline_.with_metadata_lock([&](kv::Db& db) { journal_.emplace(db); });
   bandwidth_baseline_ = pipeline_.snapshot_bandwidths();
   pipeline_.set_health_transition_callback(
       [this](u32 system, storage::HealthTransition transition) {
@@ -36,7 +53,7 @@ void Controller::recover() {
   active_.clear();
   std::vector<MigrationRecord> pending;
   pipeline_.with_metadata_lock(
-      [&](kv::KvStore&) { pending = journal_->pending(); });
+      [&](kv::Db&) { pending = journal_->pending(); });
   for (auto& rec : pending) {
     const auto obj = pipeline_.snapshot_record(rec.object);
     if (!obj) {
@@ -53,7 +70,7 @@ void Controller::recover() {
       journal_update(rec);
     }
     if (rec.phase == MigrationPhase::kPlanned &&
-        rec.attempts >= options_.max_migration_attempts) {
+        rec.attempts >= kMaxMigrationAttempts) {
       rollback(rec);
       continue;
     }
@@ -66,7 +83,7 @@ void Controller::recover() {
 void Controller::tick() {
   if (halted_) return;
   ++stats_.ticks;
-  now_ += options_.tick_seconds;
+  now_ += kTickSeconds;
   bucket_.advance(now_);
   drain_health_events();
   poll_bandwidth_drift();
@@ -82,7 +99,7 @@ void Controller::tick() {
   }
   advance_migrations();
   if (halted_) return;
-  if (options_.proactive_repair) process_repairs();
+  process_repairs();
 }
 
 u32 Controller::run_until_quiescent(u32 max_ticks) {
@@ -105,7 +122,7 @@ bool Controller::quiescent() const {
 
 std::vector<MigrationRecord> Controller::journal_scan() {
   std::vector<MigrationRecord> out;
-  pipeline_.with_metadata_lock([&](kv::KvStore&) { out = journal_->scan(); });
+  pipeline_.with_metadata_lock([&](kv::Db&) { out = journal_->scan(); });
   return out;
 }
 
@@ -128,7 +145,7 @@ void Controller::drain_health_events() {
     // object's achieved availability is stale.
     mark_all_dirty();
     if (ev.transition == storage::HealthTransition::kOpened &&
-        options_.proactive_repair && !repair_queued_.contains(ev.system)) {
+        !repair_queued_.contains(ev.system)) {
       repair_queued_.insert(ev.system);
       repair_queue_.push_back(ev.system);
       auto names = pipeline_.snapshot_object_names();
@@ -152,7 +169,7 @@ void Controller::poll_bandwidth_drift() {
   for (std::size_t i = 0; i < bw.size(); ++i) {
     const f64 base = bandwidth_baseline_[i];
     if (base <= 0.0) continue;
-    if (std::abs(bw[i] - base) / base > options_.bandwidth_drift_tolerance) {
+    if (std::abs(bw[i] - base) / base > kBandwidthDriftTolerance) {
       drifted = true;
       break;
     }
@@ -189,8 +206,7 @@ void Controller::evaluate_dirty_objects() {
   if (dirty_.empty()) return;
   auto batch = std::move(dirty_);
   dirty_.clear();
-  const auto probs =
-      pipeline_.failure_prob_estimates(options_.prior_strength);
+  const auto probs = pipeline_.failure_prob_estimates();
   for (const auto& name : batch) {
     if (migrating(name)) continue;  // re-marked by the next sweep if needed
     const auto record = pipeline_.snapshot_record(name);
@@ -213,7 +229,7 @@ void Controller::evaluate_dirty_objects() {
                                           : pipeline_.nominal_failure_prob();
       planned = core::ft_evaluate(nominal, record->ft).expected_error;
     }
-    if (achieved.expected_error <= planned * (1.0 + options_.error_margin))
+    if (achieved.expected_error <= planned * (1.0 + kErrorMargin))
       continue;  // margin intact: no action
     ++stats_.reoptimizations;
     const auto sol = core::ft_reoptimize(problem, record->ft);
@@ -234,7 +250,7 @@ void Controller::evaluate_dirty_objects() {
     rec.planned_p = problem.p;
     rec.planned_error = sol->expected_error;
     pipeline_.with_metadata_lock(
-        [&](kv::KvStore&) { journal_->append(rec); });
+        [&](kv::Db&) { journal_->append(rec); });
     ++stats_.migrations_started;
     log::info("control", "planned migration ", rec.seq, " of ", name,
               ": achieved error ", achieved.expected_error, " vs planned ",
@@ -247,7 +263,7 @@ void Controller::advance_migrations() {
   u32 advanced = 0;
   for (auto& rec : active_) {
     if (rec.terminal()) continue;
-    if (advanced >= options_.max_concurrent_migrations) break;
+    if (advanced >= kMaxConcurrentMigrations) break;
     ++advanced;
     if (!advance_one(rec)) break;  // crash hook halted the controller
   }
@@ -264,8 +280,7 @@ bool Controller::advance_one(MigrationRecord& rec) {
     case MigrationPhase::kPlanned: {
       const u32 nlevels = static_cast<u32>(rec.new_ft.size());
       u32 steps = 0;
-      while (rec.levels_written < nlevels &&
-             steps < options_.max_level_steps_per_tick) {
+      while (rec.levels_written < nlevels && steps < kMaxLevelStepsPerTick) {
         const u32 level = rec.levels_written;
         const auto obj = pipeline_.snapshot_record(rec.object);
         if (!obj) {
@@ -360,7 +375,7 @@ void Controller::fail_attempt(MigrationRecord& rec, const std::string& why) {
   ++rec.attempts;
   log::warn("control", "migration ", rec.seq, " of ", rec.object,
             " attempt ", rec.attempts, " failed: ", why);
-  if (rec.attempts >= options_.max_migration_attempts)
+  if (rec.attempts >= kMaxMigrationAttempts)
     rollback(rec);
   else
     journal_update(rec);
@@ -398,7 +413,7 @@ bool Controller::fire_hook(const MigrationRecord& rec, MigrationPoint point) {
 
 void Controller::process_repairs() {
   u32 done = 0;
-  while (!repair_queue_.empty() && done < options_.repairs_per_tick) {
+  while (!repair_queue_.empty() && done < kRepairsPerTick) {
     const u32 sys = repair_queue_.front();
     auto& work = repair_work_[sys];
     if (work.empty()) {
@@ -439,7 +454,7 @@ void Controller::process_repairs() {
 }
 
 void Controller::journal_update(const MigrationRecord& rec) {
-  pipeline_.with_metadata_lock([&](kv::KvStore&) { journal_->update(rec); });
+  pipeline_.with_metadata_lock([&](kv::Db&) { journal_->update(rec); });
 }
 
 }  // namespace rapids::control

@@ -23,10 +23,11 @@
 /// byte-identically restorable from whichever generation is live at that
 /// instant.
 ///
-/// The controller is tick-driven on a simulated clock (now = ticks x
-/// tick_seconds) and entirely deterministic: no wall time, no randomness,
-/// sorted iteration everywhere. Background traffic (migrations and
-/// proactive repair) is paced by a token bucket on the same clock.
+/// The controller is tick-driven on a simulated clock (one simulated second
+/// per tick) and entirely deterministic: no wall time, no randomness, sorted
+/// iteration everywhere. Background traffic (migrations and proactive
+/// repair off breaker-open systems) is paced by a token bucket on the same
+/// clock.
 ///
 /// Threading: tick() is intended to be called from one thread (a loop or a
 /// test). The health-transition callback fires on whatever thread trips a
@@ -50,36 +51,20 @@
 
 namespace rapids::control {
 
+/// Re-optimize when the achieved expected error exceeds the planned one by
+/// this relative margin (planned * (1 + margin)).
+inline constexpr f64 kErrorMargin = 0.25;
+
 struct ControlOptions {
-  /// Simulated seconds per tick().
-  f64 tick_seconds = 1.0;
-  /// Re-optimize when the achieved expected error exceeds the planned one by
-  /// this relative margin (planned * (1 + margin)).
-  f64 error_margin = 0.25;
   /// A migration must improve the achieved expected error by at least this
   /// relative factor to be worth its traffic.
   f64 min_improvement = 0.05;
-  /// Pseudo-count weight of the nominal p in the per-system Beta estimate.
-  f64 prior_strength = 20.0;
   /// Token-bucket pacing for background bytes; rate <= 0 disables limiting.
   f64 rate_bytes_per_s = 64.0 * 1024 * 1024;
   f64 burst_bytes = 256.0 * 1024 * 1024;
-  /// Level re-encode steps one migration may take per tick (1 = finest
-  /// interruption granularity, which the chaos tests rely on).
-  u32 max_level_steps_per_tick = 1;
-  /// Migrations advanced concurrently; further ones wait in journal order.
-  u32 max_concurrent_migrations = 2;
-  /// Failed work attempts before a migration rolls back.
-  u32 max_migration_attempts = 3;
-  /// Re-evaluate every object this often even without any event (ticks).
+  /// Re-evaluate every object this often even without any event (ticks);
+  /// 0 = event-driven only.
   u32 rescan_ticks = 16;
-  /// Mark everything dirty when a bandwidth estimate moves by this relative
-  /// factor since the last sweep.
-  f64 bandwidth_drift_tolerance = 0.5;
-  /// Evacuate fragments off breaker-open systems.
-  bool proactive_repair = true;
-  /// Objects a repair sweep evacuates per tick (token-gated as well).
-  u32 repairs_per_tick = 2;
 };
 
 struct ControllerStats {

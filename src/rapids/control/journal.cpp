@@ -80,7 +80,7 @@ std::string MigrationJournal::key_for(u64 seq) {
   return std::string(kKeyPrefix) + buf;
 }
 
-MigrationJournal::MigrationJournal(kv::KvStore& db) : db_(db) {
+MigrationJournal::MigrationJournal(kv::Db& db) : db_(db) {
   for (const auto& [key, value] : db_.scan_prefix(std::string(kKeyPrefix))) {
     (void)value;
     try {

@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "rapids/core/availability.hpp"
-#include "rapids/kvstore/kvstore.hpp"
+#include "rapids/kvstore/db.hpp"
 #include "rapids/util/bytes.hpp"
 #include "rapids/util/common.hpp"
 
@@ -72,12 +72,13 @@ struct MigrationRecord {
   }
 };
 
-/// Journal over a KvStore. Keys are "ctl/mig/<zero-padded seq>" so a prefix
-/// scan returns records in sequence order. Externally synchronized (see file
-/// comment); the constructor scans once to recover the next sequence number.
+/// Journal over the metadata Db. Keys are "ctl/mig/<zero-padded seq>" so a
+/// prefix scan returns records in sequence order. Externally synchronized
+/// (see file comment); the constructor scans once to recover the next
+/// sequence number.
 class MigrationJournal {
  public:
-  explicit MigrationJournal(kv::KvStore& db);
+  explicit MigrationJournal(kv::Db& db);
 
   /// Assign the next sequence number to `record`, persist it, and return it.
   u64 append(MigrationRecord& record);
@@ -98,7 +99,7 @@ class MigrationJournal {
  private:
   static std::string key_for(u64 seq);
 
-  kv::KvStore& db_;
+  kv::Db& db_;
   u64 next_seq_ = 1;
 };
 

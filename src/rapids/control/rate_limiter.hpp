@@ -38,14 +38,6 @@ class TokenBucket {
     return true;
   }
 
-  /// Simulated seconds until `bytes` tokens will be available (0 if already).
-  f64 seconds_until(u64 bytes) const {
-    if (rate_ <= 0.0) return 0.0;
-    const f64 need = static_cast<f64>(bytes);
-    if (tokens_ >= need) return 0.0;
-    return (need - tokens_) / rate_;
-  }
-
   f64 tokens() const { return tokens_; }
   f64 now() const { return now_; }
 

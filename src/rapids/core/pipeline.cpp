@@ -60,21 +60,6 @@ u32 recoverable_prefix(const GatherProblem& problem,
 }
 }  // namespace
 
-u32 RefineSession::levels() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cursor_;
-}
-
-f64 RefineSession::rel_error_bound() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bound_;
-}
-
-std::vector<f32> RefineSession::data() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return data_;
-}
-
 std::string generation_storage_name(const std::string& name, u32 generation) {
   if (generation == 0) return name;
   return name + "@g" + std::to_string(generation);
@@ -90,7 +75,7 @@ Bytes ObjectRecord::serialize() const {
   w.put_u32(static_cast<u32>(level_sizes.size()));
   for (u64 s : level_sizes) w.put_u64(s);
   w.put_u8(matrix_kind == ec::MatrixKind::kVandermonde ? 0 : 1);
-  w.put_u8(placement == storage::PlacementPolicy::kIdentity ? 0 : 1);
+  w.put_u8(1);  // placement: always rotation (old records may carry 0)
   // v2 tail: the control plane's migration/drift state.
   w.put_u32(generation);
   w.put_f64(planned_p);
@@ -119,8 +104,7 @@ ObjectRecord ObjectRecord::deserialize(std::span<const std::byte> data) {
   for (auto& s : rec.level_sizes) s = r.get_u64();
   rec.matrix_kind =
       r.get_u8() == 0 ? ec::MatrixKind::kVandermonde : ec::MatrixKind::kCauchy;
-  rec.placement = r.get_u8() == 0 ? storage::PlacementPolicy::kIdentity
-                                  : storage::PlacementPolicy::kRotate;
+  (void)r.get_u8();  // placement: fragment locations come from frag/ keys
   if (version >= 2) {
     // v1 records predate migrations: generation 0 and no drift baseline.
     rec.generation = r.get_u32();
@@ -132,7 +116,7 @@ ObjectRecord ObjectRecord::deserialize(std::span<const std::byte> data) {
   return rec;
 }
 
-RapidsPipeline::RapidsPipeline(storage::Cluster& cluster, kv::KvStore& db,
+RapidsPipeline::RapidsPipeline(storage::Cluster& cluster, kv::Db& db,
                                PipelineConfig config, ThreadPool* pool)
     : cluster_(cluster),
       db_(db),
@@ -156,8 +140,7 @@ void RapidsPipeline::store_level_locked(const std::string& name, u32 level,
   locations.reserve(frags.size());
   for (u32 idx = 0; idx < frags.size(); ++idx) {
     const ec::Fragment& frag = frags[idx];
-    const u32 preferred = storage::place_fragment(
-        storage::PlacementPolicy::kRotate, n, level, idx);
+    const u32 preferred = storage::place_fragment(n, level, idx);
 
     const auto try_put = [&](u32 sys, u64 salt) {
       const auto r = retry_io(
@@ -1171,16 +1154,17 @@ u32 RapidsPipeline::evacuate_system(const std::string& name, u32 system) {
     const std::string key = ec::FragmentId{sname, level, idx}.key();
     if (!cluster_.system(system).has(key)) continue;  // already elsewhere
 
-    // Destination: the system (other than the source) currently holding the
-    // fewest fragments — keeps load roughly even as systems retire.
-    u32 target = system == 0 ? 1 : 0;
+    // Destination: the available system (other than the source) currently
+    // holding the fewest fragments, ties to the lowest id — keeps load
+    // roughly even as systems retire.
+    std::optional<u32> target;
     for (u32 s = 0; s < n; ++s) {
       if (s == system || !cluster_.system(s).available()) continue;
-      if (cluster_.system(s).fragment_count() <
-          cluster_.system(target).fragment_count())
+      if (!target || cluster_.system(s).fragment_count() <
+                         cluster_.system(*target).fragment_count())
         target = s;
     }
-    RAPIDS_REQUIRE_MSG(target != system && cluster_.system(target).available(),
+    RAPIDS_REQUIRE_MSG(target.has_value(),
                        "evacuate: no destination system available");
 
     // Prefer a direct move (with retry around both sides); fall back to
@@ -1193,16 +1177,16 @@ u32 RapidsPipeline::evacuate_system(const std::string& name, u32 system) {
     bool moved_direct = false;
     if (frag) {
       const auto put = retry_io(
-          kRetryPolicy, stable_hash(key, target, 0xE7A0ull), [&] {
-            cluster_.system(target).put(*frag);
+          kRetryPolicy, stable_hash(key, *target, 0xE7A0ull), [&] {
+            cluster_.system(*target).put(*frag);
             return true;
           });
-      record_health(target, put.ok());
+      record_health(*target, put.ok());
       moved_direct = put.ok();
     }
-    if (!moved_direct) repair_fragment_locked(name, level, idx, target);
+    if (!moved_direct) repair_fragment_locked(name, level, idx, *target);
     cluster_.system(system).erase(key);
-    new_locations.emplace_back(key, std::to_string(target));
+    new_locations.emplace_back(key, std::to_string(*target));
     ++moved;
   }
   // One metadata batch for the whole evacuation. (The repair fallback above
@@ -1232,7 +1216,7 @@ std::vector<f64> RapidsPipeline::snapshot_bandwidths() {
   return tracker().estimates();
 }
 
-std::vector<f64> RapidsPipeline::failure_prob_estimates(f64 prior_strength) {
+std::vector<f64> RapidsPipeline::failure_prob_estimates() {
   std::lock_guard<std::mutex> lock(io_mu_);
   const u32 n = cluster_.size();
   const f64 prior_p = cluster_.config().failure_prob;
@@ -1241,7 +1225,7 @@ std::vector<f64> RapidsPipeline::failure_prob_estimates(f64 prior_strength) {
     if (!cluster_.system(i).available()) {
       out[i] = 1.0;  // hard down right now, not a statistical estimate
     } else {
-      out[i] = health().estimated_failure_prob(i, prior_p, prior_strength);
+      out[i] = health().estimated_failure_prob(i, prior_p);
     }
   }
   return out;
@@ -1262,7 +1246,7 @@ void RapidsPipeline::set_health_transition_callback(
 }
 
 void RapidsPipeline::with_metadata_lock(
-    const std::function<void(kv::KvStore&)>& fn) {
+    const std::function<void(kv::Db&)>& fn) {
   std::lock_guard<std::mutex> lock(io_mu_);
   fn(db_);
 }
@@ -1280,22 +1264,14 @@ Bytes RapidsPipeline::fetch_level_payload(const std::string& name, u32 level,
       storage::RestoreCache::Outcome::kHit)
     return hit;
 
-  const u32 nlevels = static_cast<u32>(record->ft.size());
-  std::vector<Bytes> payloads(nlevels);
+  // fetch_levels replans around bad systems until the level lands, so false
+  // means more than m_j systems are out: the level is gone for now.
+  std::vector<Bytes> payloads(record->ft.size());
   RestoreReport report;
-  const std::vector<u32> wanted{level};
-  for (;;) {
-    u32 failed = 0;
-    for (const bool a : problem.available) failed += a ? 0 : 1;
-    if (failed > problem.m[level])
-      throw io_error("fetch_level: level " + std::to_string(level) + " of " +
-                     name + " is not recoverable under current outages");
-    // false means fetch_levels marked at least one more system unavailable,
-    // so the failure count above strictly grows and this loop terminates.
-    if (fetch_levels(*record, name, problem, wanted, nullptr, report, payloads,
-                     {}))
-      break;
-  }
+  if (!fetch_levels(*record, name, problem, {level}, nullptr, report,
+                    payloads))
+    throw io_error("fetch_level: level " + std::to_string(level) + " of " +
+                   name + " is not recoverable under current outages");
   if (wan_bytes != nullptr) *wan_bytes += report.bytes_transferred;
   restore_cache_.put(name, generation, level, payloads[level]);
   return std::move(payloads[level]);

@@ -30,7 +30,7 @@
 #include "rapids/core/ft_optimizer.hpp"
 #include "rapids/core/gather.hpp"
 #include "rapids/ec/reed_solomon.hpp"
-#include "rapids/kvstore/kvstore.hpp"
+#include "rapids/kvstore/db.hpp"
 #include "rapids/mgard/refactorer.hpp"
 #include "rapids/net/bandwidth_tracker.hpp"
 #include "rapids/storage/cluster.hpp"
@@ -78,7 +78,6 @@ struct ObjectRecord {
   FtConfig ft;                   ///< chosen m_1..m_l
   std::vector<u64> level_sizes;  ///< encoded retrieval-level bytes s_1..s_l
   ec::MatrixKind matrix_kind = ec::MatrixKind::kVandermonde;
-  storage::PlacementPolicy placement = storage::PlacementPolicy::kRotate;
   /// Encoding generation the fragment keys live under (bumped by each
   /// completed background migration; 0 = as prepared).
   u32 generation = 0;
@@ -205,13 +204,6 @@ class RefineSession {
 
   const std::string& name() const { return name_; }
 
-  /// Retrieval levels fetched and decoded so far (the refinement cursor).
-  u32 levels() const;
-  /// Guaranteed relative error bound of data() (1.0 before the first rung).
-  f64 rel_error_bound() const;
-  /// The last recomposed field (empty before the first successful rung).
-  std::vector<f32> data() const;
-
  private:
   friend class RapidsPipeline;
 
@@ -253,7 +245,7 @@ class RefineSession {
 /// The orchestrator.
 class RapidsPipeline {
  public:
-  RapidsPipeline(storage::Cluster& cluster, kv::KvStore& db,
+  RapidsPipeline(storage::Cluster& cluster, kv::Db& db,
                  PipelineConfig config = {}, ThreadPool* pool = nullptr);
 
   const PipelineConfig& config() const { return config_; }
@@ -394,7 +386,7 @@ class RapidsPipeline {
   /// tracker's Beta-smoothed counter estimate (prior = the cluster's nominal
   /// p), floored at 0.5 while a breaker is open, and 1.0 for systems the
   /// cluster currently marks unavailable.
-  std::vector<f64> failure_prob_estimates(f64 prior_strength = 20.0);
+  std::vector<f64> failure_prob_estimates();
 
   /// Per-system breaker states (non-mutating peek under the I/O lock).
   std::vector<storage::CircuitState> breaker_states();
@@ -411,7 +403,7 @@ class RapidsPipeline {
   /// whose own accesses all serialize on the same internal lock; routing
   /// journal reads/writes through here keeps that invariant. `fn` must not
   /// call back into the pipeline.
-  void with_metadata_lock(const std::function<void(kv::KvStore&)>& fn);
+  void with_metadata_lock(const std::function<void(kv::Db&)>& fn);
 
   // --- crash-safe two-phase migration primitives (control::MigrationEngine
   //     sequences these; each call is individually atomic/idempotent) ---
@@ -549,7 +541,7 @@ class RapidsPipeline {
                     const RestoreOptions& opts = {});
 
   storage::Cluster& cluster_;
-  kv::KvStore& db_;
+  kv::Db& db_;
   PipelineConfig config_;
   ThreadPool* pool_;
   /// Shared across prepare/restore/refine calls (it is stateless apart from

@@ -202,59 +202,6 @@ std::vector<u8> ReedSolomon::decode(std::span<const Fragment> fragments,
   return stripes;
 }
 
-void ReedSolomon::decode_stripe(std::span<const Fragment> fragments, u64 lo,
-                                u64 hi, std::span<u8> out) const {
-  RAPIDS_REQUIRE_MSG(fragments.size() >= k_,
-                     "RS decode_stripe: need at least k fragments");
-  const u64 frag_size = fragments[0].payload.size();
-  RAPIDS_REQUIRE_MSG(lo <= hi && hi <= frag_size,
-                     "RS decode_stripe: range outside the fragment payload");
-  const u64 len = hi - lo;
-  RAPIDS_REQUIRE_MSG(out.size() == u64{k_} * len,
-                     "RS decode_stripe: output must be k * (hi - lo) bytes");
-  if (len == 0) return;
-
-  // Same survivor selection as decode(): first k distinct healthy fragments.
-  std::vector<const Fragment*> chosen;
-  std::vector<u32> rows;
-  chosen.reserve(k_);
-  rows.reserve(k_);
-  std::bitset<255> seen;
-  for (const Fragment& f : fragments) {
-    RAPIDS_REQUIRE_MSG(f.k == k_ && f.m == m_,
-                       "RS decode_stripe: geometry mismatch");
-    RAPIDS_REQUIRE_MSG(f.payload.size() == frag_size,
-                       "RS decode_stripe: fragment size mismatch");
-    RAPIDS_REQUIRE_MSG(f.id.index < n(),
-                       "RS decode_stripe: fragment index out of range");
-    if (seen.test(f.id.index)) continue;
-    if (!f.verify()) continue;
-    seen.set(f.id.index);
-    chosen.push_back(&f);
-    rows.push_back(f.id.index);
-    if (chosen.size() == k_) break;
-  }
-  RAPIDS_REQUIRE_MSG(chosen.size() == k_,
-                     "RS decode_stripe: need k distinct healthy fragments");
-
-  const bool all_data =
-      std::all_of(rows.begin(), rows.end(), [this](u32 r) { return r < k_; });
-  if (all_data) {
-    for (u64 i = 0; i < k_; ++i)
-      std::memcpy(out.data() + u64{rows[i]} * len,
-                  chosen[i]->payload.data() + lo, len);
-    return;
-  }
-  const Matrix sub = encode_matrix_.select_rows(rows);
-  const Matrix dec = sub.inverted();
-  const u8* coeffs = dec.flat().data();
-  u8* dsts[255];
-  const u8* srcs[255];
-  for (u32 r = 0; r < k_; ++r) dsts[r] = out.data() + u64{r} * len;
-  for (u32 in = 0; in < k_; ++in) srcs[in] = chosen[in]->payload.data() + lo;
-  simd::matrix_apply(dsts, k_, srcs, k_, coeffs, len, /*accumulate=*/false);
-}
-
 Fragment ReedSolomon::reconstruct_fragment(std::span<const Fragment> survivors,
                                            u32 missing_index,
                                            ThreadPool* pool) const {

@@ -81,14 +81,6 @@ class ReedSolomon {
   void finish_fragments(std::span<Fragment> frags,
                         ThreadPool* pool = nullptr) const;
 
-  /// Decode payload range [lo, hi) from any >= k surviving fragments into
-  /// `out`, row-major: out[i * (hi - lo) ..] is data row i's slice. Same
-  /// validation/CRC-skip rules as decode(); `out.size()` must be
-  /// k * (hi - lo). Stitching every stripe of [0, fragment_size) and
-  /// truncating to level_bytes reproduces decode() byte-for-byte.
-  void decode_stripe(std::span<const Fragment> fragments, u64 lo, u64 hi,
-                     std::span<u8> out) const;
-
   /// Reconstruct the original payload from any >= k surviving fragments
   /// (mixed data/parity, any order). Duplicate indices and fragments failing
   /// their CRC check are skipped as long as k distinct healthy fragments

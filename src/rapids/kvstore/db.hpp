@@ -1,18 +1,22 @@
 #pragma once
 
 /// \file db.hpp
-/// The metadata database — rapids' RocksDB stand-in. A directory holding a
-/// write-ahead log plus numbered sorted runs; newest-wins lookup order is
-/// memtable, then runs newest to oldest. Used by the pipeline to persist
-/// refactoring metadata, EC geometry, fragment locations, and observed
-/// transfer throughput (Section 4.3 of the paper).
+/// The metadata database — rapids' RocksDB stand-in, and the one metadata
+/// store the pipeline, the migration journal and the CLI use (the paper's
+/// single-node deployment, Section 4.3). A directory holding a write-ahead
+/// log plus numbered sorted runs; newest-wins lookup order is memtable, then
+/// runs newest to oldest. Holds refactoring metadata, EC geometry, fragment
+/// locations, and observed transfer throughput. There is no metadata
+/// replication: the paper leaves it to future work, and a crash is survived
+/// through WAL replay.
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "rapids/kvstore/kvstore.hpp"
 #include "rapids/kvstore/memtable.hpp"
 #include "rapids/kvstore/sorted_run.hpp"
 #include "rapids/kvstore/wal.hpp"
@@ -29,39 +33,39 @@ struct DbOptions {
 };
 
 /// Embedded ordered key-value store with WAL durability.
-class Db : public KvStore {
+class Db {
  public:
   /// Open (creating if needed) a database directory. Replays the WAL,
   /// recovering cleanly from a torn tail.
   static std::unique_ptr<Db> open(const std::string& dir, DbOptions options = {});
 
-  ~Db() override = default;
+  ~Db() = default;
   Db(const Db&) = delete;
   Db& operator=(const Db&) = delete;
 
   /// Insert or overwrite. May trigger a flush/compaction.
-  void put(const std::string& key, const std::string& value) override;
+  void put(const std::string& key, const std::string& value);
 
   /// Batched insert: all entries go to the WAL as one buffered write (one
   /// flush barrier for N entries) and the flush/compaction check runs once
   /// at the end. Equivalent to N put() calls for every read that follows.
   void put_batch(
-      std::span<const std::pair<std::string, std::string>> entries) override;
+      std::span<const std::pair<std::string, std::string>> entries);
 
   /// Delete (tombstone).
-  void del(const std::string& key) override;
+  void del(const std::string& key);
 
   /// Batched delete: all tombstones go to the WAL as one buffered write (one
   /// flush barrier for N keys) and the flush check runs once at the end.
-  void del_batch(std::span<const std::string> keys) override;
+  void del_batch(std::span<const std::string> keys);
 
   /// Lookup; nullopt if absent or deleted.
-  std::optional<std::string> get(const std::string& key) override;
+  std::optional<std::string> get(const std::string& key);
 
   /// All live (non-tombstoned) entries whose keys start with `prefix`,
   /// in key order — how the pipeline enumerates an object's fragments.
   std::vector<std::pair<std::string, std::string>> scan_prefix(
-      const std::string& prefix) override;
+      const std::string& prefix);
 
   /// Force the memtable into a sorted run (empties the WAL).
   void flush();

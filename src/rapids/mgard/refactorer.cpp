@@ -110,7 +110,7 @@ RefactoredObject Refactorer::refactor(std::span<const f32> data, Dims dims,
           grow_only(ws->coeffs, h.decomp_level_size(d));
       gather_level(grid, h, d, coeffs, pool_);
       plane_sets[d] =
-          encode_planes(coeffs, options_.max_planes, pool_, codec, ws.get());
+          encode_planes(coeffs, kMagnitudePlanes, pool_, codec, ws.get());
     }
     if (timings != nullptr) timings->plane_encode_seconds = t.seconds();
   }
@@ -118,15 +118,12 @@ RefactoredObject Refactorer::refactor(std::span<const f32> data, Dims dims,
   RetrievalOptions ropt;
   ropt.num_levels = options_.num_retrieval_levels;
   ropt.target_rel_errors = options_.target_rel_errors;
-  ropt.final_rel_error = options_.final_rel_error;
-  ropt.bound_factor = options_.bound_factor;
 
   RefactoredObject out;
   out.name = name;
   out.dims = dims;
   out.decomp_levels = options_.decomp_levels;
   out.l2_correction = options_.l2_correction;
-  out.bound_factor = options_.bound_factor;
   out.data_max_abs = max_abs;
   out.dlevels.resize(plane_sets.size());
   for (u32 d = 0; d < plane_sets.size(); ++d) {

@@ -26,12 +26,9 @@ struct RefactorOptions {
   u32 decomp_levels = 4;        ///< dyadic coarsening steps L
   u32 num_retrieval_levels = 4; ///< hierarchy depth the paper calls "l"
   /// Explicit relative-error targets per retrieval level (e_1 > ... > e_l).
-  /// Empty = geometric spacing down to final_rel_error.
+  /// Empty = geometric spacing down to kFinalRelError.
   std::vector<f64> target_rel_errors;
-  f64 final_rel_error = 1e-7;   ///< accuracy of the full representation
   bool l2_correction = true;    ///< MGARD projection step (ablatable)
-  f64 bound_factor = 2.0;       ///< multilevel L-inf amplification constant
-  u32 max_planes = kMagnitudePlanes;  ///< magnitude planes kept per level
 };
 
 /// A refactored data object: metadata + the retrieval-level payloads.
@@ -42,7 +39,7 @@ struct RefactoredObject {
   Dims dims;                  ///< original extents
   u32 decomp_levels = 0;
   bool l2_correction = true;
-  f64 bound_factor = 2.0;
+  f64 bound_factor = kBoundFactor;
   f64 data_max_abs = 0.0;     ///< max |original| (relative-error denominator)
   std::vector<DLevelMeta> dlevels;
   std::vector<RetrievalLevel> levels;

@@ -40,7 +40,7 @@ std::vector<RetrievalLevelPlan> plan_retrieval_levels(
   auto total_bound = [&] {
     f64 b = 0.0;
     for (u32 l = 0; l < nd; ++l) b += level_bound(plane_sets[l], cursor[l]);
-    return b * opt.bound_factor;
+    return b * kBoundFactor;
   };
 
   // Resolve targets.
@@ -48,10 +48,10 @@ std::vector<RetrievalLevelPlan> plan_retrieval_levels(
   if (targets.empty()) {
     // First target: bound after giving every level its first plane would be
     // too eager; instead take the initial bound and space geometrically down
-    // to final_rel_error.
-    const f64 first = std::max(total_bound() / data_max_abs / 4.0,
-                               opt.final_rel_error);
-    const f64 last = opt.final_rel_error;
+    // to kFinalRelError.
+    const f64 first =
+        std::max(total_bound() / data_max_abs / 4.0, kFinalRelError);
+    const f64 last = kFinalRelError;
     targets.resize(opt.num_levels);
     if (opt.num_levels == 1) {
       targets[0] = last;

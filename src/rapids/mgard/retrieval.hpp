@@ -38,14 +38,19 @@ struct RetrievalLevel {
   std::vector<SegmentRef> segments;  ///< index (also recoverable from payload)
 };
 
+/// Accuracy of the full representation: the tail cut when targets are
+/// auto-spaced.
+inline constexpr f64 kFinalRelError = 1e-7;
+/// Multilevel L-inf amplification constant applied to the summed per-level
+/// bounds.
+inline constexpr f64 kBoundFactor = 2.0;
+
 /// Controls for the stream partitioning.
 struct RetrievalOptions {
   u32 num_levels = 4;  ///< retrieval levels to produce
   /// Target relative errors e_1 > e_2 > ... > e_l. Empty = geometric spacing
-  /// from the first achievable bound down to final_rel_error.
+  /// from the first achievable bound down to kFinalRelError.
   std::vector<f64> target_rel_errors;
-  f64 final_rel_error = 1e-7;  ///< tail cut when targets are auto-spaced
-  f64 bound_factor = 2.0;      ///< multilevel L-inf amplification constant
 };
 
 /// The plan of one retrieval level before any payload is serialized: the

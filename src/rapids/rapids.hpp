@@ -23,7 +23,6 @@
 #include "rapids/data/stats.hpp"
 #include "rapids/ec/reed_solomon.hpp"
 #include "rapids/kvstore/db.hpp"
-#include "rapids/kvstore/replicated_db.hpp"
 #include "rapids/mgard/refactorer.hpp"
 #include "rapids/net/bandwidth.hpp"
 #include "rapids/net/bandwidth_tracker.hpp"

@@ -50,7 +50,6 @@ struct Request {
 enum class OverloadReason : u8 {
   kTenantQueueFull,  ///< this tenant's queue depth bound was hit
   kGlobalQueueFull,  ///< the service-wide depth bound was hit
-  kRateLimited,      ///< the cost-estimate token bucket had no budget
 };
 
 /// Service load states — the brownout state machine. Saturated is the

@@ -12,6 +12,8 @@ namespace rapids::service {
 namespace {
 constexpr f64 kInf = std::numeric_limits<f64>::infinity();
 constexpr f64 kEps = 1e-9;
+/// Retrieval levels dropped from the target prefix while browned out.
+constexpr u32 kBrownoutDropLevels = 1;
 }  // namespace
 
 /// Everything alive between admission and the completed Response. Owned by
@@ -49,7 +51,6 @@ ObjectService::ObjectService(core::RapidsPipeline& pipeline,
       pool_(pool),
       cost_rate_(opts_.cost_bytes_per_s),
       sched_(opts_.tenant_weights),
-      bucket_(opts_.admit_rate_bytes_per_s, opts_.admit_burst_bytes),
       tenant_stats_(opts_.tenant_weights.size()) {
   RAPIDS_REQUIRE_MSG(opts_.lanes >= 1, "service needs >= 1 lane");
   RAPIDS_REQUIRE(opts_.max_tenant_depth >= 1 && opts_.max_global_depth >= 1);
@@ -265,12 +266,6 @@ SubmitResult ObjectService::submit(const Request& r) {
     return reject(OverloadReason::kGlobalQueueFull, drain_s,
                   Decision::kRejectGlobal);
   }
-  bucket_.advance(now_);
-  if (opts_.admit_rate_bytes_per_s > 0.0 && !bucket_.try_acquire(est_bytes)) {
-    ++ts.rejected_rate;
-    return reject(OverloadReason::kRateLimited,
-                  bucket_.seconds_until(est_bytes), Decision::kRejectRate);
-  }
 
   const u64 id = next_id_++;
   auto p = std::make_unique<Pending>();
@@ -351,9 +346,8 @@ void ObjectService::dispatch(const Ticket& ticket) {
   if (prof != nullptr && !prof->level_bounds.empty()) {
     target = target_levels(*prof, p.req.rel_bound);
     if (load_state() == LoadState::kBrownout) {
-      const u32 coarse = target > opts_.brownout_drop_levels
-                             ? target - opts_.brownout_drop_levels
-                             : 1;
+      const u32 coarse =
+          target > kBrownoutDropLevels ? target - kBrownoutDropLevels : 1;
       if (coarse < target) {
         brown = true;
         target = coarse;
@@ -365,7 +359,9 @@ void ObjectService::dispatch(const Ticket& ticket) {
   p.brownout = brown;
   p.lane_cost_s = estimate_seconds(estimate_bytes(p.req, prof, target));
 
-  if (opts_.shed_would_expire && std::isfinite(p.req.deadline_s) &&
+  // Shed at dispatch when even the (possibly browned-out) estimate cannot
+  // finish by the deadline — better a fast shed than a doomed execution.
+  if (std::isfinite(p.req.deadline_s) &&
       now_ + p.lane_cost_s > p.req.deadline_s) {
     finalize_shed(ticket, /*would_expire=*/true);
     return;

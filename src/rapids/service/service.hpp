@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "rapids/control/rate_limiter.hpp"
 #include "rapids/core/pipeline.hpp"
 #include "rapids/parallel/completion.hpp"
 #include "rapids/parallel/thread_pool.hpp"
@@ -52,9 +51,6 @@ struct ServiceOptions {
   std::vector<f64> tenant_weights = {1.0};
   u32 max_tenant_depth = 64;    ///< queued (not running) requests per tenant
   u32 max_global_depth = 256;   ///< queued requests service-wide
-  /// Cost-estimate token bucket over estimated WAN bytes; <= 0 disables.
-  f64 admit_rate_bytes_per_s = 0.0;
-  f64 admit_burst_bytes = 64.0 * 1024 * 1024;
   /// Cost model: est_s = cost_fixed_s + est_bytes / cost_bytes_per_s.
   f64 cost_fixed_s = 0.002;
   /// <= 0 derives a rate from the pipeline's bandwidth snapshot (mean).
@@ -66,11 +62,6 @@ struct ServiceOptions {
   f64 brownout_exit_backlog_s = 1.5;
   /// Overload must persist this many simulated seconds before brownout.
   f64 brownout_sustain_s = 0.5;
-  /// Retrieval levels dropped from the target prefix while browned out.
-  u32 brownout_drop_levels = 1;
-  /// Shed at dispatch when even the (possibly browned-out) estimate cannot
-  /// finish by the deadline — better a fast shed than a doomed execution.
-  bool shed_would_expire = true;
   /// Keep restored fields in Response::result (tests/benchmarks verify
   /// bounds against them; switch off to bound driver memory).
   bool keep_data = true;
@@ -81,7 +72,6 @@ struct TenantStats {
   u64 submitted = 0;
   u64 admitted = 0;
   u64 rejected_depth = 0;  ///< tenant or global queue bound
-  u64 rejected_rate = 0;   ///< token bucket
   u64 shed = 0;            ///< expired / would-expire before execution
   u64 completed = 0;       ///< executed to a terminal ok/brownout/failed
   u64 brownouts = 0;
@@ -171,12 +161,12 @@ class ObjectService {
     u32 served_levels = 0;  ///< session/cache cursor estimate
   };
 
+  /// Codes mixed into schedule_hash; their values are part of the hash.
   enum class Decision : u8 {
     kAdmit = 1,
     kRejectTenant,
     kRejectGlobal,
-    kRejectRate,
-    kDispatch,
+    kDispatch = 5,
     kShedExpired,
     kShedWouldExpire,
     kComplete,
@@ -206,7 +196,6 @@ class ObjectService {
 
   mutable std::mutex mu_;
   RequestScheduler sched_;
-  control::TokenBucket bucket_;
   f64 now_ = 0.0;
   u64 next_id_ = 1;
   u64 next_order_ = 1;

@@ -2,26 +2,14 @@
 
 namespace rapids::storage {
 
-u32 place_fragment(PlacementPolicy policy, u32 n, u32 level, u32 index) {
+u32 place_fragment(u32 n, u32 level, u32 index) {
   RAPIDS_REQUIRE(n >= 1 && index < n);
-  switch (policy) {
-    case PlacementPolicy::kIdentity:
-      return index;
-    case PlacementPolicy::kRotate:
-      return (index + level) % n;
-  }
-  throw invariant_error("place_fragment: unknown policy");
+  return (index + level) % n;
 }
 
-u32 fragment_at(PlacementPolicy policy, u32 n, u32 level, u32 system) {
+u32 fragment_at(u32 n, u32 level, u32 system) {
   RAPIDS_REQUIRE(n >= 1 && system < n);
-  switch (policy) {
-    case PlacementPolicy::kIdentity:
-      return system;
-    case PlacementPolicy::kRotate:
-      return (system + n - (level % n)) % n;
-  }
-  throw invariant_error("fragment_at: unknown policy");
+  return (system + n - (level % n)) % n;
 }
 
 }  // namespace rapids::storage

@@ -6,23 +6,16 @@
 /// system; rotating the assignment per level spreads parity rows so no
 /// single system concentrates the parity of every level.
 
-#include <vector>
-
 #include "rapids/util/common.hpp"
 
 namespace rapids::storage {
 
-/// Placement strategy for (level, fragment index) -> system id.
-enum class PlacementPolicy {
-  kIdentity,  ///< fragment i of every level goes to system i
-  kRotate,    ///< fragment i of level j goes to system (i + j) mod n
-};
-
-/// Resolve the hosting system. `n` is the cluster size; fragment `index`
-/// must be < n (one fragment per system, as in the paper).
-u32 place_fragment(PlacementPolicy policy, u32 n, u32 level, u32 index);
+/// Resolve the hosting system: fragment `index` of `level` goes to system
+/// (index + level) mod n. `n` is the cluster size; `index` must be < n (one
+/// fragment per system, as in the paper).
+u32 place_fragment(u32 n, u32 level, u32 index);
 
 /// Inverse: which fragment index of `level` does `system` host?
-u32 fragment_at(PlacementPolicy policy, u32 n, u32 level, u32 system);
+u32 fragment_at(u32 n, u32 level, u32 system);
 
 }  // namespace rapids::storage

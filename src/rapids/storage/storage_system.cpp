@@ -1,6 +1,5 @@
 #include "rapids/storage/storage_system.hpp"
 
-#include <algorithm>
 #include <filesystem>
 
 #include "rapids/util/bytes.hpp"
@@ -90,7 +89,7 @@ StorageSystem::PutStream::PutStream(StorageSystem* sys,
 }
 
 void StorageSystem::PutStream::append(std::span<const u8> bytes) {
-  RAPIDS_REQUIRE_MSG(!done_, "PutStream: append after commit/abort");
+  RAPIDS_REQUIRE_MSG(!done_, "PutStream: append after commit");
   if (!sys_->available())
     throw io_error("storage system " + sys_->name_ + " is unavailable");
   {
@@ -107,56 +106,15 @@ void StorageSystem::PutStream::append(std::span<const u8> bytes) {
 }
 
 void StorageSystem::PutStream::commit() {
-  RAPIDS_REQUIRE_MSG(!done_, "PutStream: commit after commit/abort");
+  RAPIDS_REQUIRE_MSG(!done_, "PutStream: commit after commit");
   done_ = true;
   sys_->put(staged_);
   staged_.payload.clear();
   staged_.payload.shrink_to_fit();
 }
 
-void StorageSystem::PutStream::abort() {
-  done_ = true;
-  staged_.payload.clear();
-  staged_.payload.shrink_to_fit();
-}
-
 StorageSystem::PutStream StorageSystem::begin_put(const ec::Fragment& header) {
   return PutStream(this, header);
-}
-
-std::optional<std::vector<u8>> StorageSystem::get_range(const std::string& key,
-                                                        u64 offset,
-                                                        u64 len) const {
-  if (!available())
-    throw io_error("storage system " + name_ + " is unavailable");
-  std::lock_guard<std::mutex> lock(mu_);
-  GetFault fault = GetFault::kNone;
-  if (fault_profile_) fault = fault_profile_->next_get_fault();
-  if (fault == GetFault::kTransient)
-    throw io_error("storage system " + name_ + ": transient get failure");
-
-  auto it = store_.find(key);
-  if (it == store_.end()) return std::nullopt;
-
-  const std::vector<u8>* payload = &it->second.payload;
-  ec::Fragment from_disk;
-  if (!dir_.empty()) {
-    try {
-      const Bytes raw = read_file(file_path(key));
-      from_disk = ec::Fragment::deserialize(as_bytes_view(raw));
-      payload = &from_disk.payload;
-    } catch (const io_error&) {
-      // Torn/unparseable on disk: the placeholder's empty payload yields a
-      // short read, which the caller's CRC check catches — same surfacing
-      // as get().
-    }
-  }
-  const u64 begin = std::min(offset, u64{payload->size()});
-  const u64 end = begin + std::min(len, u64{payload->size()} - begin);
-  std::vector<u8> out(payload->begin() + static_cast<std::ptrdiff_t>(begin),
-                      payload->begin() + static_cast<std::ptrdiff_t>(end));
-  if (fault == GetFault::kCorrupt) fault_profile_->corrupt_payload(out);
-  return out;
 }
 
 std::optional<ec::Fragment> StorageSystem::get(const std::string& key) const {

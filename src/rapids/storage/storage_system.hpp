@@ -64,10 +64,10 @@ class StorageSystem {
   /// runs the full put() semantics — fault draws, replace, directory spill —
   /// on the assembled fragment. Each append() makes its own availability
   /// check and fault draw, so a mid-stream outage or injected failure
-  /// surfaces before the tail stripes are even encoded; the caller then
-  /// abort()s and falls back to a whole-fragment retry elsewhere. Not
-  /// thread-safe (one streaming writer per PutStream); obtained from
-  /// begin_put().
+  /// surfaces before the tail stripes are even encoded; the caller then drops
+  /// the stream (the system never sees its staged bytes) and falls back to a
+  /// whole-fragment retry elsewhere. Not thread-safe (one streaming writer
+  /// per PutStream); obtained from begin_put().
   class PutStream {
    public:
     PutStream(const PutStream&) = delete;
@@ -83,13 +83,6 @@ class StorageSystem {
     /// afterwards regardless of outcome.
     void commit();
 
-    /// Drop the staged bytes; the system never sees them. Idempotent, also
-    /// fine after a failed append/commit.
-    void abort();
-
-    /// Payload bytes staged so far.
-    u64 staged_bytes() const { return staged_.payload.size(); }
-
    private:
     friend class StorageSystem;
     PutStream(StorageSystem* sys, const ec::Fragment& header);
@@ -102,15 +95,6 @@ class StorageSystem {
   /// Open a streamed upload for `header` (its id, geometry, and CRC are
   /// taken as-is; its payload is ignored — bytes arrive via append()).
   PutStream begin_put(const ec::Fragment& header);
-
-  /// Fetch `len` payload bytes of a stored fragment starting at `offset`
-  /// (clamped to the payload size — a short read past the end is not an
-  /// error). Returns nullopt if absent; throws io_error on unavailability or
-  /// an injected transient fault; an injected corruption fault bit-flips the
-  /// returned slice. This is the block-granular restore surface: a reader
-  /// that only needs one stripe of a level pays for exactly that stripe.
-  std::optional<std::vector<u8>> get_range(const std::string& key, u64 offset,
-                                           u64 len) const;
 
   /// Fetch a fragment by key. Returns nullopt if absent; throws io_error if
   /// the system is unavailable or a transient fault is injected. An injected

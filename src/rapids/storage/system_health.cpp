@@ -6,6 +6,8 @@ namespace rapids::storage {
 
 namespace {
 constexpr u32 kHealthMagic = 0x53484C54u;  // "SHLT"
+/// Pseudo-count weight of the prior p in estimated_failure_prob.
+constexpr f64 kPriorStrength = 20.0;
 }  // namespace
 
 SystemHealth::SystemHealth(u32 num_systems, HealthOptions options)
@@ -62,14 +64,12 @@ bool SystemHealth::allow(u32 system) {
   return true;
 }
 
-f64 SystemHealth::estimated_failure_prob(u32 system, f64 prior_p,
-                                         f64 prior_strength) const {
+f64 SystemHealth::estimated_failure_prob(u32 system, f64 prior_p) const {
   RAPIDS_REQUIRE(prior_p >= 0.0 && prior_p <= 1.0);
-  RAPIDS_REQUIRE(prior_strength > 0.0);
   const State& s = states_.at(system);
   const f64 trials = static_cast<f64>(s.failures + s.successes);
-  const f64 est = (static_cast<f64>(s.failures) + prior_strength * prior_p) /
-                  (trials + prior_strength);
+  const f64 est = (static_cast<f64>(s.failures) + kPriorStrength * prior_p) /
+                  (trials + kPriorStrength);
   if (s.circuit == Circuit::kOpen) return std::max(est, 0.5);
   return est;
 }

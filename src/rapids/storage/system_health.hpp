@@ -81,11 +81,11 @@ class SystemHealth {
   }
 
   /// Smoothed failure-probability estimate for `system` from its lifetime
-  /// counters: a Beta(prior_strength * prior_p, prior_strength * (1-prior_p))
-  /// posterior mean, floored at 0.5 while the breaker is open (the system is
-  /// failing *now*, whatever its history says).
-  f64 estimated_failure_prob(u32 system, f64 prior_p,
-                             f64 prior_strength = 20.0) const;
+  /// counters: a Beta(20 * prior_p, 20 * (1 - prior_p)) posterior mean (the
+  /// prior weighs as much as 20 observations), floored at 0.5 while the
+  /// breaker is open (the system is failing *now*, whatever its history
+  /// says).
+  f64 estimated_failure_prob(u32 system, f64 prior_p) const;
 
   u64 failures(u32 system) const { return states_.at(system).failures; }
   u64 successes(u32 system) const { return states_.at(system).successes; }

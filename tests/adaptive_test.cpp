@@ -143,8 +143,7 @@ TEST_F(AdaptivePipelineTest, ReplansAroundMissingFragments) {
   // planning cannot know until the fetch fails).
   for (u32 sys : {2u, 9u}) {
     for (u32 level = 0; level < 4; ++level) {
-      const u32 idx =
-          storage::fragment_at(prep.record.placement, 16, level, sys);
+      const u32 idx = storage::fragment_at(16, level, sys);
       cluster_->system(sys).erase(ec::FragmentId{"obj", level, idx}.key());
     }
   }
@@ -163,7 +162,7 @@ TEST_F(AdaptivePipelineTest, ReplansAroundDamagedFragment) {
 
   // Corrupt one fragment in place (bit rot): replace with a damaged copy.
   const u32 sys = 4;
-  const u32 idx = storage::fragment_at(prep.record.placement, 16, 2, sys);
+  const u32 idx = storage::fragment_at(16, 2, sys);
   auto frag = cluster_->system(sys).get(ec::FragmentId{"obj", 2, idx}.key());
   ASSERT_TRUE(frag.has_value());
   frag->payload[0] ^= 0xFF;  // CRC now mismatches
@@ -186,7 +185,7 @@ TEST_F(AdaptivePipelineTest, TooManyLostFragmentsDegradesNotCrashes) {
   const u32 m_last = prep.record.ft.back();
   const u32 level = 3;
   for (u32 sys = 0; sys < m_last + 1; ++sys) {
-    const u32 idx = storage::fragment_at(prep.record.placement, 16, level, sys);
+    const u32 idx = storage::fragment_at(16, level, sys);
     cluster_->system(sys).erase(ec::FragmentId{"obj", level, idx}.key());
   }
   const auto rest = pipeline.restore("obj");

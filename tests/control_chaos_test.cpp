@@ -334,14 +334,12 @@ TEST(ControlChaos, PersistentStoreFailureRollsBackAndOldDataSurvives) {
   const auto baseline = w.pipeline->restore("obj");
 
   w.reopen_with_budget(kRaisedBudget);
-  ControlOptions opt = drill_options();
-  opt.max_migration_attempts = 2;
-  Controller controller(*w.pipeline, opt);
+  Controller controller(*w.pipeline, drill_options());
   w.trip_breaker(2);
   w.trip_breaker(9);
 
   // Every put on every system now fails: phase 1 cannot make progress, so
-  // after max_migration_attempts the migration must roll back.
+  // after its third failed attempt the migration must roll back.
   storage::FaultInjector injector;
   storage::FaultSpec spec;
   spec.put_fail_prob = 1.0;
@@ -371,6 +369,27 @@ TEST(ControlChaos, PersistentStoreFailureRollsBackAndOldDataSurvives) {
   const auto report = w.pipeline->restore("obj");
   EXPECT_EQ(report.data, baseline.data);
   expect_bound_holds(report, field);
+}
+
+TEST(ControlChaos, ProactiveRepairWithSystemZeroDown) {
+  // Proactive repair evacuates a breaker-open system onto the least-loaded
+  // available peer. Rotation leaves every system equally loaded, so the
+  // pick is a tie; a dark system 0 must not win it.
+  World w("repair_sys0_down");
+  const Dims dims{17, 17, 9};
+  for (u32 i = 0; i < 2; ++i)
+    w.pipeline->prepare(data::hurricane_pressure(dims, 60 + i), dims,
+                        "obj" + std::to_string(i));
+  ASSERT_GT(w.cluster.system(2).fragment_count(), 0u);
+
+  w.cluster.fail(0);
+  Controller controller(*w.pipeline, drill_options());
+  w.trip_breaker(2);
+  (void)controller.run_until_quiescent();
+  EXPECT_TRUE(controller.quiescent());
+  EXPECT_GT(controller.stats().repairs, 0u);
+  EXPECT_EQ(w.cluster.system(2).fragment_count(), 0u);
+  EXPECT_EQ(w.cluster.system(0).fragment_count(), 8u);  // nothing landed there
 }
 
 TEST(ControlChaos, TokenBucketPacesMigrationTraffic) {

@@ -39,7 +39,8 @@ TEST(TokenBucket, StartsFullAndRefillsAtRate) {
   TokenBucket bucket(100.0, 500.0);
   EXPECT_TRUE(bucket.try_acquire(500));
   EXPECT_FALSE(bucket.try_acquire(1));
-  EXPECT_DOUBLE_EQ(bucket.seconds_until(100), 1.0);
+  bucket.advance(0.5);
+  EXPECT_FALSE(bucket.try_acquire(100));  // half a second refills only 50
   bucket.advance(1.0);
   EXPECT_TRUE(bucket.try_acquire(100));
   EXPECT_FALSE(bucket.try_acquire(1));
@@ -63,7 +64,7 @@ TEST(TokenBucket, TimeIsMonotone) {
 TEST(TokenBucket, NonPositiveRateDisablesLimiting) {
   TokenBucket bucket(0.0, 0.0);
   EXPECT_TRUE(bucket.try_acquire(u64{1} << 40));
-  EXPECT_DOUBLE_EQ(bucket.seconds_until(u64{1} << 40), 0.0);
+  EXPECT_TRUE(bucket.try_acquire(u64{1} << 40));
 }
 
 // --- migration journal ---
@@ -262,14 +263,14 @@ TEST(SystemHealth, EstimatedFailureProbTracksCountersAndFloorsWhenOpen) {
   storage::SystemHealth health(2, opt);
 
   // No observations: posterior mean equals the prior.
-  EXPECT_NEAR(health.estimated_failure_prob(0, 0.01, 20.0), 0.01, 1e-12);
+  EXPECT_NEAR(health.estimated_failure_prob(0, 0.01), 0.01, 1e-12);
 
   // 80 successes, 20 (non-consecutive) failures: estimate pulls toward 0.2.
   for (int round = 0; round < 20; ++round) {
     for (int s = 0; s < 4; ++s) health.record_success(0, 1.0);
     health.record_failure(0);
   }
-  const f64 est = health.estimated_failure_prob(0, 0.01, 20.0);
+  const f64 est = health.estimated_failure_prob(0, 0.01);
   EXPECT_NEAR(est, (20.0 + 20.0 * 0.01) / (100.0 + 20.0), 1e-12);
   EXPECT_EQ(health.circuit_state(0), storage::CircuitState::kClosed);
 
@@ -278,7 +279,7 @@ TEST(SystemHealth, EstimatedFailureProbTracksCountersAndFloorsWhenOpen) {
   health.record_failure(1);
   health.record_failure(1);
   EXPECT_EQ(health.circuit_state(1), storage::CircuitState::kOpen);
-  EXPECT_GE(health.estimated_failure_prob(1, 0.01, 20.0), 0.5);
+  EXPECT_GE(health.estimated_failure_prob(1, 0.01), 0.5);
 }
 
 // --- heterogeneous availability math ---
@@ -656,6 +657,56 @@ TEST(MigrationPrimitives, StoreFlipGcRoundTripIsByteIdentical) {
 
   // The live generation is protected from GC.
   EXPECT_THROW(w.pipeline->gc_generation("obj", 1), invariant_error);
+}
+
+TEST(MigrationPrimitives, FetchLevelPayloadThrowsPastToleranceButServesCache) {
+  RecordWorld w;
+  const Dims dims{17, 17, 9};
+  const auto field = data::hurricane_pressure(dims, 13);
+  w.pipeline->prepare(field, dims, "obj");
+  const auto rec = w.pipeline->snapshot_record("obj");
+  ASSERT_TRUE(rec.has_value());
+  const Bytes level0 = w.pipeline->fetch_level_payload("obj", 0);  // cached
+
+  // One outage more than the deepest level tolerates: it is gone for now.
+  const u32 deepest = static_cast<u32>(rec->ft.size()) - 1;
+  for (u32 s = 0; s <= rec->ft[deepest]; ++s) w.cluster.fail(s);
+  u64 wan = 0;
+  EXPECT_THROW(w.pipeline->fetch_level_payload("obj", deepest, &wan),
+               io_error);
+  EXPECT_EQ(wan, 0u);
+
+  // The level fetched before the outage still comes from the cache, even
+  // with every system down.
+  for (u32 s = 0; s < w.cluster.size(); ++s) w.cluster.fail(s);
+  EXPECT_EQ(w.pipeline->fetch_level_payload("obj", 0, &wan), level0);
+  EXPECT_EQ(wan, 0u);
+}
+
+TEST(MigrationPrimitives, FetchLevelPayloadSurvivesAnErasedFragment) {
+  RecordWorld w;
+  const Dims dims{17, 17, 9};
+  const auto field = data::scale_temperature(dims, 14);
+  w.pipeline->prepare(field, dims, "obj");
+  const u32 level = 1;
+  const Bytes healthy = w.pipeline->fetch_level_payload("obj", level);
+  ASSERT_FALSE(healthy.empty());
+
+  // Erase the level's fragment on each system in turn, so whichever
+  // fragments the plan picks, one run loses a planned one.
+  for (u32 s = 0; s < w.cluster.size(); ++s) {
+    auto& sys = w.cluster.system(s);
+    const auto keys = sys.keys_with_prefix(
+        "frag/obj/" + std::to_string(level) + "/");
+    ASSERT_EQ(keys.size(), 1u) << "system " << s;
+    const auto frag = sys.get(keys[0]);
+    ASSERT_TRUE(frag.has_value());
+    sys.erase(keys[0]);
+    w.pipeline->restore_cache().invalidate("obj");
+    EXPECT_EQ(w.pipeline->fetch_level_payload("obj", level), healthy)
+        << "fragment on system " << s << " erased";
+    sys.put(*frag);
+  }
 }
 
 TEST(MigrationPrimitives, PrepareOverwriteDropsPriorGenerations) {

@@ -539,7 +539,7 @@ TEST(Fragment, VerifyCatchesDamage) {
   EXPECT_FALSE(f.verify());
 }
 
-// --- stripe-ranged encode/decode vs the whole-payload paths ---
+// --- stripe-ranged encode vs the whole-payload encode ---
 
 // Edge-case payload lengths: 1 byte (all padding), straddling the k=12 row
 // boundary (63/64/65 → fragment sizes 6/6/6 with varying padding), and a
@@ -585,34 +585,6 @@ TEST(ReedSolomonStripes, ClampedAndOutOfRangeStripesAreHarmless) {
   rs.finish_fragments(frags);
   for (std::size_t i = 0; i < frags.size(); ++i)
     EXPECT_EQ(frags[i].serialize(), whole[i].serialize());
-}
-
-TEST(ReedSolomonStripes, StitchedDecodeMatchesWholePayloadDecode) {
-  ThreadPool pool(4);
-  const ReedSolomon rs(12, 4);
-  u64 seed = 60;
-  for (const u64 len : kStripeLens) {
-    const auto data = random_payload(len, seed++);
-    const auto frags = rs.encode(data, "obj", 1, &pool);
-    // Survivors: drop 4 data fragments so parity rows join the decode.
-    const std::vector<Fragment> survivors(frags.begin() + 4, frags.end());
-    const auto whole = rs.decode(survivors);
-    ASSERT_EQ(whole, data);
-    const u64 frag_size = rs.fragment_size(len);
-    for (const u64 stripe : {u64{64}, u64{1000}, frag_size}) {
-      std::vector<u8> rows(12 * frag_size);
-      for (u64 lo = 0; lo < frag_size; lo += stripe) {
-        const u64 hi = std::min(frag_size, lo + stripe);
-        std::vector<u8> slice(12 * (hi - lo));
-        rs.decode_stripe(survivors, lo, hi, slice);
-        for (u32 row = 0; row < 12; ++row)
-          std::copy_n(slice.begin() + row * (hi - lo), hi - lo,
-                      rows.begin() + row * frag_size + lo);
-      }
-      rows.resize(len);  // truncate padding, row-major == payload order
-      EXPECT_EQ(rows, whole) << "len " << len << " stripe " << stripe;
-    }
-  }
 }
 
 }  // namespace

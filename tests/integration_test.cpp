@@ -9,7 +9,6 @@
 #include "rapids/core/baselines.hpp"
 #include "rapids/core/pipeline.hpp"
 #include "rapids/kvstore/db.hpp"
-#include "rapids/kvstore/replicated_db.hpp"
 #include "rapids/data/datasets.hpp"
 #include "rapids/data/stats.hpp"
 #include "rapids/parallel/thread_pool.hpp"
@@ -103,8 +102,7 @@ TEST_F(IntegrationTest, RepairThenRestoreAfterPermanentLoss) {
   // outage), repair them onto systems 14/15... then restore.
   for (u32 level = 0; level < 4; ++level) {
     for (u32 sys : {0u, 1u}) {
-      const u32 idx =
-          storage::fragment_at(prep.record.placement, 16, level, sys);
+      const u32 idx = storage::fragment_at(16, level, sys);
       cluster_->system(sys).erase(ec::FragmentId{"h", level, idx}.key());
       pipeline.repair_fragment("h", level, idx, sys);  // rebuild in place
     }
@@ -166,22 +164,6 @@ TEST_F(IntegrationTest, MetadataScanEnumeratesFragments) {
   }
 }
 
-TEST_F(IntegrationTest, PipelineRunsOnReplicatedMetadata) {
-  // The paper's future-work configuration: metadata on a quorum-replicated
-  // store. The full prepare/restore cycle must work, and must keep working
-  // when a metadata replica dies between the two phases.
-  auto rdb = kv::ReplicatedDb::open(dir_ + "/rdb", 3, 2, 2);
-  RapidsPipeline pipeline(*cluster_, *rdb, config());
-  const Dims dims{33, 17, 9};
-  const auto field = data::hurricane_pressure(dims, 21);
-  pipeline.prepare(field, dims, "repl");
-  rdb->set_replica_up(1, false);  // metadata server outage
-  storage::fail_exactly(*cluster_, {2, 7});
-  const auto rest = pipeline.restore("repl");
-  EXPECT_GT(rest.levels_used, 0u);
-  EXPECT_LE(data::relative_linf_error(field, rest.data), rest.rel_error_bound);
-}
-
 TEST_F(IntegrationTest, EvacuateSystemThenRestore) {
   // Retire a storage system: its fragments migrate to the least-loaded
   // peers, the metadata store learns the new locations, and a restore that
@@ -203,6 +185,28 @@ TEST_F(IntegrationTest, EvacuateSystemThenRestore) {
 
   // Evacuating again is a no-op.
   EXPECT_EQ(pipeline.evacuate_system("evac", 6), 0u);
+}
+
+TEST_F(IntegrationTest, EvacuateSystemWithSystemZeroDown) {
+  // Rotation leaves every system holding one fragment per level, so the
+  // least-loaded destination is a tie that goes to the lowest id. With
+  // system 0 down that tie must go to the next available system, not to a
+  // dark one.
+  RapidsPipeline pipeline(*cluster_, *db_, config());
+  const Dims dims{33, 33, 17};
+  const auto field = data::scale_temperature(dims, 22);
+  pipeline.prepare(field, dims, "evac");
+
+  cluster_->fail(0);
+  const u32 moved = pipeline.evacuate_system("evac", 6);
+  EXPECT_EQ(moved, 4u);  // one fragment per retrieval level
+  EXPECT_EQ(cluster_->system(6).fragment_count(), 0u);
+  EXPECT_EQ(cluster_->system(0).fragment_count(), 4u);  // nothing landed there
+
+  cluster_->fail(6);
+  const auto rest = pipeline.restore("evac");
+  EXPECT_GT(rest.levels_used, 0u);
+  EXPECT_LE(data::relative_linf_error(field, rest.data), rest.rel_error_bound);
 }
 
 TEST_F(IntegrationTest, TwoObjectsCoexist) {

@@ -611,7 +611,6 @@ TEST(Retrieval, BoundsStrictlyDecrease) {
   const auto sets = make_plane_sets(13);
   RetrievalOptions opt;
   opt.num_levels = 4;
-  opt.final_rel_error = 1e-6;
   const auto levels = assemble_retrieval_levels(sets, 1.0, opt);
   ASSERT_EQ(levels.size(), 4u);
   for (std::size_t j = 1; j < levels.size(); ++j)

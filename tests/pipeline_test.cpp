@@ -229,7 +229,7 @@ TEST_F(PipelineTest, RepairRebuildsLostFragment) {
 
   // Permanently lose level 2's fragment on its hosting system.
   const u32 level = 2, index = 5;
-  const u32 host = storage::place_fragment(prep.record.placement, 16, level, index);
+  const u32 host = storage::place_fragment(16, level, index);
   cluster_->system(host).erase(ec::FragmentId{"hp2", level, index}.key());
 
   // Repair onto a different system.
@@ -252,7 +252,6 @@ TEST_F(PipelineTest, ObjectRecordSerializationRoundTrip) {
   EXPECT_EQ(back.ft, prep.record.ft);
   EXPECT_EQ(back.level_sizes, prep.record.level_sizes);
   EXPECT_EQ(back.matrix_kind, prep.record.matrix_kind);
-  EXPECT_EQ(back.placement, prep.record.placement);
   EXPECT_EQ(back.meta.name, "rt");
 }
 
@@ -345,16 +344,14 @@ TEST_F(PipelineTest, ScrubDetectsAndRepairsBitRot) {
 
   // Corrupt one fragment, delete another.
   const auto corrupt = [&](u32 level, u32 sys) {
-    const u32 idx = storage::fragment_at(storage::PlacementPolicy::kRotate, 16,
-                                         level, sys);
+    const u32 idx = storage::fragment_at(16, level, sys);
     auto frag = cluster_->system(sys).get(ec::FragmentId{"scrubbed", level, idx}.key());
     ASSERT_TRUE(frag.has_value());
     frag->payload[3] ^= 0x55;
     cluster_->system(sys).put(*frag);
   };
   corrupt(1, 7);
-  const u32 gone_idx =
-      storage::fragment_at(storage::PlacementPolicy::kRotate, 16, 3, 2);
+  const u32 gone_idx = storage::fragment_at(16, 3, 2);
   cluster_->system(2).erase(ec::FragmentId{"scrubbed", 3, gone_idx}.key());
 
   auto found = pipeline.scrub("scrubbed", /*repair=*/true);

@@ -553,8 +553,9 @@ TEST_F(RefineTest, LadderBitIdenticalToFullRestoreAtEveryRung) {
   auto session = pipeline.begin_refine("hp");
   u64 planned = 0;
   u32 rung = 0;
+  RestoreReport report;
   for (f64 bound : {4e-3, 5e-4, 6e-5, 1e-6}) {
-    const auto report = pipeline.refine(*session, bound);
+    report = pipeline.refine(*session, bound);
     ++rung;
     ASSERT_EQ(report.levels_used, rung) << "bound=" << bound;
     EXPECT_LE(report.rel_error_bound, bound);
@@ -572,13 +573,12 @@ TEST_F(RefineTest, LadderBitIdenticalToFullRestoreAtEveryRung) {
     planned += k * fragment;
     ASSERT_TRUE(bit_identical(report.data, expected_prefix(prep, rung)))
         << "rung " << rung;
-    EXPECT_EQ(session->levels(), rung);
     const f64 err = data::relative_linf_error(field, report.data);
     EXPECT_LE(err, report.rel_error_bound);
   }
   // The whole ladder plans exactly the bytes of one full restore.
   EXPECT_EQ(planned, full.bytes_transferred);
-  ASSERT_TRUE(bit_identical(session->data(), full.data));
+  ASSERT_TRUE(bit_identical(report.data, full.data));
 }
 
 TEST_F(RefineTest, SecondRungReusesLadderPlan) {
@@ -747,7 +747,6 @@ TEST_F(RefineTest, ReprepareUnderLiveSessionRestartsFromLevelZero) {
   EXPECT_TRUE(mid.session_restarted);
   EXPECT_EQ(mid.levels_used, 2u);
   EXPECT_TRUE(bit_identical(mid.data, expected_prefix(prep, 2)));
-  EXPECT_EQ(handle->levels(), 2u);
 
   // Later rungs on the rebuilt sessions continue normally.
   const auto again = pipeline.refine(*handle, 1e-6);
@@ -793,23 +792,24 @@ TEST_F(RefineTest, ConcurrentSessionsConvergeIdentically) {
   auto s1 = pipeline.begin_refine("hp");
   auto s2 = pipeline.begin_refine("hp");
   const f64 ladder[] = {4e-3, 5e-4, 6e-5, 1e-6};
-  auto drive = [&](RefineSession& s) {
+  auto drive = [&](RefineSession& s, RestoreReport& last) {
     for (const f64 bound : ladder) {
-      const auto report = pipeline.refine(s, bound);
-      ASSERT_LE(report.rel_error_bound, bound);
+      last = pipeline.refine(s, bound);
+      ASSERT_LE(last.rel_error_bound, bound);
     }
   };
-  std::thread t1([&] { drive(*s1); });
-  std::thread t2([&] { drive(*s2); });
+  RestoreReport r1, r2;
+  std::thread t1([&] { drive(*s1, r1); });
+  std::thread t2([&] { drive(*s2, r2); });
   t1.join();
   t2.join();
-  EXPECT_EQ(s1->levels(), 4u);
-  EXPECT_EQ(s2->levels(), 4u);
-  ASSERT_TRUE(bit_identical(s1->data(), s2->data()));
+  EXPECT_EQ(r1.levels_used, 4u);
+  EXPECT_EQ(r2.levels_used, 4u);
+  ASSERT_TRUE(bit_identical(r1.data, r2.data));
 
   config_used_ = cfg.refactor;
   const auto full = pipeline.restore("hp");
-  ASSERT_TRUE(bit_identical(s1->data(), full.data));
+  ASSERT_TRUE(bit_identical(r1.data, full.data));
 }
 
 }  // namespace

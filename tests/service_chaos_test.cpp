@@ -228,9 +228,7 @@ TEST(ServiceChaos, ControllerPausesMigrationTrafficUnderSaturation) {
   World w("ctrl");
   ObjectService svc(*w.pipeline, drill_options());
 
-  control::ControlOptions copts;
-  copts.tick_seconds = 0.5;
-  control::Controller controller(*w.pipeline, copts);
+  control::Controller controller(*w.pipeline);
   controller.set_load_probe([&svc] { return svc.saturated(); });
 
   // Saturate the service (queue a burst without draining it), then tick the

@@ -235,18 +235,16 @@ TEST(Cluster, ConcurrentFailRestoreKeepsCountsConsistent) {
 }
 
 TEST(Placement, IdentityAndRotate) {
-  EXPECT_EQ(place_fragment(PlacementPolicy::kIdentity, 8, 3, 5), 5u);
-  EXPECT_EQ(place_fragment(PlacementPolicy::kRotate, 8, 3, 5), 0u);
-  EXPECT_EQ(place_fragment(PlacementPolicy::kRotate, 8, 0, 5), 5u);
+  EXPECT_EQ(place_fragment(8, 3, 5), 0u);
+  EXPECT_EQ(place_fragment(8, 0, 5), 5u);  // level 0 is the identity
+  EXPECT_EQ(place_fragment(8, 10, 5), 7u);  // levels wrap mod n
 }
 
 TEST(Placement, InverseConsistency) {
-  for (auto policy : {PlacementPolicy::kIdentity, PlacementPolicy::kRotate}) {
-    for (u32 level = 0; level < 6; ++level) {
-      for (u32 index = 0; index < 8; ++index) {
-        const u32 sys = place_fragment(policy, 8, level, index);
-        EXPECT_EQ(fragment_at(policy, 8, level, sys), index);
-      }
+  for (u32 level = 0; level < 6; ++level) {
+    for (u32 index = 0; index < 8; ++index) {
+      const u32 sys = place_fragment(8, level, index);
+      EXPECT_EQ(fragment_at(8, level, sys), index);
     }
   }
 }
@@ -255,7 +253,7 @@ TEST(Placement, RotateIsBijectivePerLevel) {
   for (u32 level = 0; level < 5; ++level) {
     std::vector<bool> hit(8, false);
     for (u32 index = 0; index < 8; ++index) {
-      const u32 sys = place_fragment(PlacementPolicy::kRotate, 8, level, index);
+      const u32 sys = place_fragment(8, level, index);
       EXPECT_FALSE(hit[sys]);
       hit[sys] = true;
     }
@@ -263,8 +261,8 @@ TEST(Placement, RotateIsBijectivePerLevel) {
 }
 
 TEST(Placement, OutOfRangeRejected) {
-  EXPECT_THROW(place_fragment(PlacementPolicy::kIdentity, 4, 0, 4),
-               invariant_error);
+  EXPECT_THROW(place_fragment(4, 0, 4), invariant_error);
+  EXPECT_THROW(fragment_at(4, 0, 4), invariant_error);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Tests for the fragment-granular streaming I/O — StorageSystem::PutStream /
-// get_range and level-by-level restore — and the byte-identity contract of
+// Tests for the fragment-granular streaming I/O — StorageSystem::PutStream
+// and level-by-level restore — and the byte-identity contract of
 // prepare/restore against a staged reference built from public primitives
 // (whole-field refactor, per-level RS encode, placement, reconstruct) at
 // every level prefix.
@@ -29,7 +29,7 @@ namespace {
 namespace fs = std::filesystem;
 using mgard::Dims;
 
-// --------------------------------------------- PutStream / ranged reads
+// ------------------------------------------------------------ PutStream
 
 ec::Fragment make_fragment(const std::string& object, u32 level, u32 index,
                            u64 bytes, u64 seed) {
@@ -51,13 +51,16 @@ TEST(PutStream, CommitMatchesWholeFragmentPut) {
   const auto frag = make_fragment("obj", 2, 5, 10'000, 11);
 
   whole.put(frag);
-  auto stream = streamed.begin_put(frag);
-  const std::span<const u8> payload(frag.payload);
-  for (u64 lo = 0; lo < payload.size(); lo += 4096) {
-    stream.append(payload.subspan(lo, std::min<u64>(4096, payload.size() - lo)));
-    EXPECT_EQ(stream.staged_bytes(), std::min<u64>(lo + 4096, payload.size()));
+  {
+    auto stream = streamed.begin_put(frag);
+    const std::span<const u8> payload(frag.payload);
+    for (u64 lo = 0; lo < payload.size(); lo += 4096) {
+      stream.append(
+          payload.subspan(lo, std::min<u64>(4096, payload.size() - lo)));
+      EXPECT_FALSE(streamed.has(frag.id.key()));  // invisible until commit
+    }
+    stream.commit();
   }
-  stream.commit();
 
   const auto a = whole.get(frag.id.key());
   const auto b = streamed.get(frag.id.key());
@@ -66,53 +69,23 @@ TEST(PutStream, CommitMatchesWholeFragmentPut) {
   EXPECT_EQ(a->serialize(), b->serialize());
   EXPECT_TRUE(b->verify());
   EXPECT_EQ(whole.used_bytes(), streamed.used_bytes());
+  EXPECT_EQ(streamed.fragment_count(), 1u);
 }
 
 TEST(PutStream, AppendThrowsOnMidStreamOutageAndAbortLeavesNothing) {
   storage::StorageSystem sys(0, "s0", 1e6, 0.0);
   const auto frag = make_fragment("obj", 0, 1, 4096, 12);
-  auto stream = sys.begin_put(frag);
-  const std::span<const u8> payload(frag.payload);
-  stream.append(payload.first(1024));
-  sys.set_available(false);  // outage lands mid-stream
-  EXPECT_THROW(stream.append(payload.subspan(1024, 1024)), io_error);
-  stream.abort();
-  stream.abort();  // idempotent
-  EXPECT_EQ(stream.staged_bytes(), 0u);
+  {
+    auto stream = sys.begin_put(frag);
+    const std::span<const u8> payload(frag.payload);
+    stream.append(payload.first(1024));
+    sys.set_available(false);  // outage lands mid-stream
+    EXPECT_THROW(stream.append(payload.subspan(1024, 1024)), io_error);
+  }  // the failed stream is dropped, as the pipeline's fallback does
   sys.set_available(true);
   EXPECT_FALSE(sys.has(frag.id.key()));  // nothing persisted, nothing charged
   EXPECT_EQ(sys.used_bytes(), 0u);
   EXPECT_EQ(sys.fragment_count(), 0u);
-}
-
-TEST(PutStream, GetRangeSlicesAndClampsPastEnd) {
-  storage::StorageSystem sys(0, "s0", 1e6, 0.0);
-  const auto frag = make_fragment("obj", 1, 3, 1000, 13);
-  sys.put(frag);
-  const std::string key = frag.id.key();
-
-  const auto whole = sys.get_range(key, 0, 1000);
-  ASSERT_TRUE(whole.has_value());
-  EXPECT_EQ(*whole, frag.payload);
-
-  const auto mid = sys.get_range(key, 100, 250);
-  ASSERT_TRUE(mid.has_value());
-  EXPECT_EQ(mid->size(), 250u);
-  EXPECT_TRUE(std::equal(mid->begin(), mid->end(), frag.payload.begin() + 100));
-
-  const auto tail = sys.get_range(key, 900, 500);  // clamps to the last 100
-  ASSERT_TRUE(tail.has_value());
-  EXPECT_EQ(tail->size(), 100u);
-  EXPECT_TRUE(std::equal(tail->begin(), tail->end(), frag.payload.begin() + 900));
-
-  const auto past = sys.get_range(key, 5000, 16);  // fully past the end
-  ASSERT_TRUE(past.has_value());
-  EXPECT_TRUE(past->empty());
-
-  EXPECT_FALSE(sys.get_range("frag/absent/0/0", 0, 16).has_value());
-
-  sys.set_available(false);
-  EXPECT_THROW(sys.get_range(key, 0, 16), io_error);
 }
 
 // ------------------------------------------- byte identity vs a reference
@@ -193,8 +166,7 @@ Reference reference_prepare(const PipelineConfig& cfg,
         {reinterpret_cast<const u8*>(payload.data()), payload.size()}, name, j);
     for (u32 idx = 0; idx < frags.size(); ++idx)
       ref.fragments[frags[idx].id.key()] = {
-          storage::place_fragment(storage::PlacementPolicy::kRotate, n, j, idx),
-          frags[idx].serialize()};
+          storage::place_fragment(n, j, idx), frags[idx].serialize()};
   }
   return ref;
 }
@@ -402,7 +374,7 @@ TEST(StreamingRefine, DeliversLevelsThroughTheSink) {
   EXPECT_GT(first.levels_streamed, 0u);
   EXPECT_GT(first.first_level_latency, 0.0);
   const auto rest = pipeline.refine(*session, 0.0);  // to the deepest level
-  EXPECT_EQ(session->levels(), static_cast<u32>(prep.record.ft.size()));
+  EXPECT_EQ(rest.levels_used, static_cast<u32>(prep.record.ft.size()));
   const f64 err = data::relative_linf_error(field, rest.data);
   EXPECT_LE(err, rest.rel_error_bound);
 }
