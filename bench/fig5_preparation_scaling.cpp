@@ -32,7 +32,7 @@ int main() {
     Table table({"cores", "read", "refactor", "optimize", "erasure code",
                  "write", "distribute", "total"});
     for (u32 cores : ss.cores) {
-      const auto b = prepare_rfec(ss, model, e, ft, setup.n, cores,
+      const auto b = prepare_rfec(model, e, ft, setup.n, cores,
                                   optimize_seconds, bandwidths);
       table.add_row({std::to_string(cores), fmt_seconds(b.ops.at("read")),
                      fmt_seconds(b.ops.at("refactor")),

@@ -274,8 +274,10 @@ void BM_KvPut(benchmark::State& state) {
   std::filesystem::remove_all(dir);
   auto db = kv::Db::open(dir);
   u64 i = 0;
-  for (auto _ : state)
-    db->put("key" + std::to_string(i++), "system-" + std::to_string(i % 16));
+  for (auto _ : state) {
+    const std::string key = "key" + std::to_string(i++);
+    db->put(key, "system-" + std::to_string(i % 16));
+  }
   state.SetItemsProcessed(state.iterations());
   db.reset();
   std::filesystem::remove_all(dir);

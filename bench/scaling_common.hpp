@@ -71,8 +71,7 @@ inline PhaseBreakdown prepare_ec(const ScalingSetup& ss, const perf::ClusterMode
   return b;
 }
 
-inline PhaseBreakdown prepare_rfec(const ScalingSetup& ss,
-                                   const perf::ClusterModel& model,
+inline PhaseBreakdown prepare_rfec(const perf::ClusterModel& model,
                                    const RefactoredCatalogEntry& e,
                                    const core::FtConfig& m, u32 n, u32 cores,
                                    f64 optimize_seconds,

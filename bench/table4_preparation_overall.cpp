@@ -36,7 +36,7 @@ int main() {
     f64 ec64 = 0, rf64 = 0, ec256 = 0, rf256 = 0;
     for (u32 cores : {64u, 256u, 1024u}) {
       const f64 ec = prepare_ec(ss, model, S, cores, bandwidths).total();
-      const f64 rf = prepare_rfec(ss, model, e, ft, setup.n, cores,
+      const f64 rf = prepare_rfec(model, e, ft, setup.n, cores,
                                   optimize_seconds, bandwidths)
                          .total();
       row.push_back(fmt_seconds(ec));

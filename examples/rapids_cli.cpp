@@ -145,8 +145,7 @@ int cmd_prepare(int argc, char** argv) {
               report.plane_encode_seconds, report.optimize_seconds,
               report.encode_seconds, report.store_seconds);
   print_codec_stats("encode", report.plane_codec);
-  std::printf("  streaming: encode/store overlapped refactoring; simulated "
-              "end-to-end prepare latency %.3fs\n",
+  std::printf("  simulated end-to-end prepare latency %.3fs\n",
               report.prepare_latency);
   return 0;
 }
@@ -240,7 +239,7 @@ int cmd_restore(int argc, char** argv) {
               report.reconstruct_seconds);
   print_codec_stats("decode", report.plane_codec);
   if (report.levels_streamed > 0)
-    std::printf("  streamed %u level%s\n", report.levels_streamed,
+    std::printf("  fetched %u level%s over the WAN\n", report.levels_streamed,
                 report.levels_streamed == 1 ? "" : "s");
   return 0;
 }

@@ -11,6 +11,9 @@
 # live: concurrent prepare/restore/scrub under fault injection and
 # availability flips from failure drills.
 #
+# Both trees build with -DRAPIDS_WERROR=ON, so a new compiler warning fails
+# the sweep.
+#
 # Usage: scripts/sanitize.sh [asan|tsan|all]   (default: all)
 
 set -euo pipefail
@@ -33,6 +36,7 @@ run_tree() {
   echo "=== ${dir}: -DRAPIDS_SANITIZE=${sanitize} ==="
   cmake -B "${dir}" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DRAPIDS_WERROR=ON \
     -DRAPIDS_SANITIZE="${sanitize}" >/dev/null
   cmake --build "${dir}" -j "${JOBS}" --target "${SUITES[@]}"
   local t

@@ -120,7 +120,6 @@ class Controller {
   /// No pending events, dirty objects, live migrations, or repair work.
   bool quiescent() const;
 
-  f64 now() const { return now_; }
   bool halted() const { return halted_; }
   const ControllerStats& stats() const { return stats_; }
 

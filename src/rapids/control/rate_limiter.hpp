@@ -38,9 +38,6 @@ class TokenBucket {
     return true;
   }
 
-  f64 tokens() const { return tokens_; }
-  f64 now() const { return now_; }
-
  private:
   f64 rate_;
   f64 burst_;

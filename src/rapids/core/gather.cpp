@@ -36,20 +36,8 @@ GatherPlan evaluate_plan(const GatherProblem& problem,
                          solver::Selection selection) {
   GatherPlan plan;
   const auto transfers = plan_transfers(problem, selection);
-  const std::vector<f64> times =
-      net::equal_share_times(transfers, problem.bandwidths);
   plan.mean_time = net::equal_share_mean_time(transfers, problem.bandwidths);
   plan.latency = net::equal_share_latency(transfers, problem.bandwidths);
-  // plan_transfers is level-major, so level j's transfers are the next
-  // selection[j].size() entries; its landing time is their max.
-  plan.level_latencies.resize(selection.size(), 0.0);
-  u64 at = 0;
-  for (u32 j = 0; j < selection.size(); ++j) {
-    f64 worst = 0.0;
-    for (u64 i = 0; i < selection[j].size(); ++i, ++at)
-      worst = std::max(worst, times[at]);
-    plan.level_latencies[j] = worst;
-  }
   plan.systems_per_level = std::move(selection);
   return plan;
 }

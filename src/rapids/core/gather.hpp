@@ -44,11 +44,6 @@ struct GatherPlan {
   f64 mean_time = 0.0;      ///< Eq. 10 objective under equal share
   f64 latency = 0.0;        ///< slowest transfer (reported gathering latency)
   f64 planning_seconds = 0; ///< optimizer wall time (paper adds this for ACO)
-  /// Per recoverable level: when that level's slowest fragment lands under
-  /// the same equal-share model `latency` uses. level_latencies[0] is the
-  /// plan's time-to-first-byte — what a staged gather forfeits by waiting
-  /// for all levels, and the baseline a streaming restore is judged against.
-  std::vector<f64> level_latencies;
 };
 
 /// Expand a plan into transfer requests for net:: evaluation.

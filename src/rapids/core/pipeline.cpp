@@ -143,40 +143,15 @@ void RapidsPipeline::store_level_locked(const std::string& name, u32 level,
     const u32 preferred = storage::place_fragment(n, level, idx);
 
     const auto try_put = [&](u32 sys, u64 salt) {
-      const auto r = retry_io(
-          kRetryPolicy, stable_hash(name, (u64{level} << 32) | idx, salt),
-          [&] {
-            cluster_.system(sys).put(frag);
-            return true;
-          });
+      const auto r = put_with_retry(
+          sys, frag, stable_hash(name, (u64{level} << 32) | idx, salt));
       stats.put_retries += r.attempts > 0 ? r.attempts - 1 : 0;
       stats.backoff_seconds += r.backoff_seconds;
-      record_health(sys, r.ok());
       return r.ok();
     };
 
     u32 target = preferred;
-    bool stored = false;
-    if (cluster_.system(preferred).available()) {
-      // Streamed put: the fragment ships stripe by stripe, so a mid-stream
-      // outage or injected fault surfaces before the tail stripes are paid
-      // for. Nothing is visible on the system until the commit; any failure
-      // degrades to the whole-fragment retry/relocate path below.
-      try {
-        auto stream = cluster_.system(preferred).begin_put(frag);
-        const std::span<const u8> payload(frag.payload);
-        for (u64 lo = 0; lo < payload.size(); lo += kStreamStripeBytes)
-          stream.append(payload.subspan(
-              lo, std::min(kStreamStripeBytes, payload.size() - lo)));
-        stream.commit();
-        stored = true;
-        record_health(preferred, true);
-      } catch (const io_error&) {
-        ++stats.fallback_puts;
-        record_health(preferred, false);
-      }
-    }
-    if (!stored) stored = try_put(preferred, 0xA0);
+    bool stored = try_put(preferred, 0xA0);
     if (!stored) {
       // Persistent failure: re-place on the least-loaded available
       // system (deterministic order: health-allowed first, then fewest
@@ -280,7 +255,6 @@ PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
     report.fragments_stored += stats.fragments_stored;
     report.put_retries += stats.put_retries;
     report.relocations += stats.relocations;
-    report.stream_fallback_puts += stats.fallback_puts;
     report.backoff_seconds += stats.backoff_seconds;
   }
 
@@ -400,6 +374,17 @@ void RapidsPipeline::record_health(u32 system, bool ok,
     health().record_failure(system);
 }
 
+RetryResult<bool> RapidsPipeline::put_with_retry(u32 system,
+                                                 const ec::Fragment& fragment,
+                                                 u64 seed) {
+  auto r = retry_io(kRetryPolicy, seed, [&] {
+    cluster_.system(system).put(fragment);
+    return true;
+  });
+  record_health(system, r.ok());
+  return r;
+}
+
 std::vector<f64> RapidsPipeline::bandwidth_estimates() const {
   if (tracker_) return tracker_->estimates();
   return cluster_.bandwidths();
@@ -434,10 +419,6 @@ RapidsPipeline::FetchOutcome RapidsPipeline::fetch_with_retry(
   out.attempts = attempts;
   out.backoff_seconds = backoff.total_backoff_s();
   return out;
-}
-
-RestoreReport RapidsPipeline::restore(const std::string& name) {
-  return restore(name, RestoreOptions{});
 }
 
 RestoreReport RapidsPipeline::restore(const std::string& name,
@@ -494,7 +475,7 @@ bool RapidsPipeline::fetch_levels(const ObjectRecord& record,
                                   const solver::Selection* preplanned,
                                   RestoreReport& report,
                                   std::vector<Bytes>& payloads,
-                                  const FetchSink& sink,
+                                  std::vector<std::optional<f64>>& landed_at,
                                   const RestoreOptions& opts) {
   if (levels.empty()) return true;
   const u32 n = cluster_.size();
@@ -510,9 +491,9 @@ bool RapidsPipeline::fetch_levels(const ObjectRecord& record,
     if (std::isfinite(budget_s)) budget_s -= backoff_seconds;
   };
 
-  // A landed level is decoded, announced through the sink, and never
-  // refetched: replanning around a failed system only covers the levels
-  // still in flight, so streamed consumers keep every level that arrived.
+  // A landed level is decoded, cached, and never refetched: replanning
+  // around a failed system only covers the levels still in flight, so the
+  // caller keeps every level that arrived.
   std::vector<bool> landed(levels.size(), false);
   f64 max_effective = 0.0;  // slowest landed transfer across all attempts
 
@@ -646,9 +627,8 @@ bool RapidsPipeline::fetch_levels(const ObjectRecord& record,
     for (const auto& f : fetches) used[f.level].insert(f.system);
 
     // Fetch and decode level by level, ascending: as soon as a level's
-    // quorum lands it is decoded and announced, while deeper levels are
-    // still in flight — the decode-as-stripes-land half of the streaming
-    // dataflow. io_mu_ is held per level, not across the whole gather.
+    // quorum lands it is decoded and cached, before deeper levels are
+    // fetched. io_mu_ is held per level, not across the whole gather.
     for (u32 j = 0; j < nsub && !bad_system; ++j) {
       const u32 real = levels[rem[j]];
       std::vector<ec::Fragment> frags;
@@ -731,8 +711,8 @@ bool RapidsPipeline::fetch_levels(const ObjectRecord& record,
       report.bytes_transferred += landed_bytes;
       if (bad_system) break;
 
-      // Decode this level outside the lock and hand it downstream while the
-      // next level's fragments are still unfetched.
+      // Decode this level outside the lock, before the next level's
+      // fragments are fetched.
       t.reset();
       const ec::ReedSolomon rs = codec_for(record, real);
       const std::vector<u8> level = rs.decode(frags, pool_);
@@ -741,8 +721,8 @@ bool RapidsPipeline::fetch_levels(const ObjectRecord& record,
       report.decode_seconds += t.seconds();
       landed[rem[j]] = true;
       max_effective = std::max(max_effective, level_effective);
-      if (sink) sink(real, payloads[real],
-                     level_effective + report.backoff_seconds);
+      restore_cache_.put(name, record.generation, real, payloads[real]);
+      landed_at[real] = level_effective + report.backoff_seconds;
     }
 
     if (!bad_system) {
@@ -785,10 +765,6 @@ std::shared_ptr<RefineSession> RapidsPipeline::begin_refine(
   return std::make_shared<RefineSession>(name);
 }
 
-RestoreReport RapidsPipeline::refine(const std::string& name, f64 rel_bound) {
-  return refine(name, rel_bound, RestoreOptions{});
-}
-
 RestoreReport RapidsPipeline::refine(const std::string& name, f64 rel_bound,
                                      const RestoreOptions& opts) {
   std::shared_ptr<RefineSession> session;
@@ -805,10 +781,6 @@ RestoreReport RapidsPipeline::refine(const std::string& name, f64 rel_bound,
 void RapidsPipeline::end_refine(const std::string& name) {
   std::lock_guard<std::mutex> lock(sessions_mu_);
   sessions_.erase(name);
-}
-
-RestoreReport RapidsPipeline::refine(RefineSession& session, f64 rel_bound) {
-  return refine(session, rel_bound, RestoreOptions{});
 }
 
 RestoreReport RapidsPipeline::refine(RefineSession& session, f64 rel_bound,
@@ -880,18 +852,12 @@ RestoreReport RapidsPipeline::advance(RefineSession& session, f64 rel_bound,
     }
   }
 
-  // Levels land one at a time through the fetch sink: each is cached and
-  // marked the moment it decodes, so a replan after a partial fetch only
-  // re-plans the levels still missing. The rung's time-to-first-level is the
-  // landing of its first new level; it stays 0 when the cache served that
-  // level, even if deeper levels had to be fetched.
-  const FetchSink sink = [&](u32 level, const Bytes& payload, f64 latency) {
-    cached[level] = true;
-    ++report.levels_streamed;
-    restore_cache_.put(session.name_, generation, level, payload);
-    if (level == session.cursor_) report.first_level_latency = latency;
-  };
-
+  // fetch_levels caches each level the moment it decodes, so after every
+  // call the levels that landed count as cached, and a retry after a partial
+  // fetch only re-plans the levels still missing. The rung's
+  // time-to-first-level is the landing of its first new level; it stays 0
+  // when the cache served that level, even if deeper levels were fetched.
+  std::vector<std::optional<f64>> landed_at(nlevels);
   u32 usable = 0;
   for (;;) {
     usable = std::min(target, recoverable_prefix(problem, cached));
@@ -965,8 +931,15 @@ RestoreReport RapidsPipeline::advance(RefineSession& session, f64 rel_bound,
     report.plan_reused = have_pre;
 
     const u32 replans_before = report.replans;
-    if (fetch_levels(*record, session.name_, problem, uncached, &pre, report,
-                     payloads, sink, opts)) {
+    const bool fetched = fetch_levels(*record, session.name_, problem, uncached,
+                                      &pre, report, payloads, landed_at, opts);
+    for (const u32 j : uncached) {
+      if (!landed_at[j]) continue;
+      cached[j] = true;
+      ++report.levels_streamed;
+      if (j == session.cursor_) report.first_level_latency = *landed_at[j];
+    }
+    if (fetched) {
       if (report.replans != replans_before) {
         // Availability moved mid-fetch; the remaining ladder rows are stale.
         session.clear_plan();
@@ -1032,13 +1005,9 @@ void RapidsPipeline::repair_fragment_locked(const std::string& name, u32 level,
   // Pool-free while io_mu_ is held: a helping waiter could steal a task
   // that needs this very lock.
   ec::Fragment rebuilt = rs.reconstruct_fragment(survivors, index, nullptr);
-  const auto put = retry_io(
-      kRetryPolicy, stable_hash(rebuilt.id.key(), target_system, 0x9E9Aull),
-      [&] {
-        cluster_.system(target_system).put(rebuilt);
-        return true;
-      });
-  record_health(target_system, put.ok());
+  const auto put = put_with_retry(
+      target_system, rebuilt,
+      stable_hash(rebuilt.id.key(), target_system, 0x9E9Aull));
   if (!put.ok())
     throw io_error("repair: target system rejected rebuilt fragment " +
                    rebuilt.id.key() + ": " + put.last_error);
@@ -1174,16 +1143,10 @@ u32 RapidsPipeline::evacuate_system(const std::string& name, u32 system) {
       auto out = fetch_with_retry(system, {sname, level, idx});
       frag = std::move(out.fragment);
     }
-    bool moved_direct = false;
-    if (frag) {
-      const auto put = retry_io(
-          kRetryPolicy, stable_hash(key, *target, 0xE7A0ull), [&] {
-            cluster_.system(*target).put(*frag);
-            return true;
-          });
-      record_health(*target, put.ok());
-      moved_direct = put.ok();
-    }
+    const bool moved_direct =
+        frag &&
+        put_with_retry(*target, *frag, stable_hash(key, *target, 0xE7A0ull))
+            .ok();
     if (!moved_direct) repair_fragment_locked(name, level, idx, *target);
     cluster_.system(system).erase(key);
     new_locations.emplace_back(key, std::to_string(*target));
@@ -1267,13 +1230,13 @@ Bytes RapidsPipeline::fetch_level_payload(const std::string& name, u32 level,
   // fetch_levels replans around bad systems until the level lands, so false
   // means more than m_j systems are out: the level is gone for now.
   std::vector<Bytes> payloads(record->ft.size());
+  std::vector<std::optional<f64>> landed_at(record->ft.size());
   RestoreReport report;
   if (!fetch_levels(*record, name, problem, {level}, nullptr, report,
-                    payloads))
+                    payloads, landed_at))
     throw io_error("fetch_level: level " + std::to_string(level) + " of " +
                    name + " is not recoverable under current outages");
   if (wan_bytes != nullptr) *wan_bytes += report.bytes_transferred;
-  restore_cache_.put(name, generation, level, payloads[level]);
   return std::move(payloads[level]);
 }
 

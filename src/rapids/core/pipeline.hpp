@@ -38,13 +38,9 @@
 #include "rapids/storage/restore_cache.hpp"
 #include "rapids/storage/system_health.hpp"
 #include "rapids/util/common.hpp"
+#include "rapids/util/retry.hpp"
 
 namespace rapids::core {
-
-/// Append size of a streamed fragment put: every fragment ships in appends
-/// of this many bytes, and each append draws its own fault, so a mid-stream
-/// outage surfaces before the tail of the fragment is paid for.
-inline constexpr u64 kStreamStripeBytes = 256 * 1024;
 
 /// Pipeline configuration. Everything else the pipeline does is fixed:
 /// gathering plans come from the ACO optimizer, levels are Vandermonde RS
@@ -128,9 +124,6 @@ struct PrepareReport {
   u32 put_retries = 0;       ///< transient put failures absorbed by retry
   u32 relocations = 0;       ///< fragments re-placed after persistent failure
   f64 backoff_seconds = 0.0; ///< simulated backoff charged to distribution
-  u32 stream_fallback_puts = 0;  ///< streamed puts that fell back to a
-                                 ///< whole-fragment retry after a mid-stream
-                                 ///< fault or outage
 };
 
 /// restore() outcome + instrumentation.
@@ -171,8 +164,7 @@ struct RestoreReport {
   /// this rung dropped everything the session held and restarted from
   /// level 0 rather than merge planes of two different payloads.
   bool session_restarted = false;
-  u32 levels_streamed = 0;      ///< levels delivered incrementally as their
-                                ///< fragment quorum landed
+  u32 levels_streamed = 0;      ///< levels this call fetched over the WAN
 };
 
 /// Per-call resource bounds for one restore/refine. `sim_budget_s` is the
@@ -201,8 +193,6 @@ class RefineSession {
 
   RefineSession(const RefineSession&) = delete;
   RefineSession& operator=(const RefineSession&) = delete;
-
-  const std::string& name() const { return name_; }
 
  private:
   friend class RapidsPipeline;
@@ -276,12 +266,10 @@ class RapidsPipeline {
   /// failing the restore. Degradation is levels-first, never wrong: the
   /// returned rel_error_bound always holds for levels_used, and exhausted
   /// replanning yields the documented degraded report (empty data,
-  /// rel_error_bound = 1.0) rather than a throw.
-  RestoreReport restore(const std::string& name);
-
-  /// restore() with per-call resource bounds (deadline-budgeted retries and
-  /// hedges — see RestoreOptions).
-  RestoreReport restore(const std::string& name, const RestoreOptions& opts);
+  /// rel_error_bound = 1.0) rather than a throw. `opts` bounds the call's
+  /// retries and hedges by a simulated deadline budget (see RestoreOptions).
+  RestoreReport restore(const std::string& name,
+                        const RestoreOptions& opts = {});
 
   /// Open a progressive-refinement session for `name`. refine() on the
   /// returned handle fetches only retrieval levels beyond the session's
@@ -298,18 +286,14 @@ class RapidsPipeline {
   /// from-scratch restore of the same level prefix. If outages put the
   /// requested bound out of reach, the rung degrades to the deepest reachable
   /// level — possibly the session's current state — instead of throwing.
-  RestoreReport refine(RefineSession& session, f64 rel_bound);
-
-  /// refine() with per-call resource bounds (deadline-budgeted retries and
-  /// hedges — see RestoreOptions).
+  /// `opts` bounds retries and hedges as for restore().
   RestoreReport refine(RefineSession& session, f64 rel_bound,
-                       const RestoreOptions& opts);
+                       const RestoreOptions& opts = {});
 
   /// Convenience overload against a pipeline-owned session for `name`,
   /// created on first use and dropped by end_refine().
-  RestoreReport refine(const std::string& name, f64 rel_bound);
   RestoreReport refine(const std::string& name, f64 rel_bound,
-                       const RestoreOptions& opts);
+                       const RestoreOptions& opts = {});
 
   /// Drop the pipeline-owned refine session for `name` (no-op when absent).
   void end_refine(const std::string& name);
@@ -417,7 +401,7 @@ class RapidsPipeline {
 
   /// Phase 1 of a migration step: re-encode one level payload with parity
   /// count `m_new` and store its fragments under generation `generation`'s
-  /// keys (streamed puts, with the usual retry / relocate / health
+  /// keys (whole-fragment puts, with the usual retry / relocate / health
   /// machinery). The object's live record is untouched — restores keep
   /// serving the old generation. Re-running the same call overwrites the
   /// same keys, so phase-1 resume after a crash is a plain replay. Returns
@@ -464,14 +448,13 @@ class RapidsPipeline {
     u64 fragments_stored = 0;
     u32 put_retries = 0;
     u32 relocations = 0;
-    u32 fallback_puts = 0;
     f64 backoff_seconds = 0.0;
     std::vector<net::Transfer> transfers;  ///< (target system, bytes) per put
   };
   /// Distribute one level's fragments (placement, retry, relocation, health,
-  /// per-level location batch). Caller holds io_mu_. Each fragment ships
-  /// through a streamed put in stripes of kStreamStripeBytes, falling back
-  /// to the whole-fragment retry path on a mid-stream fault.
+  /// per-level location batch). Caller holds io_mu_. Each fragment goes to
+  /// its placed system through put_with_retry, and on failure to the
+  /// least-loaded available system that accepts it.
   void store_level_locked(const std::string& name, u32 level,
                           const std::vector<ec::Fragment>& frags,
                           StoreStats& stats);
@@ -486,6 +469,11 @@ class RapidsPipeline {
   /// Record one storage-op outcome in the health tracker. Must be called
   /// under io_mu_.
   void record_health(u32 system, bool ok, f64 latency_multiplier = 1.0);
+  /// Put one fragment with bounded retry (every io_error is transient; the
+  /// jitter stream comes from `seed`), then record the outcome in the health
+  /// tracker once. Must be called under io_mu_.
+  RetryResult<bool> put_with_retry(u32 system, const ec::Fragment& fragment,
+                                   u64 seed);
   /// Fetch one fragment with bounded retry, classifying failures: io_error
   /// is transient (retried with backoff), a missing fragment is permanent
   /// (no retry), a CRC mismatch is in-flight corruption (retried — a
@@ -516,28 +504,23 @@ class RapidsPipeline {
   void snapshot_problem(const std::string& name,
                         std::optional<ObjectRecord>& record,
                         GatherProblem& problem);
-  /// Streamed delivery of one landed retrieval level: called (on the calling
-  /// thread, outside io_mu_) the moment `level`'s fragment quorum fetched and
-  /// decoded, strictly ascending over the requested levels. `latency` is the
-  /// simulated time at which the level was decodable (equal-share completion
-  /// of its slowest fragment, stragglers/hedges/backoff folded in).
-  using FetchSink = std::function<void(u32 level, const Bytes& payload,
-                                       f64 latency)>;
   /// Plan, fetch, and erasure-decode the given retrieval levels (0-based,
   /// ascending) into payloads[level], replanning internally around bad
   /// systems (mutates problem.available, counts into report.replans).
-  /// Levels are fetched and decoded one at a time in ascending order and
-  /// announced through `sink`; a landed level survives later replans — a
-  /// replan only covers the levels still in flight. `preplanned`, when
-  /// non-null, carries one row of serving systems per requested level to
-  /// reuse instead of planning. Returns false when some still-unfetched
-  /// requested level stopped being recoverable — the caller decides how to
-  /// degrade; payloads of landed levels are filled (and announced) even
-  /// then.
+  /// Levels are fetched and decoded one at a time in ascending order; each
+  /// landed level goes into the restore cache and sets landed_at[level] to
+  /// the simulated time it became decodable (equal-share completion of its
+  /// slowest fragment, stragglers/hedges/backoff folded in). A landed level
+  /// survives later replans — a replan only covers the levels still in
+  /// flight. `preplanned`, when non-null, carries one row of serving systems
+  /// per requested level to reuse instead of planning. Returns false when
+  /// some still-unfetched requested level stopped being recoverable — the
+  /// caller decides how to degrade; landed levels are filled even then.
   bool fetch_levels(const ObjectRecord& record, const std::string& name,
                     GatherProblem& problem, const std::vector<u32>& levels,
                     const solver::Selection* preplanned, RestoreReport& report,
-                    std::vector<Bytes>& payloads, const FetchSink& sink = {},
+                    std::vector<Bytes>& payloads,
+                    std::vector<std::optional<f64>>& landed_at,
                     const RestoreOptions& opts = {});
 
   storage::Cluster& cluster_;

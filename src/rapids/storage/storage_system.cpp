@@ -78,45 +78,6 @@ void StorageSystem::put(const ec::Fragment& fragment) {
   }
 }
 
-StorageSystem::PutStream::PutStream(StorageSystem* sys,
-                                    const ec::Fragment& header)
-    : sys_(sys) {
-  staged_.id = header.id;
-  staged_.k = header.k;
-  staged_.m = header.m;
-  staged_.level_bytes = header.level_bytes;
-  staged_.payload_crc = header.payload_crc;
-}
-
-void StorageSystem::PutStream::append(std::span<const u8> bytes) {
-  RAPIDS_REQUIRE_MSG(!done_, "PutStream: append after commit");
-  if (!sys_->available())
-    throw io_error("storage system " + sys_->name_ + " is unavailable");
-  {
-    std::lock_guard<std::mutex> lock(sys_->mu_);
-    if (sys_->fault_profile_ &&
-        sys_->fault_profile_->next_put_fault() != PutFault::kNone) {
-      // Torn degrades to transient: nothing is persisted until commit, so
-      // there is nothing to tear — the chunk is simply refused.
-      throw io_error("storage system " + sys_->name_ +
-                     ": transient streamed append failure");
-    }
-  }
-  staged_.payload.insert(staged_.payload.end(), bytes.begin(), bytes.end());
-}
-
-void StorageSystem::PutStream::commit() {
-  RAPIDS_REQUIRE_MSG(!done_, "PutStream: commit after commit");
-  done_ = true;
-  sys_->put(staged_);
-  staged_.payload.clear();
-  staged_.payload.shrink_to_fit();
-}
-
-StorageSystem::PutStream StorageSystem::begin_put(const ec::Fragment& header) {
-  return PutStream(this, header);
-}
-
 std::optional<ec::Fragment> StorageSystem::get(const std::string& key) const {
   if (!available())
     throw io_error("storage system " + name_ + " is unavailable");

@@ -20,7 +20,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -56,45 +55,10 @@ class StorageSystem {
 
   /// Store a fragment. Throws io_error if the system is unavailable or the
   /// attached fault profile injects a failure; a torn-write fault persists a
-  /// truncated payload (detectable via Fragment::verify) before throwing.
+  /// truncated payload (detectable via Fragment::verify) before throwing. A
+  /// call on an available system draws exactly one put fault from the
+  /// profile.
   void put(const ec::Fragment& fragment);
-
-  /// An in-flight streamed upload: payload bytes arrive in append() chunks
-  /// and nothing is visible (or charged) on the system until commit(), which
-  /// runs the full put() semantics — fault draws, replace, directory spill —
-  /// on the assembled fragment. Each append() makes its own availability
-  /// check and fault draw, so a mid-stream outage or injected failure
-  /// surfaces before the tail stripes are even encoded; the caller then drops
-  /// the stream (the system never sees its staged bytes) and falls back to a
-  /// whole-fragment retry elsewhere. Not thread-safe (one streaming writer
-  /// per PutStream); obtained from begin_put().
-  class PutStream {
-   public:
-    PutStream(const PutStream&) = delete;
-    PutStream& operator=(const PutStream&) = delete;
-    PutStream(PutStream&&) = default;
-
-    /// Stage one payload chunk. Throws io_error on unavailability or an
-    /// injected fault (a torn-write draw degrades to transient here:
-    /// nothing has been persisted yet, so there is nothing to tear).
-    void append(std::span<const u8> bytes);
-
-    /// Persist the assembled fragment via put(). The stream is finished
-    /// afterwards regardless of outcome.
-    void commit();
-
-   private:
-    friend class StorageSystem;
-    PutStream(StorageSystem* sys, const ec::Fragment& header);
-
-    StorageSystem* sys_;
-    ec::Fragment staged_;  ///< header copy; payload grows per append
-    bool done_ = false;
-  };
-
-  /// Open a streamed upload for `header` (its id, geometry, and CRC are
-  /// taken as-is; its payload is ignored — bytes arrive via append()).
-  PutStream begin_put(const ec::Fragment& header);
 
   /// Fetch a fragment by key. Returns nullopt if absent; throws io_error if
   /// the system is unavailable or a transient fault is injected. An injected

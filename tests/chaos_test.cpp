@@ -21,6 +21,7 @@
 #include "rapids/parallel/thread_pool.hpp"
 #include "rapids/storage/failure.hpp"
 #include "rapids/storage/fault_injector.hpp"
+#include "rapids/storage/placement.hpp"
 
 namespace rapids::core {
 namespace {
@@ -382,9 +383,10 @@ TEST(Chaos, CircuitBreakerShieldsFlakySystem) {
 }
 
 TEST(Chaos, StreamingPrepareBoundsHoldUnderTransientPutFaults) {
-  // Pooled level encodes with the put stream under cluster-wide transient
-  // faults and stragglers: the retry machinery must absorb the failures
-  // mid-stream and the prepared object must round-trip at full quality.
+  // Pooled level encodes with their puts under cluster-wide transient faults
+  // and stragglers: the retry machinery must absorb the failures while later
+  // levels still encode, and the prepared object must round-trip at full
+  // quality.
   ThreadPool pool(4);
   const Dims dims{17, 17, 9};
   const auto field = data::hurricane_pressure(dims, 11);
@@ -414,10 +416,10 @@ TEST(Chaos, StreamingPrepareBoundsHoldUnderTransientPutFaults) {
 }
 
 TEST(Chaos, StreamingPrepareRelocatesAndFallsBackMidStream) {
-  // A system that rejects every put kills streamed uploads in flight: the
-  // stream falls back to whole-fragment retries, the breaker-backed
-  // relocation re-places the fragments, and the metadata points at where
-  // they actually landed — all while later levels are still encoding.
+  // A system that rejects every put exhausts each fragment's retries there:
+  // the breaker-backed relocation re-places the fragments, and the metadata
+  // points at where they actually landed — all while later levels are still
+  // encoding.
   ThreadPool pool(4);
   World w("stream_reloc", chaos_config(), &pool);
   storage::FaultInjector injector;
@@ -431,7 +433,6 @@ TEST(Chaos, StreamingPrepareRelocatesAndFallsBackMidStream) {
   const auto prep = w.pipeline->prepare(field, dims, "sr");
   EXPECT_GT(prep.relocations, 0u);
   EXPECT_GT(prep.put_retries, 0u);
-  EXPECT_GT(prep.stream_fallback_puts, 0u);  // faults landed mid-stream
   EXPECT_EQ(w.cluster.system(5).fragment_count(), 0u);
   u64 total = 0;
   for (u32 s = 0; s < w.cluster.size(); ++s)
@@ -468,11 +469,34 @@ TEST(Chaos, StreamingPrepareDeterministicUnderFaultsWithPool) {
   const auto [prep_b, rest_b] = run("stream_det_b");
   EXPECT_EQ(prep_a.put_retries, prep_b.put_retries);
   EXPECT_EQ(prep_a.relocations, prep_b.relocations);
-  EXPECT_EQ(prep_a.stream_fallback_puts, prep_b.stream_fallback_puts);
   EXPECT_EQ(prep_a.fragments_stored, prep_b.fragments_stored);
   EXPECT_EQ(prep_a.record.serialize(), prep_b.record.serialize());
   EXPECT_EQ(rest_a.data, rest_b.data);
   EXPECT_DOUBLE_EQ(rest_a.rel_error_bound, rest_b.rel_error_bound);
+}
+
+TEST(Chaos, FailNextPutsFailsThatManyPutAttempts) {
+  // fail_next_puts counts put attempts: K = 2 on the system that holds
+  // fragment (level 0, index 0) costs that fragment exactly two retries on
+  // its placed system, and no relocation, since the third attempt succeeds.
+  World w("fail_next_puts", chaos_config());
+  storage::FaultInjector injector;
+  storage::FaultSpec spec;
+  spec.fail_next_puts = 2;
+  const u32 target = storage::place_fragment(w.cluster.size(), 0, 0);
+  injector.set_spec(target, spec);
+  injector.install(w.cluster);
+
+  const Dims dims{17, 17, 9};
+  const auto field = data::hurricane_pressure(dims, 10);
+  const auto prep = w.pipeline->prepare(field, dims, "fnp");
+  EXPECT_EQ(prep.put_retries, 2u);
+  EXPECT_EQ(prep.relocations, 0u);
+  EXPECT_EQ(injector.profile(target)->counters().transient_puts, 2u);
+
+  const auto report = w.pipeline->restore("fnp");
+  EXPECT_EQ(report.levels_used, static_cast<u32>(prep.record.ft.size()));
+  expect_bound_holds(report, field);
 }
 
 }  // namespace

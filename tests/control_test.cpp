@@ -54,11 +54,12 @@ TEST(TokenBucket, BurstCapsAccumulation) {
 }
 
 TEST(TokenBucket, TimeIsMonotone) {
-  TokenBucket bucket(100.0, 100.0);
-  ASSERT_TRUE(bucket.try_acquire(100));
-  bucket.advance(1.0);
-  bucket.advance(0.5);  // going backwards must not mint tokens
-  EXPECT_DOUBLE_EQ(bucket.tokens(), 100.0);
+  TokenBucket bucket(100.0, 200.0);
+  ASSERT_TRUE(bucket.try_acquire(200));  // drained at t = 0
+  bucket.advance(1.0);                   // refills 100
+  bucket.advance(0.5);  // going backwards neither mints nor removes tokens
+  EXPECT_FALSE(bucket.try_acquire(101));
+  EXPECT_TRUE(bucket.try_acquire(100));
 }
 
 TEST(TokenBucket, NonPositiveRateDisablesLimiting) {

@@ -195,6 +195,13 @@ struct TransformCase {
   bool correction;
 };
 
+// Without this gtest prints the struct's raw bytes, padding included, and
+// gtest_discover_tests copies them into the CTest name.
+void PrintTo(const TransformCase& tc, std::ostream* os) {
+  *os << tc.dims.nx << "x" << tc.dims.ny << "x" << tc.dims.nz << " L"
+      << tc.levels << (tc.correction ? " corr" : " plain");
+}
+
 class TransformTest : public ::testing::TestWithParam<TransformCase> {};
 
 TEST_P(TransformTest, RoundTripIsExact) {
@@ -414,7 +421,9 @@ TEST(Bitplane, ExactZerosStayZero) {
   const PlaneSet ps = encode_planes(coeffs);
   const auto back = decode_planes(ps, 8);
   for (std::size_t i = 0; i < coeffs.size(); ++i) {
-    if (i != 7) ASSERT_EQ(back[i], 0.0) << "index " << i;
+    if (i != 7) {
+      ASSERT_EQ(back[i], 0.0) << "index " << i;
+    }
   }
   EXPECT_NEAR(back[7], 42.0, ps.error_bound(8));
 }
@@ -423,9 +432,11 @@ TEST(Bitplane, SignsPreserved) {
   std::vector<f64> coeffs = {-5.0, 5.0, -0.25, 0.25, -1e-3, 1e-3};
   const PlaneSet ps = encode_planes(coeffs);
   const auto back = decode_planes(ps, kMagnitudePlanes);
-  for (std::size_t i = 0; i < coeffs.size(); ++i)
-    if (back[i] != 0.0)
+  for (std::size_t i = 0; i < coeffs.size(); ++i) {
+    if (back[i] != 0.0) {
       ASSERT_EQ(std::signbit(coeffs[i]), std::signbit(back[i])) << i;
+    }
+  }
 }
 
 TEST(Bitplane, SparsePlanesCompressSmoothData) {

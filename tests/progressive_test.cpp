@@ -33,12 +33,6 @@ bool bit_identical(const std::vector<f64>& a, const std::vector<f64>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(f64)) == 0);
 }
 
-bool bit_identical(const std::vector<f32>& a, const std::vector<f32>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(f32)) == 0);
-}
-
 // decode_planes_incremental into a NaN-filled vector, so an element the
 // decoder skipped cannot pass for a decoded one.
 std::vector<f64> decode_inc(const PlaneSet& ps, u32 num_planes,

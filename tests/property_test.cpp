@@ -61,8 +61,8 @@ INSTANTIATE_TEST_SUITE_P(FailureProbabilities, AvailabilitySweep,
 TEST(RsExhaustive, EverySurvivorSubsetRecovers) {
   // For k+m <= 9, try *every* C(k+m, k) survivor combination.
   Rng rng(13);
-  for (const auto [k, m] : {std::pair<u32, u32>{2, 2}, {3, 3}, {4, 4}, {5, 3},
-                            {6, 2}, {3, 6}}) {
+  for (const auto& [k, m] : {std::pair<u32, u32>{2, 2}, {3, 3}, {4, 4}, {5, 3},
+                             {6, 2}, {3, 6}}) {
     const ec::ReedSolomon rs(k, m);
     std::vector<u8> data(777);
     for (auto& b : data) b = static_cast<u8>(rng.next_u64());

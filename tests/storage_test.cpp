@@ -54,6 +54,12 @@ TEST(StorageSystem, UnavailableThrowsOnAccess) {
   EXPECT_THROW(sys.get(frag.id.key()), io_error);
   // Metadata knowledge remains queryable.
   EXPECT_TRUE(sys.has(frag.id.key()));
+  // A refused put of a new key stores nothing and charges nothing.
+  const u64 used = sys.used_bytes();
+  const auto other = make_fragment("obj", 0, 1, 10);
+  EXPECT_THROW(sys.put(other), io_error);
+  EXPECT_FALSE(sys.has(other.id.key()));
+  EXPECT_EQ(sys.used_bytes(), used);
   sys.set_available(true);
   EXPECT_TRUE(sys.get(frag.id.key()).has_value());
 }
@@ -198,7 +204,9 @@ TEST(StorageSystem, ConcurrentFlipAndAccessIsRaceFree) {
         try {
           if (i % 3 == 0) sys.put(make_fragment("c", 0, idx, 64));
           const auto got = sys.get(ec::FragmentId{"c", 0, idx}.key());
-          if (got) EXPECT_TRUE(got->verify());
+          if (got) {
+            EXPECT_TRUE(got->verify());
+          }
           (void)sys.used_bytes();
           (void)sys.fragment_count();
         } catch (const io_error&) {

@@ -1,8 +1,7 @@
-// Tests for the fragment-granular streaming I/O — StorageSystem::PutStream
-// and level-by-level restore — and the byte-identity contract of
-// prepare/restore against a staged reference built from public primitives
-// (whole-field refactor, per-level RS encode, placement, reconstruct) at
-// every level prefix.
+// Tests for prepare's pooled level encodes and the level-by-level restore,
+// and the byte-identity contract of prepare/restore against a staged
+// reference built from public primitives (whole-field refactor, per-level RS
+// encode, placement, reconstruct) at every level prefix.
 
 #include <gtest/gtest.h>
 
@@ -21,72 +20,12 @@
 #include "rapids/parallel/thread_pool.hpp"
 #include "rapids/storage/failure.hpp"
 #include "rapids/storage/storage_system.hpp"
-#include "rapids/util/rng.hpp"
 
 namespace rapids::core {
 namespace {
 
 namespace fs = std::filesystem;
 using mgard::Dims;
-
-// ------------------------------------------------------------ PutStream
-
-ec::Fragment make_fragment(const std::string& object, u32 level, u32 index,
-                           u64 bytes, u64 seed) {
-  ec::Fragment f;
-  f.id = {object, level, index};
-  f.k = 12;
-  f.m = 4;
-  f.level_bytes = bytes;
-  f.payload.resize(bytes);
-  Rng rng(seed);
-  for (auto& b : f.payload) b = static_cast<u8>(rng.next_u64());
-  f.payload_crc = ec::fragment_crc(f.payload);
-  return f;
-}
-
-TEST(PutStream, CommitMatchesWholeFragmentPut) {
-  storage::StorageSystem whole(0, "whole", 1e6, 0.0);
-  storage::StorageSystem streamed(1, "streamed", 1e6, 0.0);
-  const auto frag = make_fragment("obj", 2, 5, 10'000, 11);
-
-  whole.put(frag);
-  {
-    auto stream = streamed.begin_put(frag);
-    const std::span<const u8> payload(frag.payload);
-    for (u64 lo = 0; lo < payload.size(); lo += 4096) {
-      stream.append(
-          payload.subspan(lo, std::min<u64>(4096, payload.size() - lo)));
-      EXPECT_FALSE(streamed.has(frag.id.key()));  // invisible until commit
-    }
-    stream.commit();
-  }
-
-  const auto a = whole.get(frag.id.key());
-  const auto b = streamed.get(frag.id.key());
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(a->serialize(), b->serialize());
-  EXPECT_TRUE(b->verify());
-  EXPECT_EQ(whole.used_bytes(), streamed.used_bytes());
-  EXPECT_EQ(streamed.fragment_count(), 1u);
-}
-
-TEST(PutStream, AppendThrowsOnMidStreamOutageAndAbortLeavesNothing) {
-  storage::StorageSystem sys(0, "s0", 1e6, 0.0);
-  const auto frag = make_fragment("obj", 0, 1, 4096, 12);
-  {
-    auto stream = sys.begin_put(frag);
-    const std::span<const u8> payload(frag.payload);
-    stream.append(payload.first(1024));
-    sys.set_available(false);  // outage lands mid-stream
-    EXPECT_THROW(stream.append(payload.subspan(1024, 1024)), io_error);
-  }  // the failed stream is dropped, as the pipeline's fallback does
-  sys.set_available(true);
-  EXPECT_FALSE(sys.has(frag.id.key()));  // nothing persisted, nothing charged
-  EXPECT_EQ(sys.used_bytes(), 0u);
-  EXPECT_EQ(sys.fragment_count(), 0u);
-}
 
 // ------------------------------------------- byte identity vs a reference
 
@@ -200,8 +139,8 @@ bool same_floats(const std::vector<f32>& a, const std::vector<f32>& b) {
 
 TEST(StreamingPrepare, ByteIdenticalToStagedWithAndWithoutPool) {
   // A field large enough that fragments span several stripes: the pooled
-  // prepare encodes every level on the pool at once, and both prepares ship
-  // the fragments as multi-append streamed puts.
+  // prepare encodes every level on the pool at once, and RS encode splits
+  // each large fragment into 32 KiB pool stripes.
   ThreadPool pool(4);
   const Dims dims{257, 257, 129};
   const auto field = data::nyx_temperature(dims, 21, &pool);
@@ -212,7 +151,7 @@ TEST(StreamingPrepare, ByteIdenticalToStagedWithAndWithoutPool) {
     largest_fragment = std::max(
         largest_fragment, ceil_div(ref.obj.level_bytes(j),
                                    kCluster.num_systems - ref.ft.m[j]));
-  ASSERT_GT(largest_fragment, kStreamStripeBytes);
+  ASSERT_GT(largest_fragment, 64u * 1024);  // two pool stripes
 
   Env pooled("pooled");
   RapidsPipeline pooled_pipe(*pooled.cluster, *pooled.db, cfg, &pool);
@@ -231,7 +170,8 @@ TEST(StreamingPrepare, ByteIdenticalToStagedWithAndWithoutPool) {
           << "level " << j;
     EXPECT_EQ(report->fragments_stored, ref.fragments.size());
     EXPECT_DOUBLE_EQ(report->expected_error, ref.ft.expected_error);
-    EXPECT_EQ(report->stream_fallback_puts, 0u);  // healthy cluster
+    EXPECT_EQ(report->put_retries, 0u);  // healthy cluster
+    EXPECT_EQ(report->relocations, 0u);
     EXPECT_GT(report->prepare_latency, 0.0);
   }
   expect_matches_reference(pooled, ref, "nt");
@@ -303,12 +243,11 @@ TEST(StreamingRestore, StreamsLevelsAndCutsTimeToFirstByte) {
 
   const auto first = pipeline.restore("nt");
   EXPECT_EQ(first.levels_used, 4u);
-  EXPECT_EQ(first.levels_streamed, 4u);  // nothing cached: all streamed in
+  EXPECT_EQ(first.levels_streamed, 4u);  // nothing cached: all fetched
   // Level 1 is decodable as soon as its own (small) fragments land — long
   // before the full gather completes.
   EXPECT_GT(first.first_level_latency, 0.0);
   EXPECT_LT(first.first_level_latency, first.gather_latency);
-  ASSERT_FALSE(first.plan.level_latencies.empty());
   const f64 err = data::relative_linf_error(field, first.data);
   EXPECT_LE(err, first.rel_error_bound);
 
