@@ -273,6 +273,8 @@ int run(int argc, char** argv) {
     }
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"context\": {\n");
+    std::fprintf(f, "    \"cpu\": \"%s\",\n", cpu_model().c_str());
+    std::fprintf(f, "    \"nproc\": %u,\n", nproc());
     std::fprintf(f, "    \"systems\": 16,\n");
     std::fprintf(f, "    \"ingest_budget\": %.2f,\n", kIngestBudget);
     std::fprintf(f, "    \"raised_budget\": %.2f,\n", kRaisedBudget);

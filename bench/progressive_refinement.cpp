@@ -132,6 +132,8 @@ void write_json(const std::string& path, unsigned pool_threads, u64 fbytes,
   const auto& inc = results[1];
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"context\": {\n");
+  std::fprintf(f, "    \"cpu\": \"%s\",\n", cpu_model().c_str());
+  std::fprintf(f, "    \"nproc\": %u,\n", nproc());
   std::fprintf(f, "    \"pool_threads\": %u,\n", pool_threads);
   std::fprintf(f, "    \"field_bytes\": %llu,\n",
                static_cast<unsigned long long>(fbytes));

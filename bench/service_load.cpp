@@ -370,6 +370,8 @@ int run(int argc, char** argv) {
     }
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"context\": {\n");
+    std::fprintf(f, "    \"cpu\": \"%s\",\n", cpu_model().c_str());
+    std::fprintf(f, "    \"nproc\": %u,\n", nproc());
     std::fprintf(f, "    \"systems\": %u,\n", kSystems);
     std::fprintf(f, "    \"lanes\": %u,\n", kLanes);
     std::fprintf(f, "    \"tenants\": %u,\n", kTenants);

@@ -40,7 +40,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <optional>
 #include <sstream>
 
@@ -54,7 +53,9 @@ constexpr u32 kSystems = 16;
 constexpr u64 kClusterSeed = 2023;
 
 /// Open the workspace: metadata DB plus a directory-backed cluster whose
-/// bandwidths are reproducible from the fixed seed.
+/// bandwidths are reproducible from the fixed seed. Each system indexes the
+/// fragment files an earlier run left in its directory; opening writes
+/// nothing.
 struct Workspace {
   std::unique_ptr<kv::Db> db;
   std::unique_ptr<storage::Cluster> cluster;
@@ -150,51 +151,6 @@ int cmd_prepare(int argc, char** argv) {
   return 0;
 }
 
-/// Rebuild each system's fragment index from the metadata records so get()
-/// can serve files written by a previous process. Returns false when the
-/// object is unknown.
-bool rebuild_fragment_index(Workspace& ws, const std::string& wsdir,
-                            const std::string& name) {
-  core::PipelineConfig probe_cfg;
-  core::RapidsPipeline probe(*ws.cluster, *ws.db, probe_cfg);
-  const auto record = probe.lookup(name);
-  if (!record) {
-    std::fprintf(stderr, "unknown object: %s\n", name.c_str());
-    return false;
-  }
-  // Fragment keys live under the record's *current generation* name — after
-  // a background migration that is "<name>@g<gen>", not the bare name.
-  const std::string sname = record->storage_name(name);
-  for (const auto& [key, sys_str] : ws.db->scan_prefix("frag/" + sname + "/")) {
-    const u32 sys = static_cast<u32>(std::stoul(sys_str));
-    std::string flat = key;
-    for (char& c : flat)
-      if (c == '/') c = '_';
-    const std::string path =
-        wsdir + "/sys" + std::to_string(sys) + "/" + flat + ".frag";
-    if (!std::filesystem::exists(path)) continue;
-    const auto raw = read_file(path);
-    ec::Fragment frag;
-    try {
-      frag = ec::Fragment::deserialize(as_bytes_view(raw));
-    } catch (const io_error&) {
-      // Damaged container (bad magic / truncated header): register a
-      // CRC-mismatched placeholder under the recorded id so restore sees
-      // detectable damage and replans/repairs, instead of dying here.
-      const std::string rel = key.substr(5);  // strip "frag/"
-      const auto last = rel.rfind('/');
-      const auto prev = rel.rfind('/', last - 1);
-      frag.id = ec::FragmentId{
-          rel.substr(0, prev),
-          static_cast<u32>(std::stoul(rel.substr(prev + 1, last - prev - 1))),
-          static_cast<u32>(std::stoul(rel.substr(last + 1)))};
-      frag.payload_crc = ~ec::fragment_crc(frag.payload);
-    }
-    ws.cluster->system(sys).put(frag);
-  }
-  return true;
-}
-
 void apply_outages(Workspace& ws, const char* spec) {
   for (const char* p = spec; *p != '\0';) {
     char* end = nullptr;
@@ -216,13 +172,16 @@ int cmd_restore(int argc, char** argv) {
   const std::string wsdir = argv[2];
   const std::string name = argv[3];
   auto ws = open_workspace(wsdir);
-  if (!rebuild_fragment_index(ws, wsdir, name)) return 1;
   if (argc > 5) apply_outages(ws, argv[5]);
 
   ThreadPool pool;
   core::PipelineConfig config;
   config.aco.time_budget_seconds = 0.5;
   core::RapidsPipeline pipeline(*ws.cluster, *ws.db, config, &pool);
+  if (!pipeline.lookup(name)) {
+    std::fprintf(stderr, "unknown object: %s\n", name.c_str());
+    return 1;
+  }
   const auto report = pipeline.restore(name);
   if (report.levels_used == 0) {
     std::fprintf(stderr, "unrecoverable: too many systems down\n");
@@ -238,9 +197,9 @@ int cmd_restore(int argc, char** argv) {
               report.fetch_seconds, report.decode_seconds,
               report.reconstruct_seconds);
   print_codec_stats("decode", report.plane_codec);
-  if (report.levels_streamed > 0)
-    std::printf("  fetched %u level%s over the WAN\n", report.levels_streamed,
-                report.levels_streamed == 1 ? "" : "s");
+  if (report.levels_fetched > 0)
+    std::printf("  fetched %u level%s over the WAN\n", report.levels_fetched,
+                report.levels_fetched == 1 ? "" : "s");
   return 0;
 }
 
@@ -268,13 +227,16 @@ int cmd_refine(int argc, char** argv) {
   }
 
   auto ws = open_workspace(wsdir);
-  if (!rebuild_fragment_index(ws, wsdir, name)) return 1;
   if (argc > 6) apply_outages(ws, argv[6]);
 
   ThreadPool pool;
   core::PipelineConfig config;
   config.aco.time_budget_seconds = 0.5;
   core::RapidsPipeline pipeline(*ws.cluster, *ws.db, config, &pool);
+  if (!pipeline.lookup(name)) {
+    std::fprintf(stderr, "unknown object: %s\n", name.c_str());
+    return 1;
+  }
   auto session = pipeline.begin_refine(name);
 
   std::printf("refining %s through %zu bound%s\n", name.c_str(), bounds.size(),
@@ -475,8 +437,6 @@ int cmd_serve(int argc, char** argv) {
     std::fprintf(stderr, "no objects in workspace; run `prepare` first\n");
     return 1;
   }
-  for (const auto& name : names)
-    if (!rebuild_fragment_index(ws, wsdir, name)) return 1;
 
   ThreadPool pool;
   core::PipelineConfig config;

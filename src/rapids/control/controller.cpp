@@ -126,8 +126,6 @@ std::vector<MigrationRecord> Controller::journal_scan() {
   return out;
 }
 
-void Controller::mark_dirty(const std::string& name) { dirty_.insert(name); }
-
 void Controller::mark_all_dirty() {
   for (auto& name : pipeline_.snapshot_object_names())
     dirty_.insert(std::move(name));

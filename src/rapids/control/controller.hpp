@@ -123,14 +123,10 @@ class Controller {
   bool halted() const { return halted_; }
   const ControllerStats& stats() const { return stats_; }
 
-  /// Non-terminal migrations, journal order.
-  std::vector<MigrationRecord> active_migrations() const { return active_; }
-
   /// Full journal contents (for the CLI status view and tests).
   std::vector<MigrationRecord> journal_scan();
 
-  /// Force re-evaluation of one object (or all) on the next tick.
-  void mark_dirty(const std::string& name);
+  /// Force re-evaluation of every object on the next tick.
   void mark_all_dirty();
 
   void set_crash_hook(CrashHook hook) { crash_hook_ = std::move(hook); }

@@ -58,6 +58,22 @@ u32 recoverable_prefix(const GatherProblem& problem,
   while (j < problem.m.size() && (cached[j] || failed <= problem.m[j])) ++j;
   return j;
 }
+
+/// The gathering problem restricted to `levels` (0-based, ascending). Level
+/// order is kept, so the m_j stay strictly decreasing and the FT config
+/// remains valid.
+GatherProblem sub_problem(const GatherProblem& problem,
+                          const std::vector<u32>& levels) {
+  GatherProblem sub;
+  sub.n = problem.n;
+  sub.bandwidths = problem.bandwidths;
+  sub.available = problem.available;
+  for (const u32 j : levels) {
+    sub.m.push_back(problem.m[j]);
+    sub.level_sizes.push_back(problem.level_sizes[j]);
+  }
+  return sub;
+}
 }  // namespace
 
 std::string generation_storage_name(const std::string& name, u32 generation) {
@@ -392,33 +408,17 @@ std::vector<f64> RapidsPipeline::bandwidth_estimates() const {
 
 RapidsPipeline::FetchOutcome RapidsPipeline::fetch_with_retry(
     u32 system, const ec::FragmentId& id, f64 budget_s) {
-  FetchOutcome out;
-  Backoff backoff(kRetryPolicy, stable_hash(id.key(), system, 0xFE7C4ull),
-                  budget_s);
-  u32 attempts = 0;
-  for (;;) {
-    ++attempts;
-    bool transient = false;
-    try {
-      auto frag = cluster_.system(system).get(id.key());
-      if (!frag) {
-        out.missing = true;  // permanent: retrying cannot materialize it
-      } else if (frag->verify()) {
-        out.fragment = std::move(frag);
-      } else {
+  auto r = retry_io_within(
+      kRetryPolicy, stable_hash(id.key(), system, 0xFE7C4ull), budget_s, [&] {
+        auto frag = cluster_.system(system).get(id.key());
         // In-flight corruption (or at-rest damage): a re-read may verify.
-        transient = true;
-      }
-    } catch (const io_error&) {
-      transient = true;  // outage / crash window / injected transient error
-    }
-    if (!transient) break;  // success or permanent miss: no retry
-    backoff.record_failure();
-    if (backoff.exhausted()) break;
-  }
-  out.attempts = attempts;
-  out.backoff_seconds = backoff.total_backoff_s();
-  return out;
+        if (frag && !frag->verify())
+          throw io_error("fragment " + id.key() + " failed its CRC");
+        return frag;  // nullopt: missing, permanent, so no retry
+      });
+  const bool missing = r.value && !*r.value;
+  return {std::move(r.value).value_or(std::nullopt), r.attempts,
+          r.backoff_seconds, missing};
 }
 
 RestoreReport RapidsPipeline::restore(const std::string& name,
@@ -468,7 +468,7 @@ void RapidsPipeline::snapshot_problem(const std::string& name,
   }
 }
 
-bool RapidsPipeline::fetch_levels(const ObjectRecord& record,
+void RapidsPipeline::fetch_levels(const ObjectRecord& record,
                                   const std::string& name,
                                   GatherProblem& problem,
                                   const std::vector<u32>& levels,
@@ -477,7 +477,6 @@ bool RapidsPipeline::fetch_levels(const ObjectRecord& record,
                                   std::vector<Bytes>& payloads,
                                   std::vector<std::optional<f64>>& landed_at,
                                   const RestoreOptions& opts) {
-  if (levels.empty()) return true;
   const u32 n = cluster_.size();
   // Fragment keys live under the record's current generation.
   const std::string sname = record.storage_name(name);
@@ -487,277 +486,242 @@ bool RapidsPipeline::fetch_levels(const ObjectRecord& record,
   // every retry backoff spends from it, and a hedge whose simulated launch
   // point lies past it is never issued — no I/O outlives the request.
   f64 budget_s = opts.sim_budget_s;
-  const auto spend_budget = [&budget_s](f64 backoff_seconds) {
-    if (std::isfinite(budget_s)) budget_s -= backoff_seconds;
+
+  // The bookkeeping of one fragment read, planned or hedge. A missing
+  // fragment is a metadata miss, not the system's fault: health skips it.
+  const auto account = [&](u32 system, const FetchOutcome& read, f64 mult) {
+    report.fetch_retries += read.attempts - 1;
+    report.backoff_seconds += read.backoff_seconds;
+    if (std::isfinite(budget_s)) budget_s -= read.backoff_seconds;
+    if (!read.missing) record_health(system, read.fragment.has_value(), mult);
+    if (read.fragment) report.bytes_transferred += read.fragment->payload.size();
   };
 
-  // A landed level is decoded, cached, and never refetched: replanning
-  // around a failed system only covers the levels still in flight, so the
-  // caller keeps every level that arrived.
-  std::vector<bool> landed(levels.size(), false);
-  f64 max_effective = 0.0;  // slowest landed transfer across all attempts
-
-  // Plan + fetch, replanning (bounded) when a planned fragment stays missing
-  // or damaged after retry and hedging: the offending system is treated as
-  // unavailable and the remaining tolerance absorbs it, exactly like one
-  // more concurrent outage.
-  for (u32 attempt = 0; attempt <= n; ++attempt) {
-    std::vector<u32> rem;  // indices into `levels` still to fetch
-    for (u32 i = 0; i < levels.size(); ++i)
-      if (!landed[i]) rem.push_back(i);
-    if (rem.empty()) break;
-
-    // Every remaining level must still be recoverable; when one is not, the
-    // caller decides how to degrade (shrink the prefix, keep the session's
-    // current state, ...) — levels that already landed stay delivered.
-    u32 failed = 0;
-    for (const bool a : problem.available) failed += a ? 0 : 1;
-    for (const u32 i : rem)
-      if (failed > problem.m[levels[i]]) return false;
-
-    // Gathering sub-problem over exactly the remaining levels. Level order
-    // is preserved, so the m_j stay strictly decreasing and the FT config
-    // remains valid.
-    const u32 nsub = static_cast<u32>(rem.size());
-    GatherProblem sub;
-    sub.n = problem.n;
-    sub.bandwidths = problem.bandwidths;
-    sub.available = problem.available;
-    for (const u32 i : rem) {
-      sub.m.push_back(problem.m[levels[i]]);
-      sub.level_sizes.push_back(problem.level_sizes[levels[i]]);
-    }
-
-    // Look up where the remaining levels' fragments actually live, and
-    // exclude systems that hold none of them (their fragments were migrated
-    // or repaired away) before planning — instead of planning a fetch there
-    // and discovering the miss afterwards, one replan round per restore.
-    // Only safe while the deepest remaining level tolerates the exclusions;
-    // otherwise keep the old plan-then-replan path.
-    std::vector<std::map<u32, u32>> locations(nsub);
-    {
-      std::lock_guard<std::mutex> lock(io_mu_);
-      for (u32 j = 0; j < nsub; ++j)
-        locations[j] = fragment_locations(sname, levels[rem[j]]);
-    }
-    {
-      std::vector<bool> holds(sub.n, false);
-      for (u32 j = 0; j < nsub; ++j)
-        for (const auto& [sys, idx] : locations[j])
-          if (sys < sub.n) holds[sys] = true;
-      auto trial = sub.available;
-      u32 failed_after = 0;
-      for (u32 s = 0; s < sub.n; ++s) {
-        if (!holds[s]) trial[s] = false;
-        failed_after += trial[s] ? 0 : 1;
-      }
-      if (failed_after <= sub.m.back()) sub.available = std::move(trial);
-    }
-
-    // Reuse the caller's rows when they are still placeable (first attempt
-    // only: an internal replan means availability moved under the plan).
+  struct PlannedFetch {
+    u32 level = 0;  ///< index into the round's levels, not the real level
+    u32 system = 0;
+    u32 index = 0;
+    u64 bytes = 0;
+    f64 mult = 1.0;  ///< straggler draw of this transfer
+    f64 time = 0.0;  ///< simulated completion under equal share
+  };
+  struct Round {
+    GatherProblem sub;  ///< the gathering problem over the round's levels
+    std::vector<std::map<u32, u32>> locations;  ///< per level: system -> index
     GatherPlan plan;
-    bool planned = false;
-    if (preplanned != nullptr && attempt == 0 && preplanned->size() == nsub) {
-      bool usable = true;
-      for (u32 i = 0; i < nsub && usable; ++i) {
-        usable = (*preplanned)[i].size() == sub.n - sub.m[i];
-        for (const u32 sys : (*preplanned)[i])
-          usable = usable && sys < sub.n && sub.available[sys];
-      }
-      if (usable) {
-        plan = evaluate_plan(sub, *preplanned);  // score only, no optimizer
-        planned = true;
-      }
-    }
-    if (!planned) plan = optimized_plan(sub, config_.aco);  // lock-free
-    report.planning_seconds += plan.planning_seconds;
-
-    // Resolve the plan into (level, system, index, bytes) fetches and start
-    // the simulated transfer clock: equal-share contention over the whole
-    // plan, scaled by per-transfer straggler draws — all sampled up front,
-    // in plan order, exactly as the staged gather did. A metadata miss (no
-    // fragment recorded on a planned system) forces an immediate replan
-    // without charging the system's health.
-    struct PlannedFetch {
-      u32 level = 0;  ///< index into `rem`/`sub`, not the real level
-      u32 system = 0;
-      u32 index = 0;
-      u64 bytes = 0;
-    };
-    t.reset();
-    std::optional<u32> bad_system;
-    std::vector<PlannedFetch> fetches;
-    std::vector<f64> mults;
-    std::vector<f64> times;
+    std::vector<PlannedFetch> fetches;  ///< in plan order
     f64 hedge_launch = 0.0;
+    std::optional<u32> unrecorded;  ///< planned system holding no fragment
+  };
+
+  // Stage: plan a round over `rem` (real levels, ascending). Systems that
+  // hold none of these levels' fragments (migrated or repaired away) are
+  // excluded before planning while the deepest level tolerates it, instead
+  // of planning a fetch there and replanning after the miss. The caller's
+  // rows are scored, not re-optimized, when still placeable. The round's
+  // clock starts here: equal-share contention over the whole plan, scaled
+  // by straggler draws sampled up front in plan order. A planned system with
+  // no fragment recorded forces a replan without charging its health.
+  const auto plan_round = [&](const std::vector<u32>& rem,
+                              const solver::Selection* rows) {
+    const u32 nsub = static_cast<u32>(rem.size());
+    Round r;
+    r.sub = sub_problem(problem, rem);
+    r.locations.resize(nsub);
     {
       std::lock_guard<std::mutex> lock(io_mu_);
-      for (u32 j = 0; j < nsub && !bad_system; ++j) {
-        for (u32 sys : plan.systems_per_level[j]) {
-          const auto loc = locations[j].find(sys);
-          if (loc == locations[j].end()) {
-            log::warn("pipeline", "no level-", levels[rem[j]],
+      for (u32 j = 0; j < nsub; ++j)
+        r.locations[j] = fragment_locations(sname, rem[j]);
+    }
+    std::vector<bool> trial(n, false);
+    for (const auto& loc : r.locations)
+      for (const auto& [sys, idx] : loc)
+        if (sys < n) trial[sys] = r.sub.available[sys];
+    if (static_cast<u32>(std::count(trial.begin(), trial.end(), false)) <=
+        r.sub.m.back())
+      r.sub.available = std::move(trial);
+
+    bool placeable = rows != nullptr && rows->size() == nsub;
+    for (u32 i = 0; i < nsub && placeable; ++i) {
+      placeable = (*rows)[i].size() == n - r.sub.m[i];
+      for (const u32 sys : (*rows)[i])
+        placeable = placeable && sys < n && r.sub.available[sys];
+    }
+    r.plan = placeable ? evaluate_plan(r.sub, *rows)  // score only
+                       : optimized_plan(r.sub, config_.aco);  // lock-free
+    report.planning_seconds += r.plan.planning_seconds;
+
+    t.reset();
+    {
+      std::lock_guard<std::mutex> lock(io_mu_);
+      for (u32 j = 0; j < nsub && !r.unrecorded; ++j) {
+        for (const u32 sys : r.plan.systems_per_level[j]) {
+          const auto loc = r.locations[j].find(sys);
+          if (loc == r.locations[j].end()) {
+            log::warn("pipeline", "no level-", rem[j],
                       " fragment recorded on system ", sys, "; replanning");
-            bad_system = sys;
+            r.unrecorded = sys;
             break;
           }
-          fetches.push_back({j, sys, loc->second, sub.fragment_bytes(j + 1)});
+          r.fetches.push_back({j, sys, loc->second, r.sub.fragment_bytes(j + 1)});
         }
       }
-      if (!bad_system) {
+      if (!r.unrecorded) {
         std::vector<net::Transfer> transfers;
-        transfers.reserve(fetches.size());
-        mults.reserve(fetches.size());
-        for (const auto& f : fetches) {
+        std::vector<f64> mults;
+        for (auto& f : r.fetches) {
           transfers.push_back(net::Transfer{f.system, f.bytes});
-          mults.push_back(
-              cluster_.system(f.system).sample_transfer_multiplier());
+          f.mult = cluster_.system(f.system).sample_transfer_multiplier();
+          mults.push_back(f.mult);
         }
-        times = net::equal_share_times_scaled(transfers, problem.bandwidths,
-                                              mults);
-        hedge_launch = kHedgeThreshold * median_of(times);
+        const auto times = net::equal_share_times_scaled(
+            transfers, problem.bandwidths, mults);
+        for (std::size_t i = 0; i < times.size(); ++i)
+          r.fetches[i].time = times[i];
+        r.hedge_launch = kHedgeThreshold * median_of(times);
       }
     }
     report.fetch_seconds += t.seconds();
+    return r;
+  };
 
-    // Per level, the systems already serving a fragment (planned or hedge),
-    // so hedges never duplicate a fragment index.
-    std::vector<std::set<u32>> used(nsub);
-    for (const auto& f : fetches) used[f.level].insert(f.system);
-
-    // Fetch and decode level by level, ascending: as soon as a level's
-    // quorum lands it is decoded and cached, before deeper levels are
-    // fetched. io_mu_ is held per level, not across the whole gather.
-    for (u32 j = 0; j < nsub && !bad_system; ++j) {
-      const u32 real = levels[rem[j]];
-      std::vector<ec::Fragment> frags;
-      f64 level_effective = 0.0;
-      u64 landed_bytes = 0;
-      t.reset();
-      {
-        std::lock_guard<std::mutex> lock(io_mu_);
-        for (std::size_t i = 0; i < fetches.size() && !bad_system; ++i) {
-          const auto& f = fetches[i];
-          if (f.level != j) continue;
-          auto primary =
-              fetch_with_retry(f.system, {sname, real, f.index}, budget_s);
-          report.fetch_retries += primary.attempts - 1;
-          report.backoff_seconds += primary.backoff_seconds;
-          spend_budget(primary.backoff_seconds);
-          const bool ok = primary.fragment.has_value();
-          if (ok) landed_bytes += primary.fragment->payload.size();
-          if (!primary.missing) record_health(f.system, ok, mults[i]);
-
-          f64 effective = times[i];
-          std::optional<ec::Fragment> winner = std::move(primary.fragment);
-
-          if ((times[i] > hedge_launch || !ok) && hedge_launch <= budget_s) {
-            // Hedge a straggling or failed read: duplicate it against the
-            // fastest unplanned holder of a *sibling* fragment of the same
-            // level (any k distinct fragments decode). The hedge launches at
-            // hedge_launch on the simulated clock and runs at an exclusive
-            // share.
-            std::optional<u32> spare;
-            for (const auto& [sys2, idx2] : locations[f.level]) {
-              if (used[f.level].contains(sys2)) continue;
-              if (!cluster_.system(sys2).available()) continue;
-              if (!health().allow(sys2)) continue;
-              if (!spare ||
-                  problem.bandwidths[sys2] > problem.bandwidths[*spare])
-                spare = sys2;
-            }
-            if (spare) {
-              ++report.hedged_fetches;
-              used[f.level].insert(*spare);
-              const u32 spare_index = locations[f.level][*spare];
-              auto hedge = fetch_with_retry(*spare, {sname, real, spare_index},
-                                            budget_s);
-              report.fetch_retries += hedge.attempts - 1;
-              report.backoff_seconds += hedge.backoff_seconds;
-              spend_budget(hedge.backoff_seconds);
-              if (hedge.fragment)
-                landed_bytes += hedge.fragment->payload.size();
-              if (!hedge.missing)
-                record_health(*spare, hedge.fragment.has_value());
-              if (hedge.fragment) {
-                const f64 spare_mult =
+  // Stage: fetch the round's level j (real level `real`) under io_mu_. A
+  // straggling or failed read is hedged against the fastest unplanned holder
+  // of a *sibling* fragment of the same level (any k distinct fragments
+  // decode); the hedge launches at hedge_launch on the simulated clock and
+  // runs at an exclusive share. Returns the level's fragments and when the
+  // slowest landed, or sets `bad` to the system whose fragment stayed
+  // missing or damaged.
+  const auto fetch_level = [&](const Round& r, u32 j, u32 real,
+                               std::optional<u32>& bad) {
+    std::vector<ec::Fragment> frags;
+    f64 slowest = 0.0;
+    // Systems already serving the level (planned or hedge), so hedges never
+    // duplicate a fragment index.
+    std::set<u32> used;
+    for (const auto& f : r.fetches)
+      if (f.level == j) used.insert(f.system);
+    t.reset();
+    std::lock_guard<std::mutex> lock(io_mu_);
+    for (const auto& f : r.fetches) {
+      if (f.level != j) continue;
+      auto primary = fetch_with_retry(f.system, {sname, real, f.index}, budget_s);
+      account(f.system, primary, f.mult);
+      const bool ok = primary.fragment.has_value();
+      f64 effective = f.time;
+      std::optional<ec::Fragment> winner = std::move(primary.fragment);
+      if ((f.time > r.hedge_launch || !ok) && r.hedge_launch <= budget_s) {
+        std::optional<u32> spare;
+        for (const auto& [sys2, idx2] : r.locations[j]) {
+          if (used.contains(sys2) || !cluster_.system(sys2).available() ||
+              !health().allow(sys2))
+            continue;
+          if (!spare || problem.bandwidths[sys2] > problem.bandwidths[*spare])
+            spare = sys2;
+        }
+        if (spare) {
+          ++report.hedged_fetches;
+          used.insert(*spare);
+          auto hedge = fetch_with_retry(
+              *spare, {sname, real, r.locations[j].at(*spare)}, budget_s);
+          account(*spare, hedge, 1.0);
+          if (hedge.fragment) {
+            const f64 hedge_time =
+                r.hedge_launch +
+                static_cast<f64>(f.bytes) / problem.bandwidths[*spare] *
                     cluster_.system(*spare).sample_transfer_multiplier();
-                const f64 hedge_time =
-                    hedge_launch + static_cast<f64>(f.bytes) /
-                                       problem.bandwidths[*spare] * spare_mult;
-                if (!ok || hedge_time < effective) {
-                  winner = std::move(hedge.fragment);
-                  effective = ok ? std::min(effective, hedge_time) : hedge_time;
-                  ++report.hedge_wins;
-                }
-              }
+            if (!ok || hedge_time < effective) {
+              winner = std::move(hedge.fragment);
+              effective = hedge_time;
+              ++report.hedge_wins;
             }
           }
-
-          if (!winner) {
-            log::warn("pipeline", "fragment ", sname, "/", real, "/", f.index,
-                      " missing or damaged on system ", f.system,
-                      "; replanning");
-            bad_system = f.system;
-            break;
-          }
-          frags.push_back(std::move(*winner));
-          level_effective = std::max(level_effective, effective);
         }
-        persist_health();
       }
-      report.fetch_seconds += t.seconds();
-      report.bytes_transferred += landed_bytes;
-      if (bad_system) break;
-
-      // Decode this level outside the lock, before the next level's
-      // fragments are fetched.
-      t.reset();
-      const ec::ReedSolomon rs = codec_for(record, real);
-      const std::vector<u8> level = rs.decode(frags, pool_);
-      const auto* p = reinterpret_cast<const std::byte*>(level.data());
-      payloads[real] = Bytes(p, p + level.size());
-      report.decode_seconds += t.seconds();
-      landed[rem[j]] = true;
-      max_effective = std::max(max_effective, level_effective);
-      restore_cache_.put(name, record.generation, real, payloads[real]);
-      landed_at[real] = level_effective + report.backoff_seconds;
-    }
-
-    if (!bad_system) {
-      report.gather_latency = max_effective + report.backoff_seconds;
-      report.plan = std::move(plan);
-
-      // Fold the observed (simulated-WAN) per-transfer throughput back into
-      // the tracker so later plans adapt to bandwidth changes.
-      {
-        const auto transfers = plan_transfers(sub, report.plan.systems_per_level);
-        std::vector<u32> load(n, 0);
-        for (const auto& tr : transfers) load[tr.system] += 1;
-        std::lock_guard<std::mutex> lock(io_mu_);
-        const auto obs_times =
-            net::equal_share_times(transfers, cluster_.bandwidths());
-        for (std::size_t i = 0; i < transfers.size(); ++i) {
-          // Undo the contention share so the observation estimates the
-          // nominal endpoint bandwidth, not this plan's slice of it.
-          const f64 exclusive_seconds =
-              obs_times[i] / static_cast<f64>(load[transfers[i].system]);
-          if (exclusive_seconds > 0.0)
-            tracker().observe(transfers[i].system, transfers[i].bytes,
-                              exclusive_seconds);
-        }
-        persist_tracker();
+      if (!winner) {
+        log::warn("pipeline", "fragment ", sname, "/", real, "/", f.index,
+                  " missing or damaged on system ", f.system, "; replanning");
+        bad = f.system;
+        break;
       }
-      return true;
+      frags.push_back(std::move(*winner));
+      slowest = std::max(slowest, effective);
     }
-    problem.available[*bad_system] = false;
+    persist_health();
+    report.fetch_seconds += t.seconds();
+    return std::pair{std::move(frags), slowest};
+  };
+
+  // Stage: decode one landed level outside the lock, cache it, and stamp
+  // when it became decodable.
+  const auto decode_level = [&](u32 real, const std::vector<ec::Fragment>& frags,
+                                f64 landing) {
+    t.reset();
+    const std::vector<u8> level = codec_for(record, real).decode(frags, pool_);
+    const auto* p = reinterpret_cast<const std::byte*>(level.data());
+    payloads[real] = Bytes(p, p + level.size());
+    report.decode_seconds += t.seconds();
+    restore_cache_.put(name, record.generation, real, payloads[real]);
+    landed_at[real] = landing + report.backoff_seconds;
+  };
+
+  // Stage: fold a completed round's observed (simulated-WAN) per-transfer
+  // throughput into the tracker, so later plans adapt to bandwidth changes.
+  const auto observe = [&](const Round& r) {
+    const auto transfers = plan_transfers(r.sub, r.plan.systems_per_level);
+    std::vector<u32> load(n, 0);
+    for (const auto& tr : transfers) load[tr.system] += 1;
+    std::lock_guard<std::mutex> lock(io_mu_);
+    const auto obs_times = net::equal_share_times(transfers, cluster_.bandwidths());
+    for (std::size_t i = 0; i < transfers.size(); ++i) {
+      // Undo the contention share so the observation estimates the nominal
+      // endpoint bandwidth, not this plan's slice of it.
+      const f64 exclusive_seconds =
+          obs_times[i] / static_cast<f64>(load[transfers[i].system]);
+      if (exclusive_seconds > 0.0)
+        tracker().observe(transfers[i].system, transfers[i].bytes,
+                          exclusive_seconds);
+    }
+    persist_tracker();
+  };
+
+  // Rounds: plan what is left, then fetch and decode it level by level,
+  // ascending. A landed level is never refetched. A planned fragment that
+  // stays missing or damaged after retry and hedging ends the round: its
+  // system counts as down, exactly like one more concurrent outage, and the
+  // next round replans. Each replan marks one more system down, so at most
+  // n + 1 rounds run.
+  std::optional<f64> latest;  // latest landing over every level that landed
+  for (u32 round = 0; round <= n; ++round) {
+    // The levels still to fetch that tolerate the outages so far. m_j falls
+    // with j, so these are a prefix of the unlanded ones: the deeper levels
+    // a replan put out of reach are dropped, and the rest is still fetched.
+    u32 failed = 0;
+    for (const bool a : problem.available) failed += a ? 0 : 1;
+    std::vector<u32> rem;
+    for (const u32 j : levels)
+      if (!landed_at[j] && failed <= problem.m[j]) rem.push_back(j);
+    if (rem.empty()) break;
+
+    // The caller's rows predate any replan: only the first round may use them.
+    Round r = plan_round(rem, round == 0 ? preplanned : nullptr);
+    std::optional<u32> bad = r.unrecorded;
+    for (u32 j = 0; j < rem.size() && !bad; ++j) {
+      auto [frags, landing] = fetch_level(r, j, rem[j], bad);
+      if (bad) break;
+      decode_level(rem[j], frags, landing);
+      latest = std::max(latest.value_or(0.0), landing);
+    }
+    if (!bad) {
+      observe(r);
+      report.plan = std::move(r.plan);
+      break;
+    }
+    problem.available[*bad] = false;
     ++report.replans;
   }
-  // Replanning exhausted every system without converging; the caller holds
-  // the availability the loop degraded to and decides what is still possible.
-  log::warn("pipeline", "restore: replanning did not converge for ", name);
-  return false;
+  // Every landed level counts, whether or not its round completed.
+  if (latest) report.gather_latency = *latest + report.backoff_seconds;
 }
 
 std::shared_ptr<RefineSession> RapidsPipeline::begin_refine(
@@ -852,29 +816,17 @@ RestoreReport RapidsPipeline::advance(RefineSession& session, f64 rel_bound,
     }
   }
 
-  // fetch_levels caches each level the moment it decodes, so after every
-  // call the levels that landed count as cached, and a retry after a partial
-  // fetch only re-plans the levels still missing. The rung's
-  // time-to-first-level is the landing of its first new level; it stays 0
-  // when the cache served that level, even if deeper levels were fetched.
-  std::vector<std::optional<f64>> landed_at(nlevels);
-  u32 usable = 0;
-  for (;;) {
-    usable = std::min(target, recoverable_prefix(problem, cached));
-    if (usable <= session.cursor_) {
-      // Outages block any improvement. Hold the session's current state —
-      // degraded but monotone — rather than going backwards or throwing;
-      // with nothing materialized yet that is the documented degraded
-      // report (no data, the paper's e_0 = 1 penalty).
-      log::warn("pipeline", "object ", session.name_, " cannot improve past ",
-                session.cursor_, " levels under current outages");
-      return current_state(session.cursor_);
-    }
-    std::vector<u32> uncached;
-    for (u32 j = session.cursor_; j < usable; ++j)
-      if (!cached[j]) uncached.push_back(j);
-    if (uncached.empty()) break;
-
+  // One fetch_levels call for the uncached levels of the recoverable prefix.
+  // It caches each level the moment it decodes and drops the deeper levels a
+  // mid-fetch replan puts out of reach, so the rung serves the prefix up to
+  // the first level still not on hand. The rung's time-to-first-level is the
+  // landing of its first new level; it stays 0 when the cache served that
+  // level, even if deeper levels were fetched.
+  u32 usable = std::min(target, recoverable_prefix(problem, cached));
+  std::vector<u32> uncached;
+  for (u32 j = session.cursor_; j < usable; ++j)
+    if (!cached[j]) uncached.push_back(j);
+  if (!uncached.empty()) {
     // Reuse the session's ladder plan when it covers these levels and
     // neither availability nor the learned bandwidths drifted materially
     // since it was computed; otherwise plan the whole remaining ladder once
@@ -911,15 +863,8 @@ RestoreReport RapidsPipeline::advance(RefineSession& session, f64 rel_bound,
       std::vector<u32> ladder;
       for (u32 j = session.cursor_; j < reach; ++j)
         if (!cached[j]) ladder.push_back(j);
-      GatherProblem sub;
-      sub.n = problem.n;
-      sub.bandwidths = problem.bandwidths;
-      sub.available = problem.available;
-      for (const u32 j : ladder) {
-        sub.m.push_back(problem.m[j]);
-        sub.level_sizes.push_back(problem.level_sizes[j]);
-      }
-      GatherPlan ladder_plan = optimized_plan(sub, config_.aco);
+      GatherPlan ladder_plan =
+          optimized_plan(sub_problem(problem, ladder), config_.aco);
       report.planning_seconds += ladder_plan.planning_seconds;
       for (std::size_t i = 0; i < ladder.size(); ++i)
         session.planned_rows_[ladder[i]] =
@@ -930,25 +875,34 @@ RestoreReport RapidsPipeline::advance(RefineSession& session, f64 rel_bound,
     }
     report.plan_reused = have_pre;
 
-    const u32 replans_before = report.replans;
-    const bool fetched = fetch_levels(*record, session.name_, problem, uncached,
-                                      &pre, report, payloads, landed_at, opts);
+    std::vector<std::optional<f64>> landed_at(nlevels);
+    fetch_levels(*record, session.name_, problem, uncached, &pre, report,
+                 payloads, landed_at, opts);
     for (const u32 j : uncached) {
       if (!landed_at[j]) continue;
       cached[j] = true;
-      ++report.levels_streamed;
+      ++report.levels_fetched;
       if (j == session.cursor_) report.first_level_latency = *landed_at[j];
     }
-    if (fetched) {
-      if (report.replans != replans_before) {
-        // Availability moved mid-fetch; the remaining ladder rows are stale.
-        session.clear_plan();
-      } else {
-        for (const u32 j : uncached) session.planned_rows_.erase(j);
-      }
-      break;
+    if (report.replans > 0) {
+      // Availability moved mid-fetch; the remaining ladder rows are stale.
+      session.clear_plan();
+    } else {
+      for (const u32 j : uncached) session.planned_rows_.erase(j);
     }
-    session.clear_plan();  // prefix shrank; recompute next iteration
+    usable = static_cast<u32>(
+        std::find(cached.begin() + session.cursor_, cached.begin() + usable,
+                  false) -
+        cached.begin());
+  }
+  if (usable <= session.cursor_) {
+    // Outages block any improvement. Hold the session's current state —
+    // degraded but monotone — rather than going backwards or throwing; with
+    // nothing materialized yet that is the documented degraded report (no
+    // data, the paper's e_0 = 1 penalty).
+    log::warn("pipeline", "object ", session.name_, " cannot improve past ",
+              session.cursor_, " levels under current outages");
+    return current_state(session.cursor_);
   }
 
   // Grow the session's plane sets with the new levels only and decode just
@@ -1227,13 +1181,14 @@ Bytes RapidsPipeline::fetch_level_payload(const std::string& name, u32 level,
       storage::RestoreCache::Outcome::kHit)
     return hit;
 
-  // fetch_levels replans around bad systems until the level lands, so false
-  // means more than m_j systems are out: the level is gone for now.
+  // fetch_levels replans around bad systems until the level lands or more
+  // than m_j systems are out: then the level is gone for now.
   std::vector<Bytes> payloads(record->ft.size());
   std::vector<std::optional<f64>> landed_at(record->ft.size());
   RestoreReport report;
-  if (!fetch_levels(*record, name, problem, {level}, nullptr, report,
-                    payloads, landed_at))
+  fetch_levels(*record, name, problem, {level}, nullptr, report, payloads,
+               landed_at);
+  if (!landed_at[level])
     throw io_error("fetch_level: level " + std::to_string(level) + " of " +
                    name + " is not recoverable under current outages");
   if (wan_bytes != nullptr) *wan_bytes += report.bytes_transferred;

@@ -131,10 +131,12 @@ struct RestoreReport {
   std::vector<f32> data;        ///< reconstructed field (empty if nothing recoverable)
   u32 levels_used = 0;          ///< retrieval levels that survived the outage
   f64 rel_error_bound = 1.0;    ///< guaranteed bound for levels_used (1 = lost)
-  GatherPlan plan;              ///< chosen gathering plan
+  GatherPlan plan;              ///< plan of the last gather round that fetched
+                                ///< all its levels (empty when none did)
   f64 gather_latency = 0.0;     ///< simulated WAN latency actually observed
-                                ///< (stragglers, hedges, retry backoff folded
-                                ///< in; equals the plan latency when healthy)
+                                ///< over every level fetched (stragglers,
+                                ///< hedges, retry backoff folded in; equals
+                                ///< the plan latency when healthy)
   /// Simulated time until the first retrieval level the call needed was
   /// decodable: level 1 for a restore, the level past the session's cursor
   /// for a refine rung. 0 when that level came from the restore cache.
@@ -164,7 +166,7 @@ struct RestoreReport {
   /// this rung dropped everything the session held and restarted from
   /// level 0 rather than merge planes of two different payloads.
   bool session_restarted = false;
-  u32 levels_streamed = 0;      ///< levels this call fetched over the WAN
+  u32 levels_fetched = 0;       ///< levels this call fetched over the WAN
 };
 
 /// Per-call resource bounds for one restore/refine. `sim_budget_s` is the
@@ -504,19 +506,21 @@ class RapidsPipeline {
   void snapshot_problem(const std::string& name,
                         std::optional<ObjectRecord>& record,
                         GatherProblem& problem);
-  /// Plan, fetch, and erasure-decode the given retrieval levels (0-based,
-  /// ascending) into payloads[level], replanning internally around bad
-  /// systems (mutates problem.available, counts into report.replans).
-  /// Levels are fetched and decoded one at a time in ascending order; each
-  /// landed level goes into the restore cache and sets landed_at[level] to
-  /// the simulated time it became decodable (equal-share completion of its
-  /// slowest fragment, stragglers/hedges/backoff folded in). A landed level
-  /// survives later replans — a replan only covers the levels still in
-  /// flight. `preplanned`, when non-null, carries one row of serving systems
-  /// per requested level to reuse instead of planning. Returns false when
-  /// some still-unfetched requested level stopped being recoverable — the
-  /// caller decides how to degrade; landed levels are filled even then.
-  bool fetch_levels(const ObjectRecord& record, const std::string& name,
+  /// The restore engine's one replan loop: plan, fetch, and erasure-decode
+  /// the given retrieval levels (0-based, ascending) into payloads[level].
+  /// Each round plans the levels still to fetch, then fetches and decodes
+  /// them one at a time in ascending order; each landed level goes into the
+  /// restore cache and sets landed_at[level] (unset on entry) to the
+  /// simulated time it became decodable (equal-share completion of its
+  /// slowest fragment, stragglers/hedges/backoff folded in). A planned
+  /// fragment that stays missing or damaged marks its system down in
+  /// `problem` (counted in report.replans) and the next round replans the
+  /// rest, dropping the levels that no longer tolerate the outages. Since
+  /// m_j falls with j, the levels that land are a prefix of `levels`.
+  /// `preplanned`, when non-null, carries one row of serving systems per
+  /// requested level for the first round. report.gather_latency covers
+  /// every landed level; report.plan is the last completed round's plan.
+  void fetch_levels(const ObjectRecord& record, const std::string& name,
                     GatherProblem& problem, const std::vector<u32>& levels,
                     const solver::Selection* preplanned, RestoreReport& report,
                     std::vector<Bytes>& payloads,

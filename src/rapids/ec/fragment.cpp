@@ -7,6 +7,23 @@ namespace rapids::ec {
 namespace {
 constexpr u32 kFragmentMagic = 0x52464D47u;  // "RFMG"
 constexpr u16 kFragmentVersion = 1;
+
+/// Everything serialize() writes before the payload.
+Fragment read_header(ByteReader& r) {
+  if (r.get_u32() != kFragmentMagic) throw io_error("Fragment: bad magic");
+  const u16 version = r.get_u16();
+  if (version != kFragmentVersion)
+    throw io_error("Fragment: unsupported version " + std::to_string(version));
+  Fragment f;
+  f.id.object_name = r.get_string();
+  f.id.level = r.get_u32();
+  f.id.index = r.get_u32();
+  f.k = r.get_u32();
+  f.m = r.get_u32();
+  f.level_bytes = r.get_u64();
+  f.payload_crc = r.get_u32();
+  return f;
+}
 }  // namespace
 
 std::string FragmentId::key() const {
@@ -37,21 +54,18 @@ Bytes Fragment::serialize() const {
 
 Fragment Fragment::deserialize(std::span<const std::byte> data) {
   ByteReader r(data);
-  if (r.get_u32() != kFragmentMagic) throw io_error("Fragment: bad magic");
-  const u16 version = r.get_u16();
-  if (version != kFragmentVersion)
-    throw io_error("Fragment: unsupported version " + std::to_string(version));
-  Fragment f;
-  f.id.object_name = r.get_string();
-  f.id.level = r.get_u32();
-  f.id.index = r.get_u32();
-  f.k = r.get_u32();
-  f.m = r.get_u32();
-  f.level_bytes = r.get_u64();
-  f.payload_crc = r.get_u32();
+  Fragment f = read_header(r);
   auto body = r.get_bytes();
   f.payload.resize(body.size());
   std::memcpy(f.payload.data(), body.data(), body.size());
+  return f;
+}
+
+Fragment Fragment::deserialize_header(std::span<const std::byte> data,
+                                      u64& payload_bytes) {
+  ByteReader r(data);
+  Fragment f = read_header(r);
+  payload_bytes = r.get_u32();
   return f;
 }
 

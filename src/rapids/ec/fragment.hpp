@@ -50,6 +50,13 @@ struct Fragment {
   /// Parse a buffer produced by serialize(). Throws io_error on corruption
   /// (bad magic, truncation); CRC mismatches are reported via verify().
   static Fragment deserialize(std::span<const std::byte> data);
+
+  /// Parse only the header of a buffer produced by serialize(): the result
+  /// has an empty payload, and `payload_bytes` receives the payload length
+  /// the header declares, whether or not that many bytes follow. Throws
+  /// io_error when the header itself is damaged.
+  static Fragment deserialize_header(std::span<const std::byte> data,
+                                     u64& payload_bytes);
 };
 
 /// Compute `payload_crc` over a payload.

@@ -96,9 +96,6 @@ class ReedSolomon {
   Fragment reconstruct_fragment(std::span<const Fragment> survivors,
                                 u32 missing_index, ThreadPool* pool = nullptr) const;
 
-  /// The (k+m) x k encode matrix (top k rows = identity).
-  const Matrix& encode_matrix() const { return encode_matrix_; }
-
  private:
   std::vector<u8> decode_rows(std::span<const Fragment> fragments, u64* level_bytes,
                               ThreadPool* pool) const;

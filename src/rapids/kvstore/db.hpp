@@ -75,7 +75,6 @@ class Db {
 
   /// Introspection for tests.
   std::size_t num_runs() const { return runs_.size(); }
-  std::size_t memtable_size() const { return memtable_.size(); }
   const std::string& dir() const { return dir_; }
 
  private:

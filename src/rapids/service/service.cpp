@@ -90,11 +90,6 @@ u32 ObjectService::queue_depth() const {
   return sched_.depth();
 }
 
-u32 ObjectService::tenant_queue_depth(u32 tenant) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sched_.tenant_depth(tenant);
-}
-
 TenantStats ObjectService::tenant_stats(u32 tenant) const {
   std::lock_guard<std::mutex> lock(mu_);
   RAPIDS_REQUIRE(tenant < tenant_stats_.size());

@@ -140,7 +140,6 @@ class ObjectService {
   f64 backlog_s() const;
 
   u32 queue_depth() const;
-  u32 tenant_queue_depth(u32 tenant) const;
   TenantStats tenant_stats(u32 tenant) const;
   ServiceStats stats() const;
 

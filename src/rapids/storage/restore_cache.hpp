@@ -76,8 +76,6 @@ class RestoreCache {
   };
   Stats stats() const;
 
-  u64 byte_budget() const { return budget_; }
-
   /// Test hook: flip one bit of a cached payload in place (returns false if
   /// the entry is absent or empty). Lets chaos tests inject silent cache
   /// corruption without reaching into private state.

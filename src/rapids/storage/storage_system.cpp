@@ -45,37 +45,35 @@ void StorageSystem::put(const ec::Fragment& fragment) {
     // classic torn-write outcome.
     ec::Fragment torn = fragment;
     torn.payload.resize(fragment.payload.size() / 2);
-    used_bytes_ += torn.payload.size();
-    if (dir_.empty()) {
-      store_[key] = std::move(torn);
-    } else {
-      write_file(file_path(key), as_bytes_view(torn.serialize()));
-      ec::Fragment placeholder;
-      placeholder.id = fragment.id;
-      placeholder.k = fragment.k;
-      placeholder.m = fragment.m;
-      placeholder.level_bytes = fragment.level_bytes;
-      placeholder.payload_crc = fragment.payload_crc;
-      store_[key] = std::move(placeholder);
-      sizes_[key] = fragment.payload.size() / 2;
-    }
+    store_locked(torn);
     throw io_error("storage system " + name_ + ": torn write of " + key);
   }
+  store_locked(fragment);
+}
 
-  used_bytes_ += fragment.payload.size();
+void StorageSystem::store_locked(const ec::Fragment& fragment) {
+  const std::string key = fragment.id.key();
   if (dir_.empty()) {
+    used_bytes_ += fragment.payload.size();
     store_[key] = fragment;
-  } else {
-    write_file(file_path(key), as_bytes_view(fragment.serialize()));
-    ec::Fragment placeholder;
-    placeholder.id = fragment.id;
-    placeholder.k = fragment.k;
-    placeholder.m = fragment.m;
-    placeholder.level_bytes = fragment.level_bytes;
-    placeholder.payload_crc = fragment.payload_crc;
-    store_[key] = std::move(placeholder);
-    sizes_[key] = fragment.payload.size();
+    return;
   }
+  write_file(file_path(key), as_bytes_view(fragment.serialize()));
+  index_locked(fragment, fragment.payload.size());
+}
+
+void StorageSystem::index_locked(const ec::Fragment& header,
+                                 u64 payload_bytes) {
+  ec::Fragment entry;
+  entry.id = header.id;
+  entry.k = header.k;
+  entry.m = header.m;
+  entry.level_bytes = header.level_bytes;
+  entry.payload_crc = header.payload_crc;
+  const std::string key = entry.id.key();
+  store_[key] = std::move(entry);
+  sizes_[key] = payload_bytes;
+  used_bytes_ += payload_bytes;
 }
 
 std::optional<ec::Fragment> StorageSystem::get(const std::string& key) const {
@@ -159,6 +157,22 @@ void StorageSystem::attach_directory(const std::string& dir) {
   RAPIDS_REQUIRE_MSG(store_.empty(), "attach_directory: store must be empty");
   std::filesystem::create_directories(dir);
   dir_ = dir;
+  // Index the fragments already stored here (by an earlier process) from
+  // their headers; nothing is rewritten. A file whose header does not parse,
+  // or whose name is not its header's key, is left out and reads as missing.
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (!entry.is_regular_file() || entry.path().extension() != ".frag")
+      continue;
+    try {
+      u64 payload_bytes = 0;
+      const ec::Fragment header = ec::Fragment::deserialize_header(
+          as_bytes_view(read_file(entry.path().string())), payload_bytes);
+      if (std::filesystem::path(file_path(header.id.key())).filename() ==
+          entry.path().filename())
+        index_locked(header, payload_bytes);
+    } catch (const io_error&) {
+    }
+  }
 }
 
 void StorageSystem::attach_fault_profile(std::shared_ptr<FaultProfile> profile) {

@@ -88,7 +88,10 @@ class StorageSystem {
   /// Number of stored fragments.
   u64 fragment_count() const;
 
-  /// Spill fragments to `dir` (created if needed) instead of RAM.
+  /// Spill fragments to `dir` (created if needed) instead of RAM. Fragment
+  /// files already in `dir` are indexed from their headers, so a directory
+  /// reopened by a later process serves what an earlier one stored; a file
+  /// whose header does not parse reads as missing.
   void attach_directory(const std::string& dir);
 
   /// Attach (or with nullptr, detach) a scripted fault profile. The profile
@@ -105,6 +108,12 @@ class StorageSystem {
  private:
   std::string file_path(const std::string& key) const;
   void erase_locked(const std::string& key);
+  /// Store `fragment` under its key: in memory, or written to its file with
+  /// only its header indexed.
+  void store_locked(const ec::Fragment& fragment);
+  /// Directory mode: index a fragment on disk by the header fields of
+  /// `header` (its payload is ignored) and count `payload_bytes` as used.
+  void index_locked(const ec::Fragment& header, u64 payload_bytes);
 
   u32 id_;
   std::string name_;

@@ -2,7 +2,7 @@
 
 /// \file logging.hpp
 /// Minimal leveled logger. Thread-safe, writes to stderr, level settable at
-/// runtime (RAPIDS_LOG_LEVEL environment variable or set_log_level()).
+/// runtime (RAPIDS_LOG_LEVEL environment variable or set_level()).
 
 #include <sstream>
 #include <string>

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <thread>
 
@@ -276,6 +277,52 @@ TEST(Chaos, ReplanningExhaustionReturnsDegradedReport) {
   expect_bound_holds(healed, field);
 }
 
+TEST(Chaos, TrimmedGatherReportsTheLevelsItFetched) {
+  // With ft.back() systems down every level is still recoverable, but the
+  // deepest one needs every available system. Erasing one holder's
+  // deepest-level fragment makes the replan drop that level after the
+  // shallower ones have landed: the restore serves those, and its latency
+  // and bytes are theirs.
+  World w("trim", chaos_config());
+  const Dims dims{17, 17, 9};
+  const auto field = data::nyx_temperature(dims, 7);
+  const auto prep = w.pipeline->prepare(field, dims, "t");
+  const FtConfig& ft = prep.record.ft;
+  const u32 deepest = static_cast<u32>(ft.size()) - 1;
+  std::vector<u32> down;
+  for (u32 i = 0; i < ft.back(); ++i) down.push_back(i);
+  storage::fail_exactly(w.cluster, down);
+  const u32 holder = ft.back();  // the lowest available system
+  w.cluster.system(holder).erase(
+      ec::FragmentId{"t", deepest,
+                     storage::fragment_at(w.cluster.size(), deepest, holder)}
+          .key());
+
+  const auto report = w.pipeline->restore("t");
+  EXPECT_EQ(report.levels_used, deepest);
+  EXPECT_EQ(report.replans, 1u);
+  std::vector<Bytes> payloads;
+  for (u32 j = 0; j < deepest; ++j)
+    payloads.push_back(prep.record.meta.levels[j].payload);
+  const auto want = mgard::Refactorer(chaos_config().refactor)
+                        .reconstruct(prep.record.meta, payloads);
+  ASSERT_EQ(report.data.size(), want.size());
+  EXPECT_EQ(std::memcmp(report.data.data(), want.data(),
+                        want.size() * sizeof(f32)),
+            0);
+  EXPECT_EQ(report.levels_fetched, deepest);
+  EXPECT_GT(report.bytes_transferred, 0u);
+  EXPECT_GT(report.gather_latency, 0.0);
+  EXPECT_GT(report.first_level_latency, 0.0);
+  EXPECT_LE(report.first_level_latency, report.gather_latency);
+  // No round completed, so there is no last completed plan.
+  EXPECT_TRUE(report.plan.systems_per_level.empty());
+
+  EXPECT_THROW(w.pipeline->fetch_level_payload("t", deepest), io_error);
+  EXPECT_EQ(w.pipeline->fetch_level_payload("t", deepest - 1),
+            prep.record.meta.levels[deepest - 1].payload);
+}
+
 TEST(Chaos, HedgedReadsCutStragglerLatency) {
   // One permanently slow endpoint (25x). Its planned transfers are hedged
   // to an unplanned sibling-fragment holder, so the observed gather latency
@@ -317,31 +364,38 @@ TEST(Chaos, HedgedReadsCutStragglerLatency) {
 }
 
 TEST(Chaos, PersistentPutFailureRelocatesFragments) {
-  // A system that rejects every put: prepare must succeed anyway by
-  // re-placing its fragments on the least-loaded healthy systems, and the
-  // metadata must point at where they actually landed.
-  World w("relocate", chaos_config());
-  storage::FaultInjector injector;
-  storage::FaultSpec spec;
-  spec.put_fail_prob = 1.0;
-  injector.set_spec(5, spec);
-  injector.install(w.cluster);
+  // A system that rejects every put exhausts each fragment's retries there:
+  // prepare must succeed anyway by re-placing its fragments on the
+  // least-loaded healthy systems, and the metadata must point at where they
+  // actually landed. The pooled pass does so while later levels are still
+  // encoding.
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const std::string tag = p == nullptr ? "relocate" : "relocate_pooled";
+    SCOPED_TRACE(tag);
+    World w(tag, chaos_config(), p);
+    storage::FaultInjector injector;
+    storage::FaultSpec spec;
+    spec.put_fail_prob = 1.0;
+    injector.set_spec(5, spec);
+    injector.install(w.cluster);
 
-  const Dims dims{17, 17, 9};
-  const auto field = data::nyx_velocity(dims, 9);
-  const auto prep = w.pipeline->prepare(field, dims, "reloc");
-  EXPECT_GT(prep.relocations, 0u);
-  EXPECT_GT(prep.put_retries, 0u);
-  EXPECT_EQ(w.cluster.system(5).fragment_count(), 0u);
-  // Full fragment complement landed elsewhere.
-  u64 total = 0;
-  for (u32 s = 0; s < w.cluster.size(); ++s)
-    total += w.cluster.system(s).fragment_count();
-  EXPECT_EQ(total, prep.fragments_stored);
+    const Dims dims{17, 17, 9};
+    const auto field = data::nyx_velocity(dims, p == nullptr ? 9 : 12);
+    const auto prep = w.pipeline->prepare(field, dims, "reloc");
+    EXPECT_GT(prep.relocations, 0u);
+    EXPECT_GT(prep.put_retries, 0u);
+    EXPECT_EQ(w.cluster.system(5).fragment_count(), 0u);
+    // Full fragment complement landed elsewhere.
+    u64 total = 0;
+    for (u32 s = 0; s < w.cluster.size(); ++s)
+      total += w.cluster.system(s).fragment_count();
+    EXPECT_EQ(total, prep.fragments_stored);
 
-  const auto report = w.pipeline->restore("reloc");
-  EXPECT_EQ(report.levels_used, static_cast<u32>(prep.record.ft.size()));
-  expect_bound_holds(report, field);
+    const auto report = w.pipeline->restore("reloc");
+    EXPECT_EQ(report.levels_used, static_cast<u32>(prep.record.ft.size()));
+    expect_bound_holds(report, field);
+  }
 }
 
 TEST(Chaos, CircuitBreakerShieldsFlakySystem) {
@@ -413,35 +467,6 @@ TEST(Chaos, StreamingPrepareBoundsHoldUnderTransientPutFaults) {
     EXPECT_EQ(report.levels_used, static_cast<u32>(prep.record.ft.size()));
     expect_bound_holds(report, field);
   }
-}
-
-TEST(Chaos, StreamingPrepareRelocatesAndFallsBackMidStream) {
-  // A system that rejects every put exhausts each fragment's retries there:
-  // the breaker-backed relocation re-places the fragments, and the metadata
-  // points at where they actually landed — all while later levels are still
-  // encoding.
-  ThreadPool pool(4);
-  World w("stream_reloc", chaos_config(), &pool);
-  storage::FaultInjector injector;
-  storage::FaultSpec spec;
-  spec.put_fail_prob = 1.0;
-  injector.set_spec(5, spec);
-  injector.install(w.cluster);
-
-  const Dims dims{17, 17, 9};
-  const auto field = data::nyx_velocity(dims, 12);
-  const auto prep = w.pipeline->prepare(field, dims, "sr");
-  EXPECT_GT(prep.relocations, 0u);
-  EXPECT_GT(prep.put_retries, 0u);
-  EXPECT_EQ(w.cluster.system(5).fragment_count(), 0u);
-  u64 total = 0;
-  for (u32 s = 0; s < w.cluster.size(); ++s)
-    total += w.cluster.system(s).fragment_count();
-  EXPECT_EQ(total, prep.fragments_stored);
-
-  const auto report = w.pipeline->restore("sr");
-  EXPECT_EQ(report.levels_used, static_cast<u32>(prep.record.ft.size()));
-  expect_bound_holds(report, field);
 }
 
 TEST(Chaos, StreamingPrepareDeterministicUnderFaultsWithPool) {

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstring>
 #include <filesystem>
+#include <map>
 
 #include "rapids/core/baselines.hpp"
 #include "rapids/core/pipeline.hpp"
@@ -126,6 +129,53 @@ TEST_F(IntegrationTest, DirectoryBackedClusterEndToEnd) {
   u64 files = 0;
   for (const auto& e : fs::recursive_directory_iterator(dir_ + "/sys0")) files += e.is_regular_file();
   EXPECT_EQ(files, 4u);
+}
+
+TEST_F(IntegrationTest, ReopenedDirectoryWorkspaceRestoresWithoutRewriting) {
+  // A later process reopens a directory-backed workspace: a fresh Db and
+  // Cluster on the same directories serve the prepared object bit for bit,
+  // and reopening and restoring leave every fragment file as it was.
+  const auto attach = [this] {
+    for (u32 i = 0; i < cluster_->size(); ++i)
+      cluster_->system(i).attach_directory(dir_ + "/sys" + std::to_string(i));
+  };
+  const Dims dims{33, 17, 9};
+  const auto field = data::scale_pressure(dims, 3);
+  std::vector<f32> first;
+  {
+    attach();
+    RapidsPipeline pipeline(*cluster_, *db_, config());
+    pipeline.prepare(field, dims, "disk");
+    first = pipeline.restore("disk").data;
+  }
+  db_.reset();
+  cluster_.reset();
+
+  // Back-date every fragment file, so any rewrite shows in its mtime.
+  const auto past = fs::file_time_type::clock::now() - std::chrono::hours(1);
+  std::map<std::string, Bytes> files;
+  for (const auto& e : fs::recursive_directory_iterator(dir_)) {
+    if (e.path().extension() != ".frag") continue;
+    fs::last_write_time(e.path(), past);
+    files[e.path().string()] = read_file(e.path().string());
+  }
+  ASSERT_EQ(files.size(), 16u * 4u);
+
+  cluster_ = std::make_unique<storage::Cluster>(
+      storage::ClusterConfig{16, 0.01, 2024});
+  db_ = kv::Db::open(dir_ + "/db");
+  attach();
+  RapidsPipeline pipeline(*cluster_, *db_, config());
+  const auto rest = pipeline.restore("disk");
+  EXPECT_EQ(rest.levels_used, 4u);
+  ASSERT_EQ(rest.data.size(), first.size());
+  EXPECT_EQ(std::memcmp(rest.data.data(), first.data(),
+                        first.size() * sizeof(f32)),
+            0);
+  for (const auto& [path, bytes] : files) {
+    EXPECT_EQ(read_file(path), bytes) << path;
+    EXPECT_EQ(fs::last_write_time(path), past) << path;
+  }
 }
 
 TEST_F(IntegrationTest, RapidsBeatsBaselinesOnOverheadAtComparableQuality) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <thread>
 
@@ -92,6 +93,47 @@ TEST(StorageSystem, DirectorySpillRoundTrip) {
   EXPECT_EQ(sys.used_bytes(), 333u);
   sys.erase(frag.id.key());
   EXPECT_EQ(sys.used_bytes(), 0u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(StorageSystem, AttachIndexesTheFragmentFilesAlreadyThere) {
+  // A second system on the same directory indexes what the first stored,
+  // from each file's header: a payload cut short reads as damaged, and a
+  // file whose header does not parse is left out and reads as missing.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "rapids_store_reattach";
+  std::filesystem::remove_all(dir);
+  const auto whole = make_fragment("obj/a", 0, 1, 300);
+  const auto cut = make_fragment("obj/a", 0, 2, 300);
+  const auto garbled = make_fragment("obj/a", 0, 3, 300);
+  {
+    StorageSystem first(0, "s0", 1e9, 0.01);
+    first.attach_directory(dir.string());
+    for (const auto* f : {&whole, &cut, &garbled}) first.put(*f);
+  }
+  const auto file = [&dir](const ec::Fragment& f) {
+    return dir / ("frag_obj_a_0_" + std::to_string(f.id.index) + ".frag");
+  };
+  std::filesystem::resize_file(file(cut),
+                               std::filesystem::file_size(file(cut)) - 10);
+  std::FILE* fp = std::fopen(file(garbled).c_str(), "r+b");
+  ASSERT_NE(fp, nullptr);
+  std::fputc(0, fp);  // the first byte of the magic
+  std::fclose(fp);
+
+  StorageSystem second(0, "s0", 1e9, 0.01);
+  second.attach_directory(dir.string());
+  EXPECT_EQ(second.fragment_count(), 2u);
+  EXPECT_EQ(second.used_bytes(), 600u);
+  const auto back = second.get(whole.id.key());
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->payload, whole.payload);
+  EXPECT_TRUE(back->verify());
+  const auto damaged = second.get(cut.id.key());
+  ASSERT_TRUE(damaged.has_value());
+  EXPECT_FALSE(damaged->verify());
+  EXPECT_FALSE(second.has(garbled.id.key()));
+  EXPECT_FALSE(second.get(garbled.id.key()).has_value());
   std::filesystem::remove_all(dir);
 }
 

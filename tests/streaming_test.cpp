@@ -243,7 +243,7 @@ TEST(StreamingRestore, StreamsLevelsAndCutsTimeToFirstByte) {
 
   const auto first = pipeline.restore("nt");
   EXPECT_EQ(first.levels_used, 4u);
-  EXPECT_EQ(first.levels_streamed, 4u);  // nothing cached: all fetched
+  EXPECT_EQ(first.levels_fetched, 4u);  // nothing cached: all fetched
   // Level 1 is decodable as soon as its own (small) fragments land — long
   // before the full gather completes.
   EXPECT_GT(first.first_level_latency, 0.0);
@@ -255,7 +255,7 @@ TEST(StreamingRestore, StreamsLevelsAndCutsTimeToFirstByte) {
   // approximation needs no WAN wait at all.
   const auto second = pipeline.restore("nt");
   EXPECT_EQ(second.cache_hits, 4u);
-  EXPECT_EQ(second.levels_streamed, 0u);
+  EXPECT_EQ(second.levels_fetched, 0u);
   EXPECT_DOUBLE_EQ(second.first_level_latency, 0.0);
   EXPECT_TRUE(same_floats(first.data, second.data));
 }
@@ -300,7 +300,7 @@ TEST(StreamingPrepare, BatchMatchesStagedSerialLoop) {
         batch, reference_prepare(cfg, fields[i], dims, names[i]), names[i]);
 }
 
-TEST(StreamingRefine, DeliversLevelsThroughTheSink) {
+TEST(StreamingRefine, RungsFetchLevelsAndTheDeepestHoldsItsBound) {
   ThreadPool pool(4);
   Env env("refine");
   RapidsPipeline pipeline(*env.cluster, *env.db, fast_config(), &pool);
@@ -310,7 +310,7 @@ TEST(StreamingRefine, DeliversLevelsThroughTheSink) {
 
   auto session = pipeline.begin_refine("nv");
   const auto first = pipeline.refine(*session, 1e-3);
-  EXPECT_GT(first.levels_streamed, 0u);
+  EXPECT_GT(first.levels_fetched, 0u);
   EXPECT_GT(first.first_level_latency, 0.0);
   const auto rest = pipeline.refine(*session, 0.0);  // to the deepest level
   EXPECT_EQ(rest.levels_used, static_cast<u32>(prep.record.ft.size()));
