@@ -274,8 +274,8 @@ int cmd_info(int argc, char** argv) {
   core::RapidsPipeline pipeline(*ws.cluster, *ws.db, config);
   if (argc == 3) {
     std::printf("objects in workspace %s:\n", argv[2]);
-    for (const auto& [key, value] : ws.db->scan_prefix("obj/"))
-      std::printf("  %s\n", key.substr(4).c_str());
+    for (const auto& name : pipeline.list_objects())
+      std::printf("  %s\n", name.c_str());
     return 0;
   }
   const auto record = pipeline.lookup(argv[3]);
@@ -316,14 +316,14 @@ int cmd_status(int argc, char** argv) {
   core::PipelineConfig config;
   core::RapidsPipeline pipeline(*ws.cluster, *ws.db, config);
 
-  // Failure/trial counters persist with the workspace ("net/system_health"),
-  // so the probability estimates reflect the workspace's whole history;
-  // breaker state is in-process, so a fresh CLI run reports closed breakers
-  // even for systems that were open when the last process exited. The
-  // journal below is durable and lists every migration ever run here.
+  // Failure/trial counters and breaker states persist with the workspace
+  // ("net/system_health"), so the probability estimates reflect the
+  // workspace's whole history and a breaker the last process left open
+  // still reads open here. The journal below is durable and lists every
+  // migration ever run here.
   const auto states = pipeline.breaker_states();
   const auto probs = pipeline.failure_prob_estimates();
-  const auto bw = pipeline.snapshot_bandwidths();
+  const auto bw = pipeline.bandwidth_estimates();
   std::printf("systems (%zu):\n", states.size());
   for (std::size_t s = 0; s < states.size(); ++s) {
     const char* state =
@@ -335,7 +335,7 @@ int cmd_status(int argc, char** argv) {
                 s, state, probs[s], bw[s] / 1e6);
   }
 
-  const auto names = pipeline.snapshot_object_names();
+  const auto names = pipeline.list_objects();
   std::printf("objects (%zu):\n", names.size());
   for (const auto& name : names) {
     const auto record = pipeline.snapshot_record(name);
@@ -430,18 +430,15 @@ int cmd_serve(int argc, char** argv) {
   }
 
   auto ws = open_workspace(wsdir);
-  std::vector<std::string> names;
-  for (const auto& [key, value] : ws.db->scan_prefix("obj/"))
-    names.push_back(key.substr(4));
-  if (names.empty()) {
-    std::fprintf(stderr, "no objects in workspace; run `prepare` first\n");
-    return 1;
-  }
-
   ThreadPool pool;
   core::PipelineConfig config;
   config.aco.time_budget_seconds = 0.5;
   core::RapidsPipeline pipeline(*ws.cluster, *ws.db, config, &pool);
+  const std::vector<std::string> names = pipeline.list_objects();
+  if (names.empty()) {
+    std::fprintf(stderr, "no objects in workspace; run `prepare` first\n");
+    return 1;
+  }
 
   service::ServiceOptions opts;
   opts.tenant_weights.assign(tenants, 1.0);
@@ -451,7 +448,7 @@ int cmd_serve(int argc, char** argv) {
 
   // Size the offered load from the same cost model the service charges:
   // capacity ~= lanes / mean request seconds.
-  const auto bw = pipeline.snapshot_bandwidths();
+  const auto bw = pipeline.bandwidth_estimates();
   f64 rate = 0.0;
   for (const f64 b : bw) rate += b;
   rate /= static_cast<f64>(bw.size());

@@ -33,7 +33,7 @@ Controller::Controller(core::RapidsPipeline& pipeline, ControlOptions options)
   // The journal lives in the pipeline's own KV store; constructing it under
   // the metadata lock serializes its recovery scan with foreground traffic.
   pipeline_.with_metadata_lock([&](kv::Db& db) { journal_.emplace(db); });
-  bandwidth_baseline_ = pipeline_.snapshot_bandwidths();
+  bandwidth_baseline_ = pipeline_.bandwidth_estimates();
   pipeline_.set_health_transition_callback(
       [this](u32 system, storage::HealthTransition transition) {
         // Fires while the pipeline holds its I/O lock: enqueue under the
@@ -127,7 +127,7 @@ std::vector<MigrationRecord> Controller::journal_scan() {
 }
 
 void Controller::mark_all_dirty() {
-  for (auto& name : pipeline_.snapshot_object_names())
+  for (auto& name : pipeline_.list_objects())
     dirty_.insert(std::move(name));
 }
 
@@ -146,7 +146,7 @@ void Controller::drain_health_events() {
         !repair_queued_.contains(ev.system)) {
       repair_queued_.insert(ev.system);
       repair_queue_.push_back(ev.system);
-      auto names = pipeline_.snapshot_object_names();
+      auto names = pipeline_.list_objects();
       // pop_back() drains the list, so store it descending to evacuate in
       // ascending (deterministic) name order.
       std::sort(names.rbegin(), names.rend());
@@ -158,7 +158,7 @@ void Controller::drain_health_events() {
 }
 
 void Controller::poll_bandwidth_drift() {
-  const auto bw = pipeline_.snapshot_bandwidths();
+  const auto bw = pipeline_.bandwidth_estimates();
   if (bw.size() != bandwidth_baseline_.size()) {
     bandwidth_baseline_ = bw;
     return;

@@ -79,81 +79,4 @@ std::optional<std::vector<net::Transfer>> ec_restore_plan(
   return out;
 }
 
-DuplicationBaseline::DuplicationBaseline(storage::Cluster& cluster, u32 replicas)
-    : cluster_(cluster), replicas_(replicas) {
-  RAPIDS_REQUIRE(replicas >= 1 && replicas <= cluster.size());
-}
-
-std::vector<u32> DuplicationBaseline::store(const std::string& name,
-                                            std::span<const u8> bytes) {
-  const auto ranked = ranked_by_bandwidth(cluster_.bandwidths());
-  std::vector<u32> holders(ranked.begin(), ranked.begin() + replicas_);
-  for (u32 c = 0; c < replicas_; ++c) {
-    ec::Fragment copy;
-    copy.id = ec::FragmentId{name, 0, c};
-    copy.k = 1;
-    copy.m = 0;
-    copy.level_bytes = bytes.size();
-    copy.payload.assign(bytes.begin(), bytes.end());
-    copy.payload_crc = ec::fragment_crc(copy.payload);
-    cluster_.system(holders[c]).put(copy);
-  }
-  holders_[name] = holders;
-  return holders;
-}
-
-std::optional<std::vector<u8>> DuplicationBaseline::fetch(
-    const std::string& name) const {
-  auto it = holders_.find(name);
-  RAPIDS_REQUIRE_MSG(it != holders_.end(), "DP fetch: unknown object " + name);
-  // Fastest available holder first.
-  std::vector<u32> holders = it->second;
-  const auto bw = cluster_.bandwidths();
-  std::sort(holders.begin(), holders.end(), [&](u32 a, u32 b) {
-    if (bw[a] != bw[b]) return bw[a] > bw[b];
-    return a < b;
-  });
-  for (u32 c = 0; c < holders.size(); ++c) {
-    const auto& sys = cluster_.system(holders[c]);
-    if (!sys.available()) continue;
-    for (u32 idx = 0; idx < replicas_; ++idx) {
-      const auto frag = sys.get(ec::FragmentId{name, 0, idx}.key());
-      if (frag && frag->verify()) return frag->payload;
-    }
-  }
-  return std::nullopt;
-}
-
-EcBaseline::EcBaseline(storage::Cluster& cluster, u32 k, u32 m,
-                       ec::MatrixKind kind, ThreadPool* pool)
-    : cluster_(cluster), rs_(k, m, kind), pool_(pool) {
-  RAPIDS_REQUIRE_MSG(k + m <= cluster.size(),
-                     "EC baseline: cluster too small for k+m fragments");
-}
-
-void EcBaseline::store(const std::string& name, std::span<const u8> bytes) {
-  auto frags = rs_.encode(bytes, name, 0, pool_);
-  for (u32 i = 0; i < frags.size(); ++i) cluster_.system(i).put(frags[i]);
-}
-
-std::optional<std::vector<u8>> EcBaseline::fetch(const std::string& name) const {
-  const auto bw = cluster_.bandwidths();
-  std::vector<u32> up;
-  for (u32 i = 0; i < rs_.n(); ++i)
-    if (cluster_.system(i).available()) up.push_back(i);
-  if (up.size() < rs_.k()) return std::nullopt;
-  std::sort(up.begin(), up.end(), [&](u32 a, u32 b) {
-    if (bw[a] != bw[b]) return bw[a] > bw[b];
-    return a < b;
-  });
-  std::vector<ec::Fragment> frags;
-  for (u32 i : up) {
-    if (frags.size() == rs_.k()) break;
-    const auto frag = cluster_.system(i).get(ec::FragmentId{name, 0, i}.key());
-    if (frag) frags.push_back(*frag);
-  }
-  if (frags.size() < rs_.k()) return std::nullopt;
-  return rs_.decode(frags, pool_);
-}
-
 }  // namespace rapids::core

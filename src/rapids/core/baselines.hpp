@@ -3,27 +3,19 @@
 /// \file baselines.hpp
 /// The two comparison methods of the paper's evaluation: data duplication
 /// (DP) and regular erasure coding (EC) applied uniformly to the whole
-/// object. Provides both pure planning helpers (transfer plans and overhead
-/// math for the benches) and real byte-moving pipelines against the storage
-/// cluster (for integration tests and examples).
+/// object, as pure planning helpers: the transfer plans the benches and the
+/// integration tests price against RAPIDS, plus the RF+EC distribution plan
+/// prepare() reports.
 
 #include <optional>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "rapids/core/availability.hpp"
-#include "rapids/ec/reed_solomon.hpp"
 #include "rapids/net/transfer_sim.hpp"
-#include "rapids/storage/cluster.hpp"
 #include "rapids/util/common.hpp"
 
-namespace rapids {
-class ThreadPool;
-}
-
 namespace rapids::core {
-
-/// --- Planning helpers (no data movement) --- ///
 
 /// DP distribution: `extra_copies` full copies, each to a distinct remote
 /// system, always targeting the highest-bandwidth systems (paper Fig. 3).
@@ -51,47 +43,5 @@ std::optional<std::vector<net::Transfer>> dp_restore_plan(
 std::optional<std::vector<net::Transfer>> ec_restore_plan(
     u64 object_bytes, u32 k, u32 m, std::span<const f64> bandwidths,
     const std::vector<bool>& available);
-
-/// --- Real byte-moving baselines over the cluster --- ///
-
-/// Data-duplication pipeline: stores full copies as k=1 "fragments".
-class DuplicationBaseline {
- public:
-  /// Copies land on the `replicas` highest-bandwidth systems.
-  DuplicationBaseline(storage::Cluster& cluster, u32 replicas);
-
-  /// Store `bytes` under `name`. Returns the replica holder system ids.
-  std::vector<u32> store(const std::string& name, std::span<const u8> bytes);
-
-  /// Fetch from the fastest available holder; nullopt if none is reachable.
-  std::optional<std::vector<u8>> fetch(const std::string& name) const;
-
- private:
-  storage::Cluster& cluster_;
-  u32 replicas_;
-  std::map<std::string, std::vector<u32>> holders_;
-};
-
-/// Regular erasure-coding pipeline: RS(k, m) over the whole object.
-class EcBaseline {
- public:
-  EcBaseline(storage::Cluster& cluster, u32 k, u32 m,
-             ec::MatrixKind kind = ec::MatrixKind::kVandermonde,
-             ThreadPool* pool = nullptr);
-
-  /// Encode and place one fragment per system (0..k+m-1).
-  void store(const std::string& name, std::span<const u8> bytes);
-
-  /// Gather any k available fragments (fastest holders first) and decode;
-  /// nullopt if fewer than k systems are up.
-  std::optional<std::vector<u8>> fetch(const std::string& name) const;
-
-  const ec::ReedSolomon& codec() const { return rs_; }
-
- private:
-  storage::Cluster& cluster_;
-  ec::ReedSolomon rs_;
-  ThreadPool* pool_;
-};
 
 }  // namespace rapids::core

@@ -33,7 +33,40 @@ constexpr f64 kPlanReuseBwTolerance = 0.25;
 /// targets the object's deepest level: what restore() asks for.
 constexpr f64 kDeepestLevel = -1.0;
 
+/// Metadata-store keys: one record per object, plus the two learned-state
+/// records the planner and the breakers read.
 std::string object_key(const std::string& name) { return "obj/" + name; }
+constexpr char kTrackerKey[] = "net/bandwidth_tracker";
+constexpr char kHealthKey[] = "net/system_health";
+
+std::string to_value(const Bytes& bytes) {
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+
+/// The one load rule for the learned-state records: a stored record that
+/// does not parse, or that covers another number of systems, is replaced by
+/// `fallback`, as is a missing one.
+template <typename State>
+State load_state(kv::Db& db, const std::string& key, u32 systems,
+                 State fallback) {
+  if (const auto raw = db.get(key)) {
+    try {
+      State stored =
+          State::deserialize(as_bytes_view(std::span<const char>(*raw)));
+      if (stored.size() == systems) return stored;
+    } catch (const io_error&) {
+      // Damaged: start over from the fallback.
+    }
+  }
+  return fallback;
+}
+
+/// Persist a learned-state record; a record never loaded is left as stored.
+template <typename State>
+void save_state(kv::Db& db, const std::string& key,
+                const std::optional<State>& state) {
+  if (state) db.put(key, to_value(state->serialize()));
+}
 
 std::span<const u8> payload_u8(const Bytes& payload) {
   return {reinterpret_cast<const u8*>(payload.data()), payload.size()};
@@ -152,7 +185,7 @@ void RapidsPipeline::store_level_locked(const std::string& name, u32 level,
                                         const std::vector<ec::Fragment>& frags,
                                         StoreStats& stats) {
   const u32 n = cluster_.size();
-  std::vector<std::pair<std::string, std::string>> locations;
+  std::vector<kv::WalRecord> locations;
   locations.reserve(frags.size());
   for (u32 idx = 0; idx < frags.size(); ++idx) {
     const ec::Fragment& frag = frags[idx];
@@ -191,11 +224,12 @@ void RapidsPipeline::store_level_locked(const std::string& name, u32 level,
     if (!stored)
       throw io_error("prepare: no storage system accepted fragment " +
                      frag.id.key());
-    locations.emplace_back(frag.id.key(), std::to_string(target));
+    locations.push_back(
+        {kv::WalOp::kPut, frag.id.key(), std::to_string(target)});
     ++stats.fragments_stored;
     stats.transfers.push_back(net::Transfer{target, frag.payload.size()});
   }
-  db_.put_batch(locations);
+  db_.write(locations);
 }
 
 PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
@@ -284,15 +318,12 @@ PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
     std::lock_guard<std::mutex> lock(io_mu_);
     const auto prior = lookup(name);
     if (prior) record.epoch = prior->epoch + 1;
-    const Bytes record_bytes = record.serialize();
-    db_.put(object_key(name),
-            std::string(reinterpret_cast<const char*>(record_bytes.data()),
-                        record_bytes.size()));
+    write_record(name, record);
     // Re-preparing a migrated object rewinds it to generation 0; its old
     // generation's fragments are garbage now.
     if (prior && prior->generation > 0)
       gc_generation_locked(name, prior->generation);
-    persist_health();
+    save_state(db_, kHealthKey, health_);
   }
   restore_cache_.invalidate(name);
 
@@ -314,8 +345,15 @@ PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
 std::optional<ObjectRecord> RapidsPipeline::lookup(const std::string& name) const {
   const auto raw = db_.get(object_key(name));
   if (!raw) return std::nullopt;
-  return ObjectRecord::deserialize(
-      {reinterpret_cast<const std::byte*>(raw->data()), raw->size()});
+  return ObjectRecord::deserialize(as_bytes_view(std::span<const char>(*raw)));
+}
+
+void RapidsPipeline::write_record(const std::string& name,
+                                  const ObjectRecord& record,
+                                  std::vector<kv::WalRecord> batch) {
+  batch.push_back(
+      {kv::WalOp::kPut, object_key(name), to_value(record.serialize())});
+  db_.write(batch);
 }
 
 std::map<u32, u32> RapidsPipeline::fragment_locations(const std::string& name,
@@ -333,48 +371,17 @@ std::map<u32, u32> RapidsPipeline::fragment_locations(const std::string& name,
 }
 
 net::BandwidthTracker& RapidsPipeline::tracker() {
-  if (!tracker_) {
-    const auto raw = db_.get("net/bandwidth_tracker");
-    if (raw && raw->size() > 0) {
-      tracker_ = net::BandwidthTracker::deserialize(
-          {reinterpret_cast<const std::byte*>(raw->data()), raw->size()});
-      if (tracker_->size() != cluster_.size()) tracker_.reset();
-    }
-    if (!tracker_) tracker_ = net::BandwidthTracker(cluster_.bandwidths());
-  }
+  if (!tracker_)
+    tracker_ = load_state(db_, kTrackerKey, cluster_.size(),
+                          net::BandwidthTracker(cluster_.bandwidths()));
   return *tracker_;
 }
 
-void RapidsPipeline::persist_tracker() {
-  if (!tracker_) return;
-  const Bytes wire = tracker_->serialize();
-  db_.put("net/bandwidth_tracker",
-          std::string(reinterpret_cast<const char*>(wire.data()), wire.size()));
-}
-
 storage::SystemHealth& RapidsPipeline::health() {
-  if (!health_) {
-    const auto raw = db_.get("net/system_health");
-    if (raw && raw->size() > 0) {
-      try {
-        health_ = storage::SystemHealth::deserialize(
-            {reinterpret_cast<const std::byte*>(raw->data()), raw->size()});
-      } catch (const io_error&) {
-        health_.reset();
-      }
-      if (health_ && health_->size() != cluster_.size()) health_.reset();
-    }
-    if (!health_)
-      health_ = storage::SystemHealth(cluster_.size());
-  }
+  if (!health_)
+    health_ = load_state(db_, kHealthKey, cluster_.size(),
+                         storage::SystemHealth(cluster_.size()));
   return *health_;
-}
-
-void RapidsPipeline::persist_health() {
-  if (!health_) return;
-  const Bytes wire = health_->serialize();
-  db_.put("net/system_health",
-          std::string(reinterpret_cast<const char*>(wire.data()), wire.size()));
 }
 
 storage::SystemHealth& RapidsPipeline::system_health() {
@@ -382,10 +389,9 @@ storage::SystemHealth& RapidsPipeline::system_health() {
   return health();
 }
 
-void RapidsPipeline::record_health(u32 system, bool ok,
-                                   f64 latency_multiplier) {
+void RapidsPipeline::record_health(u32 system, bool ok) {
   if (ok)
-    health().record_success(system, latency_multiplier);
+    health().record_success(system);
   else
     health().record_failure(system);
 }
@@ -401,22 +407,32 @@ RetryResult<bool> RapidsPipeline::put_with_retry(u32 system,
   return r;
 }
 
-std::vector<f64> RapidsPipeline::bandwidth_estimates() const {
-  if (tracker_) return tracker_->estimates();
-  return cluster_.bandwidths();
+std::vector<f64> RapidsPipeline::bandwidth_estimates() {
+  std::lock_guard<std::mutex> lock(io_mu_);
+  return tracker().estimates();
 }
 
 RapidsPipeline::FetchOutcome RapidsPipeline::fetch_with_retry(
     u32 system, const ec::FragmentId& id, f64 budget_s) {
+  // CRC of the last damaged copy read. A re-read with the same CRC returned
+  // the same bytes: the damage is at rest, and no retry can mend it.
+  std::optional<u32> damaged_crc;
+  bool at_rest = false;
   auto r = retry_io_within(
       kRetryPolicy, stable_hash(id.key(), system, 0xFE7C4ull), budget_s, [&] {
         auto frag = cluster_.system(system).get(id.key());
-        // In-flight corruption (or at-rest damage): a re-read may verify.
-        if (frag && !frag->verify())
-          throw io_error("fragment " + id.key() + " failed its CRC");
-        return frag;  // nullopt: missing, permanent, so no retry
+        if (!frag) return frag;  // missing: permanent, so no retry
+        const u32 crc = ec::fragment_crc(frag->payload);
+        if (crc == frag->payload_crc) return frag;
+        if (crc == damaged_crc) {
+          at_rest = true;
+          return std::optional<ec::Fragment>{};
+        }
+        // In-flight corruption, maybe: a re-read may verify.
+        damaged_crc = crc;
+        throw io_error("fragment " + id.key() + " failed its CRC");
       });
-  const bool missing = r.value && !*r.value;
+  const bool missing = r.value && !*r.value && !at_rest;
   return {std::move(r.value).value_or(std::nullopt), r.attempts,
           r.backoff_seconds, missing};
 }
@@ -489,11 +505,11 @@ void RapidsPipeline::fetch_levels(const ObjectRecord& record,
 
   // The bookkeeping of one fragment read, planned or hedge. A missing
   // fragment is a metadata miss, not the system's fault: health skips it.
-  const auto account = [&](u32 system, const FetchOutcome& read, f64 mult) {
+  const auto account = [&](u32 system, const FetchOutcome& read) {
     report.fetch_retries += read.attempts - 1;
     report.backoff_seconds += read.backoff_seconds;
     if (std::isfinite(budget_s)) budget_s -= read.backoff_seconds;
-    if (!read.missing) record_health(system, read.fragment.has_value(), mult);
+    if (!read.missing) record_health(system, read.fragment.has_value());
     if (read.fragment) report.bytes_transferred += read.fragment->payload.size();
   };
 
@@ -502,7 +518,6 @@ void RapidsPipeline::fetch_levels(const ObjectRecord& record,
     u32 system = 0;
     u32 index = 0;
     u64 bytes = 0;
-    f64 mult = 1.0;  ///< straggler draw of this transfer
     f64 time = 0.0;  ///< simulated completion under equal share
   };
   struct Round {
@@ -569,10 +584,10 @@ void RapidsPipeline::fetch_levels(const ObjectRecord& record,
       if (!r.unrecorded) {
         std::vector<net::Transfer> transfers;
         std::vector<f64> mults;
-        for (auto& f : r.fetches) {
+        for (const auto& f : r.fetches) {
           transfers.push_back(net::Transfer{f.system, f.bytes});
-          f.mult = cluster_.system(f.system).sample_transfer_multiplier();
-          mults.push_back(f.mult);
+          mults.push_back(
+              cluster_.system(f.system).sample_transfer_multiplier());
         }
         const auto times = net::equal_share_times_scaled(
             transfers, problem.bandwidths, mults);
@@ -606,7 +621,7 @@ void RapidsPipeline::fetch_levels(const ObjectRecord& record,
     for (const auto& f : r.fetches) {
       if (f.level != j) continue;
       auto primary = fetch_with_retry(f.system, {sname, real, f.index}, budget_s);
-      account(f.system, primary, f.mult);
+      account(f.system, primary);
       const bool ok = primary.fragment.has_value();
       f64 effective = f.time;
       std::optional<ec::Fragment> winner = std::move(primary.fragment);
@@ -624,7 +639,7 @@ void RapidsPipeline::fetch_levels(const ObjectRecord& record,
           used.insert(*spare);
           auto hedge = fetch_with_retry(
               *spare, {sname, real, r.locations[j].at(*spare)}, budget_s);
-          account(*spare, hedge, 1.0);
+          account(*spare, hedge);
           if (hedge.fragment) {
             const f64 hedge_time =
                 r.hedge_launch +
@@ -647,7 +662,7 @@ void RapidsPipeline::fetch_levels(const ObjectRecord& record,
       frags.push_back(std::move(*winner));
       slowest = std::max(slowest, effective);
     }
-    persist_health();
+    save_state(db_, kHealthKey, health_);
     report.fetch_seconds += t.seconds();
     return std::pair{std::move(frags), slowest};
   };
@@ -682,7 +697,7 @@ void RapidsPipeline::fetch_levels(const ObjectRecord& record,
         tracker().observe(transfers[i].system, transfers[i].bytes,
                           exclusive_seconds);
     }
-    persist_tracker();
+    save_state(db_, kTrackerKey, tracker_);
   };
 
   // Rounds: plan what is left, then fetch and decode it level by level,
@@ -908,14 +923,8 @@ RestoreReport RapidsPipeline::advance(RefineSession& session, f64 rel_bound,
   // Grow the session's plane sets with the new levels only and decode just
   // the bitplanes those levels added; everything below the cursor keeps its
   // already-decoded quantized state.
-  if (session.plane_sets_.empty()) {
-    session.plane_sets_.resize(record->meta.dlevels.size());
-    for (std::size_t d = 0; d < session.plane_sets_.size(); ++d) {
-      session.plane_sets_[d].count = record->meta.dlevels[d].count;
-      session.plane_sets_[d].max_abs = record->meta.dlevels[d].max_abs;
-      session.plane_sets_[d].exponent = record->meta.dlevels[d].exponent;
-    }
-  }
+  if (session.plane_sets_.empty())
+    session.plane_sets_ = mgard::collect_plane_sets(record->meta.dlevels, {});
   const std::span<const Bytes> fresh(payloads.data() + session.cursor_,
                                      usable - session.cursor_);
   report.planes_decoded = mgard::count_magnitude_segments(fresh);
@@ -928,7 +937,6 @@ RestoreReport RapidsPipeline::advance(RefineSession& session, f64 rel_bound,
   report.reconstruct_seconds = t.seconds();
 
   session.cursor_ = usable;
-  session.bound_ = record->meta.rel_error_bound(usable);
   return current_state(usable);
 }
 
@@ -965,15 +973,15 @@ void RapidsPipeline::repair_fragment_locked(const std::string& name, u32 level,
   if (!put.ok())
     throw io_error("repair: target system rejected rebuilt fragment " +
                    rebuilt.id.key() + ": " + put.last_error);
-  const std::pair<std::string, std::string> location{
-      rebuilt.id.key(), std::to_string(target_system)};
-  db_.put_batch({&location, 1});
+  db_.put(rebuilt.id.key(), std::to_string(target_system));
 }
 
-std::vector<std::string> RapidsPipeline::list_objects() const {
+std::vector<std::string> RapidsPipeline::list_objects() {
+  const std::string prefix = object_key("");
+  std::lock_guard<std::mutex> lock(io_mu_);
   std::vector<std::string> out;
-  for (const auto& [key, value] : db_.scan_prefix("obj/"))
-    out.push_back(key.substr(4));
+  for (const auto& [key, value] : db_.scan_prefix(prefix))
+    out.push_back(key.substr(prefix.size()));
   return out;
 }
 
@@ -1014,7 +1022,7 @@ RapidsPipeline::ScrubReport RapidsPipeline::scrub(const std::string& name,
   }
   {
     std::lock_guard<std::mutex> lock(io_mu_);
-    persist_health();
+    save_state(db_, kHealthKey, health_);
   }
   return report;
 }
@@ -1030,6 +1038,7 @@ u64 RapidsPipeline::age_object(const std::string& name, u32 keep_levels) {
   // Drop the deep levels' fragments everywhere and forget their locations.
   const std::string sname = record->storage_name(name);
   u64 reclaimed = 0;
+  std::vector<kv::WalRecord> tombstones;
   for (u32 level = keep_levels; level < current; ++level) {
     for (const auto& [sys, idx] : fragment_locations(sname, level)) {
       const std::string key = ec::FragmentId{sname, level, idx}.key();
@@ -1040,18 +1049,17 @@ u64 RapidsPipeline::age_object(const std::string& name, u32 keep_levels) {
                               cluster_.size() - record->ft[level]);
         host.erase(key);
       }
-      db_.del(key);
+      tombstones.push_back({kv::WalOp::kDelete, key, {}});
     }
   }
 
-  // Truncate the record so future restores plan only the kept levels.
+  // Truncate the record so future restores plan only the kept levels; the
+  // tombstones and the record land in one metadata write.
   record->ft.resize(keep_levels);
   record->level_sizes.resize(keep_levels);
   record->meta.levels.resize(keep_levels);
   ++record->epoch;
-  const Bytes wire = record->serialize();
-  db_.put(object_key(name),
-          std::string(reinterpret_cast<const char*>(wire.data()), wire.size()));
+  write_record(name, *record, std::move(tombstones));
   // Cached payloads of the dropped levels must never serve again.
   restore_cache_.invalidate_from(name, keep_levels);
   log::info("pipeline", "aged ", name, " to ", keep_levels,
@@ -1068,7 +1076,7 @@ u32 RapidsPipeline::evacuate_system(const std::string& name, u32 system) {
 
   const std::string sname = record->storage_name(name);
   u32 moved = 0;
-  std::vector<std::pair<std::string, std::string>> new_locations;
+  std::vector<kv::WalRecord> new_locations;
   for (u32 level = 0; level < record->ft.size(); ++level) {
     const auto locations = fragment_locations(sname, level);
     const auto loc = locations.find(system);
@@ -1103,13 +1111,13 @@ u32 RapidsPipeline::evacuate_system(const std::string& name, u32 system) {
             .ok();
     if (!moved_direct) repair_fragment_locked(name, level, idx, *target);
     cluster_.system(system).erase(key);
-    new_locations.emplace_back(key, std::to_string(*target));
+    new_locations.push_back({kv::WalOp::kPut, key, std::to_string(*target)});
     ++moved;
   }
   // One metadata batch for the whole evacuation. (The repair fallback above
   // already wrote the same key -> target, so the batch only confirms it.)
-  db_.put_batch(new_locations);
-  persist_health();
+  db_.write(new_locations);
+  save_state(db_, kHealthKey, health_);
   return moved;
 }
 
@@ -1121,16 +1129,6 @@ std::optional<ObjectRecord> RapidsPipeline::snapshot_record(
     const std::string& name) {
   std::lock_guard<std::mutex> lock(io_mu_);
   return lookup(name);
-}
-
-std::vector<std::string> RapidsPipeline::snapshot_object_names() {
-  std::lock_guard<std::mutex> lock(io_mu_);
-  return list_objects();
-}
-
-std::vector<f64> RapidsPipeline::snapshot_bandwidths() {
-  std::lock_guard<std::mutex> lock(io_mu_);
-  return tracker().estimates();
 }
 
 std::vector<f64> RapidsPipeline::failure_prob_estimates() {
@@ -1225,7 +1223,7 @@ u64 RapidsPipeline::store_level_generation(const std::string& name,
   {
     std::lock_guard<std::mutex> lock(io_mu_);
     store_level_locked(sname, level, frags, stats);
-    persist_health();
+    save_state(db_, kHealthKey, health_);
   }
   u64 bytes = 0;
   for (const auto& tr : stats.transfers) bytes += tr.bytes;
@@ -1251,11 +1249,9 @@ void RapidsPipeline::flip_generation(const std::string& name,
     record->ft = new_ft;
     record->planned_p = planned_p;
     record->planned_error = planned_error;
-    const Bytes wire = record->serialize();
     // The commit point: one put, one WAL barrier. Before it every restore
     // reads the old generation; after it, the new one. No torn state exists.
-    db_.put(object_key(name), std::string(
-        reinterpret_cast<const char*>(wire.data()), wire.size()));
+    write_record(name, *record);
   }
   // Cached payloads belong to the old generation's keys; drop them all so a
   // concurrent restore that raced the flip cannot serve a stale mix.
@@ -1275,9 +1271,9 @@ u64 RapidsPipeline::gc_generation_locked(const std::string& name,
   const std::string sname = generation_storage_name(name, generation);
   const std::string prefix = "frag/" + sname + "/";
   u64 erased = 0;
-  std::vector<std::string> stale_keys;
+  std::vector<kv::WalRecord> tombstones;
   for (const auto& [key, value] : db_.scan_prefix(prefix)) {
-    stale_keys.push_back(key);
+    tombstones.push_back({kv::WalOp::kDelete, key, {}});
     u32 sys = 0;
     try {
       sys = static_cast<u32>(std::stoul(value));
@@ -1300,7 +1296,7 @@ u64 RapidsPipeline::gc_generation_locked(const std::string& name,
       ++erased;
     }
   }
-  if (!stale_keys.empty()) db_.del_batch(stale_keys);
+  db_.write(tombstones);
   return erased;
 }
 

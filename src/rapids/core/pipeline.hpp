@@ -209,7 +209,6 @@ class RefineSession {
   /// Drop everything materialized: back to a session with no rung run.
   void restart() {
     cursor_ = 0;
-    bound_ = 1.0;
     data_.clear();
     plane_sets_.clear();
     pstates_.clear();
@@ -221,8 +220,7 @@ class RefineSession {
   /// ObjectRecord::epoch of the record the session's state was built from
   /// (unset before the first rung).
   std::optional<u64> epoch_;
-  u32 cursor_ = 0;   ///< retrieval levels materialized into data_
-  f64 bound_ = 1.0;  ///< rel error bound at cursor_
+  u32 cursor_ = 0;  ///< retrieval levels materialized into data_
   std::vector<f32> data_;
   std::vector<mgard::PlaneSet> plane_sets_;
   std::vector<mgard::ProgressiveState> pstates_;
@@ -303,14 +301,15 @@ class RapidsPipeline {
   /// The shared CRC-verified retrieval-level payload cache.
   storage::RestoreCache& restore_cache() { return restore_cache_; }
 
-  /// The pipeline's current per-system bandwidth estimates: the tracker's
-  /// learned values once it is loaded, else the cluster's.
-  std::vector<f64> bandwidth_estimates() const;
+  /// The pipeline's current per-system bandwidth estimates: the learned
+  /// tracker's, loaded from the metadata store on first use. Takes the I/O
+  /// lock.
+  std::vector<f64> bandwidth_estimates();
 
   /// Metadata lookup (nullopt if the object was never prepared).
   std::optional<ObjectRecord> lookup(const std::string& name) const;
 
-  /// The per-system health tracker (circuit breakers + error/latency
+  /// The per-system health tracker (circuit breakers + success/failure
   /// counters), lazily loaded from the metadata store. Mutating it directly
   /// is for tests/tools; the pipeline records outcomes on its own.
   storage::SystemHealth& system_health();
@@ -327,8 +326,8 @@ class RapidsPipeline {
   /// store is updated with the new locations. Returns fragments moved.
   u32 evacuate_system(const std::string& name, u32 system);
 
-  /// Names of every prepared object, in key order.
-  std::vector<std::string> list_objects() const;
+  /// Names of every prepared object, in key order. Takes the I/O lock.
+  std::vector<std::string> list_objects();
 
   /// Outcome of a scrub pass over one object.
   struct ScrubReport {
@@ -361,12 +360,6 @@ class RapidsPipeline {
   /// Metadata lookup under the I/O lock (lookup() itself is unsynchronized
   /// and meant for single-threaded callers).
   std::optional<ObjectRecord> snapshot_record(const std::string& name);
-
-  /// list_objects() under the I/O lock.
-  std::vector<std::string> snapshot_object_names();
-
-  /// Current per-system bandwidth estimates under the I/O lock.
-  std::vector<f64> snapshot_bandwidths();
 
   /// Per-system failure-probability estimates for re-evaluation: the health
   /// tracker's Beta-smoothed counter estimate (prior = the cluster's nominal
@@ -461,16 +454,22 @@ class RapidsPipeline {
                           const std::vector<ec::Fragment>& frags,
                           StoreStats& stats);
   ec::ReedSolomon codec_for(const ObjectRecord& record, u32 level) const;
+  /// Write `name`'s record with one Db::write, after the records in `batch`
+  /// (the one way an ObjectRecord reaches the metadata store). Caller holds
+  /// io_mu_.
+  void write_record(const std::string& name, const ObjectRecord& record,
+                    std::vector<kv::WalRecord> batch = {});
   /// Per-system bandwidth learned from observed transfer throughput (paper
-  /// Section 4.3), loaded lazily from and persisted in the metadata store, so
-  /// gathering plans adapt to network variation across restores.
+  /// Section 4.3), so gathering plans adapt to network variation across
+  /// restores, and the per-system breakers. Each is loaded from the metadata
+  /// store on first use (a stored record that does not parse, or that covers
+  /// another number of systems, reads as the default) and persisted after
+  /// the ops that move it. Caller holds io_mu_.
   net::BandwidthTracker& tracker();
-  void persist_tracker();
   storage::SystemHealth& health();
-  void persist_health();
   /// Record one storage-op outcome in the health tracker. Must be called
   /// under io_mu_.
-  void record_health(u32 system, bool ok, f64 latency_multiplier = 1.0);
+  void record_health(u32 system, bool ok);
   /// Put one fragment with bounded retry (every io_error is transient; the
   /// jitter stream comes from `seed`), then record the outcome in the health
   /// tracker once. Must be called under io_mu_.
@@ -478,8 +477,10 @@ class RapidsPipeline {
                                    u64 seed);
   /// Fetch one fragment with bounded retry, classifying failures: io_error
   /// is transient (retried with backoff), a missing fragment is permanent
-  /// (no retry), a CRC mismatch is in-flight corruption (retried — a
-  /// re-read may come back clean). Must be called under io_mu_.
+  /// (no retry), a CRC mismatch may be in-flight corruption (retried — a
+  /// re-read may come back clean) until a re-read returns the same damaged
+  /// bytes: that copy is damaged at rest, so the read stops and reports it
+  /// damaged, not missing. Must be called under io_mu_.
   struct FetchOutcome {
     std::optional<ec::Fragment> fragment;  ///< set iff a verified copy landed
     u32 attempts = 1;

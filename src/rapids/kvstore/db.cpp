@@ -8,6 +8,15 @@ namespace rapids::kv {
 
 namespace fs = std::filesystem;
 
+namespace {
+void apply(MemTable& memtable, const WalRecord& rec) {
+  if (rec.op == WalOp::kPut)
+    memtable.put(rec.key, rec.value);
+  else
+    memtable.del(rec.key);
+}
+}  // namespace
+
 Db::Db(std::string dir, DbOptions options)
     : dir_(std::move(dir)), options_(options) {}
 
@@ -43,13 +52,7 @@ std::unique_ptr<Db> Db::open(const std::string& dir, DbOptions options) {
   u64 valid_bytes = 0;
   wal_replay(
       wal_path,
-      [&db](const WalRecord& rec) {
-        if (rec.op == WalOp::kPut) {
-          db->memtable_.put(rec.key, rec.value);
-        } else {
-          db->memtable_.del(rec.key);
-        }
-      },
+      [&db](const WalRecord& rec) { apply(db->memtable_, rec); },
       &valid_bytes);
   std::error_code ec;
   if (fs::exists(wal_path, ec) && fs::file_size(wal_path, ec) != valid_bytes)
@@ -58,38 +61,23 @@ std::unique_ptr<Db> Db::open(const std::string& dir, DbOptions options) {
   return db;
 }
 
-void Db::put(const std::string& key, const std::string& value) {
-  RAPIDS_REQUIRE_MSG(!key.empty(), "Db::put: empty key");
-  wal_->append(WalOp::kPut, key, value);
-  memtable_.put(key, value);
+void Db::write(std::span<const WalRecord> records) {
+  for (const WalRecord& rec : records)
+    RAPIDS_REQUIRE_MSG(!rec.key.empty(), "Db::write: empty key");
+  if (records.empty()) return;
+  wal_->append(records);
+  for (const WalRecord& rec : records) apply(memtable_, rec);
   maybe_flush();
 }
 
-void Db::put_batch(
-    std::span<const std::pair<std::string, std::string>> entries) {
-  if (entries.empty()) return;
-  for (const auto& [key, value] : entries) {
-    (void)value;
-    RAPIDS_REQUIRE_MSG(!key.empty(), "Db::put_batch: empty key");
-  }
-  wal_->append_batch(entries);
-  for (const auto& [key, value] : entries) memtable_.put(key, value);
-  maybe_flush();
+void Db::put(const std::string& key, const std::string& value) {
+  const WalRecord rec{WalOp::kPut, key, value};
+  write({&rec, 1});
 }
 
 void Db::del(const std::string& key) {
-  wal_->append(WalOp::kDelete, key, "");
-  memtable_.del(key);
-  maybe_flush();
-}
-
-void Db::del_batch(std::span<const std::string> keys) {
-  if (keys.empty()) return;
-  for (const auto& key : keys)
-    RAPIDS_REQUIRE_MSG(!key.empty(), "Db::del_batch: empty key");
-  wal_->append_delete_batch(keys);
-  for (const auto& key : keys) memtable_.del(key);
-  maybe_flush();
+  const WalRecord rec{WalOp::kDelete, key, {}};
+  write({&rec, 1});
 }
 
 std::optional<std::string> Db::get(const std::string& key) {

@@ -43,21 +43,18 @@ class Db {
   Db(const Db&) = delete;
   Db& operator=(const Db&) = delete;
 
-  /// Insert or overwrite. May trigger a flush/compaction.
+  /// The one mutation: check every key (an empty key throws
+  /// invariant_error before anything is written), append the records to the
+  /// WAL as one write, apply them to the memtable in order, then run the
+  /// flush/compaction check once. Every read that follows sees what
+  /// records.size() single-record writes would have left.
+  void write(std::span<const WalRecord> records);
+
+  /// Insert or overwrite: write() of one put record.
   void put(const std::string& key, const std::string& value);
 
-  /// Batched insert: all entries go to the WAL as one buffered write (one
-  /// flush barrier for N entries) and the flush/compaction check runs once
-  /// at the end. Equivalent to N put() calls for every read that follows.
-  void put_batch(
-      std::span<const std::pair<std::string, std::string>> entries);
-
-  /// Delete (tombstone).
+  /// Delete (tombstone): write() of one delete record.
   void del(const std::string& key);
-
-  /// Batched delete: all tombstones go to the WAL as one buffered write (one
-  /// flush barrier for N keys) and the flush check runs once at the end.
-  void del_batch(std::span<const std::string> keys);
 
   /// Lookup; nullopt if absent or deleted.
   std::optional<std::string> get(const std::string& key);

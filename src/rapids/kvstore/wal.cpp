@@ -11,20 +11,15 @@ namespace {
 
 // Record framing: [u32 crc][u32 body_len][body], body = [u8 op][u32 klen]
 // [key][u32 vlen][value]. crc covers the body.
-Bytes encode_body(WalOp op, std::string_view key, std::string_view value) {
-  ByteWriter w(key.size() + value.size() + 16);
-  w.put_u8(static_cast<u8>(op));
-  w.put_string(key);
-  w.put_string(value);
-  return w.take();
-}
-
-void frame_record(ByteWriter& out, WalOp op, std::string_view key,
-                  std::string_view value) {
-  const Bytes body = encode_body(op, key, value);
-  out.put_u32(crc32c(as_bytes_view(body)));
-  out.put_u32(static_cast<u32>(body.size()));
-  out.put_raw(as_bytes_view(body));
+void frame_record(ByteWriter& out, const WalRecord& rec) {
+  ByteWriter body(rec.key.size() + rec.value.size() + 16);
+  body.put_u8(static_cast<u8>(rec.op));
+  body.put_string(rec.key);
+  body.put_string(rec.value);
+  const Bytes& b = body.bytes();
+  out.put_u32(crc32c(as_bytes_view(b)));
+  out.put_u32(static_cast<u32>(b.size()));
+  out.put_raw(as_bytes_view(b));
 }
 
 }  // namespace
@@ -38,42 +33,18 @@ WalWriter::~WalWriter() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-void WalWriter::append(WalOp op, std::string_view key, std::string_view value) {
-  ByteWriter frame(key.size() + value.size() + 24);
-  frame_record(frame, op, key, value);
-  const Bytes& buf = frame.bytes();
-  if (std::fwrite(buf.data(), 1, buf.size(), file_) != buf.size())
+void WalWriter::append(std::span<const WalRecord> records) {
+  if (records.empty()) return;
+  u64 total = 0;
+  for (const WalRecord& rec : records)
+    total += rec.key.size() + rec.value.size() + 24;
+  ByteWriter frames(total);
+  for (const WalRecord& rec : records) frame_record(frames, rec);
+  const Bytes& buf = frames.bytes();
+  // A small append only fills the stdio buffer; a full disk shows at flush.
+  if (std::fwrite(buf.data(), 1, buf.size(), file_) != buf.size() ||
+      std::fflush(file_) != 0)
     throw io_error("WAL: short append to " + path_);
-  std::fflush(file_);
-  bytes_written_ += buf.size();
-}
-
-void WalWriter::append_batch(
-    std::span<const std::pair<std::string, std::string>> entries) {
-  if (entries.empty()) return;
-  u64 total = 0;
-  for (const auto& [key, value] : entries)
-    total += key.size() + value.size() + 24;
-  ByteWriter frames(total);
-  for (const auto& [key, value] : entries)
-    frame_record(frames, WalOp::kPut, key, value);
-  const Bytes& buf = frames.bytes();
-  if (std::fwrite(buf.data(), 1, buf.size(), file_) != buf.size())
-    throw io_error("WAL: short batch append to " + path_);
-  std::fflush(file_);
-  bytes_written_ += buf.size();
-}
-
-void WalWriter::append_delete_batch(std::span<const std::string> keys) {
-  if (keys.empty()) return;
-  u64 total = 0;
-  for (const auto& key : keys) total += key.size() + 24;
-  ByteWriter frames(total);
-  for (const auto& key : keys) frame_record(frames, WalOp::kDelete, key, "");
-  const Bytes& buf = frames.bytes();
-  if (std::fwrite(buf.data(), 1, buf.size(), file_) != buf.size())
-    throw io_error("WAL: short delete-batch append to " + path_);
-  std::fflush(file_);
   bytes_written_ += buf.size();
 }
 

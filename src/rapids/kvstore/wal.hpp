@@ -8,10 +8,8 @@
 
 #include <cstdio>
 #include <functional>
-#include <optional>
 #include <span>
 #include <string>
-#include <utility>
 
 #include "rapids/util/common.hpp"
 
@@ -20,7 +18,7 @@ namespace rapids::kv {
 /// Record types in the log.
 enum class WalOp : u8 { kPut = 1, kDelete = 2 };
 
-/// One replayed record.
+/// One log record: what append() frames and wal_replay() hands back.
 struct WalRecord {
   WalOp op;
   std::string key;
@@ -36,21 +34,13 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Append one record; flushes to the OS on every call (fsync-level
-  /// durability is out of scope for the simulation, but torn-tail handling
-  /// is still exercised by the recovery tests).
-  void append(WalOp op, std::string_view key, std::string_view value);
-
-  /// Append a batch of puts as one write: every entry is individually
-  /// CRC-framed (replay-compatible with append()), but the frames are
-  /// concatenated into a single buffer and hit the file with one
-  /// fwrite+fflush instead of N — the durability barrier is paid once per
-  /// batch. A torn tail mid-batch loses only the suffix, as with N appends.
-  void append_batch(std::span<const std::pair<std::string, std::string>> entries);
-
-  /// Append a batch of deletes with the same single-barrier semantics as
-  /// append_batch (one fwrite+fflush for all N tombstone frames).
-  void append_delete_batch(std::span<const std::string> keys);
+  /// Append `records` in order as one write: each record is CRC-framed on
+  /// its own, the frames are concatenated into one buffer, and the buffer
+  /// hits the file with one fwrite+fflush (fsync-level durability is out of
+  /// scope for the simulation). A torn tail loses only a suffix of the
+  /// records, exactly as if each had been appended alone. An empty span
+  /// writes nothing. Throws io_error when the write or the flush fails.
+  void append(std::span<const WalRecord> records);
 
   /// Truncate the log to empty (after a successful memtable flush).
   void reset();

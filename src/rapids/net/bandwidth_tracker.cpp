@@ -34,13 +34,16 @@ BandwidthTracker BandwidthTracker::deserialize(std::span<const std::byte> data) 
   ByteReader r(data);
   if (r.get_u32() != 0x42575452u) throw io_error("BandwidthTracker: bad magic");
   const f64 alpha = r.get_f64();
+  if (!(alpha > 0.0 && alpha <= 1.0))
+    throw io_error("BandwidthTracker: bad alpha");
   const u32 n = r.get_u32();
-  if (u64{n} * 16 > r.remaining())
+  if (n < 1 || u64{n} * 16 > r.remaining())
     throw io_error("BandwidthTracker: bad system count");
   std::vector<f64> estimates(n);
   std::vector<u64> counts(n);
   for (u32 i = 0; i < n; ++i) {
     estimates[i] = r.get_f64();
+    if (!(estimates[i] > 0.0)) throw io_error("BandwidthTracker: bad estimate");
     counts[i] = r.get_u64();
   }
   BandwidthTracker t(std::move(estimates), alpha);

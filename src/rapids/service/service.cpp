@@ -58,7 +58,7 @@ ObjectService::ObjectService(core::RapidsPipeline& pipeline,
     // Deterministic default: the cluster's mean per-system bandwidth. A
     // restore spreads a level across many systems, so this over-estimates
     // latency — conservative for deadline shedding.
-    const auto bw = pipe_.snapshot_bandwidths();
+    const auto bw = pipe_.bandwidth_estimates();
     f64 sum = 0.0;
     for (const f64 b : bw) sum += b;
     cost_rate_ = bw.empty() ? 1.0e9 : sum / static_cast<f64>(bw.size());

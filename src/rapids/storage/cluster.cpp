@@ -4,11 +4,16 @@
 
 namespace rapids::storage {
 
+namespace {
+/// Bandwidth range sampled (bytes/s): the paper's 400 MB/s .. 3 GB/s.
+constexpr f64 kMinBandwidth = 400.0e6;
+constexpr f64 kMaxBandwidth = 3.0e9;
+}  // namespace
+
 Cluster::Cluster(const ClusterConfig& config) : config_(config) {
   RAPIDS_REQUIRE(config.num_systems >= 1);
   const std::vector<f64> bw = net::sample_endpoint_bandwidths(
-      config.num_systems, config.bandwidth_seed, config.min_bandwidth,
-      config.max_bandwidth);
+      config.num_systems, config.bandwidth_seed, kMinBandwidth, kMaxBandwidth);
   systems_.reserve(config.num_systems);
   for (u32 i = 0; i < config.num_systems; ++i)
     systems_.push_back(std::make_unique<StorageSystem>(

@@ -3,7 +3,8 @@
 /// \file cluster.hpp
 /// A fleet of geo-distributed storage systems — the paper's n endpoints.
 /// Construction samples per-system WAN bandwidths from the Globus-log model
-/// (net/bandwidth.hpp) and assigns a common outage probability p.
+/// (net/bandwidth.hpp) over the paper's 400 MB/s .. 3 GB/s and assigns a
+/// common outage probability p.
 
 #include <memory>
 #include <string>
@@ -19,9 +20,6 @@ struct ClusterConfig {
   u32 num_systems = 16;     ///< the paper's n
   f64 failure_prob = 0.01;  ///< the paper's p (OLCF 2020 assessment)
   u64 bandwidth_seed = 42;  ///< seed for the Globus-log bandwidth sampler
-  /// Bandwidth range sampled (bytes/s): the paper's 400 MB/s .. 3 GB/s.
-  f64 min_bandwidth = 400.0e6;
-  f64 max_bandwidth = 3.0e9;
 };
 
 /// Owning collection of StorageSystems with failure bookkeeping.

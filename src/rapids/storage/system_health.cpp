@@ -6,6 +6,11 @@ namespace rapids::storage {
 
 namespace {
 constexpr u32 kHealthMagic = 0x53484C54u;  // "SHLT"
+/// The record still carries a latency-EWMA weight and one EWMA per system
+/// that nothing reads any more: written as these constants, skipped on read,
+/// so records from before and after load the same.
+constexpr f64 kRetiredAlpha = 0.3;
+constexpr f64 kRetiredEwma = 1.0;
 /// Pseudo-count weight of the prior p in estimated_failure_prob.
 constexpr f64 kPriorStrength = 20.0;
 }  // namespace
@@ -14,19 +19,15 @@ SystemHealth::SystemHealth(u32 num_systems, HealthOptions options)
     : options_(options), states_(num_systems) {
   RAPIDS_REQUIRE(num_systems >= 1);
   RAPIDS_REQUIRE(options.failure_threshold >= 1);
-  RAPIDS_REQUIRE(options.latency_alpha > 0.0 && options.latency_alpha <= 1.0);
 }
 
-void SystemHealth::record_success(u32 system, f64 latency_multiplier) {
+void SystemHealth::record_success(u32 system) {
   State& s = states_.at(system);
   ++events_;
   ++s.successes;
   s.consecutive_failures = 0;
   const bool recovered = s.circuit != Circuit::kClosed;
   s.circuit = Circuit::kClosed;
-  if (latency_multiplier > 0.0)
-    s.latency_ewma = (1.0 - options_.latency_alpha) * s.latency_ewma +
-                     options_.latency_alpha * latency_multiplier;
   if (recovered && on_transition_)
     on_transition_(system, HealthTransition::kRecovered);
 }
@@ -86,7 +87,7 @@ Bytes SystemHealth::serialize() const {
   w.put_u16(1);
   w.put_u32(options_.failure_threshold);
   w.put_u64(options_.open_cooldown_events);
-  w.put_f64(options_.latency_alpha);
+  w.put_f64(kRetiredAlpha);
   w.put_u64(events_);
   w.put_u32(static_cast<u32>(states_.size()));
   for (const State& s : states_) {
@@ -95,7 +96,7 @@ Bytes SystemHealth::serialize() const {
     w.put_u32(s.consecutive_failures);
     w.put_u8(static_cast<u8>(s.circuit));
     w.put_u64(s.opened_at_event);
-    w.put_f64(s.latency_ewma);
+    w.put_f64(kRetiredEwma);
     w.put_u64(s.opens);
   }
   return w.take();
@@ -108,9 +109,8 @@ SystemHealth SystemHealth::deserialize(std::span<const std::byte> data) {
   HealthOptions options;
   options.failure_threshold = r.get_u32();
   options.open_cooldown_events = r.get_u64();
-  options.latency_alpha = r.get_f64();
-  if (options.failure_threshold < 1 || options.latency_alpha <= 0.0 ||
-      options.latency_alpha > 1.0)
+  (void)r.get_f64();  // retired latency-EWMA weight
+  if (options.failure_threshold < 1)
     throw io_error("SystemHealth: bad options");
   const u64 events = r.get_u64();
   const u32 n = r.get_u32();
@@ -126,7 +126,7 @@ SystemHealth SystemHealth::deserialize(std::span<const std::byte> data) {
     if (circuit > 2) throw io_error("SystemHealth: bad circuit state");
     s.circuit = static_cast<Circuit>(circuit);
     s.opened_at_event = r.get_u64();
-    s.latency_ewma = r.get_f64();
+    (void)r.get_f64();  // retired latency EWMA
     s.opens = r.get_u64();
   }
   return health;

@@ -2,7 +2,7 @@
 
 /// \file system_health.hpp
 /// Per-system health tracking: a consecutive-failure circuit breaker with
-/// half-open probes plus error/latency counters. The pipeline records every
+/// half-open probes plus success/failure counters. The pipeline records every
 /// put/get outcome here and excludes circuit-open systems from gathering
 /// plans (when doing so does not reduce the recoverable level count), so a
 /// flaky endpoint stops eating retry budget until its cooldown elapses and a
@@ -21,11 +21,10 @@
 
 namespace rapids::storage {
 
-/// Breaker/EWMA knobs.
+/// Breaker knobs.
 struct HealthOptions {
   u32 failure_threshold = 3;    ///< consecutive failures that open the circuit
   u64 open_cooldown_events = 16;  ///< recorded events before a half-open probe
-  f64 latency_alpha = 0.3;      ///< EWMA weight for latency multipliers
 };
 
 /// Breaker state, exposed for observers (CLI status, control plane).
@@ -46,10 +45,9 @@ class SystemHealth {
   u32 size() const { return static_cast<u32>(states_.size()); }
   const HealthOptions& options() const { return options_; }
 
-  /// Record one successful operation against `system`, optionally with the
-  /// observed latency multiplier of its transfer. Closes a half-open
+  /// Record one successful operation against `system`. Closes a half-open
   /// circuit; resets the consecutive-failure count.
-  void record_success(u32 system, f64 latency_multiplier = 1.0);
+  void record_success(u32 system);
 
   /// Record one failed operation. Opens the circuit at the threshold; a
   /// failure during half-open re-opens immediately.
@@ -92,8 +90,6 @@ class SystemHealth {
   u32 consecutive_failures(u32 system) const {
     return states_.at(system).consecutive_failures;
   }
-  /// EWMA of observed latency multipliers (1.0 = nominal speed).
-  f64 latency_ewma(u32 system) const { return states_.at(system).latency_ewma; }
   /// Times the circuit opened over the tracker's lifetime.
   u64 circuit_opens(u32 system) const { return states_.at(system).opens; }
 
@@ -109,7 +105,6 @@ class SystemHealth {
     u32 consecutive_failures = 0;
     Circuit circuit = Circuit::kClosed;
     u64 opened_at_event = 0;
-    f64 latency_ewma = 1.0;
     u64 opens = 0;
   };
 

@@ -57,6 +57,18 @@ TEST(BandwidthTracker, SerializeRoundTrip) {
   EXPECT_EQ(back.observations(1), 1u);
 }
 
+TEST(BandwidthTracker, DeserializeRejectsDamagedFieldsAsIoError) {
+  // A record that does not parse is an io_error, never an invariant_error
+  // out of the constructor, so a damaged record reads as absent.
+  const Bytes wire = BandwidthTracker({100.0, 50.0}).serialize();
+  for (const std::size_t at : {4u, 16u}) {  // alpha, first estimate
+    Bytes bad = wire;
+    for (std::size_t i = 0; i < 8; ++i) bad[at + i] = std::byte{0};
+    EXPECT_THROW(BandwidthTracker::deserialize(as_bytes_view(bad)), io_error)
+        << at;
+  }
+}
+
 TEST(BandwidthTracker, RejectsBadInputs) {
   EXPECT_THROW(BandwidthTracker({}), invariant_error);
   EXPECT_THROW(BandwidthTracker({0.0}), invariant_error);
@@ -131,6 +143,28 @@ TEST_F(AdaptivePipelineTest, TrackerPersistsAcrossPipelines) {
   const auto estimates = fresh.bandwidth_estimates();
   EXPECT_NEAR(estimates[3], cluster_->system(3).bandwidth(),
               cluster_->system(3).bandwidth() * 0.6);
+}
+
+TEST_F(AdaptivePipelineTest, DamagedLearnedStateReadsAsDefault) {
+  // Bytes that parse under neither learned-state key: the pipeline starts
+  // from the defaults instead of failing every restore.
+  const std::string junk(40, '\x5A');
+  db_->put("net/bandwidth_tracker", junk);
+  db_->put("net/system_health", junk);
+  RapidsPipeline pipeline(*cluster_, *db_, config());
+  const Dims dims{33, 17, 9};
+  const auto field = data::hurricane_pressure(dims, 3);
+  const auto prep = pipeline.prepare(field, dims, "obj");
+  EXPECT_EQ(pipeline.bandwidth_estimates(), cluster_->bandwidths());
+
+  const auto report = pipeline.restore("obj");
+  EXPECT_EQ(report.levels_used, prep.record.ft.size());
+  ASSERT_EQ(report.data.size(), field.size());
+  EXPECT_LE(data::relative_linf_error(field, report.data),
+            report.rel_error_bound);
+  // The restore persisted a tracker that parses again.
+  RapidsPipeline fresh(*cluster_, *db_, config());
+  EXPECT_EQ(fresh.bandwidth_estimates(), pipeline.bandwidth_estimates());
 }
 
 TEST_F(AdaptivePipelineTest, ReplansAroundMissingFragments) {

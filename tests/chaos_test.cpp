@@ -406,7 +406,7 @@ TEST(Chaos, CircuitBreakerShieldsFlakySystem) {
   // A persisted health record's options win over the defaults: a breaker
   // that stays open for the whole test.
   const Bytes health =
-      storage::SystemHealth(w.cluster.size(), {2, 1000, 0.3}).serialize();
+      storage::SystemHealth(w.cluster.size(), {2, 1000}).serialize();
   w.db->put("net/system_health",
             std::string(reinterpret_cast<const char*>(health.data()),
                         health.size()));

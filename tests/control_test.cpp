@@ -268,7 +268,7 @@ TEST(SystemHealth, EstimatedFailureProbTracksCountersAndFloorsWhenOpen) {
 
   // 80 successes, 20 (non-consecutive) failures: estimate pulls toward 0.2.
   for (int round = 0; round < 20; ++round) {
-    for (int s = 0; s < 4; ++s) health.record_success(0, 1.0);
+    for (int s = 0; s < 4; ++s) health.record_success(0);
     health.record_failure(0);
   }
   const f64 est = health.estimated_failure_prob(0, 0.01);
@@ -473,8 +473,9 @@ TEST(DbDeleteBatch, TombstonesApplyAndSurviveReopen) {
     db->put("k/1", "a");
     db->put("k/2", "b");
     db->put("k/3", "c");
-    const std::vector<std::string> victims{"k/1", "k/3"};
-    db->del_batch(victims);
+    const std::vector<kv::WalRecord> victims{{kv::WalOp::kDelete, "k/1", {}},
+                                             {kv::WalOp::kDelete, "k/3", {}}};
+    db->write(victims);
     EXPECT_FALSE(db->get("k/1").has_value());
     EXPECT_TRUE(db->get("k/2").has_value());
     EXPECT_FALSE(db->get("k/3").has_value());

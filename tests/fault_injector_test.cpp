@@ -411,16 +411,14 @@ TEST(SystemHealth, HalfOpenProbeFailureReopensImmediately) {
   EXPECT_EQ(health.circuit_opens(0), 2u);
 }
 
-TEST(SystemHealth, CountersAndLatencyEwma) {
+TEST(SystemHealth, CountersTrackOutcomes) {
   SystemHealth health(1);
-  health.record_success(0, 1.0);
-  health.record_success(0, 11.0);  // alpha 0.3: 1.0 -> 1.0 -> 4.0
+  health.record_success(0);
+  health.record_success(0);
   health.record_failure(0);
   EXPECT_EQ(health.successes(0), 2u);
   EXPECT_EQ(health.failures(0), 1u);
   EXPECT_EQ(health.consecutive_failures(0), 1u);
-  EXPECT_NEAR(health.latency_ewma(0), 0.7 * (0.7 * 1.0 + 0.3 * 1.0) + 0.3 * 11.0,
-              1e-12);
   health.record_success(0);
   EXPECT_EQ(health.consecutive_failures(0), 0u);
 }
@@ -430,7 +428,7 @@ TEST(SystemHealth, SerializeRoundTrip) {
   options.failure_threshold = 2;
   options.open_cooldown_events = 5;
   SystemHealth health(3, options);
-  health.record_success(0, 2.0);
+  health.record_success(0);
   health.record_failure(1);
   health.record_failure(1);  // open
   health.record_success(2);
@@ -441,7 +439,6 @@ TEST(SystemHealth, SerializeRoundTrip) {
   EXPECT_EQ(back.failures(1), 2u);
   EXPECT_TRUE(back.is_open(1));
   EXPECT_FALSE(back.is_open(0));
-  EXPECT_NEAR(back.latency_ewma(0), health.latency_ewma(0), 1e-12);
   EXPECT_EQ(back.circuit_opens(1), 1u);
 }
 

@@ -42,9 +42,10 @@ TEST_F(WalTest, AppendReplayRoundTrip) {
   const std::string path = dir_ + "/wal.log";
   {
     WalWriter w(path);
-    w.append(WalOp::kPut, "alpha", "1");
-    w.append(WalOp::kPut, "beta", "2");
-    w.append(WalOp::kDelete, "alpha", "");
+    const std::vector<WalRecord> batch = {{WalOp::kPut, "alpha", "1"},
+                                          {WalOp::kPut, "beta", "2"},
+                                          {WalOp::kDelete, "alpha", ""}};
+    w.append(batch);
   }
   std::vector<WalRecord> records;
   const u64 n = wal_replay(path, [&](const WalRecord& r) { records.push_back(r); });
@@ -63,9 +64,11 @@ TEST_F(WalTest, TornTailIgnored) {
   fs::create_directories(dir_);
   const std::string path = dir_ + "/wal.log";
   {
+    // One append of two records: a torn tail loses only the suffix.
     WalWriter w(path);
-    w.append(WalOp::kPut, "good", "value");
-    w.append(WalOp::kPut, "tail", "casualty");
+    const std::vector<WalRecord> batch = {{WalOp::kPut, "good", "value"},
+                                          {WalOp::kPut, "tail", "casualty"}};
+    w.append(batch);
   }
   // Simulate a crash mid-append: truncate the last few bytes.
   const auto size = fs::file_size(path);
@@ -79,8 +82,10 @@ TEST_F(WalTest, CorruptBodyStopsReplay) {
   const std::string path = dir_ + "/wal.log";
   {
     WalWriter w(path);
-    w.append(WalOp::kPut, "first", "ok");
-    w.append(WalOp::kPut, "second", "will-be-corrupted");
+    const WalRecord first{WalOp::kPut, "first", "ok"};
+    const WalRecord second{WalOp::kPut, "second", "will-be-corrupted"};
+    w.append({&first, 1});
+    w.append({&second, 1});
   }
   // Flip a byte inside the second record's body.
   auto raw = read_file(path);
@@ -91,11 +96,22 @@ TEST_F(WalTest, CorruptBodyStopsReplay) {
   EXPECT_EQ(keys, std::vector<std::string>{"first"});
 }
 
+TEST_F(WalTest, AppendReportsAFailedFlush) {
+  // A small append only fills the stdio buffer, so a device that rejects
+  // every write (ENOSPC) fails at the flush, which must not read as durable.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  WalWriter w("/dev/full");
+  const WalRecord rec{WalOp::kPut, "k", "v"};
+  EXPECT_THROW(w.append({&rec, 1}), io_error);
+  EXPECT_EQ(w.bytes_written(), 0u);
+}
+
 TEST_F(WalTest, ResetTruncates) {
   fs::create_directories(dir_);
   const std::string path = dir_ + "/wal.log";
   WalWriter w(path);
-  w.append(WalOp::kPut, "k", "v");
+  const WalRecord rec{WalOp::kPut, "k", "v"};
+  w.append({&rec, 1});
   EXPECT_GT(w.bytes_written(), 0u);
   w.reset();
   EXPECT_EQ(w.bytes_written(), 0u);
@@ -108,15 +124,16 @@ TEST_F(WalTest, AppendBatchReplaysLikeIndividualAppends) {
   fs::create_directories(dir_);
   const std::string batched = dir_ + "/batched.log";
   const std::string individual = dir_ + "/individual.log";
-  const std::vector<std::pair<std::string, std::string>> entries = {
-      {"frag/a/0/0", "3"}, {"frag/a/0/1", "7"}, {"frag/a/0/2", "11"}};
+  const std::vector<WalRecord> entries = {{WalOp::kPut, "frag/a/0/0", "3"},
+                                          {WalOp::kDelete, "frag/a/0/1", ""},
+                                          {WalOp::kPut, "frag/a/0/2", "11"}};
   {
     WalWriter w(batched);
-    w.append_batch(entries);
+    w.append(entries);
   }
   {
     WalWriter w(individual);
-    for (const auto& [k, v] : entries) w.append(WalOp::kPut, k, v);
+    for (const WalRecord& rec : entries) w.append({&rec, 1});
   }
   // One group append produces the same byte stream as N single appends, so
   // replay (and torn-tail recovery) cannot tell them apart.
@@ -128,9 +145,9 @@ TEST_F(WalTest, AppendBatchReplaysLikeIndividualAppends) {
   EXPECT_EQ(wal_replay(batched, [&](const WalRecord& r) { records.push_back(r); }), 3u);
   ASSERT_EQ(records.size(), 3u);
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(records[i].op, WalOp::kPut);
-    EXPECT_EQ(records[i].key, entries[i].first);
-    EXPECT_EQ(records[i].value, entries[i].second);
+    EXPECT_EQ(records[i].op, entries[i].op);
+    EXPECT_EQ(records[i].key, entries[i].key);
+    EXPECT_EQ(records[i].value, entries[i].value);
   }
 }
 
@@ -139,7 +156,7 @@ TEST_F(WalTest, AppendBatchEmptyIsNoop) {
   const std::string path = dir_ + "/wal.log";
   {
     WalWriter w(path);
-    w.append_batch({});
+    w.append({});
   }
   EXPECT_EQ(wal_replay(path, [](const WalRecord&) { FAIL(); }), 0u);
 }
@@ -263,22 +280,23 @@ TEST_F(DbTest, SurvivesReopenViaRuns) {
 }
 
 TEST_F(DbTest, PutBatchVisibleAndDurable) {
-  const std::vector<std::pair<std::string, std::string>> entries = {
-      {"frag/x/0/0", "0"}, {"frag/x/0/1", "5"}, {"frag/x/1/0", "9"}};
+  const std::vector<WalRecord> entries = {{WalOp::kPut, "frag/x/0/0", "0"},
+                                          {WalOp::kPut, "frag/x/0/1", "5"},
+                                          {WalOp::kPut, "frag/x/1/0", "9"}};
   {
     auto db = Db::open(dir_);
-    db->put_batch(entries);
-    for (const auto& [k, v] : entries) EXPECT_EQ(db->get(k).value(), v);
+    db->write(entries);
+    for (const auto& e : entries) EXPECT_EQ(db->get(e.key).value(), e.value);
   }  // no flush: the batch lives only in the WAL's single group append
   auto db = Db::open(dir_);
-  for (const auto& [k, v] : entries) EXPECT_EQ(db->get(k).value(), v);
+  for (const auto& e : entries) EXPECT_EQ(db->get(e.key).value(), e.value);
 }
 
 TEST_F(DbTest, PutBatchRejectsEmptyKeyAtomically) {
   auto db = Db::open(dir_);
-  const std::vector<std::pair<std::string, std::string>> entries = {
-      {"good", "1"}, {"", "2"}};
-  EXPECT_THROW(db->put_batch(entries), invariant_error);
+  const std::vector<WalRecord> entries = {{WalOp::kPut, "good", "1"},
+                                          {WalOp::kPut, "", "2"}};
+  EXPECT_THROW(db->write(entries), invariant_error);
   // Validation happens before the WAL append: nothing was written.
   EXPECT_FALSE(db->get("good").has_value());
 }
@@ -357,6 +375,10 @@ TEST_F(DbTest, ScanPrefixMergesLayers) {
 TEST_F(DbTest, EmptyKeyRejected) {
   auto db = Db::open(dir_);
   EXPECT_THROW(db->put("", "x"), invariant_error);
+  EXPECT_THROW(db->del(""), invariant_error);
+  // Nothing reached the log: a reopen replays no record.
+  db.reset();
+  EXPECT_EQ(wal_replay(dir_ + "/wal.log", [](const WalRecord&) {}), 0u);
 }
 
 TEST_F(DbTest, CrashDuringWalAppendRecovers) {

@@ -1,5 +1,5 @@
 // Tests for the end-to-end pipeline (prepare/restore/repair) and the DP/EC
-// baselines, including behaviour under injected outages.
+// baseline planning helpers, including behaviour under injected outages.
 
 #include <gtest/gtest.h>
 
@@ -377,37 +377,6 @@ TEST_F(PipelineTest, ScrubSkipsDownSystems) {
 }
 
 // --- baselines ---
-
-TEST_F(PipelineTest, DuplicationBaselineRoundTrip) {
-  DuplicationBaseline dp(*cluster_, 3);
-  std::vector<u8> payload(10000);
-  for (std::size_t i = 0; i < payload.size(); ++i)
-    payload[i] = static_cast<u8>(i * 13);
-  const auto holders = dp.store("blob", payload);
-  EXPECT_EQ(holders.size(), 3u);
-  EXPECT_EQ(dp.fetch("blob").value(), payload);
-  // Two of three holders down: still fetchable.
-  storage::fail_exactly(*cluster_, {holders[0], holders[1]});
-  EXPECT_EQ(dp.fetch("blob").value(), payload);
-  // All three down: gone.
-  storage::fail_exactly(*cluster_, holders);
-  EXPECT_FALSE(dp.fetch("blob").has_value());
-}
-
-TEST_F(PipelineTest, EcBaselineRoundTrip) {
-  EcBaseline ecb(*cluster_, 12, 4);
-  std::vector<u8> payload(50000);
-  for (std::size_t i = 0; i < payload.size(); ++i)
-    payload[i] = static_cast<u8>(i * 7 + 1);
-  ecb.store("blob", payload);
-  EXPECT_EQ(ecb.fetch("blob").value(), payload);
-  // 4 failures tolerated.
-  storage::fail_exactly(*cluster_, {0, 5, 10, 15});
-  EXPECT_EQ(ecb.fetch("blob").value(), payload);
-  // 5 failures among the 16 holders: unrecoverable.
-  storage::fail_exactly(*cluster_, {0, 3, 5, 10, 15});
-  EXPECT_FALSE(ecb.fetch("blob").has_value());
-}
 
 TEST_F(PipelineTest, PlanningHelpersShapes) {
   const auto bw = cluster_->bandwidths();

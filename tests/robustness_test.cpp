@@ -18,6 +18,7 @@
 
 #include <filesystem>
 #include <limits>
+#include <optional>
 
 namespace rapids {
 namespace {
@@ -233,6 +234,62 @@ TEST(Robustness, AtRestDamageTriggersReplanAndRepair) {
     EXPECT_TRUE(victim.get(ec::FragmentId{"rot", 0, 2}.key())->verify());
   }
   fs::remove_all(dir);
+}
+
+TEST(Robustness, AtRestDamageIsReadTwiceInFlightDamageRetried) {
+  // A copy damaged at rest reads back with the same bytes every time: one
+  // re-read shows it, and the hedge takes over from there. A copy damaged in
+  // flight (a fresh random flip per read) keeps its retries.
+  namespace fs = std::filesystem;
+  const mgard::Dims dims{17, 17, 9};
+  const auto field = data::nyx_temperature(dims, 7);
+  for (const bool at_rest : {false, true}) {
+    const auto dir = fs::temp_directory_path() /
+                     (at_rest ? "rapids_robust_reread_rest"
+                              : "rapids_robust_reread_flight");
+    fs::remove_all(dir);
+    {
+      storage::Cluster cluster(storage::ClusterConfig{});
+      auto db = kv::Db::open(dir.string());
+      core::PipelineConfig cfg;
+      cfg.restore_cache_bytes = 0;
+      core::RapidsPipeline pipeline(cluster, *db, cfg);
+      pipeline.prepare(field, dims, "reread");
+      const auto healthy = pipeline.restore("reread");
+      ASSERT_EQ(healthy.fetch_retries, 0u);
+
+      // The level-0 fragment the healthy plan read first.
+      const u32 sys = healthy.plan.systems_per_level.at(0).at(0);
+      std::optional<ec::Fragment> frag;
+      for (u32 idx = 0; idx < cluster.size() && !frag; ++idx)
+        frag = cluster.system(sys).get(ec::FragmentId{"reread", 0, idx}.key());
+      ASSERT_TRUE(frag.has_value());
+
+      storage::FaultInjector injector;
+      if (at_rest) {
+        frag->payload.at(frag->payload.size() / 2) ^= 0x5A;  // CRC kept
+        cluster.system(sys).put(*frag);
+      } else {
+        storage::FaultSpec spec;
+        spec.corrupt_next_gets = 2;
+        injector.set_spec(sys, spec);
+        injector.install(cluster);
+      }
+
+      const auto report = pipeline.restore("reread");
+      EXPECT_EQ(report.data, healthy.data);
+      if (at_rest) {
+        EXPECT_EQ(report.fetch_retries, 1u);  // one re-read, not three
+        EXPECT_GT(report.backoff_seconds, 0.0);
+        EXPECT_LE(report.backoff_seconds, 0.0625);  // one 0.05 s backoff
+        EXPECT_EQ(report.hedged_fetches, 1u);
+      } else {
+        EXPECT_EQ(injector.total_counters().corrupt_gets, 2u);
+        EXPECT_EQ(report.fetch_retries, 2u);  // lands on the third read
+      }
+    }
+    fs::remove_all(dir);
+  }
 }
 
 TEST(Robustness, RefactorerRejectsNonFiniteInput) {
