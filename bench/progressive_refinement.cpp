@@ -88,7 +88,7 @@ u64 env_u64(const char* name, u64 fallback) {
 /// cache-free pipeline — every rung moves and decodes all levels again.
 ModeResult run_mode(bool incremental, const std::vector<f32>& field,
                     mgard::Dims dims, ThreadPool& pool,
-                    std::vector<f32>* final_field) {
+                    mgard::FieldBuffer* final_field) {
   const auto dir = (fs::temp_directory_path() /
                     (incremental ? "rapids_bench_prog_inc"
                                  : "rapids_bench_prog_full"))
@@ -199,7 +199,7 @@ int run(int argc, char** argv) {
   const mgard::Dims dims{129, 65, 65};
   const auto field = data::hurricane_pressure(dims, 7, &pool);
 
-  std::vector<f32> full_final, inc_final;
+  mgard::FieldBuffer full_final, inc_final;
   std::vector<ModeResult> results;
   results.push_back(run_mode(false, field, dims, pool, &full_final));
   results.push_back(run_mode(true, field, dims, pool, &inc_final));

@@ -19,7 +19,7 @@ using namespace rapids;
 namespace {
 
 /// Render a coarse ASCII view of the k = nz/2 slice.
-void render_slice(const std::vector<f32>& field, mgard::Dims dims) {
+void render_slice(std::span<const f32> field, mgard::Dims dims) {
   const char* shades = " .:-=+*#%@";
   f32 lo = field[0], hi = field[0];
   for (f32 v : field) {

@@ -25,11 +25,14 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # covered by the plain tier-1 run. kernel_test and mgard_test ride along for
 # the vectorized refactor kernels: ASan/UBSan over the intrinsics paths and
 # TSan over the panel-parallel sweeps. gather_test and solver_test cover the
-# ACO planner's reused buffers.
+# ACO planner's reused buffers. integration_test and robustness_test drive
+# repair, evacuation, fragments damaged at rest and reopened directory
+# workspaces: the paths where a fragment moved into a system, or a decoded
+# level shared with the restore cache, could be read after its owner let go.
 SUITES=(parallel_test pipeline_test pipeline_batch_test progressive_test storage_test
         fault_injector_test chaos_test kernel_test mgard_test streaming_test
         control_test control_chaos_test service_test service_chaos_test
-        gather_test solver_test)
+        gather_test solver_test integration_test robustness_test)
 
 run_tree() {
   local dir="$1" sanitize="$2"

@@ -182,13 +182,16 @@ ec::ReedSolomon RapidsPipeline::codec_for(const ObjectRecord& record,
 }
 
 void RapidsPipeline::store_level_locked(const std::string& name, u32 level,
-                                        const std::vector<ec::Fragment>& frags,
+                                        std::vector<ec::Fragment>& frags,
                                         StoreStats& stats) {
   const u32 n = cluster_.size();
   std::vector<kv::WalRecord> locations;
   locations.reserve(frags.size());
   for (u32 idx = 0; idx < frags.size(); ++idx) {
-    const ec::Fragment& frag = frags[idx];
+    ec::Fragment& frag = frags[idx];
+    // Read before the put that stores the fragment moves it away.
+    const std::string key = frag.id.key();
+    const u64 bytes = frag.payload.size();
     const u32 preferred = storage::place_fragment(n, level, idx);
 
     const auto try_put = [&](u32 sys, u64 salt) {
@@ -222,12 +225,10 @@ void RapidsPipeline::store_level_locked(const std::string& name, u32 level,
       }
     }
     if (!stored)
-      throw io_error("prepare: no storage system accepted fragment " +
-                     frag.id.key());
-    locations.push_back(
-        {kv::WalOp::kPut, frag.id.key(), std::to_string(target)});
+      throw io_error("prepare: no storage system accepted fragment " + key);
+    locations.push_back({kv::WalOp::kPut, key, std::to_string(target)});
     ++stats.fragments_stored;
-    stats.transfers.push_back(net::Transfer{target, frag.payload.size()});
+    stats.transfers.push_back(net::Transfer{target, bytes});
   }
   db_.write(locations);
 }
@@ -397,10 +398,11 @@ void RapidsPipeline::record_health(u32 system, bool ok) {
 }
 
 RetryResult<bool> RapidsPipeline::put_with_retry(u32 system,
-                                                 const ec::Fragment& fragment,
+                                                 ec::Fragment& fragment,
                                                  u64 seed) {
   auto r = retry_io(kRetryPolicy, seed, [&] {
-    cluster_.system(system).put(fragment);
+    // A put that throws leaves `fragment` intact for the next attempt.
+    cluster_.system(system).put(std::move(fragment));
     return true;
   });
   record_health(system, r.ok());
@@ -490,7 +492,7 @@ void RapidsPipeline::fetch_levels(const ObjectRecord& record,
                                   const std::vector<u32>& levels,
                                   const solver::Selection* preplanned,
                                   RestoreReport& report,
-                                  std::vector<Bytes>& payloads,
+                                  std::vector<storage::SharedPayload>& payloads,
                                   std::vector<std::optional<f64>>& landed_at,
                                   const RestoreOptions& opts) {
   const u32 n = cluster_.size();
@@ -668,13 +670,13 @@ void RapidsPipeline::fetch_levels(const ObjectRecord& record,
   };
 
   // Stage: decode one landed level outside the lock, cache it, and stamp
-  // when it became decodable.
+  // when it became decodable. The decoded bytes are moved into one shared
+  // buffer that the cache and payloads[real] both hold; nothing copies them.
   const auto decode_level = [&](u32 real, const std::vector<ec::Fragment>& frags,
                                 f64 landing) {
     t.reset();
-    const std::vector<u8> level = codec_for(record, real).decode(frags, pool_);
-    const auto* p = reinterpret_cast<const std::byte*>(level.data());
-    payloads[real] = Bytes(p, p + level.size());
+    payloads[real] = std::make_shared<const std::vector<u8>>(
+        codec_for(record, real).decode(frags, pool_));
     report.decode_seconds += t.seconds();
     restore_cache_.put(name, record.generation, real, payloads[real]);
     landed_at[real] = landing + report.backoff_seconds;
@@ -766,7 +768,11 @@ RestoreReport RapidsPipeline::refine(RefineSession& session, f64 rel_bound,
                                      const RestoreOptions& opts) {
   std::lock_guard<std::mutex> session_lock(session.mu_);
   RestoreReport report = advance(session, rel_bound, opts);
-  report.data = session.data_;  // the session keeps its field for later rungs
+  // The session keeps its field for later rungs, so the report gets a copy:
+  // allocated unwritten, then one memmove (FieldBuffer's copy constructor
+  // would copy element by element).
+  report.data.resize(session.data_.size());
+  std::copy(session.data_.begin(), session.data_.end(), report.data.begin());
   return report;
 }
 
@@ -811,14 +817,12 @@ RestoreReport RapidsPipeline::advance(RefineSession& session, f64 rel_bound,
   // Consult the shared cache for the levels this rung needs. Levels below
   // the cursor are already materialized in the session's plane sets.
   const u32 generation = record->generation;
-  std::vector<Bytes> payloads(nlevels);
+  std::vector<storage::SharedPayload> payloads(nlevels);
   std::vector<bool> cached(nlevels, false);
   for (u32 j = 0; j < session.cursor_; ++j) cached[j] = true;
   for (u32 j = session.cursor_; j < target; ++j) {
-    Bytes hit;
-    switch (restore_cache_.get(session.name_, generation, j, hit)) {
+    switch (restore_cache_.get(session.name_, generation, j, payloads[j])) {
       case storage::RestoreCache::Outcome::kHit:
-        payloads[j] = std::move(hit);
         cached[j] = true;
         ++report.cache_hits;
         break;
@@ -925,10 +929,11 @@ RestoreReport RapidsPipeline::advance(RefineSession& session, f64 rel_bound,
   // already-decoded quantized state.
   if (session.plane_sets_.empty())
     session.plane_sets_ = mgard::collect_plane_sets(record->meta.dlevels, {});
-  const std::span<const Bytes> fresh(payloads.data() + session.cursor_,
-                                     usable - session.cursor_);
-  report.planes_decoded = mgard::count_magnitude_segments(fresh);
-  mgard::append_plane_sets(session.plane_sets_, fresh);
+  for (u32 j = session.cursor_; j < usable; ++j) {
+    const auto level = as_bytes_view(*payloads[j]);
+    report.planes_decoded += mgard::count_magnitude_segments(level);
+    mgard::append_plane_sets(session.plane_sets_, level);
+  }
 
   Timer t;
   session.data_ = refactorer_.reconstruct_incremental(
@@ -967,13 +972,13 @@ void RapidsPipeline::repair_fragment_locked(const std::string& name, u32 level,
   // Pool-free while io_mu_ is held: a helping waiter could steal a task
   // that needs this very lock.
   ec::Fragment rebuilt = rs.reconstruct_fragment(survivors, index, nullptr);
-  const auto put = put_with_retry(
-      target_system, rebuilt,
-      stable_hash(rebuilt.id.key(), target_system, 0x9E9Aull));
+  const std::string key = rebuilt.id.key();  // the put moves `rebuilt` away
+  const auto put = put_with_retry(target_system, rebuilt,
+                                  stable_hash(key, target_system, 0x9E9Aull));
   if (!put.ok())
-    throw io_error("repair: target system rejected rebuilt fragment " +
-                   rebuilt.id.key() + ": " + put.last_error);
-  db_.put(rebuilt.id.key(), std::to_string(target_system));
+    throw io_error("repair: target system rejected rebuilt fragment " + key +
+                   ": " + put.last_error);
+  db_.put(key, std::to_string(target_system));
 }
 
 std::vector<std::string> RapidsPipeline::list_objects() {
@@ -1173,24 +1178,23 @@ Bytes RapidsPipeline::fetch_level_payload(const std::string& name, u32 level,
   snapshot_problem(name, record, problem);
   RAPIDS_REQUIRE_MSG(level < record->ft.size(),
                      "fetch_level: level out of range for " + name);
-  const u32 generation = record->generation;
-  Bytes hit;
-  if (restore_cache_.get(name, generation, level, hit) ==
-      storage::RestoreCache::Outcome::kHit)
-    return hit;
-
-  // fetch_levels replans around bad systems until the level lands or more
-  // than m_j systems are out: then the level is gone for now.
-  std::vector<Bytes> payloads(record->ft.size());
-  std::vector<std::optional<f64>> landed_at(record->ft.size());
-  RestoreReport report;
-  fetch_levels(*record, name, problem, {level}, nullptr, report, payloads,
-               landed_at);
-  if (!landed_at[level])
-    throw io_error("fetch_level: level " + std::to_string(level) + " of " +
-                   name + " is not recoverable under current outages");
-  if (wan_bytes != nullptr) *wan_bytes += report.bytes_transferred;
-  return std::move(payloads[level]);
+  std::vector<storage::SharedPayload> payloads(record->ft.size());
+  if (restore_cache_.get(name, record->generation, level, payloads[level]) !=
+      storage::RestoreCache::Outcome::kHit) {
+    // fetch_levels replans around bad systems until the level lands or more
+    // than m_j systems are out: then the level is gone for now.
+    std::vector<std::optional<f64>> landed_at(record->ft.size());
+    RestoreReport report;
+    fetch_levels(*record, name, problem, {level}, nullptr, report, payloads,
+                 landed_at);
+    if (!landed_at[level])
+      throw io_error("fetch_level: level " + std::to_string(level) + " of " +
+                     name + " is not recoverable under current outages");
+    if (wan_bytes != nullptr) *wan_bytes += report.bytes_transferred;
+  }
+  // The caller gets its own bytes; the shared buffer may stay cached.
+  const auto view = as_bytes_view(*payloads[level]);
+  return Bytes(view.begin(), view.end());
 }
 
 u64 RapidsPipeline::store_level_generation(const std::string& name,
@@ -1217,7 +1221,7 @@ u64 RapidsPipeline::store_level_generation(const std::string& name,
   const ec::ReedSolomon rs(n - m_new, m_new, record->matrix_kind);
   const std::span<const u8> data{reinterpret_cast<const u8*>(payload.data()),
                                  payload.size()};
-  const auto frags = rs.encode(data, sname, level, pool_);
+  auto frags = rs.encode(data, sname, level, pool_);
 
   StoreStats stats;
   {

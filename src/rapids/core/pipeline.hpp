@@ -128,7 +128,7 @@ struct PrepareReport {
 
 /// restore() outcome + instrumentation.
 struct RestoreReport {
-  std::vector<f32> data;        ///< reconstructed field (empty if nothing recoverable)
+  mgard::FieldBuffer data;      ///< reconstructed field (empty if nothing recoverable)
   u32 levels_used = 0;          ///< retrieval levels that survived the outage
   f64 rel_error_bound = 1.0;    ///< guaranteed bound for levels_used (1 = lost)
   GatherPlan plan;              ///< plan of the last gather round that fetched
@@ -221,7 +221,7 @@ class RefineSession {
   /// (unset before the first rung).
   std::optional<u64> epoch_;
   u32 cursor_ = 0;  ///< retrieval levels materialized into data_
-  std::vector<f32> data_;
+  mgard::FieldBuffer data_;
   std::vector<mgard::PlaneSet> plane_sets_;
   std::vector<mgard::ProgressiveState> pstates_;
   /// Ladder plan computed once for all then-remaining levels: row of serving
@@ -449,10 +449,10 @@ class RapidsPipeline {
   /// Distribute one level's fragments (placement, retry, relocation, health,
   /// per-level location batch). Caller holds io_mu_. Each fragment goes to
   /// its placed system through put_with_retry, and on failure to the
-  /// least-loaded available system that accepts it.
+  /// least-loaded available system that accepts it. The stored fragments
+  /// are moved into the systems, so `frags` is consumed.
   void store_level_locked(const std::string& name, u32 level,
-                          const std::vector<ec::Fragment>& frags,
-                          StoreStats& stats);
+                          std::vector<ec::Fragment>& frags, StoreStats& stats);
   ec::ReedSolomon codec_for(const ObjectRecord& record, u32 level) const;
   /// Write `name`'s record with one Db::write, after the records in `batch`
   /// (the one way an ObjectRecord reaches the metadata store). Caller holds
@@ -472,8 +472,11 @@ class RapidsPipeline {
   void record_health(u32 system, bool ok);
   /// Put one fragment with bounded retry (every io_error is transient; the
   /// jitter stream comes from `seed`), then record the outcome in the health
-  /// tracker once. Must be called under io_mu_.
-  RetryResult<bool> put_with_retry(u32 system, const ec::Fragment& fragment,
+  /// tracker once. The attempt that stores `fragment` moves it into the
+  /// system; a failed attempt leaves it intact, so after a failed call the
+  /// caller still holds the same bytes to relocate. Must be called under
+  /// io_mu_.
+  RetryResult<bool> put_with_retry(u32 system, ec::Fragment& fragment,
                                    u64 seed);
   /// Fetch one fragment with bounded retry, classifying failures: io_error
   /// is transient (retried with backoff), a missing fragment is permanent
@@ -510,10 +513,11 @@ class RapidsPipeline {
   /// The restore engine's one replan loop: plan, fetch, and erasure-decode
   /// the given retrieval levels (0-based, ascending) into payloads[level].
   /// Each round plans the levels still to fetch, then fetches and decodes
-  /// them one at a time in ascending order; each landed level goes into the
-  /// restore cache and sets landed_at[level] (unset on entry) to the
-  /// simulated time it became decodable (equal-share completion of its
-  /// slowest fragment, stragglers/hedges/backoff folded in). A planned
+  /// them one at a time in ascending order; each landed level is one shared
+  /// buffer, handed to both the restore cache and payloads[level], and sets
+  /// landed_at[level] (unset on entry) to the simulated time it became
+  /// decodable (equal-share completion of its slowest fragment,
+  /// stragglers/hedges/backoff folded in). A planned
   /// fragment that stays missing or damaged marks its system down in
   /// `problem` (counted in report.replans) and the next round replans the
   /// rest, dropping the levels that no longer tolerate the outages. Since
@@ -524,7 +528,7 @@ class RapidsPipeline {
   void fetch_levels(const ObjectRecord& record, const std::string& name,
                     GatherProblem& problem, const std::vector<u32>& levels,
                     const solver::Selection* preplanned, RestoreReport& report,
-                    std::vector<Bytes>& payloads,
+                    std::vector<storage::SharedPayload>& payloads,
                     std::vector<std::optional<f64>>& landed_at,
                     const RestoreOptions& opts = {});
 

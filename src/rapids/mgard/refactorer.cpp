@@ -137,7 +137,7 @@ RefactoredObject Refactorer::refactor(std::span<const f32> data, Dims dims,
   return out;
 }
 
-std::vector<f32> Refactorer::reconstruct(
+FieldBuffer Refactorer::reconstruct(
     const RefactoredObject& meta, std::span<const Bytes> level_payloads,
     CodecStats* codec) const {
   RAPIDS_REQUIRE_MSG(!level_payloads.empty(),
@@ -148,7 +148,7 @@ std::vector<f32> Refactorer::reconstruct(
   return reconstruct_from_sets(meta, sets, nullptr, codec);
 }
 
-std::vector<f32> Refactorer::reconstruct_incremental(
+FieldBuffer Refactorer::reconstruct_incremental(
     const RefactoredObject& meta, const std::vector<PlaneSet>& sets,
     std::vector<ProgressiveState>& states, CodecStats* codec) const {
   if (states.empty()) states.resize(sets.size());
@@ -157,7 +157,7 @@ std::vector<f32> Refactorer::reconstruct_incremental(
   return reconstruct_from_sets(meta, sets, &states, codec);
 }
 
-std::vector<f32> Refactorer::reconstruct_from_sets(
+FieldBuffer Refactorer::reconstruct_from_sets(
     const RefactoredObject& meta, const std::vector<PlaneSet>& sets,
     std::vector<ProgressiveState>* states, CodecStats* codec) const {
   const GridHierarchy h(meta.dims, meta.decomp_levels);
@@ -178,7 +178,8 @@ std::vector<f32> Refactorer::reconstruct_from_sets(
   }
   recompose(grid, h, DecomposeOptions{meta.l2_correction}, pool_, ws.get());
 
-  std::vector<f32> out(meta.dims.total());
+  // Allocated unwritten: the narrow's parallel pass takes every first touch.
+  FieldBuffer out(meta.dims.total());
   narrow_from_grid(grid, h.padded(), meta.dims, out, pool_);
   return out;
 }

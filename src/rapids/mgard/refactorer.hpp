@@ -14,12 +14,19 @@
 #include "rapids/mgard/retrieval.hpp"
 #include "rapids/util/bytes.hpp"
 #include "rapids/util/common.hpp"
+#include "rapids/util/default_init.hpp"
 
 namespace rapids {
 class ThreadPool;
 }
 
 namespace rapids::mgard {
+
+/// A reconstructed field (extents of the object, row-major, x fastest). Its
+/// allocator leaves the elements unwritten, so `narrow_from_grid`'s pass on
+/// the pool is the first and only write to each page. Readers take it as
+/// `std::span<const f32>`.
+using FieldBuffer = std::vector<f32, DefaultInitAllocator<f32>>;
 
 /// Options for a refactor run.
 struct RefactorOptions {
@@ -93,9 +100,9 @@ class Refactorer {
   /// retrieval levels (must be a prefix: levels 1..j). `meta` may come from
   /// refactor() or deserialize_metadata(). `codec`, when non-null, receives
   /// the entropy-codec substage accounting of the plane decode.
-  std::vector<f32> reconstruct(const RefactoredObject& meta,
-                               std::span<const Bytes> level_payloads,
-                               CodecStats* codec = nullptr) const;
+  FieldBuffer reconstruct(const RefactoredObject& meta,
+                          std::span<const Bytes> level_payloads,
+                          CodecStats* codec = nullptr) const;
 
   /// Incremental counterpart of reconstruct() for refinement sessions.
   /// `sets` are the accumulated plane sets of a retrieval prefix (grown with
@@ -103,14 +110,14 @@ class Refactorer {
   /// across rungs) lets the bitplane decode pay only for planes added since
   /// the last call — the recompose itself still runs over the full grid.
   /// Bit-identical to reconstruct() over the same prefix.
-  std::vector<f32> reconstruct_incremental(
+  FieldBuffer reconstruct_incremental(
       const RefactoredObject& meta, const std::vector<PlaneSet>& sets,
       std::vector<ProgressiveState>& states, CodecStats* codec = nullptr) const;
 
  private:
   /// Shared tail of the two reconstruct flavors: decode (incrementally when
   /// `states` is non-null), scatter, recompose, crop.
-  std::vector<f32> reconstruct_from_sets(
+  FieldBuffer reconstruct_from_sets(
       const RefactoredObject& meta, const std::vector<PlaneSet>& sets,
       std::vector<ProgressiveState>* states, CodecStats* codec) const;
 

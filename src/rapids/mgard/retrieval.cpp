@@ -176,39 +176,36 @@ std::vector<PlaneSet> collect_plane_sets(
     sets[l].max_abs = dlevel_meta[l].max_abs;
     sets[l].exponent = dlevel_meta[l].exponent;
   }
-  append_plane_sets(sets, level_payloads);
+  for (const Bytes& payload : level_payloads)
+    append_plane_sets(sets, as_bytes_view(payload));
   return sets;
 }
 
 void append_plane_sets(std::vector<PlaneSet>& sets,
-                       std::span<const Bytes> level_payloads) {
-  for (const Bytes& payload : level_payloads) {
-    for (auto& [ref, seg] : parse_retrieval_payload(as_bytes_view(payload))) {
-      RAPIDS_REQUIRE_MSG(ref.dlevel < sets.size(),
-                         "retrieval payload references unknown level");
-      PlaneSet& ps = sets[ref.dlevel];
-      if (ref.plane == 0) {
-        ps.sign = std::move(seg);
-      } else {
-        // Planes arrive MSB-first in stream order; enforce contiguity.
-        RAPIDS_REQUIRE_MSG(ref.plane == ps.planes.size() + 1,
-                           "retrieval payload planes out of order");
-        ps.planes.push_back(std::move(seg));
-      }
+                       std::span<const std::byte> level_payload) {
+  for (auto& [ref, seg] : parse_retrieval_payload(level_payload)) {
+    RAPIDS_REQUIRE_MSG(ref.dlevel < sets.size(),
+                       "retrieval payload references unknown level");
+    PlaneSet& ps = sets[ref.dlevel];
+    if (ref.plane == 0) {
+      ps.sign = std::move(seg);
+    } else {
+      // Planes arrive MSB-first in stream order; enforce contiguity.
+      RAPIDS_REQUIRE_MSG(ref.plane == ps.planes.size() + 1,
+                         "retrieval payload planes out of order");
+      ps.planes.push_back(std::move(seg));
     }
   }
 }
 
-u64 count_magnitude_segments(std::span<const Bytes> level_payloads) {
+u64 count_magnitude_segments(std::span<const std::byte> level_payload) {
   u64 count = 0;
-  for (const Bytes& payload : level_payloads) {
-    ByteReader r(as_bytes_view(payload));
-    while (!r.at_end()) {
-      (void)r.get_u32();  // dlevel
-      const u32 plane = r.get_u32();
-      (void)r.get_bytes();  // borrowed view, not copied
-      count += plane != 0 ? 1 : 0;
-    }
+  ByteReader r(level_payload);
+  while (!r.at_end()) {
+    (void)r.get_u32();  // dlevel
+    const u32 plane = r.get_u32();
+    (void)r.get_bytes();  // borrowed view, not copied
+    count += plane != 0 ? 1 : 0;
   }
   return count;
 }

@@ -98,18 +98,18 @@ std::vector<PlaneSet> collect_plane_sets(
     const std::vector<DLevelMeta>& dlevel_meta,
     std::span<const Bytes> level_payloads);
 
-/// Append further retrieval-level payloads to plane sets previously built by
-/// collect_plane_sets (possibly from an empty payload prefix). The payloads
-/// must continue the retrieval prefix exactly where `sets` left off — plane
-/// contiguity per decomposition level is enforced. This is how a refinement
-/// session grows its plane sets one rung at a time without reparsing the
-/// levels it already holds.
+/// Append one more retrieval level's payload to plane sets previously built
+/// by collect_plane_sets (possibly from an empty payload prefix). The
+/// payload must continue the retrieval prefix exactly where `sets` left off
+/// — plane contiguity per decomposition level is enforced. This is how a
+/// refinement session grows its plane sets one level at a time without
+/// reparsing the levels it already holds.
 void append_plane_sets(std::vector<PlaneSet>& sets,
-                       std::span<const Bytes> level_payloads);
+                       std::span<const std::byte> level_payload);
 
-/// Number of magnitude-plane segments across the payloads (sign planes
-/// excluded) — a header skim with no segment copies. The restore path
-/// reports this as "planes decoded".
-u64 count_magnitude_segments(std::span<const Bytes> level_payloads);
+/// Number of magnitude-plane segments in one retrieval level's payload (sign
+/// planes excluded) — a header skim with no segment copies. The restore path
+/// reports the sum over its new levels as "planes decoded".
+u64 count_magnitude_segments(std::span<const std::byte> level_payload);
 
 }  // namespace rapids::mgard

@@ -54,7 +54,7 @@ Calibration calibrate(const CalibrationOptions& options) {
 
   std::vector<Bytes> payloads;
   for (const auto& l : obj.levels) payloads.push_back(l.payload);
-  std::vector<f32> rec;
+  mgard::FieldBuffer rec;
   cal.reconstruct_bps = best_rate(field_bytes, 2, [&] {
     rec = refactorer.reconstruct(obj, payloads);
   });

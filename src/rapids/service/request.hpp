@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "rapids/mgard/grid.hpp"
+#include "rapids/mgard/refactorer.hpp"
 #include "rapids/util/common.hpp"
 
 namespace rapids::service {
@@ -133,7 +134,7 @@ struct Response {
   u64 wan_bytes = 0;
 
   std::string error;          ///< diagnostic for kShed / kFailed
-  std::vector<f32> result;    ///< restored field (empty if keep_data off)
+  mgard::FieldBuffer result;  ///< restored field (empty if keep_data off)
 };
 
 }  // namespace rapids::service

@@ -41,7 +41,7 @@ struct ObjectService::Pending {
   f64 achieved_bound = 1.0;
   u32 levels_used = 0;
   u64 wan_bytes = 0;
-  std::vector<f32> result;
+  mgard::FieldBuffer result;
 };
 
 ObjectService::ObjectService(core::RapidsPipeline& pipeline,

@@ -5,7 +5,8 @@
 namespace rapids::storage {
 
 RestoreCache::Outcome RestoreCache::get(const std::string& name,
-                                        u32 generation, u32 level, Bytes& out) {
+                                        u32 generation, u32 level,
+                                        SharedPayload& out) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(Key{name, generation, level});
   if (it == index_.end()) {
@@ -13,7 +14,7 @@ RestoreCache::Outcome RestoreCache::get(const std::string& name,
     return Outcome::kMiss;
   }
   Entry& entry = *it->second;
-  if (crc32c(as_bytes_view(entry.payload)) != entry.crc) {
+  if (crc32c(as_bytes_view(*entry.payload)) != entry.crc) {
     ++corrupt_evictions_;
     drop(it->second);
     return Outcome::kCorrupt;
@@ -25,19 +26,20 @@ RestoreCache::Outcome RestoreCache::get(const std::string& name,
 }
 
 void RestoreCache::put(const std::string& name, u32 generation, u32 level,
-                       std::span<const std::byte> payload) {
-  if (payload.size() > budget_) return;  // covers budget_ == 0 (disabled)
+                       SharedPayload payload) {
+  const u64 size = payload->size();
+  if (size > budget_) return;  // covers budget_ == 0 (disabled)
+  const u32 crc = crc32c(as_bytes_view(*payload));
   std::lock_guard<std::mutex> lock(mu_);
   const Key key{name, generation, level};
   if (const auto it = index_.find(key); it != index_.end()) drop(it->second);
-  while (bytes_ + payload.size() > budget_ && !lru_.empty()) {
+  while (bytes_ + size > budget_ && !lru_.empty()) {
     ++evictions_;
     drop(std::prev(lru_.end()));
   }
-  lru_.push_front(Entry{key, Bytes(payload.begin(), payload.end()),
-                        crc32c(payload)});
+  lru_.push_front(Entry{key, std::move(payload), crc});
   index_.emplace(key, lru_.begin());
-  bytes_ += payload.size();
+  bytes_ += size;
   ++inserts_;
 }
 
@@ -82,14 +84,15 @@ bool RestoreCache::corrupt_entry_for_test(const std::string& name,
                                           u64 byte_index) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(Key{name, generation, level});
-  if (it == index_.end() || it->second->payload.empty()) return false;
-  Bytes& payload = it->second->payload;
-  payload[byte_index % payload.size()] ^= std::byte{0x40};
+  if (it == index_.end() || it->second->payload->empty()) return false;
+  auto damaged = std::make_shared<std::vector<u8>>(*it->second->payload);
+  (*damaged)[byte_index % damaged->size()] ^= 0x40;
+  it->second->payload = std::move(damaged);
   return true;
 }
 
 void RestoreCache::drop(LruList::iterator it) {
-  bytes_ -= it->payload.size();
+  bytes_ -= it->payload->size();
   index_.erase(it->key);
   lru_.erase(it);
 }

@@ -12,22 +12,32 @@
 /// post-migration restore cannot merge stale bytes even if invalidation
 /// raced with a concurrent fill.
 ///
-/// Every entry stores the CRC-32C of its payload, recomputed on every get.
-/// A mismatch (bit rot, or a fault injector scribbling on memory it should
-/// not reach) evicts the entry and reports kCorrupt, so the caller falls
-/// through to a normal fetch — a stale or damaged cache can cost time but
-/// never correctness.
+/// Entries are shared immutable payloads: put stores the caller's pointer
+/// and a hit hands the same buffer out, so neither copies a byte, and a
+/// reader keeps its payload alive through any eviction or invalidation that
+/// drops the entry. Every entry stores the CRC-32C of its payload, computed
+/// on put and recomputed on every get. A mismatch (bit rot, or a fault
+/// injector scribbling on memory it should not reach) evicts the entry and
+/// reports kCorrupt, so the caller falls through to a normal fetch — a stale
+/// or damaged cache can cost time but never correctness.
 
 #include <list>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "rapids/util/bytes.hpp"
 #include "rapids/util/common.hpp"
 
 namespace rapids::storage {
+
+/// One decoded retrieval-level payload, never written after it is published.
+/// The cache and every reader holding it share the one buffer; it is freed
+/// with its last holder.
+using SharedPayload = std::shared_ptr<const std::vector<u8>>;
 
 class RestoreCache {
  public:
@@ -40,19 +50,21 @@ class RestoreCache {
 
   enum class Outcome {
     kMiss,     ///< not cached
-    kHit,      ///< payload copied into `out`, CRC verified
+    kHit,      ///< `out` holds the cached payload, CRC verified
     kCorrupt,  ///< was cached but failed CRC; entry evicted, `out` untouched
   };
 
-  /// Look up (name, generation, level); a verified hit copies the payload
-  /// into `out` and refreshes the entry's LRU position.
-  Outcome get(const std::string& name, u32 generation, u32 level, Bytes& out);
+  /// Look up (name, generation, level); a verified hit points `out` at the
+  /// stored payload and refreshes the entry's LRU position.
+  Outcome get(const std::string& name, u32 generation, u32 level,
+              SharedPayload& out);
 
-  /// Insert or refresh (name, generation, level). Entries larger than the
-  /// whole budget are not cached; otherwise least-recently-used entries are
-  /// evicted until the new total fits.
+  /// Insert or refresh (name, generation, level) with `payload` itself (no
+  /// copy) and its CRC. Entries larger than the whole budget are not cached;
+  /// otherwise least-recently-used entries are evicted until the new total
+  /// fits.
   void put(const std::string& name, u32 generation, u32 level,
-           std::span<const std::byte> payload);
+           SharedPayload payload);
 
   /// Drop every cached level of `name`, across all generations (the object
   /// was re-prepared or migrated).
@@ -76,9 +88,11 @@ class RestoreCache {
   };
   Stats stats() const;
 
-  /// Test hook: flip one bit of a cached payload in place (returns false if
-  /// the entry is absent or empty). Lets chaos tests inject silent cache
-  /// corruption without reaching into private state.
+  /// Test hook: replace a cached payload by a private copy with one bit
+  /// flipped, keeping the entry's CRC (returns false if the entry is absent
+  /// or empty). Lets chaos tests inject silent cache corruption without
+  /// reaching into private state; readers already holding the payload keep
+  /// the intact bytes.
   bool corrupt_entry_for_test(const std::string& name, u32 generation,
                               u32 level, u64 byte_index = 0);
 
@@ -86,7 +100,7 @@ class RestoreCache {
   using Key = std::tuple<std::string, u32, u32>;  // (name, generation, level)
   struct Entry {
     Key key;
-    Bytes payload;
+    SharedPayload payload;
     u32 crc = 0;
   };
   using LruList = std::list<Entry>;

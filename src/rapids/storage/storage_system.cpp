@@ -27,7 +27,7 @@ std::string StorageSystem::file_path(const std::string& key) const {
   return dir_ + "/" + flat + ".frag";
 }
 
-void StorageSystem::put(const ec::Fragment& fragment) {
+void StorageSystem::put(ec::Fragment&& fragment) {
   if (!available())
     throw io_error("storage system " + name_ + " is unavailable");
   std::lock_guard<std::mutex> lock(mu_);
@@ -42,20 +42,21 @@ void StorageSystem::put(const ec::Fragment& fragment) {
   if (fault == PutFault::kTorn) {
     // Persist a truncated payload: the old value is gone, the new one is
     // damaged in a CRC-detectable way, and the caller sees an error — the
-    // classic torn-write outcome.
+    // classic torn-write outcome. The truncated fragment is a copy, so the
+    // caller's stays intact for its retry.
     ec::Fragment torn = fragment;
     torn.payload.resize(fragment.payload.size() / 2);
-    store_locked(torn);
+    store_locked(std::move(torn));
     throw io_error("storage system " + name_ + ": torn write of " + key);
   }
-  store_locked(fragment);
+  store_locked(std::move(fragment));
 }
 
-void StorageSystem::store_locked(const ec::Fragment& fragment) {
+void StorageSystem::store_locked(ec::Fragment&& fragment) {
   const std::string key = fragment.id.key();
   if (dir_.empty()) {
     used_bytes_ += fragment.payload.size();
-    store_[key] = fragment;
+    store_[key] = std::move(fragment);
     return;
   }
   write_file(file_path(key), as_bytes_view(fragment.serialize()));

@@ -53,12 +53,13 @@ class StorageSystem {
     available_.store(available, std::memory_order_release);
   }
 
-  /// Store a fragment. Throws io_error if the system is unavailable or the
-  /// attached fault profile injects a failure; a torn-write fault persists a
-  /// truncated payload (detectable via Fragment::verify) before throwing. A
-  /// call on an available system draws exactly one put fault from the
-  /// profile.
-  void put(const ec::Fragment& fragment);
+  /// Store a fragment by moving it into the system. Throws io_error if the
+  /// system is unavailable or the attached fault profile injects a failure;
+  /// a torn-write fault persists a truncated copy (detectable via
+  /// Fragment::verify) before throwing. A put that throws leaves `fragment`
+  /// as it was, so a retry or a relocation puts the same bytes. A call on an
+  /// available system draws exactly one put fault from the profile.
+  void put(ec::Fragment&& fragment);
 
   /// Fetch a fragment by key. Returns nullopt if absent; throws io_error if
   /// the system is unavailable or a transient fault is injected. An injected
@@ -108,9 +109,9 @@ class StorageSystem {
  private:
   std::string file_path(const std::string& key) const;
   void erase_locked(const std::string& key);
-  /// Store `fragment` under its key: in memory, or written to its file with
-  /// only its header indexed.
-  void store_locked(const ec::Fragment& fragment);
+  /// Store `fragment` under its key: moved into memory, or written to its
+  /// file with only its header indexed.
+  void store_locked(ec::Fragment&& fragment);
   /// Directory mode: index a fragment on disk by the header fields of
   /// `header` (its payload is ignored) and count `payload_bytes` as used.
   void index_locked(const ec::Fragment& header, u64 payload_bytes);

@@ -201,7 +201,7 @@ TEST_F(AdaptivePipelineTest, ReplansAroundDamagedFragment) {
   ASSERT_TRUE(frag.has_value());
   frag->payload[0] ^= 0xFF;  // CRC now mismatches
   // put() would recompute nothing: payload_crc field is stale on purpose.
-  cluster_->system(sys).put(*frag);
+  cluster_->system(sys).put(std::move(*frag));
 
   const auto rest = pipeline.restore("obj");
   EXPECT_GT(rest.levels_used, 0u);

@@ -387,17 +387,19 @@ TEST(FtReoptimize, WarmStartNeverWorseThanCurrent) {
 
 // --- generation-tagged restore cache ---
 
-Bytes fill(std::size_t n, u8 v) { return Bytes(n, std::byte{v}); }
+storage::SharedPayload fill(std::size_t n, u8 v) {
+  return std::make_shared<const std::vector<u8>>(n, v);
+}
 
 TEST(RestoreCacheGenerations, GenerationsAreDistinctKeys) {
   storage::RestoreCache cache(4096);
   cache.put("a", 0, 0, fill(64, 1));
   cache.put("a", 1, 0, fill(64, 2));
-  Bytes out;
+  storage::SharedPayload out;
   ASSERT_EQ(cache.get("a", 0, 0, out), storage::RestoreCache::Outcome::kHit);
-  EXPECT_EQ(out, fill(64, 1));
+  EXPECT_EQ(*out, *fill(64, 1));
   ASSERT_EQ(cache.get("a", 1, 0, out), storage::RestoreCache::Outcome::kHit);
-  EXPECT_EQ(out, fill(64, 2));
+  EXPECT_EQ(*out, *fill(64, 2));
   EXPECT_EQ(cache.get("a", 2, 0, out), storage::RestoreCache::Outcome::kMiss);
 }
 
@@ -408,7 +410,7 @@ TEST(RestoreCacheGenerations, InvalidateDropsEveryGeneration) {
   cache.put("a", 7, 3, fill(32, 3));
   cache.put("b", 1, 0, fill(32, 4));
   cache.invalidate("a");
-  Bytes out;
+  storage::SharedPayload out;
   EXPECT_EQ(cache.get("a", 0, 0, out), storage::RestoreCache::Outcome::kMiss);
   EXPECT_EQ(cache.get("a", 1, 0, out), storage::RestoreCache::Outcome::kMiss);
   EXPECT_EQ(cache.get("a", 7, 3, out), storage::RestoreCache::Outcome::kMiss);
@@ -421,7 +423,7 @@ TEST(RestoreCacheGenerations, InvalidateFromFiltersLevelAcrossGenerations) {
     for (u32 level = 0; level < 4; ++level)
       cache.put("a", gen, level, fill(16, u8(gen * 4 + level)));
   cache.invalidate_from("a", 2);
-  Bytes out;
+  storage::SharedPayload out;
   for (u32 gen = 0; gen < 3; ++gen) {
     EXPECT_EQ(cache.get("a", gen, 0, out),
               storage::RestoreCache::Outcome::kHit);
@@ -707,7 +709,7 @@ TEST(MigrationPrimitives, FetchLevelPayloadSurvivesAnErasedFragment) {
     w.pipeline->restore_cache().invalidate("obj");
     EXPECT_EQ(w.pipeline->fetch_level_payload("obj", level), healthy)
         << "fragment on system " << s << " erased";
-    sys.put(*frag);
+    sys.put(ec::Fragment(*frag));
   }
 }
 

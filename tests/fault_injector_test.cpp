@@ -141,9 +141,9 @@ TEST(FaultInjection, TransientPutThrowsWithoutStoring) {
   spec.fail_next_puts = 1;
   sys.attach_fault_profile(std::make_shared<FaultProfile>(spec));
   const auto frag = make_fragment("obj", 0, 0, 64);
-  EXPECT_THROW(sys.put(frag), io_error);
+  EXPECT_THROW(sys.put(ec::Fragment(frag)), io_error);
   EXPECT_FALSE(sys.has(frag.id.key()));
-  sys.put(frag);  // second attempt succeeds
+  sys.put(ec::Fragment(frag));  // second attempt succeeds
   EXPECT_TRUE(sys.get(frag.id.key()).has_value());
 }
 
@@ -153,7 +153,7 @@ TEST(FaultInjection, TornPutPersistsDamageDetectableByCrc) {
   spec.torn_put_prob = 1.0;
   sys.attach_fault_profile(std::make_shared<FaultProfile>(spec));
   const auto frag = make_fragment("obj", 0, 0, 64);
-  EXPECT_THROW(sys.put(frag), io_error);
+  EXPECT_THROW(sys.put(ec::Fragment(frag)), io_error);
   // The torn write left *something* behind, and it fails verification.
   EXPECT_TRUE(sys.has(frag.id.key()));
   sys.attach_fault_profile(nullptr);
@@ -161,14 +161,14 @@ TEST(FaultInjection, TornPutPersistsDamageDetectableByCrc) {
   ASSERT_TRUE(back.has_value());
   EXPECT_FALSE(back->verify());
   // A clean replacement put heals it.
-  sys.put(frag);
+  sys.put(ec::Fragment(frag));
   EXPECT_TRUE(sys.get(frag.id.key())->verify());
 }
 
 TEST(FaultInjection, CorruptGetDamagesCopyNotStore) {
   StorageSystem sys(0, "s0", 1e9, 0.01);
   const auto frag = make_fragment("obj", 0, 0, 128);
-  sys.put(frag);
+  sys.put(ec::Fragment(frag));
   FaultSpec spec;
   spec.corrupt_next_gets = 1;
   sys.attach_fault_profile(std::make_shared<FaultProfile>(spec));

@@ -141,7 +141,7 @@ TEST_F(IntegrationTest, ReopenedDirectoryWorkspaceRestoresWithoutRewriting) {
   };
   const Dims dims{33, 17, 9};
   const auto field = data::scale_pressure(dims, 3);
-  std::vector<f32> first;
+  mgard::FieldBuffer first;
   {
     attach();
     RapidsPipeline pipeline(*cluster_, *db_, config());

@@ -120,8 +120,8 @@ TEST(Grid, PaddingReplicatesEdges) {
   EXPECT_EQ(out, (std::vector<f64>{1.0, 2.0, 3.0, 3.0, 3.0}));
 }
 
-template <typename T>
-bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+template <typename T, typename A, typename B>
+bool same_bits(const std::vector<T, A>& a, const std::vector<T, B>& b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
@@ -916,8 +916,8 @@ TEST(Refactorer, AlternatingShapesReuseWorkspaceBitExact) {
 
   struct Result {
     std::vector<Bytes> payloads;
-    std::vector<f32> full;    ///< every retrieval level
-    std::vector<f32> coarse;  ///< retrieval level 1 only, the sparsest prefix
+    FieldBuffer full;    ///< every retrieval level
+    FieldBuffer coarse;  ///< retrieval level 1 only, the sparsest prefix
   };
   std::vector<std::vector<Result>> rounds;
   u64 created = 0;

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstring>
 #include <filesystem>
+#include <span>
 #include <thread>
 
 #include "rapids/core/pipeline.hpp"
@@ -246,6 +250,115 @@ TEST(PipelineBatch, ConcurrentPrepareAndRestoreBatchesAreConsistent) {
     const auto reference = twin_pipe.restore(new_objects[i].name);
     EXPECT_EQ(new_restored[i].data, reference.data) << new_objects[i].name;
   }
+}
+
+bool same_bits(std::span<const f32> a, std::span<const f32> b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(f32)) == 0);
+}
+
+// Readers hold cached levels as shared buffers while another thread evicts
+// and invalidates the entries under them. Four pool tasks restore and refine
+// one object; a churn thread cycles restores of two other objects through a
+// cache that holds about 1.5 objects, invalidating the readers' object
+// between restores, until the readers are done. Each churn restore leaves
+// the readers' object partly cached, so a reader holds some of its levels
+// while it fetches the rest, and the churn evicts the held ones meanwhile.
+// Every served field must equal Refactorer::reconstruct of its prefix (and
+// ASan/TSan must stay quiet about the payloads). The churn is a thread, not
+// a pool task: a reader waiting on the pool could otherwise run it inline,
+// below its own unfinished frame, and the churn would wait for that reader.
+TEST(PipelineBatch, ConcurrentReadersShareCachedLevelsUnderEviction) {
+  ThreadPool pool(4);
+  const auto objects = make_objects(3);
+  const PipelineConfig base = fast_config();
+  Env env("shared_cache");
+
+  // Reference fields for every prefix of every object, and the largest
+  // object's payload bytes to size the cache by.
+  std::vector<std::vector<mgard::FieldBuffer>> expected(objects.size());
+  u64 object_bytes = 0;
+  {
+    RapidsPipeline preparer(*env.cluster, *env.db, base, &pool);
+    const mgard::Refactorer refactorer(base.refactor, &pool);
+    for (std::size_t i = 0; i < objects.size(); ++i) {
+      const auto prep =
+          preparer.prepare(objects[i].field, objects[i].dims, objects[i].name);
+      object_bytes = std::max(object_bytes, prep.record.meta.refactored_bytes());
+      std::vector<Bytes> payloads;
+      expected[i].emplace_back();  // prefix 0: nothing served
+      for (const auto& level : prep.record.meta.levels) {
+        payloads.push_back(level.payload);
+        expected[i].push_back(
+            refactorer.reconstruct(prep.record.meta, payloads));
+      }
+    }
+  }
+
+  PipelineConfig cfg = base;
+  cfg.restore_cache_bytes = object_bytes * 3 / 2;
+  RapidsPipeline pipeline(*env.cluster, *env.db, cfg, &pool);
+  const std::string& shared = objects[0].name;
+  (void)pipeline.restore(shared);  // the readers start from cached levels
+
+  constexpr u32 kReaders = 4;
+  constexpr int kReaderRounds = 6;
+  std::atomic<u32> readers_done{0};
+  std::vector<std::vector<std::string>> failures(kReaders + 1);
+  std::vector<u32> cache_hits(kReaders, 0);
+  const auto check = [&](u32 task, std::size_t object,
+                         const RestoreReport& rep, const std::string& what) {
+    if (rep.levels_used == 0 ||
+        !same_bits(rep.data, expected[object].at(rep.levels_used)))
+      failures[task].push_back(what + " of " + objects[object].name + " at " +
+                               std::to_string(rep.levels_used) + " levels");
+  };
+  std::thread churn([&] {
+    try {
+      for (u32 round = 0; readers_done < kReaders; ++round) {
+        const std::size_t object = 1 + round % 2;
+        check(kReaders, object, pipeline.restore(objects[object].name),
+              "churn restore");
+        pipeline.restore_cache().invalidate(shared);
+      }
+    } catch (const std::exception& e) {
+      failures[kReaders].push_back(std::string("churn threw: ") + e.what());
+    }
+  });
+  {
+    TaskGroup group(&pool);
+    for (u32 t = 0; t < kReaders; ++t)
+      group.run([&, t] {
+        try {
+          for (int round = 0; round < kReaderRounds; ++round) {
+            const auto full = pipeline.restore(shared);
+            cache_hits[t] += full.cache_hits;
+            check(t, 0, full, "restore");
+            const auto session = pipeline.begin_refine(shared);
+            for (const f64 bound : base.refactor.target_rel_errors) {
+              const auto rung = pipeline.refine(*session, bound);
+              cache_hits[t] += rung.cache_hits;
+              check(t, 0, rung, "refine rung");
+            }
+          }
+        } catch (const std::exception& e) {
+          failures[t].push_back(std::string("reader threw: ") + e.what());
+        }
+        ++readers_done;  // even after a throw, or the churn never stops
+      });
+    group.wait();
+  }
+  churn.join();
+
+  for (const auto& task : failures)
+    for (const auto& failure : task) ADD_FAILURE() << failure;
+  // The run exercised what it claims: readers were served from the cache,
+  // and the cache evicted under budget pressure.
+  u32 hits = 0;
+  for (const u32 h : cache_hits) hits += h;
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(pipeline.restore_cache().stats().evictions, 0u);
 }
 
 }  // namespace

@@ -348,7 +348,7 @@ TEST_F(PipelineTest, ScrubDetectsAndRepairsBitRot) {
     auto frag = cluster_->system(sys).get(ec::FragmentId{"scrubbed", level, idx}.key());
     ASSERT_TRUE(frag.has_value());
     frag->payload[3] ^= 0x55;
-    cluster_->system(sys).put(*frag);
+    cluster_->system(sys).put(std::move(*frag));
   };
   corrupt(1, 7);
   const u32 gone_idx = storage::fragment_at(16, 3, 2);

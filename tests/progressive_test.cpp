@@ -384,20 +384,20 @@ TEST(ProgressiveDecode, RetryAfterThrowMatchesReference) {
 namespace rapids::storage {
 namespace {
 
-Bytes make_payload(std::size_t n, u8 fill) {
-  return Bytes(n, std::byte{fill});
+SharedPayload make_payload(std::size_t n, u8 fill) {
+  return std::make_shared<const std::vector<u8>>(n, fill);
 }
 
 TEST(RestoreCache, HitMissAndLru) {
   RestoreCache cache(1024);
-  Bytes out;
+  SharedPayload out;
   EXPECT_EQ(cache.get("a", 0, 0, out), RestoreCache::Outcome::kMiss);
   cache.put("a", 0, 0, make_payload(100, 1));
   cache.put("a", 0, 1, make_payload(100, 2));
   EXPECT_EQ(cache.get("a", 0, 0, out), RestoreCache::Outcome::kHit);
-  EXPECT_EQ(out, make_payload(100, 1));
+  EXPECT_EQ(*out, *make_payload(100, 1));
   EXPECT_EQ(cache.get("a", 0, 1, out), RestoreCache::Outcome::kHit);
-  EXPECT_EQ(out, make_payload(100, 2));
+  EXPECT_EQ(*out, *make_payload(100, 2));
   const auto s = cache.stats();
   EXPECT_EQ(s.hits, 2u);
   EXPECT_EQ(s.misses, 1u);
@@ -410,7 +410,7 @@ TEST(RestoreCache, EvictsLeastRecentlyUsedUnderBudget) {
   cache.put("a", 0, 0, make_payload(100, 1));
   cache.put("a", 0, 1, make_payload(100, 2));
   cache.put("a", 0, 2, make_payload(100, 3));
-  Bytes out;
+  SharedPayload out;
   // Touch level 0 so level 1 becomes the LRU victim.
   EXPECT_EQ(cache.get("a", 0, 0, out), RestoreCache::Outcome::kHit);
   cache.put("a", 0, 3, make_payload(100, 4));
@@ -426,7 +426,7 @@ TEST(RestoreCache, CorruptEntryEvictedThenMisses) {
   RestoreCache cache(1024);
   cache.put("a", 0, 0, make_payload(64, 9));
   ASSERT_TRUE(cache.corrupt_entry_for_test("a", 0, 0));
-  Bytes out;
+  SharedPayload out;
   EXPECT_EQ(cache.get("a", 0, 0, out), RestoreCache::Outcome::kCorrupt);
   EXPECT_EQ(cache.get("a", 0, 0, out), RestoreCache::Outcome::kMiss);
   EXPECT_EQ(cache.stats().corrupt_evictions, 1u);
@@ -438,7 +438,7 @@ TEST(RestoreCache, InvalidateFromDropsDeepLevelsOnly) {
   for (u32 j = 0; j < 4; ++j) cache.put("a", 0, j, make_payload(10, u8(j)));
   cache.put("b", 0, 3, make_payload(10, 50));
   cache.invalidate_from("a", 2);
-  Bytes out;
+  SharedPayload out;
   EXPECT_EQ(cache.get("a", 0, 0, out), RestoreCache::Outcome::kHit);
   EXPECT_EQ(cache.get("a", 0, 1, out), RestoreCache::Outcome::kHit);
   EXPECT_EQ(cache.get("a", 0, 2, out), RestoreCache::Outcome::kMiss);
@@ -452,12 +452,75 @@ TEST(RestoreCache, InvalidateFromDropsDeepLevelsOnly) {
 TEST(RestoreCache, OversizePayloadAndZeroBudgetRejected) {
   RestoreCache cache(100);
   cache.put("a", 0, 0, make_payload(101, 1));
-  Bytes out;
+  SharedPayload out;
   EXPECT_EQ(cache.get("a", 0, 0, out), RestoreCache::Outcome::kMiss);
   RestoreCache off(0);
   off.put("a", 0, 0, make_payload(1, 1));
   EXPECT_EQ(off.get("a", 0, 0, out), RestoreCache::Outcome::kMiss);
   EXPECT_EQ(off.stats().inserts, 0u);
+}
+
+TEST(RestoreCache, HitSharesTheStoredPayload) {
+  RestoreCache cache(1024);
+  const SharedPayload stored = make_payload(100, 7);
+  cache.put("a", 0, 0, stored);
+  SharedPayload out;
+  ASSERT_EQ(cache.get("a", 0, 0, out), RestoreCache::Outcome::kHit);
+  EXPECT_EQ(out.get(), stored.get());  // the stored buffer, not a copy
+  // A hit still checks the CRC taken on put: once the entry's bytes are
+  // damaged, the next get evicts it instead of handing it out.
+  ASSERT_TRUE(cache.corrupt_entry_for_test("a", 0, 0));
+  SharedPayload damaged;
+  EXPECT_EQ(cache.get("a", 0, 0, damaged), RestoreCache::Outcome::kCorrupt);
+  EXPECT_EQ(damaged, nullptr);
+  EXPECT_EQ(cache.stats().corrupt_evictions, 1u);
+  EXPECT_EQ(*stored, *make_payload(100, 7));
+}
+
+TEST(RestoreCache, HeldPayloadOutlivesEvictionInvalidateAndCorruption) {
+  // Each payload below is held by a reader while the cache lets go of its
+  // entry; the reader's bytes must stay intact (and, under ASan, readable),
+  // and the reader ends up the only owner.
+  RestoreCache cache(200);
+  const auto intact = [](const SharedPayload& held, u8 fill) {
+    return held.use_count() == 1 && *held == *make_payload(100, fill);
+  };
+  const auto take = [&cache](const std::string& name, u32 level) {
+    SharedPayload out;
+    EXPECT_EQ(cache.get(name, 0, level, out), RestoreCache::Outcome::kHit);
+    return out;
+  };
+  SharedPayload none;
+
+  // Corruption: the hook damages a private copy, never the shared bytes.
+  cache.put("a", 0, 0, make_payload(100, 1));
+  const SharedPayload corrupted = take("a", 0);
+  ASSERT_TRUE(cache.corrupt_entry_for_test("a", 0, 0));
+  EXPECT_EQ(*corrupted, *make_payload(100, 1));
+  EXPECT_EQ(cache.get("a", 0, 0, none), RestoreCache::Outcome::kCorrupt);
+  EXPECT_TRUE(intact(corrupted, 1));
+
+  // LRU eviction under budget pressure.
+  cache.put("a", 0, 1, make_payload(100, 2));
+  const SharedPayload evicted = take("a", 1);
+  cache.put("b", 0, 0, make_payload(100, 3));
+  cache.put("b", 0, 1, make_payload(100, 4));
+  EXPECT_EQ(cache.get("a", 0, 1, none), RestoreCache::Outcome::kMiss);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_TRUE(intact(evicted, 2));
+
+  // invalidate.
+  const SharedPayload invalidated = take("b", 0);
+  cache.invalidate("b");
+  EXPECT_EQ(cache.get("b", 0, 0, none), RestoreCache::Outcome::kMiss);
+  EXPECT_TRUE(intact(invalidated, 3));
+
+  // clear.
+  cache.put("c", 0, 0, make_payload(100, 5));
+  const SharedPayload cleared = take("c", 0);
+  cache.clear();
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_TRUE(intact(cleared, 5));
 }
 
 }  // namespace
@@ -501,7 +564,7 @@ class RefineTest : public ::testing::Test {
 
   // Expected field for a j-level prefix, reconstructed directly from the
   // prepared payloads (no network, no cache).
-  std::vector<f32> expected_prefix(const PrepareReport& prep, u32 j) const {
+  mgard::FieldBuffer expected_prefix(const PrepareReport& prep, u32 j) const {
     std::vector<Bytes> payloads;
     for (u32 i = 0; i < j; ++i)
       payloads.push_back(prep.record.meta.levels[i].payload);
@@ -509,8 +572,7 @@ class RefineTest : public ::testing::Test {
     return refactorer.reconstruct(prep.record.meta, payloads);
   }
 
-  bool bit_identical(const std::vector<f32>& a,
-                     const std::vector<f32>& b) const {
+  bool bit_identical(std::span<const f32> a, std::span<const f32> b) const {
     return a.size() == b.size() &&
            (a.empty() ||
             std::memcmp(a.data(), b.data(), a.size() * sizeof(f32)) == 0);

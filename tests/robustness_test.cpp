@@ -216,7 +216,7 @@ TEST(Robustness, AtRestDamageTriggersReplanAndRepair) {
     const auto original = victim.get(ec::FragmentId{"rot", 0, 2}.key());
     ASSERT_TRUE(original.has_value());
     victim.attach_fault_profile(profile);
-    EXPECT_THROW(victim.put(*original), io_error);
+    EXPECT_THROW(victim.put(ec::Fragment(*original)), io_error);
     victim.attach_fault_profile(nullptr);
     ASSERT_FALSE(victim.get(ec::FragmentId{"rot", 0, 2}.key())->verify());
 
@@ -268,7 +268,7 @@ TEST(Robustness, AtRestDamageIsReadTwiceInFlightDamageRetried) {
       storage::FaultInjector injector;
       if (at_rest) {
         frag->payload.at(frag->payload.size() / 2) ^= 0x5A;  // CRC kept
-        cluster.system(sys).put(*frag);
+        cluster.system(sys).put(std::move(*frag));
       } else {
         storage::FaultSpec spec;
         spec.corrupt_next_gets = 2;

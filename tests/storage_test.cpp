@@ -33,7 +33,7 @@ ec::Fragment make_fragment(const std::string& obj, u32 level, u32 index,
 TEST(StorageSystem, PutGetRoundTrip) {
   StorageSystem sys(0, "s0", 1e9, 0.01);
   const auto frag = make_fragment("obj", 1, 3, 100);
-  sys.put(frag);
+  sys.put(ec::Fragment(frag));
   EXPECT_TRUE(sys.has(frag.id.key()));
   const auto back = sys.get(frag.id.key());
   ASSERT_TRUE(back.has_value());
@@ -49,20 +49,59 @@ TEST(StorageSystem, GetAbsentReturnsNullopt) {
 TEST(StorageSystem, UnavailableThrowsOnAccess) {
   StorageSystem sys(0, "s0", 1e9, 0.01);
   const auto frag = make_fragment("obj", 0, 0, 10);
-  sys.put(frag);
+  sys.put(ec::Fragment(frag));
   sys.set_available(false);
-  EXPECT_THROW(sys.put(frag), io_error);
+  EXPECT_THROW(sys.put(ec::Fragment(frag)), io_error);
   EXPECT_THROW(sys.get(frag.id.key()), io_error);
   // Metadata knowledge remains queryable.
   EXPECT_TRUE(sys.has(frag.id.key()));
   // A refused put of a new key stores nothing and charges nothing.
   const u64 used = sys.used_bytes();
   const auto other = make_fragment("obj", 0, 1, 10);
-  EXPECT_THROW(sys.put(other), io_error);
+  EXPECT_THROW(sys.put(ec::Fragment(other)), io_error);
   EXPECT_FALSE(sys.has(other.id.key()));
   EXPECT_EQ(sys.used_bytes(), used);
   sys.set_available(true);
   EXPECT_TRUE(sys.get(frag.id.key()).has_value());
+}
+
+TEST(StorageSystem, FailedPutLeavesTheFragmentIntact) {
+  // put moves a fragment into the system only when it stores it. After a
+  // put refused by an outage, a transient fault or a torn write, the caller
+  // still holds the same payload and CRC, and a retry stores them byte for
+  // byte.
+  const auto original = make_fragment("obj", 0, 0, 100);
+  const auto refused_then_stored = [&](StorageSystem& sys, auto heal) {
+    ec::Fragment frag = original;
+    EXPECT_THROW(sys.put(std::move(frag)), io_error);
+    EXPECT_EQ(frag.id, original.id);
+    EXPECT_EQ(frag.payload, original.payload);
+    EXPECT_EQ(frag.payload_crc, original.payload_crc);
+    heal();
+    sys.put(std::move(frag));
+    const auto back = sys.get(original.id.key());
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->payload, original.payload);
+    EXPECT_EQ(back->payload_crc, original.payload_crc);
+    EXPECT_TRUE(back->verify());
+    EXPECT_EQ(sys.used_bytes(), original.payload.size());
+  };
+
+  StorageSystem down(0, "s0", 1e9, 0.01);
+  down.set_available(false);
+  refused_then_stored(down, [&] { down.set_available(true); });
+
+  StorageSystem transient(1, "s1", 1e9, 0.01);
+  FaultSpec fail_once;
+  fail_once.fail_next_puts = 1;
+  transient.attach_fault_profile(std::make_shared<FaultProfile>(fail_once));
+  refused_then_stored(transient, [] {});
+
+  StorageSystem torn(2, "s2", 1e9, 0.01);
+  FaultSpec tear;
+  tear.torn_put_prob = 1.0;
+  torn.attach_fault_profile(std::make_shared<FaultProfile>(tear));
+  refused_then_stored(torn, [&] { torn.attach_fault_profile(nullptr); });
 }
 
 TEST(StorageSystem, UsedBytesTracksPayloads) {
@@ -85,7 +124,7 @@ TEST(StorageSystem, DirectorySpillRoundTrip) {
   StorageSystem sys(1, "s1", 1e9, 0.01);
   sys.attach_directory(dir.string());
   const auto frag = make_fragment("obj/with/slashes", 2, 5, 333);
-  sys.put(frag);
+  sys.put(ec::Fragment(frag));
   const auto back = sys.get(frag.id.key());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->payload, frag.payload);
@@ -109,7 +148,7 @@ TEST(StorageSystem, AttachIndexesTheFragmentFilesAlreadyThere) {
   {
     StorageSystem first(0, "s0", 1e9, 0.01);
     first.attach_directory(dir.string());
-    for (const auto* f : {&whole, &cut, &garbled}) first.put(*f);
+    for (const auto* f : {&whole, &cut, &garbled}) first.put(ec::Fragment(*f));
   }
   const auto file = [&dir](const ec::Fragment& f) {
     return dir / ("frag_obj_a_0_" + std::to_string(f.id.index) + ".frag");

@@ -131,7 +131,7 @@ void expect_matches_reference(Env& env, const Reference& ref,
   }
 }
 
-bool same_floats(const std::vector<f32>& a, const std::vector<f32>& b) {
+bool same_floats(std::span<const f32> a, std::span<const f32> b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(f32)) == 0);
