@@ -1,17 +1,13 @@
 #!/usr/bin/env bash
-# Run the benchmark suite: microbenchmarks → BENCH_micro.json (google-
-# benchmark's JSON format), then the progressive-refinement, chaos,
-# control-plane and service benches → BENCH_progressive, BENCH_chaos,
-# BENCH_control and BENCH_service.json, so the perf trajectory is tracked
-# across changes. BENCH_refactor.json is the --check gate's baseline, so
-# this mode leaves it alone: only --record (below) writes it.
+# Run the benchmark suite: the progressive-refinement, chaos, control-plane
+# and service benches → BENCH_progressive, BENCH_chaos, BENCH_control and
+# BENCH_service.json, so the perf trajectory is tracked across changes.
+# BENCH_refactor.json is the --check gate's baseline, so this mode leaves it
+# alone: only --record (below) writes it.
 #
-# Usage: bench/run_benchmarks.sh [build_dir] [output.json] [benchmark args...]
+# Usage: bench/run_benchmarks.sh [build_dir] [output_dir]
 #   build_dir    defaults to ./build
-#   output.json  defaults to ./BENCH_micro.json (the other benches write
-#                their BENCH_*.json next to it)
-# Extra args are forwarded to the microbenchmark binary, e.g.
-#   bench/run_benchmarks.sh build BENCH_micro.json --benchmark_filter='Gf256|Rs'
+#   output_dir   defaults to . (the repository root, where the records live)
 #
 # Regression gate:
 #   bench/run_benchmarks.sh --check [build_dir] [baseline.json]
@@ -210,27 +206,17 @@ if [[ "${1:-}" == "--check" ]]; then
 fi
 
 BUILD_DIR="${1:-build}"
-OUT="${2:-BENCH_micro.json}"
-shift $(( $# > 2 ? 2 : $# )) || true
+OUT_DIR="${2:-.}"
 
-BIN="$BUILD_DIR/bench/micro_kernels"
-if [[ ! -x "$BIN" ]]; then
-  echo "error: $BIN not found — build first: cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j" >&2
+if [[ ! -d "$BUILD_DIR/bench" ]]; then
+  echo "error: $BUILD_DIR/bench not found — build first: cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j" >&2
   exit 1
 fi
-
-# Console output for humans, JSON for the record. The *Scalar variants pin
-# RAPIDS' kernel dispatch to the scalar reference, so the dispatched-vs-scalar
-# speedup is visible within a single run (the label column names the ISA).
-"$BIN" --benchmark_out="$OUT" --benchmark_out_format=json "$@"
-
-echo
-echo "wrote $OUT"
 
 # Progressive refinement: repeated from-scratch restores at tightening bounds
 # vs one incremental refine() session over the same 4-rung ladder.
 PROG_BIN="$BUILD_DIR/bench/progressive_refinement"
-PROG_OUT="$(dirname "$OUT")/BENCH_progressive.json"
+PROG_OUT="$OUT_DIR/BENCH_progressive.json"
 if [[ -x "$PROG_BIN" ]]; then
   "$PROG_BIN" "$PROG_OUT"
 else
@@ -241,7 +227,7 @@ fi
 # achieved-vs-reported error bound at 0/5/15% transient get-failure rates and
 # under a straggler profile that the always-on hedged reads absorb.
 CHAOS_BIN="$BUILD_DIR/bench/chaos_resilience"
-CHAOS_OUT="$(dirname "$OUT")/BENCH_chaos.json"
+CHAOS_OUT="$OUT_DIR/BENCH_chaos.json"
 if [[ -x "$CHAOS_BIN" ]]; then
   "$CHAOS_BIN" "$CHAOS_OUT"
 else
@@ -259,7 +245,7 @@ echo "skipping refactor kernels: bench/run_benchmarks.sh --record $BUILD_DIR" \
 # zero tolerated bound violations) plus foreground restore p99 with a
 # rate-limited background migration on vs off.
 CTL_BIN="$BUILD_DIR/bench/control_plane"
-CTL_OUT="$(dirname "$OUT")/BENCH_control.json"
+CTL_OUT="$OUT_DIR/BENCH_control.json"
 if [[ -x "$CTL_BIN" ]]; then
   "$CTL_BIN" "$CTL_OUT"
 else
@@ -271,7 +257,7 @@ fi
 # expired, brownout accuracy accounting, and same-seed schedule-hash
 # reproducibility.
 SVC_BIN="$BUILD_DIR/bench/service_load"
-SVC_OUT="$(dirname "$OUT")/BENCH_service.json"
+SVC_OUT="$OUT_DIR/BENCH_service.json"
 if [[ -x "$SVC_BIN" ]]; then
   "$SVC_BIN" "$SVC_OUT"
 else

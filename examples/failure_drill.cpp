@@ -5,7 +5,7 @@
 // incidents: random outages drawn from per-system failure probabilities, a
 // targeted multi-system blackout that degrades quality level by level, a
 // permanent fragment loss repaired from survivors, and a final full-quality
-// restore after recovery.
+// restore after recovery. Exits 1 when a restored field breaks its bound.
 //
 // Run:  ./failure_drill
 
@@ -18,15 +18,19 @@ using namespace rapids;
 
 namespace {
 
-void report(const char* phase, const core::RestoreReport& r,
+/// Print one restore; false when its field breaks the reported bound.
+bool report(const char* phase, const core::RestoreReport& r,
             const std::vector<f32>& truth) {
   if (r.levels_used == 0) {
     std::printf("%-28s UNRECOVERABLE (expected error penalty e_0 = 1)\n", phase);
-    return;
+    return true;
   }
   const f64 err = data::relative_linf_error(truth, r.data);
-  std::printf("%-28s levels=%u  bound=%.1e  measured=%.1e  gather=%.3fs\n",
-              phase, r.levels_used, r.rel_error_bound, err, r.gather_latency);
+  const bool holds = err <= r.rel_error_bound;
+  std::printf("%-28s levels=%u  bound=%.1e  measured=%.1e  gather=%.3fs%s\n",
+              phase, r.levels_used, r.rel_error_bound, err, r.gather_latency,
+              holds ? "" : "  VIOLATION");
+  return holds;
 }
 
 }  // namespace
@@ -54,8 +58,11 @@ int main() {
     return s + "]";
   }().c_str(), prep.storage_overhead);
 
+  bool all_ok = true;
+
   // Phase 1: healthy cluster.
-  report("healthy cluster:", pipeline.restore("nyx/temperature"), field);
+  all_ok &= report("healthy cluster:", pipeline.restore("nyx/temperature"),
+                   field);
 
   // Phase 2: random outages drawn from the failure model, three draws.
   Rng rng(5);
@@ -66,7 +73,7 @@ int main() {
     for (bool b : outage) down += b;
     char label[64];
     std::snprintf(label, sizeof(label), "random outage #%d (N=%u):", draw, down);
-    report(label, pipeline.restore("nyx/temperature"), field);
+    all_ok &= report(label, pipeline.restore("nyx/temperature"), field);
   }
   cluster.restore_all();
 
@@ -78,7 +85,7 @@ int main() {
     storage::fail_exactly(cluster, down);
     char label[64];
     std::snprintf(label, sizeof(label), "  %u systems dark:", kill);
-    report(label, pipeline.restore("nyx/temperature"), field);
+    all_ok &= report(label, pipeline.restore("nyx/temperature"), field);
   }
   cluster.restore_all();
 
@@ -89,8 +96,9 @@ int main() {
     cluster.system(6).erase(ec::FragmentId{"nyx/temperature", level, idx}.key());
     pipeline.repair_fragment("nyx/temperature", level, idx, 6);
   }
-  report("after repair:", pipeline.restore("nyx/temperature"), field);
+  all_ok &= report("after repair:", pipeline.restore("nyx/temperature"),
+                   field);
 
   std::filesystem::remove_all(db_dir);
-  return 0;
+  return all_ok ? 0 : 1;
 }

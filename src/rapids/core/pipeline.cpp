@@ -1,6 +1,7 @@
 #include "rapids/core/pipeline.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <deque>
 #include <limits>
@@ -184,7 +185,6 @@ ec::ReedSolomon RapidsPipeline::codec_for(const ObjectRecord& record,
 void RapidsPipeline::store_level_locked(const std::string& name, u32 level,
                                         std::vector<ec::Fragment>& frags,
                                         StoreStats& stats) {
-  const u32 n = cluster_.size();
   std::vector<kv::WalRecord> locations;
   locations.reserve(frags.size());
   for (u32 idx = 0; idx < frags.size(); ++idx) {
@@ -192,7 +192,7 @@ void RapidsPipeline::store_level_locked(const std::string& name, u32 level,
     // Read before the put that stores the fragment moves it away.
     const std::string key = frag.id.key();
     const u64 bytes = frag.payload.size();
-    const u32 preferred = storage::place_fragment(n, level, idx);
+    const u32 preferred = storage::place_fragment(cluster_.size(), level, idx);
 
     const auto try_put = [&](u32 sys, u64 salt) {
       const auto r = put_with_retry(
@@ -202,39 +202,39 @@ void RapidsPipeline::store_level_locked(const std::string& name, u32 level,
       return r.ok();
     };
 
-    u32 target = preferred;
-    bool stored = try_put(preferred, 0xA0);
-    if (!stored) {
-      // Persistent failure: re-place on the least-loaded available
-      // system (deterministic order: health-allowed first, then fewest
-      // fragments, then lowest id) and record the new home.
+    std::optional<u32> target = preferred;
+    if (!try_put(preferred, 0xA0)) {  // persistent failure: re-place it
       ++stats.relocations;
-      std::vector<std::tuple<u32, u64, u32>> candidates;  // (bad, load, id)
-      for (u32 s = 0; s < n; ++s) {
-        if (s == preferred || !cluster_.system(s).available()) continue;
-        const u32 bad = health().allow(s) ? 0u : 1u;
-        candidates.emplace_back(bad, cluster_.system(s).fragment_count(), s);
-      }
-      std::sort(candidates.begin(), candidates.end());
-      for (const auto& [bad, load, s] : candidates) {
-        if (try_put(s, 0xB0)) {
-          target = s;
-          stored = true;
-          break;
-        }
-      }
+      target = place_elsewhere(preferred,
+                               [&](u32 s) { return try_put(s, 0xB0); });
     }
-    if (!stored)
+    if (!target)
       throw io_error("prepare: no storage system accepted fragment " + key);
-    locations.push_back({kv::WalOp::kPut, key, std::to_string(target)});
+    locations.push_back({kv::WalOp::kPut, key, std::to_string(*target)});
     ++stats.fragments_stored;
-    stats.transfers.push_back(net::Transfer{target, bytes});
+    stats.transfers.push_back(net::Transfer{*target, bytes});
   }
   db_.write(locations);
 }
 
+std::optional<u32> RapidsPipeline::place_elsewhere(
+    u32 excluded, const std::function<bool(u32)>& try_put) {
+  std::vector<std::tuple<u32, u64, u32>> order;  // (breaker open, load, id)
+  for (u32 s = 0; s < cluster_.size(); ++s) {
+    if (s == excluded || !cluster_.system(s).available()) continue;
+    order.emplace_back(health().allow(s) ? 0u : 1u,
+                       cluster_.system(s).fragment_count(), s);
+  }
+  std::sort(order.begin(), order.end());
+  for (const auto& [open, load, s] : order)
+    if (try_put(s)) return s;
+  return std::nullopt;
+}
+
 PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
                                       mgard::Dims dims, const std::string& name) {
+  RAPIDS_REQUIRE_MSG(name.find('@') == std::string::npos,
+                     "prepare: object names may not contain '@': " + name);
   const u32 n = cluster_.size();
   PrepareReport report;
   Timer total;
@@ -357,18 +357,41 @@ void RapidsPipeline::write_record(const std::string& name,
   db_.write(batch);
 }
 
-std::map<u32, u32> RapidsPipeline::fragment_locations(const std::string& name,
-                                                      u32 level) const {
-  std::map<u32, u32> out;
-  const std::string prefix = "frag/" + name + "/" + std::to_string(level) + "/";
-  for (const auto& [key, value] : db_.scan_prefix(prefix)) {
-    const u32 index = static_cast<u32>(std::stoul(key.substr(prefix.size())));
-    const u32 system = static_cast<u32>(std::stoul(value));
-    // A system may host several fragments of one level after evacuations;
-    // keep the first (any one is equally useful to a gather plan).
-    out.emplace(system, index);
+std::vector<std::pair<ec::FragmentId, u32>> RapidsPipeline::fragment_locations(
+    const std::string& sname, std::optional<u32> level) const {
+  std::vector<std::pair<ec::FragmentId, u32>> out;
+  for (const auto& [key, value] :
+       db_.scan_prefix(ec::FragmentId::key_prefix(sname, level))) {
+    auto id = ec::FragmentId::parse(key);  // "sname/..." names share the prefix
+    u32 system = 0;
+    const auto [end, ec] =
+        std::from_chars(value.data(), value.data() + value.size(), system);
+    if (id && id->object_name == sname && ec == std::errc{} &&
+        end == value.data() + value.size() && system < cluster_.size())
+      out.emplace_back(std::move(*id), system);
   }
+  std::sort(out.begin(), out.end());  // one object: (level, index) order
   return out;
+}
+
+u64 RapidsPipeline::drop_fragments_locked(
+    const std::string& sname, std::optional<u32> level,
+    std::vector<kv::WalRecord>& tombstones) {
+  for (const auto& [id, system] : fragment_locations(sname, level))
+    tombstones.push_back({kv::WalOp::kDelete, id.key(), {}});
+  // Every copy on any system goes, recorded or not: a phase-1 crash leaves
+  // copies no location records (store_level_locked writes a level's
+  // locations after all its puts).
+  u64 erased = 0;
+  const std::string prefix = ec::FragmentId::key_prefix(sname, level);
+  for (u32 s = 0; s < cluster_.size(); ++s)
+    for (const auto& key : cluster_.system(s).keys_with_prefix(prefix))
+      if (const auto id = ec::FragmentId::parse(key);
+          id && id->object_name == sname) {
+        cluster_.system(s).erase(key);
+        ++erased;
+      }
+  return erased;
 }
 
 net::BandwidthTracker& RapidsPipeline::tracker() {
@@ -524,7 +547,8 @@ void RapidsPipeline::fetch_levels(const ObjectRecord& record,
   };
   struct Round {
     GatherProblem sub;  ///< the gathering problem over the round's levels
-    std::vector<std::map<u32, u32>> locations;  ///< per level: system -> index
+    /// Per level: system -> the lowest fragment index it holds.
+    std::vector<std::map<u32, u32>> locations;
     GatherPlan plan;
     std::vector<PlannedFetch> fetches;  ///< in plan order
     f64 hedge_launch = 0.0;
@@ -548,12 +572,12 @@ void RapidsPipeline::fetch_levels(const ObjectRecord& record,
     {
       std::lock_guard<std::mutex> lock(io_mu_);
       for (u32 j = 0; j < nsub; ++j)
-        r.locations[j] = fragment_locations(sname, rem[j]);
+        for (const auto& [id, sys] : fragment_locations(sname, rem[j]))
+          r.locations[j].emplace(sys, id.index);  // index order: lowest wins
     }
     std::vector<bool> trial(n, false);
     for (const auto& loc : r.locations)
-      for (const auto& [sys, idx] : loc)
-        if (sys < n) trial[sys] = r.sub.available[sys];
+      for (const auto& [sys, idx] : loc) trial[sys] = r.sub.available[sys];
     if (static_cast<u32>(std::count(trial.begin(), trial.end(), false)) <=
         r.sub.m.back())
       r.sub.available = std::move(trial);
@@ -678,7 +702,7 @@ void RapidsPipeline::fetch_levels(const ObjectRecord& record,
     payloads[real] = std::make_shared<const std::vector<u8>>(
         codec_for(record, real).decode(frags, pool_));
     report.decode_seconds += t.seconds();
-    restore_cache_.put(name, record.generation, real, payloads[real]);
+    restore_cache_.put(name, record.epoch, real, payloads[real]);
     landed_at[real] = landing + report.backoff_seconds;
   };
 
@@ -785,9 +809,10 @@ RestoreReport RapidsPipeline::advance(RefineSession& session, f64 rel_bound,
   snapshot_problem(session.name_, record, problem);
   const u32 nlevels = static_cast<u32>(record->ft.size());
 
-  // A re-prepare or an aging since the last rung replaced the payloads the
-  // session decoded: start over rather than merge planes of two payloads.
-  if (session.epoch_ && *session.epoch_ != record->epoch) {
+  // A re-prepare replaced the payloads the session decoded, or an aging
+  // dropped some: start over rather than merge planes of two payloads.
+  if (session.epoch_ &&
+      (*session.epoch_ != record->epoch || session.cursor_ > nlevels)) {
     session.restart();
     report.session_restarted = true;
   }
@@ -816,12 +841,11 @@ RestoreReport RapidsPipeline::advance(RefineSession& session, f64 rel_bound,
 
   // Consult the shared cache for the levels this rung needs. Levels below
   // the cursor are already materialized in the session's plane sets.
-  const u32 generation = record->generation;
   std::vector<storage::SharedPayload> payloads(nlevels);
   std::vector<bool> cached(nlevels, false);
   for (u32 j = 0; j < session.cursor_; ++j) cached[j] = true;
   for (u32 j = session.cursor_; j < target; ++j) {
-    switch (restore_cache_.get(session.name_, generation, j, payloads[j])) {
+    switch (restore_cache_.get(session.name_, record->epoch, j, payloads[j])) {
       case storage::RestoreCache::Outcome::kHit:
         cached[j] = true;
         ++report.cache_hits;
@@ -949,21 +973,18 @@ void RapidsPipeline::repair_fragment(const std::string& name, u32 level,
                                      u32 index, u32 target_system) {
   std::lock_guard<std::mutex> lock(io_mu_);
   repair_fragment_locked(name, level, index, target_system);
+  save_state(db_, kHealthKey, health_);
 }
 
-void RapidsPipeline::repair_fragment_locked(const std::string& name, u32 level,
-                                            u32 index, u32 target_system) {
-  const auto record = lookup(name);
-  RAPIDS_REQUIRE_MSG(record.has_value(), "repair: unknown object " + name);
-  const std::string sname = record->storage_name(name);
-  const ec::ReedSolomon rs = codec_for(*record, level);
-
+ec::Fragment RapidsPipeline::rebuild_locked(const ObjectRecord& record,
+                                            const ec::FragmentId& lost) {
+  const ec::ReedSolomon rs = codec_for(record, lost.level);
   std::vector<ec::Fragment> survivors;
-  for (const auto& [sys, idx] : fragment_locations(sname, level)) {
+  for (const auto& [id, sys] :
+       fragment_locations(lost.object_name, lost.level)) {
     if (survivors.size() >= rs.k()) break;
-    if (!cluster_.system(sys).available()) continue;
-    if (idx == index) continue;  // the lost one
-    auto out = fetch_with_retry(sys, {sname, level, idx});
+    if (id == lost || !cluster_.system(sys).available()) continue;
+    auto out = fetch_with_retry(sys, id);
     if (!out.missing) record_health(sys, out.fragment.has_value());
     if (out.fragment) survivors.push_back(std::move(*out.fragment));
   }
@@ -971,7 +992,15 @@ void RapidsPipeline::repair_fragment_locked(const std::string& name, u32 level,
                      "repair: not enough surviving fragments");
   // Pool-free while io_mu_ is held: a helping waiter could steal a task
   // that needs this very lock.
-  ec::Fragment rebuilt = rs.reconstruct_fragment(survivors, index, nullptr);
+  return rs.reconstruct_fragment(survivors, lost.index, nullptr);
+}
+
+void RapidsPipeline::repair_fragment_locked(const std::string& name, u32 level,
+                                            u32 index, u32 target_system) {
+  const auto record = lookup(name);
+  RAPIDS_REQUIRE_MSG(record.has_value(), "repair: unknown object " + name);
+  ec::Fragment rebuilt =
+      rebuild_locked(*record, {record->storage_name(name), level, index});
   const std::string key = rebuilt.id.key();  // the put moves `rebuilt` away
   const auto put = put_with_retry(target_system, rebuilt,
                                   stable_hash(key, target_system, 0x9E9Aull));
@@ -993,36 +1022,30 @@ std::vector<std::string> RapidsPipeline::list_objects() {
 RapidsPipeline::ScrubReport RapidsPipeline::scrub(const std::string& name,
                                                   bool repair) {
   std::optional<ObjectRecord> record;
+  std::vector<std::pair<ec::FragmentId, u32>> locations;
   {
     std::lock_guard<std::mutex> lock(io_mu_);
     record = lookup(name);
+    RAPIDS_REQUIRE_MSG(record.has_value(), "scrub: unknown object " + name);
+    locations = fragment_locations(record->storage_name(name), std::nullopt);
   }
-  RAPIDS_REQUIRE_MSG(record.has_value(), "scrub: unknown object " + name);
-  const std::string sname = record->storage_name(name);
   ScrubReport report;
-  for (u32 level = 0; level < record->ft.size(); ++level) {
-    std::map<u32, u32> locations;
-    {
-      std::lock_guard<std::mutex> lock(io_mu_);
-      locations = fragment_locations(sname, level);
-    }
-    for (const auto& [sys, idx] : locations) {
-      // Fine-grained locking: one fragment's check+repair per critical
-      // section, so concurrent batch traffic interleaves with a long scrub.
-      std::lock_guard<std::mutex> lock(io_mu_);
-      if (!cluster_.system(sys).available()) continue;  // outage, not damage
-      ++report.fragments_checked;
-      auto out = fetch_with_retry(sys, {sname, level, idx});
-      if (!out.missing) record_health(sys, out.fragment.has_value());
-      if (out.fragment) continue;
-      report.damaged.emplace_back(level, idx, sys);
-      log::warn("pipeline", "scrub: fragment ", sname, "/", level, "/", idx,
-                " on system ", sys,
-                out.missing ? " is missing" : " is damaged or unreadable");
-      if (repair) {
-        repair_fragment_locked(name, level, idx, sys);
-        ++report.repaired;
-      }
+  for (const auto& [id, sys] : locations) {
+    // Fine-grained locking: one fragment's check+repair per critical
+    // section, so concurrent batch traffic interleaves with a long scrub.
+    std::lock_guard<std::mutex> lock(io_mu_);
+    if (id.level >= record->ft.size() || !cluster_.system(sys).available())
+      continue;  // a dropped level, or an outage (not damage)
+    ++report.fragments_checked;
+    auto out = fetch_with_retry(sys, id);
+    if (!out.missing) record_health(sys, out.fragment.has_value());
+    if (out.fragment) continue;
+    report.damaged.emplace_back(id.level, id.index, sys);
+    log::warn("pipeline", "scrub: fragment ", id.key(), " on system ", sys,
+              out.missing ? " is missing" : " is damaged or unreadable");
+    if (repair) {
+      repair_fragment_locked(name, id.level, id.index, sys);
+      ++report.repaired;
     }
   }
   {
@@ -1044,28 +1067,20 @@ u64 RapidsPipeline::age_object(const std::string& name, u32 keep_levels) {
   const std::string sname = record->storage_name(name);
   u64 reclaimed = 0;
   std::vector<kv::WalRecord> tombstones;
-  for (u32 level = keep_levels; level < current; ++level) {
-    for (const auto& [sys, idx] : fragment_locations(sname, level)) {
-      const std::string key = ec::FragmentId{sname, level, idx}.key();
-      auto& host = cluster_.system(sys);
-      if (host.has(key)) {
-        // Logical payload size: level bytes spread over k fragments.
-        reclaimed += ceil_div(record->level_sizes[level],
-                              cluster_.size() - record->ft[level]);
-        host.erase(key);
-      }
-      tombstones.push_back({kv::WalOp::kDelete, key, {}});
-    }
-  }
+  for (u32 level = keep_levels; level < current; ++level)
+    // Logical payload size: level bytes spread over k fragments.
+    reclaimed += drop_fragments_locked(sname, level, tombstones) *
+                 ceil_div(record->level_sizes[level],
+                          cluster_.size() - record->ft[level]);
 
   // Truncate the record so future restores plan only the kept levels; the
-  // tombstones and the record land in one metadata write.
+  // tombstones and the record land in one metadata write. The epoch stays:
+  // the kept levels' bytes did not change.
   record->ft.resize(keep_levels);
   record->level_sizes.resize(keep_levels);
   record->meta.levels.resize(keep_levels);
-  ++record->epoch;
   write_record(name, *record, std::move(tombstones));
-  // Cached payloads of the dropped levels must never serve again.
+  // No restore plans the dropped levels any more; free their cached bytes.
   restore_cache_.invalidate_from(name, keep_levels);
   log::info("pipeline", "aged ", name, " to ", keep_levels,
             " levels, reclaimed ", reclaimed, " bytes");
@@ -1076,53 +1091,41 @@ u32 RapidsPipeline::evacuate_system(const std::string& name, u32 system) {
   std::lock_guard<std::mutex> lock(io_mu_);
   const auto record = lookup(name);
   RAPIDS_REQUIRE_MSG(record.has_value(), "evacuate: unknown object " + name);
-  const u32 n = cluster_.size();
-  RAPIDS_REQUIRE(system < n);
+  RAPIDS_REQUIRE(system < cluster_.size());
 
   const std::string sname = record->storage_name(name);
   u32 moved = 0;
   std::vector<kv::WalRecord> new_locations;
-  for (u32 level = 0; level < record->ft.size(); ++level) {
-    const auto locations = fragment_locations(sname, level);
-    const auto loc = locations.find(system);
-    if (loc == locations.end()) continue;  // nothing of this level here
-    const u32 idx = loc->second;
-    const std::string key = ec::FragmentId{sname, level, idx}.key();
-    if (!cluster_.system(system).has(key)) continue;  // already elsewhere
-
-    // Destination: the available system (other than the source) currently
-    // holding the fewest fragments, ties to the lowest id — keeps load
-    // roughly even as systems retire.
-    std::optional<u32> target;
-    for (u32 s = 0; s < n; ++s) {
-      if (s == system || !cluster_.system(s).available()) continue;
-      if (!target || cluster_.system(s).fragment_count() <
-                         cluster_.system(*target).fragment_count())
-        target = s;
+  // One metadata batch for the whole evacuation, written also when a later
+  // fragment throws, so every completed move is recorded.
+  const auto record_moves = [&] {
+    db_.write(new_locations);
+    save_state(db_, kHealthKey, health_);
+  };
+  try {
+    for (const auto& [id, holder] : fragment_locations(sname, std::nullopt)) {
+      if (holder != system || id.level >= record->ft.size()) continue;
+      const std::string key = id.key();
+      // Move a copy it can read; rebuild one it cannot (damaged, missing,
+      // or the system is down).
+      std::optional<ec::Fragment> frag;
+      if (cluster_.system(system).available())
+        frag = fetch_with_retry(system, id).fragment;
+      if (!frag) frag = rebuild_locked(*record, id);
+      const auto target = place_elsewhere(system, [&](u32 s) {
+        return put_with_retry(s, *frag, stable_hash(key, s, 0xE7A0ull)).ok();
+      });
+      if (!target)
+        throw io_error("evacuate: no system accepted fragment " + key);
+      cluster_.system(system).erase(key);
+      new_locations.push_back({kv::WalOp::kPut, key, std::to_string(*target)});
+      ++moved;
     }
-    RAPIDS_REQUIRE_MSG(target.has_value(),
-                       "evacuate: no destination system available");
-
-    // Prefer a direct move (with retry around both sides); fall back to
-    // rebuilding from survivors if the source copy is unreadable.
-    std::optional<ec::Fragment> frag;
-    if (cluster_.system(system).available()) {
-      auto out = fetch_with_retry(system, {sname, level, idx});
-      frag = std::move(out.fragment);
-    }
-    const bool moved_direct =
-        frag &&
-        put_with_retry(*target, *frag, stable_hash(key, *target, 0xE7A0ull))
-            .ok();
-    if (!moved_direct) repair_fragment_locked(name, level, idx, *target);
-    cluster_.system(system).erase(key);
-    new_locations.push_back({kv::WalOp::kPut, key, std::to_string(*target)});
-    ++moved;
+  } catch (...) {
+    record_moves();
+    throw;
   }
-  // One metadata batch for the whole evacuation. (The repair fallback above
-  // already wrote the same key -> target, so the batch only confirms it.)
-  db_.write(new_locations);
-  save_state(db_, kHealthKey, health_);
+  record_moves();
   return moved;
 }
 
@@ -1179,7 +1182,7 @@ Bytes RapidsPipeline::fetch_level_payload(const std::string& name, u32 level,
   RAPIDS_REQUIRE_MSG(level < record->ft.size(),
                      "fetch_level: level out of range for " + name);
   std::vector<storage::SharedPayload> payloads(record->ft.size());
-  if (restore_cache_.get(name, record->generation, level, payloads[level]) !=
+  if (restore_cache_.get(name, record->epoch, level, payloads[level]) !=
       storage::RestoreCache::Outcome::kHit) {
     // fetch_levels replans around bad systems until the level lands or more
     // than m_j systems are out: then the level is gone for now.
@@ -1204,11 +1207,7 @@ u64 RapidsPipeline::store_level_generation(const std::string& name,
   const u32 n = cluster_.size();
   RAPIDS_REQUIRE_MSG(m_new >= 1 && m_new < n,
                      "store_level_generation: parity count out of range");
-  std::optional<ObjectRecord> record;
-  {
-    std::lock_guard<std::mutex> lock(io_mu_);
-    record = lookup(name);
-  }
+  const auto record = snapshot_record(name);
   RAPIDS_REQUIRE_MSG(record.has_value(),
                      "store_level_generation: unknown object " + name);
   RAPIDS_REQUIRE_MSG(level < record->ft.size(),
@@ -1238,28 +1237,24 @@ void RapidsPipeline::flip_generation(const std::string& name,
                                      u32 new_generation,
                                      const FtConfig& new_ft, f64 planned_p,
                                      f64 planned_error) {
-  {
-    std::lock_guard<std::mutex> lock(io_mu_);
-    auto record = lookup(name);
-    RAPIDS_REQUIRE_MSG(record.has_value(),
-                       "flip_generation: unknown object " + name);
-    RAPIDS_REQUIRE_MSG(new_ft.size() == record->ft.size(),
-                       "flip_generation: ft level count mismatch");
-    RAPIDS_REQUIRE_MSG(valid_ft_config(cluster_.size(), new_ft),
-                       "flip_generation: invalid ft config");
-    if (record->generation == new_generation && record->ft == new_ft)
-      return;  // idempotent replay after a crash between flip and journal
-    record->generation = new_generation;
-    record->ft = new_ft;
-    record->planned_p = planned_p;
-    record->planned_error = planned_error;
-    // The commit point: one put, one WAL barrier. Before it every restore
-    // reads the old generation; after it, the new one. No torn state exists.
-    write_record(name, *record);
-  }
-  // Cached payloads belong to the old generation's keys; drop them all so a
-  // concurrent restore that raced the flip cannot serve a stale mix.
-  restore_cache_.invalidate(name);
+  std::lock_guard<std::mutex> lock(io_mu_);
+  auto record = lookup(name);
+  RAPIDS_REQUIRE_MSG(record.has_value(),
+                     "flip_generation: unknown object " + name);
+  RAPIDS_REQUIRE_MSG(new_ft.size() == record->ft.size(),
+                     "flip_generation: ft level count mismatch");
+  RAPIDS_REQUIRE_MSG(valid_ft_config(cluster_.size(), new_ft),
+                     "flip_generation: invalid ft config");
+  if (record->generation == new_generation && record->ft == new_ft)
+    return;  // idempotent replay after a crash between flip and journal
+  record->generation = new_generation;
+  record->ft = new_ft;
+  record->planned_p = planned_p;
+  record->planned_error = planned_error;
+  // The commit point: one put, one WAL barrier. Before it every restore
+  // reads the old generation; after it, the new one. No torn state exists.
+  // Cached levels stay: they are keyed by the epoch, which a flip keeps.
+  write_record(name, *record);
 }
 
 u64 RapidsPipeline::gc_generation(const std::string& name, u32 generation) {
@@ -1272,34 +1267,9 @@ u64 RapidsPipeline::gc_generation(const std::string& name, u32 generation) {
 
 u64 RapidsPipeline::gc_generation_locked(const std::string& name,
                                          u32 generation) {
-  const std::string sname = generation_storage_name(name, generation);
-  const std::string prefix = "frag/" + sname + "/";
-  u64 erased = 0;
   std::vector<kv::WalRecord> tombstones;
-  for (const auto& [key, value] : db_.scan_prefix(prefix)) {
-    tombstones.push_back({kv::WalOp::kDelete, key, {}});
-    u32 sys = 0;
-    try {
-      sys = static_cast<u32>(std::stoul(value));
-    } catch (...) {
-      continue;  // malformed location entry: tombstone it anyway
-    }
-    if (sys >= cluster_.size()) continue;
-    auto& host = cluster_.system(sys);
-    if (host.has(key)) {
-      host.erase(key);
-      ++erased;
-    }
-  }
-  // Orphan sweep: a phase-1 crash can leave fragments whose location entry
-  // never made it into the batch (store_level_locked writes locations after
-  // all puts of a level). The per-system key index catches those.
-  for (u32 s = 0; s < cluster_.size(); ++s) {
-    for (const auto& key : cluster_.system(s).keys_with_prefix(prefix)) {
-      cluster_.system(s).erase(key);
-      ++erased;
-    }
-  }
+  const u64 erased = drop_fragments_locked(
+      generation_storage_name(name, generation), std::nullopt, tombstones);
   db_.write(tombstones);
   return erased;
 }

@@ -64,8 +64,8 @@ struct PipelineConfig {
 /// keeps the plain object name (the pre-migration layout, and what prepare
 /// always writes), generation g > 0 appends "@g<g>" so both generations'
 /// fragments coexist on the systems while a background migration is in
-/// flight. '@' never appears in a generation suffix's digits, so prefixes of
-/// distinct generations can never shadow each other.
+/// flight. prepare() rejects names containing '@', so a generation's storage
+/// name can never be another object's name.
 std::string generation_storage_name(const std::string& name, u32 generation);
 
 /// Everything persisted about one prepared object (the metadata record).
@@ -83,9 +83,9 @@ struct ObjectRecord {
   /// Eq. 5 expected error the optimizer promised under planned_p; the
   /// controller re-evaluates against this margin as availability moves.
   f64 planned_error = 0.0;
-  /// Prepare epoch: bumped by every prepare() and age_object() of the name,
-  /// so a refine session can tell that the payloads it decoded are gone. A
-  /// generation flip keeps it (a flip moves the same payload bytes).
+  /// Payload epoch: the count of earlier prepares of the name, the one
+  /// operation that changes a level's bytes (aging and a flip keep it). The
+  /// restore cache keys levels by it; a refine session restarts when it moves.
   u64 epoch = 0;
 
   /// The name fragment keys of the current generation are stored under.
@@ -162,9 +162,9 @@ struct RestoreReport {
   u32 cache_misses = 0;         ///< levels that had to be fetched
   u32 cache_corrupt = 0;        ///< cached levels evicted on CRC mismatch
   bool plan_reused = false;     ///< gathering plan reused from the session
-  /// The session's object was re-prepared or aged since its last rung, so
-  /// this rung dropped everything the session held and restarted from
-  /// level 0 rather than merge planes of two different payloads.
+  /// The session's object was re-prepared (its epoch moved) or aged below
+  /// the session's cursor since its last rung, so this rung dropped
+  /// everything the session held and restarted from level 0.
   bool session_restarted = false;
   u32 levels_fetched = 0;       ///< levels this call fetched over the WAN
 };
@@ -251,9 +251,9 @@ class RapidsPipeline {
   /// stores levels in ascending order. Safe to call from several threads (or
   /// pool tasks) at once: stores serialize on the I/O lock, and on a healthy
   /// cluster the prepared state is byte-identical to a serial loop's. Throws
-  /// invariant_error on non-finite input or when no FT configuration fits
-  /// the overhead budget, and io_error when no system accepts a fragment; a
-  /// failed prepare writes no object record.
+  /// invariant_error on a name containing '@', on non-finite input or when no
+  /// FT configuration fits the overhead budget, and io_error when no system
+  /// accepts a fragment; a failed prepare writes no object record.
   PrepareReport prepare(std::span<const f32> data, mgard::Dims dims,
                         const std::string& name);
 
@@ -320,10 +320,10 @@ class RapidsPipeline {
   void repair_fragment(const std::string& name, u32 level, u32 index,
                        u32 target_system);
 
-  /// Migrate every fragment of `name` off `system` onto other systems
-  /// (least-loaded first), rebuilding from survivors — the maintenance flow
-  /// for retiring a storage system without losing tolerance. The metadata
-  /// store is updated with the new locations. Returns fragments moved.
+  /// Move every fragment of `name` recorded on `system` elsewhere (retiring a
+  /// system): a readable copy moves, any other is rebuilt from survivors, and
+  /// each lands by place_elsewhere's order. Completed moves are recorded even
+  /// when a later one throws. Returns fragments moved.
   u32 evacuate_system(const std::string& name, u32 system);
 
   /// Names of every prepared object, in key order. Takes the I/O lock.
@@ -408,16 +408,15 @@ class RapidsPipeline {
   /// Phase 2, the commit point: durably flip `name` to `new_generation` /
   /// `new_ft` with one atomic ObjectRecord write (single KV put → single
   /// WAL barrier), stamping the re-optimizer's planned_p / planned_error.
-  /// Every cached payload of the object is invalidated. Idempotent.
+  /// The epoch stays, so cached levels keep serving. Idempotent.
   void flip_generation(const std::string& name, u32 new_generation,
                        const FtConfig& new_ft, f64 planned_p,
                        f64 planned_error);
 
   /// Phase 3 / rollback: drop every fragment of `name`'s generation
-  /// `generation` — location keys from the metadata store (one delete
-  /// batch) plus a per-system key sweep that catches orphans whose
-  /// locations were never recorded (a phase-1 crash window). Idempotent:
-  /// absent fragments and keys are no-ops. Returns fragments erased.
+  /// `generation` by the drop sweep (locations tombstoned in one batch, and
+  /// orphans a phase-1 crash left found on every system). Idempotent.
+  /// Returns fragments erased.
   u64 gc_generation(const std::string& name, u32 generation);
 
  private:
@@ -448,9 +447,9 @@ class RapidsPipeline {
   };
   /// Distribute one level's fragments (placement, retry, relocation, health,
   /// per-level location batch). Caller holds io_mu_. Each fragment goes to
-  /// its placed system through put_with_retry, and on failure to the
-  /// least-loaded available system that accepts it. The stored fragments
-  /// are moved into the systems, so `frags` is consumed.
+  /// its placed system through put_with_retry, and on failure by
+  /// place_elsewhere. The stored fragments are moved into the systems, so
+  /// `frags` is consumed.
   void store_level_locked(const std::string& name, u32 level,
                           std::vector<ec::Fragment>& frags, StoreStats& stats);
   ec::ReedSolomon codec_for(const ObjectRecord& record, u32 level) const;
@@ -495,16 +494,31 @@ class RapidsPipeline {
   FetchOutcome fetch_with_retry(
       u32 system, const ec::FragmentId& id,
       f64 budget_s = std::numeric_limits<f64>::infinity());
-  /// repair_fragment body; caller must hold io_mu_ (runs pool-free: a
-  /// helping waiter inside the lock could steal a task that needs it).
+  /// The one placement rule for a fragment displaced from `excluded`: the
+  /// available other systems, breaker-allowed first, then fewest fragments,
+  /// then lowest id, until `try_put` stores it there. Caller holds io_mu_.
+  std::optional<u32> place_elsewhere(
+      u32 excluded, const std::function<bool(u32)>& try_put);
+  /// Rebuild fragment `lost` of `record`'s object from the first k other
+  /// recorded fragments of its level that verify. Caller holds io_mu_ (runs
+  /// pool-free: a helping waiter inside the lock could steal a task).
+  ec::Fragment rebuild_locked(const ObjectRecord& record,
+                              const ec::FragmentId& lost);
+  /// repair_fragment body; caller must hold io_mu_.
   void repair_fragment_locked(const std::string& name, u32 level, u32 index,
                               u32 target_system);
   /// gc_generation body; caller must hold io_mu_.
   u64 gc_generation_locked(const std::string& name, u32 generation);
-  /// Fragment locations of one level from the metadata store: system -> the
-  /// fragment index it hosts (the authoritative map; placement only seeds it
-  /// at prepare time, repair/evacuation may move fragments afterwards).
-  std::map<u32, u32> fragment_locations(const std::string& name, u32 level) const;
+  /// The one location reader: every recorded fragment of `sname` (of `level`
+  /// only, when given) and its system, in (level, index) order; one system
+  /// may hold several fragments of a level. Caller holds io_mu_.
+  std::vector<std::pair<ec::FragmentId, u32>> fragment_locations(
+      const std::string& sname, std::optional<u32> level) const;
+  /// The one drop sweep (aging, per level; GC, per generation): tombstone
+  /// every recorded location into `tombstones` and erase every copy on any
+  /// system, recorded or not. Returns fragments erased.
+  u64 drop_fragments_locked(const std::string& sname, std::optional<u32> level,
+                            std::vector<kv::WalRecord>& tombstones);
   /// Metadata lookup + gathering-problem snapshot (availability, bandwidth
   /// estimates, health exclusions) under io_mu_. Throws on unknown objects.
   void snapshot_problem(const std::string& name,

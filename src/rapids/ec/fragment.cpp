@@ -1,5 +1,7 @@
 #include "rapids/ec/fragment.hpp"
 
+#include <charconv>
+
 #include "rapids/util/crc32c.hpp"
 
 namespace rapids::ec {
@@ -7,6 +9,7 @@ namespace rapids::ec {
 namespace {
 constexpr u32 kFragmentMagic = 0x52464D47u;  // "RFMG"
 constexpr u16 kFragmentVersion = 1;
+constexpr std::string_view kKeyHead = "frag/";  // every fragment key's start
 
 /// Everything serialize() writes before the payload.
 Fragment read_header(ByteReader& r) {
@@ -27,8 +30,31 @@ Fragment read_header(ByteReader& r) {
 }  // namespace
 
 std::string FragmentId::key() const {
-  return "frag/" + object_name + "/" + std::to_string(level) + "/" +
-         std::to_string(index);
+  return key_prefix(object_name, level) + std::to_string(index);
+}
+
+std::optional<FragmentId> FragmentId::parse(std::string_view key) {
+  const auto index_at = key.rfind('/');
+  const auto level_at = key.rfind('/', index_at - 1);
+  const auto digits = [&](std::size_t from, std::size_t to, u32& out) {
+    const auto r = std::from_chars(key.data() + from, key.data() + to, out);
+    return r.ec == std::errc{} && r.ptr == key.data() + to;
+  };
+  FragmentId id;
+  if (!key.starts_with(kKeyHead) || level_at == std::string_view::npos ||
+      level_at < kKeyHead.size() ||
+      !digits(level_at + 1, index_at, id.level) ||
+      !digits(index_at + 1, key.size(), id.index))
+    return std::nullopt;
+  id.object_name = key.substr(kKeyHead.size(), level_at - kKeyHead.size());
+  return id;
+}
+
+std::string FragmentId::key_prefix(const std::string& object,
+                                   std::optional<u32> level) {
+  std::string prefix = std::string(kKeyHead) + object + "/";
+  if (level) prefix += std::to_string(*level) + "/";
+  return prefix;
 }
 
 u32 fragment_crc(std::span<const u8> payload) {

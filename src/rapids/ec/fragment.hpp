@@ -7,8 +7,10 @@
 /// detected before decode, mirroring what the paper stores via HDF5/ADIOS
 /// self-describing files.
 
+#include <compare>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "rapids/util/bytes.hpp"
@@ -22,11 +24,20 @@ struct FragmentId {
   u32 level = 0;            ///< retrieval level index (0-based)
   u32 index = 0;            ///< fragment row index in the encode matrix (0..k+m-1)
 
-  bool operator==(const FragmentId&) const = default;
+  auto operator<=>(const FragmentId&) const = default;
 
-  /// Canonical string key used by the metadata store:
-  /// "frag/<object>/<level>/<index>".
+  /// Canonical string key used by the metadata store and the systems:
+  /// "frag/<object>/<level>/<index>". Object names may contain '/'.
   std::string key() const;
+
+  /// Inverse of key(): the last two parts are the level and index digits,
+  /// the rest after "frag/" the object; nullopt for any other key.
+  static std::optional<FragmentId> parse(std::string_view key);
+
+  /// "frag/<object>/", or with `level` that level's prefix. "<object>/..."
+  /// names share it: a scan keeps the keys whose parse() gives `object`.
+  static std::string key_prefix(const std::string& object,
+                                std::optional<u32> level = std::nullopt);
 };
 
 /// One erasure-coded fragment: id + EC geometry + payload + checksum.

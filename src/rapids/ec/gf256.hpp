@@ -51,9 +51,6 @@ class GF256 {
   /// a^e for e >= 0 (a^0 == 1, including 0^0 by convention here).
   static u8 pow(u8 a, u32 e);
 
-  /// The generator element alpha = 2 raised to `e` (mod 255 exponent).
-  static u8 alpha_pow(u32 e) { return tables().exp[e % 255]; }
-
   /// dst[i] ^= c * src[i] for all i — the inner kernel of RS encode/decode.
   static void mul_acc(std::span<u8> dst, std::span<const u8> src, u8 c);
 

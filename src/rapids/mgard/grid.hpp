@@ -34,11 +34,6 @@ struct Dims {
 
   u64 total() const { return nx * ny * nz; }
   bool operator==(const Dims&) const = default;
-
-  /// Number of axes with extent > 1.
-  u32 dimensionality() const {
-    return static_cast<u32>((nx > 1) + (ny > 1) + (nz > 1));
-  }
 };
 
 /// Full topology of one decomposition hierarchy.

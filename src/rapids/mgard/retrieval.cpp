@@ -14,12 +14,11 @@ f64 level_bound(const PlaneSet& ps, u32 p) {
   return ps.error_bound(p);
 }
 
-void append_segment(ByteWriter& w, std::vector<SegmentRef>& refs, u32 dlevel,
-                    u32 plane, const PlaneSegment& seg) {
+void append_segment(ByteWriter& w, u32 dlevel, u32 plane,
+                    const PlaneSegment& seg) {
   w.put_u32(dlevel);
   w.put_u32(plane);
   w.put_bytes(as_bytes_view(seg.data));
-  refs.push_back(SegmentRef{dlevel, plane, seg.size()});
 }
 
 /// Wire bytes one segment occupies in a retrieval payload: dlevel (u32) +
@@ -118,22 +117,19 @@ RetrievalLevel materialize_retrieval_level(
     const std::vector<PlaneSet>& plane_sets, const RetrievalLevelPlan& plan) {
   RetrievalLevel lvl;
   ByteWriter writer(plan.payload_bytes);
-  std::vector<SegmentRef> refs;
-  refs.reserve(plan.segments.size());
   for (const SegmentRef& ref : plan.segments) {
     RAPIDS_REQUIRE_MSG(ref.dlevel < plane_sets.size(),
                        "materialize: plan references unknown level");
     const PlaneSet& ps = plane_sets[ref.dlevel];
     const PlaneSegment& seg =
         ref.plane == 0 ? ps.sign : ps.planes.at(ref.plane - 1);
-    append_segment(writer, refs, ref.dlevel, ref.plane, seg);
+    append_segment(writer, ref.dlevel, ref.plane, seg);
   }
   lvl.payload = writer.take();
   RAPIDS_REQUIRE_MSG(lvl.payload.size() == plan.payload_bytes,
                      "materialize: payload size disagrees with the plan");
   lvl.abs_error_bound = plan.abs_error_bound;
   lvl.rel_error_bound = plan.rel_error_bound;
-  lvl.segments = std::move(refs);
   return lvl;
 }
 

@@ -35,7 +35,6 @@ struct RetrievalLevel {
   Bytes payload;
   f64 abs_error_bound = 0.0;  ///< absolute L-infinity bound using levels 1..j
   f64 rel_error_bound = 0.0;  ///< abs bound / max|original data|
-  std::vector<SegmentRef> segments;  ///< index (also recoverable from payload)
 };
 
 /// Accuracy of the full representation: the tail cut when targets are

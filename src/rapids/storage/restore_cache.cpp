@@ -4,11 +4,10 @@
 
 namespace rapids::storage {
 
-RestoreCache::Outcome RestoreCache::get(const std::string& name,
-                                        u32 generation, u32 level,
-                                        SharedPayload& out) {
+RestoreCache::Outcome RestoreCache::get(const std::string& name, u64 epoch,
+                                        u32 level, SharedPayload& out) {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(Key{name, generation, level});
+  const auto it = index_.find(Key{name, epoch, level});
   if (it == index_.end()) {
     ++misses_;
     return Outcome::kMiss;
@@ -25,13 +24,13 @@ RestoreCache::Outcome RestoreCache::get(const std::string& name,
   return Outcome::kHit;
 }
 
-void RestoreCache::put(const std::string& name, u32 generation, u32 level,
+void RestoreCache::put(const std::string& name, u64 epoch, u32 level,
                        SharedPayload payload) {
   const u64 size = payload->size();
   if (size > budget_) return;  // covers budget_ == 0 (disabled)
   const u32 crc = crc32c(as_bytes_view(*payload));
   std::lock_guard<std::mutex> lock(mu_);
-  const Key key{name, generation, level};
+  const Key key{name, epoch, level};
   if (const auto it = index_.find(key); it != index_.end()) drop(it->second);
   while (bytes_ + size > budget_ && !lru_.empty()) {
     ++evictions_;
@@ -43,15 +42,11 @@ void RestoreCache::put(const std::string& name, u32 generation, u32 level,
   ++inserts_;
 }
 
-void RestoreCache::invalidate(const std::string& name) {
-  invalidate_from(name, 0);
-}
-
 void RestoreCache::invalidate_from(const std::string& name, u32 first_level) {
   std::lock_guard<std::mutex> lock(mu_);
-  // Keys order (name, generation, level) lexicographically, so one object's
-  // entries form a contiguous map range; levels interleave across
-  // generations within it, so filter by level while walking the name range.
+  // Keys order (name, epoch, level) lexicographically, so one object's
+  // entries form a contiguous map range; levels interleave across epochs
+  // within it, so filter by level while walking the name range.
   auto it = index_.lower_bound(Key{name, 0, 0});
   while (it != index_.end() && std::get<0>(it->first) == name) {
     auto victim = it++;
@@ -79,11 +74,10 @@ RestoreCache::Stats RestoreCache::stats() const {
   return s;
 }
 
-bool RestoreCache::corrupt_entry_for_test(const std::string& name,
-                                          u32 generation, u32 level,
-                                          u64 byte_index) {
+bool RestoreCache::corrupt_entry_for_test(const std::string& name, u64 epoch,
+                                          u32 level, u64 byte_index) {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(Key{name, generation, level});
+  const auto it = index_.find(Key{name, epoch, level});
   if (it == index_.end() || it->second->payload->empty()) return false;
   auto damaged = std::make_shared<std::vector<u8>>(*it->second->payload);
   (*damaged)[byte_index % damaged->size()] ^= 0x40;

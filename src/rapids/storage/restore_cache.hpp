@@ -2,15 +2,14 @@
 
 /// \file restore_cache.hpp
 /// Byte-budgeted LRU cache of fetched retrieval-level payloads, keyed by
-/// (object name, encoding generation, retrieval level). The restore path
-/// consults it *before* gather planning: a hit skips the WAN fetch and
-/// erasure decode for that level entirely, which is what makes repeated
-/// restores and the refinement ladder pay only for bytes they have not seen
-/// yet. The generation tag exists for background migration: after a
-/// migration flips an object to a new encoding generation, lookups carry the
-/// new generation and can never hit a payload cached under the old one, so a
-/// post-migration restore cannot merge stale bytes even if invalidation
-/// raced with a concurrent fill.
+/// (object name, payload epoch, retrieval level). The restore path consults
+/// it *before* gather planning: a hit skips the WAN fetch and erasure decode
+/// for that level entirely, which is what makes repeated restores and the
+/// refinement ladder pay only for bytes they have not seen yet. The epoch
+/// (ObjectRecord::epoch) moves exactly when a level's bytes can: a level
+/// decoded from a replaced object is cached under its old epoch and never
+/// served for its successor, even when the fill races the re-prepare, and a
+/// migration's flip keeps every entry serving. Invalidation frees memory.
 ///
 /// Entries are shared immutable payloads: put stores the caller's pointer
 /// and a hit hands the same buffer out, so neither copies a byte, and a
@@ -54,24 +53,24 @@ class RestoreCache {
     kCorrupt,  ///< was cached but failed CRC; entry evicted, `out` untouched
   };
 
-  /// Look up (name, generation, level); a verified hit points `out` at the
-  /// stored payload and refreshes the entry's LRU position.
-  Outcome get(const std::string& name, u32 generation, u32 level,
+  /// Look up (name, epoch, level); a verified hit points `out` at the stored
+  /// payload and refreshes the entry's LRU position.
+  Outcome get(const std::string& name, u64 epoch, u32 level,
               SharedPayload& out);
 
-  /// Insert or refresh (name, generation, level) with `payload` itself (no
-  /// copy) and its CRC. Entries larger than the whole budget are not cached;
+  /// Insert or refresh (name, epoch, level) with `payload` itself (no copy)
+  /// and its CRC. Entries larger than the whole budget are not cached;
   /// otherwise least-recently-used entries are evicted until the new total
   /// fits.
-  void put(const std::string& name, u32 generation, u32 level,
+  void put(const std::string& name, u64 epoch, u32 level,
            SharedPayload payload);
 
-  /// Drop every cached level of `name`, across all generations (the object
-  /// was re-prepared or migrated).
-  void invalidate(const std::string& name);
+  /// Drop every cached level of `name`, across all epochs (the object was
+  /// re-prepared).
+  void invalidate(const std::string& name) { invalidate_from(name, 0); }
 
-  /// Drop cached levels >= `first_level` of `name`, across all generations
-  /// (the object was aged).
+  /// Drop cached levels >= `first_level` of `name`, across all epochs (the
+  /// object was aged).
   void invalidate_from(const std::string& name, u32 first_level);
 
   /// Drop everything.
@@ -93,11 +92,11 @@ class RestoreCache {
   /// or empty). Lets chaos tests inject silent cache corruption without
   /// reaching into private state; readers already holding the payload keep
   /// the intact bytes.
-  bool corrupt_entry_for_test(const std::string& name, u32 generation,
-                              u32 level, u64 byte_index = 0);
+  bool corrupt_entry_for_test(const std::string& name, u64 epoch, u32 level,
+                              u64 byte_index = 0);
 
  private:
-  using Key = std::tuple<std::string, u32, u32>;  // (name, generation, level)
+  using Key = std::tuple<std::string, u64, u32>;  // (name, epoch, level)
   struct Entry {
     Key key;
     SharedPayload payload;

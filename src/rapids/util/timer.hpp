@@ -21,9 +21,6 @@ class Timer {
     return std::chrono::duration<f64>(Clock::now() - start_).count();
   }
 
-  /// Elapsed milliseconds.
-  f64 millis() const { return seconds() * 1e3; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

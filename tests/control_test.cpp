@@ -385,13 +385,13 @@ TEST(FtReoptimize, WarmStartNeverWorseThanCurrent) {
   EXPECT_LE(re->expected_error, weak_error);
 }
 
-// --- generation-tagged restore cache ---
+// --- epoch-keyed restore cache ---
 
 storage::SharedPayload fill(std::size_t n, u8 v) {
   return std::make_shared<const std::vector<u8>>(n, v);
 }
 
-TEST(RestoreCacheGenerations, GenerationsAreDistinctKeys) {
+TEST(RestoreCacheEpochs, EpochsAreDistinctKeys) {
   storage::RestoreCache cache(4096);
   cache.put("a", 0, 0, fill(64, 1));
   cache.put("a", 1, 0, fill(64, 2));
@@ -403,7 +403,7 @@ TEST(RestoreCacheGenerations, GenerationsAreDistinctKeys) {
   EXPECT_EQ(cache.get("a", 2, 0, out), storage::RestoreCache::Outcome::kMiss);
 }
 
-TEST(RestoreCacheGenerations, InvalidateDropsEveryGeneration) {
+TEST(RestoreCacheEpochs, InvalidateDropsEveryEpoch) {
   storage::RestoreCache cache(4096);
   cache.put("a", 0, 0, fill(32, 1));
   cache.put("a", 1, 0, fill(32, 2));
@@ -417,21 +417,21 @@ TEST(RestoreCacheGenerations, InvalidateDropsEveryGeneration) {
   EXPECT_EQ(cache.get("b", 1, 0, out), storage::RestoreCache::Outcome::kHit);
 }
 
-TEST(RestoreCacheGenerations, InvalidateFromFiltersLevelAcrossGenerations) {
+TEST(RestoreCacheEpochs, InvalidateFromFiltersLevelAcrossEpochs) {
   storage::RestoreCache cache(4096);
-  for (u32 gen = 0; gen < 3; ++gen)
+  for (u64 epoch = 0; epoch < 3; ++epoch)
     for (u32 level = 0; level < 4; ++level)
-      cache.put("a", gen, level, fill(16, u8(gen * 4 + level)));
+      cache.put("a", epoch, level, fill(16, u8(epoch * 4 + level)));
   cache.invalidate_from("a", 2);
   storage::SharedPayload out;
-  for (u32 gen = 0; gen < 3; ++gen) {
-    EXPECT_EQ(cache.get("a", gen, 0, out),
+  for (u64 epoch = 0; epoch < 3; ++epoch) {
+    EXPECT_EQ(cache.get("a", epoch, 0, out),
               storage::RestoreCache::Outcome::kHit);
-    EXPECT_EQ(cache.get("a", gen, 1, out),
+    EXPECT_EQ(cache.get("a", epoch, 1, out),
               storage::RestoreCache::Outcome::kHit);
-    EXPECT_EQ(cache.get("a", gen, 2, out),
+    EXPECT_EQ(cache.get("a", epoch, 2, out),
               storage::RestoreCache::Outcome::kMiss);
-    EXPECT_EQ(cache.get("a", gen, 3, out),
+    EXPECT_EQ(cache.get("a", epoch, 3, out),
               storage::RestoreCache::Outcome::kMiss);
   }
 }

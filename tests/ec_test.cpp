@@ -530,6 +530,32 @@ TEST(Fragment, KeyFormat) {
   EXPECT_EQ(id.key(), "frag/SCALE:T/3/15");
 }
 
+TEST(Fragment, KeyParsesBackWhateverTheName) {
+  for (const FragmentId& id :
+       {FragmentId{"a", 0, 5}, FragmentId{"a/0", 0, 5},
+        FragmentId{"hurricane/pressure", 3, 15}, FragmentId{"obj@g1", 2, 0},
+        FragmentId{"x/1/2", 4294967295u, 7}})
+    EXPECT_EQ(FragmentId::parse(id.key()), std::optional<FragmentId>(id))
+        << id.key();
+  // The last two parts are the level and the index; the rest is the name.
+  EXPECT_EQ(FragmentId::parse("frag/a/0/0/5")->object_name, "a/0");
+}
+
+TEST(Fragment, ParseRejectsOtherKeys) {
+  for (const char* key :
+       {"", "frag/", "frag/a", "frag/a/0", "frag/0/1", "frag/a/x/1",
+        "frag/a/0/", "frag/a//1", "frag/a/0/1x", "frag/a/-1/2",
+        "frag/a/0/4294967296", "obj/a/0/1", "frog/a/0/1"})
+    EXPECT_FALSE(FragmentId::parse(key).has_value()) << key;
+}
+
+TEST(Fragment, KeyPrefixes) {
+  EXPECT_EQ(FragmentId::key_prefix("a"), "frag/a/");
+  EXPECT_EQ(FragmentId::key_prefix("a", 3), "frag/a/3/");
+  const FragmentId id{"a", 3, 7};
+  EXPECT_EQ(id.key(), FragmentId::key_prefix("a", 3) + "7");
+}
+
 TEST(Fragment, VerifyCatchesDamage) {
   Fragment f;
   f.payload = random_payload(64, 27);

@@ -652,13 +652,17 @@ TEST(Retrieval, PayloadParsesBackToSegments) {
   opt.num_levels = 2;
   opt.target_rel_errors = {1e-2, 1e-4};
   const auto levels = assemble_retrieval_levels(sets, 1.0, opt);
-  for (const auto& lvl : levels) {
-    const auto parsed = parse_retrieval_payload(as_bytes_view(lvl.payload));
-    ASSERT_EQ(parsed.size(), lvl.segments.size());
+  const auto plans = plan_retrieval_levels(sets, 1.0, opt);
+  ASSERT_EQ(levels.size(), plans.size());
+  for (std::size_t j = 0; j < levels.size(); ++j) {
+    const auto parsed =
+        parse_retrieval_payload(as_bytes_view(levels[j].payload));
+    const auto& refs = plans[j].segments;
+    ASSERT_EQ(parsed.size(), refs.size());
     for (std::size_t s = 0; s < parsed.size(); ++s) {
-      EXPECT_EQ(parsed[s].first.dlevel, lvl.segments[s].dlevel);
-      EXPECT_EQ(parsed[s].first.plane, lvl.segments[s].plane);
-      EXPECT_EQ(parsed[s].second.size(), lvl.segments[s].bytes);
+      EXPECT_EQ(parsed[s].first.dlevel, refs[s].dlevel);
+      EXPECT_EQ(parsed[s].first.plane, refs[s].plane);
+      EXPECT_EQ(parsed[s].second.size(), refs[s].bytes);
     }
   }
 }

@@ -6,7 +6,10 @@
 #include <algorithm>
 #include <filesystem>
 #include <limits>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "rapids/core/baselines.hpp"
 #include "rapids/core/pipeline.hpp"
@@ -65,6 +68,44 @@ class PipelineTest : public ::testing::Test {
     EXPECT_LE(data::relative_linf_error(field, report.data),
               report.rel_error_bound)
         << next;
+  }
+
+  /// The system the metadata store records for fragment key `key`.
+  std::optional<u32> location(const std::string& key) const {
+    const auto value = db_->get(key);
+    if (!value) return std::nullopt;
+    return static_cast<u32>(std::stoul(*value));
+  }
+
+  /// Keys of level `level` of `name` stored on system `sys` (the object's
+  /// name must not be extended by another prepared name).
+  std::vector<std::string> level_keys(const std::string& name, u32 level,
+                                      u32 sys) const {
+    return cluster_->system(sys).keys_with_prefix(
+        "frag/" + name + "/" + std::to_string(level) + "/");
+  }
+
+  /// (system, level) pairs where a system holds two fragments of one level.
+  std::vector<std::pair<u32, u32>> doubled(const std::string& name,
+                                           u32 levels) const {
+    std::vector<std::pair<u32, u32>> out;
+    for (u32 s = 0; s < cluster_->size(); ++s)
+      for (u32 level = 0; level < levels; ++level)
+        if (level_keys(name, level, s).size() >= 2) out.emplace_back(s, level);
+    return out;
+  }
+
+  /// Re-encode every level of `name` under generation 1 (same parity),
+  /// then flip the object to it: a migration with no parity change.
+  static void migrate_to_generation_1(RapidsPipeline& pipeline,
+                                      const std::string& name) {
+    const auto rec = pipeline.snapshot_record(name);
+    ASSERT_TRUE(rec.has_value());
+    for (u32 level = 0; level < rec->ft.size(); ++level)
+      pipeline.store_level_generation(name, 1, level, rec->ft[level],
+                                      pipeline.fetch_level_payload(name, level));
+    pipeline.flip_generation(name, 1, rec->ft, rec->planned_p,
+                             rec->planned_error);
   }
 
   std::string dir_;
@@ -374,6 +415,216 @@ TEST_F(PipelineTest, ScrubSkipsDownSystems) {
   const auto report = pipeline.scrub("s2", false);
   EXPECT_EQ(report.fragments_checked, 60u);  // 4 levels x 15 reachable systems
   EXPECT_TRUE(report.damaged.empty());
+}
+
+// --- object lifecycle: fragment keys, locations, evacuation, drop sweep ---
+//
+// n = k + m puts one fragment of every level on every system, so any
+// evacuation leaves some system holding two fragments of one level.
+
+TEST_F(PipelineTest, AgingAfterEvacuationLeavesNoFragmentOfADroppedLevel) {
+  RapidsPipeline pipeline(*cluster_, *db_, fast_config());
+  const Dims dims{17, 17, 9};
+  const auto field = data::nyx_temperature(dims, 7);
+  pipeline.prepare(field, dims, "obj");
+  ASSERT_EQ(pipeline.evacuate_system("obj", 5), 4u);
+  ASSERT_FALSE(doubled("obj", 4).empty());
+
+  u64 before = 0;
+  for (u32 s = 0; s < 16; ++s) before += cluster_->system(s).used_bytes();
+  const u64 reclaimed = pipeline.age_object("obj", 1);
+  u64 after = 0;
+  for (u32 s = 0; s < 16; ++s) after += cluster_->system(s).used_bytes();
+  EXPECT_EQ(before - after, reclaimed);
+  for (u32 level = 1; level < 4; ++level) {
+    const std::string prefix = "frag/obj/" + std::to_string(level) + "/";
+    EXPECT_TRUE(db_->scan_prefix(prefix).empty()) << prefix;
+    for (u32 s = 0; s < 16; ++s)
+      EXPECT_TRUE(level_keys("obj", level, s).empty())
+          << prefix << " on system " << s;
+  }
+  const auto rest = pipeline.restore("obj");
+  EXPECT_EQ(rest.levels_used, 1u);
+  EXPECT_LE(data::relative_linf_error(field, rest.data), rest.rel_error_bound);
+}
+
+TEST_F(PipelineTest, EvacuatingADoubledSystemEmptiesIt) {
+  RapidsPipeline pipeline(*cluster_, *db_, fast_config());
+  const Dims dims{17, 17, 9};
+  const auto field = data::nyx_temperature(dims, 7);
+  pipeline.prepare(field, dims, "obj");
+  ASSERT_EQ(pipeline.evacuate_system("obj", 5), 4u);
+  const auto twice = doubled("obj", 4);
+  ASSERT_FALSE(twice.empty());
+  const u32 sys = twice.front().first;
+  const u64 held = cluster_->system(sys).fragment_count();
+  ASSERT_EQ(held, 5u);
+
+  EXPECT_EQ(pipeline.evacuate_system("obj", sys), held);
+  EXPECT_EQ(cluster_->system(sys).fragment_count(), 0u);
+  for (const auto& [key, value] : db_->scan_prefix("frag/obj/"))
+    EXPECT_NE(value, std::to_string(sys)) << key;
+  cluster_->fail(sys);
+  const auto rest = pipeline.restore("obj");
+  EXPECT_EQ(rest.levels_used, 4u);
+  EXPECT_LE(data::relative_linf_error(field, rest.data), rest.rel_error_bound);
+}
+
+TEST_F(PipelineTest, ScrubRepairsBothDamagedFragmentsOfADoubledSystem) {
+  RapidsPipeline pipeline(*cluster_, *db_, fast_config());
+  const Dims dims{17, 17, 9};
+  const auto field = data::nyx_temperature(dims, 7);
+  pipeline.prepare(field, dims, "obj");
+  ASSERT_EQ(pipeline.evacuate_system("obj", 5), 4u);
+  const auto twice = doubled("obj", 4);
+  ASSERT_FALSE(twice.empty());
+  const auto [sys, level] = twice.front();
+  const auto keys = level_keys("obj", level, sys);
+  ASSERT_EQ(keys.size(), 2u);
+  for (const auto& key : keys) {  // damage both copies at rest
+    auto frag = cluster_->system(sys).get(key);
+    ASSERT_TRUE(frag.has_value());
+    frag->payload[3] ^= 0x55;
+    cluster_->system(sys).put(std::move(*frag));
+  }
+
+  const auto found = pipeline.scrub("obj", /*repair=*/true);
+  EXPECT_EQ(found.fragments_checked, 64u);
+  EXPECT_EQ(found.damaged.size(), 2u);
+  EXPECT_EQ(found.repaired, 2u);
+  for (const auto& key : keys) {
+    const auto frag = cluster_->system(sys).get(key);
+    ASSERT_TRUE(frag.has_value()) << key;
+    EXPECT_TRUE(frag->verify()) << key;
+  }
+  EXPECT_TRUE(pipeline.scrub("obj").damaged.empty());
+  const auto rest = pipeline.restore("obj");
+  EXPECT_EQ(rest.levels_used, 4u);
+  EXPECT_LE(data::relative_linf_error(field, rest.data), rest.rel_error_bound);
+}
+
+TEST_F(PipelineTest, NameThatExtendsAnotherKeepsBothRestorable) {
+  RapidsPipeline pipeline(*cluster_, *db_, fast_config());
+  const Dims dims{17, 17, 9};
+  const auto a = data::nyx_temperature(dims, 7);
+  const auto a0 = data::scale_pressure(dims, 8);
+  pipeline.prepare(a, dims, "a");
+  pipeline.prepare(a0, dims, "a/0");  // its keys share "frag/a/0/"
+
+  const auto ra = pipeline.restore("a");
+  EXPECT_EQ(ra.levels_used, 4u);
+  EXPECT_EQ(ra.replans, 0u);
+  EXPECT_LE(data::relative_linf_error(a, ra.data), ra.rel_error_bound);
+  const auto ra0 = pipeline.restore("a/0");
+  EXPECT_EQ(ra0.levels_used, 4u);
+  EXPECT_LE(data::relative_linf_error(a0, ra0.data), ra0.rel_error_bound);
+  EXPECT_EQ(pipeline.scrub("a", false).fragments_checked, 64u);
+}
+
+TEST_F(PipelineTest, GcOfAnOldGenerationLeavesExtendedNamesAlone) {
+  RapidsPipeline pipeline(*cluster_, *db_, fast_config());
+  const Dims dims{17, 17, 9};
+  const auto h = data::hurricane_pressure(dims, 7);
+  const auto hp = data::hurricane_temperature(dims, 8);
+  pipeline.prepare(h, dims, "h");
+  pipeline.prepare(hp, dims, "h/p");  // its keys share "frag/h/"
+  migrate_to_generation_1(pipeline, "h");
+
+  EXPECT_EQ(pipeline.gc_generation("h", 0), 64u);
+  u64 kept = 0;
+  for (u32 s = 0; s < 16; ++s)
+    kept += cluster_->system(s).keys_with_prefix("frag/h/p/").size();
+  EXPECT_EQ(kept, 64u);
+  EXPECT_EQ(db_->scan_prefix("frag/h/p/").size(), 64u);
+  const auto rhp = pipeline.restore("h/p");
+  EXPECT_EQ(rhp.levels_used, 4u);
+  EXPECT_LE(data::relative_linf_error(hp, rhp.data), rhp.rel_error_bound);
+  const auto rh = pipeline.restore("h");
+  EXPECT_EQ(rh.levels_used, 4u);
+  EXPECT_LE(data::relative_linf_error(h, rh.data), rh.rel_error_bound);
+}
+
+TEST_F(PipelineTest, PrepareRejectsTheGenerationSeparator) {
+  RapidsPipeline pipeline(*cluster_, *db_, fast_config());
+  const Dims dims{17, 17, 9};
+  const auto field = data::nyx_temperature(dims, 7);
+  // "a@g1" is the storage name of object "a" at generation 1.
+  EXPECT_THROW(pipeline.prepare(field, dims, "a@g1"), invariant_error);
+  EXPECT_FALSE(pipeline.lookup("a@g1").has_value());
+  EXPECT_TRUE(db_->scan_prefix("frag/").empty());
+  for (u32 s = 0; s < 16; ++s)
+    EXPECT_EQ(cluster_->system(s).fragment_count(), 0u) << "system " << s;
+}
+
+TEST_F(PipelineTest, EvacuationKeepsOffAnOpenBreaker) {
+  RapidsPipeline pipeline(*cluster_, *db_, fast_config());
+  const Dims dims{17, 17, 9};
+  const auto field = data::nyx_temperature(dims, 7);
+  pipeline.prepare(field, dims, "obj");
+  for (u32 i = 0; i < 3; ++i) pipeline.system_health().record_failure(2);
+  ASSERT_EQ(pipeline.breaker_states()[2], storage::CircuitState::kOpen);
+
+  EXPECT_EQ(pipeline.evacuate_system("obj", 9), 4u);
+  EXPECT_EQ(cluster_->system(9).fragment_count(), 0u);
+  EXPECT_EQ(cluster_->system(2).fragment_count(), 4u);  // only its own
+  EXPECT_EQ(pipeline.breaker_states()[2], storage::CircuitState::kOpen);
+  const auto rest = pipeline.restore("obj");
+  EXPECT_EQ(rest.levels_used, 4u);
+  EXPECT_LE(data::relative_linf_error(field, rest.data), rest.rel_error_bound);
+}
+
+TEST_F(PipelineTest, EvacuationRebuildsAFragmentMissingFromTheSystem) {
+  RapidsPipeline pipeline(*cluster_, *db_, fast_config());
+  const Dims dims{17, 17, 9};
+  const auto field = data::nyx_temperature(dims, 7);
+  pipeline.prepare(field, dims, "obj");
+  const std::string key =
+      ec::FragmentId{"obj", 1, storage::fragment_at(16, 1, 5)}.key();
+  cluster_->system(5).erase(key);  // recorded on 5, gone from it
+
+  EXPECT_EQ(pipeline.evacuate_system("obj", 5), 4u);
+  const auto home = location(key);
+  ASSERT_TRUE(home.has_value());
+  EXPECT_NE(*home, 5u);
+  const auto rebuilt = cluster_->system(*home).get(key);
+  ASSERT_TRUE(rebuilt.has_value());
+  EXPECT_TRUE(rebuilt->verify());
+  EXPECT_EQ(cluster_->system(5).fragment_count(), 0u);
+  cluster_->fail(5);
+  const auto rest = pipeline.restore("obj");
+  EXPECT_EQ(rest.levels_used, 4u);
+  EXPECT_LE(data::relative_linf_error(field, rest.data), rest.rel_error_bound);
+}
+
+TEST_F(PipelineTest, EvacuationThatThrowsRecordsItsCompletedMoves) {
+  RapidsPipeline pipeline(*cluster_, *db_, fast_config());
+  const Dims dims{17, 17, 9};
+  const auto field = data::nyx_temperature(dims, 7);
+  const auto prep = pipeline.prepare(field, dims, "obj");
+  // The deepest level's copy on system 5 is damaged at rest, and m more of
+  // its fragments are gone: it can be neither moved nor rebuilt.
+  const u32 last = static_cast<u32>(prep.record.ft.size()) - 1;
+  const auto key_on = [&](u32 level, u32 sys) {
+    return ec::FragmentId{"obj", level, storage::fragment_at(16, level, sys)}
+        .key();
+  };
+  auto damaged = cluster_->system(5).get(key_on(last, 5));
+  ASSERT_TRUE(damaged.has_value());
+  damaged->payload[0] ^= 0x01;
+  cluster_->system(5).put(std::move(*damaged));
+  for (u32 s = 6; s < 6 + prep.record.ft[last]; ++s)
+    cluster_->system(s).erase(key_on(last, s));
+
+  EXPECT_THROW(pipeline.evacuate_system("obj", 5), invariant_error);
+  for (u32 level = 0; level < last; ++level) {
+    const std::string key = key_on(level, 5);
+    EXPECT_FALSE(cluster_->system(5).has(key)) << key;
+    const auto home = location(key);
+    ASSERT_TRUE(home.has_value()) << key;
+    EXPECT_NE(*home, 5u) << key;
+    EXPECT_TRUE(cluster_->system(*home).has(key)) << key;
+  }
+  EXPECT_EQ(location(key_on(last, 5)), std::optional<u32>(5));
 }
 
 // --- baselines ---

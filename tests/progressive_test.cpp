@@ -838,6 +838,85 @@ TEST_F(RefineTest, AgingUnderLiveSessionRestartsInsteadOfThrowing) {
   EXPECT_EQ(repeat.bytes_transferred, 0u);
 }
 
+TEST_F(RefineTest, AgingThatKeepsTheCursorDoesNotRestartTheSession) {
+  auto cfg = refine_config();
+  config_used_ = cfg.refactor;
+  RapidsPipeline pipeline(*cluster_, *db_, cfg);
+  const Dims dims{33, 33, 17};
+  const auto field = data::hurricane_pressure(dims, 1);
+  const auto prep = pipeline.prepare(field, dims, "obj");
+  ASSERT_EQ(pipeline.refine("obj", 5e-4).levels_used, 2u);
+
+  // The kept levels' bytes did not change: the session keeps its planes.
+  pipeline.age_object("obj", 2);
+  EXPECT_EQ(pipeline.lookup("obj")->epoch, prep.record.epoch);
+  const auto kept = pipeline.refine("obj", 1e-6);
+  EXPECT_FALSE(kept.session_restarted);
+  EXPECT_EQ(kept.levels_used, 2u);
+  EXPECT_EQ(kept.bytes_transferred, 0u);
+  EXPECT_TRUE(bit_identical(kept.data, expected_prefix(prep, 2)));
+
+  // Aging below the cursor drops planes the session holds: it restarts.
+  pipeline.age_object("obj", 1);
+  const auto below = pipeline.refine("obj", 1e-6);
+  EXPECT_TRUE(below.session_restarted);
+  EXPECT_EQ(below.levels_used, 1u);
+  EXPECT_TRUE(bit_identical(below.data, expected_prefix(prep, 1)));
+}
+
+TEST_F(RefineTest, LevelCachedUnderASupersededPrepareIsNeverServed) {
+  auto cfg = refine_config();
+  config_used_ = cfg.refactor;
+  RapidsPipeline pipeline(*cluster_, *db_, cfg);
+  const Dims dims{17, 17, 9};
+  const auto first = pipeline.prepare(data::nyx_temperature(dims, 7), dims,
+                                      "obj");
+  const Bytes stale = pipeline.fetch_level_payload("obj", 1);
+  const auto second = pipeline.prepare(data::nyx_temperature(dims, 8), dims,
+                                       "obj");
+  // A restore that read level 1 before the re-prepare and decoded it after
+  // caches it under the record it read: emulate that late fill.
+  const auto* bytes = reinterpret_cast<const u8*>(stale.data());
+  pipeline.restore_cache().put(
+      "obj", first.record.epoch, 1,
+      std::make_shared<const std::vector<u8>>(bytes, bytes + stale.size()));
+
+  for (int round = 0; round < 2; ++round) {
+    RestoreReport r;
+    ASSERT_NO_THROW(r = pipeline.restore("obj")) << "round " << round;
+    EXPECT_EQ(r.levels_used, 4u);
+    EXPECT_TRUE(bit_identical(r.data, expected_prefix(second, 4)))
+        << "round " << round;
+  }
+  const auto rung = pipeline.refine("obj", 1e-6);
+  EXPECT_TRUE(bit_identical(rung.data, expected_prefix(second, 4)));
+}
+
+TEST_F(RefineTest, RestoreAfterAFlipIsServedFromTheCache) {
+  RapidsPipeline pipeline(*cluster_, *db_, refine_config());
+  const Dims dims{17, 17, 9};
+  pipeline.prepare(data::scale_temperature(dims, 3), dims, "obj");
+  const auto before = pipeline.restore("obj");
+  ASSERT_EQ(before.levels_used, 4u);
+
+  // A migration to generation 1 with the same parity: the flip re-encodes
+  // the same payload bytes, so the cached levels stay valid.
+  const auto rec = pipeline.snapshot_record("obj");
+  ASSERT_TRUE(rec.has_value());
+  for (u32 level = 0; level < 4; ++level)
+    pipeline.store_level_generation("obj", 1, level, rec->ft[level],
+                                    pipeline.fetch_level_payload("obj", level));
+  pipeline.flip_generation("obj", 1, rec->ft, rec->planned_p,
+                           rec->planned_error);
+  ASSERT_GT(pipeline.gc_generation("obj", 0), 0u);
+
+  const auto after = pipeline.restore("obj");
+  EXPECT_EQ(after.levels_used, 4u);
+  EXPECT_EQ(after.cache_hits, 4u);
+  EXPECT_EQ(after.bytes_transferred, 0u);
+  EXPECT_TRUE(bit_identical(after.data, before.data));
+}
+
 TEST_F(RefineTest, ConcurrentSessionsConvergeIdentically) {
   auto cfg = refine_config();
   RapidsPipeline pipeline(*cluster_, *db_, cfg);
