@@ -29,10 +29,13 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # repair, evacuation, fragments damaged at rest and reopened directory
 # workspaces: the paths where a fragment moved into a system, or a decoded
 # level shared with the restore cache, could be read after its owner let go.
+# ec_test and data_test run the Reed-Solomon stripe, CRC and data-row loops
+# and the field generators, each a bulk loop on the pool.
 SUITES=(parallel_test pipeline_test pipeline_batch_test progressive_test storage_test
         fault_injector_test chaos_test kernel_test mgard_test streaming_test
         control_test control_chaos_test service_test service_chaos_test
-        gather_test solver_test integration_test robustness_test)
+        gather_test solver_test integration_test robustness_test ec_test
+        data_test)
 
 run_tree() {
   local dir="$1" sanitize="$2"

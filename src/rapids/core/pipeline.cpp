@@ -264,7 +264,8 @@ PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
   report.optimize_seconds = ot.seconds();
 
   // Every level erasure-codes on its own task group at once, so level j's
-  // puts overlap the encodes of the levels after it. Stores stay on this
+  // puts overlap the encodes of the levels after it (without a pool to fork
+  // onto, each encode runs inline as it is forked). Stores stay on this
   // thread in level order: fault draws and location batches are the same
   // whatever the pool does.
   const u32 levels = static_cast<u32>(obj.levels.size());
@@ -280,16 +281,12 @@ PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
   // Declared after everything the forked encodes touch: on a throw the
   // groups are destroyed first, and each destructor joins its task.
   std::deque<TaskGroup> encodes;
-  if (pool_ != nullptr && pool_->size() > 1)
-    for (u32 j = 0; j < levels; ++j)
-      encodes.emplace_back(pool_).run([&encode_level, j] { encode_level(j); });
+  for (u32 j = 0; j < levels; ++j)
+    encodes.emplace_back(pool_).run([&encode_level, j] { encode_level(j); });
 
   f64 sim_finish = 0.0;  // max over levels: store-start wall + WAN latency
   for (u32 j = 0; j < levels; ++j) {
-    if (encodes.empty())
-      encode_level(j);
-    else
-      encodes[j].wait();
+    encodes[j].wait();
     report.encode_seconds += encode_wall[j];
     const f64 begin_wall = total.seconds();
     Timer st;
@@ -818,16 +815,7 @@ RestoreReport RapidsPipeline::advance(RefineSession& session, f64 rel_bound,
   }
   session.epoch_ = record->epoch;
 
-  // Resolve the requested bound to a target prefix: the fewest retrieval
-  // levels whose guaranteed e_j meets it, or all of them when even the full
-  // representation cannot.
-  u32 target = nlevels;
-  for (u32 j = 1; j <= nlevels; ++j) {
-    if (record->meta.rel_error_bound(j) <= rel_bound) {
-      target = j;
-      break;
-    }
-  }
+  const u32 target = record->meta.levels_for_bound(rel_bound);
 
   const auto current_state = [&](u32 used) {
     report.levels_used = used;
@@ -954,9 +942,8 @@ RestoreReport RapidsPipeline::advance(RefineSession& session, f64 rel_bound,
   if (session.plane_sets_.empty())
     session.plane_sets_ = mgard::collect_plane_sets(record->meta.dlevels, {});
   for (u32 j = session.cursor_; j < usable; ++j) {
-    const auto level = as_bytes_view(*payloads[j]);
-    report.planes_decoded += mgard::count_magnitude_segments(level);
-    mgard::append_plane_sets(session.plane_sets_, level);
+    report.planes_decoded += mgard::append_plane_sets(
+        session.plane_sets_, as_bytes_view(*payloads[j]));
   }
 
   Timer t;

@@ -28,11 +28,7 @@ std::vector<f32> evaluate(Dims dims, ThreadPool* pool, const Fn& fn) {
       }
     }
   };
-  if (pool != nullptr && dims.nz > 1) {
-    pool->parallel_for_chunks(0, dims.nz, run, 1);
-  } else {
-    run(0, dims.nz);
-  }
+  parallel_for_chunks(pool, 0, dims.nz, run, 1);
   return out;
 }
 

@@ -15,20 +15,17 @@ namespace {
 // matrix kernel keeps k source rows + up to m destination rows of one chunk
 // live, so 32 KiB bounds the per-task working set to (k+m) * 32 KiB — about
 // 0.5 MiB for RS(12,4), inside a typical per-core L2 — while the kernel's
-// internal 8 KiB blocks stay L1-resident. Below 2 chunks the pool overhead
-// dominates the SIMD kernels and we run inline.
+// internal 8 KiB blocks stay L1-resident.
 constexpr u64 kParallelStripe = 32 * 1024;
 
 // Fragment payloads smaller than this checksum faster than a task dispatch.
 constexpr u64 kParallelCrcMin = 64 * 1024;
 
-void for_each_stripe(u64 size, ThreadPool* pool,
-                     const std::function<void(u64, u64)>& body) {
-  if (pool == nullptr || size < 2 * kParallelStripe) {
-    body(0, size);
-    return;
-  }
-  pool->parallel_for_chunks(0, size, body, kParallelStripe);
+/// Stripe grain for fragments of `frag_size` bytes: below two stripes the
+/// pool overhead dominates the SIMD kernels, so the whole fragment is one
+/// chunk and runs inline.
+u64 stripe_grain(u64 frag_size) {
+  return frag_size < 2 * kParallelStripe ? frag_size : kParallelStripe;
 }
 
 }  // namespace
@@ -95,13 +92,10 @@ void ReedSolomon::finish_fragments(std::span<Fragment> frags,
   RAPIDS_REQUIRE_MSG(frags.size() == n(), "finish_fragments: need all n shells");
   const u64 frag_size = frags[0].payload.size();
   // Fragment checksums are independent — fan them out for large payloads.
-  if (pool != nullptr && frag_size >= kParallelCrcMin) {
-    pool->parallel_for(
-        0, frags.size(),
-        [&](u64 i) { frags[i].payload_crc = fragment_crc(frags[i].payload); }, 1);
-  } else {
-    for (auto& f : frags) f.payload_crc = fragment_crc(f.payload);
-  }
+  parallel_for(
+      pool, 0, frags.size(),
+      [&](u64 i) { frags[i].payload_crc = fragment_crc(frags[i].payload); },
+      frag_size >= kParallelCrcMin ? 1 : frags.size());
 }
 
 std::vector<Fragment> ReedSolomon::encode(std::span<const u8> data,
@@ -112,8 +106,10 @@ std::vector<Fragment> ReedSolomon::encode(std::span<const u8> data,
   // one encode_stripe over the whole fragment.
   std::vector<Fragment> frags = make_fragments(data.size(), object_name, level);
   const u64 frag_size = frags[0].payload.size();
-  for_each_stripe(frag_size, pool,
-                  [&](u64 lo, u64 hi) { encode_stripe(data, lo, hi, frags); });
+  parallel_for_chunks(
+      pool, 0, frag_size,
+      [&](u64 lo, u64 hi) { encode_stripe(data, lo, hi, frags); },
+      stripe_grain(frag_size));
   finish_fragments(frags, pool);
   return frags;
 }
@@ -169,26 +165,30 @@ std::vector<u8> ReedSolomon::decode_rows(std::span<const Fragment> fragments,
   if (all_data) {
     // Place each data fragment at its own row position; the copies are
     // independent, so spread them over the pool for large fragments.
-    auto place = [&](u64 i) {
-      std::memcpy(stripe(rows[i]).data(), chosen[i]->payload.data(), frag_size);
-    };
-    if (pool != nullptr && frag_size >= 2 * kParallelStripe) {
-      pool->parallel_for(0, k_, place, 1);
-    } else {
-      for (u64 i = 0; i < k_; ++i) place(i);
-    }
+    parallel_for(
+        pool, 0, k_,
+        [&](u64 i) {
+          std::memcpy(stripe(rows[i]).data(), chosen[i]->payload.data(),
+                      frag_size);
+        },
+        frag_size >= 2 * kParallelStripe ? 1 : k_);
   } else {
     const Matrix sub = encode_matrix_.select_rows(rows);
     const Matrix dec = sub.inverted();
     const u8* coeffs = dec.flat().data();
-    for_each_stripe(frag_size, pool, [&](u64 lo, u64 hi) {
-      u8* dsts[255];
-      const u8* srcs[255];
-      for (u32 out = 0; out < k_; ++out) dsts[out] = stripe(out).data() + lo;
-      for (u32 in = 0; in < k_; ++in) srcs[in] = chosen[in]->payload.data() + lo;
-      simd::matrix_apply(dsts, k_, srcs, k_, coeffs, hi - lo,
-                         /*accumulate=*/false);
-    });
+    parallel_for_chunks(
+        pool, 0, frag_size,
+        [&](u64 lo, u64 hi) {
+          u8* dsts[255];
+          const u8* srcs[255];
+          for (u32 out = 0; out < k_; ++out)
+            dsts[out] = stripe(out).data() + lo;
+          for (u32 in = 0; in < k_; ++in)
+            srcs[in] = chosen[in]->payload.data() + lo;
+          simd::matrix_apply(dsts, k_, srcs, k_, coeffs, hi - lo,
+                             /*accumulate=*/false);
+        },
+        stripe_grain(frag_size));
   }
 
   return stripes;
@@ -225,14 +225,17 @@ Fragment ReedSolomon::reconstruct_fragment(std::span<const Fragment> survivors,
     // One-output instance of the fused kernel: row `missing_index` of the
     // encode matrix against the reconstructed data rows.
     const u8* coeffs = encode_matrix_.flat().data() + u64{missing_index} * k_;
-    for_each_stripe(frag_size, pool, [&](u64 lo, u64 hi) {
-      u8* dst = out.payload.data() + lo;
-      const u8* srcs[255];
-      for (u32 di = 0; di < k_; ++di)
-        srcs[di] = stripes.data() + u64{di} * frag_size + lo;
-      simd::matrix_apply(&dst, 1, srcs, k_, coeffs, hi - lo,
-                         /*accumulate=*/false);
-    });
+    parallel_for_chunks(
+        pool, 0, frag_size,
+        [&](u64 lo, u64 hi) {
+          u8* dst = out.payload.data() + lo;
+          const u8* srcs[255];
+          for (u32 di = 0; di < k_; ++di)
+            srcs[di] = stripes.data() + u64{di} * frag_size + lo;
+          simd::matrix_apply(&dst, 1, srcs, k_, coeffs, hi - lo,
+                             /*accumulate=*/false);
+        },
+        stripe_grain(frag_size));
   }
   out.payload_crc = fragment_crc(out.payload);
   return out;

@@ -77,17 +77,25 @@ u32 rice_parameter(u64 num_bits, u64 ones) {
   return k;
 }
 
-/// max |c| over a level. With a pool, each chunk reduces on a worker into
-/// its own slot: max is exact in any order, so the result is the serial
-/// kernel's.
+/// Levels of at most this many 64-coefficient words run each block pass
+/// inline: the pool dispatch would cost more than the pass.
+constexpr u64 kInlineWords = 64;
+
+/// Grain for a pass over `nwords` blocks: one chunk (inline) for a small
+/// level, else the bulk loop's default split.
+u64 block_grain(u64 nwords) { return nwords > kInlineWords ? 0 : nwords; }
+
+/// max |c| over a level. Each chunk reduces into its own slot (a chunk run
+/// inline fills slot 0 and leaves the rest 0): max is exact in any order,
+/// so the result is the serial kernel's.
 f64 level_max_abs(std::span<const f64> c, ThreadPool* pool) {
   const kernels::BitplaneOps& ops = kernels::bitplane_ops();
-  if (pool == nullptr || words_for_bits(c.size()) <= 64)
+  if (words_for_bits(c.size()) <= kInlineWords)
     return ops.max_abs(c.data(), c.size());
-  const u64 grain = ceil_div(c.size(), std::max<u64>(1, pool->size()) * 4);
+  const u64 grain = ceil_div(c.size(), u64{worker_count(pool)} * 4);
   std::vector<f64> part(ceil_div(c.size(), grain));
-  pool->parallel_for_chunks(
-      0, c.size(),
+  parallel_for_chunks(
+      pool, 0, c.size(),
       [&](u64 lo, u64 hi) {
         part[lo / grain] = ops.max_abs(c.data() + lo, hi - lo);
       },
@@ -323,11 +331,7 @@ PlaneSet encode_planes(std::span<const f64> coeffs, u32 max_planes,
         words[(p + 1) * nwords + w] = block[31 - p];
     }
   };
-  if (pool != nullptr && nwords > 64) {
-    pool->parallel_for_chunks(0, nwords, slice_blocks, 0);
-  } else {
-    slice_blocks(0, nwords);
-  }
+  parallel_for_chunks(pool, 0, nwords, slice_blocks, block_grain(nwords));
 
   // Segment encode: the sign plane and every magnitude plane are independent,
   // so all max_planes + 1 segments fork across the pool in one go (index 0 is
@@ -348,11 +352,7 @@ PlaneSet encode_planes(std::span<const f64> coeffs, u32 max_planes,
       ps.planes[idx - 1] = encode_segment(row(idx), n);
     }
   };
-  if (pool != nullptr && max_planes > 0) {
-    pool->parallel_for(0, u64{max_planes} + 1, compress, 1);
-  } else {
-    for (u64 task = 0; task <= max_planes; ++task) compress(task);
-  }
+  parallel_for(pool, 0, u64{max_planes} + 1, compress, 1);
   if (stats != nullptr) {
     stats->seconds += t.seconds();
     tally_segment(ps.sign, *stats);
@@ -423,11 +423,7 @@ void decode_planes_incremental(const PlaneSet& ps, u32 num_planes,
                             rows.subspan(p * nwords, nwords));
       }
     };
-    if (pool != nullptr && delta + want_sign > 1) {
-      pool->parallel_for(0, u64{delta} + want_sign, decode_one);
-    } else {
-      for (u64 i = 0; i < u64{delta} + want_sign; ++i) decode_one(i);
-    }
+    parallel_for(pool, 0, u64{delta} + want_sign, decode_one);
     if (stats != nullptr) {
       stats->seconds += t.seconds();
       if (want_sign != 0) tally_segment(ps.sign, *stats);
@@ -477,11 +473,7 @@ void decode_planes_incremental(const PlaneSet& ps, u32 num_planes,
                      mid, valid);
     }
   };
-  if (pool != nullptr && nwords > 64) {
-    pool->parallel_for_chunks(0, nwords, merge_dequantize, 0);
-  } else {
-    merge_dequantize(0, nwords);
-  }
+  parallel_for_chunks(pool, 0, nwords, merge_dequantize, block_grain(nwords));
 
   if (want_sign != 0) state.sign_words = std::move(sign);
   state.planes_decoded = num_planes;

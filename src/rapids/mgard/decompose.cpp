@@ -37,17 +37,6 @@ Dims coarsen_axis(Dims d, u32 axis) {
   return d;
 }
 
-/// body(lo, hi) over [0, n), striped across the pool in chunks of ~grain.
-template <typename Body>
-void run_chunked(ThreadPool* pool, u64 n, u64 grain, const Body& body) {
-  if (n == 0) return;
-  if (pool != nullptr && n > 1) {
-    pool->parallel_for_chunks(0, n, body, grain);
-  } else {
-    body(0, n);
-  }
-}
-
 /// Interpolation cascade along one axis, forward (odd nodes become residuals)
 /// or inverse. Axis 0 runs the in-line kernel per row; axis 1 feeds each odd
 /// row and its two even neighbors to the row kernel; axis 2 does the same
@@ -57,33 +46,40 @@ void cascade_axis(f64* w, Dims dims, u32 axis, bool forward, ThreadPool* pool) {
   const u64 nx = dims.nx, ny = dims.ny, nz = dims.nz;
   if (axis == 0) {
     const auto fn = forward ? ops.cascade_fwd_x : ops.cascade_inv_x;
-    run_chunked(pool, ny * nz, grain_for_lines(nx * sizeof(f64)),
-                [&](u64 lo, u64 hi) {
-                  for (u64 l = lo; l < hi; ++l) fn(w + l * nx, nx);
-                });
+    parallel_for_chunks(
+        pool, 0, ny * nz,
+        [&](u64 lo, u64 hi) {
+          for (u64 l = lo; l < hi; ++l) fn(w + l * nx, nx);
+        },
+        grain_for_lines(nx * sizeof(f64)));
     return;
   }
   const auto fn = forward ? ops.cascade_fwd : ops.cascade_inv;
   if (axis == 1) {
     const u64 hy = (ny - 1) / 2;  // odd-j rows per z-slab
-    run_chunked(pool, nz * hy, grain_for_lines(3 * nx * sizeof(f64)),
-                [&](u64 lo, u64 hi) {
-                  for (u64 idx = lo; idx < hi; ++idx) {
-                    const u64 k = idx / hy;
-                    const u64 j = 2 * (idx % hy) + 1;
-                    f64* base = w + (k * ny + j) * nx;
-                    fn(base, base - nx, base + nx, nx);
-                  }
-                });
+    parallel_for_chunks(
+        pool, 0, nz * hy,
+        [&](u64 lo, u64 hi) {
+          for (u64 idx = lo; idx < hi; ++idx) {
+            const u64 k = idx / hy;
+            const u64 j = 2 * (idx % hy) + 1;
+            f64* base = w + (k * ny + j) * nx;
+            fn(base, base - nx, base + nx, nx);
+          }
+        },
+        grain_for_lines(3 * nx * sizeof(f64)));
   } else {
     const u64 hz = (nz - 1) / 2;  // odd planes
     const u64 plane = nx * ny;
-    run_chunked(pool, hz, 1, [&](u64 lo, u64 hi) {
-      for (u64 m = lo; m < hi; ++m) {
-        f64* base = w + (2 * m + 1) * plane;
-        fn(base, base - plane, base + plane, plane);
-      }
-    });
+    parallel_for_chunks(
+        pool, 0, hz,
+        [&](u64 lo, u64 hi) {
+          for (u64 m = lo; m < hi; ++m) {
+            f64* base = w + (2 * m + 1) * plane;
+            fn(base, base - plane, base + plane, plane);
+          }
+        },
+        1);
   }
 }
 
@@ -102,51 +98,57 @@ void apply_load_axis(const Lines& line, Dims sdims, u32 axis, f64* out,
   RAPIDS_REQUIRE_MSG(slen >= 3 && slen % 2 == 1,
                      "apply_load: axis must be odd-sized >= 3");
   if (axis == 0) {
-    run_chunked(pool, sdims.ny * sdims.nz,
-                grain_for_lines(sdims.nx * sizeof(f64)), [&](u64 lo, u64 hi) {
-                  for (u64 l = lo; l < hi; ++l)
-                    ops.load_x(out + l * odims.nx, line(l), odims.nx,
-                               sdims.nx);
-                });
+    parallel_for_chunks(
+        pool, 0, sdims.ny * sdims.nz,
+        [&](u64 lo, u64 hi) {
+          for (u64 l = lo; l < hi; ++l)
+            ops.load_x(out + l * odims.nx, line(l), odims.nx, sdims.nx);
+        },
+        grain_for_lines(sdims.nx * sizeof(f64)));
   } else if (axis == 1) {
     const u64 nx = sdims.nx, sny = sdims.ny, ony = odims.ny;
-    run_chunked(pool, sdims.nz * ony, grain_for_lines(6 * nx * sizeof(f64)),
-                [&](u64 lo, u64 hi) {
-                  for (u64 idx = lo; idx < hi; ++idx) {
-                    const u64 j = idx % ony;
-                    const u64 r = (idx / ony) * sny;  // first row of the slab
-                    f64* o = out + idx * nx;
-                    if (j == 0) {
-                      ops.load_boundary(o, line(r), line(r + 1), line(r + 2),
-                                        nx);
-                    } else if (j + 1 == ony) {
-                      ops.load_boundary(o, line(r + sny - 1),
-                                        line(r + sny - 2), line(r + sny - 3),
-                                        nx);
-                    } else {
-                      const u64 c = r + 2 * j;
-                      ops.load_interior(o, line(c - 2), line(c - 1), line(c),
-                                        line(c + 1), line(c + 2), nx);
-                    }
-                  }
-                });
+    parallel_for_chunks(
+        pool, 0, sdims.nz * ony,
+        [&](u64 lo, u64 hi) {
+          for (u64 idx = lo; idx < hi; ++idx) {
+            const u64 j = idx % ony;
+            const u64 r = (idx / ony) * sny;  // first row of the slab
+            f64* o = out + idx * nx;
+            if (j == 0) {
+              ops.load_boundary(o, line(r), line(r + 1), line(r + 2),
+                                nx);
+            } else if (j + 1 == ony) {
+              ops.load_boundary(o, line(r + sny - 1),
+                                line(r + sny - 2), line(r + sny - 3),
+                                nx);
+            } else {
+              const u64 c = r + 2 * j;
+              ops.load_interior(o, line(c - 2), line(c - 1), line(c),
+                                line(c + 1), line(c + 2), nx);
+            }
+          }
+        },
+        grain_for_lines(6 * nx * sizeof(f64)));
   } else {
     const u64 pw = sdims.nx * sdims.ny, snz = sdims.nz, onz = odims.nz;
-    run_chunked(pool, onz, 1, [&](u64 lo, u64 hi) {
-      for (u64 j = lo; j < hi; ++j) {
-        f64* o = out + j * pw;
-        if (j == 0) {
-          ops.load_boundary(o, line(0), line(1), line(2), pw);
-        } else if (j + 1 == onz) {
-          ops.load_boundary(o, line(snz - 1), line(snz - 2), line(snz - 3),
-                            pw);
-        } else {
-          const u64 c = 2 * j;
-          ops.load_interior(o, line(c - 2), line(c - 1), line(c), line(c + 1),
-                            line(c + 2), pw);
-        }
-      }
-    });
+    parallel_for_chunks(
+        pool, 0, onz,
+        [&](u64 lo, u64 hi) {
+          for (u64 j = lo; j < hi; ++j) {
+            f64* o = out + j * pw;
+            if (j == 0) {
+              ops.load_boundary(o, line(0), line(1), line(2), pw);
+            } else if (j + 1 == onz) {
+              ops.load_boundary(o, line(snz - 1), line(snz - 2), line(snz - 3),
+                                pw);
+            } else {
+              const u64 c = 2 * j;
+              ops.load_interior(o, line(c - 2), line(c - 1), line(c),
+                                line(c + 1), line(c + 2), pw);
+            }
+          }
+        },
+        1);
   }
 }
 
@@ -188,8 +190,8 @@ void mass_solve_axis(f64* g, Dims dims, u32 axis, RefactorWorkspace& ws,
     // advances all lines of the panel by one solve step.
     const u64 lines = ny * nz;
     const u64 groups = ceil_div(lines, kThomasPanelWidth);
-    run_chunked(
-        pool, groups, grain_for_lines(kThomasPanelWidth * nx * sizeof(f64)),
+    parallel_for_chunks(
+        pool, 0, groups,
         [&](u64 lo, u64 hi) {
           static thread_local std::vector<f64> panel;
           panel.resize(kThomasPanelWidth * nx);
@@ -206,38 +208,45 @@ void mass_solve_axis(f64* g, Dims dims, u32 axis, RefactorWorkspace& ws,
               ops.thomas_bwd(p + i * w, p + (i + 1) * w, cp[i], w);
             ops.unpack_panel(base, p, w, nx, nx);
           }
-        });
+        },
+        grain_for_lines(kThomasPanelWidth * nx * sizeof(f64)));
   } else if (axis == 1) {
     const u64 cw = thomas_chunk_width(len, nx);
     const u64 npan = ceil_div(nx, cw);
-    run_chunked(pool, nz * npan, 1, [&](u64 lo, u64 hi) {
-      for (u64 idx = lo; idx < hi; ++idx) {
-        const u64 x0 = (idx % npan) * cw;
-        const u64 cn = std::min(cw, nx - x0);
-        f64* s = g + (idx / npan) * ny * nx + x0;
-        ops.thomas_first(s, kDiagBoundary, cn);
-        for (u64 i = 1; i < len; ++i)
-          ops.thomas_fwd(s + i * nx, s + (i - 1) * nx, off, denom[i], cn);
-        for (u64 i = len - 1; i-- > 0;)
-          ops.thomas_bwd(s + i * nx, s + (i + 1) * nx, cp[i], cn);
-      }
-    });
+    parallel_for_chunks(
+        pool, 0, nz * npan,
+        [&](u64 lo, u64 hi) {
+          for (u64 idx = lo; idx < hi; ++idx) {
+            const u64 x0 = (idx % npan) * cw;
+            const u64 cn = std::min(cw, nx - x0);
+            f64* s = g + (idx / npan) * ny * nx + x0;
+            ops.thomas_first(s, kDiagBoundary, cn);
+            for (u64 i = 1; i < len; ++i)
+              ops.thomas_fwd(s + i * nx, s + (i - 1) * nx, off, denom[i], cn);
+            for (u64 i = len - 1; i-- > 0;)
+              ops.thomas_bwd(s + i * nx, s + (i + 1) * nx, cp[i], cn);
+          }
+        },
+        1);
   } else {
     const u64 pw = nx * ny;
     const u64 cw = thomas_chunk_width(len, pw);
     const u64 npan = ceil_div(pw, cw);
-    run_chunked(pool, npan, 1, [&](u64 lo, u64 hi) {
-      for (u64 pidx = lo; pidx < hi; ++pidx) {
-        const u64 c0 = pidx * cw;
-        const u64 cn = std::min(cw, pw - c0);
-        f64* s = g + c0;
-        ops.thomas_first(s, kDiagBoundary, cn);
-        for (u64 i = 1; i < len; ++i)
-          ops.thomas_fwd(s + i * pw, s + (i - 1) * pw, off, denom[i], cn);
-        for (u64 i = len - 1; i-- > 0;)
-          ops.thomas_bwd(s + i * pw, s + (i + 1) * pw, cp[i], cn);
-      }
-    });
+    parallel_for_chunks(
+        pool, 0, npan,
+        [&](u64 lo, u64 hi) {
+          for (u64 pidx = lo; pidx < hi; ++pidx) {
+            const u64 c0 = pidx * cw;
+            const u64 cn = std::min(cw, pw - c0);
+            f64* s = g + c0;
+            ops.thomas_first(s, kDiagBoundary, cn);
+            for (u64 i = 1; i < len; ++i)
+              ops.thomas_fwd(s + i * pw, s + (i - 1) * pw, off, denom[i], cn);
+            for (u64 i = len - 1; i-- > 0;)
+              ops.thomas_bwd(s + i * pw, s + (i + 1) * pw, cp[i], cn);
+          }
+        },
+        1);
   }
 }
 
@@ -308,17 +317,19 @@ void apply_correction(f64* w, Dims adims, const f64* z, Dims cdims, f64 sign,
   const u64 sx = adims.nx > 1 ? 2 : 1;
   const u64 sy = adims.ny > 1 ? 2 : 1;
   const u64 sz = adims.nz > 1 ? 2 : 1;
-  run_chunked(pool, cdims.ny * cdims.nz,
-              grain_for_lines(3 * cdims.nx * sizeof(f64)), [&](u64 lo, u64 hi) {
-                for (u64 r = lo; r < hi; ++r) {
-                  const u64 j = r % cdims.ny;
-                  const u64 k = r / cdims.ny;
-                  const f64* src = z + r * cdims.nx;
-                  f64* dst = w + ((k * sz) * adims.ny + j * sy) * adims.nx;
-                  for (u64 i = 0; i < cdims.nx; ++i)
-                    dst[i * sx] += sign * src[i];
-                }
-              });
+  parallel_for_chunks(
+      pool, 0, cdims.ny * cdims.nz,
+      [&](u64 lo, u64 hi) {
+        for (u64 r = lo; r < hi; ++r) {
+          const u64 j = r % cdims.ny;
+          const u64 k = r / cdims.ny;
+          const f64* src = z + r * cdims.nx;
+          f64* dst = w + ((k * sz) * adims.ny + j * sy) * adims.nx;
+          for (u64 i = 0; i < cdims.nx; ++i)
+            dst[i * sx] += sign * src[i];
+        }
+      },
+      grain_for_lines(3 * cdims.nx * sizeof(f64)));
 }
 
 /// Gather the active sub-grid (stride 2^(t-1)) into `w`; when `cascade_x` is
@@ -326,18 +337,20 @@ void apply_correction(f64* w, Dims adims, const f64* z, Dims cdims, f64 sign,
 void gather_active_cascade(const f64* full, Dims pdims, f64* w, Dims adims,
                            u64 stride, bool cascade_x, ThreadPool* pool) {
   const RowOps& ops = kernels::row_ops();
-  run_chunked(pool, adims.ny * adims.nz,
-              grain_for_lines(adims.nx * sizeof(f64)), [&](u64 lo, u64 hi) {
-                for (u64 l = lo; l < hi; ++l) {
-                  const u64 j = l % adims.ny;
-                  const u64 k = l / adims.ny;
-                  const f64* src =
-                      full + ((k * stride) * pdims.ny + j * stride) * pdims.nx;
-                  f64* dst = w + l * adims.nx;
-                  ops.gather_stride(dst, src, adims.nx, stride);
-                  if (cascade_x) ops.cascade_fwd_x(dst, adims.nx);
-                }
-              });
+  parallel_for_chunks(
+      pool, 0, adims.ny * adims.nz,
+      [&](u64 lo, u64 hi) {
+        for (u64 l = lo; l < hi; ++l) {
+          const u64 j = l % adims.ny;
+          const u64 k = l / adims.ny;
+          const f64* src =
+              full + ((k * stride) * pdims.ny + j * stride) * pdims.nx;
+          f64* dst = w + l * adims.nx;
+          ops.gather_stride(dst, src, adims.nx, stride);
+          if (cascade_x) ops.cascade_fwd_x(dst, adims.nx);
+        }
+      },
+      grain_for_lines(adims.nx * sizeof(f64)));
 }
 
 /// Scatter the active buffer back into the full array; when `cascade_x` is
@@ -345,18 +358,20 @@ void gather_active_cascade(const f64* full, Dims pdims, f64* w, Dims adims,
 void cascade_scatter_active(f64* full, Dims pdims, f64* w, Dims adims,
                             u64 stride, bool cascade_x, ThreadPool* pool) {
   const RowOps& ops = kernels::row_ops();
-  run_chunked(pool, adims.ny * adims.nz,
-              grain_for_lines(adims.nx * sizeof(f64)), [&](u64 lo, u64 hi) {
-                for (u64 l = lo; l < hi; ++l) {
-                  const u64 j = l % adims.ny;
-                  const u64 k = l / adims.ny;
-                  f64* src = w + l * adims.nx;
-                  f64* dst =
-                      full + ((k * stride) * pdims.ny + j * stride) * pdims.nx;
-                  if (cascade_x) ops.cascade_inv_x(src, adims.nx);
-                  ops.scatter_stride(dst, src, adims.nx, stride);
-                }
-              });
+  parallel_for_chunks(
+      pool, 0, adims.ny * adims.nz,
+      [&](u64 lo, u64 hi) {
+        for (u64 l = lo; l < hi; ++l) {
+          const u64 j = l % adims.ny;
+          const u64 k = l / adims.ny;
+          f64* src = w + l * adims.nx;
+          f64* dst =
+              full + ((k * stride) * pdims.ny + j * stride) * pdims.nx;
+          if (cascade_x) ops.cascade_inv_x(src, adims.nx);
+          ops.scatter_stride(dst, src, adims.nx, stride);
+        }
+      },
+      grain_for_lines(adims.nx * sizeof(f64)));
 }
 
 /// Closed-form geometry of one decomposition level: the level's nodes are
@@ -483,23 +498,25 @@ void gather_level(std::span<const f64> data, const GridHierarchy& h, u32 d,
   const RowOps& ops = kernels::row_ops();
   const f64* src0 = data.data();
   f64* o = out.data();
-  run_chunked(pool, g.ey * g.ez, grain_for_lines(2 * g.ex * sizeof(f64)),
-              [&](u64 lo, u64 hi) {
-                for (u64 row = lo; row < hi; ++row) {
-                  const u64 jj = row % g.ey;
-                  const u64 kk = row / g.ey;
-                  const f64* src =
-                      src0 +
-                      ((kk * g.stride) * p.ny + jj * g.stride) * p.nx;
-                  f64* dst = o + g.row_offset(kk, jj);
-                  if (g.base || ((jj | kk) & 1)) {
-                    ops.gather_stride(dst, src, g.ex, g.stride);
-                  } else {
-                    ops.gather_stride(dst, src + g.stride, g.half,
-                                      2 * g.stride);
-                  }
-                }
-              });
+  parallel_for_chunks(
+      pool, 0, g.ey * g.ez,
+      [&](u64 lo, u64 hi) {
+        for (u64 row = lo; row < hi; ++row) {
+          const u64 jj = row % g.ey;
+          const u64 kk = row / g.ey;
+          const f64* src =
+              src0 +
+              ((kk * g.stride) * p.ny + jj * g.stride) * p.nx;
+          f64* dst = o + g.row_offset(kk, jj);
+          if (g.base || ((jj | kk) & 1)) {
+            ops.gather_stride(dst, src, g.ex, g.stride);
+          } else {
+            ops.gather_stride(dst, src + g.stride, g.half,
+                              2 * g.stride);
+          }
+        }
+      },
+      grain_for_lines(2 * g.ex * sizeof(f64)));
 }
 
 void scatter_level(std::span<f64> data, const GridHierarchy& h, u32 d,
@@ -512,22 +529,24 @@ void scatter_level(std::span<f64> data, const GridHierarchy& h, u32 d,
   const RowOps& ops = kernels::row_ops();
   f64* dst0 = data.data();
   const f64* src0 = coeffs.data();
-  run_chunked(pool, g.ey * g.ez, grain_for_lines(2 * g.ex * sizeof(f64)),
-              [&](u64 lo, u64 hi) {
-                for (u64 row = lo; row < hi; ++row) {
-                  const u64 jj = row % g.ey;
-                  const u64 kk = row / g.ey;
-                  f64* dst = dst0 +
-                             ((kk * g.stride) * p.ny + jj * g.stride) * p.nx;
-                  const f64* src = src0 + g.row_offset(kk, jj);
-                  if (g.base || ((jj | kk) & 1)) {
-                    ops.scatter_stride(dst, src, g.ex, g.stride);
-                  } else {
-                    ops.scatter_stride(dst + g.stride, src, g.half,
-                                       2 * g.stride);
-                  }
-                }
-              });
+  parallel_for_chunks(
+      pool, 0, g.ey * g.ez,
+      [&](u64 lo, u64 hi) {
+        for (u64 row = lo; row < hi; ++row) {
+          const u64 jj = row % g.ey;
+          const u64 kk = row / g.ey;
+          f64* dst = dst0 +
+                     ((kk * g.stride) * p.ny + jj * g.stride) * p.nx;
+          const f64* src = src0 + g.row_offset(kk, jj);
+          if (g.base || ((jj | kk) & 1)) {
+            ops.scatter_stride(dst, src, g.ex, g.stride);
+          } else {
+            ops.scatter_stride(dst + g.stride, src, g.half,
+                               2 * g.stride);
+          }
+        }
+      },
+      grain_for_lines(2 * g.ex * sizeof(f64)));
 }
 
 }  // namespace rapids::mgard

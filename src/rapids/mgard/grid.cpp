@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <mutex>
 
 #include "rapids/mgard/kernels/kernels.hpp"
@@ -18,18 +17,6 @@ u64 padded_axis(u64 s, u32 levels) {
   if (s <= 1) return s;
   const u64 step = u64{1} << levels;
   return round_up(s - 1, step) + 1;
-}
-
-/// body(lo, hi) over `rows` rows of `row_bytes` each, striped across the pool
-/// in L2-sized chunks (serial without a pool).
-void for_row_chunks(ThreadPool* pool, u64 rows, u64 row_bytes,
-                    const std::function<void(u64, u64)>& body) {
-  if (pool != nullptr && rows > 1) {
-    pool->parallel_for_chunks(0, rows, body,
-                              kernels::grain_for_lines(row_bytes));
-  } else {
-    body(0, rows);
-  }
 }
 
 }  // namespace
@@ -164,9 +151,8 @@ FieldScan widen_into_grid(std::span<const f32> src, Dims original, Dims padded,
                  padded.nz >= original.nz);
   FieldScan scan;
   std::mutex mu;
-  for_row_chunks(
-      pool, padded.ny * padded.nz,
-      padded.nx * sizeof(f64) + original.nx * sizeof(f32),
+  parallel_for_chunks(
+      pool, 0, padded.ny * padded.nz,
       [&](u64 lo, u64 hi) {
         f64 max_abs = 0.0;
         bool finite = true;
@@ -187,7 +173,9 @@ FieldScan widen_into_grid(std::span<const f32> src, Dims original, Dims padded,
         std::lock_guard<std::mutex> lock(mu);
         scan.max_abs = std::max(scan.max_abs, max_abs);
         scan.finite &= finite;
-      });
+      },
+      kernels::grain_for_lines(padded.nx * sizeof(f64) +
+                               original.nx * sizeof(f32)));
   return scan;
 }
 
@@ -197,19 +185,19 @@ void narrow_from_grid(std::span<const f64> src, Dims padded, Dims original,
   RAPIDS_REQUIRE(dst.size() == original.total());
   RAPIDS_REQUIRE(padded.nx >= original.nx && padded.ny >= original.ny &&
                  padded.nz >= original.nz);
-  for_row_chunks(pool, original.ny * original.nz,
-                 original.nx * (sizeof(f64) + sizeof(f32)),
-                 [&](u64 lo, u64 hi) {
-                   for (u64 r = lo; r < hi; ++r) {
-                     const u64 j = r % original.ny;
-                     const u64 k = r / original.ny;
-                     const f64* row =
-                         src.data() + (k * padded.ny + j) * padded.nx;
-                     f32* out = dst.data() + r * original.nx;
-                     for (u64 i = 0; i < original.nx; ++i)
-                       out[i] = static_cast<f32>(row[i]);
-                   }
-                 });
+  parallel_for_chunks(
+      pool, 0, original.ny * original.nz,
+      [&](u64 lo, u64 hi) {
+        for (u64 r = lo; r < hi; ++r) {
+          const u64 j = r % original.ny;
+          const u64 k = r / original.ny;
+          const f64* row = src.data() + (k * padded.ny + j) * padded.nx;
+          f32* out = dst.data() + r * original.nx;
+          for (u64 i = 0; i < original.nx; ++i)
+            out[i] = static_cast<f32>(row[i]);
+        }
+      },
+      kernels::grain_for_lines(original.nx * (sizeof(f64) + sizeof(f32))));
 }
 
 template std::vector<f32> pad_field<f32>(const std::vector<f32>&, Dims, Dims);

@@ -12,6 +12,13 @@ u64 RefactoredObject::refactored_bytes() const {
   return total;
 }
 
+u32 RefactoredObject::levels_for_bound(f64 rel_bound) const {
+  const u32 n = static_cast<u32>(levels.size());
+  for (u32 j = 1; j <= n; ++j)
+    if (rel_error_bound(j) <= rel_bound) return j;
+  return n;
+}
+
 Bytes RefactoredObject::serialize_metadata() const {
   ByteWriter w;
   w.put_u32(0x5246524Du);  // "RFRM"

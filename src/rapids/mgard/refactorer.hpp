@@ -64,6 +64,10 @@ struct RefactoredObject {
   /// j retrieval levels (j >= 1) — the paper's e_j.
   f64 rel_error_bound(u32 j) const { return levels.at(j - 1).rel_error_bound; }
 
+  /// The retrieval prefix a relative bound asks for: the fewest levels whose
+  /// e_j meets `rel_bound`, or all of them when none does.
+  u32 levels_for_bound(f64 rel_bound) const;
+
   /// Serialize everything except the payloads (for the metadata store).
   Bytes serialize_metadata() const;
 

@@ -177,8 +177,9 @@ std::vector<PlaneSet> collect_plane_sets(
   return sets;
 }
 
-void append_plane_sets(std::vector<PlaneSet>& sets,
-                       std::span<const std::byte> level_payload) {
+u64 append_plane_sets(std::vector<PlaneSet>& sets,
+                      std::span<const std::byte> level_payload) {
+  u64 planes = 0;
   for (auto& [ref, seg] : parse_retrieval_payload(level_payload)) {
     RAPIDS_REQUIRE_MSG(ref.dlevel < sets.size(),
                        "retrieval payload references unknown level");
@@ -190,20 +191,10 @@ void append_plane_sets(std::vector<PlaneSet>& sets,
       RAPIDS_REQUIRE_MSG(ref.plane == ps.planes.size() + 1,
                          "retrieval payload planes out of order");
       ps.planes.push_back(std::move(seg));
+      ++planes;
     }
   }
-}
-
-u64 count_magnitude_segments(std::span<const std::byte> level_payload) {
-  u64 count = 0;
-  ByteReader r(level_payload);
-  while (!r.at_end()) {
-    (void)r.get_u32();  // dlevel
-    const u32 plane = r.get_u32();
-    (void)r.get_bytes();  // borrowed view, not copied
-    count += plane != 0 ? 1 : 0;
-  }
-  return count;
+  return planes;
 }
 
 }  // namespace rapids::mgard

@@ -102,13 +102,10 @@ std::vector<PlaneSet> collect_plane_sets(
 /// payload must continue the retrieval prefix exactly where `sets` left off
 /// — plane contiguity per decomposition level is enforced. This is how a
 /// refinement session grows its plane sets one level at a time without
-/// reparsing the levels it already holds.
-void append_plane_sets(std::vector<PlaneSet>& sets,
-                       std::span<const std::byte> level_payload);
-
-/// Number of magnitude-plane segments in one retrieval level's payload (sign
-/// planes excluded) — a header skim with no segment copies. The restore path
-/// reports the sum over its new levels as "planes decoded".
-u64 count_magnitude_segments(std::span<const std::byte> level_payload);
+/// reparsing the levels it already holds. Returns the number of magnitude
+/// planes appended (sign planes excluded): the restore path reports the sum
+/// over its new levels as "planes decoded".
+u64 append_plane_sets(std::vector<PlaneSet>& sets,
+                      std::span<const std::byte> level_payload);
 
 }  // namespace rapids::mgard

@@ -37,7 +37,7 @@ void ThreadPool::push_task(Task task) {
   // parallel_for); only refuse new work from the outside.
   if (tl_pool != this)
     RAPIDS_REQUIRE_MSG(!stopping_.load(std::memory_order_acquire),
-                       "submit() on a stopping ThreadPool");
+                       "fork onto a stopping ThreadPool");
   WorkerState& target =
       tl_pool == this
           ? *workers_[tl_worker]
@@ -125,7 +125,7 @@ void TaskGroup::wait() {
     }
     // Help: run pending pool work (this group's tasks or anyone else's)
     // instead of blocking a thread the forked tasks may need.
-    if (pool_.try_run_one()) continue;
+    if (pool_->try_run_one()) continue;
     // Nothing runnable anywhere: the remaining tasks are executing on other
     // threads. Sleep until the last one signals.
     std::unique_lock<std::mutex> lock(mu_);
@@ -139,6 +139,10 @@ void TaskGroup::wait() {
     error_ = nullptr;
   }
   if (err) std::rethrow_exception(err);
+}
+
+unsigned worker_count(const ThreadPool* pool) {
+  return pool != nullptr ? pool->size() : 1;
 }
 
 namespace {
@@ -168,12 +172,11 @@ struct ChunkLoop {
 };
 }  // namespace
 
-void ThreadPool::parallel_for_chunks(u64 begin, u64 end,
-                                     const std::function<void(u64, u64)>& body,
-                                     u64 grain) {
+void parallel_for_chunks(ThreadPool* pool, u64 begin, u64 end,
+                         const std::function<void(u64, u64)>& body, u64 grain) {
   if (begin >= end) return;
   const u64 n = end - begin;
-  const u64 workers = size();
+  const u64 workers = worker_count(pool);
   if (grain == 0) grain = std::max<u64>(1, n / (workers * 4));
   const u64 num_chunks = ceil_div(n, grain);
 
@@ -192,7 +195,7 @@ void ThreadPool::parallel_for_chunks(u64 begin, u64 end,
   // Fork enough helpers that every worker could participate; the caller
   // claims chunks too, and the join below helps with pending work, so
   // helpers that never get scheduled cost one no-op claim each.
-  TaskGroup group(this);
+  TaskGroup group(pool);
   const u64 helpers = std::min<u64>(workers, num_chunks) - 1;
   for (u64 i = 0; i < helpers; ++i)
     group.run([&loop] { loop.run_chunks(); });
@@ -201,29 +204,14 @@ void ThreadPool::parallel_for_chunks(u64 begin, u64 end,
   if (loop.first_error) std::rethrow_exception(loop.first_error);
 }
 
-void ThreadPool::parallel_for(u64 begin, u64 end,
-                              const std::function<void(u64)>& body, u64 grain) {
+void parallel_for(ThreadPool* pool, u64 begin, u64 end,
+                  const std::function<void(u64)>& body, u64 grain) {
   parallel_for_chunks(
-      begin, end,
+      pool, begin, end,
       [&body](u64 lo, u64 hi) {
         for (u64 i = lo; i < hi; ++i) body(i);
       },
       grain);
-}
-
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool;
-  return pool;
-}
-
-void parallel_for(u64 begin, u64 end, const std::function<void(u64)>& body,
-                  u64 grain) {
-  ThreadPool::global().parallel_for(begin, end, body, grain);
-}
-
-void parallel_for_chunks(u64 begin, u64 end,
-                         const std::function<void(u64, u64)>& body, u64 grain) {
-  ThreadPool::global().parallel_for_chunks(begin, end, body, grain);
 }
 
 }  // namespace rapids

@@ -27,7 +27,6 @@
 #include "rapids/net/bandwidth.hpp"
 #include "rapids/net/bandwidth_tracker.hpp"
 #include "rapids/net/transfer_sim.hpp"
-#include "rapids/parallel/completion.hpp"
 #include "rapids/parallel/thread_pool.hpp"
 #include "rapids/perf/accelerator_model.hpp"
 #include "rapids/perf/calibration.hpp"

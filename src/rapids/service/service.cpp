@@ -18,8 +18,11 @@ constexpr u32 kBrownoutDropLevels = 1;
 
 /// Everything alive between admission and the completed Response. Owned by
 /// pending_; the execution task has exclusive use of the result fields until
-/// done.set(), after which only the (driver-thread) finalizer touches them.
+/// `call` joins it, after which only the event loop's finalizer touches
+/// them.
 struct ObjectService::Pending {
+  explicit Pending(ThreadPool* pool) : call(pool) {}
+
   Request req;
   Ticket ticket;
   f64 submitted_s = 0.0;
@@ -30,11 +33,7 @@ struct ObjectService::Pending {
   f64 effective_bound = 0.0;  ///< bound aimed for (post-brownout)
   f64 resolved_bound = 0.0;   ///< bound of the *requested* target prefix
   bool brownout = false;
-  bool forked = false;
-  std::shared_ptr<parallel::DeadlineGate> gate;
-  parallel::Completion done;
-  // Written by execute(), read by the finalizer after done:
-  bool skipped = false;
+  // Written by execute(), read by the finalizer after the join:
   bool failed = false;
   std::string error;
   f64 sim_latency_s = 0.0;
@@ -42,6 +41,10 @@ struct ObjectService::Pending {
   u32 levels_used = 0;
   u64 wan_bytes = 0;
   mgard::FieldBuffer result;
+  /// The request's pipeline call, forked at dispatch and joined at its
+  /// virtual completion instant. Declared last, so it is destroyed first:
+  /// its destructor joins the call before the fields the call writes go.
+  TaskGroup call;
 };
 
 ObjectService::ObjectService(core::RapidsPipeline& pipeline,
@@ -66,13 +69,12 @@ ObjectService::ObjectService(core::RapidsPipeline& pipeline,
 }
 
 ObjectService::~ObjectService() {
-  // Cancel anything still in flight and join the forked tasks so no pool
-  // task outlives the Pending slots it writes into.
+  // A call that has not started returns at once; dropping the pending
+  // entries then joins every forked call, so none outlives the entry it
+  // writes into.
+  stopping_.store(true, std::memory_order_release);
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [id, p] : pending_)
-    if (p->gate) p->gate->cancel();
-  for (auto& [id, p] : pending_)
-    if (p->forked) p->done.wait(pool_);
+  pending_.clear();
 }
 
 f64 ObjectService::now_s() const {
@@ -113,23 +115,12 @@ const ObjectService::Profile* ObjectService::profile_for(
     const std::string& object) {
   auto it = profiles_.find(object);
   if (it != profiles_.end()) return &it->second;
-  const auto rec = pipe_.snapshot_record(object);
+  auto rec = pipe_.snapshot_record(object);
   if (!rec) return nullptr;
   Profile p;
-  p.level_bytes = rec->level_sizes;
-  const u32 n = static_cast<u32>(rec->level_sizes.size());
-  p.level_bounds.reserve(n);
-  for (u32 j = 1; j <= n; ++j)
-    p.level_bounds.push_back(rec->meta.rel_error_bound(j));
+  p.level_bytes = std::move(rec->level_sizes);
+  p.meta = std::move(rec->meta);
   return &profiles_.emplace(object, std::move(p)).first->second;
-}
-
-u32 ObjectService::target_levels(const Profile& p, f64 rel_bound) const {
-  const u32 n = static_cast<u32>(p.level_bounds.size());
-  if (rel_bound <= 0.0) return n;
-  for (u32 j = 0; j < n; ++j)
-    if (p.level_bounds[j] <= rel_bound) return j + 1;
-  return n;
 }
 
 u64 ObjectService::estimate_bytes(const Request& r, const Profile* p,
@@ -226,8 +217,8 @@ SubmitResult ObjectService::submit(const Request& r) {
   SubmitResult out;
   const Profile* prof =
       r.verb == Verb::kPrepare ? nullptr : profile_for(r.object);
-  const u32 target = (prof != nullptr && !prof->level_bounds.empty())
-                         ? target_levels(*prof, r.rel_bound)
+  const u32 target = (prof != nullptr && !prof->meta.levels.empty())
+                         ? prof->meta.levels_for_bound(r.rel_bound)
                          : 0;
   const u64 est_bytes = estimate_bytes(r, prof, target);
   const f64 est_s = estimate_seconds(est_bytes);
@@ -263,13 +254,13 @@ SubmitResult ObjectService::submit(const Request& r) {
   }
 
   const u64 id = next_id_++;
-  auto p = std::make_unique<Pending>();
+  auto p = std::make_unique<Pending>(pool_);
   p->req = r;
   p->submitted_s = now_;
   p->est_cost_s = est_s;
   p->est_bytes = est_bytes;
   p->resolved_bound = (prof != nullptr && target >= 1)
-                          ? prof->level_bounds[target - 1]
+                          ? prof->meta.rel_error_bound(target)
                           : r.rel_bound;
   p->ticket = Ticket{id,          r.tenant, static_cast<u32>(r.priority),
                      r.deadline_s, est_s,    now_};
@@ -338,8 +329,8 @@ void ObjectService::dispatch(const Ticket& ticket) {
   u32 target = 0;
   f64 effective = p.req.rel_bound;
   bool brown = false;
-  if (prof != nullptr && !prof->level_bounds.empty()) {
-    target = target_levels(*prof, p.req.rel_bound);
+  if (prof != nullptr && !prof->meta.levels.empty()) {
+    target = prof->meta.levels_for_bound(p.req.rel_bound);
     if (load_state() == LoadState::kBrownout) {
       const u32 coarse =
           target > kBrownoutDropLevels ? target - kBrownoutDropLevels : 1;
@@ -348,7 +339,7 @@ void ObjectService::dispatch(const Ticket& ticket) {
         target = coarse;
       }
     }
-    effective = prof->level_bounds[target - 1];
+    effective = prof->meta.rel_error_bound(target);
   }
   p.effective_bound = effective;
   p.brownout = brown;
@@ -364,28 +355,12 @@ void ObjectService::dispatch(const Ticket& ticket) {
 
   record_decision(Decision::kDispatch, ticket.id);
   tenant_stats_[p.req.tenant].queue_delay_s += now_ - p.submitted_s;
-  p.gate = std::make_shared<parallel::DeadlineGate>(p.req.deadline_s);
-  p.forked = true;
   ++running_;
   events_.push(CompletionEvent{now_ + p.lane_cost_s, next_order_++,
                                ticket.id});
-  Pending* pp = &p;
-  auto body = [this, pp] {
-    execute(*pp);
-    pp->done.set();
-  };
-  auto skip = [pp] {
-    pp->skipped = true;
-    pp->done.set();
-  };
-  if (pool_ != nullptr) {
-    pool_->submit(
-        parallel::deadline_task(p.gate, std::move(body), std::move(skip)));
-  } else if (p.gate->cancelled()) {
-    skip();
-  } else {
-    body();
-  }
+  p.call.run([this, &p] {
+    if (!stopping_.load(std::memory_order_acquire)) execute(p);
+  });
 }
 
 void ObjectService::execute(Pending& p) {
@@ -402,9 +377,10 @@ void ObjectService::execute(Pending& p) {
       // The remaining deadline budget at dispatch caps retries and hedges
       // inside the pipeline — no I/O outlives the request.
       core::RestoreOptions ro;
-      ro.sim_budget_s = std::isfinite(p.req.deadline_s)
-                            ? p.gate->remaining_s(p.dispatched_s)
-                            : kInf;
+      ro.sim_budget_s =
+          std::isfinite(p.req.deadline_s)
+              ? std::max(0.0, p.req.deadline_s - p.dispatched_s)
+              : kInf;
       auto rep = pipe_.refine(p.req.object, p.effective_bound, ro);
       p.sim_latency_s = rep.gather_latency;
       p.achieved_bound = rep.rel_error_bound;
@@ -422,7 +398,7 @@ void ObjectService::process_event(const CompletionEvent& ev) {
   const auto it = pending_.find(ev.id);
   RAPIDS_REQUIRE(it != pending_.end());
   Pending& p = *it->second;
-  p.done.wait(pool_);  // helps the pool: joining can never deadlock it
+  p.call.wait();  // helps the pool: joining can never deadlock it
 
   Response r;
   r.id = ev.id;
@@ -436,13 +412,7 @@ void ObjectService::process_event(const CompletionEvent& ev) {
   r.requested_bound = p.req.rel_bound;
   r.effective_bound = p.effective_bound;
   TenantStats& ts = tenant_stats_[p.req.tenant];
-  if (p.skipped) {
-    r.outcome = Outcome::kShed;
-    r.deadline_met = false;
-    r.error = "shed: cancelled before execution";
-    ++ts.shed;
-    ++stats_.shed;
-  } else if (p.failed) {
+  if (p.failed) {
     r.outcome = Outcome::kFailed;
     r.error = p.error;
     r.deadline_met = false;
@@ -485,9 +455,7 @@ void ObjectService::process_event(const CompletionEvent& ev) {
   --running_;
 }
 
-void ObjectService::advance_to(f64 t) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RAPIDS_REQUIRE_MSG(t >= now_ - 1e-12, "service clock is monotone");
+void ObjectService::run_events(f64 t) {
   while (!events_.empty() && events_.top().time_s <= t) {
     const CompletionEvent ev = events_.top();
     events_.pop();
@@ -495,28 +463,21 @@ void ObjectService::advance_to(f64 t) {
     process_event(ev);
     pump();
   }
+}
+
+void ObjectService::advance_to(f64 t) {
+  std::lock_guard<std::mutex> lock(mu_);
+  RAPIDS_REQUIRE_MSG(t >= now_ - 1e-12, "service clock is monotone");
+  run_events(t);
   now_ = std::max(now_, t);
   pump();
 }
 
 void ObjectService::drain() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (;;) {
-    if (!events_.empty()) {
-      const CompletionEvent ev = events_.top();
-      events_.pop();
-      now_ = std::max(now_, ev.time_s);
-      process_event(ev);
-      pump();
-      continue;
-    }
-    pump();
-    if (events_.empty()) {
-      RAPIDS_REQUIRE_MSG(running_ == 0 && sched_.empty(),
-                         "drain: no events but work remains");
-      break;
-    }
-  }
+  run_events(kInf);
+  RAPIDS_REQUIRE_MSG(running_ == 0 && sched_.empty(),
+                     "drain: no events but work remains");
 }
 
 std::vector<Response> ObjectService::take_completed() {

@@ -10,11 +10,11 @@
 /// dispatch order, shed, brownout transitions — from (queue state, simulated
 /// time, deterministic cost estimates) alone. Lane occupancy uses the cost
 /// estimate, so the full admission/shed/brownout schedule is a pure
-/// function of the seeded arrival schedule. Actual pipeline execution is
-/// forked onto the work-stealing pool and joined at the request's virtual
-/// completion instant through a `Completion`; it fills in response payloads
-/// and the pipeline's own simulated latencies but can never perturb a
-/// scheduling decision, no matter how threads interleave.
+/// function of the seeded arrival schedule. Each request's pipeline call is
+/// forked onto the work-stealing pool on a `TaskGroup` of its own and joined
+/// with `wait()` at the request's virtual completion instant; it fills in
+/// response payloads and the pipeline's own simulated latencies but can
+/// never perturb a scheduling decision, no matter how threads interleave.
 ///
 /// Overload ladder (the brownout state machine):
 ///   normal --backlog > saturate_backlog_s--> saturated
@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "rapids/core/pipeline.hpp"
-#include "rapids/parallel/completion.hpp"
 #include "rapids/parallel/thread_pool.hpp"
 #include "rapids/service/request.hpp"
 #include "rapids/service/scheduler.hpp"
@@ -156,7 +155,7 @@ class ObjectService {
   /// Deterministic per-object cost profile from the metadata record.
   struct Profile {
     std::vector<u64> level_bytes;
-    std::vector<f64> level_bounds;
+    mgard::RefactoredObject meta;  ///< the levels' bounds e_j
     u32 served_levels = 0;  ///< session/cache cursor estimate
   };
 
@@ -176,7 +175,6 @@ class ObjectService {
   };
 
   const Profile* profile_for(const std::string& object);
-  u32 target_levels(const Profile& p, f64 rel_bound) const;
   u64 estimate_bytes(const Request& r, const Profile* p, u32 target) const;
   f64 estimate_seconds(u64 bytes) const;
   void record_decision(Decision d, u64 id);
@@ -186,6 +184,9 @@ class ObjectService {
   void dispatch(const Ticket& ticket);
   void finalize_shed(const Ticket& ticket, bool would_expire);
   void process_event(const CompletionEvent& ev);
+  /// Process every completion event due by `t` in time order, dispatching
+  /// after each one.
+  void run_events(f64 t);
   void execute(Pending& p);  // runs on the pool (or inline)
 
   core::RapidsPipeline& pipe_;
@@ -208,6 +209,8 @@ class ObjectService {
   std::vector<TenantStats> tenant_stats_;
   ServiceStats stats_;
   std::atomic<u8> state_{static_cast<u8>(LoadState::kNormal)};
+  /// Set by the destructor: a forked call that has not started returns.
+  std::atomic<bool> stopping_{false};
   f64 overload_since_ = -1.0;  ///< first instant backlog exceeded brownout
   f64 state_since_ = 0.0;      ///< when the current state was entered
 };

@@ -1,10 +1,21 @@
 #include "rapids/storage/storage_system.hpp"
 
+#include <algorithm>
 #include <filesystem>
 
 #include "rapids/util/bytes.hpp"
 
 namespace rapids::storage {
+
+namespace {
+/// The file name earlier versions gave `key`: '/' flattened to '_' alone,
+/// which two keys could share ("a/0" and "a_0").
+std::string legacy_file_name(const std::string& key) {
+  std::string flat = key;
+  std::replace(flat.begin(), flat.end(), '/', '_');
+  return flat + ".frag";
+}
+}  // namespace
 
 StorageSystem::StorageSystem(u32 id, std::string name, f64 bandwidth,
                              f64 failure_prob)
@@ -20,10 +31,19 @@ void StorageSystem::set_bandwidth(f64 bandwidth) {
 }
 
 std::string StorageSystem::file_path(const std::string& key) const {
-  // Keys contain '/'; flatten for the filesystem.
-  std::string flat = key;
-  for (char& c : flat)
-    if (c == '/') c = '_';
+  // Keys contain '/'; flatten it to '_' after escaping the key's own '%' and
+  // '_', so no two keys share a file. A key with neither keeps the plain
+  // flattened name.
+  std::string flat;
+  flat.reserve(key.size());
+  for (const char c : key) {
+    if (c == '%')
+      flat += "%25";
+    else if (c == '_')
+      flat += "%5F";
+    else
+      flat += c == '/' ? '_' : c;
+  }
   return dir_ + "/" + flat + ".frag";
 }
 
@@ -159,18 +179,34 @@ void StorageSystem::attach_directory(const std::string& dir) {
   std::filesystem::create_directories(dir);
   dir_ = dir;
   // Index the fragments already stored here (by an earlier process) from
-  // their headers; nothing is rewritten. A file whose header does not parse,
-  // or whose name is not its header's key, is left out and reads as missing.
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (!entry.is_regular_file() || entry.path().extension() != ".frag")
-      continue;
+  // their headers; no file's bytes are rewritten. A file still under the
+  // name earlier versions gave its header's key is renamed to the current
+  // name, or removed as stale when the current name already exists. A file
+  // whose header does not parse, or whose name is neither, is left out and
+  // reads as missing. The listing is taken first, so a renamed file is
+  // visited once.
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    if (entry.is_regular_file() && entry.path().extension() == ".frag")
+      files.push_back(entry.path());
+  for (const auto& path : files) {
     try {
       u64 payload_bytes = 0;
       const ec::Fragment header = ec::Fragment::deserialize_header(
-          as_bytes_view(read_file(entry.path().string())), payload_bytes);
-      if (std::filesystem::path(file_path(header.id.key())).filename() ==
-          entry.path().filename())
+          as_bytes_view(read_file(path.string())), payload_bytes);
+      const std::string key = header.id.key();
+      const std::filesystem::path current = file_path(key);
+      if (path.filename() == current.filename()) {
         index_locked(header, payload_bytes);
+      } else if (path.filename() == legacy_file_name(key)) {
+        std::error_code err;
+        if (std::filesystem::exists(current, err)) {
+          std::filesystem::remove(path, err);
+        } else {
+          std::filesystem::rename(path, current, err);
+          if (!err) index_locked(header, payload_bytes);
+        }
+      }
     } catch (const io_error&) {
     }
   }

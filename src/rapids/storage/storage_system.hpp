@@ -92,7 +92,10 @@ class StorageSystem {
   /// Spill fragments to `dir` (created if needed) instead of RAM. Fragment
   /// files already in `dir` are indexed from their headers, so a directory
   /// reopened by a later process serves what an earlier one stored; a file
-  /// whose header does not parse reads as missing.
+  /// whose header does not parse reads as missing. A file under the name
+  /// earlier versions used (its key's '/' turned into '_' alone, which two
+  /// keys could share) is renamed to the current name, or removed when a
+  /// file under the current name already holds its key.
   void attach_directory(const std::string& dir);
 
   /// Attach (or with nullptr, detach) a scripted fault profile. The profile

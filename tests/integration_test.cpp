@@ -14,6 +14,7 @@
 #include "rapids/kvstore/db.hpp"
 #include "rapids/data/datasets.hpp"
 #include "rapids/data/stats.hpp"
+#include "rapids/mgard/refactorer.hpp"
 #include "rapids/parallel/thread_pool.hpp"
 #include "rapids/storage/failure.hpp"
 
@@ -176,6 +177,114 @@ TEST_F(IntegrationTest, ReopenedDirectoryWorkspaceRestoresWithoutRewriting) {
     EXPECT_EQ(read_file(path), bytes) << path;
     EXPECT_EQ(fs::last_write_time(path), past) << path;
   }
+}
+
+TEST_F(IntegrationTest, SlashAndUnderscoreNamesKeepTheirOwnFragmentFiles) {
+  // "a/0" and "a_0" would flatten to the same fragment file names if '/'
+  // became '_' alone. Each object must restore its own payloads, in the
+  // workspace that prepared them and in a reopened one.
+  const auto attach = [this] {
+    for (u32 i = 0; i < cluster_->size(); ++i)
+      cluster_->system(i).attach_directory(dir_ + "/sys" + std::to_string(i));
+  };
+  const Dims dims{33, 17, 9};
+  const std::map<std::string, std::vector<f32>> fields{
+      {"a/0", data::scale_pressure(dims, 3)},
+      {"a_0", data::hurricane_pressure(dims, 5)}};
+  std::map<std::string, mgard::FieldBuffer> expected;
+  const auto check = [&](RapidsPipeline& pipeline) {
+    for (const auto& [name, want] : expected) {
+      const auto rest = pipeline.restore(name);
+      EXPECT_EQ(rest.levels_used, 4u) << name;
+      ASSERT_EQ(rest.data.size(), want.size()) << name;
+      EXPECT_EQ(std::memcmp(rest.data.data(), want.data(),
+                            want.size() * sizeof(f32)),
+                0)
+          << name;
+    }
+  };
+  {
+    attach();
+    RapidsPipeline pipeline(*cluster_, *db_, config());
+    const mgard::Refactorer refactorer(config().refactor);
+    for (const auto& [name, field] : fields) {
+      const auto prep = pipeline.prepare(field, dims, name);
+      std::vector<Bytes> payloads;
+      for (const auto& level : prep.record.meta.levels)
+        payloads.push_back(level.payload);
+      expected[name] = refactorer.reconstruct(prep.record.meta, payloads);
+    }
+    check(pipeline);
+  }
+  db_.reset();
+  cluster_ = std::make_unique<storage::Cluster>(
+      storage::ClusterConfig{16, 0.01, 2024});
+  db_ = kv::Db::open(dir_ + "/db");
+  attach();
+  RapidsPipeline reopened(*cluster_, *db_, config());
+  check(reopened);
+}
+
+TEST_F(IntegrationTest, ReopeningMovesFragmentFilesOfTheEarlierNaming) {
+  // A workspace written while fragment files were named by turning '/' into
+  // '_' alone: an object whose name has a '_' keeps serving after reopening,
+  // and its files move to the current names, so aging reaches them.
+  const auto attach = [this] {
+    for (u32 i = 0; i < cluster_->size(); ++i)
+      cluster_->system(i).attach_directory(dir_ + "/sys" + std::to_string(i));
+  };
+  const auto frag_files = [this] {
+    std::vector<fs::path> paths;
+    for (const auto& e : fs::recursive_directory_iterator(dir_))
+      if (e.path().extension() == ".frag") paths.push_back(e.path());
+    return paths;
+  };
+  const Dims dims{33, 17, 9};
+  mgard::FieldBuffer expected;
+  {
+    attach();
+    RapidsPipeline pipeline(*cluster_, *db_, config());
+    const auto prep =
+        pipeline.prepare(data::scale_pressure(dims, 3), dims, "a_b");
+    std::vector<Bytes> payloads;
+    for (const auto& level : prep.record.meta.levels)
+      payloads.push_back(level.payload);
+    expected = mgard::Refactorer(config().refactor)
+                   .reconstruct(prep.record.meta, payloads);
+  }
+  db_.reset();
+  cluster_.reset();
+
+  // Rename every fragment file to the earlier name: the escaped '_' back.
+  u64 renamed = 0;
+  for (const auto& path : frag_files()) {
+    std::string name = path.filename().string();
+    const auto at = name.find("%5F");
+    if (at == std::string::npos) continue;
+    name.replace(at, 3, "_");
+    fs::rename(path, path.parent_path() / name);
+    ++renamed;
+  }
+  ASSERT_EQ(renamed, 16u * 4u);
+
+  cluster_ = std::make_unique<storage::Cluster>(
+      storage::ClusterConfig{16, 0.01, 2024});
+  db_ = kv::Db::open(dir_ + "/db");
+  attach();
+  RapidsPipeline reopened(*cluster_, *db_, config());
+  const auto rest = reopened.restore("a_b");
+  EXPECT_EQ(rest.levels_used, 4u);
+  ASSERT_EQ(rest.data.size(), expected.size());
+  EXPECT_EQ(std::memcmp(rest.data.data(), expected.data(),
+                        expected.size() * sizeof(f32)),
+            0);
+  const auto paths = frag_files();
+  EXPECT_EQ(paths.size(), 16u * 4u);
+  for (const auto& path : paths)
+    EXPECT_NE(path.filename().string().find("%5F"), std::string::npos)
+        << path;
+  EXPECT_GT(reopened.age_object("a_b", 1), 0u);
+  EXPECT_EQ(frag_files().size(), 16u);
 }
 
 TEST_F(IntegrationTest, RapidsBeatsBaselinesOnOverheadAtComparableQuality) {

@@ -1,67 +1,71 @@
-// Tests for the thread pool and parallel_for: correctness, exception
-// propagation, nesting, and chunk coverage.
+// Tests for the thread pool and its two primitives, the bulk loop and
+// TaskGroup: correctness, exception propagation, nesting, chunk coverage,
+// and the inline rule when there is no pool to fork onto.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <memory>
+#include <mutex>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "rapids/parallel/completion.hpp"
 #include "rapids/parallel/thread_pool.hpp"
 
 namespace rapids {
 namespace {
+
+/// Every chunk one bulk loop ran, with the thread that ran it.
+struct ChunkLog {
+  std::mutex mu;
+  std::vector<std::pair<u64, u64>> chunks;
+  std::vector<std::thread::id> threads;
+
+  void add(u64 lo, u64 hi) {
+    std::lock_guard<std::mutex> lock(mu);
+    chunks.emplace_back(lo, hi);
+    threads.push_back(std::this_thread::get_id());
+  }
+};
 
 TEST(ThreadPool, SizeDefaultsToHardware) {
   ThreadPool pool;
   EXPECT_GE(pool.size(), 1u);
 }
 
-TEST(ThreadPool, SubmitReturnsValue) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 41 + 1; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, SubmitPropagatesException) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
 TEST(ThreadPool, ManyTasksAllRun) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 200; ++i)
-    futs.push_back(pool.submit([&count] { count.fetch_add(1); }));
-  for (auto& f : futs) f.get();
+  TaskGroup group(&pool);
+  for (int i = 0; i < 200; ++i) group.run([&count] { count.fetch_add(1); });
+  group.wait();
   EXPECT_EQ(count.load(), 200);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(10000);
-  pool.parallel_for(0, hits.size(), [&](u64 i) { hits[i].fetch_add(1); });
+  parallel_for(&pool, 0, hits.size(), [&](u64 i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
 }
 
 TEST(ParallelFor, EmptyRangeIsNoop) {
   ThreadPool pool(2);
   bool ran = false;
-  pool.parallel_for(5, 5, [&](u64) { ran = true; });
+  parallel_for(&pool, 5, 5, [&](u64) { ran = true; });
+  parallel_for(nullptr, 5, 5, [&](u64) { ran = true; });
   EXPECT_FALSE(ran);
 }
 
 TEST(ParallelFor, SingleElement) {
   ThreadPool pool(2);
   std::atomic<int> hits{0};
-  pool.parallel_for(7, 8, [&](u64 i) {
+  parallel_for(&pool, 7, 8, [&](u64 i) {
     EXPECT_EQ(i, 7u);
     hits.fetch_add(1);
   });
@@ -72,24 +76,19 @@ TEST(ParallelFor, SumMatchesSerial) {
   ThreadPool pool(8);
   const u64 n = 100000;
   std::atomic<u64> sum{0};
-  pool.parallel_for(0, n, [&](u64 i) { sum.fetch_add(i, std::memory_order_relaxed); });
+  parallel_for(&pool, 0, n,
+               [&](u64 i) { sum.fetch_add(i, std::memory_order_relaxed); });
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
 }
 
 TEST(ParallelForChunks, ChunksPartitionRange) {
   ThreadPool pool(4);
-  std::mutex mu;
-  std::vector<std::pair<u64, u64>> chunks;
-  pool.parallel_for_chunks(
-      0, 1000,
-      [&](u64 lo, u64 hi) {
-        std::lock_guard<std::mutex> lock(mu);
-        chunks.emplace_back(lo, hi);
-      },
-      64);
-  std::sort(chunks.begin(), chunks.end());
+  ChunkLog log;
+  parallel_for_chunks(
+      &pool, 0, 1000, [&](u64 lo, u64 hi) { log.add(lo, hi); }, 64);
+  std::sort(log.chunks.begin(), log.chunks.end());
   u64 expect = 0;
-  for (auto [lo, hi] : chunks) {
+  for (auto [lo, hi] : log.chunks) {
     EXPECT_EQ(lo, expect);
     EXPECT_GT(hi, lo);
     expect = hi;
@@ -99,24 +98,67 @@ TEST(ParallelForChunks, ChunksPartitionRange) {
 
 TEST(ParallelForChunks, RespectsGrain) {
   ThreadPool pool(4);
-  std::mutex mu;
-  std::vector<u64> sizes;
-  pool.parallel_for_chunks(
-      0, 1000,
-      [&](u64 lo, u64 hi) {
-        std::lock_guard<std::mutex> lock(mu);
-        sizes.push_back(hi - lo);
-      },
-      100);
-  for (u64 s : sizes) EXPECT_LE(s, 100u);
+  ChunkLog log;
+  parallel_for_chunks(
+      &pool, 0, 1000, [&](u64 lo, u64 hi) { log.add(lo, hi); }, 100);
+  EXPECT_EQ(log.chunks.size(), 10u);
+  for (auto [lo, hi] : log.chunks) EXPECT_EQ(hi - lo, 100u);
+}
+
+// The no-pool rule: with no pool, a one-worker pool, or a range that is one
+// chunk, the body runs once over the whole range on the calling thread.
+TEST(ParallelForChunks, RunsInlineWithoutAPool) {
+  ChunkLog log;
+  parallel_for_chunks(
+      nullptr, 3, 1003, [&](u64 lo, u64 hi) { log.add(lo, hi); }, 10);
+  ASSERT_EQ(log.chunks.size(), 1u);
+  EXPECT_EQ(log.chunks[0], std::make_pair(u64{3}, u64{1003}));
+  EXPECT_EQ(log.threads[0], std::this_thread::get_id());
+}
+
+TEST(ParallelForChunks, RunsInlineOnAOneWorkerPool) {
+  ThreadPool pool(1);
+  ChunkLog log;
+  parallel_for_chunks(
+      &pool, 0, 1000, [&](u64 lo, u64 hi) { log.add(lo, hi); }, 10);
+  ASSERT_EQ(log.chunks.size(), 1u);
+  EXPECT_EQ(log.chunks[0], std::make_pair(u64{0}, u64{1000}));
+  EXPECT_EQ(log.threads[0], std::this_thread::get_id());
+}
+
+TEST(ParallelForChunks, RunsInlineWhenTheRangeIsOneChunk) {
+  ThreadPool pool(4);
+  for (const u64 n : {u64{1}, u64{99}, u64{100}}) {
+    ChunkLog log;
+    parallel_for_chunks(
+        &pool, 0, n, [&](u64 lo, u64 hi) { log.add(lo, hi); }, 100);
+    ASSERT_EQ(log.chunks.size(), 1u) << "n=" << n;
+    EXPECT_EQ(log.chunks[0], std::make_pair(u64{0}, n));
+    EXPECT_EQ(log.threads[0], std::this_thread::get_id());
+  }
+}
+
+TEST(ParallelFor, InlineRunRethrows) {
+  ThreadPool one(1);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one}) {
+    std::vector<int> hits(10, 0);
+    EXPECT_THROW(parallel_for(pool, 0, hits.size(),
+                              [&](u64 i) {
+                                hits[i] += 1;
+                                if (i == 4) throw std::runtime_error("bad");
+                              }),
+                 std::runtime_error);
+    // One inline chunk: the throw ends it, in index order.
+    EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 5);
+  }
 }
 
 TEST(ParallelFor, ExceptionPropagates) {
   ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for(0, 100,
-                                 [](u64 i) {
-                                   if (i == 57) throw std::runtime_error("bad");
-                                 }),
+  EXPECT_THROW(parallel_for(&pool, 0, 100,
+                            [](u64 i) {
+                              if (i == 57) throw std::runtime_error("bad");
+                            }),
                std::runtime_error);
 }
 
@@ -125,7 +167,7 @@ TEST(ParallelFor, OtherChunksStillRunAfterThrow) {
   std::atomic<int> count{0};
   bool threw = false;
   try {
-    pool.parallel_for(0, 1000, [&](u64 i) {
+    parallel_for(&pool, 0, 1000, [&](u64 i) {
       count.fetch_add(1);
       if (i == 0) throw std::runtime_error("early");
     });
@@ -142,9 +184,9 @@ TEST(ParallelFor, OtherChunksStillRunAfterThrow) {
 TEST(ParallelFor, NestedParallelismCompletes) {
   ThreadPool pool(4);
   std::atomic<int> inner_total{0};
-  pool.parallel_for(0, 8, [&](u64) {
-    // Nested loops reuse the global pool helper path.
-    parallel_for(0, 100, [&](u64) { inner_total.fetch_add(1); });
+  parallel_for(&pool, 0, 8, [&](u64) {
+    // A loop nested in a pool task forks onto the same pool and helps.
+    parallel_for(&pool, 0, 100, [&](u64) { inner_total.fetch_add(1); });
   });
   EXPECT_EQ(inner_total.load(), 800);
 }
@@ -152,7 +194,7 @@ TEST(ParallelFor, NestedParallelismCompletes) {
 TEST(ParallelFor, SingleThreadPoolStillWorks) {
   ThreadPool pool(1);
   std::vector<int> hits(100, 0);
-  pool.parallel_for(0, hits.size(), [&](u64 i) { hits[i] += 1; });
+  parallel_for(&pool, 0, hits.size(), [&](u64 i) { hits[i] += 1; });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 100);
 }
 
@@ -222,6 +264,29 @@ TEST(TaskGroup, WaitRethrowsFirstException) {
   EXPECT_EQ(ran.load(), 7);
 }
 
+// Without a pool to fork onto (none, or one worker), run() calls each task
+// before it returns, on the calling thread; a task's exception still waits
+// for wait(), and the tasks after it still run.
+TEST(TaskGroup, RunsInlineWithoutAPool) {
+  ThreadPool one(1);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one}) {
+    TaskGroup group(pool);
+    std::vector<int> order;
+    std::thread::id ran_on;
+    group.run([&] {
+      order.push_back(0);
+      ran_on = std::this_thread::get_id();
+    });
+    EXPECT_EQ(order, std::vector<int>{0});
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+    group.run([] { throw std::runtime_error("inline failure"); });
+    group.run([&] { order.push_back(2); });
+    EXPECT_EQ(order, (std::vector<int>{0, 2}));
+    EXPECT_THROW(group.wait(), std::runtime_error);
+    EXPECT_NO_THROW(group.wait());  // the error was handed out once
+  }
+}
+
 TEST(TaskGroup, NestedGroupsInsideTasksComplete) {
   ThreadPool pool(2);
   std::atomic<int> leaves{0};
@@ -237,20 +302,21 @@ TEST(TaskGroup, NestedGroupsInsideTasksComplete) {
   EXPECT_EQ(leaves.load(), 32);
 }
 
-// Regression: a task submitted to the pool that itself runs parallel_for on
+// Regression: a task forked onto the pool that itself runs a bulk loop on
 // the same pool must complete even when every worker is occupied by such a
 // task — waiters cooperatively execute pending chunks instead of blocking.
 TEST(ThreadPool, NestedParallelForInsideSubmittedTaskDoesNotDeadlock) {
   for (unsigned workers : {1u, 2u, 4u}) {
     ThreadPool pool(workers);
     std::atomic<u64> total{0};
-    std::vector<std::future<void>> futs;
+    TaskGroup group(&pool);
     for (unsigned t = 0; t < 2 * workers; ++t)
-      futs.push_back(pool.submit([&pool, &total] {
-        pool.parallel_for(0, 500,
-                          [&total](u64) { total.fetch_add(1, std::memory_order_relaxed); });
-      }));
-    for (auto& f : futs) f.get();
+      group.run([&pool, &total] {
+        parallel_for(&pool, 0, 500, [&total](u64) {
+          total.fetch_add(1, std::memory_order_relaxed);
+        });
+      });
+    group.wait();
     EXPECT_EQ(total.load(), 2 * workers * 500u) << "workers=" << workers;
   }
 }
@@ -263,135 +329,57 @@ TEST(ThreadPool, StealingOccursUnderImbalance) {
   // or by the main thread helping inside wait() — either counts as a
   // steal). Guarantees a steal regardless of scheduling, where a plain
   // work burst let the forker drain everything itself on slow/1-core runs.
+  // The main thread does not help until the forker has started, so a
+  // worker runs it and the children are that worker's own work.
+  std::atomic<bool> forker_started{false};
   std::atomic<int> started{0};
+  u64 steals_before_children = 0;
   TaskGroup group(&pool);
-  pool.submit([&] {
-      for (int i = 0; i < 2; ++i)
-        group.run([&started] {
-          started.fetch_add(1, std::memory_order_acq_rel);
-          while (started.load(std::memory_order_acquire) < 2)
-            std::this_thread::yield();
-        });
-    }).get();
+  TaskGroup forker(&pool);
+  forker.run([&] {
+    steals_before_children = pool.steal_count();
+    forker_started.store(true, std::memory_order_release);
+    EXPECT_TRUE(pool.on_worker_thread());
+    for (int i = 0; i < 2; ++i)
+      group.run([&started] {
+        started.fetch_add(1, std::memory_order_acq_rel);
+        while (started.load(std::memory_order_acquire) < 2)
+          std::this_thread::yield();
+      });
+  });
+  while (!forker_started.load(std::memory_order_acquire))
+    std::this_thread::yield();
+  forker.wait();
   group.wait();
   EXPECT_EQ(started.load(), 2);
   EXPECT_GT(pool.steal_count(), 0u);
+  // The steal the children forced, not only the one that moved the forker.
+  EXPECT_GT(pool.steal_count(), steals_before_children);
 }
 
 TEST(ThreadPool, TryRunOneDrainsQueuedWork) {
-  ThreadPool pool(1);
-  // Saturate the single worker so at least one queued task is observable
-  // from the outside, then help from the calling thread.
+  // Hold both workers, queue tasks behind them, and drain the queue from
+  // the calling thread.
+  std::atomic<int> held{0};
+  std::atomic<bool> release{false};
   std::atomic<int> count{0};
+  ThreadPool pool(2);
+  TaskGroup holders(&pool);
+  for (int i = 0; i < 2; ++i)
+    holders.run([&] {
+      held.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+  while (held.load() < 2) std::this_thread::yield();
   TaskGroup group(&pool);
   for (int i = 0; i < 32; ++i) group.run([&count] { count.fetch_add(1); });
-  while (count.load() < 32)
-    if (!pool.try_run_one()) std::this_thread::yield();
-  group.wait();
+  while (pool.try_run_one()) {
+  }
   EXPECT_EQ(count.load(), 32);
   EXPECT_FALSE(pool.on_worker_thread());
-}
-
-TEST(GlobalPool, ConvenienceWrappersWork) {
-  std::atomic<int> count{0};
-  parallel_for(0, 50, [&](u64) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 50);
-  std::atomic<u64> covered{0};
-  parallel_for_chunks(0, 50, [&](u64 lo, u64 hi) { covered.fetch_add(hi - lo); });
-  EXPECT_EQ(covered.load(), 50u);
-}
-
-// ------------------------------------------------- Completion / DeadlineGate
-
-TEST(Completion, SetBeforeWaitReturnsImmediately) {
-  parallel::Completion done;
-  EXPECT_FALSE(done.ready());
-  done.set();
-  EXPECT_TRUE(done.ready());
-  done.wait();  // must not block
-}
-
-TEST(Completion, SecondSetIsInvariantViolation) {
-  parallel::Completion done;
-  done.set();
-  EXPECT_THROW(done.set(), invariant_error);
-}
-
-TEST(Completion, WaitBlocksUntilSetFromAnotherThread) {
-  parallel::Completion done;
-  std::atomic<bool> woke{false};
-  std::thread waiter([&] {
-    done.wait();
-    woke = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_FALSE(woke);
-  done.set();
-  waiter.join();
-  EXPECT_TRUE(woke);
-}
-
-TEST(Completion, WaitWithPoolHelpsDrainTheQueue) {
-  // A waiter on the pool's own completion must help run queued tasks, so
-  // waiting from the submitting thread can never deadlock a busy pool.
-  ThreadPool pool(1);
-  parallel::Completion gate_open;
-  parallel::Completion done;
-  // Occupy the single worker until the waiter has started helping.
-  pool.submit([&] { gate_open.wait(); });
-  for (int i = 0; i < 8; ++i) pool.submit([] {});
-  pool.submit([&] { done.set(); });
-  gate_open.set();
-  done.wait(&pool);
-  EXPECT_TRUE(done.ready());
-}
-
-TEST(DeadlineGate, RemainingBudgetClampsAtZero) {
-  parallel::DeadlineGate gate(10.0);
-  EXPECT_DOUBLE_EQ(gate.deadline_s(), 10.0);
-  EXPECT_DOUBLE_EQ(gate.remaining_s(4.0), 6.0);
-  EXPECT_DOUBLE_EQ(gate.remaining_s(10.0), 0.0);
-  EXPECT_DOUBLE_EQ(gate.remaining_s(25.0), 0.0);
-  EXPECT_FALSE(gate.expired(9.99));
-  EXPECT_TRUE(gate.expired(10.0));
-}
-
-TEST(DeadlineGate, DefaultIsUnbounded) {
-  parallel::DeadlineGate gate;
-  EXPECT_FALSE(gate.expired(1e18));
-  EXPECT_GT(gate.remaining_s(1e18), 0.0);
-}
-
-TEST(DeadlineGate, CancelIsStickyAndVisible) {
-  parallel::DeadlineGate gate(1.0);
-  EXPECT_FALSE(gate.cancelled());
-  gate.cancel();
-  EXPECT_TRUE(gate.cancelled());
-  gate.cancel();  // idempotent
-  EXPECT_TRUE(gate.cancelled());
-}
-
-TEST(DeadlineTask, RunsBodyWhenLive) {
-  auto gate = std::make_shared<parallel::DeadlineGate>(5.0);
-  int body_runs = 0, skip_runs = 0;
-  auto task = parallel::deadline_task(
-      gate, [&] { ++body_runs; }, [&] { ++skip_runs; });
-  task();
-  EXPECT_EQ(body_runs, 1);
-  EXPECT_EQ(skip_runs, 0);
-}
-
-TEST(DeadlineTask, RunsSkipAfterCancel) {
-  // The pre-run hook: a task popped after its gate was cancelled must take
-  // the cheap skip path, never the body.
-  auto gate = std::make_shared<parallel::DeadlineGate>(5.0);
-  int body_runs = 0, skip_runs = 0;
-  auto task = parallel::deadline_task(
-      gate, [&] { ++body_runs; }, [&] { ++skip_runs; });
-  gate->cancel();
-  task();
-  EXPECT_EQ(body_runs, 0);
-  EXPECT_EQ(skip_runs, 1);
+  release = true;
+  holders.wait();
+  group.wait();
 }
 
 }  // namespace

@@ -189,11 +189,7 @@ void decode(const PlaneSet& ps, u32 num_planes, State& state,
         plane_words[p] = decode_segment(ps.planes[p0 + p], n);
       }
     };
-    if (pool != nullptr && delta + want_sign > 1) {
-      pool->parallel_for(0, u64{delta} + want_sign, decode_one);
-    } else {
-      for (u64 i = 0; i < u64{delta} + want_sign; ++i) decode_one(i);
-    }
+    parallel_for(pool, 0, u64{delta} + want_sign, decode_one);
 
     if (delta > 0) {
       const kernels::BitplaneOps& mops = kernels::bitplane_ops();
@@ -211,11 +207,7 @@ void decode(const PlaneSet& ps, u32 num_planes, State& state,
             q[base + i] |= static_cast<u32>(block[i]);
         }
       };
-      if (pool != nullptr && nwords > 64) {
-        pool->parallel_for_chunks(0, nwords, merge, 0);
-      } else {
-        merge(0, nwords);
-      }
+      parallel_for_chunks(pool, 0, nwords, merge, nwords > 64 ? 0 : nwords);
     }
     state.planes_decoded = num_planes;
   }
@@ -231,11 +223,8 @@ void decode(const PlaneSet& ps, u32 num_planes, State& state,
     rops.dequantize(out.data() + lo, q.data() + lo, sign_words.data() + wlo,
                     inv_scale, mid, hi - lo);
   };
-  if (pool != nullptr && nwords > (1u << 10)) {
-    pool->parallel_for_chunks(0, nwords, reconstruct, 0);
-  } else {
-    reconstruct(0, nwords);
-  }
+  parallel_for_chunks(pool, 0, nwords, reconstruct,
+                      nwords > (1u << 10) ? 0 : nwords);
 }
 
 std::vector<f64> decode(const PlaneSet& ps, u32 num_planes, State& state,

@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <memory>
+#include <thread>
 
 #include "rapids/core/pipeline.hpp"
 #include "rapids/data/datasets.hpp"
@@ -18,6 +21,7 @@
 #include "rapids/kvstore/db.hpp"
 #include "rapids/parallel/thread_pool.hpp"
 #include "rapids/service/service.hpp"
+#include "rapids/storage/fault_injector.hpp"
 #include "rapids/util/rng.hpp"
 
 namespace rapids::service {
@@ -620,6 +624,47 @@ TEST(ObjectService, ScheduleHashDeterministicAcrossRunsAndPools) {
   const u64 pooled = run_seeded_schedule(w2, &pool);
   EXPECT_EQ(serial, pooled);
   EXPECT_NE(serial, 0u);
+}
+
+TEST(ObjectService, DestructionJoinsQueuedCallsWithoutRunningThem) {
+  // Every request is dispatched and forked, then left queued behind a pool
+  // whose workers are all held. The destructor must return, join each
+  // forked call itself (the held workers cannot), and start none of them:
+  // no pipeline call reaches a storage system.
+  World w("shutdown");
+  std::vector<std::shared_ptr<storage::FaultProfile>> profiles;
+  for (u32 s = 0; s < w.cluster.size(); ++s) {
+    profiles.push_back(
+        std::make_shared<storage::FaultProfile>(storage::FaultSpec{}));
+    w.cluster.system(s).attach_fault_profile(profiles.back());
+  }
+  std::atomic<u32> held{0};
+  std::atomic<bool> release{false};
+  ThreadPool pool(2);
+  TaskGroup latch(&pool);
+  for (u32 i = 0; i < pool.size(); ++i)
+    latch.run([&] {
+      held.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+  while (held.load() < pool.size()) std::this_thread::yield();
+
+  constexpr u32 kRequests = 4;
+  const u64 steals_before = pool.steal_count();
+  {
+    ServiceOptions o = fixed_cost_options();
+    o.lanes = kRequests;
+    ObjectService svc(*w.pipeline, o, &pool);
+    for (u32 i = 0; i < kRequests; ++i)
+      EXPECT_TRUE(svc.submit(restore_req(0)).admitted());
+  }
+  // This thread took every forked call off the workers' deques.
+  EXPECT_EQ(pool.steal_count() - steals_before, u64{kRequests});
+  u64 ops = 0;
+  for (const auto& p : profiles) ops += p->counters().ops;
+  EXPECT_EQ(ops, 0u);
+  release = true;
+  latch.wait();
 }
 
 TEST(ObjectService, AdvanceToIsMonotoneAndDrainsEvents) {

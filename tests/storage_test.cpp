@@ -176,6 +176,59 @@ TEST(StorageSystem, AttachIndexesTheFragmentFilesAlreadyThere) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(StorageSystem, AttachRenamesFilesUnderTheEarlierFlattenedName) {
+  // Earlier versions named a fragment file by its key with '/' turned into
+  // '_' alone. Attaching moves such a file to the current name and serves
+  // it; when a file under the current name already holds the key, the old
+  // one is stale and goes.
+  namespace fs = std::filesystem;
+  const auto dir = fs::temp_directory_path() / "rapids_store_legacy";
+  const auto other = fs::temp_directory_path() / "rapids_store_legacy_new";
+  fs::remove_all(dir);
+  fs::remove_all(other);
+  const auto moved = make_fragment("run_1", 0, 1, 200);
+  const auto stale = make_fragment("run_1", 0, 2, 100);
+  const auto fresh = make_fragment("run_1", 0, 2, 300);
+  const auto legacy = [&dir](const ec::Fragment& f) {
+    return dir / ("frag_run_1_0_" + std::to_string(f.id.index) + ".frag");
+  };
+  const auto current = [](const fs::path& in, const ec::Fragment& f) {
+    return in / ("frag_run%5F1_0_" + std::to_string(f.id.index) + ".frag");
+  };
+  {
+    StorageSystem first(0, "s0", 1e9, 0.01);
+    first.attach_directory(dir.string());
+    first.put(ec::Fragment(moved));
+    first.put(ec::Fragment(stale));
+    StorageSystem newer(0, "s0", 1e9, 0.01);
+    newer.attach_directory(other.string());
+    newer.put(ec::Fragment(fresh));
+  }
+  for (const auto* f : {&moved, &stale}) {
+    ASSERT_TRUE(fs::exists(current(dir, *f)));
+    fs::rename(current(dir, *f), legacy(*f));
+  }
+  fs::copy_file(current(other, fresh), current(dir, fresh));
+
+  StorageSystem second(0, "s0", 1e9, 0.01);
+  second.attach_directory(dir.string());
+  EXPECT_EQ(second.fragment_count(), 2u);
+  EXPECT_EQ(second.used_bytes(), 500u);
+  for (const auto* f : {&moved, &fresh}) {
+    const auto back = second.get(f->id.key());
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->payload, f->payload);
+    EXPECT_TRUE(fs::exists(current(dir, *f)));
+    EXPECT_FALSE(fs::exists(legacy(*f)));
+  }
+  // The moved file is the indexed one: erasing the key removes it.
+  second.erase(moved.id.key());
+  EXPECT_FALSE(fs::exists(current(dir, moved)));
+  EXPECT_EQ(second.used_bytes(), 300u);
+  fs::remove_all(dir);
+  fs::remove_all(other);
+}
+
 TEST(StorageSystem, RejectsBadConstruction) {
   EXPECT_THROW(StorageSystem(0, "x", 0.0, 0.01), invariant_error);
   EXPECT_THROW(StorageSystem(0, "x", 1e9, 1.0), invariant_error);
